@@ -3,19 +3,19 @@
 //
 // Usage:
 //
-//	mspr-bench [-scale 0.02] [-requests 2000] [e1|e2|e3|e4|e5|e6|e7|hotpath|recovery|all ...]
+//	mspr-bench [-scale 0.02] [-requests 2000] [e1|e2|e3|e4|e5|e6|e7|recovery|all ...]
 //
 // Results are reported in model milliseconds: wall-clock time divided by
 // the time scale, directly comparable to the paper's numbers in shape
 // (orderings, ratios, crossovers), though not in absolute value — the
 // substrate is a simulator, not the authors' testbed.
 //
-// The hotpath experiment additionally emits machine-readable results:
-// with -hotpath-out FILE, the run (labelled via -label) is appended to
-// FILE's run list, building the repository's performance trajectory
-// (BENCH_hotpath.json). The recovery experiment does the same via
-// -recovery-out (BENCH_recovery.json): time-to-first-reply and
-// full-drain time after a crash versus session count.
+// The recovery experiment additionally emits machine-readable results:
+// with -recovery-out FILE, the run (labelled via -label) is appended to
+// FILE's run list (BENCH_recovery.json): time-to-first-reply and
+// full-drain time after a crash versus session count. Request-path
+// throughput, latency and per-request allocations are measured by the
+// repository's benchmark instead: bash benchmark/run.sh.
 package main
 
 import (
@@ -29,39 +29,6 @@ import (
 
 	"mspr/internal/bench"
 )
-
-// hotpathRun is one labelled entry of the BENCH_hotpath.json trajectory.
-type hotpathRun struct {
-	Label     string                  `json:"label"`
-	Date      string                  `json:"date"`
-	TimeScale float64                 `json:"time_scale"`
-	Requests  int                     `json:"requests"`
-	ServePath []bench.ServePathAllocs `json:"serve_path"`
-	Points    []bench.HotpathPoint    `json:"points"`
-}
-
-type hotpathFile struct {
-	Comment string       `json:"comment"`
-	Runs    []hotpathRun `json:"runs"`
-}
-
-func appendHotpathRun(path string, run hotpathRun) error {
-	var f hotpathFile
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &f); err != nil {
-			return fmt.Errorf("existing %s is not a hotpath trajectory: %w", path, err)
-		}
-	}
-	if f.Comment == "" {
-		f.Comment = "mspr hot-path performance trajectory; regenerate with: go run ./cmd/mspr-bench -hotpath-out BENCH_hotpath.json -label <label> hotpath"
-	}
-	f.Runs = append(f.Runs, run)
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
 
 // recoveryRun is one labelled entry of the BENCH_recovery.json trajectory.
 type recoveryRun struct {
@@ -113,7 +80,6 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "model-to-wall-clock time scale (1.0 = paper wall-clock)")
 	requests := flag.Int("requests", 2000, "end-client requests per configuration")
 	crashEvery := flag.Int("crash-every", 500, "crash injection interval for E5/E6 (requests per crash)")
-	hotpathOut := flag.String("hotpath-out", "", "append the hotpath run to this JSON trajectory file")
 	recoveryOut := flag.String("recovery-out", "", "append the recovery run to this JSON trajectory file")
 	recoveryCounts := flag.String("recovery-counts", "", "comma-separated session counts for the recovery experiment (default 100,1000,10000)")
 	label := flag.String("label", "dev", "label for a run in a JSON trajectory file")
@@ -179,31 +145,6 @@ func main() {
 	if run["e7"] {
 		if _, err := bench.RunE7(o, nil); err != nil {
 			fail(err)
-		}
-		fmt.Println()
-	}
-	if run["hotpath"] {
-		servePath, err := bench.RunServePathAllocs(o)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println()
-		points, err := bench.RunHotpath(o, nil)
-		if err != nil {
-			fail(err)
-		}
-		if *hotpathOut != "" {
-			hr := hotpathRun{
-				Label:     *label,
-				Date:      time.Now().UTC().Format("2006-01-02"), //mspr:wallclock run timestamp for the committed trajectory file
-				TimeScale: *scale,
-				Requests:  *requests,
-				ServePath: servePath,
-				Points:    points,
-			}
-			if err := appendHotpathRun(*hotpathOut, hr); err != nil {
-				fail(err)
-			}
 		}
 		fmt.Println()
 	}

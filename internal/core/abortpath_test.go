@@ -1,0 +1,221 @@
+package core
+
+import (
+	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strings"
+	"testing"
+	"time"
+
+	"mspr/internal/failpoint"
+	"mspr/internal/rpc"
+	"mspr/internal/simnet"
+	"mspr/internal/wal"
+)
+
+// expectNoReply fails if ep receives a reply for seq within the grace
+// period: a request that ran into a dead log must be dropped silently so
+// the client resends to the next incarnation.
+func expectNoReply(t *testing.T, ep *simnet.Endpoint, seq uint64) {
+	t.Helper()
+	grace := time.After(100 * time.Millisecond)
+	for {
+		select {
+		case m := <-ep.Recv():
+			if rep, ok := m.Payload.(rpc.Reply); ok && rep.Seq == seq {
+				t.Fatalf("got a reply (status %v) for seq %d from an MSP whose log is dead", rep.Status, seq)
+			}
+		case <-grace:
+			return
+		}
+	}
+}
+
+// callRaw sends req from ep and returns its reply, resending while the
+// MSP answers Busy (a session still replaying after a restart).
+func callRaw(t *testing.T, ep *simnet.Endpoint, req rpc.Request) rpc.Reply {
+	t.Helper()
+	for {
+		ep.Send("msp1", req)
+		if rep := awaitReply(t, ep, req.Seq); rep.Status != rpc.StatusBusy {
+			return rep
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDeadLogOutsideHandlerDropsRequest closes the three windows where an
+// append on the engine's own stack — outside any service method — used to
+// panic past every recover() and take the process down: the log dies
+// after handleRequest's state check said "running" and before the
+// ReqReceive append, the SessionEnd append, or the shared-variable
+// checkpoint append reached from forceStaleCheckpoints. In each, the
+// request caught by the dead log must get no reply, and its resend to the
+// next incarnation must be served exactly once.
+func TestDeadLogOutsideHandlerDropsRequest(t *testing.T) {
+	const sid = "window#1"
+	cases := []struct {
+		name string
+		// kill leaves the server believing it is running over a log that
+		// fails the append under test.
+		kill func(t *testing.T, srv *Server, fp *failpoint.Registry)
+		req  rpc.Request // sent after kill; seq 2 of session sid
+		// receiveLogged: the request's ReqReceive append must still land,
+		// so that the failing append is the one after it.
+		receiveLogged bool
+	}{
+		{
+			name: "ReqReceive",
+			kill: func(t *testing.T, srv *Server, _ *failpoint.Registry) { srv.log.Close() },
+			req:  rpc.Request{Method: "sharedInc"},
+		},
+		{
+			// The End's receive record, carrying an argument as large as
+			// the log buffer, is appended into the empty buffer; the
+			// SessionEnd append right behind it then needs a flush first,
+			// and the armed flush crash wedges the log under it.
+			name: "SessionEnd",
+			kill: func(t *testing.T, srv *Server, fp *failpoint.Registry) { fp.Enable(wal.FPFlushCrash) },
+			req:  rpc.Request{EndSession: true, Arg: bytes.Repeat([]byte{0xee}, 64<<10)},
+
+			receiveLogged: true,
+		},
+		{
+			// The variable's dependencies are already durable, so the
+			// checkpoint's flush succeeds on the closed log and the
+			// checkpoint record's append is what meets it.
+			name: "SVCheckpoint",
+			kill: func(t *testing.T, srv *Server, _ *failpoint.Registry) {
+				srv.log.Close()
+				sv := srv.sharedVar("total")
+				for i := 0; i < srv.cfg.ForceCkptAfter; i++ {
+					sv.bumpMSPCkptAge()
+				}
+				ckpts := srv.stats.SVCkpts.Load()
+				srv.forceStaleCheckpoints()
+				if srv.stats.SVCkpts.Load() != ckpts {
+					t.Fatal("shared-variable checkpoint succeeded on a closed log")
+				}
+			},
+			req: rpc.Request{Method: "sharedInc"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEnv(t)
+			defer e.cleanup()
+			fp := failpoint.New(1)
+			srv := e.start("msp1", counterDef(), func(c *Config) { c.Failpoints = fp })
+			cli := e.net.Endpoint("cli")
+
+			cli.Send("msp1", rpc.Request{Session: sid, Seq: 1, Method: "sharedInc", NewSession: true, From: cli.Addr()})
+			if rep := awaitReply(t, cli, 1); rep.Status != rpc.StatusOK || asU64(rep.Payload) != 1 {
+				t.Fatalf("first sharedInc: status %v, total %d", rep.Status, asU64(rep.Payload))
+			}
+
+			tc.kill(t, srv, fp)
+			before := srv.log.Next()
+			req := tc.req
+			req.Session, req.Seq, req.From = sid, 2, cli.Addr()
+			cli.Send("msp1", req)
+			expectNoReply(t, cli, 2)
+			if landed := srv.log.Next() > before; landed != tc.receiveLogged {
+				t.Fatalf("receive record appended = %v, want %v", landed, tc.receiveLogged)
+			}
+
+			fp.DisableAll()
+			srv = e.restart("msp1")
+			wantTotal := uint64(1) // what the resent request leaves in "total"
+			if !req.EndSession {
+				wantTotal = 2
+			}
+			for attempt := 0; attempt < 2; attempt++ { // the second resend must hit the dedup path
+				rep := callRaw(t, cli, req)
+				if rep.Status != rpc.StatusOK {
+					t.Fatalf("resend %d: status %v (%s)", attempt, rep.Status, rep.Payload)
+				}
+				if !req.EndSession && asU64(rep.Payload) != wantTotal {
+					t.Fatalf("resend %d: total %d, want %d", attempt, asU64(rep.Payload), wantTotal)
+				}
+			}
+			if req.EndSession && srv.sessions.get(sid) != nil {
+				t.Fatal("session still in the table after its End was served")
+			}
+			fresh := e.endClient().Session("msp1")
+			if got := asU64(mustCall(t, fresh, "sharedInc", nil)); got != wantTotal+1 {
+				t.Fatalf("total after recovery = %d, want %d: the resent request did not execute exactly once", got, wantTotal+1)
+			}
+		})
+	}
+}
+
+// TestResentEndIsAcknowledged: End is idempotent. The first End's OK is
+// dropped on the floor; the resend finds no session — finishEndSession
+// already deleted it — and must be acknowledged again, not answered
+// Rejected (which rpc.Call takes as final).
+func TestResentEndIsAcknowledged(t *testing.T) {
+	e := newTestEnv(t)
+	defer e.cleanup()
+	e.start("msp1", counterDef())
+	cli := e.net.Endpoint("cli")
+	cli.Send("msp1", rpc.Request{Session: "end#1", Seq: 1, Method: "inc", NewSession: true, From: cli.Addr()})
+	awaitReply(t, cli, 1)
+
+	end := rpc.Request{Session: "end#1", Seq: 2, EndSession: true, From: cli.Addr()}
+	cli.Send("msp1", end)
+	awaitReply(t, cli, 2) // the reply the client never saw
+	cli.Send("msp1", end)
+	if rep := awaitReply(t, cli, 2); rep.Status != rpc.StatusOK {
+		t.Fatalf("resent End: status %v, want OK", rep.Status)
+	}
+	// A request that is not an End still needs its session.
+	cli.Send("msp1", rpc.Request{Session: "end#1", Seq: 3, Method: "inc", From: cli.Addr()})
+	if rep := awaitReply(t, cli, 3); rep.Status != rpc.StatusRejected {
+		t.Fatalf("request on an ended session: status %v, want Rejected", rep.Status)
+	}
+}
+
+// TestOneAbortPath pins the structure the abort path was reduced to: one
+// recover() in the package (runMethod) and one place that builds the
+// unwind sentinel (abortMethod). A second recover site or a second kind
+// of sentinel panic is how appends ended up outside every boundary.
+func TestOneAbortPath(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovers := map[string]int{}  // enclosing function → recover() calls
+	sentinels := map[string]int{} // enclosing function → methodAbort{} literals
+	for _, f := range pkgs["core"].Files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CallExpr:
+					if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "recover" {
+						recovers[fn.Name.Name]++
+					}
+				case *ast.CompositeLit:
+					if id, ok := x.Type.(*ast.Ident); ok && id.Name == "methodAbort" {
+						sentinels[fn.Name.Name]++
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(recovers) != 1 || recovers["runMethod"] != 1 {
+		t.Errorf("recover() sites = %v, want exactly one, in runMethod", recovers)
+	}
+	if len(sentinels) != 1 || sentinels["abortMethod"] != 1 {
+		t.Errorf("methodAbort literals = %v, want exactly one, in abortMethod", sentinels)
+	}
+}

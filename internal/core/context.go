@@ -32,16 +32,17 @@ type replayState struct {
 	switched  bool
 }
 
-// next returns the next logged record of the session, or ok=false when
-// the stream is exhausted.
-func (rp *replayState) next(s *Server) (lsn wal.LSN, typ logrec.Type, payload []byte, ok bool) {
+// next returns the next logged record of the session. When the stream is
+// exhausted it returns ok=false with c switched to live execution.
+func (rp *replayState) next(c *Ctx) (lsn wal.LSN, typ logrec.Type, payload []byte, ok bool) {
 	if rp.idx >= len(rp.positions) {
+		rp.switched, c.mode = true, modeNormal
 		return 0, 0, nil, false
 	}
 	lsn = rp.positions[rp.idx]
-	t, p, err := s.log.ReadRecord(lsn)
+	t, p, err := c.srv.log.ReadRecord(lsn)
 	if err != nil {
-		panic(fmt.Errorf("core: replay of %s: reading %d: %w", s.cfg.ID, lsn, err))
+		panic(fmt.Errorf("core: replay of %s: reading %d: %w", c.srv.cfg.ID, lsn, err))
 	}
 	rp.idx++
 	return lsn, logrec.Type(t), p, true
@@ -58,7 +59,75 @@ type Ctx struct {
 	sess   *Session
 	mode   ctxMode
 	rp     *replayState
-	reqSeq uint64 // sequence number of the request being served
+	reqSeq uint64  // sequence number of the request being served
+	reqLSN wal.LSN // its receive record (0 when logging is off)
+}
+
+// abortReason says why a service method was abandoned mid-execution
+// (DESIGN.md, "Abort path").
+type abortReason uint8
+
+const (
+	notAborted         abortReason = iota
+	abortOrphan                    // the session is an orphan (interception point, before-send flush)
+	abortCrashed                   // the MSP died under the method, or the method called AbortNoReply
+	abortReplayRestart             // replay mode: an already-replayed record became an orphan (§4.1)
+)
+
+// methodAbort is the one value core panics with on purpose: the Handler
+// signature gives Ctx no other way to stop user code. Everything on the
+// engine's own stack returns errors instead.
+type methodAbort struct {
+	reason abortReason
+	err    error // what tripped it; seen only if the panic escapes runMethod
+}
+
+func (a methodAbort) Error() string { return fmt.Sprintf("core: method abort %d: %v", a.reason, a.err) }
+
+// abortMethod unwinds the running service method up to runMethod.
+func abortMethod(reason abortReason, err error) { panic(methodAbort{reason, err}) }
+
+// runMethod executes a request's service method — live or replaying, ctx
+// says which — and, unless it was aborted, records the outcome the same
+// way for both: reply buffered (§3.1), sequence number advanced, execution
+// reported to the tap. It holds the package's only recover(); any other
+// panic value (a handler bug, a replay mismatch) keeps unwinding.
+func runMethod(ctx *Ctx, h Handler, arg []byte) (rep rpc.Reply, abort abortReason) {
+	defer func() {
+		if r := recover(); r != nil {
+			a, ok := r.(methodAbort)
+			if !ok {
+				panic(r)
+			}
+			abort = a.reason
+		}
+	}()
+	out, appErr := h(ctx, arg)
+	s, sess := ctx.srv, ctx.sess
+	rep = rpc.Reply{Session: sess.id, Seq: ctx.reqSeq, Status: rpc.StatusOK, Payload: out}
+	if appErr != nil {
+		rep.Status = rpc.StatusAppError
+		rep.Payload = []byte(appErr.Error())
+	}
+	sess.bufferReply(rep)
+	sess.seq.Advance(ctx.reqSeq)
+	if tap := s.cfg.Tap; tap != nil {
+		// Reported before the reply is sent: whether the client sees it is
+		// the client history's business. A method that began in replay is
+		// a replayed execution even if it completed live — that only
+		// finishes what the incarnation that logged the receive reported.
+		tap.RequestExecuted(s.cfg.ID, sess.id, ctx.reqSeq, s.epoch.Load(), uint64(ctx.reqLSN), rep.Payload, ctx.rp != nil)
+	}
+	return rep, notAborted
+}
+
+// abortIfLogDown stops the method if err is a failed log append: the MSP
+// died under it, and user code could return err to the client as final.
+func (c *Ctx) abortIfLogDown(err error) error {
+	if errors.Is(err, errLogDown) {
+		abortMethod(abortCrashed, err)
+	}
+	return err
 }
 
 // SessionID returns the identifier of the session serving this request.
@@ -83,7 +152,7 @@ func (c *Ctx) RequestSeq() uint64 { return c.reqSeq }
 // answer and break exactly-once semantics. The resent request must be
 // deduplicated below this layer (testable transactions).
 func (c *Ctx) AbortNoReply(err error) {
-	panic(crashAbort{fmt.Errorf("core: %s/%s request aborted without reply: %w", c.srv.cfg.ID, c.sess.id, err)})
+	abortMethod(abortCrashed, fmt.Errorf("core: %s/%s request aborted without reply: %w", c.srv.cfg.ID, c.sess.id, err))
 }
 
 // intercept is the recovery infrastructure's interception point (§4.1):
@@ -100,9 +169,9 @@ func (c *Ctx) intercept() {
 		return
 	}
 	if c.mode == modeReplay {
-		panic(replayRestart{})
+		abortMethod(abortReplayRestart, errOrphanDep)
 	}
-	panic(orphanAbort{})
+	abortMethod(abortOrphan, errOrphanDep)
 }
 
 // GetVar returns the value of a session variable (nil if unset). Session-
@@ -173,10 +242,9 @@ func (c *Ctx) ReadShared(name string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", errUnknownShared, name)
 	}
 	if c.mode == modeReplay {
-		lsn, typ, payload, ok := c.rp.next(c.srv)
+		lsn, typ, payload, ok := c.rp.next(c)
 		if !ok {
-			c.switchToLive(0, false)
-			return sv.read(c.sess)
+			return c.liveRead(sv)
 		}
 		if typ != logrec.TSharedRead {
 			panic(fmt.Errorf("core: replay mismatch in %s/%s: expected SharedRead(%s), log has %v at %d",
@@ -192,14 +260,21 @@ func (c *Ctx) ReadShared(name string) ([]byte, error) {
 		if _, orphan := c.srv.know.OrphanIn(rec.DV); orphan {
 			// Orphan log record found: recovery ends here; the read
 			// continues as normal execution (§4.1).
-			c.switchToLive(lsn, true)
-			return sv.read(c.sess)
+			c.abortIfLogDown(c.switchToLiveAtOrphan(lsn))
+			return c.liveRead(sv)
 		}
 		c.sess.mergeVec(rec.DV)
 		c.sess.replayAdvance(lsn)
 		return append([]byte(nil), rec.Value...), nil
 	}
-	return sv.read(c.sess)
+	return c.liveRead(sv)
+}
+
+// liveRead runs the Fig. 8 read action for real. The variable returns a
+// failed append as an error; it becomes the abort here, off its lock.
+func (c *Ctx) liveRead(sv *SharedVar) ([]byte, error) {
+	v, err := sv.read(c.sess)
+	return v, c.abortIfLogDown(err)
 }
 
 // WriteShared writes a shared variable (Fig. 8 write action). Replay
@@ -211,10 +286,9 @@ func (c *Ctx) WriteShared(name string, value []byte) error {
 		return fmt.Errorf("%w: %s", errUnknownShared, name)
 	}
 	if c.mode == modeReplay {
-		lsn, typ, payload, ok := c.rp.next(c.srv)
+		lsn, typ, payload, ok := c.rp.next(c)
 		if !ok {
-			c.switchToLive(0, false)
-			return sv.write(c.sess, value)
+			return c.abortIfLogDown(sv.write(c.sess, value))
 		}
 		if typ != logrec.TSharedWrite {
 			panic(fmt.Errorf("core: replay mismatch in %s/%s: expected SharedWrite(%s), log has %v at %d",
@@ -229,7 +303,7 @@ func (c *Ctx) WriteShared(name string, value []byte) error {
 		}
 		return nil // skipped: shared state recovers separately
 	}
-	return sv.write(c.sess, value)
+	return c.abortIfLogDown(sv.write(c.sess, value))
 }
 
 // Call synchronously invokes a service method of another MSP over this
@@ -240,9 +314,8 @@ func (c *Ctx) Call(target, method string, arg []byte) ([]byte, error) {
 	out := c.sess.outSession(target)
 	if c.mode == modeReplay {
 		seq := out.nextSeq
-		lsn, typ, payload, ok := c.rp.next(c.srv)
+		lsn, typ, payload, ok := c.rp.next(c)
 		if !ok {
-			c.switchToLive(0, false)
 			return c.liveCall(out, method, arg)
 		}
 		if typ != logrec.TReplyReceive {
@@ -262,7 +335,7 @@ func (c *Ctx) Call(target, method string, arg []byte) ([]byte, error) {
 				// Orphan reply found: recovery ends; re-issue the call
 				// live. The target deduplicates by sequence number, so
 				// the request still executes exactly once.
-				c.switchToLive(lsn, true)
+				c.abortIfLogDown(c.switchToLiveAtOrphan(lsn))
 				return c.liveCall(out, method, arg)
 			}
 			c.sess.mergeVec(rec.DV)
@@ -274,26 +347,24 @@ func (c *Ctx) Call(target, method string, arg []byte) ([]byte, error) {
 	return c.liveCall(out, method, arg)
 }
 
-// switchToLive ends replay mid-method. If an orphan log record was found
-// (haveOrphan), the positions of the skipped records are removed from the
-// stream and an EOS record pointing back at the orphan record is written
-// (§4.1); either way the context becomes a normal-execution context and
-// the method continues live.
-func (c *Ctx) switchToLive(orphanLSN wal.LSN, haveOrphan bool) {
-	c.rp.switched = true
-	c.mode = modeNormal
-	if haveOrphan {
-		if tap := c.srv.cfg.Tap; tap != nil {
-			tap.SessionRolledBack(c.srv.cfg.ID, c.sess.id, uint64(orphanLSN))
-		}
-		skipped := c.sess.truncatePositions(orphanLSN)
-		rec := logrec.EOS{Session: c.sess.id, Orphan: orphanLSN}
-		// The EOS record needs no immediate flush and its position is not
-		// added to the stream — it must be invisible to future replays.
-		_, _, _ = c.srv.appendRec(logrec.TEOS, rec.Encode())
-		metrics.Recovery.EOSWritten.Inc()
-		metrics.Recovery.OrphanRecordsSkipped.Add(int64(skipped))
+// switchToLiveAtOrphan ends replay at an orphan log record: the skipped
+// records' positions leave the stream and an EOS record pointing back at
+// the orphan record is written (§4.1). It fails only on a dead log.
+func (c *Ctx) switchToLiveAtOrphan(orphanLSN wal.LSN) error {
+	c.rp.switched, c.mode = true, modeNormal
+	if tap := c.srv.cfg.Tap; tap != nil {
+		tap.SessionRolledBack(c.srv.cfg.ID, c.sess.id, uint64(orphanLSN))
 	}
+	skipped := c.sess.truncatePositions(orphanLSN)
+	rec := logrec.EOS{Session: c.sess.id, Orphan: orphanLSN}
+	// The EOS record needs no immediate flush and its position is not
+	// added to the stream — it must be invisible to future replays.
+	if _, _, err := c.srv.appendRec(logrec.TEOS, rec.Encode()); err != nil {
+		return err
+	}
+	metrics.Recovery.EOSWritten.Inc()
+	metrics.Recovery.OrphanRecordsSkipped.Add(int64(skipped))
+	return nil
 }
 
 // liveCall performs a real outgoing call: locally optimistic logging
@@ -330,13 +401,13 @@ func (c *Ctx) liveCall(out *outSession, method string, arg []byte) ([]byte, erro
 					break
 				}
 				if errors.Is(err, errOrphanDep) {
-					panic(orphanAbort{})
+					abortMethod(abortOrphan, err)
 				}
 				if !errors.Is(err, errUnavailable) {
 					return nil, err
 				}
 				if s.getState() == stateCrashed {
-					panic(crashAbort{err})
+					abortMethod(abortCrashed, err)
 				}
 				simtime.Sleep(bo.Next())
 				c.intercept()
@@ -365,7 +436,7 @@ func (c *Ctx) liveCall(out *outSession, method string, arg []byte) ([]byte, erro
 			select {
 			case <-s.stop:
 				timer.Stop()
-				panic(crashAbort{errors.New("server crashed during outgoing call")})
+				abortMethod(abortCrashed, errors.New("server crashed during outgoing call"))
 			case rep := <-ch:
 				if rep.Seq != seq {
 					continue
@@ -387,7 +458,8 @@ func (c *Ctx) liveCall(out *outSession, method string, arg []byte) ([]byte, erro
 				if s.cfg.Logging {
 					rec := logrec.ReplyReceive{Session: sess.id, OutSession: out.id, Seq: seq,
 						Status: byte(rep.Status), Reply: rep.Payload, HasDV: rep.HasDV, DV: rep.DV}
-					lsn, n := s.mustAppend(logrec.TReplyReceive, rec.Encode())
+					lsn, n, err := s.appendRec(logrec.TReplyReceive, rec.Encode())
+					c.abortIfLogDown(err)
 					sess.noteReceive(lsn, n, rep.DV)
 				}
 				out.nextSeq = seq + 1

@@ -7,7 +7,6 @@ import (
 	"mspr/internal/dv"
 	"mspr/internal/logrec"
 	"mspr/internal/metrics"
-	"mspr/internal/rpc"
 	"mspr/internal/wal"
 )
 
@@ -275,6 +274,7 @@ func (s *Server) analysisScan(from wal.LSN) (wal.LSN, error) {
 // MSP crash mid-recovery retroactively orphans an already-replayed record
 // (multiple concurrent crashes, Fig. 11).
 func (s *Server) runSessionRecovery(sess *Session) {
+	sess.releaseToRecovery() // a no-op unless the caller held the session busy
 	if !s.cfg.Logging {
 		sess.finishRecovery()
 		return
@@ -302,27 +302,6 @@ func (s *Server) runSessionRecovery(sess *Session) {
 // It reports restart=true if replay must start over due to a concurrent
 // crash.
 func (s *Server) replaySessionOnce(sess *Session) (restart bool, err error) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		switch r.(type) {
-		case replayRestart:
-			restart = true
-		case orphanAbort:
-			// An interception point during live completion found the
-			// session newly orphaned (a recovery broadcast arrived while a
-			// live call was in flight). Start replay over; the re-run
-			// truncates at the record carrying the orphan dependency.
-			restart = true
-		case crashAbort:
-			err = errUnavailable
-		default:
-			panic(r)
-		}
-	}()
-
 	if ckpt := sess.lastCkpt(); ckpt != 0 {
 		typ, payload, rerr := s.log.ReadRecord(ckpt)
 		if rerr != nil {
@@ -344,8 +323,8 @@ func (s *Server) replaySessionOnce(sess *Session) (restart bool, err error) {
 	ctx := &Ctx{srv: s, sess: sess, mode: modeReplay, rp: rp}
 
 	for rp.idx < len(rp.positions) && !rp.switched {
-		if cerr := s.evalCrashPoint(FPReplayMidSession); cerr != nil {
-			panic(crashAbort{cerr})
+		if err := s.evalCrashPoint(FPReplayMidSession); err != nil {
+			return false, err
 		}
 		// Retroactive orphan check: a recovery message that arrived since
 		// we merged a DV may have orphaned the session mid-replay.
@@ -372,15 +351,13 @@ func (s *Server) replaySessionOnce(sess *Session) (restart bool, err error) {
 					// everything after; the session then waits for new
 					// requests (the intra-domain client recovers too and
 					// resends).
-					ctx.switchToLive(lsn, true)
-					return false, nil
+					return false, ctx.switchToLiveAtOrphan(lsn)
 				}
 			}
 			rp.idx++
 			sess.replayReceive(lsn, rec.DV)
-			s.replayRequest(ctx, sess, rec, lsn)
-			if rp.switched {
-				return false, nil
+			if restart, err := s.replayRequest(ctx, sess, rec, lsn); restart || err != nil {
+				return restart, err
 			}
 		case logrec.TSessionEnd, logrec.TEOS:
 			rp.idx++ // defensive: these never drive replay
@@ -397,44 +374,35 @@ func (s *Server) replaySessionOnce(sess *Session) (restart bool, err error) {
 // at lsn. If replay switches to live execution mid-method (orphan found
 // or log exhausted), the method completes for real and its reply is
 // sent; otherwise the regenerated reply is only buffered — the client's
-// resend will fetch it.
-func (s *Server) replayRequest(ctx *Ctx, sess *Session, rec logrec.ReqReceive, lsn wal.LSN) {
+// resend will fetch it. restart: the session turned out to be an orphan
+// (at an interception point or the live completion's reply flush); the
+// re-run truncates at the orphan record. err: the MSP died under it.
+func (s *Server) replayRequest(ctx *Ctx, sess *Session, rec logrec.ReqReceive, lsn wal.LSN) (restart bool, err error) {
 	if rec.Method == "" {
-		return
+		return false, nil
 	}
-	ctx.reqSeq = rec.Seq
+	ctx.reqSeq, ctx.reqLSN = rec.Seq, lsn
 	h := s.cfg.Def.Methods[rec.Method]
 	if h == nil {
 		// The method disappeared from the definition between incarnations;
 		// nothing can be replayed deterministically.
 		panic(fmt.Errorf("core: replay of unknown method %q", rec.Method))
 	}
-	out, appErr := h(ctx, rec.Arg)
-	rep := rpc.Reply{Session: sess.id, Seq: rec.Seq, Status: rpc.StatusOK, Payload: out}
-	if appErr != nil {
-		rep.Status = rpc.StatusAppError
-		rep.Payload = []byte(appErr.Error())
+	rep, abort := runMethod(ctx, h, rec.Arg)
+	switch abort {
+	case abortOrphan, abortReplayRestart:
+		return true, nil
+	case abortCrashed:
+		return false, errUnavailable
 	}
-	sess.bufferReply(rep)
-	sess.seq.Advance(rec.Seq)
-	if tap := s.cfg.Tap; tap != nil {
-		// Always a replayed execution, even when the method completed
-		// live: the receive record at lsn was already reported by the
-		// incarnation that first executed it, and a live completion only
-		// finishes that same execution.
-		tap.RequestExecuted(s.cfg.ID, sess.id, rec.Seq, s.epoch.Load(), uint64(lsn), rep.Payload, true)
-	}
-	if ctx.rp.switched {
-		// Live completion: deliver the reply through the normal path.
-		//mspr:flushed-by sendReply
-		if err := s.sendReply(sess, sess.clientAddress(), rep); err != nil {
-			if errors.Is(err, errOrphanDep) {
-				panic(replayRestart{})
-			}
-			// Unreachable dependency: the reply stays buffered; the
-			// client's resend delivers it once the peer is back.
-		}
-	} else {
+	if !ctx.rp.switched {
 		s.stats.RequestsReplayed.Add(1)
+		return false, nil
 	}
+	// Live completion: deliver the reply through the normal path. An
+	// unreachable dependency leaves the reply buffered; the client's
+	// resend delivers it once the peer is back.
+	//mspr:flushed-by sendReply
+	err = s.sendReply(sess, sess.clientAddress(), rep)
+	return errors.Is(err, errOrphanDep), nil
 }

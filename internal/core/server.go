@@ -78,22 +78,10 @@ var (
 	errOrphanDep = errors.New("core: dependency is an orphan")
 	// errUnavailable reports that a peer MSP is down or still recovering.
 	errUnavailable = errors.New("core: peer unavailable")
+	// errLogDown marks every error appendRec returns: the log was closed or
+	// wedged by a crash of this MSP (see Ctx.abortIfLogDown).
+	errLogDown = errors.New("core: log append failed")
 )
-
-// orphanAbort is panicked through a service method when an interception
-// point finds the executing session to be an orphan; the request
-// dispatcher recovers it and initiates session orphan recovery.
-type orphanAbort struct{}
-
-// crashAbort is panicked through a service method when the server crashes
-// underneath it (log closed); the request is abandoned.
-type crashAbort struct{ err error }
-
-// replayRestart is panicked through a replaying method when mid-replay
-// knowledge updates reveal the session became an orphan at an
-// already-replayed record; replay restarts from the checkpoint (multiple
-// concurrent crashes, §4.1).
-type replayRestart struct{}
 
 type serverState int32
 
@@ -648,8 +636,14 @@ func (s *Server) handleRequest(req rpc.Request) {
 	sess, status := s.lookupOrCreateSession(req)
 	switch status {
 	case sessionRejected:
-		s.reply(req.From, rpc.Reply{Session: req.Session, Seq: req.Seq, Status: rpc.StatusRejected,
-			Payload: []byte("unknown session")})
+		rep := rpc.Reply{Session: req.Session, Seq: req.Seq, Status: rpc.StatusRejected, Payload: []byte("unknown session")}
+		if req.EndSession {
+			// A resent End whose first acknowledgement was lost or slow: the
+			// session is gone, which is all End promises. Rejected would
+			// be terminal for the client; acknowledge again.
+			rep.Status, rep.Payload = rpc.StatusOK, nil
+		}
+		s.reply(req.From, rep)
 		return
 	case sessionBusyNow:
 		// Recovering, checkpointing or already executing: the client
@@ -727,7 +721,6 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 	if s.cfg.Logging {
 		if _, orphan := s.know.OrphanIn(sess.vecLocked()); orphan {
 			s.replyBusy(req)
-			sess.releaseToRecovery()
 			s.runSessionRecovery(sess)
 			return
 		}
@@ -740,7 +733,10 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 		}
 		rec := logrec.ReqReceive{Session: sess.id, Seq: req.Seq, Method: req.Method,
 			Arg: req.Arg, HasDV: req.HasDV, DV: req.DV}
-		lsn, n := s.mustAppend(logrec.TReqReceive, rec.Encode())
+		lsn, n, err := s.appendRec(logrec.TReqReceive, rec.Encode())
+		if err != nil {
+			return // died after the state check: no reply, the client resends
+		}
 		sess.noteReceive(lsn, n, req.DV)
 		reqLSN = lsn
 	}
@@ -750,34 +746,20 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 		return
 	}
 
-	out, appErr, aborted := s.invoke(sess, req.Method, req.Seq, req.Arg)
-	if aborted {
+	ctx := &Ctx{srv: s, sess: sess, reqSeq: req.Seq, reqLSN: reqLSN}
+	rep, abort := runMethod(ctx, s.cfg.Def.Methods[req.Method], req.Arg)
+	if abort != notAborted {
 		// The session was found to be an orphan (or the server crashed)
 		// mid-method. No reply: the client resends after recovery.
-		if s.getState() == stateCrashed {
-			return
+		if s.getState() != stateCrashed {
+			s.runSessionRecovery(sess)
 		}
-		sess.releaseToRecovery()
-		s.runSessionRecovery(sess)
 		return
 	}
 
-	rep := rpc.Reply{Session: sess.id, Seq: req.Seq, Status: rpc.StatusOK, Payload: out}
-	if appErr != nil {
-		rep.Status = rpc.StatusAppError
-		rep.Payload = []byte(appErr.Error())
-	}
-	sess.bufferReply(rep)
-	sess.seq.Advance(req.Seq)
-	if tap := s.cfg.Tap; tap != nil {
-		// The execution is reported before the reply is sent: whether the
-		// client ever sees the reply is the client history's business.
-		tap.RequestExecuted(s.cfg.ID, sess.id, req.Seq, s.epoch.Load(), uint64(reqLSN), rep.Payload, false)
-	}
 	//mspr:flushed-by sendReply
 	if err := s.sendReply(sess, req.From, rep); err != nil {
 		if errors.Is(err, errOrphanDep) {
-			sess.releaseToRecovery()
 			s.runSessionRecovery(sess)
 			return
 		}
@@ -795,7 +777,6 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 	// enough (§3.4).
 	if s.cfg.Logging && s.cfg.SessionCkptThreshold > 0 && sess.logged() >= s.cfg.SessionCkptThreshold {
 		if err := s.checkpointSession(sess); errors.Is(err, errOrphanDep) {
-			sess.releaseToRecovery()
 			s.runSessionRecovery(sess)
 			return
 		}
@@ -829,7 +810,10 @@ func (s *Server) sendReply(sess *Session, to simnet.Addr, rep rpc.Reply) error {
 
 func (s *Server) finishEndSession(sess *Session, req rpc.Request) {
 	if s.cfg.Logging {
-		lsn, n := s.mustAppend(logrec.TSessionEnd, logrec.SessionEnd{Session: sess.id}.Encode())
+		lsn, n, err := s.appendRec(logrec.TSessionEnd, logrec.SessionEnd{Session: sess.id}.Encode())
+		if err != nil {
+			return // crashed underneath the End: no reply, the client resends
+		}
 		sess.noteOwnRecord(lsn, n)
 	}
 	rep := rpc.Reply{Session: sess.id, Seq: req.Seq, Status: rpc.StatusOK}
@@ -844,7 +828,6 @@ func (s *Server) finishEndSession(sess *Session, req rpc.Request) {
 		// recover it like any other reply flush would (§4.2). The end did
 		// not complete — the session stays in the table, and the client's
 		// resent End runs fresh against the recovered session.
-		sess.releaseToRecovery()
 		s.runSessionRecovery(sess)
 	} else {
 		// Unreachable dependency: the end acknowledgement could not be
@@ -912,9 +895,7 @@ func (s *Server) lookupOrCreateSession(req rpc.Request) (*Session, sessionStatus
 
 	if s.cfg.Logging {
 		rec := logrec.SessionStart{Session: sess.id, ClientAddr: string(req.From), IntraDomain: req.HasDV}
-		payload := rec.Encode()
-		lsn, n, err := s.appendRec(logrec.TSessionStart, payload)
-		logrec.Recycle(payload)
+		lsn, n, err := s.appendRec(logrec.TSessionStart, rec.Encode())
 		if err != nil {
 			// Crashing underneath us: withdraw the stillborn session so
 			// no future request finds a session without a start record.
@@ -926,49 +907,19 @@ func (s *Server) lookupOrCreateSession(req rpc.Request) (*Session, sessionStatus
 	return sess, sessionOK
 }
 
-// invoke runs a service method in normal-execution mode, converting the
-// orphan/crash abort panics into an aborted flag.
-func (s *Server) invoke(sess *Session, method string, seq uint64, arg []byte) (out []byte, appErr error, aborted bool) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		switch r.(type) {
-		case orphanAbort, crashAbort:
-			aborted = true
-		default:
-			panic(r)
-		}
-	}()
-	ctx := &Ctx{srv: s, sess: sess, reqSeq: seq}
-	out, appErr = s.cfg.Def.Methods[method](ctx, arg)
-	return out, appErr, false
-}
-
-// mustAppend writes a log record, panicking with crashAbort if the log
-// has been closed by a concurrent crash. It returns the record's LSN and
-// on-log size. The payload — always a freshly encoded record none of the
-// callers retain — is recycled into the logrec encode-buffer pool
-// (wal.Append has copied it into the log buffer by then).
-func (s *Server) mustAppend(t logrec.Type, payload []byte) (wal.LSN, int) {
+// appendRec is the one way core writes a log record. It returns the
+// record's LSN and on-log size, or an errLogDown error when a crash closed
+// or wedged the log — callers abandon the work and send no reply. The
+// payload, always a freshly encoded record, is recycled into the logrec
+// encode-buffer pool (wal.Append has copied it by then): callers must not
+// touch it afterwards.
+func (s *Server) appendRec(t logrec.Type, payload []byte) (wal.LSN, int, error) {
 	lsn, err := s.log.Append(byte(t), payload)
 	n := len(payload) + wal.FrameOverhead
 	logrec.Recycle(payload)
 	if err != nil {
-		panic(crashAbort{err})
+		return 0, 0, fmt.Errorf("%w: %w", errLogDown, err)
 	}
-	s.bytesSinceCkpt.Add(int64(n))
-	return lsn, n
-}
-
-// appendRec is mustAppend without the panic, for recovery-time paths.
-func (s *Server) appendRec(t logrec.Type, payload []byte) (wal.LSN, int, error) {
-	lsn, err := s.log.Append(byte(t), payload)
-	if err != nil {
-		return 0, 0, err
-	}
-	n := len(payload) + wal.FrameOverhead
 	s.bytesSinceCkpt.Add(int64(n))
 	return lsn, n, nil
 }
@@ -1250,6 +1201,7 @@ func (s *Server) writeMSPCheckpoint() error {
 	}
 
 	ckPayload := ck.Encode()
+	digest := s.tapDigest(ckPayload)
 	lsn, _, err := s.appendRec(logrec.TMSPCheckpoint, ckPayload)
 	if err != nil {
 		return err
@@ -1281,7 +1233,7 @@ func (s *Server) writeMSPCheckpoint() error {
 	s.bytesSinceCkpt.Store(0)
 	s.stats.MSPCkpts.Add(1)
 	if tap := s.cfg.Tap; tap != nil {
-		tap.StateDigest(s.cfg.ID, "msp-ckpt", s.epoch.Load(), uint64(lsn), tapDigest(ckPayload))
+		tap.StateDigest(s.cfg.ID, "msp-ckpt", s.epoch.Load(), uint64(lsn), digest)
 	}
 	return nil
 }
@@ -1327,6 +1279,7 @@ func (s *Server) checkpointSession(sess *Session) error {
 	}
 	rec := sess.checkpointRecord()
 	payload := rec.Encode()
+	digest := s.tapDigest(payload)
 	lsn, _, err := s.appendRec(logrec.TSessionCkpt, payload)
 	if err != nil {
 		return err
@@ -1334,7 +1287,7 @@ func (s *Server) checkpointSession(sess *Session) error {
 	sess.completeCheckpoint(lsn)
 	s.stats.SessionCkpts.Add(1)
 	if tap := s.cfg.Tap; tap != nil {
-		tap.StateDigest(s.cfg.ID, "session-ckpt/"+sess.id, s.epoch.Load(), uint64(lsn), tapDigest(payload))
+		tap.StateDigest(s.cfg.ID, "session-ckpt/"+sess.id, s.epoch.Load(), uint64(lsn), digest)
 	}
 	return nil
 }

@@ -267,13 +267,6 @@ func (se *Session) vecWithSelf() dv.Vector {
 	return se.vec.CloneWith(dv.Entry{Process: se.srv.selfID(), Epoch: se.srv.epoch.Load()}, int64(se.stateLSN))
 }
 
-// state returns the session's current state identifier.
-func (se *Session) state() dv.StateID {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	return dv.StateID{Epoch: se.srv.epoch.Load(), LSN: int64(se.stateLSN)}
-}
-
 // noteStart records the session's SessionStart log record.
 func (se *Session) noteStart(lsn wal.LSN, n int) {
 	se.mu.Lock()

@@ -79,7 +79,10 @@ func (sv *SharedVar) read(sess *Session) ([]byte, error) {
 		}
 	}
 	rec := logrec.SharedRead{Session: sess.id, Var: sv.name, Value: sv.value, DV: sv.vec}
-	lsn, n := s.mustAppend(logrec.TSharedRead, rec.Encode())
+	lsn, n, err := s.appendRec(logrec.TSharedRead, rec.Encode())
+	if err != nil {
+		return nil, err
+	}
 	sess.mergeVec(sv.vec)
 	sess.noteOwnRecord(lsn, n)
 	return append([]byte(nil), sv.value...), nil
@@ -109,7 +112,10 @@ func (sv *SharedVar) write(sess *Session, value []byte) error {
 	}
 	wvec := sess.vecWithSelf()
 	rec := logrec.SharedWrite{Session: sess.id, Var: sv.name, Value: value, DV: wvec, PrevWrite: sv.lastWrite}
-	lsn, n := s.mustAppend(logrec.TSharedWrite, rec.Encode())
+	lsn, n, err := s.appendRec(logrec.TSharedWrite, rec.Encode())
+	if err != nil {
+		return err
+	}
 	sess.notePosOnly(lsn, n)
 	sv.vec = wvec
 	sv.stateLSN = lsn
@@ -204,7 +210,10 @@ func (sv *SharedVar) checkpointLocked() error {
 		return err
 	}
 	rec := logrec.SVCheckpoint{Var: sv.name, Value: sv.value}
-	lsn, _ := s.mustAppend(logrec.TSVCheckpoint, rec.Encode())
+	lsn, _, err := s.appendRec(logrec.TSVCheckpoint, rec.Encode())
+	if err != nil {
+		return err
+	}
 	sv.vec = nil
 	sv.stateLSN = lsn
 	sv.lastWrite = lsn

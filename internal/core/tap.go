@@ -59,8 +59,12 @@ type ClientTap interface {
 }
 
 // tapDigest is the 64-bit FNV-1a digest tap call sites attach to
-// StateDigest events; it matches oracle.Digest.
-func tapDigest(b []byte) uint64 {
+// StateDigest events; it matches oracle.Digest. Zero, and free, without a
+// tap. Call it before appendRec recycles the payload.
+func (s *Server) tapDigest(b []byte) uint64 {
+	if s.cfg.Tap == nil {
+		return 0
+	}
 	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64()

@@ -19,15 +19,14 @@ import (
 // Concretely: within one function, no call that emits a Busy/Overloaded
 // outcome (Server.replyBusy, Server.replyOverloaded, Server.shedIfExpired,
 // or any call whose arguments mention rpc.StatusBusy/rpc.StatusOverloaded)
-// may be reachable AFTER a log append (wal.Log.Append, Server.mustAppend,
-// Server.appendRec) on ANY control-flow path. This is a may-analysis —
-// the mirror image of flushed-by's must-analysis: one branch that
-// appends before the shed is a finding even when the common path sheds
-// first. A deferred append runs at function exit, after every shed in
-// the body, and therefore taints nothing. Deliberate exceptions — the
-// two reply-buffer Busy paths, where the request DID execute and Busy
-// merely defers delivery to the duplicate resend — carry an
-// //mspr:shedbeforelog <reason> directive.
+// may be reachable AFTER a log append (wal.Log.Append, Server.appendRec)
+// on ANY control-flow path. This is a may-analysis — the mirror image of
+// flushed-by's must-analysis: one branch that appends before the shed is
+// a finding even when the common path sheds first. A deferred append runs
+// at function exit, after every shed in the body, and therefore taints
+// nothing. Deliberate exceptions — the two reply-buffer Busy paths, where
+// the request DID execute and Busy merely defers delivery to the
+// duplicate resend — carry an //mspr:shedbeforelog <reason> directive.
 var ShedBeforeLog = &Analyzer{
 	Name: "shedbeforelog",
 	Doc:  "forbid Busy/Overloaded shed replies reachable after a log append (path-sensitive)",
@@ -45,11 +44,10 @@ func runShedBeforeLog(ctx *Context) {
 }
 
 // isAppendCall matches the durable-effect producers: the raw WAL append
-// and the server wrappers every logging site goes through.
+// and the server wrapper every logging site goes through.
 func isAppendCall(pkg *Package, call *ast.CallExpr) bool {
 	fn := calleeFunc(pkg.Info, call)
 	return isMethod(fn, "mspr/internal/wal", "Log", "Append") ||
-		isMethod(fn, "mspr/internal/core", "Server", "mustAppend") ||
 		isMethod(fn, "mspr/internal/core", "Server", "appendRec")
 }
 

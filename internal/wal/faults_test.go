@@ -22,7 +22,7 @@ func faultyLog(t *testing.T, seed int64) (*simdisk.Disk, *failpoint.Registry, *L
 	return disk, fp, l
 }
 
-func mustAppendFlush(t *testing.T, l *Log, payloads ...[]byte) (last LSN) {
+func appendAndFlush(t *testing.T, l *Log, payloads ...[]byte) (last LSN) {
 	t.Helper()
 	for _, p := range payloads {
 		lsn, err := l.Append(1, p)
@@ -42,7 +42,7 @@ func mustAppendFlush(t *testing.T, l *Log, payloads ...[]byte) (last LSN) {
 // where future scans can see them.
 func TestTornTailRepairAndReappend(t *testing.T) {
 	disk, fp, l := faultyLog(t, 11)
-	goodLast := mustAppendFlush(t, l, []byte("alpha"), []byte("beta"))
+	goodLast := appendAndFlush(t, l, []byte("alpha"), []byte("beta"))
 
 	fp.Enable(simdisk.FPWriteTorn+":log", failpoint.Arg(3))
 	if _, err := l.Append(1, []byte("doomed")); err != nil {
@@ -77,7 +77,7 @@ func TestTornTailRepairAndReappend(t *testing.T) {
 		t.Fatal("CorruptTailTruncations did not advance")
 	}
 	// Without the repair this append would be invisible to future scans.
-	mustAppendFlush(t, l2, []byte("gamma"))
+	appendAndFlush(t, l2, []byte("gamma"))
 	l2.InvalidateCache()
 	seen = nil
 	if _, err := l2.Scan(0, func(_ LSN, _ byte, p []byte) error {
@@ -94,7 +94,7 @@ func TestTornTailRepairAndReappend(t *testing.T) {
 // RepairTail with no tear recorded is a no-op.
 func TestRepairTailNoop(t *testing.T) {
 	_, _, l := faultyLog(t, 12)
-	mustAppendFlush(t, l, []byte("x"))
+	appendAndFlush(t, l, []byte("x"))
 	if _, err := l.Scan(0, nil); err != nil {
 		t.Fatalf("scan: %v", err)
 	}
@@ -107,8 +107,8 @@ func TestRepairTailNoop(t *testing.T) {
 // hard error, never a silent truncation.
 func TestMidLogCorruptionIsHardError(t *testing.T) {
 	disk, _, l := faultyLog(t, 13)
-	first := mustAppendFlush(t, l, []byte("first block"))
-	mustAppendFlush(t, l, []byte("second block"))
+	first := appendAndFlush(t, l, []byte("first block"))
+	appendAndFlush(t, l, []byte("second block"))
 
 	// Scribble one byte of the first (acknowledged) record's payload. The
 	// first segment's base is headerSize, so its file offsets equal LSNs.
@@ -191,7 +191,7 @@ func TestAnchorAlternatesSlots(t *testing.T) {
 // wedges the log until the process restarts.
 func TestFlushCrashWedgesLog(t *testing.T) {
 	disk, fp, l := faultyLog(t, 16)
-	kept := mustAppendFlush(t, l, []byte("kept"))
+	kept := appendAndFlush(t, l, []byte("kept"))
 
 	durableBefore := l.Durable()
 	fp.Enable(FPFlushCrash)
@@ -233,7 +233,7 @@ func TestTransientFlushErrorRetries(t *testing.T) {
 	_, fp, l := faultyLog(t, 17)
 	before := metrics.Recovery.TransientWriteRetries.Load()
 	fp.Enable(simdisk.FPWriteError + ":log")
-	mustAppendFlush(t, l, []byte("resilient"))
+	appendAndFlush(t, l, []byte("resilient"))
 	if metrics.Recovery.TransientWriteRetries.Load() != before+1 {
 		t.Fatal("TransientWriteRetries did not advance")
 	}
