@@ -27,7 +27,7 @@ const (
 // live execution mid-method and the method simply continues for real
 // ("the session continues the action occurring at recovery end", §4.1).
 type replayState struct {
-	positions []wal.LSN
+	positions []posEntry
 	idx       int
 	switched  bool
 }
@@ -39,13 +39,13 @@ func (rp *replayState) next(c *Ctx) (lsn wal.LSN, typ logrec.Type, payload []byt
 		rp.switched, c.mode = true, modeNormal
 		return 0, 0, nil, false
 	}
-	lsn = rp.positions[rp.idx]
-	t, p, err := c.srv.log.ReadRecord(lsn)
+	e := rp.positions[rp.idx]
+	typ, payload, err := c.srv.loggedRecord(e)
 	if err != nil {
-		panic(fmt.Errorf("core: replay of %s: reading %d: %w", c.srv.cfg.ID, lsn, err))
+		panic(fmt.Errorf("core: replay of %s: reading %d: %w", c.srv.cfg.ID, e.lsn, err))
 	}
 	rp.idx++
-	return lsn, logrec.Type(t), p, true
+	return e.lsn, typ, payload, true
 }
 
 // Ctx is the execution context handed to service methods. It provides

@@ -10,15 +10,24 @@ import (
 )
 
 func newTestStream() *posStream {
-	return newPosStream(simdisk.NewDisk(simdisk.DefaultModel(0)), "s1")
+	return newPosStream(simdisk.NewDisk(simdisk.DefaultModel(0)), "s1", &retention{limit: 1 << 20})
+}
+
+// lsns returns the stream's positions.
+func lsns(p *posStream) []wal.LSN {
+	var out []wal.LSN
+	for _, e := range p.snapshot() {
+		out = append(out, e.lsn)
+	}
+	return out
 }
 
 func TestPosStreamAppendSnapshot(t *testing.T) {
 	p := newTestStream()
 	for i := 1; i <= 10; i++ {
-		p.append(wal.LSN(i * 100))
+		p.append(posEntry{lsn: wal.LSN(i * 100)})
 	}
-	snap := p.snapshot()
+	snap := lsns(p)
 	if len(snap) != 10 || snap[0] != 100 || snap[9] != 1000 {
 		t.Fatalf("snapshot = %v", snap)
 	}
@@ -26,17 +35,17 @@ func TestPosStreamAppendSnapshot(t *testing.T) {
 		t.Fatalf("length = %d", p.length())
 	}
 	// Snapshot is a copy.
-	snap[0] = 999999
-	if p.snapshot()[0] != 100 {
+	p.snapshot()[0].lsn = 999999
+	if lsns(p)[0] != 100 {
 		t.Fatal("snapshot aliases internal storage")
 	}
 }
 
 func TestPosStreamSpillOnFullBuffer(t *testing.T) {
 	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
-	p := newPosStream(disk, "s1")
+	p := newPosStream(disk, "s1", &retention{})
 	for i := 0; i < posBufferEntries+10; i++ {
-		p.append(wal.LSN(i))
+		p.append(posEntry{lsn: wal.LSN(i)})
 	}
 	if disk.Stats().Writes == 0 {
 		t.Fatal("full position buffer never spilled to disk")
@@ -49,7 +58,7 @@ func TestPosStreamSpillOnFullBuffer(t *testing.T) {
 func TestPosStreamTruncateAll(t *testing.T) {
 	p := newTestStream()
 	for i := 0; i < 500; i++ {
-		p.append(wal.LSN(i))
+		p.append(posEntry{lsn: wal.LSN(i)})
 	}
 	p.truncateAll()
 	if p.length() != 0 || p.stable != 0 {
@@ -63,23 +72,23 @@ func TestPosStreamTruncateAll(t *testing.T) {
 func TestPosStreamTruncateFrom(t *testing.T) {
 	p := newTestStream()
 	for i := 1; i <= 10; i++ {
-		p.append(wal.LSN(i * 10))
+		p.append(posEntry{lsn: wal.LSN(i * 10)})
 	}
 	p.truncateFrom(55) // removes 60..100
-	snap := p.snapshot()
+	snap := lsns(p)
 	if len(snap) != 5 || snap[4] != 50 {
 		t.Fatalf("truncateFrom(55) left %v", snap)
 	}
 	p.truncateFrom(10) // removes everything
 	if p.length() != 0 {
-		t.Fatalf("truncateFrom(10) left %v", p.snapshot())
+		t.Fatalf("truncateFrom(10) left %v", lsns(p))
 	}
 }
 
 func TestPosStreamTruncateFromAdjustsStable(t *testing.T) {
 	p := newTestStream()
 	for i := 0; i < posBufferEntries+50; i++ {
-		p.append(wal.LSN(i))
+		p.append(posEntry{lsn: wal.LSN(i)})
 	}
 	p.truncateFrom(10)
 	if p.stable > p.length() {
@@ -93,10 +102,10 @@ func TestPosStreamTruncateFromAdjustsStable(t *testing.T) {
 func TestPosStreamRemoveRange(t *testing.T) {
 	p := newTestStream()
 	for i := 1; i <= 10; i++ {
-		p.append(wal.LSN(i * 10))
+		p.append(posEntry{lsn: wal.LSN(i * 10)})
 	}
 	p.removeRange(30, 70) // removes 30,40,50,60,70
-	snap := p.snapshot()
+	snap := lsns(p)
 	want := []wal.LSN{10, 20, 80, 90, 100}
 	if len(snap) != len(want) {
 		t.Fatalf("removeRange left %v", snap)
@@ -120,7 +129,7 @@ func TestPosStreamPropertyVsReference(t *testing.T) {
 			switch op % 5 {
 			case 0, 1, 2: // append (keep LSNs increasing, as real logs do)
 				next += wal.LSN(rng.Intn(100) + 1)
-				p.append(next)
+				p.append(posEntry{lsn: next})
 				ref = append(ref, next)
 			case 3: // truncateFrom a random point
 				if len(ref) == 0 {
@@ -149,7 +158,7 @@ func TestPosStreamPropertyVsReference(t *testing.T) {
 				ref = kept
 			}
 		}
-		snap := p.snapshot()
+		snap := lsns(p)
 		if len(snap) != len(ref) {
 			return false
 		}
@@ -166,9 +175,9 @@ func TestPosStreamPropertyVsReference(t *testing.T) {
 }
 
 func TestPosStreamNilDisk(t *testing.T) {
-	p := newPosStream(nil, "s")
+	p := newPosStream(nil, "s", &retention{})
 	for i := 0; i < posBufferEntries*2; i++ {
-		p.append(wal.LSN(i))
+		p.append(posEntry{lsn: wal.LSN(i)})
 	}
 	p.truncateAll() // must not panic without a backing file
 	if p.length() != 0 {

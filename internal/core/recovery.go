@@ -14,11 +14,12 @@ import (
 //
 //  1. re-initialize from the most recent MSP checkpoint (via the anchor);
 //  2. run a single-threaded analysis scan of the physical log that
-//     reconstructs every session's position stream, notes each shared
-//     variable's backward-chain head, and rebuilds the knowledge of
-//     recovered state numbers — WITHOUT materializing any session or
-//     variable state (instant recovery: the scan is O(log records), not
-//     O(state size));
+//     reconstructs every session's position stream — keeping each
+//     session-owned record's raw bytes beside its position, so replay
+//     reads nothing twice — notes each shared variable's backward-chain
+//     head, and rebuilds the knowledge of recovered state numbers,
+//     WITHOUT materializing any session or variable state (instant
+//     recovery: the scan is O(log records), not O(state size));
 //  3. broadcast a recovery message with the recovered state number;
 //  4. take a fresh MSP checkpoint;
 //  5. mark every surviving session and written shared variable
@@ -194,36 +195,35 @@ func (s *Server) analysisScan(from wal.LSN) (wal.LSN, error) {
 		if err := s.evalCrashPoint(FPRecoveryMidScan); err != nil {
 			return err
 		}
-		n := len(payload) + wal.FrameOverhead
 		switch logrec.Type(typ) {
 		case logrec.TSessionStart:
 			rec, err := logrec.DecodeSessionStart(payload)
 			if err != nil {
 				return err
 			}
-			shell(rec.Session).scanStart(rec, lsn, n)
+			shell(rec.Session).scanStart(rec, lsn, typ, payload)
 		case logrec.TSessionCkpt:
-			// Analysis only: record the checkpoint LSN as the session's
-			// replay starting point without decoding the checkpointed
-			// state. Materialization happens if and when the session's
-			// replay is claimed.
+			// Analysis only: record the checkpoint as the session's replay
+			// starting point without decoding the checkpointed state.
+			// Materialization happens if and when the session's replay is
+			// claimed.
 			id, err := logrec.PeekSession(payload)
 			if err != nil {
 				return err
 			}
-			shell(id).scanCheckpointNote(lsn)
+			shell(id).scanCheckpointNote(lsn, typ, payload)
 		case logrec.TReqReceive, logrec.TReplyReceive, logrec.TSharedRead:
 			id, err := logrec.PeekSession(payload)
 			if err != nil {
 				return err
 			}
-			shell(id).scanNote(lsn, n)
+			shell(id).scanNote(lsn, typ, payload)
 		case logrec.TSharedWrite:
 			id, name, err := logrec.PeekSessionVar(payload)
 			if err != nil {
 				return err
 			}
-			shell(id).scanNote(lsn, n)
+			shell(id).scanNote(lsn, typ, payload)
 			if sv := s.shared[name]; sv != nil {
 				sv.scanNoteWrite(lsn)
 			}
@@ -250,7 +250,10 @@ func (s *Server) analysisScan(from wal.LSN) (wal.LSN, error) {
 			if err != nil {
 				return err
 			}
-			s.sessions.delete(rec.Session)
+			if sess := s.sessions.get(rec.Session); sess != nil {
+				s.sessions.delete(rec.Session)
+				sess.markEnded()
+			}
 		case logrec.TRecoveryInfo:
 			rec, err := logrec.DecodeRecoveryInfo(payload)
 			if err != nil {
@@ -269,6 +272,17 @@ func (s *Server) analysisScan(from wal.LSN) (wal.LSN, error) {
 	})
 }
 
+// recoverOrphan is runSessionRecovery for a session found to be an orphan
+// while live — at an interception point, by a method abort, by a reply or
+// checkpoint flush, or by the recovery-message sweep — as opposed to one
+// the analysis pass left to be replayed after a crash of this MSP.
+func (s *Server) recoverOrphan(sess *Session) {
+	if s.cfg.Logging {
+		s.stats.OrphanRecoveries.Add(1)
+	}
+	s.runSessionRecovery(sess)
+}
+
 // runSessionRecovery replays a session to its most recent non-orphan
 // state (§4.1). The loop restarts replay from the checkpoint when another
 // MSP crash mid-recovery retroactively orphans an already-replayed record
@@ -279,7 +293,6 @@ func (s *Server) runSessionRecovery(sess *Session) {
 		sess.finishRecovery()
 		return
 	}
-	s.stats.OrphanRecoveries.Add(1)
 	for {
 		restart, err := s.replaySessionOnce(sess)
 		if err == nil && !restart {
@@ -297,24 +310,39 @@ func (s *Server) runSessionRecovery(sess *Session) {
 	sess.finishRecovery()
 }
 
+// loggedRecord returns the record of a position-stream entry: the bytes
+// the analysis scan retained, or a read of the log when there are none —
+// orphan recovery of a live session, a record appended since the restart,
+// one past the retention budget. It is the only log read on the replay
+// path; a retained payload is read-only and may be decoded any number of
+// times (logrec's decoders copy every byte field), which is what lets a
+// restarted replay (Fig. 11) run over the same entries again.
+func (s *Server) loggedRecord(e posEntry) (logrec.Type, []byte, error) {
+	if e.typ != 0 {
+		return logrec.Type(e.typ), e.payload, nil
+	}
+	typ, payload, err := s.log.ReadRecord(e.lsn)
+	return logrec.Type(typ), payload, err
+}
+
 // replaySessionOnce re-initializes the session from its most recent
 // checkpoint and replays the logged requests along its position stream.
 // It reports restart=true if replay must start over due to a concurrent
 // crash.
 func (s *Server) replaySessionOnce(sess *Session) (restart bool, err error) {
-	if ckpt := sess.lastCkpt(); ckpt != 0 {
-		typ, payload, rerr := s.log.ReadRecord(ckpt)
+	if ckpt := sess.lastCkpt(); ckpt.lsn != 0 {
+		typ, payload, rerr := s.loggedRecord(ckpt)
 		if rerr != nil {
-			return false, fmt.Errorf("core: reading session checkpoint at %d: %w", ckpt, rerr)
+			return false, fmt.Errorf("core: reading session checkpoint at %d: %w", ckpt.lsn, rerr)
 		}
-		if logrec.Type(typ) != logrec.TSessionCkpt {
-			return false, fmt.Errorf("core: %d is %v, not a session checkpoint", ckpt, logrec.Type(typ))
+		if typ != logrec.TSessionCkpt {
+			return false, fmt.Errorf("core: %d is %v, not a session checkpoint", ckpt.lsn, typ)
 		}
 		rec, derr := logrec.DecodeSessionCheckpoint(payload)
 		if derr != nil {
 			return false, derr
 		}
-		sess.restoreFromCheckpoint(rec, ckpt)
+		sess.restoreFromCheckpoint(rec, ckpt.lsn)
 	} else {
 		sess.resetToInitial()
 	}
@@ -331,12 +359,13 @@ func (s *Server) replaySessionOnce(sess *Session) (restart bool, err error) {
 		if _, orphan := s.know.OrphanIn(sess.vecLocked()); orphan {
 			return true, nil
 		}
-		lsn := rp.positions[rp.idx]
-		typ, payload, rerr := s.log.ReadRecord(lsn)
+		e := rp.positions[rp.idx]
+		lsn := e.lsn
+		typ, payload, rerr := s.loggedRecord(e)
 		if rerr != nil {
 			return false, fmt.Errorf("core: replay read at %d: %w", lsn, rerr)
 		}
-		switch logrec.Type(typ) {
+		switch typ {
 		case logrec.TSessionStart:
 			rp.idx++
 			sess.replayAdvance(lsn)

@@ -115,6 +115,12 @@ type Server struct {
 	// variable carrying its own lock.
 	sessions sessionTable
 	shared   map[string]*SharedVar
+	// recovering counts the sessions that still owe a replay (see
+	// sessionPhase.owesReplay); the phase transitions maintain it.
+	recovering atomic.Int64
+	// retained accounts the log records the analysis scan left in the
+	// sessions' position streams (posstream.go).
+	retained retention
 
 	// Admission lanes (see admission.go): reqCh is the bounded normal
 	// lane for new client work, prioCh the small priority lane for
@@ -214,6 +220,7 @@ func Start(cfg Config) (*Server, error) {
 	}
 	s.state.Store(int32(stateRecovering))
 	s.sessions.init()
+	s.retained.limit = retainBudgetHook
 	if cfg.Failpoints != nil && cfg.Disk != nil {
 		cfg.Disk.SetFailpoints(cfg.Failpoints)
 	}
@@ -372,9 +379,10 @@ func (s *Server) recoverySweep(sessions []*Session) {
 }
 
 // releasePendingUnits retires every unit still on the pending-recovery
-// gauges. Called after a teardown (Crash, or a failed recovery's halt):
-// the units belong to the dead incarnation — the next Start republishes
-// whatever its own analysis pass finds.
+// gauges and drops the log records retained for their replay. Called after
+// a teardown (Crash, or a failed recovery's halt): the units belong to the
+// dead incarnation — the next Start republishes whatever its own analysis
+// pass finds.
 func (s *Server) releasePendingUnits() {
 	s.sessions.forEach(func(sess *Session) { sess.clearPending() })
 	for _, sv := range s.shared {
@@ -386,13 +394,7 @@ func (s *Server) releasePendingUnits() {
 // actively replaying or not yet claimed since the crash. Experiment
 // harnesses poll it to time the full recovery drain.
 func (s *Server) RecoveringSessions() int {
-	n := 0
-	s.sessions.forEach(func(sess *Session) {
-		if sess.pendingReplay() {
-			n++
-		}
-	})
-	return n
+	return int(s.recovering.Load())
 }
 
 // TimeToFirstReply reports how long this incarnation took from the start
@@ -699,8 +701,16 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 		// of timing out.
 		if rep, ok := sess.bufferedReplyEnvelope(); ok {
 			//mspr:flushed-by sendReply
-			if err := s.sendReply(sess, req.From, rep); err != nil && !errors.Is(err, errOrphanDep) {
+			err := s.sendReply(sess, req.From, rep)
+			if err != nil && !errors.Is(err, errOrphanDep) {
 				s.replyBusy(req)
+			}
+			if err == nil && req.EndSession && rep.Seq == req.Seq {
+				// The End executed earlier but its acknowledgement could not
+				// be flushed then (finishEndSession kept the session for
+				// this resend): now that it went out, finish the end.
+				s.sessions.delete(sess.id)
+				sess.markEnded()
 			}
 		}
 		return
@@ -721,7 +731,7 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 	if s.cfg.Logging {
 		if _, orphan := s.know.OrphanIn(sess.vecLocked()); orphan {
 			s.replyBusy(req)
-			s.runSessionRecovery(sess)
+			s.recoverOrphan(sess)
 			return
 		}
 		// Fig. 7, after-receive action for intra-domain messages: if the
@@ -752,7 +762,7 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 		// The session was found to be an orphan (or the server crashed)
 		// mid-method. No reply: the client resends after recovery.
 		if s.getState() != stateCrashed {
-			s.runSessionRecovery(sess)
+			s.recoverOrphan(sess)
 		}
 		return
 	}
@@ -760,7 +770,7 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 	//mspr:flushed-by sendReply
 	if err := s.sendReply(sess, req.From, rep); err != nil {
 		if errors.Is(err, errOrphanDep) {
-			s.runSessionRecovery(sess)
+			s.recoverOrphan(sess)
 			return
 		}
 		// A dependency's peer is unreachable (partitioned or down past
@@ -777,7 +787,7 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 	// enough (§3.4).
 	if s.cfg.Logging && s.cfg.SessionCkptThreshold > 0 && sess.logged() >= s.cfg.SessionCkptThreshold {
 		if err := s.checkpointSession(sess); errors.Is(err, errOrphanDep) {
-			s.runSessionRecovery(sess)
+			s.recoverOrphan(sess)
 			return
 		}
 	}
@@ -828,7 +838,7 @@ func (s *Server) finishEndSession(sess *Session, req rpc.Request) {
 		// recover it like any other reply flush would (§4.2). The end did
 		// not complete — the session stays in the table, and the client's
 		// resent End runs fresh against the recovered session.
-		s.runSessionRecovery(sess)
+		s.recoverOrphan(sess)
 	} else {
 		// Unreachable dependency: the end acknowledgement could not be
 		// flushed. Keep the session; the client's resend completes the
@@ -1117,7 +1127,7 @@ func (s *Server) sweepOrphanSessions() {
 	})
 	for _, sess := range found {
 		sess := sess
-		if !s.goBackground(func() { s.runSessionRecovery(sess) }) {
+		if !s.goBackground(func() { s.recoverOrphan(sess) }) {
 			sess.finishRecovery()
 		}
 	}
@@ -1148,9 +1158,10 @@ func (s *Server) maybeMSPCheckpoint() {
 }
 
 // writeMSPCheckpoint takes a fuzzy MSP checkpoint (§3.4): the knowledge of
-// recovered state numbers plus each session's and shared variable's most
-// recent checkpoint position, then records the checkpoint's LSN in the
-// log anchor.
+// recovered state numbers goes into the checkpoint record, and the
+// checkpoint's LSN and the new log head into the log anchor. The paper's
+// per-unit list of checkpoint positions is not written: recovery needs only
+// their minimum, which is the head.
 //
 // The new log head is the minimal position over every recovery starting
 // point, additionally clamped at the barrier — the log's append position
@@ -1159,9 +1170,9 @@ func (s *Server) maybeMSPCheckpoint() {
 // its shard was scanned (invisible to the checkpoint) appends its
 // SessionStart at an LSN ≥ its startPin ≥ the barrier, so the head never
 // advances past it; a session scanned while still starting (visible but
-// without a published start LSN) pins the head at its startPin and is
-// left out of the checkpoint's position list — the recovery scan, which
-// starts at the head, finds its SessionStart record directly.
+// without a published start LSN) pins the head at its startPin — the
+// recovery scan, which starts at the head, finds its SessionStart record
+// directly.
 func (s *Server) writeMSPCheckpoint() error {
 	barrier := s.log.Next()
 	ck := logrec.MSPCheckpoint{
@@ -1181,7 +1192,6 @@ func (s *Server) writeMSPCheckpoint() error {
 			lower(pin)
 			return
 		}
-		ck.Sessions = append(ck.Sessions, logrec.SessionPos{ID: sess.id, CkptLSN: cp, StartLSN: start})
 		sess.bumpMSPCkptAge()
 		if cp != 0 {
 			lower(cp)
@@ -1191,7 +1201,6 @@ func (s *Server) writeMSPCheckpoint() error {
 	})
 	for _, sv := range s.shared {
 		cp, first := sv.ckptPositions()
-		ck.Shared = append(ck.Shared, logrec.SharedPos{Name: sv.name, CkptLSN: cp, FirstWrite: first})
 		sv.bumpMSPCkptAge()
 		if cp != 0 {
 			lower(cp)

@@ -37,6 +37,13 @@ const (
 	phaseUnrecovered //mspr:phase-next phaseRecovering phaseEnded
 )
 
+// owesReplay reports whether a session in this phase still owes a replay:
+// not yet claimed after a crash, or replaying. Server.recovering counts
+// the sessions for which it holds.
+func (p sessionPhase) owesReplay() bool {
+	return p == phaseRecovering || p == phaseUnrecovered
+}
+
 // Session is a recovery unit (§3.2): the private state an MSP keeps for
 // one client, together with the dependency-tracking and position-stream
 // bookkeeping that lets the session be recovered independently of every
@@ -113,7 +120,7 @@ func newSession(s *Server, id string, client simnet.Addr, intra bool) *Session {
 		vars:        make(map[string][]byte),
 		seq:         rpc.NewSeqTracker(1),
 		outgoing:    make(map[string]*outSession),
-		pos:         newPosStream(s.cfg.Disk, s.cfg.ID+"/"+id),
+		pos:         newPosStream(s.cfg.Disk, s.cfg.ID+"/"+id, &s.retained),
 	}
 }
 
@@ -147,6 +154,7 @@ func (se *Session) releaseToRecovery() {
 	se.mu.Lock()
 	if se.phase == phaseBusy {
 		se.phase = phaseRecovering
+		se.srv.recovering.Add(1)
 	}
 	se.mu.Unlock()
 }
@@ -160,17 +168,21 @@ func (se *Session) tryBeginRecovery() bool {
 		return false
 	}
 	se.phase = phaseRecovering
+	se.srv.recovering.Add(1)
 	return true
 }
 
 // finishRecovery returns the session to idle after replay completes. A
 // session coming out of replay is live: it leaves the pending gauge if it
-// was counted there.
+// was counted there, and lets go of the records the analysis scan kept for
+// the replay.
 func (se *Session) finishRecovery() {
 	se.mu.Lock()
 	if se.phase == phaseRecovering {
 		se.phase = phaseIdle
+		se.srv.recovering.Add(-1)
 	}
+	se.pos.release()
 	se.clearPendingLocked()
 	se.mu.Unlock()
 }
@@ -186,6 +198,7 @@ func (se *Session) markUnrecovered() {
 	se.mu.Lock()
 	if se.phase == phaseIdle {
 		se.phase = phaseUnrecovered
+		se.srv.recovering.Add(1)
 		if !se.gaugePending {
 			se.gaugePending = true
 			metrics.Recovery.PendingSessions.Add(1)
@@ -212,7 +225,7 @@ func (se *Session) claimForReplay() bool {
 func (se *Session) pendingReplay() bool {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	return se.phase == phaseRecovering || se.phase == phaseUnrecovered
+	return se.phase.owesReplay()
 }
 
 // clearPendingLocked retires the session from the pending gauge; callers
@@ -227,16 +240,21 @@ func (se *Session) clearPendingLocked() {
 	}
 }
 
-// clearPending retires the session from the pending gauge without a phase
-// change (incarnation teardown with replay still owed).
+// clearPending retires the session from the pending gauge and lets go of
+// its retained records without a phase change (incarnation teardown with
+// replay still owed).
 func (se *Session) clearPending() {
 	se.mu.Lock()
+	se.pos.release()
 	se.clearPendingLocked()
 	se.mu.Unlock()
 }
 
 func (se *Session) markEnded() {
 	se.mu.Lock()
+	if se.phase.owesReplay() {
+		se.srv.recovering.Add(-1)
+	}
 	se.phase = phaseEnded
 	se.pos.truncateAll()
 	se.clearPendingLocked()
@@ -272,7 +290,7 @@ func (se *Session) noteStart(lsn wal.LSN, n int) {
 	se.mu.Lock()
 	se.startLSN = lsn
 	se.stateLSN = lsn
-	se.pos.append(lsn)
+	se.pos.append(posEntry{lsn: lsn})
 	se.bytesLogged += int64(n)
 	se.mu.Unlock()
 }
@@ -282,7 +300,7 @@ func (se *Session) noteStart(lsn wal.LSN, n int) {
 func (se *Session) noteOwnRecord(lsn wal.LSN, n int) {
 	se.mu.Lock()
 	se.stateLSN = lsn
-	se.pos.append(lsn)
+	se.pos.append(posEntry{lsn: lsn})
 	se.bytesLogged += int64(n)
 	se.mu.Unlock()
 }
@@ -292,7 +310,7 @@ func (se *Session) noteOwnRecord(lsn wal.LSN, n int) {
 // the session's — Fig. 8).
 func (se *Session) notePosOnly(lsn wal.LSN, n int) {
 	se.mu.Lock()
-	se.pos.append(lsn)
+	se.pos.append(posEntry{lsn: lsn})
 	se.bytesLogged += int64(n)
 	se.mu.Unlock()
 }
@@ -302,7 +320,7 @@ func (se *Session) notePosOnly(lsn wal.LSN, n int) {
 func (se *Session) noteReceive(lsn wal.LSN, n int, attached dv.Vector) {
 	se.mu.Lock()
 	se.stateLSN = lsn
-	se.pos.append(lsn)
+	se.pos.append(posEntry{lsn: lsn})
 	se.bytesLogged += int64(n)
 	se.vec = se.vec.Merge(attached)
 	se.mu.Unlock()
@@ -484,11 +502,16 @@ func (se *Session) truncatePositions(lsn wal.LSN) int {
 	return removed
 }
 
-// lastCkpt returns the LSN of the session's most recent checkpoint.
-func (se *Session) lastCkpt() wal.LSN {
+// lastCkpt returns the session's most recent checkpoint (lsn 0 = none):
+// the record the analysis scan retained if it is that one, else its bare
+// position.
+func (se *Session) lastCkpt() posEntry {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	return se.lastCkptLSN
+	if se.pos.ckpt.lsn == se.lastCkptLSN {
+		return se.pos.ckpt
+	}
+	return posEntry{lsn: se.lastCkptLSN}
 }
 
 // clientAddress returns the address replies are sent to.
@@ -507,9 +530,8 @@ func (se *Session) intra() bool {
 	return se.intraDomain
 }
 
-// posSnapshot returns a copy of the session's record positions for
-// replay.
-func (se *Session) posSnapshot() []wal.LSN {
+// posSnapshot returns a copy of the session's position stream for replay.
+func (se *Session) posSnapshot() []posEntry {
 	se.mu.Lock()
 	defer se.mu.Unlock()
 	return se.pos.snapshot()
@@ -523,33 +545,34 @@ func (se *Session) removePosRange(from, to wal.LSN) {
 	se.mu.Unlock()
 }
 
-// scanNote appends a position during the crash-recovery analysis scan.
+// scanNote appends a record during the crash-recovery analysis scan. The
+// payload is wal.Scan's: read-only, and valid for as long as it is kept.
 //
 //mspr:guardedby single-threaded analysis scan, before the session is published
-func (se *Session) scanNote(lsn wal.LSN, n int) {
-	se.pos.append(lsn)
-	se.bytesLogged += int64(n)
+func (se *Session) scanNote(lsn wal.LSN, typ byte, payload []byte) {
+	se.pos.append(se.pos.retained(lsn, typ, payload))
+	se.bytesLogged += int64(len(payload) + wal.FrameOverhead)
 }
 
 // scanStart applies a SessionStart record during the scan.
 //
 //mspr:guardedby single-threaded analysis scan, before the session is published
-func (se *Session) scanStart(rec logrec.SessionStart, lsn wal.LSN, n int) {
+func (se *Session) scanStart(rec logrec.SessionStart, lsn wal.LSN, typ byte, payload []byte) {
 	se.clientAddr = simnet.Addr(rec.ClientAddr)
 	se.intraDomain = rec.IntraDomain
 	se.startLSN = lsn
-	se.scanNote(lsn, n)
+	se.scanNote(lsn, typ, payload)
 }
 
 // scanCheckpointNote applies a session checkpoint during the analysis
 // scan without materializing its state: positions before the checkpoint
-// are discarded and the recovery starting point recorded. The checkpoint
-// record is re-read and fully decoded only if and when the session's
-// replay is claimed (replaySessionOnce).
+// (and an earlier checkpoint) are discarded and the recovery starting
+// point recorded. The checkpoint record is kept undecoded; it is decoded
+// only if and when the session's replay is claimed (replaySessionOnce).
 //
 //mspr:guardedby single-threaded analysis scan, before the session is published
-func (se *Session) scanCheckpointNote(ckptLSN wal.LSN) {
-	se.pos.truncateAll()
+func (se *Session) scanCheckpointNote(ckptLSN wal.LSN, typ byte, payload []byte) {
+	se.pos.restartAtCheckpoint(ckptLSN, typ, payload)
 	se.bytesLogged = 0
 	se.lastCkptLSN = ckptLSN
 	se.stateLSN = ckptLSN

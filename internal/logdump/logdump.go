@@ -193,8 +193,7 @@ func Describe(t logrec.Type, payload []byte) string {
 		if err != nil {
 			return badRecord(err)
 		}
-		return fmt.Sprintf("epoch=%d knowledge=%d sessions=%d shared=%d",
-			r.Epoch, len(r.Knowledge), len(r.Sessions), len(r.Shared))
+		return fmt.Sprintf("epoch=%d knowledge=%d", r.Epoch, len(r.Knowledge))
 	}
 	return fmt.Sprintf("%d payload bytes", len(payload))
 }

@@ -452,33 +452,14 @@ func DecodeRecoveryInfo(p []byte) (RecoveryInfo, error) {
 	return r, d.done("RecoveryInfo")
 }
 
-// SessionPos locates one session's recovery starting point inside an MSP
-// checkpoint: its most recent session checkpoint (0 if none yet) and the
-// LSN of its first log record.
-type SessionPos struct {
-	ID       string
-	CkptLSN  wal.LSN
-	StartLSN wal.LSN
-}
-
-// SharedPos locates one shared variable's recovery starting point: its
-// most recent checkpoint (0 if none) and its first write record (0 if
-// never written).
-type SharedPos struct {
-	Name       string
-	CkptLSN    wal.LSN
-	FirstWrite wal.LSN
-}
-
 // MSPCheckpoint is the fuzzy MSP checkpoint (§3.4): recovered state
-// numbers of peers in the service domain, plus the most recent checkpoint
-// LSN of every session and shared variable. The minimum over all those
-// positions is where the crash-recovery analysis scan starts.
+// numbers of peers in the service domain. The paper also lists the most
+// recent checkpoint LSN of every session and shared variable; recovery
+// uses only their minimum — where the analysis scan starts — and that is
+// the head recorded in the log anchor beside this record's LSN.
 type MSPCheckpoint struct {
 	Epoch     uint32
 	Knowledge []dv.RecoveryInfo
-	Sessions  []SessionPos
-	Shared    []SharedPos
 }
 
 // Encode serializes the record payload.
@@ -490,18 +471,6 @@ func (r MSPCheckpoint) Encode() []byte {
 		e.str(string(k.Process))
 		e.u32(k.CrashedEpoch)
 		e.i64(k.Recovered)
-	}
-	e.u64(uint64(len(r.Sessions)))
-	for _, s := range r.Sessions {
-		e.str(s.ID)
-		e.i64(int64(s.CkptLSN))
-		e.i64(int64(s.StartLSN))
-	}
-	e.u64(uint64(len(r.Shared)))
-	for _, s := range r.Shared {
-		e.str(s.Name)
-		e.i64(int64(s.CkptLSN))
-		e.i64(int64(s.FirstWrite))
 	}
 	return e.b
 }
@@ -518,22 +487,6 @@ func DecodeMSPCheckpoint(p []byte) (MSPCheckpoint, error) {
 		k.CrashedEpoch = d.u32()
 		k.Recovered = d.i64()
 		r.Knowledge = append(r.Knowledge, k)
-	}
-	n = d.u64()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var s SessionPos
-		s.ID = d.str()
-		s.CkptLSN = wal.LSN(d.i64())
-		s.StartLSN = wal.LSN(d.i64())
-		r.Sessions = append(r.Sessions, s)
-	}
-	n = d.u64()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var s SharedPos
-		s.Name = d.str()
-		s.CkptLSN = wal.LSN(d.i64())
-		s.FirstWrite = wal.LSN(d.i64())
-		r.Shared = append(r.Shared, s)
 	}
 	return r, d.done("MSPCheckpoint")
 }

@@ -124,8 +124,6 @@ func TestMSPCheckpointRoundTrip(t *testing.T) {
 			{Process: "a", CrashedEpoch: 1, Recovered: 10},
 			{Process: "b", CrashedEpoch: 2, Recovered: 20},
 		},
-		Sessions: []SessionPos{{ID: "s1", CkptLSN: 100, StartLSN: 50}},
-		Shared:   []SharedPos{{Name: "v1", CkptLSN: 0, FirstWrite: 60}},
 	}
 	got, err := DecodeMSPCheckpoint(r.Encode())
 	if err != nil {

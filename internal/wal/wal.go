@@ -1040,6 +1040,12 @@ func parseFrame(b []byte) (typ byte, payload []byte, size int, err error) {
 // record seen (0 if none). It charges sequential 64 KB reads, as the
 // analysis scan of §4.3 does.
 //
+// The payload handed to fn is read-only and stays valid after fn returns:
+// it is a view of a read block that is never written again (or a private
+// copy, for a frame crossing two blocks), so fn may keep it instead of
+// copying — crash recovery keeps every session-owned record this way. A
+// kept payload keeps its whole 64 KB block alive.
+//
 // An unparsable frame ends the scan one of two ways. If no valid record
 // follows it AND it lies in the final segment, the damage is a torn
 // tail — only records that were never acknowledged durable are lost.
