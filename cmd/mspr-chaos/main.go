@@ -124,12 +124,7 @@ func buildStorm(c stormConfig) (*storm, error) {
 	backDef := core.Definition{
 		Methods: map[string]core.Handler{
 			"mark": func(ctx *core.Ctx, _ []byte) ([]byte, error) {
-				tot, err := ctx.ReadShared("total")
-				if err != nil {
-					return nil, err
-				}
-				n := asU64(tot) + 1
-				return u64(n), ctx.WriteShared("total", u64(n))
+				return ctx.UpdateShared("total", func(old []byte) []byte { return u64(asU64(old) + 1) })
 			},
 			"total": func(ctx *core.Ctx, _ []byte) ([]byte, error) {
 				return ctx.ReadShared("total")

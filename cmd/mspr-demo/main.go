@@ -40,15 +40,7 @@ func main() {
 	def2 := mspr.Definition{
 		Methods: map[string]mspr.Handler{
 			"tally": func(ctx *mspr.Ctx, arg []byte) ([]byte, error) {
-				v, err := ctx.ReadShared("count")
-				if err != nil {
-					return nil, err
-				}
-				n := asU64(v) + 1
-				if err := ctx.WriteShared("count", u64(n)); err != nil {
-					return nil, err
-				}
-				return u64(n), nil
+				return ctx.UpdateShared("count", func(old []byte) []byte { return u64(asU64(old) + 1) })
 			},
 		},
 		Shared: []mspr.SharedDef{{Name: "count", Initial: u64(0)}},

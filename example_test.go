@@ -54,12 +54,7 @@ func ExampleDefinition_sharedState() {
 	def := mspr.Definition{
 		Methods: map[string]mspr.Handler{
 			"visit": func(ctx *mspr.Ctx, _ []byte) ([]byte, error) {
-				n, err := ctx.ReadShared("visits")
-				if err != nil {
-					return nil, err
-				}
-				n = append(n, 'x')
-				return n, ctx.WriteShared("visits", n)
+				return ctx.UpdateShared("visits", func(old []byte) []byte { return append(old, 'x') })
 			},
 		},
 		Shared: []mspr.SharedDef{{Name: "visits", Initial: nil}},

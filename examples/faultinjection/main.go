@@ -55,15 +55,7 @@ func backDef() mspr.Definition {
 	return mspr.Definition{
 		Methods: map[string]mspr.Handler{
 			"record": func(ctx *mspr.Ctx, amount []byte) ([]byte, error) {
-				cur, err := ctx.ReadShared("ledger")
-				if err != nil {
-					return nil, err
-				}
-				total := asU64(cur) + asU64(amount)
-				if err := ctx.WriteShared("ledger", u64(total)); err != nil {
-					return nil, err
-				}
-				return u64(total), nil
+				return ctx.UpdateShared("ledger", func(old []byte) []byte { return u64(asU64(old) + asU64(amount)) })
 			},
 			"total": func(ctx *mspr.Ctx, _ []byte) ([]byte, error) {
 				return ctx.ReadShared("ledger")

@@ -37,15 +37,11 @@ func counterService() mspr.Definition {
 				mine := asU64(ctx.GetVar("count")) + 1
 				ctx.SetVar("count", u64(mine))
 
-				g, err := ctx.ReadShared("global")
+				global, err := ctx.UpdateShared("global", func(old []byte) []byte { return u64(asU64(old) + 1) })
 				if err != nil {
 					return nil, err
 				}
-				global := asU64(g) + 1
-				if err := ctx.WriteShared("global", u64(global)); err != nil {
-					return nil, err
-				}
-				return []byte(fmt.Sprintf("%d/%d", mine, global)), nil
+				return []byte(fmt.Sprintf("%d/%d", mine, asU64(global))), nil
 			},
 		},
 		Shared: []mspr.SharedDef{{Name: "global", Initial: u64(0)}},

@@ -40,16 +40,20 @@ func storefront() mspr.Definition {
 			// add <sku> reserves one unit and appends it to the cart.
 			"add": func(ctx *mspr.Ctx, sku []byte) ([]byte, error) {
 				key := "stock/" + string(sku)
-				raw, err := ctx.ReadShared(key)
+				// Check and decrement in one atomic update: a separate read
+				// and write would let two sessions sell the last unit.
+				soldOut := false
+				left, err := ctx.UpdateShared(key, func(old []byte) []byte {
+					if soldOut = asU32(old) == 0; soldOut {
+						return old
+					}
+					return u32(asU32(old) - 1)
+				})
 				if err != nil {
 					return nil, fmt.Errorf("unknown product %q", sku)
 				}
-				stock := asU32(raw)
-				if stock == 0 {
+				if soldOut {
 					return nil, fmt.Errorf("%s is sold out", sku)
-				}
-				if err := ctx.WriteShared(key, u32(stock-1)); err != nil {
-					return nil, err
 				}
 				cart := ctx.GetVar("cart")
 				if len(cart) > 0 {
@@ -57,7 +61,7 @@ func storefront() mspr.Definition {
 				}
 				cart = append(cart, sku...)
 				ctx.SetVar("cart", cart)
-				return []byte(fmt.Sprintf("added %s, %d left", sku, stock-1)), nil
+				return []byte(fmt.Sprintf("added %s, %d left", sku, asU32(left))), nil
 			},
 			// cart returns the session's cart contents.
 			"cart": func(ctx *mspr.Ctx, _ []byte) ([]byte, error) {

@@ -21,9 +21,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mspr/internal/core"
+	"mspr/internal/rpc"
 	"mspr/internal/sdb"
 	"mspr/internal/simnet"
 	"mspr/internal/simtime"
@@ -155,27 +157,22 @@ func NewStateServer(addr string, net *simnet.Network) *StateServer {
 }
 
 func (ss *StateServer) serve() {
-	for {
-		select {
-		case <-ss.stop:
+	rpc.Serve(ss.ep, ss.stop, func(m simnet.Message) {
+		req, ok := m.Payload.(ssRequest)
+		if !ok {
 			return
-		case m := <-ss.ep.Recv():
-			req, ok := m.Payload.(ssRequest)
-			if !ok {
-				continue
-			}
-			rep := ssReply{ID: req.ID}
-			ss.mu.Lock()
-			switch req.Op {
-			case ssFetch:
-				rep.Blob = append([]byte(nil), ss.data[req.Session]...)
-			case ssStore:
-				ss.data[req.Session] = append([]byte(nil), req.Blob...)
-			}
-			ss.mu.Unlock()
-			ss.ep.Send(req.From, rep) //mspr:flushed-by none (StateServer baseline keeps states in memory only — §5.2, the gap log-based recovery closes)
 		}
-	}
+		rep := ssReply{ID: req.ID}
+		ss.mu.Lock()
+		switch req.Op {
+		case ssFetch:
+			rep.Blob = append([]byte(nil), ss.data[req.Session]...)
+		case ssStore:
+			ss.data[req.Session] = append([]byte(nil), req.Blob...)
+		}
+		ss.mu.Unlock()
+		ss.ep.Send(req.From, rep) //mspr:flushed-by none (StateServer baseline keeps states in memory only — §5.2, the gap log-based recovery closes)
+	})
 }
 
 // Len returns the number of stored session states.
@@ -196,9 +193,8 @@ type StateClient struct {
 	timeScale float64
 	stop      chan struct{}
 
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan ssReply
+	nextID  atomic.Uint64
+	replies rpc.Router[uint64, ssReply] // keyed by request ID
 }
 
 // NewStateClient creates a client at addr talking to the state server.
@@ -208,51 +204,23 @@ func NewStateClient(addr, server string, net *simnet.Network, timeScale float64)
 		server:    simnet.Addr(server),
 		timeScale: timeScale,
 		stop:      make(chan struct{}),
-		pending:   make(map[uint64]chan ssReply),
 	}
-	go c.dispatch()
+	go rpc.Serve(c.ep, c.stop, func(m simnet.Message) {
+		if rep, ok := m.Payload.(ssReply); ok {
+			c.replies.Resolve(rep.ID, rep)
+		}
+	})
 	return c
 }
 
-func (c *StateClient) dispatch() {
-	for {
-		select {
-		case <-c.stop:
-			return
-		case m := <-c.ep.Recv():
-			rep, ok := m.Payload.(ssReply)
-			if !ok {
-				continue
-			}
-			c.mu.Lock()
-			ch := c.pending[rep.ID]
-			c.mu.Unlock()
-			if ch != nil {
-				select {
-				case ch <- rep:
-				default:
-				}
-			}
-		}
-	}
-}
-
-// Close stops the client's dispatcher.
+// Close stops the client's receive loop.
 func (c *StateClient) Close() { close(c.stop) }
 
 // roundTrip performs one request/reply exchange, resending on timeout.
 func (c *StateClient) roundTrip(req ssRequest) ssReply {
-	c.mu.Lock()
-	c.nextID++
-	req.ID = c.nextID
-	ch := make(chan ssReply, 1)
-	c.pending[req.ID] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, req.ID)
-		c.mu.Unlock()
-	}()
+	req.ID = c.nextID.Add(1)
+	ch := c.replies.Register(req.ID)
+	defer c.replies.Deregister(req.ID)
 	req.From = c.ep.Addr()
 	resend := time.Duration(float64(500*time.Millisecond) * c.timeScale)
 	if resend <= 0 {

@@ -152,6 +152,37 @@ func TestDeadLogOutsideHandlerDropsRequest(t *testing.T) {
 	}
 }
 
+// TestDeadLogFlushInsideHandlerSendsNoReply: the log dies under a flush a
+// Ctx call performs on the handler's behalf — here the shared-variable
+// checkpoint that every write triggers. The flush error must abort the
+// method like a failed append does: handed to the handler it comes back as
+// an application error, and an intra-domain session's reply needs no flush
+// of its own, so the dead incarnation would send it as the request's final
+// answer while the next incarnation executes the request again.
+func TestDeadLogFlushInsideHandlerSendsNoReply(t *testing.T) {
+	e := newTestEnv(t)
+	defer e.cleanup()
+	fp := failpoint.New(1)
+	e.start("msp1", bumpDef(nil), func(c *Config) { c.Failpoints, c.SVCkptEvery = fp, 1 })
+	cli := e.net.Endpoint("cli")
+	req := rpc.Request{Session: "intra#1", Seq: 1, Method: "bump", NewSession: true, HasDV: true, From: cli.Addr()}
+	cli.Send("msp1", req)
+	if rep := awaitReply(t, cli, 1); rep.Status != rpc.StatusOK || asU64(rep.Payload) != 1 {
+		t.Fatalf("first bump: status %v, total %d", rep.Status, asU64(rep.Payload))
+	}
+
+	fp.Enable(wal.FPFlushCrash)
+	req.Seq, req.NewSession = 2, false
+	cli.Send("msp1", req)
+	expectNoReply(t, cli, 2)
+
+	fp.DisableAll()
+	e.restart("msp1")
+	if rep := callRaw(t, cli, req); rep.Status != rpc.StatusOK || asU64(rep.Payload) != 2 {
+		t.Fatalf("resent bump: status %v (%s), total %d, want OK and 2", rep.Status, rep.Payload, asU64(rep.Payload))
+	}
+}
+
 // TestResentEndIsAcknowledged: End is idempotent. The first End's OK is
 // dropped on the floor; the resend finds no session — finishEndSession
 // already deleted it — and must be acknowledged again, not answered

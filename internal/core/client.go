@@ -8,24 +8,23 @@ import (
 	"mspr/internal/simnet"
 )
 
-// Client is an end client process (§2.1): it lives outside every service
-// domain, so all of its traffic is logged pessimistically by the MSPs it
-// talks to. The client resends each request — with the same sequence
-// number — until the reply arrives, and ignores duplicate replies; with
-// the server's receive logging and reply buffering this yields
-// exactly-once execution.
-type Client struct {
-	id   string
-	ep   *simnet.Endpoint
-	opts rpc.CallOptions
-	tap  ClientTap
+// clientCore is what every end client is made of: an endpoint with the
+// receive loop that routes replies to the waiting session, the call
+// options with the overload-control state they fan out to per target, the
+// oracle's tap, and the one request driver (clientWire.drive). Client adds
+// nothing to it; DurableClient adds its journal.
+type clientCore struct {
+	id      string
+	ep      *simnet.Endpoint
+	opts    rpc.CallOptions
+	tap     ClientTap
+	replies rpc.Router[string, rpc.Reply] // keyed by session ID
 
-	mu       sync.Mutex
-	sessions map[string]*ClientSession
-	ctl      map[string]targetControl
-	counter  int
-	stopped  bool
-	stop     chan struct{}
+	mu      sync.Mutex
+	ctl     map[string]targetControl
+	counter uint64 // last session number handed out
+	stopped bool
+	stop    chan struct{}
 }
 
 // targetControl is the client's shared overload-control state toward one
@@ -38,60 +37,49 @@ type targetControl struct {
 	breaker *rpc.Breaker
 }
 
-// NewClient creates a client attached to the network at address id.
-// When opts carries a Budget or Breaker, they are treated as per-server
-// templates: each distinct target gets its own clone (see Session).
-func NewClient(id string, net *simnet.Network, opts rpc.CallOptions) *Client {
-	c := &Client{
-		id:       id,
-		ep:       net.Endpoint(simnet.Addr(id)),
-		opts:     opts,
-		sessions: make(map[string]*ClientSession),
-		ctl:      make(map[string]targetControl),
-		stop:     make(chan struct{}),
-	}
-	go c.dispatch()
-	return c
+// start attaches the client to the network at address id and starts its
+// receive loop. When opts carries a Budget or Breaker, they are treated as
+// per-server templates: each distinct target gets its own clone.
+func (c *clientCore) start(id string, net *simnet.Network, opts rpc.CallOptions) {
+	c.id, c.ep, c.opts = id, net.Endpoint(simnet.Addr(id)), opts
+	c.ctl = make(map[string]targetControl)
+	c.stop = make(chan struct{})
+	go rpc.Serve(c.ep, c.stop, func(m simnet.Message) {
+		if rep, ok := m.Payload.(rpc.Reply); ok {
+			c.replies.Resolve(rep.Session, rep)
+		}
+	})
 }
 
 // SetTap attaches the correctness oracle's client-side observation tap
 // (see internal/oracle). Call it before issuing requests; sessions share
 // the client's tap. A nil tap (the default) records nothing.
-func (c *Client) SetTap(t ClientTap) { c.tap = t }
+func (c *clientCore) SetTap(t ClientTap) { c.tap = t }
 
-// dispatch routes replies to the waiting session.
-func (c *Client) dispatch() {
-	for {
-		select {
-		case <-c.stop:
-			return
-		case m := <-c.ep.Recv():
-			rep, ok := m.Payload.(rpc.Reply)
-			if !ok {
-				continue
-			}
-			c.mu.Lock()
-			cs := c.sessions[rep.Session]
-			c.mu.Unlock()
-			if cs == nil {
-				continue
-			}
-			select {
-			case cs.replies <- rep:
-			default:
-			}
-		}
+// Close stops the client's receive loop.
+func (c *clientCore) Close() {
+	c.mu.Lock()
+	if !c.stopped {
+		c.stopped = true
+		close(c.stop)
 	}
+	c.mu.Unlock()
 }
 
-// Session starts a new session with the MSP at target. Each Session call
-// creates a distinct session. The session's call options are the
-// client's, with the Budget and Breaker (if configured) replaced by the
-// per-target instances shared across this client's sessions to target.
-func (c *Client) Session(target string) *ClientSession {
+// nextSessionID mints the ID of a new session of this client.
+func (c *clientCore) nextSessionID() string {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.counter++
-	opts := c.opts
+	return fmt.Sprintf("%s#%d", c.id, c.counter)
+}
+
+// wire connects session id to the MSP at target: replies to the session
+// are routed to the wire, and its call options are the client's with the
+// Budget and Breaker (if configured) replaced by the per-target instances
+// shared across this client's sessions to target.
+func (c *clientCore) wire(id, target string) clientWire {
+	c.mu.Lock()
 	tc, ok := c.ctl[target]
 	if !ok {
 		if c.opts.Budget != nil {
@@ -102,113 +90,70 @@ func (c *Client) Session(target string) *ClientSession {
 		}
 		c.ctl[target] = tc
 	}
-	opts.Budget = tc.budget
-	opts.Breaker = tc.breaker
-	cs := &ClientSession{
-		id:      fmt.Sprintf("%s#%d", c.id, c.counter),
-		target:  target,
-		client:  c,
-		opts:    opts,
-		nextSeq: 1,
-		replies: make(chan rpc.Reply, 16),
-	}
-	c.sessions[cs.id] = cs
 	c.mu.Unlock()
-	return cs
+	opts := c.opts
+	opts.Budget, opts.Breaker = tc.budget, tc.breaker
+	return clientWire{c: c, id: id, target: target, opts: opts, replies: c.replies.Register(id)}
 }
 
-// Close stops the client's dispatcher.
-func (c *Client) Close() {
-	c.mu.Lock()
-	if !c.stopped {
-		c.stopped = true
-		close(c.stop)
-	}
-	c.mu.Unlock()
-}
-
-// ClientSession is one session between an end client and an MSP. A
-// session processes one request at a time: Call must not be invoked
-// concurrently on the same session.
-type ClientSession struct {
+// clientWire is one session's line to its MSP, as the request driver
+// needs it.
+type clientWire struct {
+	c       *clientCore
 	id      string
 	target  string
-	client  *Client
 	opts    rpc.CallOptions
-	nextSeq uint64
-	replies chan rpc.Reply
-	ended   bool
+	replies <-chan rpc.Reply
 }
 
 // ID returns the session identifier.
-func (cs *ClientSession) ID() string { return cs.id }
+func (w *clientWire) ID() string { return w.id }
 
-// Call invokes a service method, resending until the reply arrives.
-// Application errors returned by the method surface as *rpc.AppError.
-func (cs *ClientSession) Call(method string, arg []byte) ([]byte, error) {
-	if cs.ended {
-		return nil, fmt.Errorf("core: session %s already ended", cs.id)
-	}
-	seq := cs.nextSeq
+// drive sends one request of the session — request seq, or with end set
+// the session's End under that number — resending it until a reply
+// settles it. It reports the exchange to the tap: the invocation, unless
+// retry says the caller is re-driving one reported earlier (possibly by a
+// crashed predecessor), every resend, and the terminal reply. An End is
+// no service request and is not reported.
+//
+// A nil or *rpc.AppError error is terminal (see isTerminal): the request
+// executed, and the caller advances the sequence number. Any other error
+// — including the overload-control outcomes ErrOverloaded, ErrCircuitOpen
+// and ErrDeadlineExceeded — leaves it open: the request may still execute
+// server-side, so a later drive must send the identical request again, or
+// fetch the buffered reply through the duplicate path.
+func (w *clientWire) drive(seq uint64, method string, arg []byte, end, retry bool) ([]byte, error) {
 	req := rpc.Request{
-		Session:    cs.id,
+		Session:    w.id,
 		Seq:        seq,
 		Method:     method,
 		Arg:        arg,
 		NewSession: seq == 1,
-		From:       cs.client.ep.Addr(),
+		EndSession: end,
+		From:       w.c.ep.Addr(),
 	}
-	tap := cs.client.tap
-	if tap != nil {
-		tap.ClientInvoke(cs.id, method, seq, arg)
+	tap := w.c.tap
+	if end {
+		tap = nil
+	}
+	if tap != nil && !retry {
+		tap.ClientInvoke(w.id, method, seq, arg)
 	}
 	attempts := 0
 	payload, err := rpc.Call(func(r rpc.Request) {
-		if attempts++; tap != nil && attempts > 1 {
-			tap.ClientRetry(cs.id, seq, attempts)
+		if attempts++; tap != nil && (retry || attempts > 1) {
+			tap.ClientRetry(w.id, seq, attempts)
 		}
-		cs.client.ep.Send(simnet.Addr(cs.target), r) //mspr:flushed-by none (client request: end clients have no log and carry no recoverable state)
-	}, cs.replies, req, cs.opts)
-	if err != nil && !isTerminal(err) {
-		// Non-terminal includes the overload-control outcomes
-		// (ErrOverloaded, ErrCircuitOpen, ErrDeadlineExceeded): the
-		// request may still execute server-side, so the sequence number
-		// must not advance — a later Call resends the identical request
-		// or fetches the buffered reply via the duplicate path.
-		return nil, err
-	}
+		w.c.ep.Send(simnet.Addr(w.target), r) //mspr:flushed-by none (client request: end clients have no log; a durable client journals the intent before it drives)
+	}, w.replies, req, w.opts)
 	if tap != nil {
 		if err == nil {
-			tap.ClientReply(cs.id, seq, true, payload)
+			tap.ClientReply(w.id, seq, true, payload)
 		} else if ae, ok := err.(*rpc.AppError); ok {
-			tap.ClientReply(cs.id, seq, false, []byte(ae.Msg))
+			tap.ClientReply(w.id, seq, false, []byte(ae.Msg))
 		}
 	}
-	cs.nextSeq = seq + 1
 	return payload, err
-}
-
-// End terminates the session at the server.
-func (cs *ClientSession) End() error {
-	if cs.ended {
-		return nil
-	}
-	seq := cs.nextSeq
-	req := rpc.Request{
-		Session:    cs.id,
-		Seq:        seq,
-		NewSession: seq == 1,
-		EndSession: true,
-		From:       cs.client.ep.Addr(),
-	}
-	_, err := rpc.Call(func(r rpc.Request) {
-		cs.client.ep.Send(simnet.Addr(cs.target), r) //mspr:flushed-by none (client request: end clients have no log and carry no recoverable state)
-	}, cs.replies, req, cs.opts)
-	cs.ended = true
-	cs.client.mu.Lock()
-	delete(cs.client.sessions, cs.id)
-	cs.client.mu.Unlock()
-	return err
 }
 
 // isTerminal reports whether an error is a definitive outcome of the
@@ -218,8 +163,62 @@ func isTerminal(err error) bool {
 	if err == nil {
 		return true
 	}
-	if _, ok := err.(*rpc.AppError); ok {
-		return true
+	_, ok := err.(*rpc.AppError)
+	return ok
+}
+
+// Client is an end client process (§2.1): it lives outside every service
+// domain, so all of its traffic is logged pessimistically by the MSPs it
+// talks to. The client resends each request — with the same sequence
+// number — until the reply arrives, and ignores duplicate replies; with
+// the server's receive logging and reply buffering this yields
+// exactly-once execution.
+type Client struct{ clientCore }
+
+// NewClient creates a client attached to the network at address id.
+// When opts carries a Budget or Breaker, they are treated as per-server
+// templates: each distinct target gets its own clone (see Session).
+func NewClient(id string, net *simnet.Network, opts rpc.CallOptions) *Client {
+	c := &Client{}
+	c.start(id, net, opts)
+	return c
+}
+
+// Session starts a new session with the MSP at target. Each Session call
+// creates a distinct session.
+func (c *Client) Session(target string) *ClientSession {
+	return &ClientSession{clientWire: c.wire(c.nextSessionID(), target), nextSeq: 1}
+}
+
+// ClientSession is one session between an end client and an MSP. A
+// session processes one request at a time: Call must not be invoked
+// concurrently on the same session.
+type ClientSession struct {
+	clientWire
+	nextSeq uint64
+	ended   bool
+}
+
+// Call invokes a service method, resending until the reply arrives.
+// Application errors returned by the method surface as *rpc.AppError.
+func (cs *ClientSession) Call(method string, arg []byte) ([]byte, error) {
+	if cs.ended {
+		return nil, fmt.Errorf("core: session %s already ended", cs.id)
 	}
-	return false
+	payload, err := cs.drive(cs.nextSeq, method, arg, false, false)
+	if isTerminal(err) {
+		cs.nextSeq++
+	}
+	return payload, err
+}
+
+// End terminates the session at the server.
+func (cs *ClientSession) End() error {
+	if cs.ended {
+		return nil
+	}
+	_, err := cs.drive(cs.nextSeq, "", nil, true, false)
+	cs.ended = true
+	cs.c.replies.Deregister(cs.id)
+	return err
 }

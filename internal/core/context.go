@@ -32,11 +32,10 @@ type replayState struct {
 	switched  bool
 }
 
-// next returns the next logged record of the session. When the stream is
-// exhausted it returns ok=false with c switched to live execution.
-func (rp *replayState) next(c *Ctx) (lsn wal.LSN, typ logrec.Type, payload []byte, ok bool) {
+// peek reads the session's next logged record without consuming it;
+// ok=false when the stream is exhausted.
+func (rp *replayState) peek(c *Ctx) (lsn wal.LSN, typ logrec.Type, payload []byte, ok bool) {
 	if rp.idx >= len(rp.positions) {
-		rp.switched, c.mode = true, modeNormal
 		return 0, 0, nil, false
 	}
 	e := rp.positions[rp.idx]
@@ -44,8 +43,19 @@ func (rp *replayState) next(c *Ctx) (lsn wal.LSN, typ logrec.Type, payload []byt
 	if err != nil {
 		panic(fmt.Errorf("core: replay of %s: reading %d: %w", c.srv.cfg.ID, e.lsn, err))
 	}
-	rp.idx++
 	return e.lsn, typ, payload, true
+}
+
+// next consumes and returns the next logged record of the session. When
+// the stream is exhausted it returns ok=false with c switched to live
+// execution.
+func (rp *replayState) next(c *Ctx) (lsn wal.LSN, typ logrec.Type, payload []byte, ok bool) {
+	if lsn, typ, payload, ok = rp.peek(c); ok {
+		rp.idx++
+	} else {
+		rp.switched, c.mode = true, modeNormal
+	}
+	return lsn, typ, payload, ok
 }
 
 // Ctx is the execution context handed to service methods. It provides
@@ -121,8 +131,9 @@ func runMethod(ctx *Ctx, h Handler, arg []byte) (rep rpc.Reply, abort abortReaso
 	return rep, notAborted
 }
 
-// abortIfLogDown stops the method if err is a failed log append: the MSP
-// died under it, and user code could return err to the client as final.
+// abortIfLogDown stops the method if err is a failed append to, or flush
+// of, this MSP's log: the MSP died under it, and user code could return
+// err to the client as final.
 func (c *Ctx) abortIfLogDown(err error) error {
 	if errors.Is(err, errLogDown) {
 		abortMethod(abortCrashed, err)
@@ -241,38 +252,9 @@ func (c *Ctx) ReadShared(name string) ([]byte, error) {
 	if sv == nil {
 		return nil, fmt.Errorf("%w: %s", errUnknownShared, name)
 	}
-	if c.mode == modeReplay {
-		lsn, typ, payload, ok := c.rp.next(c)
-		if !ok {
-			return c.liveRead(sv)
-		}
-		if typ != logrec.TSharedRead {
-			panic(fmt.Errorf("core: replay mismatch in %s/%s: expected SharedRead(%s), log has %v at %d",
-				c.srv.cfg.ID, c.sess.id, name, typ, lsn))
-		}
-		rec, err := logrec.DecodeSharedRead(payload)
-		if err != nil {
-			panic(err)
-		}
-		if rec.Var != name {
-			panic(fmt.Errorf("core: replay mismatch: read of %s, log has read of %s", name, rec.Var))
-		}
-		if _, orphan := c.srv.know.OrphanIn(rec.DV); orphan {
-			// Orphan log record found: recovery ends here; the read
-			// continues as normal execution (§4.1).
-			c.abortIfLogDown(c.switchToLiveAtOrphan(lsn))
-			return c.liveRead(sv)
-		}
-		c.sess.mergeVec(rec.DV)
-		c.sess.replayAdvance(lsn)
-		return append([]byte(nil), rec.Value...), nil
+	if v, ok := c.replayRead(name); ok {
+		return v, nil
 	}
-	return c.liveRead(sv)
-}
-
-// liveRead runs the Fig. 8 read action for real. The variable returns a
-// failed append as an error; it becomes the abort here, off its lock.
-func (c *Ctx) liveRead(sv *SharedVar) ([]byte, error) {
 	v, err := sv.read(c.sess)
 	return v, c.abortIfLogDown(err)
 }
@@ -286,24 +268,102 @@ func (c *Ctx) WriteShared(name string, value []byte) error {
 		return fmt.Errorf("%w: %s", errUnknownShared, name)
 	}
 	if c.mode == modeReplay {
-		lsn, typ, payload, ok := c.rp.next(c)
-		if !ok {
-			return c.abortIfLogDown(sv.write(c.sess, value))
+		if lsn, typ, payload, ok := c.rp.next(c); ok {
+			c.replayedWrite(name, lsn, typ, payload)
+			return nil // skipped: shared state recovers separately
 		}
-		if typ != logrec.TSharedWrite {
-			panic(fmt.Errorf("core: replay mismatch in %s/%s: expected SharedWrite(%s), log has %v at %d",
-				c.srv.cfg.ID, c.sess.id, name, typ, lsn))
-		}
-		rec, err := logrec.DecodeSharedWrite(payload)
-		if err != nil {
-			panic(err)
-		}
-		if rec.Var != name {
-			panic(fmt.Errorf("core: replay mismatch: write of %s, log has write of %s", name, rec.Var))
-		}
-		return nil // skipped: shared state recovers separately
 	}
 	return c.abortIfLogDown(sv.write(c.sess, value))
+}
+
+// UpdateShared replaces a shared variable's value with f of its current
+// value, atomically with respect to every other session, and returns the
+// new value. It is the read action and the write action of Fig. 8 — the
+// same two log records, value logging and the backward chain unchanged —
+// performed under one hold of the variable's lock: a ReadShared followed
+// by a WriteShared lets another session's update land between the two and
+// be overwritten. f runs under that lock, and again in replay on the
+// logged value: it must depend on nothing but its argument, and must not
+// use the Ctx.
+func (c *Ctx) UpdateShared(name string, f func(old []byte) []byte) ([]byte, error) {
+	c.intercept()
+	sv := c.srv.sharedVar(name)
+	if sv == nil {
+		return nil, fmt.Errorf("%w: %s", errUnknownShared, name)
+	}
+	for {
+		old, ok := c.replayRead(name)
+		if !ok {
+			break
+		}
+		// The update's write record follows its read record in the session's
+		// stream. If the log ends at the read (a crash took the write), or
+		// goes on with the read of a redo, that update never happened: it is
+		// redone whole — by the records that follow, or live — never by
+		// pairing the logged read with a live write, which would overwrite
+		// whatever other sessions wrote since.
+		if _, typ, _, more := c.rp.peek(c); more && typ == logrec.TSharedRead {
+			continue
+		}
+		lsn, typ, payload, ok := c.rp.next(c)
+		if !ok {
+			break
+		}
+		c.replayedWrite(name, lsn, typ, payload) // a replay mismatch unless it is this update's write
+		return f(old), nil
+	}
+	v, err := sv.update(c.sess, f)
+	return v, c.abortIfLogDown(err)
+}
+
+// replayRead replays a shared-variable read from the session's next log
+// record. ok=false means there is nothing to replay — the context executes
+// live, or just switched to it because the stream ran out or the record is
+// an orphan — and the caller performs the access for real.
+func (c *Ctx) replayRead(name string) (value []byte, ok bool) {
+	if c.mode != modeReplay {
+		return nil, false
+	}
+	lsn, typ, payload, ok := c.rp.next(c)
+	if !ok {
+		return nil, false
+	}
+	if typ != logrec.TSharedRead {
+		panic(fmt.Errorf("core: replay mismatch in %s/%s: expected SharedRead(%s), log has %v at %d",
+			c.srv.cfg.ID, c.sess.id, name, typ, lsn))
+	}
+	rec, err := logrec.DecodeSharedRead(payload)
+	if err != nil {
+		panic(err)
+	}
+	if rec.Var != name {
+		panic(fmt.Errorf("core: replay mismatch: read of %s, log has read of %s", name, rec.Var))
+	}
+	if _, orphan := c.srv.know.OrphanIn(rec.DV); orphan {
+		// Orphan log record found: recovery ends here; the read
+		// continues as normal execution (§4.1).
+		c.abortIfLogDown(c.switchToLiveAtOrphan(lsn))
+		return nil, false
+	}
+	c.sess.mergeVec(rec.DV)
+	c.sess.replayAdvance(lsn)
+	return append([]byte(nil), rec.Value...), true
+}
+
+// replayedWrite checks that the record replay skips for a write of name
+// is that write.
+func (c *Ctx) replayedWrite(name string, lsn wal.LSN, typ logrec.Type, payload []byte) {
+	if typ != logrec.TSharedWrite {
+		panic(fmt.Errorf("core: replay mismatch in %s/%s: expected SharedWrite(%s), log has %v at %d",
+			c.srv.cfg.ID, c.sess.id, name, typ, lsn))
+	}
+	rec, err := logrec.DecodeSharedWrite(payload)
+	if err != nil {
+		panic(err)
+	}
+	if rec.Var != name {
+		panic(fmt.Errorf("core: replay mismatch: write of %s, log has write of %s", name, rec.Var))
+	}
 }
 
 // Call synchronously invokes a service method of another MSP over this
@@ -404,7 +464,7 @@ func (c *Ctx) liveCall(out *outSession, method string, arg []byte) ([]byte, erro
 					abortMethod(abortOrphan, err)
 				}
 				if !errors.Is(err, errUnavailable) {
-					return nil, err
+					return nil, c.abortIfLogDown(err)
 				}
 				if s.getState() == stateCrashed {
 					abortMethod(abortCrashed, err)
@@ -415,8 +475,8 @@ func (c *Ctx) liveCall(out *outSession, method string, arg []byte) ([]byte, erro
 		}
 	}
 
-	ch := s.pending.register(out.id)
-	defer s.pending.deregister(out.id)
+	ch := s.calls.Register(out.id)
+	defer s.calls.Deregister(out.id)
 	opts := rpc.DefaultCallOptions(s.cfg.TimeScale)
 	target := simnet.Addr(out.target)
 

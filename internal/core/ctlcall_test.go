@@ -1,0 +1,235 @@
+package core
+
+import (
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"mspr/internal/dv"
+	"mspr/internal/rpc"
+	"mspr/internal/simnet"
+)
+
+// scriptedPeer is a domain member that is nothing but an endpoint: it
+// records every control request it is sent and answers each copy with
+// whatever its script says (nil: the copy is lost).
+type scriptedPeer struct {
+	ep   *simnet.Endpoint
+	stop chan struct{}
+
+	mu  sync.Mutex
+	ids []uint64    // the ID of every copy received, in order
+	at  []time.Time // and when it arrived
+}
+
+// startScriptedPeer registers "peer" with the domain and starts answering.
+// script sees the 1-based number of the copy and the ID it carries.
+func startScriptedPeer(e *testEnv, script func(n int, id uint64) any) *scriptedPeer {
+	p := &scriptedPeer{ep: e.net.Endpoint("peer"), stop: make(chan struct{})}
+	e.domain.register("peer")
+	go rpc.Serve(p.ep, p.stop, func(m simnet.Message) {
+		var id uint64
+		switch r := m.Payload.(type) {
+		case rpc.FlushRequest:
+			id = r.ID
+		case rpc.RecoveryBroadcast:
+			id = r.ID
+		case rpc.KnowledgePull:
+			id = r.ID
+		default:
+			return
+		}
+		p.mu.Lock()
+		p.ids = append(p.ids, id)
+		p.at = append(p.at, time.Now())
+		n := len(p.ids)
+		p.mu.Unlock()
+		if rep := script(n, id); rep != nil {
+			p.ep.Send(m.From, rep)
+		}
+	})
+	return p
+}
+
+func (p *scriptedPeer) copies() ([]uint64, []time.Time) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]uint64(nil), p.ids...), append([]time.Time(nil), p.at...)
+}
+
+// TestCtlCall drives the three control exchanges — flush, recovery
+// broadcast, knowledge pull — through ctlCall against a peer that loses,
+// mangles or withholds its answers. Whatever the exchange, the call must
+// retransmit one envelope under one ID, ignore a reply that is not its
+// answer, give up at its deadline and return when the MSP stops.
+func TestCtlCall(t *testing.T) {
+	const retransmit = 20 * time.Millisecond
+	ghost := dv.RecoveryInfo{Process: "ghost", CrashedEpoch: 1, Recovered: 5}
+
+	// Each exchange: how to run it to completion (answered reports whether
+	// the peer's answer arrived), the peer's answer, and an answer that
+	// belongs to another exchange.
+	exchanges := []struct {
+		name     string
+		run      func(s *Server) (answered bool)
+		answer   func(id uint64) any
+		mismatch func(id uint64) any
+	}{
+		{
+			name:     "flush",
+			run:      func(s *Server) bool { return s.callFlush("peer", dv.StateID{Epoch: 1}) == nil },
+			answer:   func(id uint64) any { return rpc.FlushReply{ID: id, Code: rpc.CtlOK} },
+			mismatch: func(id uint64) any { return rpc.RecoveryAck{ID: id} },
+		},
+		{
+			name: "broadcast",
+			run: func(s *Server) bool {
+				return len(s.broadcastRecovery(dv.RecoveryInfo{Process: "msp1", CrashedEpoch: 1, Recovered: 1})) == 1
+			},
+			answer:   func(id uint64) any { return rpc.RecoveryAck{ID: id, Known: []dv.RecoveryInfo{ghost}} },
+			mismatch: func(id uint64) any { return rpc.KnowledgeReply{ID: id} },
+		},
+		{
+			name: "pull",
+			run: func(s *Server) bool {
+				s.pullKnowledge("peer")
+				_, ok := s.know.Lookup(ghost.Process, ghost.CrashedEpoch)
+				return ok
+			},
+			answer:   func(id uint64) any { return rpc.KnowledgeReply{ID: id, Known: []dv.RecoveryInfo{ghost}} },
+			mismatch: func(id uint64) any { return rpc.FlushReply{ID: id, Code: rpc.CtlOK} },
+		},
+	}
+
+	type outcome struct {
+		answered bool
+		took     time.Duration
+		ids      []uint64
+		at       []time.Time
+	}
+	// exchange starts msp1 with the given call deadline next to a scripted
+	// peer and runs one exchange. after, if set, runs once the peer has seen
+	// the first copy.
+	exchange := func(t *testing.T, run func(*Server) bool, deadline time.Duration,
+		script func(n int, id uint64) any, after func(*Server)) outcome {
+		t.Helper()
+		e := newTestEnv(t)
+		defer e.cleanup()
+		p := startScriptedPeer(e, script)
+		defer close(p.stop)
+		s := e.start("msp1", counterDef(), func(c *Config) {
+			c.TimeScale = 1
+			c.CtlRetransmit = retransmit
+			c.FlushDeadline, c.BroadcastDeadline = deadline, deadline
+		})
+		if after != nil {
+			go func() {
+				for {
+					if ids, _ := p.copies(); len(ids) > 0 {
+						after(s)
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}()
+		}
+		start := time.Now()
+		o := outcome{answered: run(s)}
+		o.took = time.Since(start)
+		o.ids, o.at = p.copies()
+		for _, id := range o.ids {
+			if id != o.ids[0] {
+				t.Errorf("retransmissions carry IDs %x: want one ID for the whole call", o.ids)
+				break
+			}
+		}
+		if len(o.ids) > 0 && uint32(o.ids[0]>>32) != s.Epoch() {
+			t.Errorf("call ID %x does not carry epoch %d in its high half", o.ids[0], s.Epoch())
+		}
+		return o
+	}
+
+	for _, x := range exchanges {
+		x := x
+		t.Run(x.name+"/first copies lost", func(t *testing.T) {
+			o := exchange(t, x.run, 5*time.Second, func(n int, id uint64) any {
+				if n <= 3 {
+					return nil
+				}
+				return x.answer(id)
+			}, nil)
+			if !o.answered || len(o.ids) < 4 {
+				t.Fatalf("answered=%v after %d copies, want the answer to copy 4", o.answered, len(o.ids))
+			}
+		})
+		// The drift broadcast and pull had: any reply under the call's ID
+		// ended the wait, so one that was not the answer triggered a resend
+		// at once instead of after the backoff step.
+		t.Run(x.name+"/reply of another exchange", func(t *testing.T) {
+			o := exchange(t, x.run, 5*time.Second, func(n int, id uint64) any {
+				if n == 1 {
+					return x.mismatch(id)
+				}
+				return x.answer(id)
+			}, nil)
+			if !o.answered || len(o.ids) < 2 {
+				t.Fatalf("answered=%v after %d copies, want the answer to copy 2", o.answered, len(o.ids))
+			}
+			// ±20 % jitter on the first step: copy 2 is due ≥ 0.8 × retransmit
+			// after copy 1.
+			if gap := o.at[1].Sub(o.at[0]); gap < retransmit/2 {
+				t.Fatalf("copy 2 followed copy 1 after %v: the mismatched reply cut the %v backoff step short", gap, retransmit)
+			}
+		})
+		t.Run(x.name+"/deadline", func(t *testing.T) {
+			const deadline = 150 * time.Millisecond
+			o := exchange(t, x.run, deadline, func(int, uint64) any { return nil }, nil)
+			if o.answered {
+				t.Fatal("call reported an answer nobody sent")
+			}
+			if o.took < deadline || o.took > deadline+2*time.Second {
+				t.Fatalf("call gave up after %v, want at its %v deadline", o.took, deadline)
+			}
+			if len(o.ids) < 2 {
+				t.Fatalf("%d copies sent before the deadline, want retransmissions", len(o.ids))
+			}
+		})
+		t.Run(x.name+"/stop", func(t *testing.T) {
+			o := exchange(t, x.run, time.Minute, func(int, uint64) any { return nil },
+				func(s *Server) { s.halt() })
+			if o.answered || o.took > 10*time.Second {
+				t.Fatalf("answered=%v after %v: a halted MSP's call must return at once, not at its deadline", o.answered, o.took)
+			}
+		})
+	}
+
+	// The flush's own rules on top of the shared loop: a recovering peer is
+	// asked again after a pause, under the same ID, until it can answer; an
+	// expired deadline marks the peer down.
+	t.Run("flush/peer recovering", func(t *testing.T) {
+		o := exchange(t, exchanges[0].run, 5*time.Second, func(n int, id uint64) any {
+			if n <= 2 {
+				return rpc.FlushReply{ID: id, Code: rpc.CtlUnavailable}
+			}
+			return rpc.FlushReply{ID: id, Code: rpc.CtlOK}
+		}, nil)
+		if !o.answered || len(o.ids) != 3 {
+			t.Fatalf("answered=%v after %d copies, want OK on copy 3", o.answered, len(o.ids))
+		}
+	})
+	t.Run("flush/deadline marks the peer down", func(t *testing.T) {
+		e := newTestEnv(t)
+		defer e.cleanup()
+		p := startScriptedPeer(e, func(int, uint64) any { return nil })
+		defer close(p.stop)
+		s := e.start("msp1", counterDef())
+		err := s.callFlush("peer", dv.StateID{Epoch: 1})
+		if !errors.Is(err, errUnavailable) || errors.Is(err, errCtlDeadline) {
+			t.Fatalf("callFlush past its deadline: %v, want a plain errUnavailable", err)
+		}
+		if !s.PeerDown("peer") {
+			t.Fatal("peer not marked down after the flush deadline")
+		}
+	})
+}

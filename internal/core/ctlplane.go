@@ -55,44 +55,6 @@ func ctlWall(d time.Duration, scale float64, floor time.Duration) time.Duration 
 	return s
 }
 
-// pendingCtl routes control replies (FlushReply, RecoveryAck,
-// KnowledgeReply) to the goroutines waiting on them, keyed by the
-// request ID the reply echoes.
-type pendingCtl struct {
-	mu sync.Mutex
-	m  map[uint64]chan any
-}
-
-func (p *pendingCtl) register(id uint64) chan any {
-	ch := make(chan any, 4)
-	p.mu.Lock()
-	if p.m == nil {
-		p.m = make(map[uint64]chan any)
-	}
-	p.m[id] = ch
-	p.mu.Unlock()
-	return ch
-}
-
-func (p *pendingCtl) deregister(id uint64) {
-	p.mu.Lock()
-	delete(p.m, id)
-	p.mu.Unlock()
-}
-
-func (p *pendingCtl) resolve(id uint64, rep any) {
-	p.mu.Lock()
-	ch := p.m[id]
-	p.mu.Unlock()
-	if ch == nil {
-		return
-	}
-	select {
-	case ch <- rep:
-	default:
-	}
-}
-
 // ctlKey identifies one control request for dedup: who sent it, under
 // which ID.
 type ctlKey struct {
@@ -272,97 +234,144 @@ func (s *Server) noteContact(from simnet.Addr) {
 	}
 }
 
-// callFlush performs one deadline-bounded flush call against a peer:
-// send FlushRequest, retransmit with backoff under the same ID, absorb
-// the piggybacked knowledge of any reply. It returns errOrphanDep,
-// errUnavailable (deadline exceeded or peer recovering past deadline),
-// or nil.
+// ctlVerdict is what a control call's accept function makes of a reply
+// routed to the call.
+type ctlVerdict int
+
+const (
+	ctlIgnore   ctlVerdict = iota // not the awaited answer: keep waiting out the current timer
+	ctlAnswered                   // the call is done
+	ctlResend                     // the peer is reachable but could not serve the request yet: retransmit now
+)
+
+// errCtlDeadline reports a control call whose deadline passed unanswered.
+var errCtlDeadline = fmt.Errorf("core: control call deadline exceeded: %w", errUnavailable)
+
+// ctlCall is the one way this MSP asks a domain peer something and waits
+// for the answer. It mints the call's ID, builds the request once with
+// mkReq — every retransmission is the same envelope under the same ID, so
+// the peer's dedup cache recognizes it — and registers for the reply the
+// ID routes back. Then: send, wait out the next backoff step (clamped to
+// what is left of the deadline), hand every routed reply to accept, resend.
+// It returns nil once accept reports ctlAnswered, errCtlDeadline when the
+// (wall-clock floored) model deadline passes first, and errUnavailable
+// when this MSP stops or crashes meanwhile.
 //
 //mspr:wallclock control-plane retransmit/deadline clocks are wall-clock floored by design (see file header)
-func (s *Server) callFlush(peer string, sid dv.StateID) error {
+func (s *Server) ctlCall(peer string, deadline time.Duration, mkReq func(id uint64) any, accept func(rep any) ctlVerdict) error {
 	id := s.nextCtlID()
-	ch := s.ctl.register(id)
-	defer s.ctl.deregister(id)
+	ch := s.ctl.Register(id)
+	defer s.ctl.Deregister(id)
 	bo := s.ctlBackoff(id)
-	deadline := time.Now().Add(ctlWall(s.cfg.FlushDeadline, s.cfg.TimeScale, ctlDeadlineFloor))
-	req := rpc.FlushRequest{ID: id, From: s.ep.Addr(), SID: sid}
+	until := time.Now().Add(ctlWall(deadline, s.cfg.TimeScale, ctlDeadlineFloor))
+	req := mkReq(id)
 	for {
-		s.ep.Send(simnet.Addr(peer), req) //mspr:flushed-by none (flush request envelope: asks the peer to flush, carries no log state)
+		//mspr:flushed-by none (control requests ask a peer to flush, announce state made durable before recovery completed, or pull gossip: none carries unflushed log state)
+		s.ep.Send(simnet.Addr(peer), req)
 		wait := bo.Next()
-		if rem := time.Until(deadline); wait > rem {
+		if rem := time.Until(until); wait > rem {
 			wait = rem
 		}
-		if wait < 0 {
-			wait = 0
-		}
-		timer := time.NewTimer(wait)
-	waiting:
-		for {
+		timer := time.NewTimer(wait) // a wait ≤ 0 fires at once
+		verdict := ctlIgnore
+		for verdict == ctlIgnore {
 			select {
 			case <-s.stop:
-				timer.Stop()
-				return errUnavailable
-			case raw := <-ch:
-				rep, ok := raw.(rpc.FlushReply)
-				if !ok {
-					continue
-				}
-				timer.Stop()
-				s.absorbKnowledge(rep.Known)
-				switch rep.Code {
-				case rpc.CtlOK:
-					s.health.markUp(peer)
-					return nil
-				case rpc.CtlOrphan:
-					s.health.markUp(peer)
-					return errOrphanDep
-				default:
-					// Peer reachable but recovering: short pause, then
-					// retransmit until the deadline decides.
-					simtime.Sleep(ctlWall(s.cfg.CtlRetransmit, s.cfg.TimeScale, ctlRetransmitFloor))
-					break waiting
-				}
+				verdict = ctlResend // halt marked the MSP crashed before closing stop: the check below ends the call
+			case rep := <-ch:
+				verdict = accept(rep)
 			case <-timer.C:
-				break waiting
+				verdict = ctlResend
 			}
 		}
-		if s.getState() == stateCrashed {
+		timer.Stop()
+		switch {
+		case verdict == ctlAnswered:
+			return nil
+		case s.getState() == stateCrashed:
 			return errUnavailable
-		}
-		if !time.Now().Before(deadline) {
-			metrics.Net.FlushDeadlinesExceeded.Inc()
-			s.markPeerDown(peer)
-			return fmt.Errorf("core: peer %s unreachable within flush deadline: %w", peer, errUnavailable)
+		case !time.Now().Before(until):
+			return errCtlDeadline
 		}
 	}
 }
 
-// broadcastRecovery announces a recovered state number to every domain
-// peer over the network, best-effort: each peer is retransmitted to with
-// backoff until it acks or its share of the broadcast deadline passes.
-// It returns the union of the reachable peers' knowledge snapshots.
-// Peers missed here converge later via anti-entropy.
-func (s *Server) broadcastRecovery(info dv.RecoveryInfo) []dv.RecoveryInfo {
+// callFlush asks a peer to flush its log up to sid, bounded by the flush
+// deadline, absorbing the knowledge any reply piggybacks. It returns nil,
+// errOrphanDep, or errUnavailable (the deadline passed — the peer is then
+// marked down — or this MSP stopped).
+func (s *Server) callFlush(peer string, sid dv.StateID) error {
+	var outcome error
+	err := s.ctlCall(peer, s.cfg.FlushDeadline,
+		func(id uint64) any { return rpc.FlushRequest{ID: id, From: s.ep.Addr(), SID: sid} },
+		func(raw any) ctlVerdict {
+			rep, ok := raw.(rpc.FlushReply)
+			if !ok {
+				return ctlIgnore
+			}
+			s.absorbKnowledge(rep.Known)
+			switch rep.Code {
+			case rpc.CtlOK:
+			case rpc.CtlOrphan:
+				outcome = errOrphanDep
+			default:
+				// Peer reachable but recovering: short pause, then
+				// retransmit until the deadline decides.
+				simtime.Sleep(ctlWall(s.cfg.CtlRetransmit, s.cfg.TimeScale, ctlRetransmitFloor))
+				return ctlResend
+			}
+			s.health.markUp(peer)
+			return ctlAnswered
+		})
+	if errors.Is(err, errCtlDeadline) {
+		metrics.Net.FlushDeadlinesExceeded.Inc()
+		s.markPeerDown(peer)
+		return fmt.Errorf("core: peer %s unreachable within flush deadline: %w", peer, errUnavailable)
+	}
+	if err != nil {
+		return err
+	}
+	return outcome
+}
+
+// domainPeers returns the other members of this MSP's domain.
+func (s *Server) domainPeers() []string {
 	var peers []string
 	for _, id := range s.cfg.Domain.Members() {
 		if id != s.cfg.ID {
 			peers = append(peers, id)
 		}
 	}
-	if len(peers) == 0 {
-		return nil
-	}
+	return peers
+}
+
+// broadcastRecovery announces a recovered state number to every domain
+// peer over the network, best-effort: each peer is retransmitted to with
+// backoff until it acks or the broadcast deadline passes. It returns the
+// union of the reachable peers' knowledge snapshots. Peers missed here
+// converge later via anti-entropy.
+func (s *Server) broadcastRecovery(info dv.RecoveryInfo) []dv.RecoveryInfo {
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
 		learned []dv.RecoveryInfo
 	)
-	for _, peer := range peers {
+	for _, peer := range s.domainPeers() {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			known, ok := s.broadcastToPeer(peer, info)
-			if !ok {
+			var known []dv.RecoveryInfo
+			err := s.ctlCall(peer, s.cfg.BroadcastDeadline,
+				func(id uint64) any { return rpc.RecoveryBroadcast{ID: id, From: s.ep.Addr(), Info: info} },
+				func(raw any) ctlVerdict {
+					ack, ok := raw.(rpc.RecoveryAck)
+					if !ok {
+						return ctlIgnore
+					}
+					known = ack.Known
+					return ctlAnswered
+				})
+			if err != nil {
 				metrics.Net.BroadcastPeersMissed.Inc()
 				s.markPeerDown(peer)
 				return
@@ -377,83 +386,22 @@ func (s *Server) broadcastRecovery(info dv.RecoveryInfo) []dv.RecoveryInfo {
 	return learned
 }
 
-// broadcastToPeer delivers one RecoveryBroadcast to one peer with
-// retransmission, bounded by the broadcast deadline.
-//
-//mspr:wallclock control-plane retransmit/deadline clocks are wall-clock floored by design (see file header)
-func (s *Server) broadcastToPeer(peer string, info dv.RecoveryInfo) ([]dv.RecoveryInfo, bool) {
-	id := s.nextCtlID()
-	ch := s.ctl.register(id)
-	defer s.ctl.deregister(id)
-	bo := s.ctlBackoff(id)
-	deadline := time.Now().Add(ctlWall(s.cfg.BroadcastDeadline, s.cfg.TimeScale, ctlDeadlineFloor))
-	req := rpc.RecoveryBroadcast{ID: id, From: s.ep.Addr(), Info: info}
-	for {
-		s.ep.Send(simnet.Addr(peer), req) //mspr:flushed-by none (the announced recovery info was made durable before recovery completed)
-		wait := bo.Next()
-		if rem := time.Until(deadline); wait > rem {
-			wait = rem
-		}
-		if wait < 0 {
-			wait = 0
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case <-s.stop:
-			timer.Stop()
-			return nil, false
-		case raw := <-ch:
-			if ack, ok := raw.(rpc.RecoveryAck); ok {
-				timer.Stop()
-				return ack.Known, true
-			}
-		case <-timer.C:
-		}
-		if s.getState() == stateCrashed || !time.Now().Before(deadline) {
-			return nil, false
-		}
-	}
-}
-
-// pullKnowledge performs one anti-entropy knowledge pull against a peer
-// (single request, retransmitted until the broadcast deadline) and
-// absorbs whatever comes back.
-//
-//mspr:wallclock control-plane retransmit/deadline clocks are wall-clock floored by design (see file header)
+// pullKnowledge performs one anti-entropy knowledge pull against a peer,
+// bounded by the broadcast deadline, and absorbs whatever comes back.
 func (s *Server) pullKnowledge(peer string) {
 	metrics.Net.AntiEntropyPulls.Inc()
-	id := s.nextCtlID()
-	ch := s.ctl.register(id)
-	defer s.ctl.deregister(id)
-	bo := s.ctlBackoff(id)
-	deadline := time.Now().Add(ctlWall(s.cfg.BroadcastDeadline, s.cfg.TimeScale, ctlDeadlineFloor))
-	req := rpc.KnowledgePull{ID: id, From: s.ep.Addr()}
-	for {
-		s.ep.Send(simnet.Addr(peer), req) //mspr:flushed-by none (pull request envelope carries no log state)
-		wait := bo.Next()
-		if rem := time.Until(deadline); wait > rem {
-			wait = rem
-		}
-		if wait < 0 {
-			wait = 0
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case <-s.stop:
-			timer.Stop()
-			return
-		case raw := <-ch:
-			if rep, ok := raw.(rpc.KnowledgeReply); ok {
-				timer.Stop()
-				s.absorbKnowledge(rep.Known)
-				return
+	// An unanswered pull needs no handling: the next contact or anti-entropy
+	// round pulls again.
+	_ = s.ctlCall(peer, s.cfg.BroadcastDeadline,
+		func(id uint64) any { return rpc.KnowledgePull{ID: id, From: s.ep.Addr()} },
+		func(raw any) ctlVerdict {
+			rep, ok := raw.(rpc.KnowledgeReply)
+			if !ok {
+				return ctlIgnore
 			}
-		case <-timer.C:
-		}
-		if s.getState() == stateCrashed || !time.Now().Before(deadline) {
-			return
-		}
-	}
+			s.absorbKnowledge(rep.Known)
+			return ctlAnswered
+		})
 }
 
 // antiEntropyLoop periodically pulls knowledge from domain peers in
@@ -471,12 +419,7 @@ func (s *Server) antiEntropyLoop() {
 			return
 		case <-time.After(every):
 		}
-		var peers []string
-		for _, id := range s.cfg.Domain.Members() {
-			if id != s.cfg.ID {
-				peers = append(peers, id)
-			}
-		}
+		peers := s.domainPeers()
 		if len(peers) == 0 {
 			continue
 		}

@@ -23,28 +23,22 @@ import (
 // a fresh sequence number (which would duplicate them), and an in-flight
 // request can be re-driven to fetch the server's buffered reply.
 type DurableClient struct {
-	id   string
-	ep   *simnet.Endpoint
-	opts rpc.CallOptions
+	clientCore
 	file *simdisk.File
-	tap  ClientTap
 
-	mu       sync.Mutex
+	// jmu guards the journal and everything it backs: the session table,
+	// and each session's nextSeq and pending intent.
+	jmu      sync.Mutex
 	sessions map[string]*DurableSession
-	counter  uint64
 	off      int64
-	stopped  bool
-	stop     chan struct{}
 }
 
 // DurableSession is one durable session with an MSP.
 type DurableSession struct {
-	c       *DurableClient
-	id      string
-	target  string
+	clientWire
+	dc      *DurableClient
 	nextSeq uint64
 	pending *intent
-	replies chan rpc.Reply
 }
 
 // intent is a persisted in-flight request.
@@ -62,67 +56,25 @@ const (
 )
 
 // NewDurableClient opens (or re-opens after a crash) the durable client
-// persisted on file. Restored sessions are available via Sessions.
+// persisted on file. Restored sessions are available via Sessions. Budget
+// and Breaker in opts are per-server templates, as for NewClient.
 func NewDurableClient(id string, net *simnet.Network, disk *simdisk.Disk, opts rpc.CallOptions) (*DurableClient, error) {
 	c := &DurableClient{
-		id:       id,
-		ep:       net.Endpoint(simnet.Addr(id)),
-		opts:     opts,
 		file:     disk.OpenFile("client/" + id),
 		sessions: make(map[string]*DurableSession),
-		stop:     make(chan struct{}),
 	}
+	c.start(id, net, opts)
 	c.ep.SetDown(false)
 	if err := c.load(); err != nil {
+		c.Close()
 		return nil, err
 	}
-	go c.dispatch()
 	return c, nil
 }
 
-// SetTap attaches the correctness oracle's client-side observation tap
-// (see internal/oracle); re-attach it after reopening the client so a
-// resumed in-flight request's re-drive is recorded too. A nil tap (the
-// default) records nothing.
-func (c *DurableClient) SetTap(t ClientTap) { c.tap = t }
-
-func (c *DurableClient) dispatch() {
-	for {
-		select {
-		case <-c.stop:
-			return
-		case m := <-c.ep.Recv():
-			rep, ok := m.Payload.(rpc.Reply)
-			if !ok {
-				continue
-			}
-			c.mu.Lock()
-			ds := c.sessions[rep.Session]
-			c.mu.Unlock()
-			if ds == nil {
-				continue
-			}
-			select {
-			case ds.replies <- rep:
-			default:
-			}
-		}
-	}
-}
-
-// Close stops the client's dispatcher (its state stays on disk).
-func (c *DurableClient) Close() {
-	c.mu.Lock()
-	if !c.stopped {
-		c.stopped = true
-		close(c.stop)
-	}
-	c.mu.Unlock()
-}
-
-// Crash simulates a client crash: like Close, but also drops in-flight
-// deliveries (callers then construct a fresh DurableClient on the same
-// disk).
+// Crash simulates a client crash: like Close (the state stays on disk),
+// but also drops in-flight deliveries (callers then construct a fresh
+// DurableClient on the same disk).
 func (c *DurableClient) Crash() {
 	c.Close()
 	c.ep.SetDown(true)
@@ -130,37 +82,34 @@ func (c *DurableClient) Crash() {
 
 // Session starts a new durable session with the MSP at target.
 func (c *DurableClient) Session(target string) (*DurableSession, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.counter++
-	ds := &DurableSession{
-		c:       c,
-		id:      fmt.Sprintf("%s#%d", c.id, c.counter),
-		target:  target,
-		nextSeq: 1,
-		replies: make(chan rpc.Reply, 16),
-	}
-	if err := c.appendLocked(dcBegin, encBegin(ds.id, target)); err != nil {
+	id := c.nextSessionID()
+	c.jmu.Lock()
+	defer c.jmu.Unlock()
+	if err := c.appendLocked(dcBegin, encBegin(id, target)); err != nil {
 		return nil, err
 	}
-	c.sessions[ds.id] = ds
-	return ds, nil
+	return c.openLocked(id, target), nil
+}
+
+// openLocked adds session id to the table, wired to target. Caller holds
+// c.jmu, or is load, before the client is shared.
+func (c *DurableClient) openLocked(id, target string) *DurableSession {
+	ds := &DurableSession{clientWire: c.wire(id, target), dc: c, nextSeq: 1}
+	c.sessions[id] = ds
+	return ds
 }
 
 // Sessions returns every session known to the client, including ones
 // restored from stable storage after a crash, keyed by session ID.
 func (c *DurableClient) Sessions() map[string]*DurableSession {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.jmu.Lock()
+	defer c.jmu.Unlock()
 	out := make(map[string]*DurableSession, len(c.sessions))
 	for k, v := range c.sessions {
 		out[k] = v
 	}
 	return out
 }
-
-// ID returns the session identifier.
-func (ds *DurableSession) ID() string { return ds.id }
 
 // Target returns the MSP the session talks to.
 func (ds *DurableSession) Target() string { return ds.target }
@@ -169,8 +118,8 @@ func (ds *DurableSession) Target() string { return ds.target }
 // any: the request was sent before the client crashed and its outcome is
 // unknown. Call Resume to drive it to completion.
 func (ds *DurableSession) Pending() (method string, arg []byte, ok bool) {
-	ds.c.mu.Lock()
-	defer ds.c.mu.Unlock()
+	ds.dc.jmu.Lock()
+	defer ds.dc.jmu.Unlock()
 	if ds.pending == nil {
 		return "", nil, false
 	}
@@ -181,78 +130,50 @@ func (ds *DurableSession) Pending() (method string, arg []byte, ok bool) {
 // client crashes. It returns an error if a restored in-flight request is
 // still pending (Resume it first).
 func (ds *DurableSession) Call(method string, arg []byte) ([]byte, error) {
-	ds.c.mu.Lock()
+	ds.dc.jmu.Lock()
 	if ds.pending != nil {
-		ds.c.mu.Unlock()
+		ds.dc.jmu.Unlock()
 		return nil, errors.New("core: session has a pending request; Resume it first")
 	}
-	seq := ds.nextSeq
-	in := &intent{seq: seq, method: method, arg: append([]byte(nil), arg...)}
-	if err := ds.c.appendLocked(dcIntent, encIntent(ds.id, in)); err != nil {
-		ds.c.mu.Unlock()
+	in := &intent{seq: ds.nextSeq, method: method, arg: append([]byte(nil), arg...)}
+	if err := ds.dc.appendLocked(dcIntent, encIntent(ds.id, in)); err != nil {
+		ds.dc.jmu.Unlock()
 		return nil, err
 	}
 	ds.pending = in
-	ds.c.mu.Unlock()
-	if tap := ds.c.tap; tap != nil {
-		tap.ClientInvoke(ds.id, method, seq, arg)
-	}
-	return ds.drive(in, false)
+	ds.dc.jmu.Unlock()
+	return ds.complete(in, false)
 }
 
 // Resume re-drives a restored in-flight request to completion, returning
 // its reply. The server's sequence-number discipline guarantees the
 // request executes exactly once no matter how many times it was sent.
 func (ds *DurableSession) Resume() ([]byte, error) {
-	ds.c.mu.Lock()
+	ds.dc.jmu.Lock()
 	in := ds.pending
-	ds.c.mu.Unlock()
+	ds.dc.jmu.Unlock()
 	if in == nil {
 		return nil, errors.New("core: nothing to resume")
 	}
-	return ds.drive(in, true)
+	return ds.complete(in, true)
 }
 
-// drive sends the intent until a terminal reply arrives, then persists
-// completion. resumed marks a re-driven restored intent: every send of
-// it — including the first — is a retry of the original, possibly
-// pre-crash, invocation.
-func (ds *DurableSession) drive(in *intent, resumed bool) ([]byte, error) {
-	req := rpc.Request{
-		Session:    ds.id,
-		Seq:        in.seq,
-		Method:     in.method,
-		Arg:        in.arg,
-		NewSession: in.seq == 1,
-		From:       ds.c.ep.Addr(),
+// complete drives the journaled intent to a terminal reply, then persists
+// completion. resumed marks a restored intent: every send of it —
+// including the first — is a retry of the original, possibly pre-crash,
+// invocation. On a transport-level failure the intent stays pending.
+func (ds *DurableSession) complete(in *intent, resumed bool) ([]byte, error) {
+	payload, err := ds.drive(in.seq, in.method, in.arg, false, resumed)
+	if !isTerminal(err) {
+		return nil, err
 	}
-	tap := ds.c.tap
-	attempts := 0
-	payload, err := rpc.Call(func(r rpc.Request) {
-		if attempts++; tap != nil && (resumed || attempts > 1) {
-			tap.ClientRetry(ds.id, in.seq, attempts)
-		}
-		ds.c.ep.Send(simnet.Addr(ds.target), r) //mspr:flushed-by none (client request: the intent was journaled by the caller before drive)
-	}, ds.replies, req, ds.c.opts)
-	if err != nil {
-		if _, ok := err.(*rpc.AppError); !ok {
-			return nil, err // transport-level failure: intent stays pending
-		}
-	}
-	if tap != nil {
-		if err == nil {
-			tap.ClientReply(ds.id, in.seq, true, payload)
-		} else if ae, ok := err.(*rpc.AppError); ok {
-			tap.ClientReply(ds.id, in.seq, false, []byte(ae.Msg))
-		}
-	}
-	ds.c.mu.Lock()
-	werr := ds.c.appendLocked(dcDone, encDone(ds.id, in.seq))
+	ds.dc.jmu.Lock()
+	werr := ds.dc.appendLocked(dcDone, encDone(ds.id, in.seq))
 	if werr == nil {
 		ds.pending = nil
 		ds.nextSeq = in.seq + 1
 	}
-	ds.c.mu.Unlock()
+	ds.dc.jmu.Unlock()
 	if werr != nil {
 		return nil, werr
 	}
@@ -299,7 +220,7 @@ func takeStr(b []byte) (string, []byte, bool) {
 }
 
 // appendLocked writes one framed journal record durably and charges the
-// disk. Caller holds c.mu.
+// disk. Caller holds c.jmu.
 func (c *DurableClient) appendLocked(typ byte, payload []byte) error {
 	frame := make([]byte, 0, len(payload)+10)
 	frame = append(frame, typ)
@@ -359,10 +280,7 @@ func (c *DurableClient) applyJournal(typ byte, p []byte) {
 		if !ok {
 			return
 		}
-		c.sessions[id] = &DurableSession{
-			c: c, id: id, target: target, nextSeq: 1,
-			replies: make(chan rpc.Reply, 16),
-		}
+		c.openLocked(id, target)
 		// Track the counter so new sessions never collide with restored
 		// IDs.
 		var n uint64

@@ -93,12 +93,12 @@ func TestDurableClientResumesInFlightRequest(t *testing.T) {
 	// server may or may not have executed it — here it has; the resend
 	// must fetch the buffered reply, not execute again.)
 	reqID := ds.ID()
-	ds.c.mu.Lock()
+	ds.dc.jmu.Lock()
 	in := &intent{seq: ds.nextSeq, method: "inc"}
-	if err := ds.c.appendLocked(dcIntent, encIntent(ds.id, in)); err != nil {
+	if err := ds.dc.appendLocked(dcIntent, encIntent(ds.id, in)); err != nil {
 		t.Fatal(err)
 	}
-	ds.c.mu.Unlock()
+	ds.dc.jmu.Unlock()
 	// Actually deliver it once so the server executes it.
 	e.net.Endpoint("dclient").Send("msp1", rpc.Request{
 		Session: ds.id, Seq: in.seq, Method: "inc", From: "dclient",

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"mspr/internal/metrics"
 	"mspr/internal/rpc"
+	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
 	"mspr/internal/wal"
 )
@@ -300,5 +302,63 @@ func TestClientPerTargetOverloadControl(t *testing.T) {
 	}
 	if s1.opts.Breaker == opts.Breaker {
 		t.Fatal("the configured breaker is a template; targets must get clones")
+	}
+}
+
+// TestDurableClientPerTargetOverloadControl: a durable client's sessions
+// draw on per-target clones of the configured budget and breaker, exactly
+// like Client's. One target shedding everything opens the breaker toward
+// that target only; with the one breaker every DurableSession used to
+// share, the healthy target was refused too.
+func TestDurableClientPerTargetOverloadControl(t *testing.T) {
+	e := newTestEnv(t)
+	defer e.cleanup()
+	e.start("msp1", counterDef())
+	// "shedder" answers every request Overloaded.
+	shedder := e.net.Endpoint("shedder")
+	stop := make(chan struct{})
+	defer close(stop)
+	go rpc.Serve(shedder, stop, func(m simnet.Message) {
+		if req, ok := m.Payload.(rpc.Request); ok {
+			shedder.Send(req.From, rpc.Reply{Session: req.Session, Seq: req.Seq, Status: rpc.StatusOverloaded})
+		}
+	})
+
+	opts := rpc.DefaultCallOptions(0)
+	opts.Budget = rpc.NewRetryBudget(10, 0.1)
+	opts.Breaker = rpc.NewBreaker(2, time.Minute)
+	dc, err := NewDurableClient("dclient", e.net, simdisk.NewDisk(simdisk.DefaultModel(0)), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	bad, err := dc.Session("shedder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad2, err := dc.Session("shedder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := dc.Session("msp1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad.opts.Breaker != bad2.opts.Breaker || bad.opts.Budget != bad2.opts.Budget {
+		t.Fatal("sessions toward one target must share breaker and budget")
+	}
+	if bad.opts.Breaker == opts.Breaker || bad.opts.Budget == opts.Budget {
+		t.Fatal("the configured breaker and budget are templates; targets must get clones")
+	}
+
+	if _, err := bad.Call("inc", nil); !errors.Is(err, rpc.ErrCircuitOpen) {
+		t.Fatalf("call to the shedding target: %v, want ErrCircuitOpen after two sheds", err)
+	}
+	if _, err := bad2.Call("inc", nil); !errors.Is(err, rpc.ErrCircuitOpen) {
+		t.Fatalf("second session to the shedding target: %v, want its shared breaker open", err)
+	}
+	out, err := good.Call("inc", nil)
+	if err != nil || asU64(out) != 1 {
+		t.Fatalf("call to the healthy target = (%d, %v): sheds from another target must not open its breaker", asU64(out), err)
 	}
 }

@@ -43,7 +43,7 @@ func TestFlushReturnsWithinDeadlineUnderPartition(t *testing.T) {
 	e.net.Partition([]simnet.Addr{"msp1"}, []simnet.Addr{"msp2"})
 
 	start := time.Now()
-	err := s1.flushPeerWithRetry("msp2", sid)
+	err := s1.flushPeer("msp2", sid)
 	elapsed := time.Since(start)
 	if !errors.Is(err, errUnavailable) {
 		t.Fatalf("flush under partition: err = %v, want errUnavailable", err)
@@ -59,7 +59,7 @@ func TestFlushReturnsWithinDeadlineUnderPartition(t *testing.T) {
 
 	// With the peer down, a non-probe call fails fast (no deadline wait).
 	start = time.Now()
-	err = s1.flushPeerWithRetry("msp2", sid)
+	err = s1.flushPeer("msp2", sid)
 	if !errors.Is(err, errUnavailable) {
 		t.Fatalf("fast-fail flush: err = %v, want errUnavailable", err)
 	}
@@ -69,7 +69,7 @@ func TestFlushReturnsWithinDeadlineUnderPartition(t *testing.T) {
 
 	e.net.Heal()
 	waitFor(t, 5*time.Second, "flush to succeed after heal", func() bool {
-		return s1.flushPeerWithRetry("msp2", sid) == nil
+		return s1.flushPeer("msp2", sid) == nil
 	})
 	if s1.PeerDown("msp2") {
 		t.Fatal("peer still marked down after successful flush")

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"mspr/internal/dv"
 )
 
 // TestMarkUnrecoveredDoesNotRevertClaim pins the bug the phasestate
@@ -85,5 +87,38 @@ func TestClaimForReplayOneWinnerRace(t *testing.T) {
 			t.Fatalf("round %d: %d claimers won (want exactly 1)", r, w)
 		}
 		sess.finishRecovery()
+	}
+}
+
+// TestOrphanSweepReadsVectorUnderLock: the recovery-message sweep looks at
+// every session's DV, including sessions whose owner — a worker, or a
+// replay in progress — is merging into it at that moment. The sweep used to
+// borrow the vector (vecLocked) and walk it outside the session lock: a
+// concurrent map read and write, which the Go runtime may answer by
+// killing the process. Meant to run under -race (CI does).
+func TestOrphanSweepReadsVectorUnderLock(t *testing.T) {
+	e := newTestEnv(t)
+	defer e.cleanup()
+	srv := e.start("msp1", counterDef())
+	sess := newSession(srv, "busy-sess", "", false)
+	if !sess.tryAcquire() {
+		t.Fatal("fresh session should be idle")
+	}
+	srv.sessions.insert(sess)
+
+	done := make(chan struct{})
+	go func() { // the owner: merging dependencies as messages arrive
+		defer close(done)
+		for i := int64(1); i <= 2000; i++ {
+			sess.mergeVec(dv.Vector{dv.Entry{Process: "peer", Epoch: uint32(i % 7)}: i})
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+			srv.sweepOrphanSessions()
+		}
 	}
 }

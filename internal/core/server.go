@@ -78,9 +78,10 @@ var (
 	errOrphanDep = errors.New("core: dependency is an orphan")
 	// errUnavailable reports that a peer MSP is down or still recovering.
 	errUnavailable = errors.New("core: peer unavailable")
-	// errLogDown marks every error appendRec returns: the log was closed or
-	// wedged by a crash of this MSP (see Ctx.abortIfLogDown).
-	errLogDown = errors.New("core: log append failed")
+	// errLogDown marks every error appendRec returns, and a failed flush of
+	// this MSP's own log (flushTo): the log was closed or wedged by a crash
+	// of this MSP (see Ctx.abortIfLogDown).
+	errLogDown = errors.New("core: log is down")
 )
 
 type serverState int32
@@ -135,12 +136,16 @@ type Server struct {
 	// RetryAfter hint on shed replies is derived from.
 	svcEWMA atomic.Int64
 
-	pending pendingCalls
+	// calls routes incoming replies to the workers blocked in outgoing
+	// calls, keyed by outgoing-session ID.
+	calls rpc.Router[string, rpc.Reply]
 
-	// Control plane (see ctlplane.go): outgoing control-call IDs and
-	// reply routing, the server-side dedup cache, and per-peer health.
+	// Control plane (see ctlplane.go): outgoing control-call IDs, the
+	// routing of control replies (FlushReply, RecoveryAck, KnowledgeReply)
+	// by the request ID they echo, the server-side dedup cache, and
+	// per-peer health.
 	ctlID    atomic.Uint64
-	ctl      pendingCtl
+	ctl      rpc.Router[uint64, any]
 	ctlDedup *ctlCache
 	health   *peerHealth
 
@@ -225,7 +230,6 @@ func Start(cfg Config) (*Server, error) {
 		cfg.Disk.SetFailpoints(cfg.Failpoints)
 	}
 	s.epoch.Store(1) // epoch 1 is the first failure-free period
-	s.pending.m = make(map[string]chan rpc.Reply)
 	s.ctlDedup = newCtlCache(1024)
 	s.health = newPeerHealth()
 	for _, def := range cfg.Def.Shared {
@@ -545,35 +549,27 @@ func (s *Server) registerWithDomain() {
 // waiting control calls.
 func (s *Server) receiveLoop() {
 	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case m := <-s.ep.Recv():
-			s.noteContact(m.From)
-			switch p := m.Payload.(type) {
-			case rpc.Request:
-				s.admit(p)
-			case rpc.Reply:
-				s.pending.resolve(p)
-			case rpc.FlushRequest:
-				req := p
-				s.goBackground(func() { s.handleFlushRequest(req) })
-			case rpc.RecoveryBroadcast:
-				b := p
-				s.goBackground(func() { s.handleRecoveryBroadcast(b) })
-			case rpc.KnowledgePull:
-				pull := p
-				s.goBackground(func() { s.handleKnowledgePull(pull) })
-			case rpc.FlushReply:
-				s.ctl.resolve(p.ID, p)
-			case rpc.RecoveryAck:
-				s.ctl.resolve(p.ID, p)
-			case rpc.KnowledgeReply:
-				s.ctl.resolve(p.ID, p)
-			}
+	rpc.Serve(s.ep, s.stop, func(m simnet.Message) {
+		s.noteContact(m.From)
+		switch p := m.Payload.(type) {
+		case rpc.Request:
+			s.admit(p)
+		case rpc.Reply:
+			s.calls.Resolve(p.Session, p)
+		case rpc.FlushRequest:
+			s.goBackground(func() { s.handleFlushRequest(p) })
+		case rpc.RecoveryBroadcast:
+			s.goBackground(func() { s.handleRecoveryBroadcast(p) })
+		case rpc.KnowledgePull:
+			s.goBackground(func() { s.handleKnowledgePull(p) })
+		case rpc.FlushReply:
+			s.ctl.Resolve(p.ID, p)
+		case rpc.RecoveryAck:
+			s.ctl.Resolve(p.ID, p)
+		case rpc.KnowledgeReply:
+			s.ctl.Resolve(p.ID, p)
 		}
-	}
+	})
 }
 
 func (s *Server) worker() {
@@ -938,50 +934,6 @@ func (s *Server) appendRec(t logrec.Type, payload []byte) (wal.LSN, int, error) 
 // building self-dependencies.
 func (s *Server) selfID() dv.ProcessID { return dv.ProcessID(s.cfg.ID) }
 
-// distributedFlush performs the distributed log flush dictated by a
-// dependency vector (§3.1): the local flush and one flush request per
-// peer MSP in the vector, all in parallel. It returns errOrphanDep if any
-// dependency turns out to be an orphan.
-func (s *Server) distributedFlush(vec dv.Vector) error {
-	if !s.cfg.Logging {
-		return nil
-	}
-	s.stats.DistFlushes.Add(1)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil || errors.Is(err, errOrphanDep) {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for e, lsn := range vec {
-		wg.Add(1)
-		go func(p dv.ProcessID, sid dv.StateID) {
-			defer wg.Done()
-			if p == s.selfID() {
-				if err := s.flushTo(sid); err != nil {
-					fail(err)
-				}
-				return
-			}
-			if !s.cfg.Domain.Contains(string(p)) {
-				fail(fmt.Errorf("core: dependency on %s outside service domain", p))
-				return
-			}
-			if err := s.flushPeerWithRetry(p, sid); err != nil {
-				fail(err)
-			}
-		}(e.Process, dv.StateID{Epoch: e.Epoch, LSN: lsn})
-	}
-	wg.Wait()
-	return firstErr
-}
-
 // flushSessionDV performs the distributed log flush dictated by the
 // session's DV plus its self-dependency — the flush every state-bearing
 // reply, before-send action and session checkpoint needs (§3.1). The
@@ -990,19 +942,35 @@ func (s *Server) distributedFlush(vec dv.Vector) error {
 // only the owning worker ever mutates a session's vector, and it is
 // busy right here.
 func (s *Server) flushSessionDV(sess *Session) error {
+	sess.mu.Lock()
+	vec := sess.vec //mspr:dvalias borrow: the session is exclusively held, nothing mutates the vector during the flush
+	selfLSN := int64(sess.stateLSN)
+	sess.mu.Unlock()
+	return s.flushDV(vec, selfLSN)
+}
+
+// flushDV is the distributed log flush (§3.1): it returns once every state
+// vec names, and this MSP's own state up to selfLSN in the current epoch,
+// is durable — or errOrphanDep if any of it was lost in a crash, which
+// outranks errUnavailable (a peer that stayed unreachable). A caller whose
+// own state is already in its vector (a shared variable: the writer's self
+// entry) passes selfLSN 0. vec is only read.
+//
+// It spends a goroutine only on what has to wait for the network: an empty
+// vector — the end-client session with no cross-process dependency, every
+// session under pessimistic logging — is one local flush on the calling
+// worker; own-process entries of the current epoch fold into that local
+// flush; entries of an earlier epoch of our own settle against the
+// knowledge table inline (flushTo never blocks for them); each peer entry
+// gets a goroutine, and the local flush overlaps them on the caller.
+func (s *Server) flushDV(vec dv.Vector, selfLSN int64) error {
 	if !s.cfg.Logging {
 		return nil
 	}
-	sess.mu.Lock()
-	vec := sess.vec //mspr:dvalias borrow: the session is exclusively held, nothing mutates the vector during the flush
-	self := dv.StateID{Epoch: s.epoch.Load(), LSN: int64(sess.stateLSN)}
-	sess.mu.Unlock()
 	s.stats.DistFlushes.Add(1)
+	epoch := s.epoch.Load()
 	if len(vec) == 0 {
-		// Dominant shape for end-client sessions with no cross-process
-		// dependencies: one local flush — no vector clone, no fan-out
-		// goroutines, no WaitGroup.
-		return s.flushTo(self)
+		return s.flushTo(dv.StateID{Epoch: epoch, LSN: selfLSN})
 	}
 	var (
 		wg       sync.WaitGroup
@@ -1016,54 +984,47 @@ func (s *Server) flushSessionDV(sess *Session) error {
 		}
 		mu.Unlock()
 	}
-	selfLSN := self.LSN
 	for e, lsn := range vec {
-		if e.Process == s.selfID() {
-			if e.Epoch == self.Epoch {
-				// Folded into the local flush issued below.
-				if lsn > selfLSN {
-					selfLSN = lsn
+		sid := dv.StateID{Epoch: e.Epoch, LSN: lsn}
+		switch {
+		case e.Process != s.selfID():
+			wg.Add(1)
+			go func(p dv.ProcessID, sid dv.StateID) {
+				defer wg.Done()
+				if err := s.flushPeer(p, sid); err != nil {
+					fail(err)
 				}
-				continue
+			}(e.Process, sid)
+		case e.Epoch == epoch:
+			if lsn > selfLSN {
+				selfLSN = lsn
 			}
-			// A dependency on an earlier epoch of our own settles locally
-			// without a goroutine (flushTo never blocks for it).
-			if err := s.flushTo(dv.StateID{Epoch: e.Epoch, LSN: lsn}); err != nil {
+		default:
+			if err := s.flushTo(sid); err != nil {
 				fail(err)
 			}
-			continue
 		}
-		wg.Add(1)
-		go func(p dv.ProcessID, sid dv.StateID) {
-			defer wg.Done()
-			if !s.cfg.Domain.Contains(string(p)) {
-				fail(fmt.Errorf("core: dependency on %s outside service domain", p))
-				return
-			}
-			if err := s.flushPeerWithRetry(p, sid); err != nil {
-				fail(err)
-			}
-		}(e.Process, dv.StateID{Epoch: e.Epoch, LSN: lsn})
 	}
-	// The local flush runs on the calling worker, overlapping the peer
-	// flushes exactly as the dedicated goroutine used to.
-	if err := s.flushTo(dv.StateID{Epoch: self.Epoch, LSN: selfLSN}); err != nil {
+	if err := s.flushTo(dv.StateID{Epoch: epoch, LSN: selfLSN}); err != nil {
 		fail(err)
 	}
 	wg.Wait()
 	return firstErr
 }
 
-// flushPeerWithRetry asks a peer to flush over the network, bounded by
-// the configured flush deadline. It converges to one of three outcomes:
-// the peer flushes (nil), the dependency is an orphan (the peer said so,
-// or its recovery broadcast arrived meanwhile), or the peer stays
-// unreachable past the deadline (errUnavailable — the caller degrades,
-// typically to a Busy reply toward the end client, instead of hanging).
-// While a peer is marked down, calls fail fast except for one probe per
-// probe interval.
-func (s *Server) flushPeerWithRetry(p dv.ProcessID, sid dv.StateID) error {
+// flushPeer settles one dependency on a peer MSP's state, with at most one
+// deadline-bounded flush call over the network. It converges to one of
+// three outcomes: the state is durable (nil), the dependency is an orphan
+// (the peer said so, or its recovery broadcast arrived meanwhile), or the
+// peer stays unreachable past the deadline (errUnavailable — the caller
+// degrades, typically to a Busy reply toward the end client, instead of
+// hanging). While a peer is marked down, calls fail fast except for one
+// probe per probe interval.
+func (s *Server) flushPeer(p dv.ProcessID, sid dv.StateID) error {
 	peer := string(p)
+	if !s.cfg.Domain.Contains(peer) {
+		return fmt.Errorf("core: dependency on %s outside service domain", p)
+	}
 	// The knowledge check first: a known crashed epoch settles the
 	// dependency locally — state beyond the recovered number is an orphan
 	// (no amount of flushing helps); state within it survived the crash
@@ -1104,7 +1065,10 @@ func (s *Server) flushTo(sid dv.StateID) error {
 			// unreachable; report the dependency unsatisfiable.
 			return errOrphanDep
 		}
-		return s.log.Flush(wal.LSN(sid.LSN))
+		if err := s.log.Flush(wal.LSN(sid.LSN)); err != nil {
+			return fmt.Errorf("%w: %w", errLogDown, err)
+		}
+		return nil
 	case sid.Epoch < epoch:
 		if s.know.IsOrphan(s.selfID(), sid) {
 			return errOrphanDep
@@ -1121,7 +1085,7 @@ func (s *Server) flushTo(sid dv.StateID) error {
 func (s *Server) sweepOrphanSessions() {
 	var found []*Session
 	s.sessions.forEach(func(sess *Session) {
-		if _, orphan := s.know.OrphanIn(sess.vecLocked()); orphan && sess.tryBeginRecovery() {
+		if sess.beginRecoveryIfOrphan() {
 			found = append(found, sess)
 		}
 	})
@@ -1299,38 +1263,4 @@ func (s *Server) checkpointSession(sess *Session) error {
 		tap.StateDigest(s.cfg.ID, "session-ckpt/"+sess.id, s.epoch.Load(), uint64(lsn), digest)
 	}
 	return nil
-}
-
-// pendingCalls routes incoming replies to the worker goroutines blocked
-// in outgoing calls, keyed by outgoing-session ID.
-type pendingCalls struct {
-	mu sync.Mutex
-	m  map[string]chan rpc.Reply
-}
-
-func (p *pendingCalls) register(id string) chan rpc.Reply {
-	ch := make(chan rpc.Reply, 16)
-	p.mu.Lock()
-	p.m[id] = ch
-	p.mu.Unlock()
-	return ch
-}
-
-func (p *pendingCalls) deregister(id string) {
-	p.mu.Lock()
-	delete(p.m, id)
-	p.mu.Unlock()
-}
-
-func (p *pendingCalls) resolve(rep rpc.Reply) {
-	p.mu.Lock()
-	ch := p.m[rep.Session]
-	p.mu.Unlock()
-	if ch == nil {
-		return
-	}
-	select {
-	case ch <- rep:
-	default:
-	}
 }

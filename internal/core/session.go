@@ -159,12 +159,14 @@ func (se *Session) releaseToRecovery() {
 	se.mu.Unlock()
 }
 
-// tryBeginRecovery transitions an idle session into recovery (orphan
-// found by the recovery-message sweep).
-func (se *Session) tryBeginRecovery() bool {
+// beginRecoveryIfOrphan transitions an idle session whose DV depends on
+// lost state into recovery (orphan found by the recovery-message sweep).
+// The sweep does not own the session, so the vector is checked under the
+// lock its owner mutates it under — not borrowed (vecLocked).
+func (se *Session) beginRecoveryIfOrphan() bool {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	if se.phase != phaseIdle {
+	if _, orphan := se.srv.know.OrphanIn(se.vec); !orphan || se.phase != phaseIdle {
 		return false
 	}
 	se.phase = phaseRecovering

@@ -57,14 +57,41 @@ func newSharedVar(s *Server, def SharedDef) *SharedVar {
 // errUnknownShared reports access to an undeclared shared variable.
 var errUnknownShared = errors.New("core: unknown shared variable")
 
-// read implements the Fig. 8 read action on behalf of sess: roll the
-// variable back if its value is an orphan, log the value with the
-// variable's DV, merge the variable's DV into the reader's DV and advance
-// the reader's state number to the new record.
+// read performs the Fig. 8 read action on behalf of sess.
 func (sv *SharedVar) read(sess *Session) ([]byte, error) {
-	s := sv.srv
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
+	return sv.readLocked(sess)
+}
+
+// write performs the Fig. 8 write action on behalf of sess.
+func (sv *SharedVar) write(sess *Session, value []byte) error {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	return sv.writeLocked(sess, value)
+}
+
+// update performs a read action and a write action of f's result under one
+// hold of the variable's lock, so no other session's access — and no other
+// session's log record for this variable — falls between the two. It
+// returns the value written.
+func (sv *SharedVar) update(sess *Session, f func(old []byte) []byte) ([]byte, error) {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	old, err := sv.readLocked(sess)
+	if err != nil {
+		return nil, err
+	}
+	value := f(old)
+	return value, sv.writeLocked(sess, value)
+}
+
+// readLocked is the Fig. 8 read action: roll the variable back if its
+// value is an orphan, log the value with the variable's DV, merge the
+// variable's DV into the reader's DV and advance the reader's state number
+// to the new record. Caller holds sv.mu.
+func (sv *SharedVar) readLocked(sess *Session) ([]byte, error) {
+	s := sv.srv
 	if !s.cfg.Logging {
 		return append([]byte(nil), sv.value...), nil
 	}
@@ -88,15 +115,13 @@ func (sv *SharedVar) read(sess *Session) ([]byte, error) {
 	return append([]byte(nil), sv.value...), nil
 }
 
-// write implements the Fig. 8 write action on behalf of sess: log the
-// writer's DV, the new value and the previous write record's LSN (the
-// backward chain); replace the variable's DV with the writer's and
-// advance the variable's state number. The writer need not check the
-// variable for orphanhood — the value is replaced wholesale.
-func (sv *SharedVar) write(sess *Session, value []byte) error {
+// writeLocked is the Fig. 8 write action: log the writer's DV, the new
+// value and the previous write record's LSN (the backward chain); replace
+// the variable's DV with the writer's and advance the variable's state
+// number. The writer need not check the variable for orphanhood — the
+// value is replaced wholesale. Caller holds sv.mu.
+func (sv *SharedVar) writeLocked(sess *Session, value []byte) error {
 	s := sv.srv
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
 	if !s.cfg.Logging {
 		sv.value = append([]byte(nil), value...)
 		return nil
@@ -189,7 +214,7 @@ func (sv *SharedVar) rollbackLocked() error {
 func (sv *SharedVar) checkpointLocked() error {
 	s := sv.srv
 	for {
-		err := s.distributedFlush(sv.vec)
+		err := s.flushDV(sv.vec, 0)
 		if err == nil {
 			break
 		}

@@ -12,11 +12,13 @@ import (
 // a client or a cross-domain message — must not be sent before the log
 // state it depends on is durable. Concretely, EVERY control-flow path
 // reaching a call that emits a message (simnet.Endpoint.Send,
-// core.Server.sendReply) must pass through a flush (wal.Log.Flush,
-// Server.distributedFlush, Server.flushSessionDV or Server.flushTo), or
-// the call must carry an //mspr:flushed-by <func> directive naming the
-// wrapper that performs (or deliberately omits, "none <reason>") the
-// flush.
+// core.Server.sendReply) must pass through a flush — wal.Log.Flush, or
+// one of core's three: Server.flushTo (this MSP's own log), Server.flushDV
+// (the distributed flush a dependency vector dictates) and
+// Server.flushSessionDV (flushDV over a session's vector and state
+// number) — or the call must carry an //mspr:flushed-by <func> directive
+// naming the wrapper that performs (or deliberately omits, "none
+// <reason>") the flush.
 //
 // PR 3's pass checked this lexically: any flush EARLIER IN THE SOURCE
 // blessed the send, so `if cond { flush() }; send()` passed even though
@@ -49,7 +51,7 @@ func runFlushBeforeSend(ctx *Context) {
 func isFlushCall(pkg *Package, call *ast.CallExpr) bool {
 	fn := calleeFunc(pkg.Info, call)
 	return isMethod(fn, "mspr/internal/wal", "Log", "Flush") ||
-		isMethod(fn, "mspr/internal/core", "Server", "distributedFlush") ||
+		isMethod(fn, "mspr/internal/core", "Server", "flushDV") ||
 		isMethod(fn, "mspr/internal/core", "Server", "flushSessionDV") ||
 		isMethod(fn, "mspr/internal/core", "Server", "flushTo")
 }

@@ -56,14 +56,8 @@ func newSUT(t *testing.T, seed int64, brokenDedup bool) *sut {
 			"bump": func(ctx *core.Ctx, _ []byte) ([]byte, error) {
 				n := asU64(ctx.GetVar("n")) + 1
 				ctx.SetVar("n", u64(n))
-				tot, err := ctx.ReadShared("total")
-				if err != nil {
-					return nil, err
-				}
-				if err := ctx.WriteShared("total", u64(asU64(tot)+1)); err != nil {
-					return nil, err
-				}
-				return u64(n), nil
+				_, err := ctx.UpdateShared("total", func(old []byte) []byte { return u64(asU64(old) + 1) })
+				return u64(n), err
 			},
 			"total": func(ctx *core.Ctx, _ []byte) ([]byte, error) {
 				return ctx.ReadShared("total")

@@ -44,13 +44,7 @@ func TestOverloadStormOracleClean(t *testing.T) {
 		Methods: map[string]core.Handler{
 			"mark": func(ctx *core.Ctx, arg []byte) ([]byte, error) {
 				time.Sleep(time.Millisecond) // calibrated service time: ~1k ops/s/worker
-				name := keyName(int(asU64(arg)))
-				v, err := ctx.ReadShared(name)
-				if err != nil {
-					return nil, err
-				}
-				n := asU64(v) + 1
-				return u64(n), ctx.WriteShared(name, u64(n))
+				return ctx.UpdateShared(keyName(int(asU64(arg))), func(old []byte) []byte { return u64(asU64(old) + 1) })
 			},
 			"get": func(ctx *core.Ctx, arg []byte) ([]byte, error) {
 				return ctx.ReadShared(keyName(int(asU64(arg))))

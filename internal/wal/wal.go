@@ -802,20 +802,11 @@ func (l *Log) flushNow(upTo LSN) error {
 	sectors := len(block) / simdisk.SectorSize
 	l.disk.ChargeWrite(sectors, waste)
 
-	l.mu.Lock()
-	l.durable = LSN(padded)
-	l.pending = nil
-	// The retired append buffer becomes the spare: no reader can reach it
-	// once pending is cleared (ReadRecord copies payloads under l.mu).
-	l.spare = data[:0]
-	l.flushGen++
-	l.cond.Broadcast()
-	liveSpan := int64(l.durable - l.head)
-	l.mu.Unlock()
-	metrics.Wal.LiveLogBytes.Add(int64(need))
-	metrics.Wal.PeakLiveBytes.Observe(liveSpan)
 	// Cached read-ahead blocks covering the just-written region hold
-	// stale zeros (read before this flush); drop them.
+	// stale zeros (read before this flush); drop them. This comes before
+	// pending is cleared: until then ReadRecord serves the region from
+	// memory, and from then on a read must not find a stale block — it
+	// would report a record appended moments ago as not found.
 	l.readMu.Lock()
 	ra := int64(l.cfg.ReadAhead)
 	kept := l.cacheOrder[:0]
@@ -828,6 +819,19 @@ func (l *Log) flushNow(upTo LSN) error {
 	}
 	l.cacheOrder = kept
 	l.readMu.Unlock()
+
+	l.mu.Lock()
+	l.durable = LSN(padded)
+	l.pending = nil
+	// The retired append buffer becomes the spare: no reader can reach it
+	// once pending is cleared (ReadRecord copies payloads under l.mu).
+	l.spare = data[:0]
+	l.flushGen++
+	l.cond.Broadcast()
+	liveSpan := int64(l.durable - l.head)
+	l.mu.Unlock()
+	metrics.Wal.LiveLogBytes.Add(int64(need))
+	metrics.Wal.PeakLiveBytes.Observe(liveSpan)
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -460,4 +461,61 @@ func TestScanMatchesReadRecord(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReadRecordAcrossFlush: a record is readable at every instant from
+// its append on — from the append buffer, from the block in flight, then
+// from the disk. The read-ahead cache must never answer for the region a
+// flush just wrote with a block it loaded before the write (zeros where
+// the record now is): the flush drops those blocks before it stops serving
+// the region from memory. Live orphan recovery reads records appended
+// moments earlier, and a "record not found" there ended a session's replay
+// halfway with the session put back in service.
+func TestReadRecordAcrossFlush(t *testing.T) {
+	l, _ := newTestLog(t, Config{})
+	defer l.Close()
+	var latest atomic.Int64
+	first, err := l.Append(1, []byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(first); err != nil {
+		t.Fatal(err)
+	}
+	latest.Store(int64(first))
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // reader: the newest record, over and over
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			lsn := LSN(latest.Load())
+			if _, _, err := l.ReadRecord(lsn); err != nil {
+				t.Errorf("ReadRecord(%d) of an appended record: %v", lsn, err)
+				return
+			}
+		}
+	}()
+	flushes := 30000
+	if testing.Short() {
+		flushes = 10000
+	}
+	for i := 0; i < flushes && !t.Failed(); i++ {
+		lsn, err := l.Append(1, []byte("payload"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		latest.Store(int64(lsn))
+		if err := l.Flush(lsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -239,11 +239,8 @@ func val(b []byte) uint64 {
 // bumpShared reads a shared variable and writes back an incremented
 // value of the configured shared size — the "read and write SVx" step.
 func (s *System) bumpShared(ctx *core.Ctx, name string) error {
-	v, err := ctx.ReadShared(name)
-	if err != nil {
-		return err
-	}
-	return ctx.WriteShared(name, pad(val(v)+1, s.P.SharedSize))
+	_, err := ctx.UpdateShared(name, func(old []byte) []byte { return pad(val(old)+1, s.P.SharedSize) })
+	return err
 }
 
 // touchSessionState modifies SessionWriteSize bytes of the 8 KB session
