@@ -5,29 +5,16 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
 	"mspr"
+	"mspr/internal/chaos"
 	"mspr/internal/logdump"
 	"mspr/internal/simdisk"
 )
-
-func u64(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint64(b, v)
-	return b
-}
-
-func asU64(b []byte) uint64 {
-	if len(b) < 8 {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
 
 func main() {
 	dump := flag.Bool("dump", true, "dump MSP1's physical log at the end")
@@ -40,10 +27,10 @@ func main() {
 	def2 := mspr.Definition{
 		Methods: map[string]mspr.Handler{
 			"tally": func(ctx *mspr.Ctx, arg []byte) ([]byte, error) {
-				return ctx.UpdateShared("count", func(old []byte) []byte { return u64(asU64(old) + 1) })
+				return ctx.UpdateShared("count", func(old []byte) []byte { return chaos.U64(chaos.AsU64(old) + 1) })
 			},
 		},
-		Shared: []mspr.SharedDef{{Name: "count", Initial: u64(0)}},
+		Shared: []mspr.SharedDef{{Name: "count", Initial: chaos.U64(0)}},
 	}
 	// killMSP2, when armed, crashes msp2 at the §5.4 injection point:
 	// right after msp1 receives the tally reply, so msp2's buffered log
@@ -62,20 +49,20 @@ func main() {
 					armed = false
 					go killMSP2()
 				}
-				mine := asU64(ctx.GetVar("orders")) + 1
-				ctx.SetVar("orders", u64(mine))
-				return []byte(fmt.Sprintf("order %d (global tally %d)", mine, asU64(tally))), nil
+				mine := chaos.AsU64(ctx.GetVar("orders")) + 1
+				ctx.SetVar("orders", chaos.U64(mine))
+				return []byte(fmt.Sprintf("order %d (global tally %d)", mine, chaos.AsU64(tally))), nil
 			},
 		},
 	}
 
 	cfg1 := sim.NewConfig("msp1", dom, def1)
 	cfg2 := sim.NewConfig("msp2", dom, def2)
-	msp1, err := mspr.Start(cfg1)
+	msp1, err := chaos.StartMSP(cfg1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	msp2, err := mspr.Start(cfg2)
+	msp2, err := chaos.StartMSP(cfg2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,8 +80,8 @@ func main() {
 			fmt.Printf("  %s\n", out)
 		}
 	}
-	report := func(name string, s *mspr.Server, disk *simdisk.Disk) {
-		st := s.Stats()
+	report := func(name string, p *chaos.MSP, disk *simdisk.Disk) {
+		st := p.Current().Stats()
 		d := disk.Stats()
 		fmt.Printf("  %s: served=%d replayed=%d sessionCkpts=%d svCkpts=%d mspCkpts=%d recoveries=%d flushes=%d (disk writes=%d, wasted=%dB)\n",
 			name, st.RequestsServed.Load(), st.RequestsReplayed.Load(), st.SessionCkpts.Load(),
@@ -111,11 +98,8 @@ func main() {
 	done := make(chan struct{})
 	killMSP2 = func() {
 		defer close(done)
-		msp2.Crash()
-		var kerr error
-		msp2, kerr = mspr.Start(cfg2)
-		if kerr != nil {
-			log.Fatal(kerr)
+		if err := msp2.Restart(); err != nil {
+			log.Fatal(err)
 		}
 	}
 	armed = true
@@ -125,9 +109,7 @@ func main() {
 	report("msp2", msp2, cfg2.Disk)
 
 	phase("crash msp1 (caller): full MSP crash recovery, parallel session replay")
-	msp1.Crash()
-	msp1, err = mspr.Start(cfg1)
-	if err != nil {
+	if err := msp1.Restart(); err != nil {
 		log.Fatal(err)
 	}
 	run()

@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"mspr"
+	"mspr/internal/chaos"
 	"mspr/internal/logdump"
 )
 
@@ -44,7 +45,7 @@ func main() {
 	}
 	cfg := sim.NewConfig("target", dom, def)
 	cfg.WalSegmentSize = *segSize
-	srv, err := mspr.Start(cfg)
+	msp, err := chaos.StartMSP(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,13 +64,12 @@ func main() {
 	}
 	runAll()
 	if *withCrash {
-		srv.Crash()
-		if srv, err = mspr.Start(cfg); err != nil {
+		if err := msp.Restart(); err != nil {
 			log.Fatal(err)
 		}
 		runAll()
 	}
-	if err := srv.Shutdown(); err != nil {
+	if err := msp.Current().Shutdown(); err != nil {
 		log.Fatal(err)
 	}
 

@@ -2,10 +2,10 @@ package baselines
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 	"testing/quick"
 
+	"mspr/internal/chaos"
 	"mspr/internal/core"
 	"mspr/internal/rpc"
 	"mspr/internal/sdb"
@@ -13,26 +13,11 @@ import (
 	"mspr/internal/simnet"
 )
 
-func u64(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint64(b, v)
-	return b
-}
-
-func asU64(b []byte) uint64 {
-	if len(b) < 8 {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
 func counterDef() core.Definition {
 	return core.Definition{
 		Methods: map[string]core.Handler{
 			"inc": func(ctx *core.Ctx, arg []byte) ([]byte, error) {
-				n := asU64(ctx.GetVar("n")) + 1
-				ctx.SetVar("n", u64(n))
-				return u64(n), nil
+				return chaos.BumpSession(ctx), nil
 			},
 		},
 	}
@@ -100,8 +85,8 @@ func TestPsessionPersistsSessionStateAcrossMSPRestart(t *testing.T) {
 	cs := client.Session("msp")
 	for want := uint64(1); want <= 3; want++ {
 		out, err := cs.Call("inc", nil)
-		if err != nil || asU64(out) != want {
-			t.Fatalf("inc: (%v, %v), want %d", asU64(out), err, want)
+		if err != nil || chaos.AsU64(out) != want {
+			t.Fatalf("inc: (%v, %v), want %d", chaos.AsU64(out), err, want)
 		}
 	}
 	// Restart the MSP without any log: the in-memory session is gone, but
@@ -174,8 +159,8 @@ func TestStateServerWrappedMSP(t *testing.T) {
 	cs := client.Session("msp")
 	for want := uint64(1); want <= 5; want++ {
 		out, err := cs.Call("inc", nil)
-		if err != nil || asU64(out) != want {
-			t.Fatalf("inc = (%d, %v), want %d", asU64(out), err, want)
+		if err != nil || chaos.AsU64(out) != want {
+			t.Fatalf("inc = (%d, %v), want %d", chaos.AsU64(out), err, want)
 		}
 	}
 	if ss.Len() != 1 {

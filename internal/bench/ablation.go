@@ -1,15 +1,10 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
-	"mspr/internal/core"
 	"mspr/internal/metrics"
-	"mspr/internal/rpc"
-	"mspr/internal/simdisk"
-	"mspr/internal/simnet"
 	"mspr/internal/workload"
 )
 
@@ -26,98 +21,22 @@ type AblationRecoveryResult struct {
 	RecoveryMS float64 // model ms from restart until every session is live
 }
 
-// RunAblationRecovery measures crash-recovery time for an MSP with many
-// active sessions, comparing parallel session replay against a serial
-// ablation. Each session has logged (unreplayed) work consisting of
-// shared-variable reads and simulated method CPU, so parallel replay can
-// overlap the re-execution of different sessions.
-func RunAblationRecovery(o Options, sessions, requestsPer int, workPerRequest time.Duration, serial bool) (AblationRecoveryResult, error) {
-	o = o.withDefaults()
-	net := simnet.New(simnet.Config{TimeScale: o.TimeScale})
-	disk := simdisk.NewDisk(simdisk.DefaultModel(o.TimeScale))
-	dom := core.NewDomain("abl", 0, o.TimeScale)
-	def := core.Definition{
-		Methods: map[string]core.Handler{
-			"step": func(ctx *core.Ctx, arg []byte) ([]byte, error) {
-				v, err := ctx.ReadShared("sv")
-				if err != nil {
-					return nil, err
-				}
-				ctx.Work(workPerRequest)
-				n := binary.BigEndian.Uint64(v) + 1
-				b := make([]byte, 8)
-				binary.BigEndian.PutUint64(b, n)
-				if err := ctx.WriteShared("sv", b); err != nil {
-					return nil, err
-				}
-				ctx.SetVar("n", b)
-				return b, nil
-			},
-		},
-		Shared: []core.SharedDef{{Name: "sv", Initial: make([]byte, 8)}},
-	}
-	cfg := core.NewConfig("abl-msp", dom, disk, net, def)
-	cfg.TimeScale = o.TimeScale
-	cfg.SessionCkptThreshold = 1 << 40 // never checkpoint: replay everything
-	cfg.SerialRecovery = serial
-	srv, err := core.Start(cfg)
-	if err != nil {
-		return AblationRecoveryResult{}, err
-	}
-	client := core.NewClient("abl-client", net, rpc.DefaultCallOptions(o.TimeScale))
-	defer client.Close()
-
-	errc := make(chan error, sessions)
-	for i := 0; i < sessions; i++ {
-		go func() {
-			cs := client.Session("abl-msp")
-			for j := 0; j < requestsPer; j++ {
-				if _, err := cs.Call("step", nil); err != nil {
-					errc <- err
-					return
-				}
-			}
-			errc <- nil
-		}()
-	}
-	for i := 0; i < sessions; i++ {
-		if err := <-errc; err != nil {
-			return AblationRecoveryResult{}, err
-		}
-	}
-
-	// Clean shutdown keeps all records durable; recovery replays them all.
-	if err := srv.Shutdown(); err != nil {
-		return AblationRecoveryResult{}, err
-	}
-	start := time.Now() //mspr:wallclock benchmark measures real recovery time, rescaled to model time for the report
-	srv, err = core.Start(cfg)
-	if err != nil {
-		return AblationRecoveryResult{}, err
-	}
-	for srv.RecoveringSessions() > 0 {
-		time.Sleep(100 * time.Microsecond) //mspr:wallclock polling the background replay, which runs on OS scheduling
-	}
-	elapsed := time.Since(start) //mspr:wallclock benchmark measures real recovery time, rescaled to model time for the report
-	srv.Crash()
-	return AblationRecoveryResult{
-		Serial:     serial,
-		Sessions:   sessions,
-		RecoveryMS: metrics.ModelMS(elapsed, o.TimeScale),
-	}, nil
-}
-
-// RunAblationParallelRecovery runs the parallel-vs-serial comparison and
-// prints both recovery times.
+// RunAblationParallelRecovery measures crash-recovery time for an MSP
+// with many active sessions, comparing parallel session replay against a
+// serial ablation, and prints both. Each session has logged (unreplayed)
+// requests carrying simulated method CPU, so parallel replay can overlap
+// the re-execution of different sessions.
 func RunAblationParallelRecovery(o Options, sessions, requestsPer int) (parallel, serial AblationRecoveryResult, err error) {
 	o = o.withDefaults()
 	const work = 2 * time.Millisecond
-	parallel, err = RunAblationRecovery(o, sessions, requestsPer, work, false)
-	if err != nil {
+	measure := func(serial bool) (AblationRecoveryResult, error) {
+		_, drain, err := loadAndRecover(o, sessions, requestsPer, work, serial)
+		return AblationRecoveryResult{Serial: serial, Sessions: sessions, RecoveryMS: metrics.ModelMS(drain, o.TimeScale)}, err
+	}
+	if parallel, err = measure(false); err != nil {
 		return
 	}
-	serial, err = RunAblationRecovery(o, sessions, requestsPer, work, true)
-	if err != nil {
+	if serial, err = measure(true); err != nil {
 		return
 	}
 	o.printf("Ablation — parallel session recovery (%d sessions × %d logged requests):\n", sessions, requestsPer)
@@ -151,29 +70,11 @@ func RunAblationSharedSize(o Options, sizes []int) ([]AblationSharedSizeResult, 
 	for _, size := range sizes {
 		p := workload.NewParams(workload.LoOptimistic, o.TimeScale)
 		p.SharedSize = size
-		sys, err := workload.New(p)
+		st, err := runOne(o, p)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shared size %d: %w", size, err)
 		}
-		d1, d2 := sys.Disks()
-		cs := sys.NewSession()
-		var mean time.Duration
-		for i := 0; i < o.Requests; i++ {
-			lat, err := sys.Do(cs)
-			if err != nil {
-				sys.Close()
-				return nil, fmt.Errorf("shared size %d: %w", size, err)
-			}
-			mean += lat
-		}
-		mean /= time.Duration(o.Requests)
-		bytesPerOp := float64((d1.Stats().SectorsOut+d2.Stats().SectorsOut)*simdisk.SectorSize) / float64(o.Requests)
-		sys.Close()
-		r := AblationSharedSizeResult{
-			SharedBytes:   size,
-			MeanMS:        metrics.ModelMS(mean, o.TimeScale),
-			LogBytesPerOp: bytesPerOp,
-		}
+		r := AblationSharedSizeResult{SharedBytes: size, MeanMS: st.MeanMS, LogBytesPerOp: st.LogBytesPerOp}
 		out = append(out, r)
 		o.printf("%-12d %12.3f %16.0f\n", size, r.MeanMS, r.LogBytesPerOp)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mspr/internal/metrics"
+	"mspr/internal/simdisk"
 	"mspr/internal/workload"
 )
 
@@ -59,6 +60,8 @@ type RunStats struct {
 	P95MS      float64
 	Throughput float64 // requests per model second
 	Crashes    int64
+	// LogBytesPerOp is the two MSP log disks' written bytes per request.
+	LogBytesPerOp float64
 }
 
 // runOne executes the workload with the given parameters and measures
@@ -104,12 +107,15 @@ func runOne(o Options, p workload.Params) (RunStats, error) {
 	if firstErr != nil {
 		return RunStats{}, firstErr
 	}
+	d1, d2 := sys.Disks()
 	return RunStats{
 		MeanMS:     metrics.ModelMS(series.Mean(), p.TimeScale),
 		MaxMS:      metrics.ModelMS(series.Max(), p.TimeScale),
 		P95MS:      metrics.ModelMS(series.Percentile(95), p.TimeScale),
 		Throughput: metrics.ThroughputPerModelSecond(series.Count(), elapsed, p.TimeScale),
 		Crashes:    sys.Crashes(),
+		LogBytesPerOp: float64((d1.Stats().SectorsOut+d2.Stats().SectorsOut)*simdisk.SectorSize) /
+			float64(series.Count()),
 	}, nil
 }
 

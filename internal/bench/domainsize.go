@@ -1,10 +1,10 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
+	"mspr/internal/chaos"
 	"mspr/internal/core"
 	"mspr/internal/metrics"
 	"mspr/internal/rpc"
@@ -51,7 +51,6 @@ func runChain(o Options, depth int) (AblationDomainSizeResult, error) {
 	net := simnet.New(simnet.Config{OneWay: 1798 * time.Microsecond, TimeScale: o.TimeScale})
 	dom := core.NewDomain("chain", 1798*time.Microsecond, o.TimeScale)
 	disks := make([]*simdisk.Disk, depth)
-	servers := make([]*core.Server, depth)
 	for i := depth - 1; i >= 0; i-- {
 		id := fmt.Sprintf("msp%d", i+1)
 		next := ""
@@ -62,12 +61,11 @@ func runChain(o Options, depth int) (AblationDomainSizeResult, error) {
 		disks[i] = simdisk.NewDisk(simdisk.DefaultModel(o.TimeScale))
 		cfg := core.NewConfig(id, dom, disks[i], net, def)
 		cfg.TimeScale = o.TimeScale
-		srv, err := core.Start(cfg)
+		msp, err := chaos.StartMSP(cfg)
 		if err != nil {
 			return AblationDomainSizeResult{}, err
 		}
-		servers[i] = srv
-		defer srv.Crash()
+		defer msp.Crash()
 	}
 	client := core.NewClient("chain-client", net, rpc.DefaultCallOptions(o.TimeScale))
 	defer client.Close()
@@ -103,14 +101,7 @@ func chainDef(next string) core.Definition {
 						return nil, err
 					}
 				}
-				b := make([]byte, 8)
-				n := uint64(0)
-				if v := ctx.GetVar("n"); len(v) == 8 {
-					n = binary.BigEndian.Uint64(v)
-				}
-				binary.BigEndian.PutUint64(b, n+1)
-				ctx.SetVar("n", b)
-				return b, nil
+				return chaos.BumpSession(ctx), nil
 			},
 		},
 	}

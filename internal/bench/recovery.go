@@ -1,10 +1,10 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
+	"mspr/internal/chaos"
 	"mspr/internal/core"
 	"mspr/internal/metrics"
 	"mspr/internal/rpc"
@@ -44,43 +44,42 @@ func RunRecoveryLatency(o Options, counts []int) ([]RecoveryPoint, error) {
 	o.printf("%-10s %12s %14s\n", "sessions", "TTFR", "full drain")
 	var out []RecoveryPoint
 	for _, n := range counts {
-		p, err := runRecoveryOnce(o, n, requestsPer, workPer)
+		ttfr, drain, err := loadAndRecover(o, n, requestsPer, workPer, false)
 		if err != nil {
 			return nil, fmt.Errorf("recovery sessions=%d: %w", n, err)
 		}
+		p := RecoveryPoint{Sessions: n, TTFRMS: metrics.ModelMS(ttfr, o.TimeScale), FullDrainMS: metrics.ModelMS(drain, o.TimeScale)}
 		out = append(out, p)
 		o.printf("%-10d %12.2f %14.1f\n", p.Sessions, p.TTFRMS, p.FullDrainMS)
 	}
 	return out, nil
 }
 
-func runRecoveryOnce(o Options, sessions, requestsPer int, workPer time.Duration) (RecoveryPoint, error) {
+// loadAndRecover is the load-then-recover driver of the recovery
+// experiments: it gives one MSP sessions sessions of requestsPer logged,
+// never-checkpointed requests (each carrying work of model CPU, which
+// replay re-executes), stops it cleanly — every record durable, so
+// recovery replays them all — and restarts it. It returns the new
+// incarnation's time-to-first-reply for one request into a pre-crash
+// session (which blocks only on that session's lazy replay) and the time
+// from restart until the background sweep has drained every session.
+func loadAndRecover(o Options, sessions, requestsPer int, work time.Duration, serial bool) (ttfr, drain time.Duration, err error) {
 	net := simnet.New(simnet.Config{TimeScale: o.TimeScale})
-	disk := simdisk.NewDisk(simdisk.DefaultModel(o.TimeScale))
-	dom := core.NewDomain("rec", 0, o.TimeScale)
-	def := core.Definition{
-		Methods: map[string]core.Handler{
-			"step": func(ctx *core.Ctx, arg []byte) ([]byte, error) {
-				ctx.Work(workPer)
-				var n uint64
-				if v := ctx.GetVar("n"); len(v) == 8 {
-					n = binary.BigEndian.Uint64(v)
-				}
-				n++
-				b := make([]byte, 8)
-				binary.BigEndian.PutUint64(b, n)
-				ctx.SetVar("n", b)
-				return b, nil
-			},
+	def := core.Definition{Methods: map[string]core.Handler{
+		"step": func(ctx *core.Ctx, _ []byte) ([]byte, error) {
+			ctx.Work(work)
+			return chaos.BumpSession(ctx), nil
 		},
-	}
-	cfg := core.NewConfig("rec-msp", dom, disk, net, def)
-	cfg.TimeScale = o.TimeScale
+	}}
+	cfg := core.NewConfig("rec-msp", core.NewDomain("rec", 0, o.TimeScale),
+		simdisk.NewDisk(simdisk.DefaultModel(o.TimeScale)), net, def)
 	cfg.SessionCkptThreshold = 1 << 40 // never checkpoint: replay everything
-	srv, err := core.Start(cfg)
+	cfg.SerialRecovery = serial
+	msp, err := chaos.StartMSP(cfg)
 	if err != nil {
-		return RecoveryPoint{}, err
+		return 0, 0, err
 	}
+	defer msp.Crash()
 	client := core.NewClient("rec-client", net, rpc.DefaultCallOptions(o.TimeScale))
 	defer client.Close()
 
@@ -100,34 +99,24 @@ func runRecoveryOnce(o Options, sessions, requestsPer int, workPer time.Duration
 	}
 	for range probes {
 		if err := <-errc; err != nil {
-			return RecoveryPoint{}, err
+			return 0, 0, err
 		}
 	}
 
-	// Clean shutdown keeps all records durable; recovery replays them all.
-	if err := srv.Shutdown(); err != nil {
-		return RecoveryPoint{}, err
+	if err := msp.Current().Shutdown(); err != nil {
+		return 0, 0, err
 	}
 	start := time.Now() //mspr:wallclock benchmark measures real recovery latency, rescaled to model time for the report
-	srv, err = core.Start(cfg)
-	if err != nil {
-		return RecoveryPoint{}, err
+	if err := msp.Restart(); err != nil {
+		return 0, 0, err
 	}
-	// One request against a pre-crash session: it blocks only on that
-	// session's lazy replay; the server reports TTFR from restart.
+	srv := msp.Current()
 	if _, err := probes[len(probes)/2].Call("step", nil); err != nil {
-		srv.Crash()
-		return RecoveryPoint{}, err
+		return 0, 0, err
 	}
-	ttfr := srv.TimeToFirstReply()
+	ttfr = srv.TimeToFirstReply()
 	for srv.RecoveringSessions() > 0 {
 		time.Sleep(100 * time.Microsecond) //mspr:wallclock polling the background sweep, which runs on OS scheduling
 	}
-	drain := time.Since(start) //mspr:wallclock benchmark measures real recovery latency, rescaled to model time for the report
-	srv.Crash()
-	return RecoveryPoint{
-		Sessions:    sessions,
-		TTFRMS:      metrics.ModelMS(ttfr, o.TimeScale),
-		FullDrainMS: metrics.ModelMS(drain, o.TimeScale),
-	}, nil
+	return ttfr, time.Since(start), nil //mspr:wallclock benchmark measures real recovery latency, rescaled to model time for the report
 }

@@ -1,4 +1,4 @@
-package workload
+package chaos
 
 import (
 	"math/rand"
@@ -61,9 +61,6 @@ func (a *Arrivals) Next() time.Duration {
 	meanGap := float64(a.p.Burst) / a.p.Rate // seconds between bursts
 	return time.Duration(a.rng.ExpFloat64() * meanGap * float64(time.Second))
 }
-
-// Rate returns the configured long-run arrival rate (arrivals/second).
-func (a *Arrivals) Rate() float64 { return a.p.Rate }
 
 // ZipfParams configures skewed key selection.
 type ZipfParams struct {

@@ -1,4 +1,4 @@
-package workload
+package chaos
 
 import (
 	"testing"

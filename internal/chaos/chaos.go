@@ -1,23 +1,25 @@
-// Package chaos is a reusable fault-injection harness for recoverable
-// systems built on this repository: it drives a concurrent workload of
-// actors while firing crash-restart faults on the system's processes,
-// then verifies the survivor invariants (exactly-once execution,
-// shared-state consistency) that the recovery infrastructure promises.
+// Package chaos is the harness around the engine — everything that
+// builds, crashes, restarts and drives MSPs, written once:
 //
-// The examples and integration tests each hand-rolled a variant of this
-// loop; the package extracts it so new services can be storm-tested in a
-// few lines (see cmd/mspr-chaos).
+//   - Run drives a concurrent workload of actors while a seeded (or
+//     replayed) scheduler fires faults, then verifies the survivor
+//     invariants (exactly-once execution, shared-state consistency);
+//     Trace and Minimize make a failing storm a small replayable file;
+//   - Proc is the restartable process every crash-restart goes through;
+//   - CounterApp is the application the storms run, CrashSurface the one
+//     table of crash points they inject;
+//   - RunStorm is the front/back/ledger storm and RunOverload the
+//     capacity-then-flood storm behind cmd/mspr-chaos, the in-tree storm
+//     tests, and (through Proc) internal/workload and internal/bench.
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"mspr/internal/failpoint"
-	"mspr/internal/simnet"
 )
 
 // Workload describes the load to apply.
@@ -163,12 +165,9 @@ func Run(w Workload, faults []Fault, o Options) Report {
 					name := o.Schedule[fired]
 					var ok bool
 					if f, ok = byName[name]; !ok {
-						fail(fmt.Errorf("chaos: replay schedule names unknown fault %q", name))
-						fired++
-						mu.Lock()
-						rep.Schedule = append(rep.Schedule, name)
-						mu.Unlock()
-						return o.MaxFaults <= 0 || fired < o.MaxFaults
+						// A loud fault error; the rest of the schedule
+						// still replays.
+						f = Fault{Name: name, Fire: func() error { return errors.New("the replay schedule names a fault the system does not provide") }}
 					}
 				} else {
 					f = faults[rng.Intn(len(faults))]
@@ -255,95 +254,4 @@ func Run(w Workload, faults []Fault, o Options) Report {
 	rep.Errors = errs
 	rep.Elapsed = time.Since(start) //mspr:wallclock storm reports measure real elapsed time
 	return rep
-}
-
-// RestartFault builds the common crash-and-restart fault: crash() must
-// kill the process and restart() must bring a fresh incarnation up
-// (running its recovery). The mutex serializes faults against each other.
-func RestartFault(name string, mu *sync.Mutex, crashAndRestart func() error) Fault {
-	return Fault{
-		Name: name,
-		Fire: func() error {
-			mu.Lock()
-			defer mu.Unlock()
-			return crashAndRestart()
-		},
-	}
-}
-
-// PartitionFault splits the network into the given groups, optionally
-// fires during() while the split is in force (typically a crash-restart,
-// so a process recovers while its domain peers are unreachable and its
-// recovery broadcast is lost), holds the partition for hold, then heals.
-// Addresses not named in any group — end clients, cross-domain
-// processes — keep reaching everyone; only the named processes are cut
-// off from each other.
-//
-// The mutex serializes the fault against other faults and against any
-// final check that touches the processes; the network is always healed
-// before Fire returns, even when during() fails.
-func PartitionFault(name string, mu *sync.Mutex, net *simnet.Network, groups [][]simnet.Addr, hold time.Duration, during func() error) Fault {
-	return Fault{
-		Name: name,
-		Fire: func() error {
-			mu.Lock()
-			defer mu.Unlock()
-			net.Partition(groups...)
-			defer net.Heal()
-			var err error
-			if during != nil {
-				err = during()
-			}
-			time.Sleep(hold) //mspr:wallclock the partition must straddle real control-plane deadlines, which are wall-clock floored
-			return err
-		},
-	}
-}
-
-// CrashPointFault arms a one-shot failpoint in reg and crash-restarts
-// the process, so the point fires inside the next incarnation — torn
-// writes and flush crashes land in recovery's own checkpoint, and the
-// core.FPRecovery*/FPReplay* points crash recovery itself. Fire keeps
-// restarting while Start dies at the injected point: the incarnation
-// that finally comes up has recovered from a crash *during* recovery.
-//
-// Points planted in asynchronous recovery work (background session
-// replay) fire only after Start has returned, killing the apparently
-// healthy incarnation; Fire therefore waits briefly for the armed point
-// to be consumed and restarts once more when it is. A point no schedule
-// reaches is disarmed before returning so it cannot leak into a later,
-// unrelated fault.
-func CrashPointFault(name string, mu *sync.Mutex, reg *failpoint.Registry, point string, crashAndRestart func() error) Fault {
-	return Fault{
-		Name: name,
-		Fire: func() error {
-			mu.Lock()
-			defer mu.Unlock()
-			reg.Enable(point, failpoint.Times(1))
-			for tries := 0; ; tries++ {
-				before := reg.Hits(point)
-				err := crashAndRestart()
-				if err != nil {
-					if failpoint.IsInjected(err) && tries < 16 {
-						continue // nested crash during recovery: go again
-					}
-					reg.Disable(point)
-					return err
-				}
-				fired := reg.Hits(point) > before
-				if !fired && reg.Armed(point) {
-					deadline := time.Now().Add(time.Second)               //mspr:wallclock bounded wait for asynchronous replay goroutines, which run on OS scheduling
-					for reg.Armed(point) && time.Now().Before(deadline) { //mspr:wallclock bounded wait for asynchronous replay goroutines
-						time.Sleep(time.Millisecond) //mspr:wallclock bounded wait for asynchronous replay goroutines
-					}
-					fired = reg.Hits(point) > before
-				}
-				if fired && tries < 16 {
-					continue // the fresh incarnation was killed: once more
-				}
-				reg.Disable(point)
-				return nil
-			}
-		},
-	}
 }

@@ -14,16 +14,15 @@ import (
 // schedule across independent runs, and replaying the recorded trace
 // fires the identical sequence again.
 func TestScheduleDeterminism(t *testing.T) {
+	// Two names for the same restart: a schedule over one fault would be
+	// the same whatever the seed.
+	system := func() (Workload, []Fault) {
+		st := soloStorm(t, 3, 20, StormSpec{Seed: 7})
+		return st.W, []Fault{st.Back.RestartFault("crash-a"), st.Back.RestartFault("crash-b")}
+	}
 	storm := func() Report {
-		ts := newTestSystem(t)
-		defer func() { ts.mu.Lock(); ts.srv.Crash(); ts.mu.Unlock() }()
-		defer ts.client.Close()
-		var faultMu sync.Mutex
-		faults := []Fault{
-			RestartFault("crash-a", &faultMu, ts.restart),
-			RestartFault("crash-b", &faultMu, ts.restart),
-		}
-		return Run(ts.workload(3, 20), faults, Options{Seed: 42, FaultEvery: 10})
+		w, faults := system()
+		return Run(w, faults, Options{Seed: 42, FaultEvery: 10})
 	}
 	r1, r2 := storm(), storm()
 	if r1.Failed() || r2.Failed() {
@@ -57,15 +56,8 @@ func TestScheduleDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(back, tr) {
 		t.Fatalf("trace round trip mismatch:\n%+v\n%+v", tr, back)
 	}
-	ts := newTestSystem(t)
-	defer func() { ts.mu.Lock(); ts.srv.Crash(); ts.mu.Unlock() }()
-	defer ts.client.Close()
-	var faultMu sync.Mutex
-	faults := []Fault{
-		RestartFault("crash-a", &faultMu, ts.restart),
-		RestartFault("crash-b", &faultMu, ts.restart),
-	}
-	r3 := Replay(ts.workload(3, 20), faults, back)
+	w, faults := system()
+	r3 := Replay(w, faults, back)
 	if r3.Failed() {
 		t.Fatalf("replay failed: %v", r3.Errors)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"sync/atomic"
 
 	"mspr/internal/simdisk"
@@ -55,16 +54,16 @@ type posEntry struct {
 // checkpoint. Replay follows the stream so each session can be recovered
 // independently and in parallel from the single shared log.
 //
-// Positions are buffered in memory and spilled to a per-session disk file
-// when the buffer fills. After an MSP crash the in-memory state is lost
-// and the stream is reconstructed by the analysis scan, which — having
-// every record's bytes in hand — leaves them in the entries so that replay
-// reads nothing a second time; the stable file exists for cost fidelity
-// (position writes are charged to the disk) and is rewritten by recovery.
+// Positions are buffered in memory and spilled when the buffer fills.
+// After an MSP crash the in-memory state is lost and the stream is
+// reconstructed by the analysis scan, which — having every record's bytes
+// in hand — leaves them in the entries so that replay reads nothing a
+// second time. Nothing ever reads a spilled position back, so a spill
+// only charges the disk for the write (cost fidelity) and stores nothing.
 type posStream struct {
-	file   *simdisk.File
-	all    []posEntry // full stream since the last session checkpoint
-	stable int        // prefix of all that has been spilled to the file
+	disk   *simdisk.Disk // nil: nothing to charge
+	all    []posEntry    // full stream since the last session checkpoint
+	stable int           // prefix of all whose spill has been charged
 	// ckpt is the session checkpoint the stream starts after, when the
 	// analysis scan retained it (lsn 0 otherwise).
 	ckpt posEntry
@@ -73,12 +72,8 @@ type posStream struct {
 	budget *retention
 }
 
-func newPosStream(disk *simdisk.Disk, session string, budget *retention) *posStream {
-	p := &posStream{budget: budget}
-	if disk != nil {
-		p.file = disk.OpenFile("pos/" + session)
-	}
-	return p
+func newPosStream(disk *simdisk.Disk, budget *retention) *posStream {
+	return &posStream{disk: disk, budget: budget}
 }
 
 // append adds a record to the stream, spilling the buffer when full.
@@ -125,21 +120,11 @@ func (p *posStream) release() {
 	p.ckpt = posEntry{}
 }
 
-// spill writes the buffered positions to the stable file.
+// spill charges the disk for writing the buffered positions, 8 bytes each.
 func (p *posStream) spill() {
-	n := len(p.all) - p.stable
-	if n <= 0 || p.file == nil {
-		p.stable = len(p.all)
-		return
+	if n := len(p.all) - p.stable; n > 0 && p.disk != nil {
+		p.disk.ChargeWrite((8*n+simdisk.SectorSize-1)/simdisk.SectorSize, 0)
 	}
-	buf := make([]byte, 8*n)
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(p.all[p.stable+i].lsn))
-	}
-	off := int64(8 * p.stable)
-	_, _ = p.file.WriteAt(buf, off) //mspr:walerr position stream models the paper's cost only; recovery rebuilds it from the analysis scan
-	sectors := (len(buf) + simdisk.SectorSize - 1) / simdisk.SectorSize
-	p.file.Disk().ChargeWrite(sectors, 0)
 	p.stable = len(p.all)
 }
 
@@ -160,9 +145,6 @@ func (p *posStream) truncateAll() {
 	p.all = p.all[:0]
 	p.ckpt = posEntry{}
 	p.stable = 0
-	if p.file != nil {
-		_ = p.file.Truncate(0) //mspr:walerr position stream models the paper's cost only; recovery rebuilds it from the analysis scan
-	}
 }
 
 // truncateFrom removes every position ≥ lsn (orphan recovery end: the
@@ -180,9 +162,6 @@ func (p *posStream) truncateFrom(lsn wal.LSN) {
 	p.all = p.all[:i]
 	if p.stable > i {
 		p.stable = i
-		if p.file != nil {
-			_ = p.file.Truncate(int64(8 * i)) //mspr:walerr position stream models the paper's cost only; recovery rebuilds it from the analysis scan
-		}
 	}
 }
 

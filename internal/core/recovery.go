@@ -286,7 +286,7 @@ func (s *Server) recoverOrphan(sess *Session) {
 // runSessionRecovery replays a session to its most recent non-orphan
 // state (§4.1). The loop restarts replay from the checkpoint when another
 // MSP crash mid-recovery retroactively orphans an already-replayed record
-// (multiple concurrent crashes, Fig. 11).
+// (multiple concurrent crashes, Fig. 11). A replay error is fail-stop.
 func (s *Server) runSessionRecovery(sess *Session) {
 	sess.releaseToRecovery() // a no-op unless the caller held the session busy
 	if !s.cfg.Logging {
@@ -295,10 +295,17 @@ func (s *Server) runSessionRecovery(sess *Session) {
 	}
 	for {
 		restart, err := s.replaySessionOnce(sess)
-		if err == nil && !restart {
-			metrics.Recovery.SessionsReplayed.Inc()
+		if err != nil {
+			// Fail-stop: the session is half-replayed — a record could not
+			// be read or decoded, or the MSP died under the replay — and
+			// must never serve a request in that state. It stays in
+			// recovery, and the incarnation halts (a no-op when it already
+			// has): the next one replays the session from the log.
+			s.halt()
+			return
 		}
-		if err != nil || !restart {
+		if !restart {
+			metrics.Recovery.SessionsReplayed.Inc()
 			break
 		}
 		// A crash underneath us must not leave this loop spinning (the

@@ -152,16 +152,14 @@ func TestLazyClaimReadsNothing(t *testing.T) {
 	}
 }
 
-// TestRetainBudgetFallsBackToLog: with a budget too small for the log, the
-// records past it are left as bare positions, replay reads those from the
-// log, and recovery is still exact.
-func TestRetainBudgetFallsBackToLog(t *testing.T) {
-	const budget = 256
+// restartOverBudget gives MSP "m" twenty sessions of three logged "inc"
+// requests each and restarts it, sweep off, under a retention budget too
+// small for that log: most records are left as bare positions.
+func restartOverBudget(t *testing.T, budget int64) (*testEnv, []*ClientSession, *Server) {
 	retainBudgetHook = budget
-	defer func() { retainBudgetHook = retainBudget }()
-
+	t.Cleanup(func() { retainBudgetHook = retainBudget })
 	e := newTestEnv(t)
-	defer e.cleanup()
+	t.Cleanup(e.cleanup)
 	e.start("m", counterDef(), noSweep)
 	c := e.endClient()
 	cs := make([]*ClientSession, 20)
@@ -173,7 +171,15 @@ func TestRetainBudgetFallsBackToLog(t *testing.T) {
 			mustCall(t, s, "inc", nil)
 		}
 	}
-	srv := e.restart("m")
+	return e, cs, e.restart("m")
+}
+
+// TestRetainBudgetFallsBackToLog: with a budget too small for the log, the
+// records past it are left as bare positions, replay reads those from the
+// log, and recovery is still exact.
+func TestRetainBudgetFallsBackToLog(t *testing.T) {
+	const budget = 256
+	e, cs, srv := restartOverBudget(t, budget)
 	if held := srv.retained.held.Load(); held <= 0 || held > budget {
 		t.Fatalf("retained %d bytes under a %d-byte budget", held, budget)
 	}
@@ -198,6 +204,41 @@ func TestRetainBudgetFallsBackToLog(t *testing.T) {
 		t.Error("no disk read during replay: bare positions were not read from the log")
 	}
 	assertNothingRetained(t, srv, "after every session replayed")
+}
+
+// TestReplayReadErrorIsFailStop: a replay that cannot read one of its
+// records must not put the half-replayed session back in service. The
+// budget leaves most records to be read from the log; the log then loses
+// them (its head moves past every session record), so the first lazy
+// claim replays the little that was retained and hits a read error. The
+// incarnation must halt with the session still owing its replay — it used
+// to go back to idle on a running server and answer 2 where the client
+// had seen 3.
+func TestReplayReadErrorIsFailStop(t *testing.T) {
+	_, _, srv := restartOverBudget(t, 256)
+	var victim *Session
+	srv.sessions.forEach(func(sess *Session) {
+		pos := sess.posSnapshot()
+		if victim == nil && pos[1].typ != 0 && pos[len(pos)-1].typ == 0 {
+			victim = sess // its first request is retained, its last is not
+		}
+	})
+	if victim == nil {
+		t.Fatal("no session has both a retained and a bare record: the budget needs retuning")
+	}
+	if err := srv.log.TruncateHead(srv.log.Next()); err != nil {
+		t.Fatal(err)
+	}
+	if !victim.claimForReplay() {
+		t.Fatal("victim session was not awaiting replay")
+	}
+	srv.runSessionRecovery(victim)
+	if srv.getState() != stateCrashed {
+		t.Error("a replay read error left the incarnation running")
+	}
+	if !victim.pendingReplay() {
+		t.Error("the half-replayed session was returned to service")
+	}
 }
 
 // TestRestartedReplayReusesRetainedRecords drives Fig. 11 through the

@@ -120,7 +120,7 @@ func newSession(s *Server, id string, client simnet.Addr, intra bool) *Session {
 		vars:        make(map[string][]byte),
 		seq:         rpc.NewSeqTracker(1),
 		outgoing:    make(map[string]*outSession),
-		pos:         newPosStream(s.cfg.Disk, s.cfg.ID+"/"+id, &s.retained),
+		pos:         newPosStream(s.cfg.Disk, &s.retained),
 	}
 }
 

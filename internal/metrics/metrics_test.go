@@ -12,8 +12,8 @@ func TestSeriesBasics(t *testing.T) {
 		t.Fatal("zero-value series not empty")
 	}
 	s.Record(10 * time.Millisecond)
+	s.Record(30 * time.Millisecond) // the maximum is not the last sample
 	s.Record(20 * time.Millisecond)
-	s.Record(30 * time.Millisecond)
 	if s.Count() != 3 {
 		t.Fatalf("count %d", s.Count())
 	}

@@ -1,56 +1,43 @@
-package txmsp
+package txmsp_test
 
 import (
 	"bytes"
-	"encoding/binary"
-	"sync"
 	"testing"
 
+	"mspr/internal/chaos"
 	"mspr/internal/core"
 	"mspr/internal/rpc"
 	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
+	"mspr/internal/txmsp"
 )
 
-func u64(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint64(b, v)
-	return b
-}
-
-func asU64(b []byte) uint64 {
-	if len(b) < 8 {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
 func TestTxCodecRoundTrip(t *testing.T) {
-	tx := Tx{Ops: []Op{
-		{Kind: OpPut, Key: "a", Value: []byte("1")},
-		{Kind: OpGet, Key: "a"},
-		{Kind: OpAdd, Key: "n", Value: u64(5)},
-		{Kind: OpDelete, Key: "old"},
+	tx := txmsp.Tx{Ops: []txmsp.Op{
+		{Kind: txmsp.OpPut, Key: "a", Value: []byte("1")},
+		{Kind: txmsp.OpGet, Key: "a"},
+		{Kind: txmsp.OpAdd, Key: "n", Value: chaos.U64(5)},
+		{Kind: txmsp.OpDelete, Key: "old"},
 	}}
-	got, err := DecodeTx(tx.Encode())
+	got, err := txmsp.DecodeTx(tx.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Ops) != 4 || got.Ops[0].Key != "a" || got.Ops[2].Kind != OpAdd ||
-		!bytes.Equal(got.Ops[2].Value, u64(5)) {
+	if len(got.Ops) != 4 || got.Ops[0].Key != "a" || got.Ops[2].Kind != txmsp.OpAdd ||
+		!bytes.Equal(got.Ops[2].Value, chaos.U64(5)) {
 		t.Fatalf("round trip: %+v", got)
 	}
-	res := Result{Values: [][]byte{[]byte("x"), nil, []byte("z")}}
-	gotR, err := DecodeResult(res.Encode())
+	res := txmsp.Result{Values: [][]byte{[]byte("x"), nil, []byte("z")}}
+	gotR, err := txmsp.DecodeResult(res.Encode())
 	if err != nil || len(gotR.Values) != 3 || string(gotR.Values[2]) != "z" {
 		t.Fatalf("result round trip: %+v %v", gotR, err)
 	}
 }
 
 func TestTxCodecTruncation(t *testing.T) {
-	full := Tx{Ops: []Op{{Kind: OpPut, Key: "key", Value: []byte("value")}}}.Encode()
+	full := txmsp.Tx{Ops: []txmsp.Op{{Kind: txmsp.OpPut, Key: "key", Value: []byte("value")}}}.Encode()
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeTx(full[:cut]); err == nil && cut > 0 {
+		if _, err := txmsp.DecodeTx(full[:cut]); err == nil && cut > 0 {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -59,42 +46,34 @@ func TestTxCodecTruncation(t *testing.T) {
 // txEnv is an application MSP (logging on) calling a transactional
 // resource manager.
 type txEnv struct {
-	t       *testing.T
-	net     *simnet.Network
-	rm      *Server
-	rmCfg   Config
-	app     *core.Server
-	appCfg  core.Config
-	appDisk *simdisk.Disk
-	client  *core.Client
-	mu      sync.Mutex
+	t      *testing.T
+	net    *simnet.Network
+	rm     *chaos.Store
+	app    *chaos.MSP
+	client *core.Client
 }
 
 func newTxEnv(t *testing.T) *txEnv {
 	e := &txEnv{t: t, net: simnet.New(simnet.Config{TimeScale: 0})}
-	e.rmCfg = Config{ID: "ledger-db", Net: e.net, Disk: simdisk.NewDisk(simdisk.DefaultModel(0))}
-	rm, err := Start(e.rmCfg)
+	rm, err := chaos.StartStore(txmsp.Config{ID: "ledger-db", Net: e.net, Disk: simdisk.NewDisk(simdisk.DefaultModel(0))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.rm = rm
 
-	e.appDisk = simdisk.NewDisk(simdisk.DefaultModel(0))
 	dom := core.NewDomain("app", 0, 0)
 	def := core.Definition{
 		Methods: map[string]core.Handler{
 			// deposit adds the amount to the durable balance and returns
 			// the per-session operation count.
 			"deposit": func(ctx *core.Ctx, amount []byte) ([]byte, error) {
-				if _, err := Exec(ctx, "ledger-db", Tx{Ops: []Op{{Kind: OpAdd, Key: "balance", Value: amount}}}); err != nil {
+				if _, err := txmsp.Exec(ctx, "ledger-db", txmsp.Tx{Ops: []txmsp.Op{{Kind: txmsp.OpAdd, Key: "balance", Value: amount}}}); err != nil {
 					return nil, err
 				}
-				n := asU64(ctx.GetVar("ops")) + 1
-				ctx.SetVar("ops", u64(n))
-				return u64(n), nil
+				return chaos.BumpSession(ctx), nil
 			},
 			"balance": func(ctx *core.Ctx, _ []byte) ([]byte, error) {
-				res, err := Exec(ctx, "ledger-db", Tx{Ops: []Op{{Kind: OpGet, Key: "balance"}}})
+				res, err := txmsp.Exec(ctx, "ledger-db", txmsp.Tx{Ops: []txmsp.Op{{Kind: txmsp.OpGet, Key: "balance"}}})
 				if err != nil {
 					return nil, err
 				}
@@ -102,8 +81,7 @@ func newTxEnv(t *testing.T) *txEnv {
 			},
 		},
 	}
-	e.appCfg = core.NewConfig("app", dom, e.appDisk, e.net, def)
-	app, err := core.Start(e.appCfg)
+	app, err := chaos.StartMSP(core.NewConfig("app", dom, simdisk.NewDisk(simdisk.DefaultModel(0)), e.net, def))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,36 +96,22 @@ func (e *txEnv) cleanup() {
 	e.client.Close()
 }
 
-func (e *txEnv) restartApp() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.app.Crash()
-	app, err := core.Start(e.appCfg)
-	if err != nil {
+// restart crash-restarts a process: e.restart(e.app.Restart).
+func (e *txEnv) restart(restart func() error) {
+	e.t.Helper()
+	if err := restart(); err != nil {
 		e.t.Fatal(err)
 	}
-	e.app = app
-}
-
-func (e *txEnv) restartRM() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rm.Crash()
-	rm, err := Start(e.rmCfg)
-	if err != nil {
-		e.t.Fatal(err)
-	}
-	e.rm = rm
 }
 
 func (e *txEnv) deposit(cs *core.ClientSession, amount, wantOps uint64) {
 	e.t.Helper()
-	out, err := cs.Call("deposit", u64(amount))
+	out, err := cs.Call("deposit", chaos.U64(amount))
 	if err != nil {
 		e.t.Fatalf("deposit: %v", err)
 	}
-	if asU64(out) != wantOps {
-		e.t.Fatalf("deposit ops = %d, want %d", asU64(out), wantOps)
+	if chaos.AsU64(out) != wantOps {
+		e.t.Fatalf("deposit ops = %d, want %d", chaos.AsU64(out), wantOps)
 	}
 }
 
@@ -157,7 +121,7 @@ func (e *txEnv) balance(cs *core.ClientSession) uint64 {
 	if err != nil {
 		e.t.Fatalf("balance: %v", err)
 	}
-	return asU64(out)
+	return chaos.AsU64(out)
 }
 
 func TestExactlyOnceTransactions(t *testing.T) {
@@ -177,7 +141,7 @@ func TestTransactionsSurviveRMCrash(t *testing.T) {
 	defer e.cleanup()
 	cs := e.client.Session("app")
 	e.deposit(cs, 100, 1)
-	e.restartRM()
+	e.restart(e.rm.Restart)
 	e.deposit(cs, 100, 2)
 	if got := e.balance(cs); got != 200 {
 		t.Fatalf("balance after RM crash = %d, want 200", got)
@@ -195,14 +159,14 @@ func TestAppReplayDoesNotReexecuteTransactions(t *testing.T) {
 	for i := uint64(1); i <= 4; i++ {
 		e.deposit(cs, 25, i)
 	}
-	e.restartApp()
+	e.restart(e.app.Restart)
 	// The session replays its four deposits from the log; a fifth runs
 	// live. Exactly-once means the balance is 5 × 25.
 	e.deposit(cs, 25, 5)
 	if got := e.balance(cs); got != 125 {
 		t.Fatalf("balance after app crash = %d, want 125 (transactions re-executed or lost)", got)
 	}
-	if v, ok := e.rm.Read("balance"); !ok || asU64(v) != 125 {
+	if v, ok := e.rm.Current().Read("balance"); !ok || chaos.AsU64(v) != 125 {
 		t.Fatalf("store audit: %v %v", v, ok)
 	}
 }
@@ -217,11 +181,11 @@ func TestBothCrashesInterleaved(t *testing.T) {
 		ops++
 		want += 7
 		e.deposit(cs, 7, ops)
-		e.restartApp()
+		e.restart(e.app.Restart)
 		ops++
 		want += 7
 		e.deposit(cs, 7, ops)
-		e.restartRM()
+		e.restart(e.rm.Restart)
 	}
 	if got := e.balance(cs); got != want {
 		t.Fatalf("balance = %d, want %d", got, want)
@@ -232,8 +196,8 @@ func TestDuplicateDeliveryDedupedByStore(t *testing.T) {
 	// A lossy, duplicating network delivers transaction requests twice;
 	// the testable-transaction records must absorb them.
 	net := simnet.New(simnet.Config{TimeScale: 0, DupRate: 0.5, LossRate: 0.1, Seed: 3})
-	rmCfg := Config{ID: "db", Net: net, Disk: simdisk.NewDisk(simdisk.DefaultModel(0))}
-	rm, err := Start(rmCfg)
+	rmCfg := txmsp.Config{ID: "db", Net: net, Disk: simdisk.NewDisk(simdisk.DefaultModel(0))}
+	rm, err := txmsp.Start(rmCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +206,9 @@ func TestDuplicateDeliveryDedupedByStore(t *testing.T) {
 	def := core.Definition{
 		Methods: map[string]core.Handler{
 			"bump": func(ctx *core.Ctx, _ []byte) ([]byte, error) {
-				res, err := Exec(ctx, "db", Tx{Ops: []Op{
-					{Kind: OpAdd, Key: "n", Value: u64(1)},
-					{Kind: OpGet, Key: "n"},
+				res, err := txmsp.Exec(ctx, "db", txmsp.Tx{Ops: []txmsp.Op{
+					{Kind: txmsp.OpAdd, Key: "n", Value: chaos.U64(1)},
+					{Kind: txmsp.OpGet, Key: "n"},
 				}})
 				if err != nil {
 					return nil, err
@@ -266,15 +230,15 @@ func TestDuplicateDeliveryDedupedByStore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bump %d: %v", i, err)
 		}
-		if asU64(out) != i {
-			t.Fatalf("bump %d returned %d (duplicate transaction executed)", i, asU64(out))
+		if chaos.AsU64(out) != i {
+			t.Fatalf("bump %d returned %d (duplicate transaction executed)", i, chaos.AsU64(out))
 		}
 	}
 }
 
 func TestStatelessSessionsAcceptAnySeq(t *testing.T) {
 	net := simnet.New(simnet.Config{TimeScale: 0})
-	rm, err := Start(Config{ID: "db", Net: net, Disk: simdisk.NewDisk(simdisk.DefaultModel(0))})
+	rm, err := txmsp.Start(txmsp.Config{ID: "db", Net: net, Disk: simdisk.NewDisk(simdisk.DefaultModel(0))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +246,7 @@ func TestStatelessSessionsAcceptAnySeq(t *testing.T) {
 	// Talk to the RM directly with raw envelopes at arbitrary sequence
 	// numbers — as a restarted caller would.
 	ep := net.Endpoint("raw")
-	tx := Tx{Ops: []Op{{Kind: OpAdd, Key: "x", Value: u64(1)}}}
+	tx := txmsp.Tx{Ops: []txmsp.Op{{Kind: txmsp.OpAdd, Key: "x", Value: chaos.U64(1)}}}
 	send := func(seq uint64) {
 		ep.Send("db", rpc.Request{Session: "ghost", Seq: seq, Method: "exec",
 			Arg: tx.Encode(), From: ep.Addr()})
@@ -305,7 +269,7 @@ func TestStatelessSessionsAcceptAnySeq(t *testing.T) {
 	recv(3)
 	send(7) // duplicate: accepted, deduplicated by the store
 	recv(7)
-	if v, ok := rm.Read("x"); !ok || asU64(v) != 2 {
+	if v, ok := rm.Read("x"); !ok || chaos.AsU64(v) != 2 {
 		t.Fatalf("x = %v %v, want 2 (seq 7 executed twice or seq 3 dropped)", v, ok)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"mspr/internal/baselines"
+	"mspr/internal/chaos"
 	"mspr/internal/core"
 	"mspr/internal/rpc"
 	"mspr/internal/sdb"
@@ -129,11 +130,7 @@ type System struct {
 
 	disk1, disk2 *simdisk.Disk
 	dom1, dom2   *core.Domain
-	cfg1, cfg2   core.Config
-
-	mu   sync.Mutex
-	msp1 *core.Server
-	msp2 *core.Server
+	msp1, msp2   *chaos.MSP
 
 	stateServer *baselines.StateServer
 	stateCli1   *baselines.StateClient
@@ -141,9 +138,8 @@ type System struct {
 
 	requests   atomic.Int64
 	crashArmed atomic.Bool
-	crashMu    sync.Mutex
-	crashes    atomic.Int64
 	crashWG    sync.WaitGroup
+	crashErr   atomic.Pointer[error] // the first failed restart of MSP2
 }
 
 // New builds and starts the system.
@@ -203,16 +199,11 @@ func New(p Params) (*System, error) {
 		cfg.Tap = p.Tap
 		return cfg
 	}
-	s.cfg1 = mkCfg("msp1", s.dom1, s.disk1, def1)
-	s.cfg2 = mkCfg("msp2", s.dom2, s.disk2, def2)
-
 	var err error
-	s.msp2, err = core.Start(s.cfg2)
-	if err != nil {
+	if s.msp2, err = chaos.StartMSP(mkCfg("msp2", s.dom2, s.disk2, def2)); err != nil {
 		return nil, err
 	}
-	s.msp1, err = core.Start(s.cfg1)
-	if err != nil {
+	if s.msp1, err = chaos.StartMSP(mkCfg("msp1", s.dom1, s.disk1, def1)); err != nil {
 		return nil, err
 	}
 	s.Client = core.NewClient("client", s.Net, rpc.DefaultCallOptions(p.TimeScale))
@@ -229,17 +220,10 @@ func pad(v uint64, n int) []byte {
 	return b
 }
 
-func val(b []byte) uint64 {
-	if len(b) < 8 {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
 // bumpShared reads a shared variable and writes back an incremented
 // value of the configured shared size — the "read and write SVx" step.
 func (s *System) bumpShared(ctx *core.Ctx, name string) error {
-	_, err := ctx.UpdateShared(name, func(old []byte) []byte { return pad(val(old)+1, s.P.SharedSize) })
+	_, err := ctx.UpdateShared(name, func(old []byte) []byte { return pad(chaos.AsU64(old)+1, s.P.SharedSize) })
 	return err
 }
 
@@ -250,8 +234,7 @@ func (s *System) touchSessionState(ctx *core.Ctx) uint64 {
 	if len(state) != s.P.SessionStateSize {
 		state = make([]byte, s.P.SessionStateSize)
 	}
-	n := val(ctx.GetVar("reqs")) + 1
-	ctx.SetVar("reqs", pad(n, 8))
+	n := chaos.AsU64(chaos.BumpSession(ctx))
 	off := int((n * uint64(s.P.SessionWriteSize))) % (s.P.SessionStateSize - s.P.SessionWriteSize)
 	for i := 0; i < s.P.SessionWriteSize; i++ {
 		state[off+i] = byte(n)
@@ -318,23 +301,13 @@ func (s *System) def2() core.Definition {
 }
 
 // crashAndRestartMSP2 kills MSP2 (losing its volatile state and buffered
-// log records) and restarts it, running full crash recovery.
+// log records) and restarts it, running full crash recovery. A restart
+// that fails is reported by the next Do.
 func (s *System) crashAndRestartMSP2() {
 	defer s.crashWG.Done()
-	s.crashMu.Lock()
-	defer s.crashMu.Unlock()
-	s.mu.Lock()
-	cur := s.msp2
-	s.mu.Unlock()
-	cur.Crash()
-	ns, err := core.Start(s.cfg2)
-	if err != nil {
-		panic(fmt.Sprintf("workload: restarting msp2: %v", err))
+	if err := s.msp2.Restart(); err != nil {
+		s.crashErr.CompareAndSwap(nil, &err)
 	}
-	s.mu.Lock()
-	s.msp2 = ns
-	s.mu.Unlock()
-	s.crashes.Add(1)
 }
 
 // NewSession opens a new end-client session with MSP1.
@@ -346,6 +319,9 @@ func (s *System) NewSession() *core.ClientSession {
 // measured wall-clock latency. Crash injection is armed here so the
 // crash fires during this request's processing.
 func (s *System) Do(cs *core.ClientSession) (time.Duration, error) {
+	if err := s.crashErr.Load(); err != nil {
+		return 0, fmt.Errorf("workload: restarting msp2: %w", *err)
+	}
 	n := s.requests.Add(1)
 	if s.P.CrashEvery > 0 && n%int64(s.P.CrashEvery) == 0 {
 		s.crashArmed.Store(true)
@@ -356,22 +332,7 @@ func (s *System) Do(cs *core.ClientSession) (time.Duration, error) {
 }
 
 // Crashes returns the number of injected crashes completed.
-func (s *System) Crashes() int64 { return s.crashes.Load() }
-
-// MSP1 returns the current MSP1 instance.
-func (s *System) MSP1() *core.Server {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.msp1
-}
-
-// MSP2 returns the current MSP2 instance (it changes across injected
-// crashes).
-func (s *System) MSP2() *core.Server {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.msp2
-}
+func (s *System) Crashes() int64 { return int64(s.msp2.Restarts.Count()) }
 
 // Disks returns the two MSP log disks for I/O statistics.
 func (s *System) Disks() (*simdisk.Disk, *simdisk.Disk) { return s.disk1, s.disk2 }
@@ -379,11 +340,8 @@ func (s *System) Disks() (*simdisk.Disk, *simdisk.Disk) { return s.disk1, s.disk
 // Close shuts the system down.
 func (s *System) Close() {
 	s.crashWG.Wait()
-	s.mu.Lock()
-	m1, m2 := s.msp1, s.msp2
-	s.mu.Unlock()
-	m1.Crash()
-	m2.Crash()
+	s.msp1.Crash()
+	s.msp2.Crash()
 	s.Client.Close()
 	if s.stateServer != nil {
 		s.stateServer.Close()

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mspr/internal/chaos"
 	"mspr/internal/oracle"
 )
 
@@ -54,7 +55,7 @@ func TestSessionCounterMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := val(out); got != 21 {
+	if got := chaos.AsU64(out); got != 21 {
 		t.Fatalf("session counter = %d, want 21 (exactly-once violated)", got)
 	}
 }
@@ -82,7 +83,7 @@ func TestCrashInjectionLoOptimisticExactlyOnce(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 		s.requests.Add(1) // keep Do-equivalent accounting
-		if got := val(out); got != uint64(i) {
+		if got := chaos.AsU64(out); got != uint64(i) {
 			t.Fatalf("request %d returned counter %d (exactly-once violated)", i, got)
 		}
 		if i%5 == 0 {
@@ -119,7 +120,7 @@ func TestCrashInjectionPessimisticExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := val(out); got != 19 {
+	if got := chaos.AsU64(out); got != 19 {
 		t.Fatalf("session counter = %d, want 19", got)
 	}
 }
