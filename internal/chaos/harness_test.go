@@ -2,9 +2,7 @@ package chaos
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -12,6 +10,7 @@ import (
 
 	"mspr/internal/core"
 	"mspr/internal/failpoint"
+	"mspr/internal/invariants"
 	"mspr/internal/simdisk"
 )
 
@@ -46,28 +45,7 @@ func TestRestartTimesSummary(t *testing.T) {
 // but benchmark/ (its own module, deliberately pinned) and testdata.
 func mainModuleFiles(t *testing.T) map[string]*ast.File {
 	t.Helper()
-	files := map[string]*ast.File{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel := filepath.ToSlash(strings.TrimPrefix(path, "../../"))
-		if d.IsDir() {
-			if rel == "benchmark" || d.Name() == "testdata" || d.Name() != ".." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(rel, ".go") {
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				return err
-			}
-			files[rel] = f
-		}
-		return nil
-	})
+	_, files, err := invariants.ParseTree("../..", func(string) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,18 +55,7 @@ func mainModuleFiles(t *testing.T) map[string]*ast.File {
 // calls reports whether fn calls a function or method selected as
 // x.sel (any receiver when x is "").
 func calls(fn *ast.FuncDecl, x, sel string) bool {
-	found := false
-	ast.Inspect(fn, func(n ast.Node) bool {
-		if c, ok := n.(*ast.CallExpr); ok {
-			if s, ok := c.Fun.(*ast.SelectorExpr); ok && s.Sel.Name == sel {
-				if id, isIdent := s.X.(*ast.Ident); x == "" || isIdent && id.Name == x {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
+	return invariants.Count(fn, invariants.Call(x, sel)) > 0
 }
 
 // TestNoFailpointLeftBehind: every FP* constant the engine declares is
@@ -154,25 +121,19 @@ func TestNoFailpointLeftBehind(t *testing.T) {
 // failed restart.
 func TestOneHarnessStaysOne(t *testing.T) {
 	codecs := map[string][]string{} // lower-cased helper name → files declaring it
-	for path, f := range mainModuleFiles(t) {
+	invariants.EachFuncDecl(mainModuleFiles(t), func(path string, fn *ast.FuncDecl) {
 		inCoreTests := strings.HasPrefix(path, "internal/core/") && strings.HasSuffix(path, "_test.go")
 		example := strings.HasPrefix(path, "examples/")
 		facadeTests := !strings.Contains(path, "/") && strings.HasSuffix(path, "_test.go")
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			if name := strings.ToLower(fn.Name.Name); fn.Recv == nil && (name == "u64" || name == "asu64") &&
-				!example && !inCoreTests {
-				codecs[name] = append(codecs[name], path)
-			}
-			if !example && !inCoreTests && !facadeTests && !strings.HasPrefix(path, "internal/chaos/") && !strings.HasPrefix(path, "internal/txmsp/") &&
-				calls(fn, "", "Crash") && (calls(fn, "core", "Start") || calls(fn, "mspr", "Start")) {
-				t.Errorf("%s: %s crashes a server and starts the next one itself: restart through chaos.Proc", path, fn.Name.Name)
-			}
+		if name := strings.ToLower(fn.Name.Name); fn.Recv == nil && (name == "u64" || name == "asu64") &&
+			!example && !inCoreTests {
+			codecs[name] = append(codecs[name], path)
 		}
-	}
+		if !example && !inCoreTests && !facadeTests && !strings.HasPrefix(path, "internal/chaos/") && !strings.HasPrefix(path, "internal/txmsp/") &&
+			calls(fn, "", "Crash") && (calls(fn, "core", "Start") || calls(fn, "mspr", "Start")) {
+			t.Errorf("%s: %s crashes a server and starts the next one itself: restart through chaos.Proc", path, fn.Name.Name)
+		}
+	})
 	for _, name := range []string{"u64", "asu64"} {
 		if got := codecs[name]; len(got) != 1 || got[0] != "internal/chaos/counter.go" {
 			t.Errorf("func %s declared in %v, want only internal/chaos/counter.go", name, got)

@@ -3,14 +3,11 @@ package core
 import (
 	"bytes"
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"strings"
 	"testing"
 	"time"
 
 	"mspr/internal/failpoint"
+	"mspr/internal/invariants"
 	"mspr/internal/rpc"
 	"mspr/internal/simnet"
 	"mspr/internal/wal"
@@ -214,35 +211,27 @@ func TestResentEndIsAcknowledged(t *testing.T) {
 // unwind sentinel (abortMethod). A second recover site or a second kind
 // of sentinel panic is how appends ended up outside every boundary.
 func TestOneAbortPath(t *testing.T) {
-	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+	_, files, err := invariants.ParseTree(".", invariants.NonTest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recovers := map[string]int{}  // enclosing function → recover() calls
 	sentinels := map[string]int{} // enclosing function → methodAbort{} literals
-	for _, f := range pkgs["core"].Files {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			ast.Inspect(fn, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.CallExpr:
-					if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "recover" {
-						recovers[fn.Name.Name]++
-					}
-				case *ast.CompositeLit:
-					if id, ok := x.Type.(*ast.Ident); ok && id.Name == "methodAbort" {
-						sentinels[fn.Name.Name]++
-					}
-				}
-				return true
-			})
+	invariants.EachFuncDecl(files, func(_ string, fn *ast.FuncDecl) {
+		if n := invariants.Count(fn, invariants.Call("", "recover")); n > 0 {
+			recovers[fn.Name.Name] = n
 		}
-	}
+		if n := invariants.Count(fn, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return false
+			}
+			id, ok := lit.Type.(*ast.Ident)
+			return ok && id.Name == "methodAbort"
+		}); n > 0 {
+			sentinels[fn.Name.Name] = n
+		}
+	})
 	if len(recovers) != 1 || recovers["runMethod"] != 1 {
 		t.Errorf("recover() sites = %v, want exactly one, in runMethod", recovers)
 	}

@@ -9,9 +9,9 @@ import (
 // are only touched on paths where that mutex is held. The recovery
 // protocol keeps almost all mutable state behind per-object locks —
 // Session.mu over the phase/DV/position bookkeeping, sessionShard.mu
-// over the stripe map, wal.Log's five mutexes over disjoint field
-// families — and a single unlocked access is a torn read the race
-// detector only catches if a test happens to interleave it.
+// over the stripe map, each wal layer's mutex over that layer's own
+// state — and a single unlocked access is a torn read the race detector
+// only catches if a test happens to interleave it.
 //
 // The analysis is a must-held forward dataflow (merge = intersection:
 // a field access is safe only if the lock is held on EVERY path to

@@ -324,11 +324,11 @@ func TestAppendWhileFlushInFlight(t *testing.T) {
 
 func TestMaxBufferForcesFlush(t *testing.T) {
 	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
-	l, err := Open(disk, "log", Config{MaxBuffer: 1024})
+	l, err := Open(disk, "log", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
+	for appended := 0; appended <= maxBuffer; appended += 200 + frameOverhead {
 		if _, err := l.Append(1, make([]byte, 200)); err != nil {
 			t.Fatal(err)
 		}
