@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"mspr/internal/chaos"
@@ -19,13 +20,31 @@ import (
 // replay and stays roughly flat in N, while the time to drain every
 // session back to live is the background sweep's job and grows with N.
 
-// RecoveryPoint is one measured point: latency after a crash at a given
-// session count, in model milliseconds.
-type RecoveryPoint struct {
-	Sessions    int     `json:"sessions"`
-	TTFRMS      float64 `json:"ttfr_ms"`       // restart → first served reply
-	FullDrainMS float64 `json:"full_drain_ms"` // restart → every session live
+// Spread is the median, minimum and maximum of a point's repetitions.
+type Spread struct {
+	Median float64 `json:"median"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
 }
+
+func spreadOf(xs []float64) Spread {
+	sort.Float64s(xs)
+	return Spread{Median: xs[len(xs)/2], Min: xs[0], Max: xs[len(xs)-1]}
+}
+
+// RecoveryPoint is one measured point: latency after a crash at a given
+// session count, in model milliseconds, over Reps fresh systems.
+type RecoveryPoint struct {
+	Sessions    int    `json:"sessions"`
+	Reps        int    `json:"reps"`
+	TTFRMS      Spread `json:"ttfr_ms"`       // restart → first served reply
+	FullDrainMS Spread `json:"full_drain_ms"` // restart → every session live
+}
+
+// recoveryReps is how many times each point is measured: one run of the
+// time to first reply is host CPU inflated into model time and says little
+// alone.
+const recoveryReps = 3
 
 // RunRecoveryLatency measures TTFR and full-drain time versus session
 // count. Every session has requestsPer logged (never-checkpointed)
@@ -40,17 +59,23 @@ func RunRecoveryLatency(o Options, counts []int) ([]RecoveryPoint, error) {
 		requestsPer = 2
 		workPer     = 5 * time.Millisecond // model CPU per replayed request
 	)
-	o.printf("Instant recovery — time-to-first-reply vs session count (%d logged requests/session, model ms)\n", requestsPer)
-	o.printf("%-10s %12s %14s\n", "sessions", "TTFR", "full drain")
+	o.printf("Instant recovery — time-to-first-reply vs session count (%d logged requests/session, model ms, median [min–max] of %d)\n", requestsPer, recoveryReps)
+	o.printf("%-10s %28s %34s\n", "sessions", "TTFR", "full drain")
 	var out []RecoveryPoint
 	for _, n := range counts {
-		ttfr, drain, err := loadAndRecover(o, n, requestsPer, workPer, false)
-		if err != nil {
-			return nil, fmt.Errorf("recovery sessions=%d: %w", n, err)
+		var ttfrs, drains []float64
+		for r := 0; r < recoveryReps; r++ {
+			ttfr, drain, err := loadAndRecover(o, n, requestsPer, workPer, false)
+			if err != nil {
+				return nil, fmt.Errorf("recovery sessions=%d: %w", n, err)
+			}
+			ttfrs = append(ttfrs, metrics.ModelMS(ttfr, o.TimeScale))
+			drains = append(drains, metrics.ModelMS(drain, o.TimeScale))
 		}
-		p := RecoveryPoint{Sessions: n, TTFRMS: metrics.ModelMS(ttfr, o.TimeScale), FullDrainMS: metrics.ModelMS(drain, o.TimeScale)}
+		p := RecoveryPoint{Sessions: n, Reps: recoveryReps, TTFRMS: spreadOf(ttfrs), FullDrainMS: spreadOf(drains)}
 		out = append(out, p)
-		o.printf("%-10d %12.2f %14.1f\n", p.Sessions, p.TTFRMS, p.FullDrainMS)
+		o.printf("%-10d %10.1f [%7.1f–%7.1f] %12.1f [%9.1f–%9.1f]\n", p.Sessions,
+			p.TTFRMS.Median, p.TTFRMS.Min, p.TTFRMS.Max, p.FullDrainMS.Median, p.FullDrainMS.Min, p.FullDrainMS.Max)
 	}
 	return out, nil
 }

@@ -7,23 +7,30 @@ import (
 	"mspr/internal/rpc"
 )
 
-// Admission control: the bounded two-lane gate between the network and
-// the worker pool. The paper assumes the server eventually gets to every
-// logged interaction; under saturation "eventually" needs defending.
-// The gate sheds excess work at enqueue time — before any durable
-// effect — with an explicit StatusOverloaded reply carrying a RetryAfter
-// hint, instead of the old silent counted drop that left the client
-// waiting out its resend timer.
+// Admission control: the bounded gate between the network and the worker
+// pool. The paper assumes the server eventually gets to every logged
+// interaction; under saturation "eventually" needs defending. The gate
+// sheds excess work at enqueue time — before any durable effect — with an
+// explicit StatusOverloaded reply carrying a RetryAfter hint, instead of
+// the old silent counted drop that left the client waiting out its resend
+// timer.
 //
-// Two lanes, because a flood of new client work must not starve the
-// traffic recovery depends on: requests that touch sessions still owed
-// a replay since the last crash (instant recovery's lazy-replay claims)
-// and requests arriving while the server itself is still recovering go
-// to the small priority lane, which workers drain first. Everything
-// else is new work and rides the normal lane. Domain control traffic
-// (flush requests, recovery broadcasts, knowledge pulls) never queues
-// here at all — receiveLoop dispatches it to dedicated goroutines — so
-// the control plane is effectively a third, unbounded-by-this-gate lane.
+// Three lanes feed the pool (Server.worker). The small priority lane,
+// because a flood of new client work must not starve the traffic recovery
+// depends on: requests that touch sessions still owed a replay since the
+// last crash (instant recovery's lazy-replay claims) and requests arriving
+// while the server itself is still recovering. It is strict: a worker
+// empties it before it looks at anything else. The normal lane: everything
+// else is new work. And the sweep lane, which carries no requests: after
+// a crash recovery, Server.recoverySweep offers on it, unbuffered, the
+// sessions no request has claimed yet. Only the first sweepShare(Workers)
+// workers listen to it, so a request always finds a worker that is not
+// inside a replay unit; and between it and the normal lane a worker picks
+// fairly, so a flood of new work slows the drain and cannot park it.
+// Domain control traffic (flush requests, recovery broadcasts, knowledge
+// pulls) never queues here at all — receiveLoop dispatches it to dedicated
+// goroutines — so the control plane is one more lane, unbounded by this
+// gate.
 
 // Default admission-lane capacities (see Config.RequestQueueDepth and
 // Config.PriorityQueueDepth). Exported so harnesses that bound one lane

@@ -92,10 +92,11 @@ type Config struct {
 	WalSegmentSize int64
 	// TimeScale converts model latencies to wall-clock sleeps.
 	TimeScale float64
-	// SerialRecovery disables parallel session recovery: the background
-	// sweep replays the sessions it claims one after another. It exists
-	// only for the ablation benchmark of the paper's parallel-recovery
-	// claim (§1.3, §4.3); keep it false in real use.
+	// SerialRecovery disables parallel session recovery: one worker of
+	// the pool listens to the sweep lane instead of sweepShare(Workers),
+	// so the background sweep replays the sessions it claims one after
+	// another. It exists only for the ablation benchmark of the paper's
+	// parallel-recovery claim (§1.3, §4.3); keep it false in real use.
 	SerialRecovery bool
 	// NoRecoverySweep disables the background sweep that drains
 	// unrecovered units after crash recovery's analysis pass: every

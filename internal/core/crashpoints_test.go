@@ -18,27 +18,35 @@ import (
 //
 // Most points fire synchronously inside Start; FPReplayMidSession fires
 // in the background session replay after Start has returned, killing an
-// apparently healthy incarnation.
+// apparently healthy incarnation, and so does FPSweepMid — in the last row
+// at the third of nine units, with the rest still undelivered in the
+// sweep's feeder. Whichever way the incarnation dies, its teardown leaves
+// nothing on the pending gauges.
 func TestNestedCrashDuringRecoveryAtEveryPoint(t *testing.T) {
 	points := []struct {
 		name  string
 		point string
 		async bool
+		extra int // more sessions, one request each
+		skip  int // evaluations of the point to let pass
 	}{
-		{"before-scan", FPRecoveryBeforeScan, false},
-		{"mid-scan", FPRecoveryMidScan, false},
-		{"after-scan", FPRecoveryAfterScan, false},
-		{"before-broadcast", FPRecoveryBeforeBroadcast, false},
-		{"after-broadcast", FPRecoveryAfterBroadcast, false},
-		{"ckpt-before-anchor", FPCkptBeforeAnchor, false},
-		{"ckpt-before-truncate", FPCkptBeforeTruncate, false},
-		{"before-serve", FPRecoveryBeforeServe, false},
-		{"replay-mid-session", FPReplayMidSession, true},
-		{"mid-sweep", FPSweepMid, true},
+		{"before-scan", FPRecoveryBeforeScan, false, 0, 0},
+		{"mid-scan", FPRecoveryMidScan, false, 0, 0},
+		{"after-scan", FPRecoveryAfterScan, false, 0, 0},
+		{"before-broadcast", FPRecoveryBeforeBroadcast, false, 0, 0},
+		{"after-broadcast", FPRecoveryAfterBroadcast, false, 0, 0},
+		{"ckpt-before-anchor", FPCkptBeforeAnchor, false, 0, 0},
+		{"ckpt-before-truncate", FPCkptBeforeTruncate, false, 0, 0},
+		{"before-serve", FPRecoveryBeforeServe, false, 0, 0},
+		{"replay-mid-session", FPReplayMidSession, true, 0, 0},
+		{"mid-sweep", FPSweepMid, true, 0, 0},
+		{"mid-sweep-units-undelivered", FPSweepMid, true, 8, 2},
 	}
 	for _, tc := range points {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			pendSessions := metrics.Recovery.PendingSessions.Load()
+			pendShared := metrics.Recovery.PendingShared.Load()
 			e := newTestEnv(t)
 			defer e.cleanup()
 			reg := failpoint.New(5)
@@ -49,9 +57,15 @@ func TestNestedCrashDuringRecoveryAtEveryPoint(t *testing.T) {
 					t.Fatalf("warmup #%d returned %d", want, got)
 				}
 			}
+			extra := make([]*ClientSession, tc.extra)
+			for i := range extra {
+				extra[i] = e.endClient().Session("m")
+				mustCall(t, extra[i], "inc", nil)
+			}
+			mustCall(t, sess, "sharedInc", nil)
 
 			e.srvs["m"].Crash()
-			reg.Enable(tc.point, failpoint.Times(1))
+			reg.Enable(tc.point, failpoint.SkipFirst(tc.skip), failpoint.Times(1))
 			s, err := Start(e.cfgFor("m"))
 			if tc.async {
 				// Start succeeds; the armed point kills the incarnation
@@ -80,6 +94,12 @@ func TestNestedCrashDuringRecoveryAtEveryPoint(t *testing.T) {
 			if reg.Hits(tc.point) == 0 {
 				t.Fatal("armed point was never hit")
 			}
+			if d := metrics.Recovery.PendingSessions.Load() - pendSessions; d != 0 {
+				t.Fatalf("PendingSessions delta after the nested crash = %d, want 0", d)
+			}
+			if d := metrics.Recovery.PendingShared.Load() - pendShared; d != 0 {
+				t.Fatalf("PendingShared delta after the nested crash = %d, want 0", d)
+			}
 
 			// The nested crash left a half-recovered carcass on disk; a
 			// fresh Start must recover from *that*.
@@ -90,6 +110,11 @@ func TestNestedCrashDuringRecoveryAtEveryPoint(t *testing.T) {
 			e.srvs["m"] = s2
 			if got := asU64(mustCall(t, sess, "inc", nil)); got != 4 {
 				t.Fatalf("after nested crash recovery inc returned %d, want 4 (exactly-once violated)", got)
+			}
+			for i, cs := range extra {
+				if got := asU64(mustCall(t, cs, "inc", nil)); got != 2 {
+					t.Fatalf("after nested crash recovery extra session %d: inc returned %d, want 2", i, got)
+				}
 			}
 		})
 	}
