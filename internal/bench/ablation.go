@@ -30,8 +30,8 @@ func RunAblationParallelRecovery(o Options, sessions, requestsPer int) (parallel
 	o = o.withDefaults()
 	const work = 2 * time.Millisecond
 	measure := func(serial bool) (AblationRecoveryResult, error) {
-		_, drain, err := loadAndRecover(o, sessions, requestsPer, work, serial)
-		return AblationRecoveryResult{Serial: serial, Sessions: sessions, RecoveryMS: metrics.ModelMS(drain, o.TimeScale)}, err
+		rec, err := loadAndRecover(o, sessions, requestsPer, work, serial)
+		return AblationRecoveryResult{Serial: serial, Sessions: sessions, RecoveryMS: metrics.ModelMS(rec.drain, o.TimeScale)}, err
 	}
 	if parallel, err = measure(false); err != nil {
 		return

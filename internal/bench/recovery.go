@@ -37,8 +37,15 @@ func spreadOf(xs []float64) Spread {
 type RecoveryPoint struct {
 	Sessions    int    `json:"sessions"`
 	Reps        int    `json:"reps"`
+	AnalysisMS  Spread `json:"analysis_ms"`   // restart → Start returned: the analysis scan and what surrounds it
 	TTFRMS      Spread `json:"ttfr_ms"`       // restart → first served reply
 	FullDrainMS Spread `json:"full_drain_ms"` // restart → every session live
+	// The analysis scans' counters, summed over the repetitions: blocks
+	// taken from the read-ahead stream (read while the block before was
+	// parsed), blocks the scan read itself, records it visited.
+	ScanBlocksStreamed int64 `json:"scan_blocks_streamed"`
+	ScanBlocksSync     int64 `json:"scan_blocks_sync"`
+	ScanRecords        int64 `json:"scan_records"`
 }
 
 // recoveryReps is how many times each point is measured: one run of the
@@ -60,35 +67,49 @@ func RunRecoveryLatency(o Options, counts []int) ([]RecoveryPoint, error) {
 		workPer     = 5 * time.Millisecond // model CPU per replayed request
 	)
 	o.printf("Instant recovery — time-to-first-reply vs session count (%d logged requests/session, model ms, median [min–max] of %d)\n", requestsPer, recoveryReps)
-	o.printf("%-10s %28s %34s\n", "sessions", "TTFR", "full drain")
+	o.printf("%-10s %28s %28s %34s   %s\n", "sessions", "analysis", "TTFR", "full drain", "scan blocks streamed/sync, records")
 	var out []RecoveryPoint
 	for _, n := range counts {
-		var ttfrs, drains []float64
+		p := RecoveryPoint{Sessions: n, Reps: recoveryReps}
+		var analyses, ttfrs, drains []float64
 		for r := 0; r < recoveryReps; r++ {
-			ttfr, drain, err := loadAndRecover(o, n, requestsPer, workPer, false)
+			rec, err := loadAndRecover(o, n, requestsPer, workPer, false)
 			if err != nil {
 				return nil, fmt.Errorf("recovery sessions=%d: %w", n, err)
 			}
-			ttfrs = append(ttfrs, metrics.ModelMS(ttfr, o.TimeScale))
-			drains = append(drains, metrics.ModelMS(drain, o.TimeScale))
+			analyses = append(analyses, metrics.ModelMS(rec.analysis, o.TimeScale))
+			ttfrs = append(ttfrs, metrics.ModelMS(rec.ttfr, o.TimeScale))
+			drains = append(drains, metrics.ModelMS(rec.drain, o.TimeScale))
+			p.ScanBlocksStreamed += rec.streamed
+			p.ScanBlocksSync += rec.synced
+			p.ScanRecords += rec.records
 		}
-		p := RecoveryPoint{Sessions: n, Reps: recoveryReps, TTFRMS: spreadOf(ttfrs), FullDrainMS: spreadOf(drains)}
+		p.AnalysisMS, p.TTFRMS, p.FullDrainMS = spreadOf(analyses), spreadOf(ttfrs), spreadOf(drains)
 		out = append(out, p)
-		o.printf("%-10d %10.1f [%7.1f–%7.1f] %12.1f [%9.1f–%9.1f]\n", p.Sessions,
-			p.TTFRMS.Median, p.TTFRMS.Min, p.TTFRMS.Max, p.FullDrainMS.Median, p.FullDrainMS.Min, p.FullDrainMS.Max)
+		o.printf("%-10d %10.1f [%7.1f–%7.1f] %10.1f [%7.1f–%7.1f] %12.1f [%9.1f–%9.1f]   %d/%d, %d\n", p.Sessions,
+			p.AnalysisMS.Median, p.AnalysisMS.Min, p.AnalysisMS.Max, p.TTFRMS.Median, p.TTFRMS.Min, p.TTFRMS.Max,
+			p.FullDrainMS.Median, p.FullDrainMS.Min, p.FullDrainMS.Max, p.ScanBlocksStreamed, p.ScanBlocksSync, p.ScanRecords)
 	}
 	return out, nil
+}
+
+// recovered is what one load-then-recover run measured: the restart's
+// crash-to-ready time (the analysis pass), the new incarnation's time to
+// first reply, the time from restart until the sweep had drained every
+// session, and the analysis scan's counters.
+type recovered struct {
+	analysis, ttfr, drain     time.Duration
+	streamed, synced, records int64
 }
 
 // loadAndRecover is the load-then-recover driver of the recovery
 // experiments: it gives one MSP sessions sessions of requestsPer logged,
 // never-checkpointed requests (each carrying work of model CPU, which
 // replay re-executes), stops it cleanly — every record durable, so
-// recovery replays them all — and restarts it. It returns the new
-// incarnation's time-to-first-reply for one request into a pre-crash
-// session (which blocks only on that session's lazy replay) and the time
-// from restart until the background sweep has drained every session.
-func loadAndRecover(o Options, sessions, requestsPer int, work time.Duration, serial bool) (ttfr, drain time.Duration, err error) {
+// recovery replays them all — and restarts it. The time to first reply is
+// that of one request into a pre-crash session, which blocks only on that
+// session's lazy replay.
+func loadAndRecover(o Options, sessions, requestsPer int, work time.Duration, serial bool) (rec recovered, err error) {
 	net := simnet.New(simnet.Config{TimeScale: o.TimeScale})
 	def := core.Definition{Methods: map[string]core.Handler{
 		"step": func(ctx *core.Ctx, _ []byte) ([]byte, error) {
@@ -102,7 +123,7 @@ func loadAndRecover(o Options, sessions, requestsPer int, work time.Duration, se
 	cfg.SerialRecovery = serial
 	msp, err := chaos.StartMSP(cfg)
 	if err != nil {
-		return 0, 0, err
+		return rec, err
 	}
 	defer msp.Crash()
 	client := core.NewClient("rec-client", net, rpc.DefaultCallOptions(o.TimeScale))
@@ -124,24 +145,29 @@ func loadAndRecover(o Options, sessions, requestsPer int, work time.Duration, se
 	}
 	for range probes {
 		if err := <-errc; err != nil {
-			return 0, 0, err
+			return rec, err
 		}
 	}
 
 	if err := msp.Current().Shutdown(); err != nil {
-		return 0, 0, err
+		return rec, err
 	}
+	w := &metrics.Wal
+	streamed, synced, records := w.ScanBlocksStreamed.Load(), w.ScanBlocksSync.Load(), w.ScanRecords.Load()
 	start := time.Now() //mspr:wallclock benchmark measures real recovery latency, rescaled to model time for the report
 	if err := msp.Restart(); err != nil {
-		return 0, 0, err
+		return rec, err
 	}
+	rec.analysis = msp.Restarts.Max() // the one restart's crash-to-ready time
+	rec.streamed, rec.synced, rec.records = w.ScanBlocksStreamed.Load()-streamed, w.ScanBlocksSync.Load()-synced, w.ScanRecords.Load()-records
 	srv := msp.Current()
 	if _, err := probes[len(probes)/2].Call("step", nil); err != nil {
-		return 0, 0, err
+		return rec, err
 	}
-	ttfr = srv.TimeToFirstReply()
+	rec.ttfr = srv.TimeToFirstReply()
 	for srv.RecoveringSessions() > 0 {
 		time.Sleep(100 * time.Microsecond) //mspr:wallclock polling the background sweep, which runs on OS scheduling
 	}
-	return ttfr, time.Since(start), nil //mspr:wallclock benchmark measures real recovery latency, rescaled to model time for the report
+	rec.drain = time.Since(start) //mspr:wallclock benchmark measures real recovery latency, rescaled to model time for the report
+	return rec, nil
 }

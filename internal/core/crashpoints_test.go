@@ -29,18 +29,21 @@ func TestNestedCrashDuringRecoveryAtEveryPoint(t *testing.T) {
 		async bool
 		extra int // more sessions, one request each
 		skip  int // evaluations of the point to let pass
+		arg   int // bytes of argument on the extra sessions' requests
 	}{
-		{"before-scan", FPRecoveryBeforeScan, false, 0, 0},
-		{"mid-scan", FPRecoveryMidScan, false, 0, 0},
-		{"after-scan", FPRecoveryAfterScan, false, 0, 0},
-		{"before-broadcast", FPRecoveryBeforeBroadcast, false, 0, 0},
-		{"after-broadcast", FPRecoveryAfterBroadcast, false, 0, 0},
-		{"ckpt-before-anchor", FPCkptBeforeAnchor, false, 0, 0},
-		{"ckpt-before-truncate", FPCkptBeforeTruncate, false, 0, 0},
-		{"before-serve", FPRecoveryBeforeServe, false, 0, 0},
-		{"replay-mid-session", FPReplayMidSession, true, 0, 0},
-		{"mid-sweep", FPSweepMid, true, 0, 0},
-		{"mid-sweep-units-undelivered", FPSweepMid, true, 8, 2},
+		{"before-scan", FPRecoveryBeforeScan, false, 0, 0, 0},
+		// Seven blocks of log and the scan dies on its first record: the
+		// read-ahead producer is stopped mid-range, blocked on a full stream.
+		{"mid-scan", FPRecoveryMidScan, false, 12, 0, 40 << 10},
+		{"after-scan", FPRecoveryAfterScan, false, 0, 0, 0},
+		{"before-broadcast", FPRecoveryBeforeBroadcast, false, 0, 0, 0},
+		{"after-broadcast", FPRecoveryAfterBroadcast, false, 0, 0, 0},
+		{"ckpt-before-anchor", FPCkptBeforeAnchor, false, 0, 0, 0},
+		{"ckpt-before-truncate", FPCkptBeforeTruncate, false, 0, 0, 0},
+		{"before-serve", FPRecoveryBeforeServe, false, 0, 0, 0},
+		{"replay-mid-session", FPReplayMidSession, true, 0, 0, 0},
+		{"mid-sweep", FPSweepMid, true, 0, 0, 0},
+		{"mid-sweep-units-undelivered", FPSweepMid, true, 8, 2, 0},
 	}
 	for _, tc := range points {
 		tc := tc
@@ -60,12 +63,13 @@ func TestNestedCrashDuringRecoveryAtEveryPoint(t *testing.T) {
 			extra := make([]*ClientSession, tc.extra)
 			for i := range extra {
 				extra[i] = e.endClient().Session("m")
-				mustCall(t, extra[i], "inc", nil)
+				mustCall(t, extra[i], "inc", make([]byte, tc.arg))
 			}
 			mustCall(t, sess, "sharedInc", nil)
 
 			e.srvs["m"].Crash()
 			reg.Enable(tc.point, failpoint.SkipFirst(tc.skip), failpoint.Times(1))
+			readsBefore := e.disks["m"].Stats().Reads
 			s, err := Start(e.cfgFor("m"))
 			if tc.async {
 				// Start succeeds; the armed point kills the incarnation
@@ -89,6 +93,19 @@ func TestNestedCrashDuringRecoveryAtEveryPoint(t *testing.T) {
 				}
 				if !failpoint.IsInjected(err) {
 					t.Fatalf("recovery failed with a non-injected error: %v", err)
+				}
+				// A dead incarnation charges the disk nothing: whatever read
+				// ahead of the scan was stopped and waited for inside Start.
+				reads := e.disks["m"].Stats().Reads
+				if tc.arg > 0 {
+					live := int64(e.srvs["m"].Log().Durable() - e.srvs["m"].Log().Head())
+					if blocks := live / (64 << 10); blocks < 6 || reads-readsBefore >= blocks {
+						t.Fatalf("the failed Start charged %d reads of a %d-block log: the producer was not stopped mid-range", reads-readsBefore, blocks)
+					}
+				}
+				time.Sleep(2 * time.Millisecond)
+				if got := e.disks["m"].Stats().Reads; got != reads {
+					t.Fatalf("log disk reads went from %d to %d after the failed Start returned", reads, got)
 				}
 			}
 			if reg.Hits(tc.point) == 0 {

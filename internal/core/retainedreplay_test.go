@@ -70,7 +70,9 @@ func assertNothingRetained(t *testing.T, srv *Server, when string) {
 // over a log several times the size of the read cache, and no ordering of
 // the sweep can turn per-session reads into sequential ones — and the whole
 // restart, from Start to the last session live, may cost only the scan's
-// sequential block reads.
+// sequential block reads. The budget is what it was before the scan was
+// streamed: a completed scan reads exactly the blocks it read then, each
+// once, only earlier — the producer reads while the block before is parsed.
 func TestRecoveryDrainReadsLogOnce(t *testing.T) {
 	const (
 		sessions = 600
@@ -122,7 +124,8 @@ func TestRecoveryDrainReadsLogOnce(t *testing.T) {
 
 // TestLazyClaimReadsNothing: right after Start, a request into a session
 // not yet replayed decodes the checkpoint and replays the records the scan
-// left in the stream — without a single disk read.
+// left in the stream — without a single disk read. The scan's read-ahead
+// producer cannot add one either: it has exited before Start returns.
 func TestLazyClaimReadsNothing(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()
@@ -149,6 +152,52 @@ func TestLazyClaimReadsNothing(t *testing.T) {
 	}
 	if got, want := srv.RecoveringSessions(), len(cs)-1; got != want {
 		t.Errorf("RecoveringSessions = %d after one lazy claim, want %d", got, want)
+	}
+}
+
+// TestAnalysisScanIsStreamed: a 1 000-session recovery takes its scan's
+// blocks from the read-ahead stream — all of them but two at most — so the
+// reads overlapped the parsing. Counters, not a clock, say so; the requests
+// are logged one flush at a time, so every record starts a sector and no
+// frame header straddles a block boundary (the one case that reads
+// synchronously).
+func TestAnalysisScanIsStreamed(t *testing.T) {
+	const (
+		sessions = 1000
+		block    = 64 << 10
+	)
+	e := newTestEnv(t)
+	defer e.cleanup()
+	srv := e.start("m", counterDef())
+	c := e.endClient()
+	cs := make([]*ClientSession, sessions)
+	arg := bytes.Repeat([]byte{0xCD}, 512)
+	for i := range cs {
+		cs[i] = c.Session("m")
+		mustCall(t, cs[i], "inc", arg)
+	}
+	blocks := (int64(srv.Log().Durable()-srv.Log().Head()) + block - 1) / block
+	if blocks < 8 {
+		t.Fatalf("the live log is %d blocks: too short to show a stream", blocks)
+	}
+	srv.Crash()
+	w := &metrics.Wal
+	streamed, synced, recs := w.ScanBlocksStreamed.Load(), w.ScanBlocksSync.Load(), w.ScanRecords.Load()
+	reads := e.disks["m"].Stats().Reads
+	srv = e.start("m", e.defs["m"], noSweep)
+	streamed, synced, recs = w.ScanBlocksStreamed.Load()-streamed, w.ScanBlocksSync.Load()-synced, w.ScanRecords.Load()-recs
+	reads = e.disks["m"].Stats().Reads - reads
+	if synced > 2 || streamed < blocks-2 {
+		t.Errorf("the scan of a %d-block log took %d blocks from the stream and read %d itself, want all but 2 at most streamed", blocks, streamed, synced)
+	}
+	if reads > streamed+synced+1 { // + the checkpoint record's block, read before the scan
+		t.Errorf("Start charged %d reads for %d streamed and %d synchronous blocks: a block was read twice", reads, streamed, synced)
+	}
+	if recs < 2*sessions {
+		t.Errorf("the scan counted %d records, want at least a start and a request for each of %d sessions", recs, sessions)
+	}
+	if got := srv.RecoveringSessions(); got != sessions {
+		t.Errorf("RecoveringSessions = %d after the scan, want %d", got, sessions)
 	}
 }
 

@@ -1,6 +1,8 @@
 package logdump
 
 import (
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -10,17 +12,10 @@ import (
 	"mspr/internal/wal"
 )
 
-func TestDumpDecodesEveryRecordType(t *testing.T) {
-	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
-	lg, err := wal.Open(disk, "x.log", wal.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+// oneOfEach is one record of every type the engine logs.
+func oneOfEach() []fixtureRecord {
 	vec := dv.Vector{{Process: "peer", Epoch: 1}: 42}
-	records := []struct {
-		typ logrec.Type
-		pay []byte
-	}{
+	return []fixtureRecord{
 		{logrec.TSessionStart, logrec.SessionStart{Session: "s1", ClientAddr: "c"}.Encode()},
 		{logrec.TReqReceive, logrec.ReqReceive{Session: "s1", Seq: 1, Method: "m", HasDV: true, DV: vec}.Encode()},
 		{logrec.TReplyReceive, logrec.ReplyReceive{Session: "s1", OutSession: "o", Seq: 1}.Encode()},
@@ -33,6 +28,22 @@ func TestDumpDecodesEveryRecordType(t *testing.T) {
 		{logrec.TRecoveryInfo, logrec.RecoveryInfo{Process: "p", CrashedEpoch: 1, Recovered: 10}.Encode()},
 		{logrec.TMSPCheckpoint, logrec.MSPCheckpoint{Epoch: 2}.Encode()},
 	}
+}
+
+type fixtureRecord struct {
+	typ logrec.Type
+	pay []byte
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+func TestDumpDecodesEveryRecordType(t *testing.T) {
+	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
+	lg, err := wal.Open(disk, "x.log", wal.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := oneOfEach()
 	var last wal.LSN
 	for _, r := range records {
 		last, err = lg.Append(byte(r.typ), r.pay)
@@ -131,6 +142,57 @@ func TestDumpEnumeratesSegments(t *testing.T) {
 	// The dump is read-only: every segment file survives it.
 	if got := len(disk.List("x.log.0")); got != len(sum.Segments) {
 		t.Fatalf("dump deleted segment files: %d on disk, %d dumped", got, len(sum.Segments))
+	}
+}
+
+// TestDumpThreeSegmentsGolden pins the dump of a fixed three-segment log,
+// byte for byte: the dump is Scan's second consumer (crash recovery is the
+// first), reading from an anchor head that lies mid-segment, so a Scan that
+// skipped, repeated or reordered a record at a segment or block seam while
+// streaming its blocks would show here as a diff. Regenerate with
+// go test ./internal/logdump -run Golden -update.
+func TestDumpThreeSegmentsGolden(t *testing.T) {
+	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
+	lg, err := wal.Open(disk, "x.log", wal.Config{SegmentSize: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lsns []wal.LSN
+	for _, r := range oneOfEach() { // a sector a flush, four to a segment
+		lsn, err := lg.Append(byte(r.typ), r.pay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Flush(lsn); err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	if err := lg.WriteAnchor(wal.Anchor{Epoch: 2, CheckpointLSN: lsns[10], Head: lsns[1]}); err != nil {
+		t.Fatal(err)
+	}
+	lg.Close()
+
+	var sb strings.Builder
+	sum, err := Dump(disk, "x.log", &sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Segments) != 3 || sum.Segments[0].Records != 3 {
+		t.Fatalf("the fixture is not three segments with the head inside the first: %+v", sum.Segments)
+	}
+	const golden = "testdata/three_segments.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Fatalf("dump differs from %s:\n--- got\n%s--- want\n%s", golden, got, want)
 	}
 }
 

@@ -143,12 +143,12 @@ type NetCounters struct {
 // Net holds the process-wide network and control-plane counters.
 var Net NetCounters
 
-// WalCounters is the observability surface of the log layer's group
-// commit (§5.5): how often the persistent flusher ran, how many flush
+// WalCounters is the observability surface of the log layer: its group
+// commit (§5.5) — how often the persistent flusher ran, how many flush
 // requests each write served, and how often the adaptive batch window
-// was held open. Coalescing effectiveness is
+// was held open; coalescing effectiveness is
 // GroupCommitBatchWaiters / GroupCommitBatches (average requests per
-// physical write).
+// physical write) — its segments, and its scans.
 type WalCounters struct {
 	// GroupCommitWaits counts Flush calls that entered the group-commit
 	// path (batching enabled, records not yet durable).
@@ -183,6 +183,19 @@ type WalCounters struct {
 	// single log ever reached — the bounded-disk headline number: under
 	// steady checkpointing it stays flat however long the storm runs.
 	PeakLiveBytes MaxGauge
+
+	// ScanBlocksStreamed counts read-ahead blocks a Scan took from its
+	// producer's stream — reads that overlapped the parsing of the block
+	// before them. With ScanBlocksSync it shows the overlap without a
+	// clock: a scan that streamed takes all but a handful this way.
+	ScanBlocksStreamed Counter
+	// ScanBlocksSync counts blocks a Scan read synchronously because the
+	// stream did not hold them next: a frame header straddling two blocks
+	// sends the scan back one, and a stopped or failed producer leaves the
+	// rest of the range to the scan itself.
+	ScanBlocksSync Counter
+	// ScanRecords counts records Scan handed to its callback.
+	ScanRecords Counter
 }
 
 // Wal holds the process-wide log-layer counters.

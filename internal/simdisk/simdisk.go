@@ -432,21 +432,18 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	for i := range p {
-		p[i] = 0
+	// Only what the copy does not cover is cleared: the discarded prefix
+	// and whatever lies past the end of the file.
+	skip := min(max(f.base-off, 0), int64(len(p)))
+	clear(p[:skip])
+	n := 0
+	if rel := off + skip - f.base; rel >= 0 && rel < int64(len(f.data)) {
+		n = copy(p[skip:], f.data[rel:])
 	}
-	skip := int64(0)
-	if off < f.base {
-		skip = f.base - off
-		if skip >= int64(len(p)) {
-			return 0, nil
-		}
-	}
-	rel := off + skip - f.base
-	if rel >= int64(len(f.data)) {
+	clear(p[int(skip)+n:])
+	if n == 0 {
 		return 0, nil
 	}
-	n := copy(p[skip:], f.data[rel:])
 	return int(skip) + n, nil
 }
 

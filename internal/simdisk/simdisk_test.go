@@ -228,3 +228,43 @@ func TestModelAccessor(t *testing.T) {
 		t.Fatal("Name()")
 	}
 }
+
+// TestReadAtIntoDirtyBuffer: ReadAt clears only the ranges it does not copy
+// over, so a reused buffer must come back exactly as a fresh one would —
+// zeros for the discarded prefix and past the end, data in between.
+func TestReadAtIntoDirtyBuffer(t *testing.T) {
+	d := NewDisk(DefaultModel(0))
+	f := d.OpenFile("x")
+	_, _ = f.WriteAt(bytes.Repeat([]byte{7}, 64), 0)
+	f.Discard(16)
+	for _, c := range []struct {
+		off     int64
+		n, want int // bytes asked for; ReadAt's count
+	}{
+		{0, 8, 0},    // wholly inside the discarded prefix
+		{8, 16, 16},  // prefix, then data
+		{8, 100, 56}, // prefix, data, past the end
+		{32, 8, 8},   // data only
+		{60, 16, 4},  // data, then past the end
+		{64, 8, 0},   // at the end
+		{200, 8, 0},  // far past the end
+		{0, 0, 0},    // empty buffer
+		{16, 48, 48}, // exactly the data
+		{15, 50, 49}, // one byte of prefix, all the data, one past the end
+	} {
+		buf := bytes.Repeat([]byte{0xEE}, c.n)
+		got, err := f.ReadAt(buf, c.off)
+		if err != nil || got != c.want {
+			t.Fatalf("ReadAt(%d bytes at %d) = %d, %v; want %d", c.n, c.off, got, err, c.want)
+		}
+		for i, b := range buf {
+			want := byte(0)
+			if at := c.off + int64(i); at >= 16 && at < 64 {
+				want = 7
+			}
+			if b != want {
+				t.Fatalf("ReadAt(%d bytes at %d): byte %d is %#x, want %#x", c.n, c.off, i, b, want)
+			}
+		}
+	}
+}

@@ -101,7 +101,7 @@ func Open(disk *simdisk.Disk, name string, cfg Config) (*Log, error) {
 	// segment's file; a torn tail may overstate it (RepairTail).
 	frontier := final.Base + LSN(alignUp(final.Bytes-headerSize))
 	l := &Log{
-		segs: segs, anchor: anchor, rd: &reader{segs: segs}, segSize: cfg.SegmentSize,
+		segs: segs, anchor: anchor, rd: &reader{c: cursor{segs: segs}}, segSize: cfg.SegmentSize,
 		head: live[0].Base, bufStart: frontier, nextLSN: frontier, durable: frontier,
 	}
 	l.cond = sync.NewCond(&l.mu)
@@ -232,7 +232,7 @@ func (l *Log) TruncateHead(before LSN) error {
 		return l.wedge(err)
 	}
 	if freed {
-		l.rd.invalidate()
+		l.InvalidateCache()
 	}
 	return nil
 }

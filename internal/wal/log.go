@@ -43,9 +43,9 @@
 //     held across everything below; mu (70) guards the buffer and is
 //     never held across a write.
 //   - anchorStore (anchor.go): the two slots and their codec; mu (50).
-//   - reader (reader.go): frameAt, the scan, the one cached read-ahead
-//     block; mu (60). Log's read methods sit beside it: they combine it
-//     with the buffer.
+//   - reader (reader.go): the cursor — frameAt, the scan, one cached
+//     read-ahead block — behind mu (60) for point reads, private and fed by
+//     a read-ahead producer for a Scan. Log's read methods sit beside it.
 //   - segStore (segstore.go): the segment table and header codec;
 //     mu (80). With anchorStore, the only code that touches simdisk
 //     files or charges the disk.

@@ -3,6 +3,7 @@ package wal
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"mspr/internal/metrics"
 )
@@ -18,24 +19,33 @@ type blockKey struct {
 	off int64
 }
 
-// reader serves durable records: it fetches and parses frames through
-// one cached read-ahead block, which is what an ascending scan or replay
-// needs. It used to keep the last 8 blocks for recoveries that interleave
-// reads from several log regions; since crash replay stopped reading
-// (it keeps the analysis scan's records) only live orphan recovery does
-// that, and measured for PR 21 (EXPERIMENTS.md, "The read cache") the
-// extra blocks no longer pay for themselves: with one block recover_4k
-// does not move and mspr-bench e6 at the 4 MB threshold stays inside the
-// 8-block runs' quartile spread (median 26.5 against 27.6 req/model-s,
-// ahead in 5 of 11 pairs), although it issues 271 reads for 191 there
-// and the 16-actor crash storm 8 934 for 5 530.
-type reader struct {
-	segs *segStore
+// streamDepth is how many blocks a scan's producer may hold ready: it is
+// device-bound (23 model ms a block against some 10 of parsing), so two
+// already have the parser find its next block waiting.
+const streamDepth = 2
 
+type block struct { // one read-ahead block; data nil means none
+	key  blockKey
+	data []byte
+}
+
+// cursor fetches and parses durable frames through one cached read-ahead
+// block, which is what an ascending scan or replay needs. It has no lock:
+// the Log's cursor, for point reads, sits behind reader.mu; a Scan's is
+// private to the call and takes its blocks from a stream.
+type cursor struct {
+	segs   *segStore
+	cached block
+	// ahead, on a scan's cursor, delivers the scanned range's blocks in log
+	// order; head is the one received from it but not yet asked for.
+	ahead <-chan block
+	head  block
+}
+
+// reader is the Log's shared cursor and the lock that serializes its users.
+type reader struct {
 	mu sync.Mutex //mspr:lock-level 60
-	// block is the cached block at key; nil when nothing is cached.
-	block []byte   //mspr:guarded-by mu
-	key   blockKey //mspr:guarded-by mu
+	c  cursor     //mspr:guarded-by mu
 }
 
 // ReadRecord returns the record at lsn. Records still in the volatile
@@ -52,7 +62,9 @@ func (l *Log) ReadRecord(lsn LSN) (typ byte, payload []byte, err error) {
 	if durable == 0 {
 		return typ, payload, err
 	}
-	typ, payload, _, err = l.rd.frameAt(int64(lsn), int64(durable))
+	l.rd.mu.Lock()
+	typ, payload, _, err = l.rd.c.frameAt(int64(lsn), int64(durable))
+	l.rd.mu.Unlock()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -67,14 +79,14 @@ func (l *Log) ReadRecord(lsn LSN) (typ byte, payload []byte, err error) {
 // past end — comes back as type 0 with no error; bytes that are no frame
 // come back as one of parseFrame's errors (unparsable), any other error
 // is a read that failed.
-func (r *reader) frameAt(off, end int64) (typ byte, payload []byte, size int, err error) {
+func (c *cursor) frameAt(off, end int64) (typ byte, payload []byte, size int, err error) {
 	if off >= end {
 		return 0, nil, 0, nil
 	}
 	// One probe read covers both the padding check and the length field;
 	// clamped at the durable end, where a partial header can only be
 	// padding or a torn tail.
-	hdr, err := r.bytesAt(off, int(min(frameHeaderLen, end-off)))
+	hdr, err := c.bytesAt(off, int(min(frameHeaderLen, end-off)))
 	if err != nil || hdr[0] == 0 {
 		return 0, nil, 0, err
 	}
@@ -85,7 +97,7 @@ func (r *reader) frameAt(off, end int64) (typ byte, payload []byte, size int, er
 	if n > end-off {
 		return 0, nil, 0, ErrNotFound // the length field runs past the durable end
 	}
-	frame, err := r.bytesAt(off, int(n))
+	frame, err := c.bytesAt(off, int(n))
 	if err != nil {
 		return 0, nil, 0, err
 	}
@@ -96,27 +108,25 @@ func (r *reader) frameAt(off, end int64) (typ byte, payload []byte, size int, er
 // through the cached read-ahead block. A range crossing a sealed
 // segment's end continues seamlessly in the next segment (records never
 // span segments, but probe reads may).
-func (r *reader) bytesAt(off int64, n int) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (c *cursor) bytesAt(off int64, n int) ([]byte, error) {
 	var out []byte
 	for n > 0 {
-		seg, ok := r.segs.at(off)
+		seg, ok := c.segs.at(off)
 		if !ok {
-			return nil, fmt.Errorf("wal: LSN %d is below the first live segment of %q", off, r.segs.name)
+			return nil, fmt.Errorf("wal: LSN %d is below the first live segment of %q", off, c.segs.name)
 		}
 		fileOff := seg.fileOff(off)
 		blockOff := fileOff / readAhead * readAhead
-		if key := (blockKey{seg.index, blockOff}); r.block == nil || r.key != key {
-			block, err := r.segs.readBlock(seg, blockOff, readAhead)
+		if key := (blockKey{seg.index, blockOff}); c.cached.data == nil || c.cached.key != key {
+			data, err := c.load(seg, key)
 			if err != nil {
 				return nil, err
 			}
-			r.block, r.key = block, key
+			c.cached = block{key, data}
 		}
-		block := r.block
+		data := c.cached.data
 		i := int(fileOff - blockOff)
-		take := len(block) - i
+		take := len(data) - i
 		if take > n {
 			take = n
 		}
@@ -127,13 +137,32 @@ func (r *reader) bytesAt(off int64, n int) ([]byte, error) {
 			// stays valid; callers must treat it as read-only. This is the
 			// analysis scan's hot path — one allocation per 64 KB block
 			// instead of three per record.
-			return block[i : i+take : i+take], nil
+			return data[i : i+take : i+take], nil
 		}
-		out = append(out, block[i:i+take]...)
+		out = append(out, data[i:i+take]...)
 		off += int64(take)
 		n -= take
 	}
 	return out, nil
+}
+
+// load returns the block at key: from the stream when it is the stream's
+// next, as every first visit of a scan's ascending walk is; anything else (a
+// frame header straddling two blocks sends the walk back one, and a point
+// read has no stream) is read synchronously.
+func (c *cursor) load(seg segment, key blockKey) ([]byte, error) {
+	if c.ahead != nil {
+		if c.head.data == nil {
+			c.head = <-c.ahead // stays empty once the producer has closed the stream
+		}
+		if data := c.head.data; data != nil && c.head.key == key {
+			c.head.data = nil
+			metrics.Wal.ScanBlocksStreamed.Inc()
+			return data, nil
+		}
+		metrics.Wal.ScanBlocksSync.Inc()
+	}
+	return c.segs.readBlock(seg, key.off, readAhead)
 }
 
 // invalidateFrom drops the cached block if it belongs to segment seg and
@@ -141,21 +170,19 @@ func (r *reader) bytesAt(off int64, n int) ([]byte, error) {
 // stale zeros.
 func (r *reader) invalidateFrom(seg uint64, off int64) {
 	r.mu.Lock()
-	if r.key.seg == seg && r.key.off+readAhead > off {
-		r.block = nil
+	if r.c.cached.key.seg == seg && r.c.cached.key.off+readAhead > off {
+		r.c.cached.data = nil
 	}
-	r.mu.Unlock()
-}
-
-func (r *reader) invalidate() {
-	r.mu.Lock()
-	r.block = nil
 	r.mu.Unlock()
 }
 
 // InvalidateCache drops the cached read-ahead block. Tests use it to force
 // re-reads; recovery calls it after reopening a log.
-func (l *Log) InvalidateCache() { l.rd.invalidate() }
+func (l *Log) InvalidateCache() {
+	l.rd.mu.Lock()
+	l.rd.c.cached.data = nil
+	l.rd.mu.Unlock()
+}
 
 // Scan calls fn for every valid durable record with LSN ≥ from, in log
 // order across all segments, and returns the LSN of the last valid
@@ -180,22 +207,74 @@ func (l *Log) InvalidateCache() { l.rd.invalidate() }
 //
 //mspr:blocking performs (or waits on) disk I/O
 func (l *Log) Scan(from LSN, fn func(lsn LSN, typ byte, payload []byte) error) (last LSN, err error) {
-	if h := l.Head(); from < h {
-		from = h
-	}
-	last, torn, err := l.rd.scan(int64(from), int64(l.Durable()), fn)
+	last, torn, err := l.rd.streamedScan(int64(max(from, l.Head())), int64(l.Durable()), fn)
 	l.mu.Lock()
 	l.tornFrom = torn
 	l.mu.Unlock()
 	return last, err
 }
 
+// streamedScan runs scan over [off, end) as a two-stage pipeline: a
+// producer reads the range's blocks ahead, in log order, while scan parses
+// them on a cursor of its own — not the shared one, where invalidateFrom
+// could not reach a block fetched before a flush and installed after it; to
+// the scan no block is stale, all below end being durable before it starts.
+// However scan ends, the producer is stopped and has exited, its last read
+// charged (at most streamDepth+1 blocks past scan's), before this returns.
+func (r *reader) streamedScan(off, end int64, fn func(lsn LSN, typ byte, payload []byte) error) (LSN, int64, error) {
+	r.mu.Lock()
+	segs, first := r.c.segs, r.c.cached
+	r.mu.Unlock()
+	blocks, stop := make(chan block, streamDepth), new(atomic.Bool)
+	go readAheadOf(segs, off, end, first, blocks, stop)
+	defer func() {
+		stop.Store(true)
+		for range blocks { // unblocks a producer sending; closed as it exits
+		}
+	}()
+	return (&cursor{segs: segs, ahead: blocks}).scan(off, end, fn)
+}
+
+// readAheadOf is a scan's producer: it reads every block covering
+// [off, end) in log order and sends each on out, until the range ends, stop
+// is set or a read fails (the scan's synchronous read of that block reports
+// it). first is the shared cursor's block at the start: if the range begins
+// in it, it is streamed as it is, not read again. The only lock taken is
+// the segment table's, never a reader's.
+//
+//mspr:blocking performs disk I/O
+func readAheadOf(s *segStore, off, end int64, first block, out chan<- block, stop *atomic.Bool) {
+	defer close(out)
+	for off < end && !stop.Load() {
+		seg, ok := s.at(off)
+		if !ok {
+			return
+		}
+		fileOff := seg.fileOff(off)
+		b := block{blockKey{seg.index, fileOff / readAhead * readAhead}, first.data}
+		if b.key != first.key || b.data == nil {
+			var err error
+			if b.data, err = s.readBlock(seg, b.key.off, readAhead); err != nil {
+				return
+			}
+		}
+		out <- b
+		first.data = nil // only the range's first block: what a synchronous scan would have found cached
+		off += b.key.off + readAhead - fileOff
+		if seg.end != 0 && off > int64(seg.end) { // the block's end, or the sealed segment's
+			off = int64(seg.end)
+		}
+	}
+}
+
 // scan is Scan over [off, end); torn is where it met a torn tail, or 0.
-func (r *reader) scan(off, end int64, fn func(lsn LSN, typ byte, payload []byte) error) (last LSN, torn int64, err error) {
+func (c *cursor) scan(off, end int64, fn func(lsn LSN, typ byte, payload []byte) error) (last LSN, torn int64, err error) {
+	var recs int64
+	defer func() { metrics.Wal.ScanRecords.Add(recs) }()
 	for off < end {
-		typ, payload, size, err := r.frameAt(off, end)
+		typ, payload, size, err := c.frameAt(off, end)
 		if unparsable(err) {
-			valid, perr := r.probeValidAfter(off, end)
+			valid, perr := c.probeValidAfter(off, end)
 			if perr != nil {
 				return last, 0, perr
 			}
@@ -203,7 +282,7 @@ func (r *reader) scan(off, end int64, fn func(lsn LSN, typ byte, payload []byte)
 				metrics.Recovery.MidLogCorruptions.Inc()
 				return last, 0, fmt.Errorf("wal: unparsable record at LSN %d with valid records after it: %w", off, ErrCorrupt)
 			}
-			if seg, ok := r.segs.at(off); !ok || seg.end != 0 {
+			if seg, ok := c.segs.at(off); !ok || seg.end != 0 {
 				// A tear is only repairable in the final segment: a sealed
 				// segment holds exclusively acknowledged-durable data, so
 				// an unparsable frame there is in-place damage even when
@@ -225,6 +304,7 @@ func (r *reader) scan(off, end int64, fn func(lsn LSN, typ byte, payload []byte)
 				return last, 0, err
 			}
 		}
+		recs++
 		last = LSN(off)
 		off += int64(size)
 	}
@@ -237,9 +317,9 @@ func (r *reader) scan(off, end int64, fn func(lsn LSN, typ byte, payload []byte)
 // inside the damaged block itself fails the CRC and is skipped. The
 // probe spans segment boundaries (bytesAt follows the chain), so a
 // valid record in a later segment convicts damage in an earlier one.
-func (r *reader) probeValidAfter(off, end int64) (bool, error) {
+func (c *cursor) probeValidAfter(off, end int64) (bool, error) {
 	for p := alignUp(off + 1); p < end; p += sectorSize {
-		typ, _, _, err := r.frameAt(p, end)
+		typ, _, _, err := c.frameAt(p, end)
 		if err == nil && typ != 0 {
 			return true, nil
 		}
@@ -283,7 +363,7 @@ func (l *Log) RepairTail() bool {
 	}
 	l.mu.Unlock()
 	l.segs.truncateTail(seg, off) // the [off, aligned) gap reads as zeros: padding
-	l.rd.invalidate()
+	l.InvalidateCache()
 	metrics.Recovery.CorruptTailTruncations.Inc()
 	return true
 }
