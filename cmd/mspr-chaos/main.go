@@ -148,7 +148,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, " -", err)
 	}
 
-	tr := chaos.NewTrace(chaos.Workload{Actors: spec.Actors, OpsPerActor: spec.Ops}, opts, rep)
+	tr := spec.Trace(opts, rep)
 	if rep.Failed() && *minimize {
 		fmt.Println("minimizing failing storm...")
 		min, stats := chaos.Minimize(spec.Build, tr)

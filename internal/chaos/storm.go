@@ -36,6 +36,10 @@ type StormSpec struct {
 	// force constant rotation, and a checkpoint cadence scaled to the
 	// segment size keeps truncation reclaiming them.
 	SegmentSize int64
+	// SVCkptEvery, when positive, replaces the MSPs' shared-variable
+	// checkpoint threshold: at the engine's default of 64 a storm takes a
+	// handful of those checkpoints, at 2 it lives on them.
+	SVCkptEvery int
 	// Failpoints adds the crash surface (CrashSurface) to the fault
 	// list; Partitions adds domain splits, alone and around a restart.
 	Failpoints, Partitions bool
@@ -94,6 +98,9 @@ func NewStorm(spec StormSpec) (*Storm, error) {
 		cfg.BatchFlushTimeout = spec.Batch
 		cfg.Failpoints = failpoint.New(fpSeed) // inert until a fault arms a point
 		cfg.Tap = tap
+		if spec.SVCkptEvery > 0 {
+			cfg.SVCkptEvery = spec.SVCkptEvery
+		}
 		if spec.SegmentSize > 0 {
 			// A checkpoint every ~4 segments of log, sessions refreshed
 			// every ~2: the live log stays a small multiple of the
@@ -299,10 +306,11 @@ func (st *Storm) Close() {
 	st.client.Close()
 }
 
-// Sized returns the spec with the workload shape and seed a trace
-// carries: the final check compares counters against actors × ops, so a
-// shrunken replay must get a system that expects the shrunken shape, and
-// replaying someone else's trace must not depend on matching their seed.
+// Sized returns the spec with the workload shape, seed and checkpoint
+// threshold a trace carries: the final check compares counters against
+// actors × ops, so a shrunken replay must get a system that expects the
+// shrunken shape, and replaying someone else's trace must not depend on
+// matching their seed.
 func (s StormSpec) Sized(t Trace) StormSpec {
 	if t.Actors > 0 {
 		s.Actors = t.Actors
@@ -313,7 +321,18 @@ func (s StormSpec) Sized(t Trace) StormSpec {
 	if t.Seed != 0 {
 		s.Seed = t.Seed
 	}
+	if t.SVCkptEvery > 0 {
+		s.SVCkptEvery = t.SVCkptEvery
+	}
 	return s
+}
+
+// Trace captures a finished storm of this spec, run under o, as a
+// replayable trace.
+func (s StormSpec) Trace(o Options, rep Report) Trace {
+	t := NewTrace(Workload{Actors: s.Actors, OpsPerActor: s.Ops}, o, rep)
+	t.SVCkptEvery = s.SVCkptEvery
+	return t
 }
 
 // Build is the spec's Builder: a fresh system sized to the candidate

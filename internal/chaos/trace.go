@@ -19,6 +19,9 @@ type Trace struct {
 	OpsPerActor int      `json:"ops_per_actor"`
 	FaultEvery  int      `json:"fault_every"`
 	Schedule    []string `json:"schedule"`
+	// SVCkptEvery is StormSpec.SVCkptEvery: the storm's MSPs were built
+	// with it, so a replay must be too (0: the engine's default).
+	SVCkptEvery int `json:"sv_ckpt_every,omitempty"`
 	// Note is free-form provenance ("minimized from storm-7.json", the
 	// failing checker, ...).
 	Note string `json:"note,omitempty"`
@@ -95,11 +98,11 @@ type MinimizeStats struct {
 // first it drops faults from the schedule one at a time (greedy, from
 // the back, with an empty-schedule fast path), then it halves the
 // per-actor operation count, then the actor count. Every candidate runs
-// against a fresh system from build, and is kept only when it fails
-// TWICE in a row: storms over a scaled-time network are not perfectly
-// deterministic, and a candidate that fails one run in thirty must not
-// displace a robust reproducer. The result is the smallest
-// reliably-failing trace found.
+// against a fresh system from build, and is kept only when it fails k
+// times out of k: storms over a scaled-time network are not perfectly
+// deterministic, and a candidate that fails only when the network happens
+// to duplicate a message must not displace a robust reproducer. The
+// result is the smallest reliably-failing trace found.
 func Minimize(build Builder, t Trace) (Trace, MinimizeStats) {
 	stats := MinimizeStats{}
 	runOnce := func(cand Trace) bool {
@@ -111,7 +114,13 @@ func Minimize(build Builder, t Trace) (Trace, MinimizeStats) {
 		return Replay(w, faults, cand).Failed()
 	}
 	fails := func(cand Trace) bool {
-		return runOnce(cand) && runOnce(cand)
+		const k = 3
+		for i := 0; i < k; i++ {
+			if !runOnce(cand) {
+				return false
+			}
+		}
+		return true
 	}
 	if !runOnce(t) {
 		return t, stats

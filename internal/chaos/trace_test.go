@@ -44,7 +44,7 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 
 	// Round-trip through the JSON trace and replay: identical schedule.
-	tr := NewTrace(Workload{Actors: 3, OpsPerActor: 20}, Options{Seed: 42, FaultEvery: 10}, r1)
+	tr := StormSpec{Actors: 3, Ops: 20, SVCkptEvery: 2}.Trace(Options{Seed: 42, FaultEvery: 10}, r1)
 	var buf bytes.Buffer
 	if err := tr.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -55,6 +55,9 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back, tr) {
 		t.Fatalf("trace round trip mismatch:\n%+v\n%+v", tr, back)
+	}
+	if got := (StormSpec{}).Sized(back); got.SVCkptEvery != 2 || got.Actors != 3 || got.Ops != 20 || got.Seed != 42 {
+		t.Fatalf("spec sized to the decoded trace = %+v: the replay would build a different system", got)
 	}
 	w, faults := system()
 	r3 := Replay(w, faults, back)

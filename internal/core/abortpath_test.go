@@ -31,12 +31,17 @@ func expectNoReply(t *testing.T, ep *simnet.Endpoint, seq uint64) {
 	}
 }
 
-// callRaw sends req from ep and returns its reply, resending while the
-// MSP answers Busy (a session still replaying after a restart).
+// callRaw sends req from ep to msp1 and returns its reply, resending while
+// the MSP answers Busy (a session still replaying after a restart).
 func callRaw(t *testing.T, ep *simnet.Endpoint, req rpc.Request) rpc.Reply {
 	t.Helper()
+	return callRawTo(t, ep, "msp1", req)
+}
+
+func callRawTo(t *testing.T, ep *simnet.Endpoint, target simnet.Addr, req rpc.Request) rpc.Reply {
+	t.Helper()
 	for {
-		ep.Send("msp1", req)
+		ep.Send(target, req)
 		if rep := awaitReply(t, ep, req.Seq); rep.Status != rpc.StatusBusy {
 			return rep
 		}
@@ -150,22 +155,36 @@ func TestDeadLogOutsideHandlerDropsRequest(t *testing.T) {
 }
 
 // TestDeadLogFlushInsideHandlerSendsNoReply: the log dies under a flush a
-// Ctx call performs on the handler's behalf — here the shared-variable
-// checkpoint that every write triggers. The flush error must abort the
-// method like a failed append does: handed to the handler it comes back as
-// an application error, and an intra-domain session's reply needs no flush
-// of its own, so the dead incarnation would send it as the request's final
-// answer while the next incarnation executes the request again.
+// Ctx call performs on the handler's behalf — the before-send flush of a
+// call that leaves the domain, the one such flush left now that shared-
+// variable checkpoints run in the background. The flush error must abort
+// the method like a failed append does: handed to the handler it comes back
+// as an application error, and an intra-domain session's reply needs no
+// flush of its own, so the dead incarnation would send it as the request's
+// final answer while the next incarnation executes the request again.
 func TestDeadLogFlushInsideHandlerSendsNoReply(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()
 	fp := failpoint.New(1)
-	e.start("msp1", bumpDef(nil), func(c *Config) { c.Failpoints, c.SVCkptEvery = fp, 1 })
+	def := bumpDef(nil)
+	bump := def.Methods["bump"]
+	def.Methods["bumpAndTell"] = func(ctx *Ctx, _ []byte) ([]byte, error) {
+		total, err := bump(ctx, nil)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := ctx.Call("far", "inc", nil); err != nil {
+			return nil, err
+		}
+		return total, nil
+	}
+	e.start("msp1", def, func(c *Config) { c.Failpoints = fp })
+	e.start("far", counterDef(), func(c *Config) { c.Domain = NewDomain("elsewhere", 0, 0) })
 	cli := e.net.Endpoint("cli")
-	req := rpc.Request{Session: "intra#1", Seq: 1, Method: "bump", NewSession: true, HasDV: true, From: cli.Addr()}
+	req := rpc.Request{Session: "intra#1", Seq: 1, Method: "bumpAndTell", NewSession: true, HasDV: true, From: cli.Addr()}
 	cli.Send("msp1", req)
 	if rep := awaitReply(t, cli, 1); rep.Status != rpc.StatusOK || asU64(rep.Payload) != 1 {
-		t.Fatalf("first bump: status %v, total %d", rep.Status, asU64(rep.Payload))
+		t.Fatalf("first bumpAndTell: status %v, total %d", rep.Status, asU64(rep.Payload))
 	}
 
 	fp.Enable(wal.FPFlushCrash)
@@ -176,7 +195,10 @@ func TestDeadLogFlushInsideHandlerSendsNoReply(t *testing.T) {
 	fp.DisableAll()
 	e.restart("msp1")
 	if rep := callRaw(t, cli, req); rep.Status != rpc.StatusOK || asU64(rep.Payload) != 2 {
-		t.Fatalf("resent bump: status %v (%s), total %d, want OK and 2", rep.Status, rep.Payload, asU64(rep.Payload))
+		t.Fatalf("resent bumpAndTell: status %v (%s), total %d, want OK and 2", rep.Status, rep.Payload, asU64(rep.Payload))
+	}
+	if got := asU64(mustCall(t, e.endClient().Session("msp1"), "bump", nil)); got != 3 {
+		t.Fatalf("total after recovery = %d, want 3: the resent request did not execute exactly once", got)
 	}
 }
 

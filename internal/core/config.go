@@ -72,7 +72,11 @@ type Config struct {
 	// session checkpointing (the paper's NoCp configuration).
 	SessionCkptThreshold int64
 	// SVCkptEvery is the number of writes to a shared variable between its
-	// checkpoints (§3.3).
+	// checkpoints (§3.3). The write that reaches it does not take the
+	// checkpoint: it schedules one on a background goroutine (at most one
+	// per variable at a time), which flushes and appends under the
+	// variable's lock, so more than SVCkptEvery writes can separate two
+	// checkpoint records. Zero disables shared-variable checkpointing.
 	SVCkptEvery int
 	// MSPCkptEvery is the amount of log (bytes) between fuzzy MSP
 	// checkpoints (§3.4).

@@ -261,6 +261,10 @@ func (c *Ctx) ReadShared(name string) ([]byte, error) {
 
 // WriteShared writes a shared variable (Fig. 8 write action). Replay
 // skips the write: the variable has its own separate recovery (§4.1).
+// The only error of a declared variable is this write's own append
+// failing; the checkpoint the write may schedule (Config.SVCkptEvery) runs
+// in the background, and its flush or append error never reaches the
+// handler — the next append on the dead log does. UpdateShared likewise.
 func (c *Ctx) WriteShared(name string, value []byte) error {
 	c.intercept()
 	sv := c.srv.sharedVar(name)

@@ -1228,7 +1228,7 @@ func (s *Server) forceStaleCheckpoints() {
 		sess.release()
 	}
 	for _, sv := range staleVars {
-		sv.forceCheckpoint()
+		sv.checkpoint(true)
 	}
 }
 

@@ -30,6 +30,7 @@ type SharedVar struct {
 	lastWrite wal.LSN   // backward-chain head (write or checkpoint record; 0 = virgin)
 
 	writesSince  int     // writes since the last checkpoint
+	ckptQueued   bool    // a goroutine running checkpoint(false) has not taken mu yet
 	firstWrite   wal.LSN // first write record ever (scan-start bookkeeping)
 	lastCkptLSN  wal.LSN
 	mspCkptsPast int
@@ -150,8 +151,11 @@ func (sv *SharedVar) writeLocked(sess *Session, value []byte) error {
 	if sv.firstWrite == 0 {
 		sv.firstWrite = lsn
 	}
-	if s.cfg.SVCkptEvery > 0 && sv.writesSince >= s.cfg.SVCkptEvery {
-		return sv.checkpointLocked()
+	if s.cfg.SVCkptEvery > 0 && sv.writesSince >= s.cfg.SVCkptEvery && !sv.ckptQueued {
+		// The checkpoint's distributed flush is not this request's I/O:
+		// hand it to a background goroutine, one per variable at a time.
+		// A crashed server refuses; the next write then tries again.
+		sv.ckptQueued = s.goBackground(func() { sv.checkpoint(false) })
 	}
 	return nil
 }
@@ -227,9 +231,8 @@ func (sv *SharedVar) checkpointLocked() error {
 		if errors.Is(err, errUnavailable) {
 			// A dependency's peer is unreachable past the flush deadline.
 			// The checkpoint is only an optimization (it breaks the
-			// backward chain), so defer it rather than failing the write
-			// that triggered it: writesSince stays over threshold and the
-			// next write retries.
+			// backward chain), so defer it: writesSince stays over threshold
+			// and the next write schedules it again.
 			return nil
 		}
 		return err
@@ -249,13 +252,25 @@ func (sv *SharedVar) checkpointLocked() error {
 	return nil
 }
 
-// forceCheckpoint checkpoints the variable outside the write path (stale
-// variables are forced so the analysis-scan start point advances, §3.4).
-// A still-unrecovered variable is materialized first — the checkpoint
-// record must carry the real value.
-func (sv *SharedVar) forceCheckpoint() {
+// checkpoint is the one entry point to checkpointLocked, and it only ever
+// runs off the request path: scheduled by the write that reached the
+// threshold (forced false — a no-op if a forced checkpoint got there
+// first), or forced for a stale variable so the analysis-scan start point
+// advances (§3.4). The flush, the orphan rollback and the record all
+// happen under one hold of the variable's lock, so the record carries
+// whatever value is current when the lock is won. A still-unrecovered
+// variable is materialized first — the record must carry the real value.
+// Errors are dropped: a checkpoint that never lands is a missed
+// optimization, and a dead log fails the next append on a request's path.
+func (sv *SharedVar) checkpoint(forced bool) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
+	if !forced {
+		sv.ckptQueued = false
+		if sv.writesSince < sv.srv.cfg.SVCkptEvery {
+			return
+		}
+	}
 	if restored, err := sv.materializeLocked(); err != nil {
 		return // leave the unit pending; the next access or sweep retries
 	} else if restored {

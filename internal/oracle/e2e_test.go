@@ -78,6 +78,35 @@ func TestOracleInstantRecoveryStorm(t *testing.T) {
 	}
 }
 
+// TestOracleSVCheckpointStorm is the storm that lives on the background
+// shared-variable checkpoint: at a threshold of 2 (every other storm runs
+// the engine's 64 and takes a handful) Back schedules a checkpoint of its
+// counter on every second operation, each one a distributed flush toward
+// Front under the variable's lock, racing the next writers, the crash-
+// restarts and the crash surface of all three processes — and, the
+// segments being tiny, the MSP checkpoints whose scan start those
+// checkpoint records move. A checkpoint that recorded a stale or orphan
+// value would leave the counter unexplainable by the executions that
+// survive: the shared-state checker in the final verdict.
+func TestOracleSVCheckpointStorm(t *testing.T) {
+	const seed = 17
+	spec := chaos.StormSpec{Oracle: true, Seed: seed, Actors: 8, Ops: 150,
+		Failpoints: true, SegmentSize: 16 << 10, SVCkptEvery: 2}
+	opts := chaos.Options{Seed: seed, FaultEvery: 100}
+	rep, st, err := chaos.RunStorm(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed() {
+		var trace bytes.Buffer
+		_ = spec.Trace(opts, rep).Encode(&trace) // a bytes.Buffer does not fail
+		t.Fatalf("%s\n%v\nreplay with: mspr-chaos -oracle -failpoints -segment-size 16384 -replay <this trace>\n%s", rep, rep.Errors, &trace)
+	}
+	if st.Rec.Len() == 0 {
+		t.Fatal("oracle recorded nothing")
+	}
+}
+
 // TestOracleCatchesBrokenDedup is the end-to-end acceptance test: with
 // deduplication deliberately broken, the exactly-once checker must fail
 // the storm, and Minimize must shrink the failure to a replayable JSON
