@@ -17,9 +17,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mspr/internal/simtime"
 )
 
 // Workload describes the load to apply.
@@ -36,7 +39,27 @@ type Workload struct {
 	// FinalCheck (optional) verifies global invariants after the storm —
 	// e.g. that a shared total equals the sum of all actors' operations.
 	FinalCheck func() error
+	// Resend is the wall-clock period after which the actors' clients
+	// resend an unanswered request (0: not known). It sizes Run's
+	// progress watchdog.
+	Resend time.Duration
+	// Halted (optional) names the processes that are down for good; the
+	// watchdog's diagnosis lists them.
+	Halted func() []string
 }
+
+// A storm stalls when, for stallResends client resend periods and never
+// less than minStall, no operation completes and no fault is in flight.
+// Run then gives up on it, checking the condition stallTicks times over
+// that span.
+const (
+	stallResends = 200
+	minStall     = 2 * time.Second
+	stallTicks   = 8
+)
+
+// ErrStalled marks the error Run records for a storm that cannot progress.
+var ErrStalled = errors.New("no progress")
 
 // Fault is one injectable fault: typically "crash process X and restart
 // it". Fire blocks until the fault has been fully applied (the restart
@@ -123,18 +146,24 @@ func Run(w Workload, faults []Fault, o Options) Report {
 		return rep
 	}
 	var (
-		ops     atomic.Int64
-		dropped atomic.Int64
-		mu      sync.Mutex
-		errs    []error
-		wg      sync.WaitGroup
-		stop    = make(chan struct{})
-		trigger = make(chan struct{}, 256)
-		faultWG sync.WaitGroup
+		ops      atomic.Int64
+		dropped  atomic.Int64
+		progress = make([]atomic.Int64, w.Actors) // operations each actor completed
+		exited   = make([]atomic.Bool, w.Actors)
+		mu       sync.Mutex
+		errs     []error
+		inFlight bool // a fault is firing (under mu)
+		stalled  bool // the watchdog gave up on the storm (under mu)
+		wg       sync.WaitGroup
+		stop     = make(chan struct{})
+		trigger  = make(chan struct{}, 256)
+		faultWG  sync.WaitGroup
 	)
 	fail := func(err error) {
 		mu.Lock()
-		errs = append(errs, err)
+		if !stalled { // a stalled storm's report is already written
+			errs = append(errs, err)
+		}
 		mu.Unlock()
 	}
 
@@ -172,24 +201,29 @@ func Run(w Workload, faults []Fault, o Options) Report {
 				} else {
 					f = faults[rng.Intn(len(faults))]
 				}
-				fired++
 				mu.Lock()
+				if stalled {
+					mu.Unlock()
+					return false
+				}
+				inFlight = true
 				rep.Schedule = append(rep.Schedule, f.Name)
 				mu.Unlock()
-				if err := f.Fire(); err != nil {
+				fired++
+				err := f.Fire()
+				mu.Lock()
+				inFlight = false
+				if err != nil {
 					// Record the error and keep injecting: one sick fault
 					// must not silently disable the rest of the storm's
 					// fault plane (it used to — every later fault was
 					// skipped without a trace).
-					fail(fmt.Errorf("chaos: fault %s: %w", f.Name, err))
-					mu.Lock()
+					errs = append(errs, fmt.Errorf("chaos: fault %s: %w", f.Name, err))
 					rep.FaultErrors++
-					mu.Unlock()
 				} else {
-					mu.Lock()
 					rep.FaultsFired[f.Name]++
-					mu.Unlock()
 				}
+				mu.Unlock()
 				return o.MaxFaults <= 0 || fired < o.MaxFaults
 			}
 			for {
@@ -218,6 +252,7 @@ func Run(w Workload, faults []Fault, o Options) Report {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer exited[i].Store(true)
 			op, done := w.NewActor(i)
 			if done != nil {
 				defer done()
@@ -227,6 +262,7 @@ func Run(w Workload, faults []Fault, o Options) Report {
 					fail(fmt.Errorf("chaos: actor %d op %d: %w", i, n, err))
 					return
 				}
+				progress[i].Store(int64(n))
 				if total := ops.Add(1); injecting && total%int64(o.FaultEvery) == 0 {
 					select {
 					case trigger <- struct{}{}:
@@ -240,11 +276,54 @@ func Run(w Workload, faults []Fault, o Options) Report {
 			}
 		}(i)
 	}
-	wg.Wait()
-	close(stop)
-	faultWG.Wait()
+	actorsDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(actorsDone)
+	}()
 
-	if w.FinalCheck != nil {
+	// The progress watchdog: a storm in which no operation completes and
+	// no fault is in flight for the whole stall span cannot progress — a
+	// process that will not come back, a session its peer ignores. Run
+	// records why and returns instead of hanging; the stuck actors are
+	// left to the workload's teardown.
+	span := max(minStall, stallResends*w.Resend)
+	watch := func() bool {
+		last, idle := int64(-1), 0
+		for {
+			tick := simtime.NewTimer(span / stallTicks)
+			select {
+			case <-actorsDone:
+				tick.Stop()
+				return true
+			case <-tick.C:
+			}
+			mu.Lock()
+			if n := ops.Load(); n != last || inFlight {
+				last, idle = n, 0
+			} else {
+				idle++
+			}
+			gaveUp := idle == stallTicks
+			stalled = gaveUp
+			mu.Unlock()
+			if gaveUp {
+				return false
+			}
+		}
+	}
+	progressed := watch()
+	close(stop) // after a stall the scheduler sees stalled and fires nothing more
+	faultWG.Wait()
+	switch down := w.down(); {
+	case !progressed:
+		errs = append(errs, fmt.Errorf("chaos: %w for %v with no fault in flight; stalled actors: %s%s; schedule so far: %v",
+			ErrStalled, span, stuckActors(progress, exited, w.OpsPerActor), down, rep.Schedule))
+	case down != "":
+		// The last fault left a process down: the final check would wait
+		// for it forever.
+		errs = append(errs, fmt.Errorf("chaos: %w after the last fault%s; schedule: %v", ErrStalled, down, rep.Schedule))
+	case w.FinalCheck != nil:
 		if err := w.FinalCheck(); err != nil {
 			fail(fmt.Errorf("chaos: final check: %w", err))
 		}
@@ -254,4 +333,27 @@ func Run(w Workload, faults []Fault, o Options) Report {
 	rep.Errors = errs
 	rep.Elapsed = time.Since(start) //mspr:wallclock storm reports measure real elapsed time
 	return rep
+}
+
+// stuckActors lists the actors that have not finished and how far each
+// got.
+func stuckActors(progress []atomic.Int64, exited []atomic.Bool, ops int) string {
+	var stuck []string
+	for i := range progress {
+		if !exited[i].Load() {
+			stuck = append(stuck, fmt.Sprintf("%d (after op %d of %d)", i, progress[i].Load(), ops))
+		}
+	}
+	return strings.Join(stuck, ", ")
+}
+
+// down names the processes Halted reports, for a diagnosis.
+func (w Workload) down() string {
+	if w.Halted == nil {
+		return ""
+	}
+	if h := w.Halted(); len(h) > 0 {
+		return "; halted: " + strings.Join(h, ", ")
+	}
+	return ""
 }

@@ -3,7 +3,12 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
+
+	"mspr/internal/core"
+	"mspr/internal/failpoint"
 )
 
 // soloStorm builds the one-MSP storm system ("sut" running the counter
@@ -79,6 +84,70 @@ func TestStormMaxFaultsBound(t *testing.T) {
 	}
 	if got := rep.FaultsFired["crash-sut"]; got != 2 {
 		t.Fatalf("fired %d faults, want exactly 2", got)
+	}
+}
+
+// TestStormThatCannotProgressFails: the storm's one fault restarts the MSP
+// with recovery set to die every time, so the process stays down and no
+// call can complete. Run must notice, say which actors are stuck, which
+// process is down and what was fired, and return instead of hanging —
+// both when the fault lands mid-storm and when it is the last thing the
+// storm does before its final check.
+func TestStormThatCannotProgressFails(t *testing.T) {
+	const actors, ops = 3, 4
+	for _, tc := range []struct {
+		name       string
+		faultEvery int
+		want       string
+	}{
+		{"mid-storm", 5, "stalled actors: 0 (after op "},
+		{"last-fault", actors * ops, "after the last fault"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := soloStorm(t, actors, ops, StormSpec{Seed: 7})
+			fired := make(chan struct{})
+			failStop := Fault{Name: "fail-stop-sut", Fire: func() error {
+				defer close(fired)
+				st.Back.FP.Enable(core.FPRecoveryBeforeScan, failpoint.Times(-1))
+				return st.Back.Restart()
+			}}
+			// Mid-storm, every actor's third operation waits for the fault:
+			// the fifth operation overall triggers it, so the storm cannot
+			// finish first, and every actor is stuck in its second or
+			// third.
+			w, newActor := st.W, st.W.NewActor
+			w.NewActor = func(i int) (func(int) error, func()) {
+				op, done := newActor(i)
+				return func(n int) error {
+					if n > 2 && tc.faultEvery < actors*ops {
+						<-fired
+					}
+					return op(n)
+				}, done
+			}
+			start := time.Now()
+			rep := Run(w, []Fault{failStop}, Options{Seed: 1, FaultEvery: tc.faultEvery, MaxFaults: 1})
+			if took := time.Since(start); took > 10*time.Second {
+				t.Errorf("a storm that cannot progress took %v to fail", took)
+			}
+			if !st.Back.Halted() {
+				t.Fatal("the MSP whose restart fail-stopped does not report halted")
+			}
+			var stall error
+			for _, err := range rep.Errors {
+				if errors.Is(err, ErrStalled) {
+					stall = err
+				}
+			}
+			if stall == nil {
+				t.Fatalf("no stall diagnosis in %v", rep.Errors)
+			}
+			for _, want := range []string{tc.want, "halted: sut", "[fail-stop-sut]"} {
+				if !strings.Contains(stall.Error(), want) {
+					t.Errorf("diagnosis %q lacks %q", stall, want)
+				}
+			}
+		})
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // — goes through Restart, so a failed restart means one thing everywhere:
 // the error is returned and the dead incarnation is kept, whose Crash is
 // idempotent, so the caller can simply Restart again.
-type Proc[S interface{ Crash() }] struct {
+type Proc[S process] struct {
 	// Name is the process identifier; it names the process's faults.
 	Name string
 	// FP is the process's failpoint registry (nil: injection off).
@@ -34,6 +34,13 @@ type Proc[S interface{ Crash() }] struct {
 	cur   S
 }
 
+// process is what a Proc restarts: an incarnation that can be crashed
+// and that reports whether it has stopped.
+type process interface {
+	Crash()
+	Halted() bool
+}
+
 // MSP is a restartable core server; Store a restartable transactional
 // resource manager.
 type (
@@ -41,7 +48,7 @@ type (
 	Store = Proc[*txmsp.Server]
 )
 
-func startProc[S interface{ Crash() }](name string, fp *failpoint.Registry, start func() (S, error), ttfr func(S) time.Duration) (*Proc[S], error) {
+func startProc[S process](name string, fp *failpoint.Registry, start func() (S, error), ttfr func(S) time.Duration) (*Proc[S], error) {
 	cur, err := start()
 	if err != nil {
 		return nil, err
@@ -68,6 +75,11 @@ func (p *Proc[S]) Current() S {
 	defer p.mu.Unlock()
 	return p.cur
 }
+
+// Halted reports whether the incarnation that should be up has stopped:
+// a fail-stop halt or a crash point killed it, or its restart failed and
+// the dead one was kept. It waits out a Restart in progress.
+func (p *Proc[S]) Halted() bool { return p.Current().Halted() }
 
 // Crash kills the current incarnation for good (teardown).
 func (p *Proc[S]) Crash() {

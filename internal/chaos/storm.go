@@ -161,6 +161,7 @@ func NewStorm(spec StormSpec) (*Storm, error) {
 	}
 	st.Faults = st.faults()
 	st.W = st.workload()
+	st.W.Resend = time.Duration(float64(copts.ResendAfter) * spec.Scale)
 	return st, nil
 }
 
@@ -293,7 +294,25 @@ func (st *Storm) workload() Workload {
 			}
 			return errors.Join(errs...)
 		},
+		Halted: st.halted,
 	}
+}
+
+// halted names the storm's processes whose incarnation has stopped.
+func (st *Storm) halted() []string {
+	var down []string
+	if st.Front.Halted() {
+		down = append(down, st.Front.Name)
+	}
+	if !st.Spec.Solo {
+		if st.Back.Halted() {
+			down = append(down, st.Back.Name)
+		}
+		if st.Ledger.Halted() {
+			down = append(down, st.Ledger.Name)
+		}
+	}
+	return down
 }
 
 // Close tears the system down.

@@ -13,18 +13,29 @@ import (
 	"mspr/internal/wal"
 )
 
-// expectNoReply fails if ep receives a reply for seq within the grace
-// period: a request that ran into a dead log must be dropped silently so
-// the client resends to the next incarnation.
-func expectNoReply(t *testing.T, ep *simnet.Endpoint, seq uint64) {
+// sendExpectingNoReply sends req from ep to msp1 and fails if a reply for
+// it arrives within the grace period: a request that ran into a dead log
+// must be dropped silently so the client resends to the next incarnation.
+// A Busy envelope is not an answer: the session dispatcher sends one when
+// the request reaches a session a worker still holds, it carries no
+// result, and the request is resent on it, as a client would.
+func sendExpectingNoReply(t *testing.T, ep *simnet.Endpoint, req rpc.Request) {
 	t.Helper()
+	ep.Send("msp1", req)
 	grace := time.After(100 * time.Millisecond)
 	for {
 		select {
 		case m := <-ep.Recv():
-			if rep, ok := m.Payload.(rpc.Reply); ok && rep.Seq == seq {
-				t.Fatalf("got a reply (status %v) for seq %d from an MSP whose log is dead", rep.Status, seq)
+			rep, ok := m.Payload.(rpc.Reply)
+			if !ok || rep.Seq != req.Seq {
+				continue
 			}
+			if rep.Status != rpc.StatusBusy {
+				t.Fatalf("got a reply (status %v) for seq %d from an MSP whose log is dead", rep.Status, req.Seq)
+			}
+			time.Sleep(time.Millisecond)
+			ep.Send("msp1", req)
+			grace = time.After(100 * time.Millisecond)
 		case <-grace:
 			return
 		}
@@ -122,8 +133,7 @@ func TestDeadLogOutsideHandlerDropsRequest(t *testing.T) {
 			before := srv.log.Next()
 			req := tc.req
 			req.Session, req.Seq, req.From = sid, 2, cli.Addr()
-			cli.Send("msp1", req)
-			expectNoReply(t, cli, 2)
+			sendExpectingNoReply(t, cli, req)
 			if landed := srv.log.Next() > before; landed != tc.receiveLogged {
 				t.Fatalf("receive record appended = %v, want %v", landed, tc.receiveLogged)
 			}
@@ -189,8 +199,7 @@ func TestDeadLogFlushInsideHandlerSendsNoReply(t *testing.T) {
 
 	fp.Enable(wal.FPFlushCrash)
 	req.Seq, req.NewSession = 2, false
-	cli.Send("msp1", req)
-	expectNoReply(t, cli, 2)
+	sendExpectingNoReply(t, cli, req)
 
 	fp.DisableAll()
 	e.restart("msp1")
@@ -211,19 +220,15 @@ func TestResentEndIsAcknowledged(t *testing.T) {
 	defer e.cleanup()
 	e.start("msp1", counterDef())
 	cli := e.net.Endpoint("cli")
-	cli.Send("msp1", rpc.Request{Session: "end#1", Seq: 1, Method: "inc", NewSession: true, From: cli.Addr()})
-	awaitReply(t, cli, 1)
+	callRaw(t, cli, rpc.Request{Session: "end#1", Seq: 1, Method: "inc", NewSession: true, From: cli.Addr()})
 
 	end := rpc.Request{Session: "end#1", Seq: 2, EndSession: true, From: cli.Addr()}
-	cli.Send("msp1", end)
-	awaitReply(t, cli, 2) // the reply the client never saw
-	cli.Send("msp1", end)
-	if rep := awaitReply(t, cli, 2); rep.Status != rpc.StatusOK {
+	callRaw(t, cli, end) // the reply the client never saw
+	if rep := callRaw(t, cli, end); rep.Status != rpc.StatusOK {
 		t.Fatalf("resent End: status %v, want OK", rep.Status)
 	}
 	// A request that is not an End still needs its session.
-	cli.Send("msp1", rpc.Request{Session: "end#1", Seq: 3, Method: "inc", From: cli.Addr()})
-	if rep := awaitReply(t, cli, 3); rep.Status != rpc.StatusRejected {
+	if rep := callRaw(t, cli, rpc.Request{Session: "end#1", Seq: 3, Method: "inc", From: cli.Addr()}); rep.Status != rpc.StatusRejected {
 		t.Fatalf("request on an ended session: status %v, want Rejected", rep.Status)
 	}
 }

@@ -447,6 +447,10 @@ func (s *Server) halt() {
 	}
 }
 
+// Halted reports whether this incarnation has stopped: a crash point or a
+// fail-stop rule halted it, or it was crashed.
+func (s *Server) Halted() bool { return s.getState() == stateCrashed }
+
 // fp returns the MSP's fault-injection registry (nil when injection is
 // off — safe to Eval either way).
 func (s *Server) fp() *failpoint.Registry {

@@ -147,8 +147,7 @@ func TestUpdateSharedTornByCrash(t *testing.T) {
 	torn := rpc.Request{Session: "torn#1", Seq: 1, Method: "bump", NewSession: true, From: cli.Addr()}
 
 	tear.Store(true)
-	cli.Send("msp1", torn)
-	expectNoReply(t, cli, 1)
+	sendExpectingNoReply(t, cli, torn)
 	if tear.Load() {
 		t.Fatal("the update never ran")
 	}

@@ -7,25 +7,40 @@
 // latency up to the granularity and destroy the ratios the experiments
 // depend on.
 //
-// Sleep therefore uses the OS timer only for the coarse bulk of a wait
-// and spin-yields for the tail, giving microsecond-class precision at
-// the cost of some CPU — an acceptable trade in a simulator whose
-// "latencies" are the product being measured.
+// Every pending wait — a Sleep, a Timer, an After callback — is one entry
+// in a single process-wide heap ordered by deadline, then by registration
+// order. One driver goroutine, started on first use, owns the heap: it
+// waits on one reusable OS timer for all but the last coarse period
+// before the earliest deadline, spin-yields only for that last stretch,
+// and then wakes every entry that is due. A waiting goroutine is parked
+// on a channel, so however many waits are pending one goroutine per
+// process spins — an acceptable CPU cost in a simulator whose "latencies"
+// are the product being measured — plus, for its last lead, each sleeper
+// about to return: the driver wakes a sleeper that much early so the
+// hand-off never makes it late.
 package simtime
 
 import (
+	"container/heap"
 	"runtime"
 	"sync"
 	"time"
 )
 
-// coarse is the assumed worst-case OS timer granularity. Sleeps shorter
-// than this are fully spin-waited; longer sleeps use the OS timer for
-// all but the last coarse period.
+// coarse is the assumed worst-case OS timer granularity. The driver
+// spin-waits for the last coarse period before a deadline and uses the
+// OS timer for the rest.
 const coarse = 2 * time.Millisecond
 
+// lead is how long before its deadline the driver wakes a sleeper, which
+// spin-yields the rest on its own goroutine: handing a wake-up to a parked
+// goroutine can take tens of microseconds when the scheduler has to wake
+// an idle thread for it, and a sleeper must not pay that past its deadline.
+const lead = 25 * time.Microsecond
+
 // Sleep pauses the calling goroutine for d with microsecond-class
-// precision. Non-positive durations return immediately.
+// precision: parked until lead before the deadline, spin-yielding for
+// the rest. Non-positive durations return immediately.
 //
 //mspr:blocking pauses the caller for the full duration
 func Sleep(d time.Duration) {
@@ -33,74 +48,224 @@ func Sleep(d time.Duration) {
 		return
 	}
 	deadline := time.Now().Add(d)
-	if d > coarse {
-		time.Sleep(d - coarse)
+	if d > lead {
+		w := pool.Get().(*wait)
+		clk.add(w, deadline.Add(-lead))
+		<-w.ch
+		pool.Put(w)
 	}
 	for time.Now().Before(deadline) {
 		runtime.Gosched()
 	}
 }
 
-// After runs f after d, using a goroutine with a precise Sleep rather
-// than a coarse runtime timer.
+// After runs f after d on the clock's driver goroutine, or inline when d
+// is not positive. f must not block: every later deadline in the process
+// waits until it returns.
 func After(d time.Duration, f func()) {
 	if d <= 0 {
 		f()
 		return
 	}
-	go func() {
-		Sleep(d)
-		f()
-	}()
+	w := pool.Get().(*wait)
+	w.f = f
+	clk.add(w, time.Now().Add(d))
 }
 
-// Timer is a cancellable one-shot timer with simtime's precision: the
-// coarse bulk of the wait uses an interruptible OS timer, the tail is
-// spin-yielded. C receives exactly one value when the timer fires; a
-// stopped timer never fires.
+// Timer is a cancellable one-shot timer with simtime's precision. C
+// receives exactly one value when the timer fires; a timer stopped
+// before its deadline never fires.
 type Timer struct {
 	// C fires once at the deadline.
 	C <-chan struct{}
 
-	stop chan struct{}
-	once sync.Once
+	w wait
 }
 
 // NewTimer starts a timer that fires on C after d. Non-positive
 // durations fire immediately.
 func NewTimer(d time.Duration) *Timer {
 	c := make(chan struct{}, 1)
-	t := &Timer{C: c, stop: make(chan struct{})}
+	t := &Timer{C: c, w: wait{ch: c, index: -1}}
 	if d <= 0 {
 		c <- struct{}{}
 		return t
 	}
-	go func() {
-		deadline := time.Now().Add(d)
-		if d > coarse {
-			bulk := time.NewTimer(d - coarse)
-			select {
-			case <-bulk.C:
-			case <-t.stop:
-				bulk.Stop()
-				return
-			}
-		}
-		for time.Now().Before(deadline) {
-			select {
-			case <-t.stop:
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-		c <- struct{}{}
-	}()
+	clk.add(&t.w, time.Now().Add(d))
 	return t
 }
 
-// Stop cancels the timer and releases its goroutine. Safe to call more
-// than once and after the timer fired; it does not drain C.
+// Stop cancels the timer. Safe to call more than once and after the
+// timer fired; it does not drain C.
 func (t *Timer) Stop() {
-	t.once.Do(func() { close(t.stop) })
+	clk.mu.Lock()
+	head := t.w.index == 0
+	if t.w.index >= 0 {
+		heap.Remove(&clk.waits, t.w.index)
+	}
+	clk.mu.Unlock()
+	if head {
+		// The driver may be spinning towards this deadline: let it find
+		// the next one, or park, instead.
+		clk.wake()
+	}
+}
+
+// wait is one pending deadline: at it, the driver either sends one value
+// on ch (Sleep, Timer) or runs f (After).
+type wait struct {
+	deadline time.Time
+	seq      uint64 // registration order: breaks deadline ties
+	index    int    // position in the heap; -1 once fired or stopped
+	ch       chan struct{}
+	f        func()
+}
+
+// pool recycles the waits of Sleep and After; a Timer's wait lives in
+// the Timer, which Stop needs to find it.
+var pool = sync.Pool{New: func() any { return &wait{ch: make(chan struct{}, 1)} }}
+
+// clock is the process's one driver and the heap it owns.
+type clock struct {
+	mu      sync.Mutex
+	waits   waitHeap
+	seq     uint64
+	started bool
+	// until is the deadline the driver is waiting for, zero while it waits
+	// for none. A wait due before it kicks the driver, which may be idle,
+	// sleeping on the OS timer or spinning towards that later deadline.
+	until time.Time
+	kick  chan struct{}
+}
+
+var clk = clock{kick: make(chan struct{}, 1)}
+
+// add registers w to come due at deadline, starting the driver on first
+// use.
+func (c *clock) add(w *wait, deadline time.Time) {
+	c.mu.Lock()
+	w.deadline = deadline
+	c.seq++
+	w.seq = c.seq
+	heap.Push(&c.waits, w)
+	earliest := c.until.IsZero() || deadline.Before(c.until)
+	if !c.started {
+		c.started = true
+		go c.run()
+	}
+	c.mu.Unlock()
+	if earliest {
+		c.wake()
+	}
+}
+
+// wake kicks the driver to look at the heap again.
+func (c *clock) wake() {
+	select {
+	case c.kick <- struct{}{}:
+	default: // a kick is already pending
+	}
+}
+
+// run is the driver loop, for the life of the process: fire everything
+// due, then wait for the next deadline — blocked while the heap is empty,
+// on the OS timer while the deadline is more than coarse away,
+// spin-yielding for the rest.
+func (c *clock) run() {
+	bulk := time.NewTimer(time.Hour)
+	bulk.Stop()
+	var due []*wait
+	for {
+		now := time.Now()
+		c.mu.Lock()
+		for len(c.waits) > 0 && !c.waits[0].deadline.After(now) {
+			due = append(due, heap.Pop(&c.waits).(*wait))
+		}
+		var next time.Time
+		if len(c.waits) > 0 {
+			next = c.waits[0].deadline
+		}
+		c.until = next
+		c.mu.Unlock()
+
+		if len(due) > 0 {
+			for i, w := range due {
+				due[i] = nil
+				if f := w.f; f != nil {
+					w.f = nil
+					pool.Put(w)
+					f()
+				} else {
+					w.ch <- struct{}{} // one send per registration: never blocks
+				}
+			}
+			due = due[:0]
+			continue // the wake-ups took time: look again
+		}
+
+		switch left := next.Sub(now); {
+		case next.IsZero():
+			<-c.kick
+		case left > coarse:
+			bulk.Reset(left - coarse)
+			select {
+			case <-bulk.C:
+			case <-c.kick:
+				if !bulk.Stop() {
+					select {
+					case <-bulk.C:
+					default:
+					}
+				}
+			}
+		default:
+			c.spin(next)
+		}
+	}
+}
+
+// spin yields until next, or until a kick announces an earlier deadline.
+func (c *clock) spin(next time.Time) {
+	for time.Now().Before(next) {
+		select {
+		case <-c.kick:
+			return
+		default:
+			runtime.Gosched()
+		}
+	}
+}
+
+// waitHeap is a min-heap of waits by (deadline, seq) that keeps each
+// wait's index current, so Stop can remove it.
+type waitHeap []*wait
+
+func (h waitHeap) Len() int { return len(h) }
+
+func (h waitHeap) Less(i, j int) bool {
+	if !h[i].deadline.Equal(h[j].deadline) {
+		return h[i].deadline.Before(h[j].deadline)
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h waitHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+
+func (h *waitHeap) Push(x any) {
+	w := x.(*wait)
+	w.index = len(*h)
+	*h = append(*h, w)
+}
+
+func (h *waitHeap) Pop() any {
+	old := *h
+	w := old[len(old)-1]
+	old[len(old)-1] = nil
+	w.index = -1
+	*h = old[:len(old)-1]
+	return w
 }

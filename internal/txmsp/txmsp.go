@@ -317,6 +317,9 @@ func (t *Server) exec(ctx *core.Ctx, arg []byte) ([]byte, error) {
 // Crash kills the resource manager process (the durable store survives).
 func (t *Server) Crash() { t.srv.Crash() }
 
+// Halted reports whether the resource manager's process has stopped.
+func (t *Server) Halted() bool { return t.srv.Halted() }
+
 // Read returns a committed value directly from the store (audit hook).
 func (t *Server) Read(key string) ([]byte, bool) {
 	return t.store.Get(dataKey(key))

@@ -3,6 +3,7 @@ package txmsp_test
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"mspr/internal/chaos"
 	"mspr/internal/core"
@@ -256,6 +257,13 @@ func TestStatelessSessionsAcceptAnySeq(t *testing.T) {
 		for {
 			m := <-ep.Recv()
 			if rep, ok := m.Payload.(rpc.Reply); ok && rep.Seq == seq {
+				if rep.Status == rpc.StatusBusy {
+					// The session was still held by the previous request's
+					// worker: no result, resend as a client would.
+					time.Sleep(time.Millisecond)
+					send(seq)
+					continue
+				}
 				if rep.Status != rpc.StatusOK {
 					t.Fatalf("seq %d: %v %s", seq, rep.Status, rep.Payload)
 				}
