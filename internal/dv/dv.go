@@ -197,7 +197,9 @@ func (v Vector) AppendBinary(buf []byte) []byte {
 // buf, returning the vector and the remaining bytes.
 func DecodeVector(buf []byte) (Vector, []byte, error) {
 	n, k := binary.Uvarint(buf)
-	if k <= 0 {
+	// Every entry takes at least three bytes, so a longer count is
+	// corrupt and must not size the map.
+	if k <= 0 || n > uint64(len(buf)-k)/3 {
 		return nil, nil, fmt.Errorf("dv: bad vector length")
 	}
 	buf = buf[k:]

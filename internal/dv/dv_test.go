@@ -1,6 +1,7 @@
 package dv
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -150,6 +151,10 @@ func TestDecodeVectorCorrupt(t *testing.T) {
 	buf := v.AppendBinary(nil)
 	if _, _, err := DecodeVector(buf[:len(buf)/2]); err == nil {
 		t.Fatal("decoding truncated buffer should fail")
+	}
+	huge := binary.AppendUvarint(nil, 1<<40)
+	if _, _, err := DecodeVector(append(huge, buf[1:]...)); err == nil {
+		t.Fatal("a count larger than the input should fail")
 	}
 }
 

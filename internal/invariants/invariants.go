@@ -2,10 +2,9 @@
 // that turns the paper's recovery-correctness rules into compile-time
 // checks. Each Analyzer encodes one protocol invariant the Go compiler
 // cannot see — pessimistic flush-before-send at domain boundaries,
-// no aliasing of dependency vectors, encoder/decoder parity for log
-// records, registered-and-exercised failpoint names, no wall-clock
-// reads outside the simulated time plane, no dropped errors from the
-// durability layer, the mutex lattice, guarded fields, the session
+// no aliasing of dependency vectors, registered-and-exercised
+// failpoint names, no wall-clock reads outside the simulated time
+// plane, no dropped errors from the durability layer, the mutex lattice, guarded fields, the session
 // phase machine, and no shed reply after a log append. The cmd/mspr-vet
 // driver loads ./... and runs the suite; CI gates on a clean run.
 //
@@ -23,7 +22,6 @@
 //	                                dominating flush (or "none <reason>"
 //	                                for messages carrying no state)
 //	//mspr:dvalias <reason>         exempt a vector alias
-//	//mspr:codecparity <reason>     exempt a record field
 //	//mspr:failpointnames <reason>  exempt a failpoint name
 //	//mspr:walerr <reason>          exempt a dropped durability error
 //	//mspr:lockorder <reason>       exempt a lock-ordering site
@@ -80,7 +78,6 @@ func All() []*Analyzer {
 		Wallclock,
 		FlushBeforeSend,
 		DVAlias,
-		CodecParity,
 		FailpointNames,
 		WALErr,
 		LockOrder,
@@ -209,7 +206,6 @@ var knownVerbs = map[string]bool{
 	"wallclock":      true,
 	"flushed-by":     true,
 	"dvalias":        true,
-	"codecparity":    true,
 	"failpointnames": true,
 	"walerr":         true,
 	"lockorder":      true,

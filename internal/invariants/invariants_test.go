@@ -87,7 +87,6 @@ func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 func TestWallclockFixture(t *testing.T)       { runFixture(t, "wallclock", Wallclock) }
 func TestFlushBeforeSendFixture(t *testing.T) { runFixture(t, "flushsend", FlushBeforeSend) }
 func TestDVAliasFixture(t *testing.T)         { runFixture(t, "dvalias", DVAlias) }
-func TestCodecParityFixture(t *testing.T)     { runFixture(t, "codecparity", CodecParity) }
 func TestFailpointNamesFixture(t *testing.T)  { runFixture(t, "failpointnames", FailpointNames) }
 func TestWALErrFixture(t *testing.T)          { runFixture(t, "walerr", WALErr) }
 func TestLockOrderFixture(t *testing.T)       { runFixture(t, "lockorder", LockOrder) }
@@ -190,7 +189,6 @@ var fixtureFor = map[string]string{
 	"wallclock":      "wallclock",
 	"flushed-by":     "flushsend",
 	"dvalias":        "dvalias",
-	"codecparity":    "codecparity",
 	"failpointnames": "failpointnames",
 	"walerr":         "walerr",
 	"lockorder":      "lockorder",

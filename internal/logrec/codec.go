@@ -10,8 +10,17 @@ import (
 	"mspr/internal/dv"
 )
 
-// enc is a tiny append-only encoder used by all record types.
-type enc struct{ b []byte }
+// Coder reads or writes a record's fields. Every record type lists its
+// fields once, in a walk that passes each field's address to the Coder:
+// an encoder appends the field's value, a decoder stores the value it
+// reads, so the two directions cannot drift apart. A decoder keeps the
+// first error, and every field after it decodes as its zero value. The
+// zero Coder is an encoder that allocates its own buffer.
+type Coder struct {
+	b   []byte
+	dec bool
+	err error
+}
 
 // Encode buffers are pooled: the request hot path encodes a record,
 // appends it to the WAL (which copies the payload into its own batch
@@ -26,18 +35,21 @@ var (
 	shellPool = sync.Pool{New: func() any { return new(encBuf) }}
 )
 
-// newEnc returns an encoder backed by a pooled buffer when one is
+// NewEncoder returns an encoder backed by a pooled buffer when one is
 // available.
-func newEnc() enc {
+func NewEncoder() Coder {
 	if v := bufPool.Get(); v != nil {
 		eb := v.(*encBuf)
 		b := eb.b[:0]
 		eb.b = nil
 		shellPool.Put(eb)
-		return enc{b: b}
+		return Coder{b: b}
 	}
-	return enc{b: make([]byte, 0, 256)}
+	return Coder{b: make([]byte, 0, 256)}
 }
+
+// NewDecoder returns a decoder reading p.
+func NewDecoder(p []byte) Coder { return Coder{b: p, dec: true} }
 
 // Recycle returns an encoded payload's buffer to the pool. Callers may
 // only recycle a payload after every reader has copied it (wal.Append
@@ -53,149 +65,166 @@ func Recycle(p []byte) {
 	bufPool.Put(eb)
 }
 
-func (e *enc) u8(v byte)       { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32)    { e.b = binary.AppendUvarint(e.b, uint64(v)) }
-func (e *enc) u64(v uint64)    { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) i64(v int64)     { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) boolv(v bool)    { e.b = append(e.b, b2u(v)) }
-func (e *enc) str(s string)    { e.u64(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *enc) bytes(p []byte)  { e.u64(uint64(len(p))); e.b = append(e.b, p...) }
-func (e *enc) vec(v dv.Vector) { e.b = v.AppendBinary(e.b) }
+// Encoded returns what an encoder has written.
+func (c *Coder) Encoded() []byte { return c.b }
 
-func (e *enc) strmap(m map[string][]byte) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// Decoding reports whether c is a decoder.
+func (c *Coder) Decoding() bool { return c.dec }
+
+// fail records a decoder's first error and drops the rest of the input,
+// so every later field decodes as its zero value.
+func (c *Coder) fail(what string) {
+	if c.err == nil {
+		c.err = fmt.Errorf("logrec: truncated or corrupt %s", what)
 	}
-	sort.Strings(keys)
-	e.u64(uint64(len(keys)))
-	for _, k := range keys {
-		e.str(k)
-		e.bytes(m[k])
+	c.b = nil
+}
+
+// U8 codes one byte.
+func (c *Coder) U8(v *byte) {
+	switch {
+	case !c.dec:
+		c.b = append(c.b, *v)
+	case len(c.b) == 0:
+		c.fail("u8")
+	default:
+		*v, c.b = c.b[0], c.b[1:]
 	}
 }
 
-func b2u(v bool) byte {
-	if v {
-		return 1
+// U64 codes v as an unsigned varint.
+func (c *Coder) U64(v *uint64) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, *v)
+		return
 	}
-	return 0
-}
-
-// dec decodes the formats produced by enc, accumulating the first error.
-type dec struct {
-	b   []byte
-	err error
-}
-
-func (d *dec) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("logrec: truncated or corrupt %s", what)
-	}
-}
-
-func (d *dec) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 1 {
-		d.fail("u8")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
+	x, n := binary.Uvarint(c.b)
 	if n <= 0 {
-		d.fail("uvarint")
-		return 0
+		c.fail("uvarint")
+		return
 	}
-	d.b = d.b[n:]
-	return v
+	*v, c.b = x, c.b[n:]
 }
 
-func (d *dec) u32() uint32 { return uint32(d.u64()) }
+// U32 codes v as an unsigned varint.
+func (c *Coder) U32(v *uint32) {
+	x := uint64(*v)
+	c.U64(&x)
+	*v = uint32(x)
+}
 
-func (d *dec) i64() int64 {
-	if d.err != nil {
-		return 0
+// I64 codes v as a signed varint.
+func (c *Coder) I64(v *int64) {
+	if !c.dec {
+		c.b = binary.AppendVarint(c.b, *v)
+		return
 	}
-	v, n := binary.Varint(d.b)
+	x, n := binary.Varint(c.b)
 	if n <= 0 {
-		d.fail("varint")
+		c.fail("varint")
+		return
+	}
+	*v, c.b = x, c.b[n:]
+}
+
+// Bool codes v as one byte; a decoder reads any byte but 1 as false.
+func (c *Coder) Bool(v *bool) {
+	var x byte
+	if *v {
+		x = 1
+	}
+	c.U8(&x)
+	*v = x == 1
+}
+
+// Len codes a count of n elements and returns it. A decoded count larger
+// than the bytes left is corrupt (every element takes at least one), so
+// a decoder may allocate n elements up front.
+func (c *Coder) Len(n int) int {
+	x := uint64(n)
+	c.U64(&x)
+	if c.dec && x > uint64(len(c.b)) {
+		c.fail("length")
 		return 0
 	}
-	d.b = d.b[n:]
-	return v
+	return int(x)
 }
 
-func (d *dec) boolv() bool { return d.u8() == 1 }
-
-func (d *dec) str() string {
-	n := d.u64()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.b)) < n {
-		d.fail("string")
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *dec) bytes() []byte {
-	n := d.u64()
-	if d.err != nil {
-		return nil
-	}
-	if uint64(len(d.b)) < n {
-		d.fail("bytes")
-		return nil
-	}
-	p := append([]byte(nil), d.b[:n]...)
-	d.b = d.b[n:]
+// span decodes a length-prefixed run of bytes, aliasing the input.
+func (c *Coder) span() []byte {
+	n := c.Len(0)
+	p := c.b[:n]
+	c.b = c.b[n:]
 	return p
 }
 
-func (d *dec) vec() dv.Vector {
-	if d.err != nil {
-		return nil
+// Str codes a length-prefixed string.
+func (c *Coder) Str(s *string) {
+	if !c.dec {
+		c.b = append(binary.AppendUvarint(c.b, uint64(len(*s))), *s...)
+		return
 	}
-	v, rest, err := dv.DecodeVector(d.b)
+	*s = string(c.span())
+}
+
+// Bytes codes a length-prefixed byte slice. A decoder copies it, so the
+// record never aliases the payload; an empty slice decodes as nil.
+func (c *Coder) Bytes(p *[]byte) {
+	if !c.dec {
+		c.b = append(binary.AppendUvarint(c.b, uint64(len(*p))), *p...)
+		return
+	}
+	*p = append([]byte(nil), c.span()...)
+}
+
+// Vec codes a dependency vector.
+func (c *Coder) Vec(v *dv.Vector) {
+	if !c.dec {
+		c.b = v.AppendBinary(c.b)
+		return
+	}
+	x, rest, err := dv.DecodeVector(c.b)
 	if err != nil {
-		d.err = err
-		return nil
+		c.fail("vector")
+		return
 	}
-	d.b = rest
-	return v
+	*v, c.b = x, rest
 }
 
-func (d *dec) strmap() map[string][]byte {
-	n := d.u64()
-	if d.err != nil {
-		return nil
+// StrMap codes a map as a count and its entries in key order.
+func (c *Coder) StrMap(m *map[string][]byte) {
+	if c.dec {
+		n := c.Len(0)
+		*m = make(map[string][]byte, n)
+		for range n {
+			var k string
+			var v []byte
+			c.Str(&k)
+			c.Bytes(&v)
+			(*m)[k] = v
+		}
+		return
 	}
-	m := make(map[string][]byte, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		k := d.str()
-		m[k] = d.bytes()
+	keys := make([]string, 0, len(*m))
+	for k := range *m {
+		keys = append(keys, k)
 	}
-	return m
+	sort.Strings(keys)
+	c.Len(len(keys))
+	for _, k := range keys {
+		v := (*m)[k]
+		c.Str(&k)
+		c.Bytes(&v)
+	}
 }
 
-func (d *dec) done(what string) error {
-	if d.err != nil {
-		return d.err
+// Done returns a decoder's first error, or an error naming what if any
+// input is left over.
+func (c *Coder) Done(what string) error {
+	if c.err != nil {
+		return c.err
 	}
-	if len(d.b) != 0 {
+	if len(c.b) != 0 {
 		return errors.New("logrec: trailing bytes in " + what)
 	}
 	return nil

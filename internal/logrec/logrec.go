@@ -75,33 +75,28 @@ type ReqReceive struct {
 	DV      dv.Vector
 }
 
-// Encode serializes the record payload.
-func (r ReqReceive) Encode() []byte {
-	e := newEnc()
-	e.str(r.Session)
-	e.u64(r.Seq)
-	e.str(r.Method)
-	e.bytes(r.Arg)
-	e.boolv(r.HasDV)
+// walk lists the record's fields in payload order. Encode and the
+// type's Decode function both run it, so they cannot disagree; every
+// record type below has one.
+func (r *ReqReceive) walk(c *Coder) {
+	c.Str(&r.Session)
+	c.U64(&r.Seq)
+	c.Str(&r.Method)
+	c.Bytes(&r.Arg)
+	c.Bool(&r.HasDV)
 	if r.HasDV {
-		e.vec(r.DV)
+		c.Vec(&r.DV)
 	}
-	return e.b
 }
 
+// Encode serializes the record payload.
+func (r ReqReceive) Encode() []byte { c := NewEncoder(); r.walk(&c); return c.b }
+
 // DecodeReqReceive parses a TReqReceive payload.
-func DecodeReqReceive(p []byte) (ReqReceive, error) {
-	d := dec{b: p}
-	var r ReqReceive
-	r.Session = d.str()
-	r.Seq = d.u64()
-	r.Method = d.str()
-	r.Arg = d.bytes()
-	r.HasDV = d.boolv()
-	if r.HasDV {
-		r.DV = d.vec()
-	}
-	return r, d.done("ReqReceive")
+func DecodeReqReceive(p []byte) (r ReqReceive, err error) {
+	c := NewDecoder(p)
+	r.walk(&c)
+	return r, c.Done("ReqReceive")
 }
 
 // ReplyReceive records the receipt of a reply on an outgoing session
@@ -117,35 +112,26 @@ type ReplyReceive struct {
 	DV         dv.Vector
 }
 
-// Encode serializes the record payload.
-func (r ReplyReceive) Encode() []byte {
-	e := newEnc()
-	e.str(r.Session)
-	e.str(r.OutSession)
-	e.u64(r.Seq)
-	e.u8(r.Status)
-	e.bytes(r.Reply)
-	e.boolv(r.HasDV)
+func (r *ReplyReceive) walk(c *Coder) {
+	c.Str(&r.Session)
+	c.Str(&r.OutSession)
+	c.U64(&r.Seq)
+	c.U8(&r.Status)
+	c.Bytes(&r.Reply)
+	c.Bool(&r.HasDV)
 	if r.HasDV {
-		e.vec(r.DV)
+		c.Vec(&r.DV)
 	}
-	return e.b
 }
 
+// Encode serializes the record payload.
+func (r ReplyReceive) Encode() []byte { c := NewEncoder(); r.walk(&c); return c.b }
+
 // DecodeReplyReceive parses a TReplyReceive payload.
-func DecodeReplyReceive(p []byte) (ReplyReceive, error) {
-	d := dec{b: p}
-	var r ReplyReceive
-	r.Session = d.str()
-	r.OutSession = d.str()
-	r.Seq = d.u64()
-	r.Status = d.u8()
-	r.Reply = d.bytes()
-	r.HasDV = d.boolv()
-	if r.HasDV {
-		r.DV = d.vec()
-	}
-	return r, d.done("ReplyReceive")
+func DecodeReplyReceive(p []byte) (r ReplyReceive, err error) {
+	c := NewDecoder(p)
+	r.walk(&c)
+	return r, c.Done("ReplyReceive")
 }
 
 // SharedRead records a session reading a shared variable: the value and
@@ -158,25 +144,21 @@ type SharedRead struct {
 	DV      dv.Vector
 }
 
-// Encode serializes the record payload.
-func (r SharedRead) Encode() []byte {
-	e := newEnc()
-	e.str(r.Session)
-	e.str(r.Var)
-	e.bytes(r.Value)
-	e.vec(r.DV)
-	return e.b
+func (r *SharedRead) walk(c *Coder) {
+	c.Str(&r.Session)
+	c.Str(&r.Var)
+	c.Bytes(&r.Value)
+	c.Vec(&r.DV)
 }
 
+// Encode serializes the record payload.
+func (r SharedRead) Encode() []byte { c := NewEncoder(); r.walk(&c); return c.b }
+
 // DecodeSharedRead parses a TSharedRead payload.
-func DecodeSharedRead(p []byte) (SharedRead, error) {
-	d := dec{b: p}
-	var r SharedRead
-	r.Session = d.str()
-	r.Var = d.str()
-	r.Value = d.bytes()
-	r.DV = d.vec()
-	return r, d.done("SharedRead")
+func DecodeSharedRead(p []byte) (r SharedRead, err error) {
+	c := NewDecoder(p)
+	r.walk(&c)
+	return r, c.Done("SharedRead")
 }
 
 // SharedWrite records a session writing a shared variable: the new value,
@@ -192,27 +174,22 @@ type SharedWrite struct {
 	PrevWrite wal.LSN
 }
 
-// Encode serializes the record payload.
-func (r SharedWrite) Encode() []byte {
-	e := newEnc()
-	e.str(r.Session)
-	e.str(r.Var)
-	e.bytes(r.Value)
-	e.vec(r.DV)
-	e.i64(int64(r.PrevWrite))
-	return e.b
+func (r *SharedWrite) walk(c *Coder) {
+	c.Str(&r.Session)
+	c.Str(&r.Var)
+	c.Bytes(&r.Value)
+	c.Vec(&r.DV)
+	c.I64((*int64)(&r.PrevWrite))
 }
 
+// Encode serializes the record payload.
+func (r SharedWrite) Encode() []byte { c := NewEncoder(); r.walk(&c); return c.b }
+
 // DecodeSharedWrite parses a TSharedWrite payload.
-func DecodeSharedWrite(p []byte) (SharedWrite, error) {
-	d := dec{b: p}
-	var r SharedWrite
-	r.Session = d.str()
-	r.Var = d.str()
-	r.Value = d.bytes()
-	r.DV = d.vec()
-	r.PrevWrite = wal.LSN(d.i64())
-	return r, d.done("SharedWrite")
+func DecodeSharedWrite(p []byte) (r SharedWrite, err error) {
+	c := NewDecoder(p)
+	r.walk(&c)
+	return r, c.Done("SharedWrite")
 }
 
 // SVCheckpoint records a shared-variable checkpoint. The checkpointed
@@ -223,21 +200,19 @@ type SVCheckpoint struct {
 	Value []byte
 }
 
-// Encode serializes the record payload.
-func (r SVCheckpoint) Encode() []byte {
-	e := newEnc()
-	e.str(r.Var)
-	e.bytes(r.Value)
-	return e.b
+func (r *SVCheckpoint) walk(c *Coder) {
+	c.Str(&r.Var)
+	c.Bytes(&r.Value)
 }
 
+// Encode serializes the record payload.
+func (r SVCheckpoint) Encode() []byte { c := NewEncoder(); r.walk(&c); return c.b }
+
 // DecodeSVCheckpoint parses a TSVCheckpoint payload.
-func DecodeSVCheckpoint(p []byte) (SVCheckpoint, error) {
-	d := dec{b: p}
-	var r SVCheckpoint
-	r.Var = d.str()
-	r.Value = d.bytes()
-	return r, d.done("SVCheckpoint")
+func DecodeSVCheckpoint(p []byte) (r SVCheckpoint, err error) {
+	c := NewDecoder(p)
+	r.walk(&c)
+	return r, c.Done("SVCheckpoint")
 }
 
 // OutSessionState is the recovery-relevant state of one outgoing session,
@@ -269,55 +244,39 @@ type SessionCheckpoint struct {
 	DV           dv.Vector
 }
 
-// Encode serializes the record payload.
-func (r SessionCheckpoint) Encode() []byte {
-	e := newEnc()
-	e.str(r.Session)
-	e.str(r.ClientAddr)
-	e.boolv(r.IntraDomain)
-	e.strmap(r.Vars)
-	e.boolv(r.HasReply)
+func (r *SessionCheckpoint) walk(c *Coder) {
+	c.Str(&r.Session)
+	c.Str(&r.ClientAddr)
+	c.Bool(&r.IntraDomain)
+	c.StrMap(&r.Vars)
+	c.Bool(&r.HasReply)
 	if r.HasReply {
-		e.u64(r.ReplySeq)
-		e.u8(r.ReplyStatus)
-		e.bytes(r.Reply)
+		c.U64(&r.ReplySeq)
+		c.U8(&r.ReplyStatus)
+		c.Bytes(&r.Reply)
 	}
-	e.u64(r.NextExpected)
-	e.u64(uint64(len(r.Outgoing)))
-	for _, o := range r.Outgoing {
-		e.str(o.ID)
-		e.str(o.Target)
-		e.u64(o.NextSeq)
+	c.U64(&r.NextExpected)
+	n := c.Len(len(r.Outgoing))
+	if c.Decoding() && n > 0 {
+		r.Outgoing = make([]OutSessionState, n)
 	}
-	e.vec(r.DV)
-	return e.b
+	for i := range r.Outgoing[:n] {
+		o := &r.Outgoing[i]
+		c.Str(&o.ID)
+		c.Str(&o.Target)
+		c.U64(&o.NextSeq)
+	}
+	c.Vec(&r.DV)
 }
 
+// Encode serializes the record payload.
+func (r SessionCheckpoint) Encode() []byte { c := NewEncoder(); r.walk(&c); return c.b }
+
 // DecodeSessionCheckpoint parses a TSessionCkpt payload.
-func DecodeSessionCheckpoint(p []byte) (SessionCheckpoint, error) {
-	d := dec{b: p}
-	var r SessionCheckpoint
-	r.Session = d.str()
-	r.ClientAddr = d.str()
-	r.IntraDomain = d.boolv()
-	r.Vars = d.strmap()
-	r.HasReply = d.boolv()
-	if r.HasReply {
-		r.ReplySeq = d.u64()
-		r.ReplyStatus = d.u8()
-		r.Reply = d.bytes()
-	}
-	r.NextExpected = d.u64()
-	n := d.u64()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var o OutSessionState
-		o.ID = d.str()
-		o.Target = d.str()
-		o.NextSeq = d.u64()
-		r.Outgoing = append(r.Outgoing, o)
-	}
-	r.DV = d.vec()
-	return r, d.done("SessionCheckpoint")
+func DecodeSessionCheckpoint(p []byte) (r SessionCheckpoint, err error) {
+	c := NewDecoder(p)
+	r.walk(&c)
+	return r, c.Done("SessionCheckpoint")
 }
 
 // SessionStart records the creation of a session, so crash recovery can
@@ -328,23 +287,20 @@ type SessionStart struct {
 	IntraDomain bool
 }
 
-// Encode serializes the record payload.
-func (r SessionStart) Encode() []byte {
-	e := newEnc()
-	e.str(r.Session)
-	e.str(r.ClientAddr)
-	e.boolv(r.IntraDomain)
-	return e.b
+func (r *SessionStart) walk(c *Coder) {
+	c.Str(&r.Session)
+	c.Str(&r.ClientAddr)
+	c.Bool(&r.IntraDomain)
 }
 
+// Encode serializes the record payload.
+func (r SessionStart) Encode() []byte { c := NewEncoder(); r.walk(&c); return c.b }
+
 // DecodeSessionStart parses a TSessionStart payload.
-func DecodeSessionStart(p []byte) (SessionStart, error) {
-	d := dec{b: p}
-	var r SessionStart
-	r.Session = d.str()
-	r.ClientAddr = d.str()
-	r.IntraDomain = d.boolv()
-	return r, d.done("SessionStart")
+func DecodeSessionStart(p []byte) (r SessionStart, err error) {
+	c := NewDecoder(p)
+	r.walk(&c)
+	return r, c.Done("SessionStart")
 }
 
 // SessionEnd marks the end of a session; its position stream is discarded
@@ -353,19 +309,18 @@ type SessionEnd struct {
 	Session string
 }
 
-// Encode serializes the record payload.
-func (r SessionEnd) Encode() []byte {
-	e := newEnc()
-	e.str(r.Session)
-	return e.b
+func (r *SessionEnd) walk(c *Coder) {
+	c.Str(&r.Session)
 }
 
+// Encode serializes the record payload.
+func (r SessionEnd) Encode() []byte { c := NewEncoder(); r.walk(&c); return c.b }
+
 // DecodeSessionEnd parses a TSessionEnd payload.
-func DecodeSessionEnd(p []byte) (SessionEnd, error) {
-	d := dec{b: p}
-	var r SessionEnd
-	r.Session = d.str()
-	return r, d.done("SessionEnd")
+func DecodeSessionEnd(p []byte) (r SessionEnd, err error) {
+	c := NewDecoder(p)
+	r.walk(&c)
+	return r, c.Done("SessionEnd")
 }
 
 // EOS (end-of-skip) is written when session orphan recovery terminates:
@@ -377,21 +332,19 @@ type EOS struct {
 	Orphan  wal.LSN
 }
 
-// Encode serializes the record payload.
-func (r EOS) Encode() []byte {
-	e := newEnc()
-	e.str(r.Session)
-	e.i64(int64(r.Orphan))
-	return e.b
+func (r *EOS) walk(c *Coder) {
+	c.Str(&r.Session)
+	c.I64((*int64)(&r.Orphan))
 }
 
+// Encode serializes the record payload.
+func (r EOS) Encode() []byte { c := NewEncoder(); r.walk(&c); return c.b }
+
 // DecodeEOS parses a TEOS payload.
-func DecodeEOS(p []byte) (EOS, error) {
-	d := dec{b: p}
-	var r EOS
-	r.Session = d.str()
-	r.Orphan = wal.LSN(d.i64())
-	return r, d.done("EOS")
+func DecodeEOS(p []byte) (r EOS, err error) {
+	c := NewDecoder(p)
+	r.walk(&c)
+	return r, c.Done("EOS")
 }
 
 // PeekSession returns the leading session ID of a payload without
@@ -401,29 +354,25 @@ func DecodeEOS(p []byte) (EOS, error) {
 // precisely so the crash-recovery analysis scan can route the record to
 // its position stream without materializing values, vectors or variable
 // maps.
-func PeekSession(p []byte) (string, error) {
-	d := dec{b: p}
-	s := d.str()
-	return s, d.err
+func PeekSession(p []byte) (session string, err error) {
+	c := NewDecoder(p)
+	c.Str(&session)
+	return session, c.err
 }
 
 // PeekSessionVar returns the leading (Session, Var) pair of a
 // TSharedWrite or TSharedRead payload — the two routing keys the
 // analysis scan needs — without decoding the value or the DV.
 func PeekSessionVar(p []byte) (session, name string, err error) {
-	d := dec{b: p}
-	session = d.str()
-	name = d.str()
-	return session, name, d.err
+	c := NewDecoder(p)
+	c.Str(&session)
+	c.Str(&name)
+	return session, name, c.err
 }
 
 // PeekVar returns the leading variable name of a TSVCheckpoint payload
 // without decoding the checkpointed value.
-func PeekVar(p []byte) (string, error) {
-	d := dec{b: p}
-	s := d.str()
-	return s, d.err
-}
+func PeekVar(p []byte) (string, error) { return PeekSession(p) }
 
 // RecoveryInfo records a peer's broadcast recovery message so that the
 // MSP's knowledge of recovered state numbers survives its own crash.
@@ -433,23 +382,20 @@ type RecoveryInfo struct {
 	Recovered    wal.LSN
 }
 
-// Encode serializes the record payload.
-func (r RecoveryInfo) Encode() []byte {
-	e := newEnc()
-	e.str(r.Process)
-	e.u32(r.CrashedEpoch)
-	e.i64(int64(r.Recovered))
-	return e.b
+func (r *RecoveryInfo) walk(c *Coder) {
+	c.Str(&r.Process)
+	c.U32(&r.CrashedEpoch)
+	c.I64((*int64)(&r.Recovered))
 }
 
+// Encode serializes the record payload.
+func (r RecoveryInfo) Encode() []byte { c := NewEncoder(); r.walk(&c); return c.b }
+
 // DecodeRecoveryInfo parses a TRecoveryInfo payload.
-func DecodeRecoveryInfo(p []byte) (RecoveryInfo, error) {
-	d := dec{b: p}
-	var r RecoveryInfo
-	r.Process = d.str()
-	r.CrashedEpoch = d.u32()
-	r.Recovered = wal.LSN(d.i64())
-	return r, d.done("RecoveryInfo")
+func DecodeRecoveryInfo(p []byte) (r RecoveryInfo, err error) {
+	c := NewDecoder(p)
+	r.walk(&c)
+	return r, c.Done("RecoveryInfo")
 }
 
 // MSPCheckpoint is the fuzzy MSP checkpoint (§3.4): recovered state
@@ -462,31 +408,26 @@ type MSPCheckpoint struct {
 	Knowledge []dv.RecoveryInfo
 }
 
-// Encode serializes the record payload.
-func (r MSPCheckpoint) Encode() []byte {
-	e := newEnc()
-	e.u32(r.Epoch)
-	e.u64(uint64(len(r.Knowledge)))
-	for _, k := range r.Knowledge {
-		e.str(string(k.Process))
-		e.u32(k.CrashedEpoch)
-		e.i64(k.Recovered)
+func (r *MSPCheckpoint) walk(c *Coder) {
+	c.U32(&r.Epoch)
+	n := c.Len(len(r.Knowledge))
+	if c.Decoding() && n > 0 {
+		r.Knowledge = make([]dv.RecoveryInfo, n)
 	}
-	return e.b
+	for i := range r.Knowledge[:n] {
+		k := &r.Knowledge[i]
+		c.Str((*string)(&k.Process))
+		c.U32(&k.CrashedEpoch)
+		c.I64(&k.Recovered)
+	}
 }
 
+// Encode serializes the record payload.
+func (r MSPCheckpoint) Encode() []byte { c := NewEncoder(); r.walk(&c); return c.b }
+
 // DecodeMSPCheckpoint parses a TMSPCheckpoint payload.
-func DecodeMSPCheckpoint(p []byte) (MSPCheckpoint, error) {
-	d := dec{b: p}
-	var r MSPCheckpoint
-	r.Epoch = d.u32()
-	n := d.u64()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var k dv.RecoveryInfo
-		k.Process = dv.ProcessID(d.str())
-		k.CrashedEpoch = d.u32()
-		k.Recovered = d.i64()
-		r.Knowledge = append(r.Knowledge, k)
-	}
-	return r, d.done("MSPCheckpoint")
+func DecodeMSPCheckpoint(p []byte) (r MSPCheckpoint, err error) {
+	c := NewDecoder(p)
+	r.walk(&c)
+	return r, c.Done("MSPCheckpoint")
 }

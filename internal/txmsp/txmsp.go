@@ -29,6 +29,7 @@ import (
 
 	"mspr/internal/core"
 	"mspr/internal/failpoint"
+	"mspr/internal/logrec"
 	"mspr/internal/sdb"
 	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
@@ -70,80 +71,47 @@ type Result struct {
 	Values [][]byte
 }
 
-// Encode serializes a transaction for transport through Ctx.Call.
-func (t Tx) Encode() []byte {
-	var b []byte
-	b = binary.AppendUvarint(b, uint64(len(t.Ops)))
-	for _, op := range t.Ops {
-		b = append(b, byte(op.Kind))
-		b = binary.AppendUvarint(b, uint64(len(op.Key)))
-		b = append(b, op.Key...)
-		b = binary.AppendUvarint(b, uint64(len(op.Value)))
-		b = append(b, op.Value...)
+func (t *Tx) walk(c *logrec.Coder) {
+	n := c.Len(len(t.Ops))
+	if c.Decoding() && n > 0 {
+		t.Ops = make([]Op, n)
 	}
-	return b
+	for i := range t.Ops[:n] {
+		op := &t.Ops[i]
+		c.U8((*byte)(&op.Kind))
+		c.Str(&op.Key)
+		c.Bytes(&op.Value)
+	}
 }
 
+// Encode serializes a transaction for transport through Ctx.Call.
+func (t Tx) Encode() []byte { var c logrec.Coder; t.walk(&c); return c.Encoded() }
+
 // DecodeTx parses an encoded transaction.
-func DecodeTx(p []byte) (Tx, error) {
-	var t Tx
-	n, k := binary.Uvarint(p)
-	if k <= 0 {
-		return t, errors.New("txmsp: bad op count")
+func DecodeTx(p []byte) (t Tx, err error) {
+	c := logrec.NewDecoder(p)
+	t.walk(&c)
+	return t, c.Done("Tx")
+}
+
+func (r *Result) walk(c *logrec.Coder) {
+	n := c.Len(len(r.Values))
+	if c.Decoding() && n > 0 {
+		r.Values = make([][]byte, n)
 	}
-	p = p[k:]
-	for i := uint64(0); i < n; i++ {
-		if len(p) < 1 {
-			return t, errors.New("txmsp: truncated op")
-		}
-		var op Op
-		op.Kind = OpKind(p[0])
-		p = p[1:]
-		l, k := binary.Uvarint(p)
-		if k <= 0 || uint64(len(p)-k) < l {
-			return t, errors.New("txmsp: bad key")
-		}
-		op.Key = string(p[k : k+int(l)])
-		p = p[k+int(l):]
-		l, k = binary.Uvarint(p)
-		if k <= 0 || uint64(len(p)-k) < l {
-			return t, errors.New("txmsp: bad value")
-		}
-		op.Value = append([]byte(nil), p[k:k+int(l)]...)
-		p = p[k+int(l):]
-		t.Ops = append(t.Ops, op)
+	for i := range r.Values[:n] {
+		c.Bytes(&r.Values[i])
 	}
-	return t, nil
 }
 
 // Encode serializes a result.
-func (r Result) Encode() []byte {
-	var b []byte
-	b = binary.AppendUvarint(b, uint64(len(r.Values)))
-	for _, v := range r.Values {
-		b = binary.AppendUvarint(b, uint64(len(v)))
-		b = append(b, v...)
-	}
-	return b
-}
+func (r Result) Encode() []byte { var c logrec.Coder; r.walk(&c); return c.Encoded() }
 
 // DecodeResult parses an encoded result.
-func DecodeResult(p []byte) (Result, error) {
-	var r Result
-	n, k := binary.Uvarint(p)
-	if k <= 0 {
-		return r, errors.New("txmsp: bad result count")
-	}
-	p = p[k:]
-	for i := uint64(0); i < n; i++ {
-		l, k := binary.Uvarint(p)
-		if k <= 0 || uint64(len(p)-k) < l {
-			return r, errors.New("txmsp: bad result value")
-		}
-		r.Values = append(r.Values, append([]byte(nil), p[k:k+int(l)]...))
-		p = p[k+int(l):]
-	}
-	return r, nil
+func DecodeResult(p []byte) (r Result, err error) {
+	c := logrec.NewDecoder(p)
+	r.walk(&c)
+	return r, c.Done("Result")
 }
 
 // dataKey namespaces application keys away from the idempotency records.
