@@ -2,6 +2,11 @@ package baselines
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +17,8 @@ import (
 	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/vars.golden")
 
 func counterDef() core.Definition {
 	return core.Definition{
@@ -46,6 +53,41 @@ func TestEncodeDecodeVarsRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVarsFormatPinned compares the encodings of fixed session-variable
+// maps with testdata/vars.golden: Psession keeps them in its database and
+// the state server on the wire, so the bytes must not move.
+func TestVarsFormatPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		m    map[string][]byte
+	}{
+		{"empty", map[string][]byte{}},
+		{"vars", map[string][]byte{
+			"n":     chaos.U64(7),
+			"state": bytes.Repeat([]byte{0xAB}, 200),
+			"nil":   nil,
+			"":      []byte("k"),
+		}},
+	}
+	var got strings.Builder
+	for _, c := range cases {
+		fmt.Fprintf(&got, "%s %x\n", c.name, encodeVars(c.m))
+	}
+	path := filepath.Join("testdata", "vars.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("encodings differ from %s\ngot:\n%s\nwant:\n%s", path, got.String(), want)
 	}
 }
 
