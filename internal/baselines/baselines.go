@@ -17,14 +17,13 @@
 package baselines
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mspr/internal/core"
+	"mspr/internal/logrec"
 	"mspr/internal/rpc"
 	"mspr/internal/sdb"
 	"mspr/internal/simnet"
@@ -33,44 +32,19 @@ import (
 
 // encodeVars serializes a session-variable map deterministically.
 func encodeVars(m map[string][]byte) []byte {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var out []byte
-	out = binary.AppendUvarint(out, uint64(len(keys)))
-	for _, k := range keys {
-		out = binary.AppendUvarint(out, uint64(len(k)))
-		out = append(out, k...)
-		out = binary.AppendUvarint(out, uint64(len(m[k])))
-		out = append(out, m[k]...)
-	}
-	return out
+	var c logrec.Coder
+	c.StrMap(&m)
+	return c.Encoded()
 }
 
 // decodeVars parses encodeVars output; corrupt input yields an empty map
 // (a baseline has no better recovery story than starting fresh).
 func decodeVars(b []byte) map[string][]byte {
-	m := make(map[string][]byte)
-	n, k := binary.Uvarint(b)
-	if k <= 0 {
-		return m
-	}
-	b = b[k:]
-	for i := uint64(0); i < n; i++ {
-		l, k := binary.Uvarint(b)
-		if k <= 0 || uint64(len(b)-k) < l {
-			return m
-		}
-		key := string(b[k : k+int(l)])
-		b = b[k+int(l):]
-		l, k = binary.Uvarint(b)
-		if k <= 0 || uint64(len(b)-k) < l {
-			return m
-		}
-		m[key] = append([]byte(nil), b[k:k+int(l)]...)
-		b = b[k+int(l):]
+	var m map[string][]byte
+	c := logrec.NewDecoder(b)
+	c.StrMap(&m)
+	if c.Done("session vars") != nil {
+		return map[string][]byte{}
 	}
 	return m
 }

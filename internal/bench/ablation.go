@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mspr/internal/metrics"
-	"mspr/internal/workload"
 )
 
 // Ablations quantify the design choices DESIGN.md calls out beyond the
@@ -68,9 +67,9 @@ func RunAblationSharedSize(o Options, sizes []int) ([]AblationSharedSizeResult, 
 	o.printf("%-12s %12s %16s\n", "shared size", "mean (ms)", "log bytes/req")
 	var out []AblationSharedSizeResult
 	for _, size := range sizes {
-		p := workload.NewParams(workload.LoOptimistic, o.TimeScale)
-		p.SharedSize = size
-		st, err := runOne(o, p)
+		c := paperConfig(LoOptimistic)
+		c.sharedSize = size
+		st, err := runOne(o, c)
 		if err != nil {
 			return nil, fmt.Errorf("shared size %d: %w", size, err)
 		}

@@ -1,8 +1,8 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§5) on the simulated testbed. Each experiment has a
 // structured result type (asserted on by tests and printed by
-// cmd/mspr-bench) and a runner that executes the §5.1 workload in the
-// relevant configurations.
+// cmd/mspr-bench) and a runner that drives the paper's §5.1 system
+// (system.go) in the relevant configurations.
 //
 // Absolute numbers are simulator-scaled; what must (and does) reproduce
 // is the paper's shape: orderings, ratios and crossovers. Results are
@@ -17,7 +17,6 @@ import (
 
 	"mspr/internal/metrics"
 	"mspr/internal/simdisk"
-	"mspr/internal/workload"
 )
 
 // Options configures an experiment run.
@@ -64,15 +63,15 @@ type RunStats struct {
 	LogBytesPerOp float64
 }
 
-// runOne executes the workload with the given parameters and measures
-// response time and throughput over o.Requests requests spread across
-// o.Clients concurrent sessions.
-func runOne(o Options, p workload.Params) (RunStats, error) {
-	sys, err := workload.New(p)
+// runOne builds the system c describes and measures response time and
+// throughput over o.Requests requests spread across o.Clients concurrent
+// sessions.
+func runOne(o Options, c config) (RunStats, error) {
+	sys, err := newSystem(c, o.TimeScale)
 	if err != nil {
 		return RunStats{}, err
 	}
-	defer sys.Close()
+	defer sys.close()
 
 	var series metrics.Series
 	var mu sync.Mutex
@@ -83,13 +82,13 @@ func runOne(o Options, p workload.Params) (RunStats, error) {
 	}
 	start := time.Now() //mspr:wallclock benchmark measures real elapsed time, rescaled to model time for the report
 	var wg sync.WaitGroup
-	for c := 0; c < o.Clients; c++ {
+	for range o.Clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cs := sys.NewSession()
+			cs := sys.client.Session("msp1")
 			for i := 0; i < perClient; i++ {
-				lat, err := sys.Do(cs)
+				_, lat, err := sys.do(cs)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -107,30 +106,23 @@ func runOne(o Options, p workload.Params) (RunStats, error) {
 	if firstErr != nil {
 		return RunStats{}, firstErr
 	}
-	d1, d2 := sys.Disks()
 	return RunStats{
-		MeanMS:     metrics.ModelMS(series.Mean(), p.TimeScale),
-		MaxMS:      metrics.ModelMS(series.Max(), p.TimeScale),
-		P95MS:      metrics.ModelMS(series.Percentile(95), p.TimeScale),
-		Throughput: metrics.ThroughputPerModelSecond(series.Count(), elapsed, p.TimeScale),
-		Crashes:    sys.Crashes(),
-		LogBytesPerOp: float64((d1.Stats().SectorsOut+d2.Stats().SectorsOut)*simdisk.SectorSize) /
+		MeanMS:     metrics.ModelMS(series.Mean(), o.TimeScale),
+		MaxMS:      metrics.ModelMS(series.Max(), o.TimeScale),
+		P95MS:      metrics.ModelMS(series.Percentile(95), o.TimeScale),
+		Throughput: metrics.ThroughputPerModelSecond(series.Count(), elapsed, o.TimeScale),
+		Crashes:    sys.crashes(), // after elapsed: the last request's restart may still be running
+		LogBytesPerOp: float64((sys.disk1.Stats().SectorsOut+sys.disk2.Stats().SectorsOut)*simdisk.SectorSize) /
 			float64(series.Count()),
 	}, nil
 }
 
 // AllModes lists the five configurations in the paper's Fig. 14 order.
-var AllModes = []workload.Mode{
-	workload.NoLog,
-	workload.LoOptimistic,
-	workload.Pessimistic,
-	workload.Psession,
-	workload.StateServer,
-}
+var AllModes = []Mode{NoLog, LoOptimistic, Pessimistic, Psession, StateServer}
 
 // E1Result is one row of the Fig. 14 table.
 type E1Result struct {
-	Mode  workload.Mode
+	Mode  Mode
 	Stats RunStats
 }
 
@@ -142,8 +134,7 @@ func RunE1(o Options) ([]E1Result, error) {
 	o.printf("%-14s %10s %10s %10s\n", "config", "mean", "p95", "max")
 	var out []E1Result
 	for _, mode := range AllModes {
-		p := workload.NewParams(mode, o.TimeScale)
-		st, err := runOne(o, p)
+		st, err := runOne(o, paperConfig(mode))
 		if err != nil {
 			return nil, fmt.Errorf("E1 %s: %w", mode, err)
 		}
@@ -156,7 +147,7 @@ func RunE1(o Options) ([]E1Result, error) {
 // E2Result is one series of the Fig. 14 chart: response time versus the
 // number of calls to ServiceMethod2 inside ServiceMethod1.
 type E2Result struct {
-	Mode   workload.Mode
+	Mode   Mode
 	Calls  []int
 	MeanMS []float64
 }
@@ -179,9 +170,9 @@ func RunE2(o Options, calls []int) ([]E2Result, error) {
 		res := E2Result{Mode: mode, Calls: calls}
 		o.printf("%-14s", mode)
 		for _, m := range calls {
-			p := workload.NewParams(mode, o.TimeScale)
-			p.Calls = m
-			st, err := runOne(o, p)
+			c := paperConfig(mode)
+			c.calls = m
+			st, err := runOne(o, c)
 			if err != nil {
 				return nil, fmt.Errorf("E2 %s m=%d: %w", mode, m, err)
 			}
@@ -212,9 +203,9 @@ func RunE3(o Options, thresholds []int64) ([]E3Result, error) {
 	o.printf("%-12s %12s\n", "threshold", "throughput")
 	var out []E3Result
 	for _, th := range thresholds {
-		p := workload.NewParams(workload.LoOptimistic, o.TimeScale)
-		p.SessionCkptThreshold = th
-		st, err := runOne(o, p)
+		c := paperConfig(LoOptimistic)
+		c.threshold = th
+		st, err := runOne(o, c)
 		if err != nil {
 			return nil, fmt.Errorf("E3 threshold=%d: %w", th, err)
 		}
@@ -237,7 +228,7 @@ func thresholdName(th int64) string {
 
 // E4Result is one point of Fig. 15(b): throughput at a crash rate.
 type E4Result struct {
-	Mode       workload.Mode
+	Mode       Mode
 	CrashEvery int // 0 = no crashes
 	Throughput float64
 	Crashes    int64
@@ -253,11 +244,11 @@ func RunE4(o Options, crashEvery []int) ([]E4Result, error) {
 	o.printf("E4 — Fig. 15(b): throughput (req/model-s) vs crash rate, threshold 1MB\n")
 	o.printf("%-14s %12s %12s %8s\n", "config", "crash rate", "throughput", "crashes")
 	var out []E4Result
-	for _, mode := range []workload.Mode{workload.LoOptimistic, workload.Pessimistic} {
+	for _, mode := range []Mode{LoOptimistic, Pessimistic} {
 		for _, ce := range crashEvery {
-			p := workload.NewParams(mode, o.TimeScale)
-			p.CrashEvery = ce
-			st, err := runOne(o, p)
+			c := paperConfig(mode)
+			c.crashEvery = ce
+			st, err := runOne(o, c)
 			if err != nil {
 				return nil, fmt.Errorf("E4 %s crashEvery=%d: %w", mode, ce, err)
 			}
@@ -295,26 +286,26 @@ func RunE5(o Options, crashEvery int) (E5Result, error) {
 	var res E5Result
 	type cell struct {
 		out        *float64
-		mode       workload.Mode
+		mode       Mode
 		crashEvery int
 		threshold  int64
 	}
 	cells := []cell{
-		{&res.LoCrash, workload.LoOptimistic, crashEvery, 1 << 20},
-		{&res.LoNoCrash, workload.LoOptimistic, 0, 1 << 20},
-		{&res.LoNoCp, workload.LoOptimistic, 0, 0},
-		{&res.PeCrash, workload.Pessimistic, crashEvery, 1 << 20},
-		{&res.PeNoCrash, workload.Pessimistic, 0, 1 << 20},
-		{&res.PeNoCp, workload.Pessimistic, 0, 0},
-		{&res.NoLogMax, workload.NoLog, 0, 0},
-		{&res.StateServerMax, workload.StateServer, 0, 0},
-		{&res.PsessionMax, workload.Psession, 0, 0},
+		{&res.LoCrash, LoOptimistic, crashEvery, 1 << 20},
+		{&res.LoNoCrash, LoOptimistic, 0, 1 << 20},
+		{&res.LoNoCp, LoOptimistic, 0, 0},
+		{&res.PeCrash, Pessimistic, crashEvery, 1 << 20},
+		{&res.PeNoCrash, Pessimistic, 0, 1 << 20},
+		{&res.PeNoCp, Pessimistic, 0, 0},
+		{&res.NoLogMax, NoLog, 0, 0},
+		{&res.StateServerMax, StateServer, 0, 0},
+		{&res.PsessionMax, Psession, 0, 0},
 	}
 	for _, c := range cells {
-		p := workload.NewParams(c.mode, o.TimeScale)
-		p.CrashEvery = c.crashEvery
-		p.SessionCkptThreshold = c.threshold
-		st, err := runOne(o, p)
+		cfg := paperConfig(c.mode)
+		cfg.crashEvery = c.crashEvery
+		cfg.threshold = c.threshold
+		st, err := runOne(o, cfg)
 		if err != nil {
 			return res, fmt.Errorf("E5 %s: %w", c.mode, err)
 		}
@@ -353,10 +344,10 @@ func RunE6(o Options, crashEvery int, thresholds []int64) ([]E6Result, error) {
 	o.printf("%-12s %12s\n", "threshold", "throughput")
 	var out []E6Result
 	for _, th := range thresholds {
-		p := workload.NewParams(workload.LoOptimistic, o.TimeScale)
-		p.CrashEvery = crashEvery
-		p.SessionCkptThreshold = th
-		st, err := runOne(o, p)
+		c := paperConfig(LoOptimistic)
+		c.crashEvery = crashEvery
+		c.threshold = th
+		st, err := runOne(o, c)
 		if err != nil {
 			return nil, fmt.Errorf("E6 threshold=%d: %w", th, err)
 		}
@@ -369,7 +360,7 @@ func RunE6(o Options, crashEvery int, thresholds []int64) ([]E6Result, error) {
 // E7Result is one point of Fig. 17: performance versus number of
 // concurrent end clients, with and without batch flushing.
 type E7Result struct {
-	Mode       workload.Mode
+	Mode       Mode
 	Batch      bool
 	Clients    int
 	Throughput float64
@@ -391,7 +382,7 @@ func RunE7(o Options, clients []int) ([]E7Result, error) {
 	}
 	o.printf("\n")
 	var out []E7Result
-	for _, mode := range []workload.Mode{workload.Pessimistic, workload.LoOptimistic} {
+	for _, mode := range []Mode{Pessimistic, LoOptimistic} {
 		for _, batch := range []bool{false, true} {
 			name := mode.String()
 			if batch {
@@ -401,13 +392,13 @@ func RunE7(o Options, clients []int) ([]E7Result, error) {
 			}
 			o.printf("%-26s", name)
 			for _, c := range clients {
-				p := workload.NewParams(mode, o.TimeScale)
+				cfg := paperConfig(mode)
 				if batch {
-					p.BatchFlushTimeout = 8 * time.Millisecond
+					cfg.batch = 8 * time.Millisecond
 				}
 				ro := o
 				ro.Clients = c
-				st, err := runOne(ro, p)
+				st, err := runOne(ro, cfg)
 				if err != nil {
 					return nil, fmt.Errorf("E7 %s c=%d: %w", name, c, err)
 				}

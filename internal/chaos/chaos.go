@@ -10,7 +10,7 @@
 //     table of crash points they inject;
 //   - RunStorm is the front/back/ledger storm and RunOverload the
 //     capacity-then-flood storm behind cmd/mspr-chaos, the in-tree storm
-//     tests, and (through Proc) internal/workload and internal/bench.
+//     tests, and (through Proc) internal/bench's §5.1 system.
 package chaos
 
 import (

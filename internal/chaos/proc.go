@@ -13,8 +13,8 @@ import (
 
 // Proc is a restartable process: how to start an incarnation, and the
 // incarnation currently up. Every harness that crashes and restarts an
-// MSP — the storms, the paper workload's §5.4 crash, the recovery benches
-// — goes through Restart, so a failed restart means one thing everywhere:
+// MSP — the storms, internal/bench's §5.4 crash and recovery benches —
+// goes through Restart, so a failed restart means one thing everywhere:
 // the error is returned and the dead incarnation is kept, whose Crash is
 // idempotent, so the caller can simply Restart again.
 type Proc[S process] struct {

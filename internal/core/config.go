@@ -98,13 +98,6 @@ type Config struct {
 	WalSegmentSize int64
 	// TimeScale converts model latencies to wall-clock sleeps.
 	TimeScale float64
-	// NoRecoverySweep disables the background sweep that drains
-	// unrecovered units after crash recovery's analysis pass: every
-	// session and shared variable is then restored only on first touch.
-	// For deterministic lazy-restore tests and time-to-first-reply
-	// benches; keep it false in real use (the sweep is what guarantees
-	// the process eventually returns to a fully materialized state).
-	NoRecoverySweep bool
 	// FlushDeadline bounds one distributed-flush peer call end to end
 	// (model time): transmission, retransmissions with backoff, and the
 	// wait for the peer to finish recovering. A peer unreachable past
@@ -166,6 +159,14 @@ type Config struct {
 	// guarded nil check, adding no work and no allocations to the
 	// request hot path.
 	Tap Tap
+
+	// noRecoverySweep disables the background sweep that drains
+	// unrecovered units after crash recovery's analysis pass: every
+	// session and shared variable is then restored only on first touch.
+	// Only this package's lazy-restore tests set it: the sweep is what
+	// guarantees the process eventually returns to a fully materialized
+	// state.
+	noRecoverySweep bool
 }
 
 // NewConfig returns a Config with the defaults used by the experiments:

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"sync"
 
+	"mspr/internal/logrec"
 	"mspr/internal/rpc"
 	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
@@ -85,7 +86,7 @@ func (c *DurableClient) Session(target string) (*DurableSession, error) {
 	id := c.nextSessionID()
 	c.jmu.Lock()
 	defer c.jmu.Unlock()
-	if err := c.appendLocked(dcBegin, encBegin(id, target)); err != nil {
+	if err := c.appendLocked(jrec{typ: dcBegin, id: id, target: target}); err != nil {
 		return nil, err
 	}
 	return c.openLocked(id, target), nil
@@ -136,7 +137,7 @@ func (ds *DurableSession) Call(method string, arg []byte) ([]byte, error) {
 		return nil, errors.New("core: session has a pending request; Resume it first")
 	}
 	in := &intent{seq: ds.nextSeq, method: method, arg: append([]byte(nil), arg...)}
-	if err := ds.dc.appendLocked(dcIntent, encIntent(ds.id, in)); err != nil {
+	if err := ds.dc.appendLocked(jrec{typ: dcIntent, id: ds.id, intent: *in}); err != nil {
 		ds.dc.jmu.Unlock()
 		return nil, err
 	}
@@ -168,7 +169,7 @@ func (ds *DurableSession) complete(in *intent, resumed bool) ([]byte, error) {
 		return nil, err
 	}
 	ds.dc.jmu.Lock()
-	werr := ds.dc.appendLocked(dcDone, encDone(ds.id, in.seq))
+	werr := ds.dc.appendLocked(jrec{typ: dcDone, id: ds.id, intent: *in})
 	if werr == nil {
 		ds.pending = nil
 		ds.nextSeq = in.seq + 1
@@ -180,50 +181,39 @@ func (ds *DurableSession) complete(in *intent, resumed bool) ([]byte, error) {
 	return payload, err
 }
 
-// --- journal encoding ---
-
-func encBegin(id, target string) []byte {
-	var b []byte
-	b = appendStr(b, id)
-	b = appendStr(b, target)
-	return b
+// jrec is one journal record: typ says which of its fields the payload
+// holds.
+type jrec struct {
+	typ        byte
+	id, target string
+	intent
 }
 
-func encIntent(id string, in *intent) []byte {
-	var b []byte
-	b = appendStr(b, id)
-	b = binary.AppendUvarint(b, in.seq)
-	b = appendStr(b, in.method)
-	b = binary.AppendUvarint(b, uint64(len(in.arg)))
-	b = append(b, in.arg...)
-	return b
-}
-
-func encDone(id string, seq uint64) []byte {
-	var b []byte
-	b = appendStr(b, id)
-	b = binary.AppendUvarint(b, seq)
-	return b
-}
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func takeStr(b []byte) (string, []byte, bool) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || uint64(len(b)-k) < n {
-		return "", nil, false
+// walk lists the payload's fields in order: every record starts with the
+// session id, a begin adds the target, an intent the request, a done its
+// sequence number.
+func (r *jrec) walk(c *logrec.Coder) {
+	c.Str(&r.id)
+	switch r.typ {
+	case dcBegin:
+		c.Str(&r.target)
+	case dcIntent:
+		c.U64(&r.seq)
+		c.Str(&r.method)
+		c.Bytes(&r.arg)
+	case dcDone:
+		c.U64(&r.seq)
 	}
-	return string(b[k : k+int(n)]), b[k+int(n):], true
 }
 
 // appendLocked writes one framed journal record durably and charges the
 // disk. Caller holds c.jmu.
-func (c *DurableClient) appendLocked(typ byte, payload []byte) error {
+func (c *DurableClient) appendLocked(r jrec) error {
+	var enc logrec.Coder
+	r.walk(&enc)
+	payload := enc.Encoded()
 	frame := make([]byte, 0, len(payload)+10)
-	frame = append(frame, typ)
+	frame = append(frame, r.typ)
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
 	frame = append(frame, payload...)
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
@@ -269,66 +259,36 @@ func (c *DurableClient) load() error {
 	return nil
 }
 
+// applyJournal replays one record; a corrupt one, or one naming a session
+// the journal never began, is skipped.
 func (c *DurableClient) applyJournal(typ byte, p []byte) {
-	switch typ {
-	case dcBegin:
-		id, rest, ok := takeStr(p)
-		if !ok {
-			return
-		}
-		target, _, ok := takeStr(rest)
-		if !ok {
-			return
-		}
-		c.openLocked(id, target)
+	r := jrec{typ: typ}
+	dec := logrec.NewDecoder(p)
+	r.walk(&dec)
+	if dec.Done("journal record") != nil {
+		return
+	}
+	if typ == dcBegin {
+		c.openLocked(r.id, r.target)
 		// Track the counter so new sessions never collide with restored
 		// IDs.
 		var n uint64
-		if _, err := fmt.Sscanf(id, c.id+"#%d", &n); err == nil && n > c.counter {
+		if _, err := fmt.Sscanf(r.id, c.id+"#%d", &n); err == nil && n > c.counter {
 			c.counter = n
 		}
-	case dcIntent:
-		id, rest, ok := takeStr(p)
-		if !ok {
-			return
-		}
-		ds := c.sessions[id]
-		if ds == nil {
-			return
-		}
-		seq, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return
-		}
-		rest = rest[k:]
-		method, rest, ok := takeStr(rest)
-		if !ok {
-			return
-		}
-		n, k := binary.Uvarint(rest)
-		if k <= 0 || uint64(len(rest)-k) < n {
-			return
-		}
-		ds.pending = &intent{seq: seq, method: method,
-			arg: append([]byte(nil), rest[k:k+int(n)]...)}
-	case dcDone:
-		id, rest, ok := takeStr(p)
-		if !ok {
-			return
-		}
-		ds := c.sessions[id]
-		if ds == nil {
-			return
-		}
-		seq, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return
-		}
-		if ds.pending != nil && ds.pending.seq == seq {
+		return
+	}
+	ds := c.sessions[r.id]
+	switch {
+	case ds == nil: // never begun: skipped
+	case typ == dcIntent:
+		ds.pending = &r.intent
+	case typ == dcDone:
+		if ds.pending != nil && ds.pending.seq == r.seq {
 			ds.pending = nil
 		}
-		if seq+1 > ds.nextSeq {
-			ds.nextSeq = seq + 1
+		if r.seq+1 > ds.nextSeq {
+			ds.nextSeq = r.seq + 1
 		}
 	}
 }

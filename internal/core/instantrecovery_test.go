@@ -12,7 +12,7 @@ import (
 // noSweep is the config mutator for deterministic lazy-restore tests:
 // with the background sweep off, a unit is restored only on first touch,
 // so the test controls exactly when each replay happens.
-func noSweep(cfg *Config) { cfg.NoRecoverySweep = true }
+func noSweep(cfg *Config) { cfg.noRecoverySweep = true }
 
 // TestLazySessionRestoreOnFirstTouch is the instant-recovery contract at
 // unit scale: after a crash the session is pending (analysis only), the

@@ -194,7 +194,7 @@ func TestAdmissionShedsExpiredDeadline(t *testing.T) {
 func TestPriorityLaneCarriesReplayClaims(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()
-	e.start("msp1", counterDef(), func(c *Config) { c.NoRecoverySweep = true })
+	e.start("msp1", counterDef(), func(c *Config) { c.noRecoverySweep = true })
 	cs := e.endClient().Session("msp1")
 	for i := 0; i < 3; i++ {
 		mustCall(t, cs, "inc", nil)

@@ -310,9 +310,9 @@ func Start(cfg Config) (*Server, error) {
 	// Instant recovery (§4.3 + REDO-only instant restart): the server is
 	// already serving — a request touching an unrecovered session claims
 	// and replays just that session — while the background sweep drains
-	// the remaining units on the pool's lowest lane. NoRecoverySweep
-	// leaves the drain entirely to first touch (tests, TTFR benches).
-	if len(recoveredSessions) > 0 && !cfg.NoRecoverySweep {
+	// the remaining units on the pool's lowest lane. noRecoverySweep
+	// leaves the drain entirely to first touch (tests).
+	if len(recoveredSessions) > 0 && !cfg.noRecoverySweep {
 		s.goBackground(func() { s.recoverySweep(recoveredSessions) })
 	}
 	return s, nil

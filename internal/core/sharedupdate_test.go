@@ -81,7 +81,7 @@ func sessionRecordTypes(t *testing.T, srv *Server, sess *Session) []logrec.Type 
 func TestUpdateSharedReplay(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()
-	srv := e.start("msp1", bumpDef(nil), func(c *Config) { c.NoRecoverySweep = true })
+	srv := e.start("msp1", bumpDef(nil), func(c *Config) { c.noRecoverySweep = true })
 	cs := e.endClient().Session("msp1")
 	for want := uint64(1); want <= 3; want++ {
 		if got := asU64(mustCall(t, cs, "bump", nil)); got != want {
@@ -142,7 +142,7 @@ func TestUpdateSharedTornByCrash(t *testing.T) {
 			srv.halt()
 		}
 	})
-	srv = e.start("msp1", def, func(c *Config) { c.NoRecoverySweep = true })
+	srv = e.start("msp1", def, func(c *Config) { c.noRecoverySweep = true })
 	cli := e.net.Endpoint("cli")
 	torn := rpc.Request{Session: "torn#1", Seq: 1, Method: "bump", NewSession: true, From: cli.Addr()}
 

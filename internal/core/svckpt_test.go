@@ -312,7 +312,7 @@ func TestSVCheckpointOfOrphanValueRollsBackFirst(t *testing.T) {
 // records the zero value the variable holds in memory until then.
 func TestSVCheckpointAfterRestartRecordsRealValue(t *testing.T) {
 	atEveryWidth(t, func(t *testing.T, e *testEnv) {
-		s1 := e.start("msp1", svckptDef(), func(c *Config) { c.SVCkptEvery, c.NoRecoverySweep = 2, true })
+		s1 := e.start("msp1", svckptDef(), func(c *Config) { c.SVCkptEvery, c.noRecoverySweep = 2, true })
 		mustCall(t, e.endClient().Session("msp1"), "set", u64(7)) // acknowledged to an end client: durable
 
 		s1 = e.restart("msp1")
