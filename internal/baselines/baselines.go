@@ -20,14 +20,12 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mspr/internal/core"
 	"mspr/internal/logrec"
 	"mspr/internal/rpc"
 	"mspr/internal/sdb"
 	"mspr/internal/simnet"
-	"mspr/internal/simtime"
 )
 
 // encodeVars serializes a session-variable map deterministically.
@@ -85,32 +83,13 @@ func WrapPsession(def core.Definition, store *sdb.Store) core.Definition {
 	return wrapped
 }
 
-// ssOp is the state-server wire protocol operation.
-type ssOp byte
-
-const (
-	ssFetch ssOp = iota
-	ssStore
-)
-
-// ssRequest and ssReply are the state-server protocol envelopes.
-type ssRequest struct {
-	ID      uint64
-	Op      ssOp
-	Session string
-	Blob    []byte
-	From    simnet.Addr
-}
-
-type ssReply struct {
-	ID   uint64
-	Blob []byte
-}
-
 // StateServer holds session states in memory on behalf of MSPs, like the
 // commercial web-server configurations of §5.2. It provides no
 // durability: if the state server itself crashes, the states are gone
 // (the paper makes the same observation).
+//
+// Its requests are rpc.Requests: Method "fetch" or "store" of Session's
+// state, which travels in Arg and Payload. Seq only matches the reply.
 type StateServer struct {
 	ep   *simnet.Endpoint
 	stop chan struct{}
@@ -132,17 +111,19 @@ func NewStateServer(addr string, net *simnet.Network) *StateServer {
 
 func (ss *StateServer) serve() {
 	rpc.Serve(ss.ep, ss.stop, func(m simnet.Message) {
-		req, ok := m.Payload.(ssRequest)
+		req, ok := m.Payload.(rpc.Request)
 		if !ok {
 			return
 		}
-		rep := ssReply{ID: req.ID}
+		rep := rpc.Reply{Session: req.Session, Seq: req.Seq}
 		ss.mu.Lock()
-		switch req.Op {
-		case ssFetch:
-			rep.Blob = append([]byte(nil), ss.data[req.Session]...)
-		case ssStore:
-			ss.data[req.Session] = append([]byte(nil), req.Blob...)
+		switch req.Method {
+		case "fetch":
+			rep.Payload = append([]byte(nil), ss.data[req.Session]...)
+		case "store":
+			ss.data[req.Session] = append([]byte(nil), req.Arg...)
+		default:
+			rep.Status = rpc.StatusRejected
 		}
 		ss.mu.Unlock()
 		ss.ep.Send(req.From, rep) //mspr:flushed-by none (StateServer baseline keeps states in memory only — §5.2, the gap log-based recovery closes)
@@ -167,8 +148,8 @@ type StateClient struct {
 	timeScale float64
 	stop      chan struct{}
 
-	nextID  atomic.Uint64
-	replies rpc.Router[uint64, ssReply] // keyed by request ID
+	nextSeq atomic.Uint64
+	replies rpc.Router[uint64, rpc.Reply] // keyed by Seq
 }
 
 // NewStateClient creates a client at addr talking to the state server.
@@ -180,8 +161,8 @@ func NewStateClient(addr, server string, net *simnet.Network, timeScale float64)
 		stop:      make(chan struct{}),
 	}
 	go rpc.Serve(c.ep, c.stop, func(m simnet.Message) {
-		if rep, ok := m.Payload.(ssReply); ok {
-			c.replies.Resolve(rep.ID, rep)
+		if rep, ok := m.Payload.(rpc.Reply); ok {
+			c.replies.Resolve(rep.Seq, rep)
 		}
 	})
 	return c
@@ -190,38 +171,27 @@ func NewStateClient(addr, server string, net *simnet.Network, timeScale float64)
 // Close stops the client's receive loop.
 func (c *StateClient) Close() { close(c.stop) }
 
-// roundTrip performs one request/reply exchange, resending on timeout.
-func (c *StateClient) roundTrip(req ssRequest) ssReply {
-	req.ID = c.nextID.Add(1)
-	ch := c.replies.Register(req.ID)
-	defer c.replies.Deregister(req.ID)
-	req.From = c.ep.Addr()
-	resend := time.Duration(float64(500*time.Millisecond) * c.timeScale)
-	if resend <= 0 {
-		resend = time.Millisecond
-	}
-	for {
-		c.ep.Send(c.server, req) //mspr:flushed-by none (baseline fetch/store round trip: the baselines have no log)
-		timer := simtime.NewTimer(resend)
-		select {
-		case rep := <-ch:
-			timer.Stop()
-			return rep
-		case <-timer.C:
-		}
-	}
+// roundTrip sends one fetch or store of session's state, resending it
+// until the state server answers, and returns the reply's payload.
+func (c *StateClient) roundTrip(method, session string, blob []byte) []byte {
+	seq := c.nextSeq.Add(1)
+	ch := c.replies.Register(seq)
+	defer c.replies.Deregister(seq)
+	out, _ := rpc.Call(func(r rpc.Request) {
+		c.ep.Send(c.server, r) //mspr:flushed-by none (baseline fetch/store round trip: the baselines have no log)
+	}, ch, rpc.Request{Session: session, Seq: seq, Method: method, Arg: blob, From: c.ep.Addr()}, rpc.DefaultCallOptions(c.timeScale))
+	return out // the error is ErrRejected, for a method the server does not know
 }
 
 // Fetch retrieves a session's state from the state server.
 func (c *StateClient) Fetch(session string) map[string][]byte {
-	rep := c.roundTrip(ssRequest{Op: ssFetch, Session: session})
-	return decodeVars(rep.Blob)
+	return decodeVars(c.roundTrip("fetch", session, nil))
 }
 
 // Store saves a session's state to the state server, waiting for the
 // acknowledgement.
 func (c *StateClient) Store(session string, vars map[string][]byte) {
-	c.roundTrip(ssRequest{Op: ssStore, Session: session, Blob: encodeVars(vars)})
+	c.roundTrip("store", session, encodeVars(vars))
 }
 
 // StoreAsync saves a session's state without waiting for the
@@ -231,7 +201,7 @@ func (c *StateClient) Store(session string, vars map[string][]byte) {
 // round trip per MSP).
 func (c *StateClient) StoreAsync(session string, vars map[string][]byte) {
 	//mspr:flushed-by none (fire-and-forget store is the measured behaviour of the commercial baselines)
-	c.ep.Send(c.server, ssRequest{Op: ssStore, Session: session, Blob: encodeVars(vars), From: c.ep.Addr()})
+	c.ep.Send(c.server, rpc.Request{Session: session, Method: "store", Arg: encodeVars(vars), From: c.ep.Addr()})
 }
 
 // WrapStateServer returns a Definition whose methods fetch session state

@@ -56,7 +56,8 @@ func (c *clientCore) start(id string, net *simnet.Network, opts rpc.CallOptions)
 // the client's tap. A nil tap (the default) records nothing.
 func (c *clientCore) SetTap(t ClientTap) { c.tap = t }
 
-// Close stops the client's receive loop.
+// Close stops the client's receive loop and ends every call in flight
+// with rpc.ErrStopped, which leaves its sequence number open.
 func (c *clientCore) Close() {
 	c.mu.Lock()
 	if !c.stopped {
@@ -119,9 +120,10 @@ func (w *clientWire) ID() string { return w.id }
 // A nil or *rpc.AppError error is terminal (see isTerminal): the request
 // executed, and the caller advances the sequence number. Any other error
 // — including the overload-control outcomes ErrOverloaded, ErrCircuitOpen
-// and ErrDeadlineExceeded — leaves it open: the request may still execute
-// server-side, so a later drive must send the identical request again, or
-// fetch the buffered reply through the duplicate path.
+// and ErrDeadlineExceeded, and ErrStopped from Close — leaves it open: the
+// request may still execute server-side, so a later drive must send the
+// identical request again, or fetch the buffered reply through the
+// duplicate path.
 func (w *clientWire) drive(seq uint64, method string, arg []byte, end, retry bool) ([]byte, error) {
 	req := rpc.Request{
 		Session:    w.id,
@@ -140,20 +142,19 @@ func (w *clientWire) drive(seq uint64, method string, arg []byte, end, retry boo
 		tap.ClientInvoke(w.id, method, seq, arg)
 	}
 	attempts := 0
-	payload, err := rpc.Call(func(r rpc.Request) {
+	rep, err := rpc.Exchange(func(r rpc.Request) {
 		if attempts++; tap != nil && (retry || attempts > 1) {
 			tap.ClientRetry(w.id, seq, attempts)
 		}
 		w.c.ep.Send(simnet.Addr(w.target), r) //mspr:flushed-by none (client request: end clients have no log; a durable client journals the intent before it drives)
-	}, w.replies, req, w.opts)
-	if tap != nil {
-		if err == nil {
-			tap.ClientReply(w.id, seq, true, payload)
-		} else if ae, ok := err.(*rpc.AppError); ok {
-			tap.ClientReply(w.id, seq, false, []byte(ae.Msg))
-		}
+	}, w.replies, w.c.stop, req, w.opts)
+	if err != nil {
+		return nil, err
 	}
-	return payload, err
+	if tap != nil && rep.Status != rpc.StatusRejected {
+		tap.ClientReply(w.id, seq, rep.Status == rpc.StatusOK, rep.Payload)
+	}
+	return rep.Result()
 }
 
 // isTerminal reports whether an error is a definitive outcome of the

@@ -406,7 +406,7 @@ func (c *Ctx) Call(target, method string, arg []byte) ([]byte, error) {
 		}
 		c.sess.replayAdvance(lsn)
 		out.nextSeq = seq + 1
-		return replyToResult(rpc.Status(rec.Status), rec.Reply)
+		return rpc.Reply{Status: rpc.Status(rec.Status), Payload: rec.Reply}.Result()
 	}
 	return c.liveCall(out, method, arg)
 }
@@ -479,82 +479,35 @@ func (c *Ctx) liveCall(out *outSession, method string, arg []byte) ([]byte, erro
 		}
 	}
 
+	// The worker waits like an end client: a shed callee is retried, never
+	// answered. Every send is an interception point; receiveLoop drops
+	// orphan replies (Fig. 7).
 	ch := s.calls.Register(out.id)
 	defer s.calls.Deregister(out.id)
-	opts := rpc.DefaultCallOptions(s.cfg.TimeScale)
 	target := simnet.Addr(out.target)
-
-	resend := time.Duration(float64(opts.ResendAfter) * opts.TimeScale)
-	if resend <= 0 {
-		resend = time.Millisecond
-	}
-	for {
+	rep, err := rpc.Exchange(func(r rpc.Request) {
+		c.intercept()
 		// The path-sensitive flushed-by pass sees two unflushed paths
 		// here, both deliberate: intra-domain requests piggyback the DV
 		// instead of flushing (locally optimistic logging, paper §3.2),
 		// and Logging=false disables recovery entirely.
-		s.ep.Send(target, req) //mspr:flushed-by flushSessionDV (inter-domain; intra-domain piggybacks the DV, Logging=false has no recovery)
-		timer := simtime.NewTimer(resend)
-	waiting:
-		for {
-			select {
-			case <-s.stop:
-				timer.Stop()
-				abortMethod(abortCrashed, errors.New("server crashed during outgoing call"))
-			case rep := <-ch:
-				if rep.Seq != seq {
-					continue
-				}
-				if rep.Status == rpc.StatusBusy {
-					timer.Stop()
-					sleepScaled(opts.BusyBackoff, opts.TimeScale)
-					break waiting
-				}
-				if rep.HasDV {
-					// Fig. 7: discard an orphan message. The sender will
-					// itself recover; our resend fetches a clean reply.
-					if _, orphan := s.know.OrphanIn(rep.DV); orphan {
-						continue
-					}
-				}
-				timer.Stop()
-				c.intercept()
-				if s.cfg.Logging {
-					rec := logrec.ReplyReceive{Session: sess.id, OutSession: out.id, Seq: seq,
-						Status: byte(rep.Status), Reply: rep.Payload, HasDV: rep.HasDV, DV: rep.DV}
-					lsn, n, err := s.appendRec(logrec.TReplyReceive, rec.Encode())
-					c.abortIfLogDown(err)
-					sess.noteReceive(lsn, n, rep.DV)
-				}
-				out.nextSeq = seq + 1
-				return replyToResult(rep.Status, rep.Payload)
-			case <-timer.C:
-				c.intercept()
-				break waiting // resend the same request
-			}
-		}
+		s.ep.Send(target, r) //mspr:flushed-by flushSessionDV (inter-domain; intra-domain piggybacks the DV, Logging=false has no recovery)
+	}, ch, s.stop, req, rpc.DefaultCallOptions(s.cfg.TimeScale))
+	if err != nil {
+		// Without budget, breaker, deadline or attempt bound only ErrStopped
+		// (the MSP crashed); an unlogged result must not reach the handler.
+		abortMethod(abortCrashed, err)
 	}
-}
-
-func replyToResult(status rpc.Status, payload []byte) ([]byte, error) {
-	switch status {
-	case rpc.StatusOK:
-		return payload, nil
-	case rpc.StatusAppError:
-		return nil, &rpc.AppError{Msg: string(payload)}
-	case rpc.StatusRejected:
-		return nil, rpc.ErrRejected
-	default:
-		return nil, fmt.Errorf("core: unexpected reply status %v", status)
+	c.intercept()
+	if s.cfg.Logging {
+		rec := logrec.ReplyReceive{Session: sess.id, OutSession: out.id, Seq: seq,
+			Status: byte(rep.Status), Reply: rep.Payload, HasDV: rep.HasDV, DV: rep.DV}
+		lsn, n, err := s.appendRec(logrec.TReplyReceive, rec.Encode())
+		c.abortIfLogDown(err)
+		sess.noteReceive(lsn, n, rep.DV)
 	}
-}
-
-func sleepScaled(d time.Duration, scale float64) {
-	s := time.Duration(float64(d) * scale)
-	if s <= 0 {
-		s = 200 * time.Microsecond // keep retry loops polite at TimeScale 0
-	}
-	simtime.Sleep(s)
+	out.nextSeq = seq + 1
+	return rep.Result()
 }
 
 // sharedVar looks up a declared shared variable. The shared map is built

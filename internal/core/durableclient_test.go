@@ -2,12 +2,14 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mspr/internal/rpc"
 	"mspr/internal/simdisk"
@@ -262,5 +264,49 @@ func TestDurableClientNewSessionsAfterRestartDontCollide(t *testing.T) {
 	out, err := ds2.Call("inc", nil)
 	if err != nil || asU64(out) != 1 {
 		t.Fatalf("new session inc = (%d, %v), want 1", asU64(out), err)
+	}
+}
+
+// TestCloseEndsCallInFlight: closing a client, or crashing a durable one,
+// ends a call nobody will ever answer with rpc.ErrStopped, and leaves the
+// request open: the sequence number does not advance and the durable
+// intent stays pending.
+func TestCloseEndsCallInFlight(t *testing.T) {
+	e, disk := newDurableClientEnv(t)
+	defer e.cleanup()
+	nobody := e.net.Endpoint("nobody") // receives, never answers
+	inFlight := func(call func() error, stop func()) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- call() }()
+		<-nobody.Recv() // the request is out
+		stop()
+		select {
+		case err := <-done:
+			if !errors.Is(err, rpc.ErrStopped) || isTerminal(err) {
+				t.Fatalf("call after close: %v, want the non-terminal rpc.ErrStopped", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("call still resending after the client stopped")
+		}
+	}
+
+	c := NewClient("c", e.net, rpc.DefaultCallOptions(0))
+	cs := c.Session("nobody")
+	inFlight(func() error { _, err := cs.Call("inc", nil); return err }, c.Close)
+	if cs.nextSeq != 1 {
+		t.Fatalf("sequence number moved to %d on a stopped call", cs.nextSeq)
+	}
+
+	dc := mustDurable(t, e, disk)
+	ds, err := dc.Session("nobody")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inFlight(func() error { _, err := ds.Call("inc", nil); return err }, dc.Crash)
+	dc2 := mustDurable(t, e, disk)
+	defer dc2.Close()
+	if _, _, ok := dc2.Sessions()[ds.ID()].Pending(); !ok {
+		t.Fatal("the stopped call's intent is not pending after the crash")
 	}
 }

@@ -12,8 +12,11 @@ import (
 // answer" was reduced to, in the style of TestOneAbortPath: one retransmit
 // loop with one timer and one reply registration in the control plane, one
 // fan-out over a dependency vector, one reply router (rpc.Router) instead
-// of per-purpose pending tables, and one request driver under every client
-// session. Each used to exist two to five times, and the copies drifted.
+// of per-purpose pending tables, one request driver under every client
+// session, and for requests one wait, rpc.Exchange, entered only from that
+// driver and from an MSP's outgoing call. Each used to exist two to five
+// times, and the copies drifted: the MSP-to-MSP wait never learned
+// StatusOverloaded and handed it to the handler as an answer.
 func TestOneWayToAskAndWait(t *testing.T) {
 	fset, files, err := invariants.ParseTree(".", invariants.NonTest)
 	if err != nil {
@@ -32,11 +35,13 @@ func TestOneWayToAskAndWait(t *testing.T) {
 			}
 		}
 	}
-	timers := map[string]int{}    // ctlplane.go: function → time.NewTimer calls
+	timers := map[string]int{}    // function → time.NewTimer and simtime.NewTimer calls
 	registers := map[string]int{} // function → s.ctl.Register calls
 	loopSends := map[string]int{} // ctlplane.go: function → Send calls inside a for loop
 	fanOuts := map[string]int{}   // function → goroutines started while ranging over a dv.Vector
-	drivers := map[string]int{}   // function → rpc.Call calls
+	waits := map[string]int{}     // function → rpc.Exchange and rpc.Call calls
+	newTimer := func(n ast.Node) bool { return call("time", "NewTimer")(n) || call("simtime", "NewTimer")(n) }
+	wait := func(n ast.Node) bool { return call("rpc", "Exchange")(n) || call("rpc", "Call")(n) }
 	var ctlCall *ast.FuncDecl
 	invariants.EachFuncDecl(files, func(name string, fn *ast.FuncDecl) {
 		inCtlplane := name == "ctlplane.go"
@@ -51,14 +56,12 @@ func TestOneWayToAskAndWait(t *testing.T) {
 		case "ctlCall":
 			ctlCall = fn
 		}
-		add(drivers, count(fn.Body, call("rpc", "Call")))
+		add(waits, count(fn.Body, wait))
 		add(registers, count(fn.Body, func(n ast.Node) bool {
 			c, ok := n.(*ast.CallExpr)
 			return ok && sel("", "Register")(c.Fun) && sel("s", "ctl")(c.Fun.(*ast.SelectorExpr).X)
 		}))
-		if inCtlplane {
-			add(timers, count(fn.Body, call("time", "NewTimer")))
-		}
+		add(timers, count(fn.Body, newTimer))
 		// Parameters and locals declared as dv.Vector, and locals
 		// borrowed from a .vec field.
 		vectors := map[string]bool{}
@@ -96,11 +99,26 @@ func TestOneWayToAskAndWait(t *testing.T) {
 			t.Errorf("%s = %v, want exactly one, in %s", what, got, where)
 		}
 	}
-	one("time.NewTimer sites in ctlplane.go", timers, "ctlCall")
+	one("NewTimer sites", timers, "ctlCall")
 	one("s.ctl.Register sites", registers, "ctlCall")
 	one("sends inside a loop in ctlplane.go", loopSends, "ctlCall")
 	one("goroutine fan-outs over a dv.Vector", fanOuts, "flushDV")
-	one("rpc.Call sites", drivers, "drive")
+	if len(waits) != 2 || waits["drive"] != 1 || waits["liveCall"] != 1 {
+		t.Errorf("rpc.Exchange and rpc.Call sites = %v, want one in drive and one in liveCall", waits)
+	}
+
+	// The StateServer baseline's client waits through rpc.Call too: no
+	// timer and no select of its own.
+	_, bfiles, err := invariants.ParseTree("../baselines", invariants.NonTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isSelect := func(n ast.Node) bool { _, ok := n.(*ast.SelectStmt); return ok }
+	for name, f := range bfiles {
+		if n := count(f, newTimer) + count(f, isSelect); n > 0 {
+			t.Errorf("baselines/%s: %d timers or selects; its round trip waits through rpc.Call", name, n)
+		}
+	}
 
 	// Timer hygiene in the one loop: the timer is stopped by a statement of
 	// the same block as the one that arms it, and nothing between the two

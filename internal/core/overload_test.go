@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -361,4 +364,135 @@ func TestDurableClientPerTargetOverloadControl(t *testing.T) {
 	if err != nil || asU64(out) != 1 {
 		t.Fatalf("call to the healthy target = (%d, %v): sheds from another target must not open its breaker", asU64(out), err)
 	}
+}
+
+// TestOverloadedCalleeIsRetriedNotAnswered: an MSP calling another is
+// that callee's client, and a callee that sheds a request has answered
+// nothing. The caller's worker resends the same request under the same
+// sequence number until the callee serves it: the handler never sees the
+// shed, and no outgoing sequence number is skipped. The peer here sheds
+// the first copy of every request it gets.
+func TestOverloadedCalleeIsRetriedNotAnswered(t *testing.T) {
+	e := newTestEnv(t)
+	defer e.cleanup()
+	peer := e.net.Endpoint("peer")
+	stop := make(chan struct{})
+	defer close(stop)
+	var mu sync.Mutex
+	var seen []uint64 // every copy's sequence number, in arrival order
+	copies := map[uint64]int{}
+	go rpc.Serve(peer, stop, func(m simnet.Message) {
+		req, ok := m.Payload.(rpc.Request)
+		if !ok {
+			return
+		}
+		mu.Lock()
+		seen = append(seen, req.Seq)
+		copies[req.Seq]++
+		first := copies[req.Seq] == 1
+		mu.Unlock()
+		rep := rpc.Reply{Session: req.Session, Seq: req.Seq, Status: rpc.StatusOK, Payload: []byte(fmt.Sprint("peer-", req.Seq))}
+		if first {
+			rep = rpc.Reply{Session: req.Session, Seq: req.Seq, Status: rpc.StatusOverloaded, RetryAfter: time.Millisecond}
+		}
+		peer.Send(req.From, rep)
+	})
+	def := counterDef()
+	def.Methods["twoHops"] = func(ctx *Ctx, arg []byte) ([]byte, error) {
+		var outs []string
+		for hop := 0; hop < 2; hop++ {
+			out, err := ctx.Call("peer", "m", nil)
+			if err != nil {
+				outs = append(outs, "error: "+err.Error())
+				continue
+			}
+			outs = append(outs, string(out))
+		}
+		return []byte(strings.Join(outs, ", ")), nil
+	}
+	e.start("msp1", def)
+	out := mustCall(t, e.endClient().Session("msp1"), "twoHops", nil)
+	if got, want := string(out), "peer-1, peer-2"; got != want {
+		t.Fatalf("the two hops returned %q, want %q", got, want)
+	}
+	// Normally [1 1 2 2]; a resend timer firing before a reply is read
+	// adds a copy, never a new number.
+	mu.Lock()
+	defer mu.Unlock()
+	var runs []uint64
+	for i, seq := range seen {
+		if i == 0 || seq != seen[i-1] {
+			runs = append(runs, seq)
+		}
+	}
+	if fmt.Sprint(runs) != "[1 2]" || copies[1] < 2 || copies[2] < 2 {
+		t.Fatalf("the peer saw sequence numbers %v, want 1 and then 2, each resent after its shed and none skipped", seen)
+	}
+}
+
+// TestOverloadedCalleeMSPUnderLoad: several sessions call through msp1
+// into an msp2 whose one worker is held and whose lanes hold one request
+// each, so msp2 sheds at its admission gate. Every call still executes
+// exactly once at msp2: each outgoing session's counter reads 1 after the
+// first call and 2 after the second.
+func TestOverloadedCalleeMSPUnderLoad(t *testing.T) {
+	e := newTestEnv(t)
+	defer e.cleanup()
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	callee := e.start("msp2", blockDef(gate, entered), func(c *Config) {
+		c.Workers = 1
+		c.RequestQueueDepth = 1
+		c.PriorityQueueDepth = 1
+	})
+	def := counterDef()
+	def.Methods["through"] = func(ctx *Ctx, arg []byte) ([]byte, error) {
+		return ctx.Call("msp2", "inc", nil)
+	}
+	e.start("msp1", def)
+	released := false
+	defer func() {
+		if !released {
+			close(gate)
+		}
+	}()
+	raw := e.net.Endpoint("raw")
+	raw.Send("msp2", rpc.Request{Session: "blk", Seq: 1, Method: "block", NewSession: true, From: raw.Addr()})
+	<-entered
+
+	const n = 6
+	sessions := make([]*ClientSession, n)
+	for i := range sessions {
+		sessions[i] = e.endClient().Session("msp1")
+	}
+	round := func(want uint64) {
+		t.Helper()
+		errs := make(chan error, n)
+		for _, cs := range sessions {
+			go func() {
+				out, err := cs.Call("through", nil)
+				if err == nil && asU64(out) != want {
+					err = fmt.Errorf("%s: counter %d, want %d", cs.ID(), asU64(out), want)
+				}
+				errs <- err
+			}()
+		}
+		if !released {
+			for i := 0; callee.Stats().OverloadedReplies.Load() == 0; i++ {
+				if i == 5000 {
+					t.Fatal("msp2 shed nothing with its worker held and its lanes full")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			released = true
+			close(gate)
+		}
+		for range sessions {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	round(1)
+	round(2)
 }

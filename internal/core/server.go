@@ -523,9 +523,9 @@ func (s *Server) registerWithDomain() {
 }
 
 // receiveLoop dispatches network messages: requests to the worker pool,
-// replies to waiting outgoing calls, control-plane requests to handler
-// goroutines (a flush can block on the disk) and control replies to the
-// waiting control calls.
+// replies that are no orphans to waiting outgoing calls, control-plane
+// requests to handler goroutines (a flush can block on the disk) and
+// control replies to the waiting control calls.
 func (s *Server) receiveLoop() {
 	defer s.wg.Done()
 	rpc.Serve(s.ep, s.stop, func(m simnet.Message) {
@@ -534,7 +534,10 @@ func (s *Server) receiveLoop() {
 		case rpc.Request:
 			s.admit(p)
 		case rpc.Reply:
-			s.calls.Resolve(p.Session, p)
+			// Fig. 7: drop an orphan reply; the call's resend fetches a clean one.
+			if _, orphan := s.know.OrphanIn(p.DV); !p.HasDV || !orphan {
+				s.calls.Resolve(p.Session, p)
+			}
 		case rpc.FlushRequest:
 			s.goBackground(func() { s.handleFlushRequest(p) })
 		case rpc.RecoveryBroadcast:

@@ -5,60 +5,105 @@ import (
 	"time"
 )
 
+// busySleeps runs one Exchange of session/seq against a server that
+// answers Busy sheds times and then OK, and returns the sleeps it chose.
+func busySleeps(t *testing.T, o CallOptions, session string, seq uint64, sheds int) []time.Duration {
+	t.Helper()
+	var slept []time.Duration
+	defer func(prev func(time.Duration)) { sleep = prev }(sleep)
+	sleep = func(d time.Duration) { slept = append(slept, d) }
+	replies := make(chan Reply, 4)
+	n := 0
+	send := func(r Request) {
+		n++
+		st := StatusBusy
+		if n > sheds {
+			st = StatusOK
+		}
+		replies <- Reply{Session: r.Session, Seq: r.Seq, Status: st}
+	}
+	if _, err := Exchange(send, replies, nil, Request{Session: session, Seq: seq}, o); err != nil {
+		t.Fatal(err)
+	}
+	return slept
+}
+
+// checkSleeps compares chosen sleeps with nanosecond values recorded from
+// the busy backoff before it was an rpc.Backoff: the jitter sequence of a
+// given Seed and call identity must not move.
+func checkSleeps(t *testing.T, got []time.Duration, want ...int64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("slept %v, want %d sleeps", got, len(want))
+	}
+	for i, w := range want {
+		if got[i] != time.Duration(w) {
+			t.Fatalf("sleep %d = %v, want %v (all: %v)", i, got[i], time.Duration(w), got)
+		}
+	}
+}
+
 // The default options reproduce the paper's fixed 100 ms backoff: no
 // growth, no jitter, regardless of the busy streak.
 func TestDefaultBusyBackoffIsFixed(t *testing.T) {
-	o := DefaultCallOptions(1.0)
-	for streak := 0; streak < 6; streak++ {
-		if d := o.busyDelay(streak, o.jitterSource("s", 1)); d != 100*time.Millisecond {
-			t.Fatalf("streak %d: delay = %v, want fixed 100ms", streak, d)
-		}
-	}
+	checkSleeps(t, busySleeps(t, DefaultCallOptions(1.0), "s", 1, 6),
+		100e6, 100e6, 100e6, 100e6, 100e6, 100e6)
 }
 
 func TestBusyBackoffDoublesToCap(t *testing.T) {
 	o := DefaultCallOptions(1.0)
 	o.BusyBackoffMax = 800 * time.Millisecond
-	want := []time.Duration{100, 200, 400, 800, 800, 800}
-	for streak, w := range want {
-		if d := o.busyDelay(streak, nil); d != w*time.Millisecond {
-			t.Fatalf("streak %d: delay = %v, want %v", streak, d, w*time.Millisecond)
-		}
-	}
+	checkSleeps(t, busySleeps(t, o, "s", 1, 6), 100e6, 200e6, 400e6, 800e6, 800e6, 800e6)
 }
 
 func TestBusyJitterBoundedAndSeeded(t *testing.T) {
 	o := BackoffCallOptions(1.0, 42)
-	base := 100 * time.Millisecond
-	lo := time.Duration(float64(base) * (1 - o.BusyJitter))
-	hi := time.Duration(float64(base) * (1 + o.BusyJitter))
-	r1 := o.jitterSource("sess", 7)
-	var first []time.Duration
-	for i := 0; i < 16; i++ {
-		d := o.busyDelay(0, r1)
-		if d < lo || d > hi {
-			t.Fatalf("jittered delay %v outside [%v, %v]", d, lo, hi)
-		}
-		first = append(first, d)
-	}
-	// Same seed and call identity: identical sequence.
-	r2 := o.jitterSource("sess", 7)
-	for i, w := range first {
-		if d := o.busyDelay(0, r2); d != w {
-			t.Fatalf("replay diverged at %d: %v vs %v", i, d, w)
-		}
-	}
+	checkSleeps(t, busySleeps(t, o, "sess", 7, 8),
+		86003916, 163620451, 392233404, 781366073, 810751123, 928132694, 695711503, 844909679)
 	// A different session draws a different sequence.
-	r3 := o.jitterSource("other", 7)
-	same := true
-	for _, w := range first {
-		if o.busyDelay(0, r3) != w {
-			same = false
-			break
+	checkSleeps(t, busySleeps(t, o, "other", 7, 8),
+		96629174, 197850804, 345892348, 770996950, 702647237, 773281064, 922144522, 756932709)
+	// At TimeScale 0 every sleep is the 1 ms floor.
+	checkSleeps(t, busySleeps(t, BackoffCallOptions(0, 42), "sess", 7, 3), 1e6, 1e6, 1e6)
+}
+
+// A lost reply ends a shed streak: the next shed backs off from the base.
+func TestBusyStreakResetsOnTimeout(t *testing.T) {
+	o := DefaultCallOptions(1.0)
+	o.ResendAfter = 50 * time.Millisecond
+	o.BusyBackoffMax = 800 * time.Millisecond
+	var slept []time.Duration
+	defer func(prev func(time.Duration)) { sleep = prev }(sleep)
+	sleep = func(d time.Duration) { slept = append(slept, d) }
+	replies := make(chan Reply, 4)
+	n := 0
+	send := func(r Request) {
+		n++
+		switch n {
+		case 3: // lost
+		case 5:
+			replies <- Reply{Session: r.Session, Seq: r.Seq, Status: StatusOK}
+		default:
+			replies <- Reply{Session: r.Session, Seq: r.Seq, Status: StatusBusy}
 		}
 	}
-	if same {
-		t.Fatal("different sessions produced identical jitter sequences")
+	if _, err := Exchange(send, replies, nil, Request{Session: "s", Seq: 1}, o); err != nil {
+		t.Fatal(err)
+	}
+	checkSleeps(t, slept, 100e6, 200e6, 100e6)
+}
+
+// A call that never sheds never builds a Backoff, and a Backoff without
+// jitter builds no random source.
+func TestBackoffWithoutJitterBuildsNoSource(t *testing.T) {
+	var keep *Backoff
+	plain := testing.AllocsPerRun(100, func() { keep = NewBackoff(time.Millisecond, 0, 0, 1) })
+	jittered := testing.AllocsPerRun(100, func() { keep = NewBackoff(time.Millisecond, 0, 0.2, 1) })
+	if plain > 1 || jittered <= plain {
+		t.Fatalf("NewBackoff allocates %v times without jitter, %v with; want at most the Backoff itself without", plain, jittered)
+	}
+	if keep.rng == nil || NewBackoff(time.Millisecond, 0, 0, 1).rng != nil {
+		t.Fatal("only a jittered Backoff has a random source")
 	}
 }
 

@@ -325,6 +325,35 @@ func TestCallReleasesProbeOnClientDeadline(t *testing.T) {
 	}
 }
 
+func TestExchangeStopReleasesProbe(t *testing.T) {
+	// Same leak via the stop channel: a server that never answers, and a
+	// caller that stops waiting mid-call.
+	b := halfOpenBreaker()
+	sent := make(chan struct{}, 16)
+	send := func(Request) { sent <- struct{}{} }
+	stop := make(chan struct{})
+	opts := DefaultCallOptions(1)
+	opts.Breaker = b
+	done := make(chan error, 1)
+	go func() {
+		_, err := Exchange(send, make(chan Reply), stop, Request{Session: "s", Seq: 1}, opts)
+		done <- err
+	}()
+	<-sent // the probe is out and its 500 ms resend timer armed
+	close(stop)
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("got %v; want ErrStopped", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Exchange still waiting after stop closed")
+	}
+	if ok, probe := b.Allow(); !ok || probe == 0 {
+		t.Fatal("a stopped probe must release its slot")
+	}
+}
+
 func TestCallDeadlineExceededClientSide(t *testing.T) {
 	// A server that never answers: the deadline, not the resend loop,
 	// must end the call.

@@ -9,9 +9,14 @@
 // request (same sequence number) until its reply is received; the MSP
 // re-sends the buffered reply for an already-executed request and ignores
 // anything else out of order.
+//
+// Exchange is that resend loop, written once. End clients, an MSP calling
+// another (Fig. 3) and the StateServer baseline wait through it; only the
+// domain control plane keeps a loop of its own.
 package rpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -112,12 +117,16 @@ type Reply struct {
 // request.
 var ErrRejected = errors.New("rpc: request rejected by server")
 
-// Overload-control outcomes of Call. All three are NON-terminal: the
-// request may or may not have executed server-side, so the caller must
-// not advance the session's sequence number — a later Call under the
-// same sequence number either resends the identical request or fetches
-// the buffered reply through the duplicate path.
+// Outcomes of Exchange that end the wait without a server's answer. All
+// four are NON-terminal: the request may or may not have executed
+// server-side, so the caller must not advance the session's sequence
+// number — a later call under the same sequence number either resends
+// the identical request or fetches the buffered reply through the
+// duplicate path.
 var (
+	// ErrStopped means the caller's stop channel closed: the client was
+	// closed or crashed, or the MSP making the call crashed.
+	ErrStopped = errors.New("rpc: call stopped")
 	// ErrOverloaded means the server shed the request (or kept answering
 	// Busy) and the client's retry budget ran out of tokens.
 	ErrOverloaded = errors.New("rpc: server overloaded and retry budget exhausted")
@@ -214,9 +223,14 @@ type Backoff struct {
 	rng     *rand.Rand
 }
 
-// NewBackoff returns a Backoff seeded deterministically from seed.
+// NewBackoff returns a Backoff whose jitter is seeded deterministically
+// from seed. Without jitter it builds no random source (about 5 KB).
 func NewBackoff(base, max time.Duration, jitter float64, seed int64) *Backoff {
-	return &Backoff{Base: base, Max: max, Jitter: jitter, rng: rand.New(rand.NewSource(seed))}
+	b := &Backoff{Base: base, Max: max, Jitter: jitter}
+	if jitter > 0 {
+		b.rng = rand.New(rand.NewSource(seed))
+	}
+	return b
 }
 
 // Next returns the delay before the upcoming retry and advances the
@@ -230,7 +244,7 @@ func (b *Backoff) Next() time.Duration {
 		d = b.Max
 	}
 	b.attempt++
-	if b.Jitter > 0 && b.rng != nil {
+	if b.rng != nil {
 		d = time.Duration(float64(d) * (1 + b.Jitter*(2*b.rng.Float64()-1)))
 	}
 	return d
@@ -314,40 +328,6 @@ func BackoffCallOptions(timeScale float64, seed int64) CallOptions {
 	return o
 }
 
-// busyDelay returns the scaled sleep after the streak-th consecutive
-// Busy reply (streak 0 = first).
-func (o CallOptions) busyDelay(streak int, rng *rand.Rand) time.Duration {
-	d := o.BusyBackoff
-	if o.BusyBackoffMax > d {
-		for i := 0; i < streak && d < o.BusyBackoffMax; i++ {
-			d *= 2
-		}
-		if d > o.BusyBackoffMax {
-			d = o.BusyBackoffMax
-		}
-	}
-	if o.BusyJitter > 0 && rng != nil {
-		d = time.Duration(float64(d) * (1 + o.BusyJitter*(2*rng.Float64()-1)))
-	}
-	return o.scaled(d)
-}
-
-// jitterSource builds the deterministic random source for one call's
-// jitter, mixing the configured Seed with the call's identity.
-func (o CallOptions) jitterSource(session string, seq uint64) *rand.Rand {
-	if o.BusyJitter <= 0 {
-		return nil
-	}
-	h := fnv.New64a()
-	h.Write([]byte(session))
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(seq >> (8 * i))
-	}
-	h.Write(b[:])
-	return rand.New(rand.NewSource(o.Seed ^ int64(h.Sum64())))
-}
-
 func (o CallOptions) scaled(d time.Duration) time.Duration {
 	s := time.Duration(float64(d) * o.TimeScale)
 	if s <= 0 {
@@ -358,14 +338,40 @@ func (o CallOptions) scaled(d time.Duration) time.Duration {
 	return s
 }
 
-// Call sends req via send and waits for the matching reply on replies,
-// resending until a non-Busy terminal reply arrives. Duplicate and stale
-// replies are discarded by sequence number. It returns the reply payload
-// or an error for StatusAppError/StatusRejected.
+// Call is Exchange without a stop channel, returning the reply as the
+// method's result (Reply.Result).
 func Call(send func(Request), replies <-chan Reply, req Request, opts CallOptions) ([]byte, error) {
+	rep, err := Exchange(send, replies, nil, req, opts)
+	if err != nil {
+		return nil, err
+	}
+	return rep.Result()
+}
+
+// Result is what the called method returned, as carried by a terminal
+// reply: the payload, an *AppError, or ErrRejected.
+func (r Reply) Result() ([]byte, error) {
+	switch r.Status {
+	case StatusOK:
+		return r.Payload, nil
+	case StatusAppError:
+		return nil, &AppError{Msg: string(r.Payload)}
+	case StatusRejected:
+		return nil, ErrRejected
+	}
+	return nil, fmt.Errorf("rpc: a %v reply carries no result", r.Status)
+}
+
+// Exchange sends req via send — every resend too, so send is where a
+// caller hooks its own checks — and waits for the matching reply on
+// replies, resending until a terminal reply (OK, AppError or Rejected)
+// arrives, which it returns with a nil error. Stale replies are discarded
+// by sequence number. After a Busy or Overloaded reply it sleeps its
+// backoff, or the server's RetryAfter hint if longer. Closing stop (nil:
+// never) ends the wait with ErrStopped.
+func Exchange(send func(Request), replies <-chan Reply, stop <-chan struct{}, req Request, opts CallOptions) (Reply, error) {
 	attempts := 0
-	busyStreak := 0
-	rng := opts.jitterSource(req.Session, req.Seq)
+	var bo *Backoff // built on the first shed
 	if opts.Timeout > 0 && req.Deadline.IsZero() {
 		req.Deadline = time.Now().Add(opts.scaled(opts.Timeout)) //mspr:wallclock deadlines bound real (scaled) work; server and client shed against the same clock
 	}
@@ -373,8 +379,8 @@ func Call(send func(Request), replies <-chan Reply, req Request, opts CallOption
 	// in one of three classes: terminal (OK/AppError/Rejected — earns
 	// budget back, closes the breaker), shed (Busy/Overloaded — feeds the
 	// breaker's shed count), or abandoned (attempt bound, client
-	// deadline, malformed reply, closed stream — no server outcome was
-	// learned, so no budget or shed accounting applies, but a held
+	// deadline, stop, malformed reply, closed stream — no server outcome
+	// was learned, so no budget or shed accounting applies, but a held
 	// half-open probe slot MUST be handed back or the breaker wedges
 	// half-open, refusing every future call to this target).
 	var probeTok uint64
@@ -392,11 +398,11 @@ func Call(send func(Request), replies <-chan Reply, req Request, opts CallOption
 		attempts++
 		if opts.MaxAttempts > 0 && attempts > opts.MaxAttempts {
 			abandon()
-			return nil, fmt.Errorf("rpc: no reply to %s/%d after %d attempts", req.Session, req.Seq, opts.MaxAttempts)
+			return Reply{}, fmt.Errorf("rpc: no reply to %s/%d after %d attempts", req.Session, req.Seq, opts.MaxAttempts)
 		}
 		if !req.Deadline.IsZero() && time.Now().After(req.Deadline) { //mspr:wallclock deadline expiry check mirrors the server's shed points
 			abandon()
-			return nil, ErrDeadlineExceeded
+			return Reply{}, ErrDeadlineExceeded
 		}
 		// While this call holds the half-open probe slot its resends ARE
 		// the probe: it must not re-consult Allow, which would refuse the
@@ -404,7 +410,7 @@ func Call(send func(Request), replies <-chan Reply, req Request, opts CallOption
 		if opts.Breaker != nil && probeTok == 0 {
 			ok, probe := opts.Breaker.Allow()
 			if !ok {
-				return nil, ErrCircuitOpen
+				return Reply{}, ErrCircuitOpen
 			}
 			probeTok = probe
 		}
@@ -413,29 +419,36 @@ func Call(send func(Request), replies <-chan Reply, req Request, opts CallOption
 	waiting:
 		for {
 			select {
+			case <-stop:
+				deadline.Stop()
+				abandon()
+				return Reply{}, ErrStopped
 			case rep, ok := <-replies:
 				if !ok {
 					deadline.Stop()
 					abandon()
-					return nil, errors.New("rpc: reply channel closed")
+					return Reply{}, errors.New("rpc: reply channel closed")
 				}
 				if rep.Session != req.Session || rep.Seq != req.Seq {
 					continue // duplicate or stale reply: ignore
 				}
 				deadline.Stop()
 				switch rep.Status {
-				case StatusOK:
+				case StatusOK, StatusAppError, StatusRejected:
 					settle(true)
-					return rep.Payload, nil
-				case StatusAppError:
-					settle(true)
-					return nil, &AppError{Msg: string(rep.Payload)}
+					return rep, nil
 				case StatusBusy, StatusOverloaded:
 					settle(false)
 					if opts.Budget != nil && !opts.Budget.Spend() {
-						return nil, ErrOverloaded
+						return Reply{}, ErrOverloaded
 					}
-					d := opts.busyDelay(busyStreak, rng)
+					if bo == nil { // jitter seeded as CallOptions.Seed says
+						h := fnv.New64a()
+						h.Write([]byte(req.Session))
+						h.Write(binary.LittleEndian.AppendUint64(nil, req.Seq))
+						bo = NewBackoff(opts.BusyBackoff, opts.BusyBackoffMax, opts.BusyJitter, opts.Seed^int64(h.Sum64()))
+					}
+					d := opts.scaled(bo.Next())
 					if rep.Status == StatusOverloaded && rep.RetryAfter > d {
 						// The server's hint is a wall-clock estimate of when
 						// queue space frees up; honor it when it exceeds the
@@ -443,18 +456,16 @@ func Call(send func(Request), replies <-chan Reply, req Request, opts CallOption
 						d = rep.RetryAfter
 					}
 					sleep(d)
-					busyStreak++
 					break waiting // resend same request
-				case StatusRejected:
-					settle(true)
-					return nil, ErrRejected
 				default:
 					abandon()
-					return nil, fmt.Errorf("rpc: unknown reply status %v", rep.Status)
+					return Reply{}, fmt.Errorf("rpc: unknown reply status %v", rep.Status)
 				}
 			case <-deadline.C:
-				busyStreak = 0 // no Busy reply this round: streak over
-				break waiting  // timed out: resend the same request
+				if bo != nil {
+					bo.Reset() // no shed this round: streak over
+				}
+				break waiting // timed out: resend the same request
 			}
 		}
 	}
@@ -479,7 +490,7 @@ func (o CallOptions) settle(terminal bool) {
 }
 
 // sleep is a package-level indirection over simtime.Sleep so tests can
-// observe the delays Call chooses instead of asserting on wall-clock
+// observe the delays Exchange chooses instead of asserting on wall-clock
 // elapsed time.
 var sleep = simtime.Sleep
 

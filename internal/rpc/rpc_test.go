@@ -93,6 +93,45 @@ func TestCallRejected(t *testing.T) {
 	}
 }
 
+func TestReplyResult(t *testing.T) {
+	for _, c := range []struct {
+		status  Status
+		payload string
+		out     string
+		err     func(error) bool
+	}{
+		{StatusOK, "pong", "pong", func(err error) bool { return err == nil }},
+		{StatusOK, "", "", func(err error) bool { return err == nil }},
+		{StatusAppError, "boom", "", func(err error) bool {
+			var ae *AppError
+			return errors.As(err, &ae) && ae.Msg == "boom"
+		}},
+		{StatusRejected, "x", "", func(err error) bool { return errors.Is(err, ErrRejected) }},
+		// A shed is no result: Exchange resends rather than return one.
+		{StatusBusy, "x", "", func(err error) bool { return err != nil && !errors.Is(err, ErrRejected) }},
+		{StatusOverloaded, "x", "", func(err error) bool { return err != nil && !errors.Is(err, ErrRejected) }},
+		{Status(42), "x", "", func(err error) bool { return err != nil }},
+	} {
+		out, err := Reply{Status: c.status, Payload: []byte(c.payload)}.Result()
+		if string(out) != c.out || !c.err(err) {
+			t.Errorf("%v reply with %q: Result() = (%q, %v)", c.status, c.payload, out, err)
+		}
+	}
+}
+
+func TestExchangeReturnsTerminalReplies(t *testing.T) {
+	for _, st := range []Status{StatusOK, StatusAppError, StatusRejected} {
+		replies := make(chan Reply, 1)
+		send := func(r Request) {
+			replies <- Reply{Session: r.Session, Seq: r.Seq, Status: st, Payload: []byte("p")}
+		}
+		rep, err := Exchange(send, replies, nil, Request{Session: "s", Seq: 3}, opts())
+		if err != nil || rep.Status != st || rep.Seq != 3 || string(rep.Payload) != "p" {
+			t.Errorf("%v: Exchange = (%+v, %v), want the reply and a nil error", st, rep, err)
+		}
+	}
+}
+
 func TestCallMaxAttempts(t *testing.T) {
 	replies := make(chan Reply)
 	o := opts()
