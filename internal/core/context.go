@@ -185,9 +185,9 @@ func (c *Ctx) intercept() {
 	abortMethod(abortOrphan, errOrphanDep)
 }
 
-// GetVar returns the value of a session variable (nil if unset). Session-
-// variable access is not logged: re-execution reconstructs private state
-// (§3.2).
+// GetVar returns a copy of a session variable's value (nil if unset) that
+// the caller owns. Session-variable access is not logged: re-execution
+// reconstructs private state (§3.2).
 func (c *Ctx) GetVar(name string) []byte {
 	c.sess.mu.Lock()
 	defer c.sess.mu.Unlock()
@@ -198,10 +198,14 @@ func (c *Ctx) GetVar(name string) []byte {
 	return append([]byte(nil), v...)
 }
 
-// SetVar sets a session variable.
+// SetVar sets a session variable to a copy of value; the caller keeps
+// value. The copy overwrites the variable's existing buffer and allocates
+// only when value outgrows it. That is safe because the stored buffer
+// never leaves the session's lock: GetVar, VarsSnapshot and the session
+// checkpoint copy it out.
 func (c *Ctx) SetVar(name string, value []byte) {
 	c.sess.mu.Lock()
-	c.sess.vars[name] = append([]byte(nil), value...)
+	c.sess.vars[name] = append(c.sess.vars[name][:0], value...)
 	c.sess.mu.Unlock()
 }
 

@@ -23,7 +23,11 @@ type SharedVar struct {
 	srv     *Server
 	initial []byte
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// value never leaves mu: reads copy it out and records are encoded
+	// under it, so a write overwrites it in place. Every restore
+	// (rollback, materialize) installs a fresh copy, so it never aliases
+	// initial or a log payload.
 	value     []byte
 	vec       dv.Vector // the current value's DV
 	stateLSN  wal.LSN   // state number: LSN of the most recent write (or checkpoint)
@@ -124,7 +128,7 @@ func (sv *SharedVar) readLocked(sess *Session) ([]byte, error) {
 func (sv *SharedVar) writeLocked(sess *Session, value []byte) error {
 	s := sv.srv
 	if !s.cfg.Logging {
-		sv.value = append([]byte(nil), value...)
+		sv.value = append(sv.value[:0], value...)
 		return nil
 	}
 	if sv.unrecovered {
@@ -146,7 +150,7 @@ func (sv *SharedVar) writeLocked(sess *Session, value []byte) error {
 	sv.vec = wvec
 	sv.stateLSN = lsn
 	sv.lastWrite = lsn
-	sv.value = append([]byte(nil), value...)
+	sv.value = append(sv.value[:0], value...)
 	sv.writesSince++
 	if sv.firstWrite == 0 {
 		sv.firstWrite = lsn

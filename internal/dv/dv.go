@@ -21,9 +21,10 @@
 package dv
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -156,11 +157,8 @@ func (v Vector) sorted() []Entry {
 	for e := range v {
 		es = append(es, e)
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Process != es[j].Process {
-			return es[i].Process < es[j].Process
-		}
-		return es[i].Epoch < es[j].Epoch
+	slices.SortFunc(es, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Process, b.Process), cmp.Compare(a.Epoch, b.Epoch))
 	})
 	return es
 }
@@ -317,11 +315,8 @@ func (k *Knowledge) Snapshot() []RecoveryInfo {
 			out = append(out, RecoveryInfo{Process: p, CrashedEpoch: e, Recovered: r})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Process != out[j].Process {
-			return out[i].Process < out[j].Process
-		}
-		return out[i].CrashedEpoch < out[j].CrashedEpoch
+	slices.SortFunc(out, func(a, b RecoveryInfo) int {
+		return cmp.Or(cmp.Compare(a.Process, b.Process), cmp.Compare(a.CrashedEpoch, b.CrashedEpoch))
 	})
 	return out
 }

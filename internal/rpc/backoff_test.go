@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -28,9 +29,9 @@ func busySleeps(t *testing.T, o CallOptions, session string, seq uint64, sheds i
 	return slept
 }
 
-// checkSleeps compares chosen sleeps with nanosecond values recorded from
-// the busy backoff before it was an rpc.Backoff: the jitter sequence of a
-// given Seed and call identity must not move.
+// checkSleeps compares chosen sleeps with recorded nanosecond values: the
+// jitter sequence of a given Seed and call identity must not move. The
+// jittered values were recorded from the PCG generator.
 func checkSleeps(t *testing.T, got []time.Duration, want ...int64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -58,11 +59,21 @@ func TestBusyBackoffDoublesToCap(t *testing.T) {
 
 func TestBusyJitterBoundedAndSeeded(t *testing.T) {
 	o := BackoffCallOptions(1.0, 42)
-	checkSleeps(t, busySleeps(t, o, "sess", 7, 8),
-		86003916, 163620451, 392233404, 781366073, 810751123, 928132694, 695711503, 844909679)
+	sess := busySleeps(t, o, "sess", 7, 8)
+	checkSleeps(t, sess, 110539701, 195370574, 446662736, 657112898, 836230774, 882032454, 824646285, 906978316)
 	// A different session draws a different sequence.
-	checkSleeps(t, busySleeps(t, o, "other", 7, 8),
-		96629174, 197850804, 345892348, 770996950, 702647237, 773281064, 922144522, 756932709)
+	other := busySleeps(t, o, "other", 7, 8)
+	checkSleeps(t, other, 85640542, 225647457, 373637375, 871825748, 918519660, 816419631, 780510574, 708298358)
+	// Each sleep is within ±20 % of 100 ms doubling to 800 ms.
+	for _, got := range [][]time.Duration{sess, other} {
+		nominal := 100 * time.Millisecond
+		for i, d := range got {
+			if d < nominal*8/10 || d > nominal*12/10 {
+				t.Fatalf("sleep %d = %v, outside ±20%% of %v", i, d, nominal)
+			}
+			nominal = min(2*nominal, 800*time.Millisecond)
+		}
+	}
 	// At TimeScale 0 every sleep is the 1 ms floor.
 	checkSleeps(t, busySleeps(t, BackoffCallOptions(0, 42), "sess", 7, 3), 1e6, 1e6, 1e6)
 }
@@ -93,8 +104,9 @@ func TestBusyStreakResetsOnTimeout(t *testing.T) {
 	checkSleeps(t, slept, 100e6, 200e6, 100e6)
 }
 
-// A call that never sheds never builds a Backoff, and a Backoff without
-// jitter builds no random source.
+// A call that never sheds never builds a Backoff, a Backoff without
+// jitter builds no random source, and a jittered one seeds a source of a
+// few words, not a table: every control call and first shed builds one.
 func TestBackoffWithoutJitterBuildsNoSource(t *testing.T) {
 	var keep *Backoff
 	plain := testing.AllocsPerRun(100, func() { keep = NewBackoff(time.Millisecond, 0, 0, 1) })
@@ -104,6 +116,16 @@ func TestBackoffWithoutJitterBuildsNoSource(t *testing.T) {
 	}
 	if keep.rng == nil || NewBackoff(time.Millisecond, 0, 0, 1).rng != nil {
 		t.Fatal("only a jittered Backoff has a random source")
+	}
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		keep = NewBackoff(time.Millisecond, 0, 0.2, int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 100 {
+		t.Fatalf("a jittered NewBackoff allocates %d bytes, want under 100", per)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -224,11 +224,11 @@ type Backoff struct {
 }
 
 // NewBackoff returns a Backoff whose jitter is seeded deterministically
-// from seed. Without jitter it builds no random source (about 5 KB).
+// from seed. Without jitter it builds no random source.
 func NewBackoff(base, max time.Duration, jitter float64, seed int64) *Backoff {
 	b := &Backoff{Base: base, Max: max, Jitter: jitter}
 	if jitter > 0 {
-		b.rng = rand.New(rand.NewSource(seed))
+		b.rng = rand.New(rand.NewPCG(uint64(seed), 0))
 	}
 	return b
 }
