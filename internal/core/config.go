@@ -106,10 +106,11 @@ type Config struct {
 	// default. Scaled durations are clamped to small wall-clock floors
 	// so tiny TimeScales keep working.
 	FlushDeadline time.Duration
-	// CtlRetransmit is the base retransmission interval for control
-	// calls (flush requests, recovery broadcasts, knowledge pulls); it
-	// grows with capped exponential backoff and ±20% seeded jitter.
-	// Zero selects the 20 ms default.
+	// CtlRetransmit is the retransmission interval for control calls
+	// (flush requests, recovery broadcasts, knowledge pulls) and the pause
+	// before asking a still-recovering peer again: rpc.Exchange's
+	// ResendAfter and BusyBackoff, so at least 1 ms wall-clock. Zero
+	// selects the 20 ms default.
 	CtlRetransmit time.Duration
 	// BroadcastDeadline bounds the wait for each peer's recovery-
 	// broadcast ack and each anti-entropy pull. Peers missed within it
@@ -120,9 +121,10 @@ type Config struct {
 	// detection after a partition heals even without traffic. Zero (the
 	// default) relies on piggybacked knowledge and on-contact pulls.
 	AntiEntropyEvery time.Duration
-	// PeerProbeEvery is how often a peer marked down is probed by an
-	// otherwise fast-failing flush call. Zero selects the 100 ms
-	// default.
+	// PeerProbeEvery is how long flushes against a peer marked down fail
+	// fast before one of them goes through as a probe — the cooldown of
+	// the peer's rpc.Breaker; one probe is in flight at a time. Zero
+	// selects the 100 ms default.
 	PeerProbeEvery time.Duration
 	// RequestQueueDepth bounds the normal admission lane: new client work
 	// beyond this backlog is shed at enqueue time with StatusOverloaded

@@ -443,6 +443,7 @@ func (c *Ctx) liveCall(out *outSession, method string, arg []byte) ([]byte, erro
 	sess := c.sess
 	seq := out.nextSeq
 	intra := s.cfg.Domain.Contains(out.target)
+	opts := rpc.DefaultCallOptions(s.cfg.TimeScale)
 	req := rpc.Request{
 		Session:    out.id,
 		Seq:        seq,
@@ -461,8 +462,9 @@ func (c *Ctx) liveCall(out *outSession, method string, arg []byte) ([]byte, erro
 			// outcome the method may observe: retry with backoff until
 			// the dependency flushes or turns out to be an orphan. The
 			// blocked worker is the degradation — the end client gets
-			// Busy from the session dispatcher meanwhile.
-			bo := s.ctlBackoff(s.ctlID.Add(1))
+			// Busy from the session dispatcher meanwhile. The pause starts at
+			// CtlRetransmit and doubles to 16×, jittered per outgoing call.
+			var bo *rpc.Backoff
 			for {
 				err := s.flushSessionDV(sess)
 				if err == nil {
@@ -476,6 +478,10 @@ func (c *Ctx) liveCall(out *outSession, method string, arg []byte) ([]byte, erro
 				}
 				if s.getState() == stateCrashed {
 					abortMethod(abortCrashed, err)
+				}
+				if bo == nil {
+					base := opts.Scaled(s.cfg.CtlRetransmit)
+					bo = rpc.NewBackoff(base, 16*base, 0.2, rpc.CallSeed(out.id, seq))
 				}
 				simtime.Sleep(bo.Next())
 				c.intercept()
@@ -496,7 +502,7 @@ func (c *Ctx) liveCall(out *outSession, method string, arg []byte) ([]byte, erro
 		// instead of flushing (locally optimistic logging, paper §3.2),
 		// and Logging=false disables recovery entirely.
 		s.ep.Send(target, r) //mspr:flushed-by flushSessionDV (inter-domain; intra-domain piggybacks the DV, Logging=false has no recovery)
-	}, ch, s.stop, req, rpc.DefaultCallOptions(s.cfg.TimeScale))
+	}, ch, s.stop, req, opts)
 	if err != nil {
 		// Without budget, breaker, deadline or attempt bound only ErrStopped
 		// (the MSP crashed); an unlogged result must not reach the handler.

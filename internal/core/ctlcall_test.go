@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mspr/internal/dv"
+	"mspr/internal/metrics"
 	"mspr/internal/rpc"
 	"mspr/internal/simnet"
 )
@@ -18,9 +19,10 @@ type scriptedPeer struct {
 	ep   *simnet.Endpoint
 	stop chan struct{}
 
-	mu  sync.Mutex
-	ids []uint64    // the ID of every copy received, in order
-	at  []time.Time // and when it arrived
+	mu   sync.Mutex
+	ids  []uint64    // the ID of every copy received, in order
+	at   []time.Time // and when it arrived
+	msgs []any       // and the copy itself
 }
 
 // startScriptedPeer registers "peer" with the domain and starts answering.
@@ -43,6 +45,7 @@ func startScriptedPeer(e *testEnv, script func(n int, id uint64) any) *scriptedP
 		p.mu.Lock()
 		p.ids = append(p.ids, id)
 		p.at = append(p.at, time.Now())
+		p.msgs = append(p.msgs, m.Payload)
 		n := len(p.ids)
 		p.mu.Unlock()
 		if rep := script(n, id); rep != nil {
@@ -56,6 +59,20 @@ func (p *scriptedPeer) copies() ([]uint64, []time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]uint64(nil), p.ids...), append([]time.Time(nil), p.at...)
+}
+
+// callsOf counts the control calls of request type T that reached the
+// peer: the distinct IDs among its copies of a T.
+func callsOf[T any](p *scriptedPeer) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	seen := map[uint64]bool{}
+	for i, m := range p.msgs {
+		if _, ok := m.(T); ok {
+			seen[p.ids[i]] = true
+		}
+	}
+	return len(seen)
 }
 
 // TestCtlCall drives the three control exchanges — flush, recovery
@@ -176,8 +193,7 @@ func TestCtlCall(t *testing.T) {
 			if !o.answered || len(o.ids) < 2 {
 				t.Fatalf("answered=%v after %d copies, want the answer to copy 2", o.answered, len(o.ids))
 			}
-			// ±20 % jitter on the first step: copy 2 is due ≥ 0.8 × retransmit
-			// after copy 1.
+			// Copy 2 is due one retransmit interval after copy 1.
 			if gap := o.at[1].Sub(o.at[0]); gap < retransmit/2 {
 				t.Fatalf("copy 2 followed copy 1 after %v: the mismatched reply cut the %v backoff step short", gap, retransmit)
 			}
@@ -225,11 +241,82 @@ func TestCtlCall(t *testing.T) {
 		defer close(p.stop)
 		s := e.start("msp1", counterDef())
 		err := s.callFlush("peer", dv.StateID{Epoch: 1})
-		if !errors.Is(err, errUnavailable) || errors.Is(err, errCtlDeadline) {
+		if !errors.Is(err, errUnavailable) || errors.Is(err, rpc.ErrDeadlineExceeded) {
 			t.Fatalf("callFlush past its deadline: %v, want a plain errUnavailable", err)
 		}
 		if !s.PeerDown("peer") {
 			t.Fatal("peer not marked down after the flush deadline")
+		}
+	})
+	// A halt of this MSP says nothing about its peers: the broadcast it cut
+	// short must not mark the silent peer down.
+	t.Run("broadcast/halt is no missed peer", func(t *testing.T) {
+		missed := metrics.Net.BroadcastPeersMissed.Load()
+		var down bool
+		exchange(t, func(s *Server) bool {
+			s.broadcastRecovery(dv.RecoveryInfo{Process: "msp1", CrashedEpoch: 1, Recovered: 1})
+			down = s.PeerDown("peer")
+			return false
+		}, time.Minute, func(int, uint64) any { return nil }, func(s *Server) { s.halt() })
+		if down || metrics.Net.BroadcastPeersMissed.Load() != missed {
+			t.Fatalf("halt mid-broadcast: peer down=%v, BroadcastPeersMissed +%d; want neither",
+				down, metrics.Net.BroadcastPeersMissed.Load()-missed)
+		}
+	})
+	// A peer that missed a flush deadline is down: flushes against it fail
+	// fast without a copy until the probe interval has passed, then one
+	// probe goes through at a time, and any message from the peer brings it
+	// back up with exactly one knowledge pull. Going down is one
+	// PeerDownEvents and no client-side BreakerOpens.
+	t.Run("flush/down peer", func(t *testing.T) {
+		const deadline, probeEvery = 300 * time.Millisecond, time.Second
+		e := newTestEnv(t)
+		defer e.cleanup()
+		p := startScriptedPeer(e, func(int, uint64) any { return nil })
+		defer close(p.stop)
+		s := e.start("msp1", counterDef(), func(c *Config) {
+			c.TimeScale = 1
+			c.CtlRetransmit = retransmit
+			c.FlushDeadline, c.PeerProbeEvery = deadline, probeEvery
+		})
+		downs, opens := metrics.Net.PeerDownEvents.Load(), metrics.Overload.BreakerOpens.Load()
+		sid := dv.StateID{Epoch: 1}
+		if err := s.flushPeer("peer", sid); !errors.Is(err, errUnavailable) || !s.PeerDown("peer") {
+			t.Fatalf("flush to a silent peer: %v, down=%v; want errUnavailable and the peer down", err, s.PeerDown("peer"))
+		}
+		missedAt := time.Now()
+		failsFast := func(when string) {
+			t.Helper()
+			calls, start := callsOf[rpc.FlushRequest](p), time.Now()
+			err := s.flushPeer("peer", sid)
+			if took := time.Since(start); !errors.Is(err, errUnavailable) || took > deadline/2 {
+				t.Fatalf("flush %s: %v after %v, want errUnavailable at once", when, err, took)
+			}
+			if got := callsOf[rpc.FlushRequest](p); got != calls {
+				t.Fatalf("flush %s reached the peer", when)
+			}
+		}
+		failsFast("within the probe interval")
+
+		time.Sleep(time.Until(missedAt.Add(probeEvery)))
+		probe := make(chan error, 1)
+		go func() { probe <- s.flushPeer("peer", sid) }()
+		waitFor(t, 5*time.Second, "the probe to reach the peer", func() bool { return callsOf[rpc.FlushRequest](p) == 2 })
+		failsFast("while the probe is in flight")
+		if err := <-probe; !errors.Is(err, errUnavailable) || !s.PeerDown("peer") {
+			t.Fatalf("probe of a silent peer: %v, down=%v; want errUnavailable and the peer still down", err, s.PeerDown("peer"))
+		}
+
+		p.ep.Send("msp1", "alive")
+		waitFor(t, 5*time.Second, "a message from the peer to bring it up", func() bool { return !s.PeerDown("peer") })
+		waitFor(t, 5*time.Second, "the knowledge pull", func() bool { return callsOf[rpc.KnowledgePull](p) > 0 })
+		p.ep.Send("msp1", "alive")
+		time.Sleep(5 * retransmit)
+		if n := callsOf[rpc.KnowledgePull](p); n != 1 {
+			t.Fatalf("%d knowledge pulls after the peer came back, want 1", n)
+		}
+		if d, o := metrics.Net.PeerDownEvents.Load()-downs, metrics.Overload.BreakerOpens.Load()-opens; d != 1 || o != 0 {
+			t.Fatalf("PeerDownEvents +%d, BreakerOpens +%d; want +1 and +0", d, o)
 		}
 	})
 }

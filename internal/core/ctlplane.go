@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -23,36 +22,30 @@ import (
 // be lost, duplicated, reordered, delayed or partitioned away — and the
 // machinery here makes the protocol survive that:
 //
-//   - every control request carries a sender-unique ID; the sender
-//     retransmits under the same ID with capped+jittered backoff, and
-//     the receiver dedups by (sender, ID), answering retransmissions
-//     from a bounded reply cache;
-//   - each call has a deadline; a peer that stays unreachable is marked
-//     down in a per-peer health table, after which flushes against it
-//     fail fast (the end client sees Busy, not a hang) with periodic
-//     probes until the peer answers again;
+//   - every control request carries a sender-unique ID; the sender waits
+//     in rpc.Exchange, which retransmits under the same ID every
+//     CtlRetransmit, and the receiver dedups by (sender, ID), answering
+//     retransmissions from a bounded reply cache;
+//   - each call has a deadline; a peer that misses one is marked down by
+//     opening its rpc.Breaker, after which flushes against it fail fast
+//     (the end client sees Busy, not a hang), with one probe at a time
+//     once per probe interval, until the peer is heard from again;
 //   - recovery broadcasts are best-effort: peers missed by a broadcast
 //     (partitioned, down) catch up through anti-entropy — every flush
 //     reply and recovery ack piggybacks the replier's knowledge, and a
 //     peer transitioning unreachable→reachable triggers an explicit
 //     knowledge pull.
 
-// Wall-clock floors applied to scaled control-plane durations: at tiny
-// TimeScales a model deadline would scale to ~0 and every control call
-// would give up before its first reply could arrive.
-const (
-	ctlRetransmitFloor = time.Millisecond
-	ctlDeadlineFloor   = 25 * time.Millisecond
-)
+// ctlDeadlineFloor is the wall-clock floor of the control plane's scaled
+// deadlines and periods: at tiny TimeScales a model deadline would scale
+// to ~0 and every control call would give up before its first reply could
+// arrive. (A resend is floored by rpc.Exchange itself, at 1 ms.)
+const ctlDeadlineFloor = 25 * time.Millisecond
 
-// ctlWall converts a model duration to a wall-clock one, clamped below
-// by floor.
-func ctlWall(d time.Duration, scale float64, floor time.Duration) time.Duration {
-	s := time.Duration(float64(d) * scale)
-	if s < floor {
-		s = floor
-	}
-	return s
+// ctlWall converts a model duration of the control plane to a wall-clock
+// one, at least ctlDeadlineFloor.
+func (s *Server) ctlWall(d time.Duration) time.Duration {
+	return max(time.Duration(float64(d)*s.cfg.TimeScale), ctlDeadlineFloor)
 }
 
 // ctlKey identifies one control request for dedup: who sent it, under
@@ -96,86 +89,6 @@ func (c *ctlCache) put(k ctlKey, v any) {
 	c.m[k] = v
 }
 
-// peerHealth tracks, per domain peer, whether the peer is currently
-// considered reachable. A peer goes down when a control call exhausts
-// its deadline against it; while down, flushes against the peer fail
-// fast except for one probe per probe interval. Any message from the
-// peer — or a successful call to it — brings it back up.
-type peerHealth struct {
-	mu    sync.Mutex
-	peers map[string]*peerStatus
-}
-
-type peerStatus struct {
-	down      bool
-	nextProbe time.Time
-}
-
-func newPeerHealth() *peerHealth {
-	return &peerHealth{peers: make(map[string]*peerStatus)}
-}
-
-func (h *peerHealth) status(peer string) *peerStatus {
-	st, ok := h.peers[peer]
-	if !ok {
-		st = &peerStatus{}
-		h.peers[peer] = st
-	}
-	return st
-}
-
-// markDown records the peer unreachable; the first probe is allowed
-// after probeEvery. It reports whether the peer was up before.
-//
-//mspr:wallclock probe scheduling is wall-clock floored by design (see file header)
-func (h *peerHealth) markDown(peer string, probeEvery time.Duration) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.status(peer)
-	wasUp := !st.down
-	st.down = true
-	st.nextProbe = time.Now().Add(probeEvery)
-	return wasUp
-}
-
-// markUp records the peer reachable and reports whether it was down.
-func (h *peerHealth) markUp(peer string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.status(peer)
-	wasDown := st.down
-	st.down = false
-	return wasDown
-}
-
-// down reports whether the peer is currently considered unreachable.
-func (h *peerHealth) isDown(peer string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st, ok := h.peers[peer]
-	return ok && st.down
-}
-
-// allowCall reports whether a control call against the peer should run
-// now: always for a healthy peer; for a down peer only once per probe
-// interval (the probe slot is consumed).
-//
-//mspr:wallclock probe scheduling is wall-clock floored by design (see file header)
-func (h *peerHealth) allowCall(peer string, probeEvery time.Duration) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.status(peer)
-	if !st.down {
-		return true
-	}
-	now := time.Now()
-	if now.Before(st.nextProbe) {
-		return false
-	}
-	st.nextProbe = now.Add(probeEvery)
-	return true
-}
-
 // nextCtlID mints a control-message ID that is unique across this
 // process's incarnations: the current epoch occupies the high 32 bits,
 // a per-incarnation counter the low 32. Plain counters would collide in
@@ -187,29 +100,23 @@ func (s *Server) nextCtlID() uint64 {
 	return uint64(s.epoch.Load())<<32 | (s.ctlID.Add(1) & 0xffffffff)
 }
 
-// ctlSeed derives a deterministic per-call jitter seed from the server
-// identity and the call ID.
-func (s *Server) ctlSeed(id uint64) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(s.cfg.ID))
-	return int64(h.Sum64()) ^ int64(id)
+// peerBreaker returns the breaker that says whether a domain peer is
+// reachable: closed while it is, opened when a control call to it misses
+// its deadline, half-open — one probe flush at a time — once the probe
+// interval has passed. It is created closed on first use.
+func (s *Server) peerBreaker(peer string) *rpc.Breaker {
+	b, ok := s.peers.Load(peer)
+	if !ok {
+		b, _ = s.peers.LoadOrStore(peer, rpc.NewBreaker(1, s.ctlWall(s.cfg.PeerProbeEvery)))
+	}
+	return b.(*rpc.Breaker)
 }
 
-// ctlBackoff builds the retransmission backoff for one control call:
-// base CtlRetransmit, doubling to 16×, ±20% seeded jitter.
-func (s *Server) ctlBackoff(id uint64) *rpc.Backoff {
-	base := ctlWall(s.cfg.CtlRetransmit, s.cfg.TimeScale, ctlRetransmitFloor)
-	return rpc.NewBackoff(base, 16*base, 0.2, s.ctlSeed(id))
-}
-
-// probeEvery returns the wall-clock probe interval for down peers.
-func (s *Server) probeEvery() time.Duration {
-	return ctlWall(s.cfg.PeerProbeEvery, s.cfg.TimeScale, ctlDeadlineFloor)
-}
-
-// markPeerDown transitions a peer to down in the health table.
-func (s *Server) markPeerDown(peer string) {
-	if s.health.markDown(peer, s.probeEvery()) {
+// peerMissed marks a peer down after a control call to it missed its
+// deadline. A peer that was up counts one metrics.Net.PeerDownEvents.
+func (s *Server) peerMissed(peer string) {
+	br := s.peerBreaker(peer)
+	if up := br.State() == rpc.BreakerClosed; br.Shed() && up {
 		metrics.Net.PeerDownEvents.Inc()
 	}
 }
@@ -217,121 +124,101 @@ func (s *Server) markPeerDown(peer string) {
 // PeerDown reports whether this server currently considers the named
 // domain peer unreachable. Harnesses and tests observe degradation with
 // it.
-func (s *Server) PeerDown(peer string) bool { return s.health.isDown(peer) }
+func (s *Server) PeerDown(peer string) bool {
+	return s.peerBreaker(peer).State() != rpc.BreakerClosed
+}
 
 // noteContact records evidence that the sender of a received message is
 // alive. If the sender is a domain peer that was marked down, it comes
 // back up and an anti-entropy knowledge pull is issued — the "healed
 // peer pulls missed RecoveryInfo on next contact" half of broadcast
-// convergence.
+// convergence. It runs only on the receive loop.
 func (s *Server) noteContact(from simnet.Addr) {
 	peer := string(from)
 	if peer == s.cfg.ID || !s.cfg.Domain.Contains(peer) {
 		return
 	}
-	if s.health.markUp(peer) {
+	if br := s.peerBreaker(peer); br.State() != rpc.BreakerClosed {
+		br.Success()
 		s.goBackground(func() { s.pullKnowledge(peer) })
 	}
 }
 
-// ctlVerdict is what a control call's accept function makes of a reply
-// routed to the call.
-type ctlVerdict int
-
+// The kinds of control exchange. A control reply reaches its call as an
+// rpc.Reply whose Session is the kind of exchange it answers and whose
+// Seq is the call's ID, so rpc.Exchange drops a reply of another kind
+// under the same ID as stale.
 const (
-	ctlIgnore   ctlVerdict = iota // not the awaited answer: keep waiting out the current timer
-	ctlAnswered                   // the call is done
-	ctlResend                     // the peer is reachable but could not serve the request yet: retransmit now
+	ctlFlush     = "ctl/flush"
+	ctlBroadcast = "ctl/broadcast"
+	ctlPull      = "ctl/pull"
 )
 
-// errCtlDeadline reports a control call whose deadline passed unanswered.
-var errCtlDeadline = fmt.Errorf("core: control call deadline exceeded: %w", errUnavailable)
+// ctlReply converts a control reply (FlushReply, RecoveryAck or
+// KnowledgeReply) to the rpc.Reply its control call waits for. A flush
+// the peer could not serve yet, because it is still recovering, is Busy;
+// one that found an orphan is Rejected.
+func ctlReply(m any) rpc.Reply {
+	switch p := m.(type) {
+	case rpc.FlushReply:
+		rep := rpc.Reply{Session: ctlFlush, Seq: p.ID, Known: p.Known}
+		switch p.Code {
+		case rpc.CtlOK:
+		case rpc.CtlOrphan:
+			rep.Status = rpc.StatusRejected
+		default:
+			rep.Status = rpc.StatusBusy
+		}
+		return rep
+	case rpc.RecoveryAck:
+		return rpc.Reply{Session: ctlBroadcast, Seq: p.ID, Known: p.Known}
+	}
+	p := m.(rpc.KnowledgeReply)
+	return rpc.Reply{Session: ctlPull, Seq: p.ID, Known: p.Known}
+}
 
 // ctlCall is the one way this MSP asks a domain peer something and waits
-// for the answer. It mints the call's ID, builds the request once with
-// mkReq — every retransmission is the same envelope under the same ID, so
-// the peer's dedup cache recognizes it — and registers for the reply the
-// ID routes back. Then: send, wait out the next backoff step (clamped to
-// what is left of the deadline), hand every routed reply to accept, resend.
-// It returns nil once accept reports ctlAnswered, errCtlDeadline when the
-// (wall-clock floored) model deadline passes first, and errUnavailable
-// when this MSP stops or crashes meanwhile.
+// for the answer: rpc.Exchange of the kind's exchange under a fresh ID.
+// env builds the request envelope from the ID once, and every resend is
+// that envelope, so the peer's dedup cache recognizes it. The peer's
+// replies reach Exchange through s.ctl (see ctlReply); a Busy one is
+// asked again after CtlRetransmit. The model deadline is floored like
+// every control-plane wait. The error is rpc.ErrDeadlineExceeded when the
+// deadline passed unanswered and rpc.ErrStopped when this MSP halted.
 //
-//mspr:wallclock control-plane retransmit/deadline clocks are wall-clock floored by design (see file header)
-func (s *Server) ctlCall(peer string, deadline time.Duration, mkReq func(id uint64) any, accept func(rep any) ctlVerdict) error {
+//mspr:wallclock the control-plane deadline is a wall-clock floored instant by design (see ctlDeadlineFloor)
+func (s *Server) ctlCall(peer string, deadline time.Duration, kind string, env func(id uint64) any) (rpc.Reply, error) {
 	id := s.nextCtlID()
 	ch := s.ctl.Register(id)
 	defer s.ctl.Deregister(id)
-	bo := s.ctlBackoff(id)
-	until := time.Now().Add(ctlWall(deadline, s.cfg.TimeScale, ctlDeadlineFloor))
-	req := mkReq(id)
-	for {
+	req, to := env(id), simnet.Addr(peer)
+	return rpc.Exchange(func(rpc.Request) {
 		//mspr:flushed-by none (control requests ask a peer to flush, announce state made durable before recovery completed, or pull gossip: none carries unflushed log state)
-		s.ep.Send(simnet.Addr(peer), req)
-		wait := bo.Next()
-		if rem := time.Until(until); wait > rem {
-			wait = rem
-		}
-		timer := time.NewTimer(wait) // a wait ≤ 0 fires at once
-		verdict := ctlIgnore
-		for verdict == ctlIgnore {
-			select {
-			case <-s.stop:
-				verdict = ctlResend // halt marked the MSP crashed before closing stop: the check below ends the call
-			case rep := <-ch:
-				verdict = accept(rep)
-			case <-timer.C:
-				verdict = ctlResend
-			}
-		}
-		timer.Stop()
-		switch {
-		case verdict == ctlAnswered:
-			return nil
-		case s.getState() == stateCrashed:
-			return errUnavailable
-		case !time.Now().Before(until):
-			return errCtlDeadline
-		}
-	}
+		s.ep.Send(to, req)
+	}, ch, s.stop, rpc.Request{Session: kind, Seq: id, Deadline: time.Now().Add(s.ctlWall(deadline))},
+		rpc.CallOptions{ResendAfter: s.cfg.CtlRetransmit, BusyBackoff: s.cfg.CtlRetransmit, TimeScale: s.cfg.TimeScale})
 }
 
 // callFlush asks a peer to flush its log up to sid, bounded by the flush
-// deadline, absorbing the knowledge any reply piggybacks. It returns nil,
-// errOrphanDep, or errUnavailable (the deadline passed — the peer is then
-// marked down — or this MSP stopped).
+// deadline, absorbing the knowledge the answer piggybacks. It returns nil,
+// errOrphanDep, or errUnavailable: the deadline passed — the peer is then
+// marked down — or this MSP stopped (wrapping rpc.ErrStopped).
 func (s *Server) callFlush(peer string, sid dv.StateID) error {
-	var outcome error
-	err := s.ctlCall(peer, s.cfg.FlushDeadline,
-		func(id uint64) any { return rpc.FlushRequest{ID: id, From: s.ep.Addr(), SID: sid} },
-		func(raw any) ctlVerdict {
-			rep, ok := raw.(rpc.FlushReply)
-			if !ok {
-				return ctlIgnore
-			}
-			s.absorbKnowledge(rep.Known)
-			switch rep.Code {
-			case rpc.CtlOK:
-			case rpc.CtlOrphan:
-				outcome = errOrphanDep
-			default:
-				// Peer reachable but recovering: short pause, then
-				// retransmit until the deadline decides.
-				simtime.Sleep(ctlWall(s.cfg.CtlRetransmit, s.cfg.TimeScale, ctlRetransmitFloor))
-				return ctlResend
-			}
-			s.health.markUp(peer)
-			return ctlAnswered
-		})
-	if errors.Is(err, errCtlDeadline) {
+	rep, err := s.ctlCall(peer, s.cfg.FlushDeadline, ctlFlush,
+		func(id uint64) any { return rpc.FlushRequest{ID: id, From: s.ep.Addr(), SID: sid} })
+	switch {
+	case errors.Is(err, rpc.ErrDeadlineExceeded):
 		metrics.Net.FlushDeadlinesExceeded.Inc()
-		s.markPeerDown(peer)
+		s.peerMissed(peer)
 		return fmt.Errorf("core: peer %s unreachable within flush deadline: %w", peer, errUnavailable)
+	case err != nil:
+		return fmt.Errorf("%w: %w", errUnavailable, err)
 	}
-	if err != nil {
-		return err
+	s.absorbKnowledge(rep.Known)
+	if rep.Status == rpc.StatusRejected {
+		return errOrphanDep
 	}
-	return outcome
+	return nil
 }
 
 // domainPeers returns the other members of this MSP's domain.
@@ -346,10 +233,11 @@ func (s *Server) domainPeers() []string {
 }
 
 // broadcastRecovery announces a recovered state number to every domain
-// peer over the network, best-effort: each peer is retransmitted to with
-// backoff until it acks or the broadcast deadline passes. It returns the
-// union of the reachable peers' knowledge snapshots. Peers missed here
-// converge later via anti-entropy.
+// peer over the network, best-effort: each peer is retransmitted to until
+// it acks or the broadcast deadline passes. It returns the union of the
+// reachable peers' knowledge snapshots. A peer that misses the deadline
+// is marked down and converges later via anti-entropy; a halt of this MSP
+// meanwhile says nothing about the peers.
 func (s *Server) broadcastRecovery(info dv.RecoveryInfo) []dv.RecoveryInfo {
 	var (
 		wg      sync.WaitGroup
@@ -360,25 +248,17 @@ func (s *Server) broadcastRecovery(info dv.RecoveryInfo) []dv.RecoveryInfo {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			var known []dv.RecoveryInfo
-			err := s.ctlCall(peer, s.cfg.BroadcastDeadline,
-				func(id uint64) any { return rpc.RecoveryBroadcast{ID: id, From: s.ep.Addr(), Info: info} },
-				func(raw any) ctlVerdict {
-					ack, ok := raw.(rpc.RecoveryAck)
-					if !ok {
-						return ctlIgnore
-					}
-					known = ack.Known
-					return ctlAnswered
-				})
-			if err != nil {
+			rep, err := s.ctlCall(peer, s.cfg.BroadcastDeadline, ctlBroadcast,
+				func(id uint64) any { return rpc.RecoveryBroadcast{ID: id, From: s.ep.Addr(), Info: info} })
+			if errors.Is(err, rpc.ErrDeadlineExceeded) {
 				metrics.Net.BroadcastPeersMissed.Inc()
-				s.markPeerDown(peer)
+				s.peerMissed(peer)
+			}
+			if err != nil {
 				return
 			}
-			s.health.markUp(peer)
 			mu.Lock()
-			learned = append(learned, known...)
+			learned = append(learned, rep.Known...)
 			mu.Unlock()
 		}(peer)
 	}
@@ -392,39 +272,31 @@ func (s *Server) pullKnowledge(peer string) {
 	metrics.Net.AntiEntropyPulls.Inc()
 	// An unanswered pull needs no handling: the next contact or anti-entropy
 	// round pulls again.
-	_ = s.ctlCall(peer, s.cfg.BroadcastDeadline,
-		func(id uint64) any { return rpc.KnowledgePull{ID: id, From: s.ep.Addr()} },
-		func(raw any) ctlVerdict {
-			rep, ok := raw.(rpc.KnowledgeReply)
-			if !ok {
-				return ctlIgnore
-			}
-			s.absorbKnowledge(rep.Known)
-			return ctlAnswered
-		})
+	rep, err := s.ctlCall(peer, s.cfg.BroadcastDeadline, ctlPull,
+		func(id uint64) any { return rpc.KnowledgePull{ID: id, From: s.ep.Addr()} })
+	if err == nil {
+		s.absorbKnowledge(rep.Known)
+	}
 }
 
 // antiEntropyLoop periodically pulls knowledge from domain peers in
 // round-robin order — the safety net that converges orphan detection
 // even when no traffic crosses a healed partition. Runs only when
 // Config.AntiEntropyEvery is positive.
-//
-//mspr:wallclock control-plane retransmit/deadline clocks are wall-clock floored by design (see file header)
 func (s *Server) antiEntropyLoop() {
-	every := ctlWall(s.cfg.AntiEntropyEvery, s.cfg.TimeScale, ctlDeadlineFloor)
-	next := 0
-	for {
+	every := s.ctlWall(s.cfg.AntiEntropyEvery)
+	tick := make(chan struct{}, 1) // room for the one round pending when stop closes
+	for next := 0; ; {
+		simtime.After(every, func() { tick <- struct{}{} })
 		select {
 		case <-s.stop:
 			return
-		case <-time.After(every):
+		case <-tick:
 		}
-		peers := s.domainPeers()
-		if len(peers) == 0 {
-			continue
+		if peers := s.domainPeers(); len(peers) > 0 {
+			s.pullKnowledge(peers[next%len(peers)])
+			next++
 		}
-		s.pullKnowledge(peers[next%len(peers)])
-		next++
 	}
 }
 

@@ -143,12 +143,12 @@ type Server struct {
 
 	// Control plane (see ctlplane.go): outgoing control-call IDs, the
 	// routing of control replies (FlushReply, RecoveryAck, KnowledgeReply)
-	// by the request ID they echo, the server-side dedup cache, and
-	// per-peer health.
+	// by the request ID they echo, the server-side dedup cache, and one
+	// *rpc.Breaker per domain peer, keyed by its ID.
 	ctlID    atomic.Uint64
-	ctl      rpc.Router[uint64, any]
+	ctl      rpc.Router[uint64, rpc.Reply]
 	ctlDedup *ctlCache
-	health   *peerHealth
+	peers    sync.Map
 
 	bytesSinceCkpt atomic.Int64
 	ckptRunning    atomic.Bool
@@ -233,7 +233,6 @@ func Start(cfg Config) (*Server, error) {
 	}
 	s.epoch.Store(1) // epoch 1 is the first failure-free period
 	s.ctlDedup = newCtlCache(1024)
-	s.health = newPeerHealth()
 	for _, def := range cfg.Def.Shared {
 		s.shared[def.Name] = newSharedVar(s, def)
 	}
@@ -544,12 +543,9 @@ func (s *Server) receiveLoop() {
 			s.goBackground(func() { s.handleRecoveryBroadcast(p) })
 		case rpc.KnowledgePull:
 			s.goBackground(func() { s.handleKnowledgePull(p) })
-		case rpc.FlushReply:
-			s.ctl.Resolve(p.ID, p)
-		case rpc.RecoveryAck:
-			s.ctl.Resolve(p.ID, p)
-		case rpc.KnowledgeReply:
-			s.ctl.Resolve(p.ID, p)
+		case rpc.FlushReply, rpc.RecoveryAck, rpc.KnowledgeReply:
+			rep := ctlReply(p)
+			s.ctl.Resolve(rep.Seq, rep)
 		}
 	})
 }
@@ -1045,7 +1041,8 @@ func (s *Server) flushDV(vec dv.Vector, selfLSN int64) error {
 // peer stays unreachable past the deadline (errUnavailable — the caller
 // degrades, typically to a Busy reply toward the end client, instead of
 // hanging). While a peer is marked down, calls fail fast except for one
-// probe per probe interval.
+// probe at a time once per probe interval; a probe cut short by this
+// MSP's halt hands its slot back.
 func (s *Server) flushPeer(p dv.ProcessID, sid dv.StateID) error {
 	peer := string(p)
 	if !s.cfg.Domain.Contains(peer) {
@@ -1061,11 +1058,16 @@ func (s *Server) flushPeer(p dv.ProcessID, sid dv.StateID) error {
 		}
 		return nil
 	}
-	if !s.health.allowCall(peer, s.probeEvery()) {
+	br := s.peerBreaker(peer)
+	ok, probe := br.Allow()
+	if !ok {
 		return fmt.Errorf("core: peer %s marked down: %w", p, errUnavailable)
 	}
 	err := s.callFlush(peer, sid)
-	if err != nil && errors.Is(err, errUnavailable) && s.know.IsOrphan(p, sid) {
+	if errors.Is(err, rpc.ErrStopped) {
+		br.ProbeAborted(probe)
+	}
+	if errors.Is(err, errUnavailable) && s.know.IsOrphan(p, sid) {
 		// The peer's broadcast raced the deadline: orphan beats timeout.
 		return errOrphanDep
 	}

@@ -130,7 +130,9 @@ type NetCounters struct {
 	// end client sees Busy instead of a hang.
 	FlushDeadlinesExceeded Counter
 	// PeerDownEvents counts transitions of a peer MSP from reachable to
-	// unreachable in some server's health table.
+	// unreachable at some server: a control call missed its deadline and
+	// opened the peer's closed breaker (not counted in
+	// Overload.BreakerOpens).
 	PeerDownEvents Counter
 	// AntiEntropyPulls counts knowledge-pull requests issued to catch up
 	// on recovery broadcasts missed during a partition or downtime.
@@ -232,7 +234,9 @@ type OverloadCounters struct {
 	// token-bucket retry budget was empty when a shed asked for a resend.
 	RetryBudgetExhausted Counter
 	// BreakerOpens counts closed→open (and half-open→open) transitions of
-	// client-side circuit breakers.
+	// client-side circuit breakers, the ones calls consult through
+	// rpc.CallOptions.Breaker. Domain peers going down count in
+	// Net.PeerDownEvents.
 	BreakerOpens Counter
 	// QueueDepthPeak is the deepest combined admission-queue backlog
 	// (normal + priority lane) any server observed at enqueue time — the

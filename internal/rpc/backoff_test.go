@@ -130,7 +130,7 @@ func TestBackoffWithoutJitterBuildsNoSource(t *testing.T) {
 }
 
 func TestBusyBackoffThroughCall(t *testing.T) {
-	o := DefaultCallOptions(0) // TimeScale 0: scaled() floors at 1ms
+	o := DefaultCallOptions(0) // TimeScale 0: Scaled() floors at 1ms
 	o.BusyBackoffMax = 800 * time.Millisecond
 	o.MaxAttempts = 4
 	replies := make(chan Reply, 8)

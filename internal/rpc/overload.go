@@ -106,6 +106,12 @@ func (s BreakerState) String() string {
 // wall-clock Cooldown, then half-opens: one probe call is admitted, and
 // its outcome decides between closing and re-opening. Safe for
 // concurrent use; share one per target server.
+//
+// An MSP also meters each domain peer with one, driven by hand rather
+// than through CallOptions.Breaker (a Busy reply from a recovering peer
+// is no reason to stop asking it): there, Shed means a control call
+// missed its deadline, with threshold 1 the peer is down at the first
+// miss, and any message from the peer is a Success.
 type Breaker struct {
 	mu        sync.Mutex
 	threshold int
@@ -208,28 +214,25 @@ func (b *Breaker) Success() {
 
 // Shed records a Busy/Overloaded reply. In the closed state it counts
 // toward the threshold; a shed probe re-opens the breaker for another
-// cooldown.
-func (b *Breaker) Shed() {
+// cooldown. It reports whether the breaker opened; the breaker's user
+// counts that in its own metric.
+func (b *Breaker) Shed() (opened bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
 		b.sheds++
-		if b.sheds >= b.threshold {
-			b.open()
+		if b.sheds < b.threshold {
+			return false
 		}
-	case BreakerHalfOpen:
-		b.open()
+	case BreakerOpen:
+		return false
 	}
-}
-
-// open transitions to the open state; callers hold b.mu.
-func (b *Breaker) open() {
 	b.state = BreakerOpen
 	b.openedAt = b.now() //mspr:wallclock breaker cooldown meters real retry work, like RetryAfter hints
 	b.sheds = 0
 	b.probe = 0
-	metrics.Overload.BreakerOpens.Inc()
+	return true
 }
 
 // State returns the breaker's current position (for tests and reports).

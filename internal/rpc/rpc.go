@@ -11,8 +11,8 @@
 // anything else out of order.
 //
 // Exchange is that resend loop, written once. End clients, an MSP calling
-// another (Fig. 3) and the StateServer baseline wait through it; only the
-// domain control plane keeps a loop of its own.
+// another (Fig. 3), the StateServer baseline and the domain control plane
+// (flush requests, recovery broadcasts, knowledge pulls) wait through it.
 package rpc
 
 import (
@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"mspr/internal/dv"
+	"mspr/internal/metrics"
 	"mspr/internal/simnet"
 	"mspr/internal/simtime"
 )
@@ -111,6 +112,10 @@ type Reply struct {
 	// backlog times the observed per-request service rate. Zero means the
 	// server offered no hint (the client falls back to its busy backoff).
 	RetryAfter time.Duration
+	// Known is the knowledge of recovered state numbers a domain peer
+	// piggybacked on a control reply (FlushReply, RecoveryAck,
+	// KnowledgeReply) that an MSP's receive loop routed to its control call.
+	Known []dv.RecoveryInfo
 }
 
 // ErrRejected is returned by Call when the server permanently rejects the
@@ -285,10 +290,11 @@ type CallOptions struct {
 	// tests that want to observe unreachable servers.
 	MaxAttempts int
 	// Timeout, when positive, is the model-time deadline for the whole
-	// call: Call stamps Request.Deadline with now + scaled(Timeout) so
+	// call: Call stamps Request.Deadline with now + Scaled(Timeout) so
 	// the server can shed the request once it expires, and returns
 	// ErrDeadlineExceeded once it passes client-side. Zero propagates no
-	// deadline (the pre-overload-control behaviour).
+	// deadline (the pre-overload-control behaviour). A Deadline the caller
+	// already stamped on the request is kept either way.
 	Timeout time.Duration
 	// Budget, when non-nil, is the token-bucket retry budget consulted
 	// before every resend triggered by a Busy or Overloaded reply: each
@@ -328,14 +334,22 @@ func BackoffCallOptions(timeScale float64, seed int64) CallOptions {
 	return o
 }
 
-func (o CallOptions) scaled(d time.Duration) time.Duration {
-	s := time.Duration(float64(d) * o.TimeScale)
-	if s <= 0 {
-		// Even at TimeScale 0 (unit tests), resend timers keep a small
-		// floor so clients do not busy-spin resending.
-		s = time.Millisecond
-	}
-	return s
+// Scaled converts a model duration to the wall-clock wait Exchange makes
+// of it. No wait is shorter than 1 ms: at tiny TimeScales (0 in unit
+// tests) a resend timer or a busy pause would otherwise shrink towards a
+// busy-spin of resends.
+func (o CallOptions) Scaled(d time.Duration) time.Duration {
+	return max(time.Duration(float64(d)*o.TimeScale), time.Millisecond)
+}
+
+// CallSeed derives the jitter seed of one call from its session and
+// sequence number, so concurrent calls jitter differently and the same
+// call replays identically.
+func CallSeed(session string, seq uint64) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(session))
+	h.Write(binary.LittleEndian.AppendUint64(nil, seq))
+	return int64(h.Sum64())
 }
 
 // Call is Exchange without a stop channel, returning the reply as the
@@ -365,15 +379,15 @@ func (r Reply) Result() ([]byte, error) {
 // Exchange sends req via send — every resend too, so send is where a
 // caller hooks its own checks — and waits for the matching reply on
 // replies, resending until a terminal reply (OK, AppError or Rejected)
-// arrives, which it returns with a nil error. Stale replies are discarded
-// by sequence number. After a Busy or Overloaded reply it sleeps its
+// arrives, which it returns with a nil error. A reply whose session or
+// sequence number is not req's is stale and discarded. After a Busy or Overloaded reply it sleeps its
 // backoff, or the server's RetryAfter hint if longer. Closing stop (nil:
 // never) ends the wait with ErrStopped.
 func Exchange(send func(Request), replies <-chan Reply, stop <-chan struct{}, req Request, opts CallOptions) (Reply, error) {
 	attempts := 0
 	var bo *Backoff // built on the first shed
 	if opts.Timeout > 0 && req.Deadline.IsZero() {
-		req.Deadline = time.Now().Add(opts.scaled(opts.Timeout)) //mspr:wallclock deadlines bound real (scaled) work; server and client shed against the same clock
+		req.Deadline = time.Now().Add(opts.Scaled(opts.Timeout)) //mspr:wallclock deadlines bound real (scaled) work; server and client shed against the same clock
 	}
 	// Every exit settles the overload-control bookkeeping exactly once,
 	// in one of three classes: terminal (OK/AppError/Rejected — earns
@@ -415,7 +429,7 @@ func Exchange(send func(Request), replies <-chan Reply, stop <-chan struct{}, re
 			probeTok = probe
 		}
 		send(req)
-		deadline := simtime.NewTimer(opts.scaled(opts.ResendAfter))
+		deadline := simtime.NewTimer(opts.Scaled(opts.ResendAfter))
 	waiting:
 		for {
 			select {
@@ -443,12 +457,9 @@ func Exchange(send func(Request), replies <-chan Reply, stop <-chan struct{}, re
 						return Reply{}, ErrOverloaded
 					}
 					if bo == nil { // jitter seeded as CallOptions.Seed says
-						h := fnv.New64a()
-						h.Write([]byte(req.Session))
-						h.Write(binary.LittleEndian.AppendUint64(nil, req.Seq))
-						bo = NewBackoff(opts.BusyBackoff, opts.BusyBackoffMax, opts.BusyJitter, opts.Seed^int64(h.Sum64()))
+						bo = NewBackoff(opts.BusyBackoff, opts.BusyBackoffMax, opts.BusyJitter, opts.Seed^CallSeed(req.Session, req.Seq))
 					}
-					d := opts.scaled(bo.Next())
+					d := opts.Scaled(bo.Next())
 					if rep.Status == StatusOverloaded && rep.RetryAfter > d {
 						// The server's hint is a wall-clock estimate of when
 						// queue space frees up; honor it when it exceeds the
@@ -484,8 +495,8 @@ func (o CallOptions) settle(terminal bool) {
 		}
 		return
 	}
-	if o.Breaker != nil {
-		o.Breaker.Shed()
+	if o.Breaker != nil && o.Breaker.Shed() {
+		metrics.Overload.BreakerOpens.Inc()
 	}
 }
 

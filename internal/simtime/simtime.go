@@ -8,7 +8,7 @@
 // depend on.
 //
 // Every pending wait — a Sleep, a Timer, an After callback — is one entry
-// in a single process-wide heap ordered by deadline, then by registration
+// in a process-wide heap ordered by deadline, then by registration
 // order. One driver goroutine, started on first use, owns the heap: it
 // waits on one reusable OS timer for all but the last coarse period
 // before the earliest deadline, spin-yields only for that last stretch,
@@ -18,6 +18,11 @@
 // are the product being measured — plus, for its last lead, each sleeper
 // about to return: the driver wakes a sleeper that much early so the
 // hand-off never makes it late.
+//
+// Timers are timeouts — a resend, a watchdog tick — and need no such
+// precision: they wait in a second heap that the same driver serves from
+// the OS timer alone, so a Timer may fire up to that timer's granularity
+// late, and a pending timeout never makes the driver spin.
 package simtime
 
 import (
@@ -50,7 +55,7 @@ func Sleep(d time.Duration) {
 	deadline := time.Now().Add(d)
 	if d > lead {
 		w := pool.Get().(*wait)
-		clk.add(w, deadline.Add(-lead))
+		clk.add(&clk.exact, w, deadline.Add(-lead))
 		<-w.ch
 		pool.Put(w)
 	}
@@ -69,12 +74,12 @@ func After(d time.Duration, f func()) {
 	}
 	w := pool.Get().(*wait)
 	w.f = f
-	clk.add(w, time.Now().Add(d))
+	clk.add(&clk.exact, w, time.Now().Add(d))
 }
 
-// Timer is a cancellable one-shot timer with simtime's precision. C
-// receives exactly one value when the timer fires; a timer stopped
-// before its deadline never fires.
+// Timer is a cancellable one-shot timeout. C receives exactly one value
+// when the timer fires, at or up to the OS timer's granularity after its
+// deadline; a timer stopped before its deadline never fires.
 type Timer struct {
 	// C fires once at the deadline.
 	C <-chan struct{}
@@ -91,7 +96,7 @@ func NewTimer(d time.Duration) *Timer {
 		c <- struct{}{}
 		return t
 	}
-	clk.add(&t.w, time.Now().Add(d))
+	clk.add(&clk.timers, &t.w, time.Now().Add(d))
 	return t
 }
 
@@ -101,12 +106,12 @@ func (t *Timer) Stop() {
 	clk.mu.Lock()
 	head := t.w.index == 0
 	if t.w.index >= 0 {
-		heap.Remove(&clk.waits, t.w.index)
+		heap.Remove(&clk.timers, t.w.index)
 	}
 	clk.mu.Unlock()
 	if head {
-		// The driver may be spinning towards this deadline: let it find
-		// the next one, or park, instead.
+		// The driver may be sleeping until this deadline: let it sleep
+		// until the next one instead.
 		clk.wake()
 	}
 }
@@ -125,30 +130,38 @@ type wait struct {
 // the Timer, which Stop needs to find it.
 var pool = sync.Pool{New: func() any { return &wait{ch: make(chan struct{}, 1)} }}
 
-// clock is the process's one driver and the heap it owns.
+// never stands for no deadline at all: later than any real one.
+var never = time.Unix(1<<40, 0)
+
+// clock is the process's one driver and the heaps it owns: exact holds the
+// Sleeps and After callbacks, timers the Timers.
 type clock struct {
-	mu      sync.Mutex
-	waits   waitHeap
-	seq     uint64
-	started bool
-	// until is the deadline the driver is waiting for, zero while it waits
-	// for none. A wait due before it kicks the driver, which may be idle,
-	// sleeping on the OS timer or spinning towards that later deadline.
-	until time.Time
-	kick  chan struct{}
+	mu            sync.Mutex
+	exact, timers waitHeap
+	seq           uint64
+	started       bool
+	// until and untilTimer are the earliest deadlines in exact and in
+	// timers when the driver last looked, never for an empty heap. A wait
+	// due before its heap's kicks the driver, which may be sleeping on the
+	// OS timer or spinning towards a later deadline.
+	until, untilTimer time.Time
+	kick              chan struct{}
 }
 
-var clk = clock{kick: make(chan struct{}, 1)}
+var clk = clock{until: never, untilTimer: never, kick: make(chan struct{}, 1)}
 
-// add registers w to come due at deadline, starting the driver on first
-// use.
-func (c *clock) add(w *wait, deadline time.Time) {
+// add registers w in h to come due at deadline, starting the driver on
+// first use.
+func (c *clock) add(h *waitHeap, w *wait, deadline time.Time) {
 	c.mu.Lock()
 	w.deadline = deadline
 	c.seq++
 	w.seq = c.seq
-	heap.Push(&c.waits, w)
-	earliest := c.until.IsZero() || deadline.Before(c.until)
+	heap.Push(h, w)
+	earliest := deadline.Before(c.until)
+	if h == &c.timers {
+		earliest = deadline.Before(c.untilTimer)
+	}
 	if !c.started {
 		c.started = true
 		go c.run()
@@ -168,9 +181,10 @@ func (c *clock) wake() {
 }
 
 // run is the driver loop, for the life of the process: fire everything
-// due, then wait for the next deadline — blocked while the heap is empty,
-// on the OS timer while the deadline is more than coarse away,
-// spin-yielding for the rest.
+// due, then wait — on the OS timer until coarse before the next exact
+// deadline or until the next timer, whichever is first, and spin-yielding
+// for the last coarse stretch before an exact deadline. A timer that
+// comes due during that stretch fires at its end.
 func (c *clock) run() {
 	bulk := time.NewTimer(time.Hour)
 	bulk.Stop()
@@ -178,14 +192,10 @@ func (c *clock) run() {
 	for {
 		now := time.Now()
 		c.mu.Lock()
-		for len(c.waits) > 0 && !c.waits[0].deadline.After(now) {
-			due = append(due, heap.Pop(&c.waits).(*wait))
-		}
-		var next time.Time
-		if len(c.waits) > 0 {
-			next = c.waits[0].deadline
-		}
-		c.until = next
+		due = c.exact.popDue(due, now)
+		due = c.timers.popDue(due, now)
+		c.until, c.untilTimer = c.exact.first(), c.timers.first()
+		next, timer := c.until, c.untilTimer
 		c.mu.Unlock()
 
 		if len(due) > 0 {
@@ -203,23 +213,20 @@ func (c *clock) run() {
 			continue // the wake-ups took time: look again
 		}
 
-		switch left := next.Sub(now); {
-		case next.IsZero():
-			<-c.kick
-		case left > coarse:
-			bulk.Reset(left - coarse)
-			select {
-			case <-bulk.C:
-			case <-c.kick:
-				if !bulk.Stop() {
-					select {
-					case <-bulk.C:
-					default:
-					}
+		if left := next.Sub(now); left <= coarse {
+			c.spin(next)
+			continue
+		}
+		bulk.Reset(min(next.Sub(now)-coarse, timer.Sub(now)))
+		select {
+		case <-bulk.C:
+		case <-c.kick:
+			if !bulk.Stop() {
+				select {
+				case <-bulk.C:
+				default:
 				}
 			}
-		default:
-			c.spin(next)
 		}
 	}
 }
@@ -268,4 +275,20 @@ func (h *waitHeap) Pop() any {
 	w.index = -1
 	*h = old[:len(old)-1]
 	return w
+}
+
+// popDue moves the waits due at now from h to the end of due, in order.
+func (h *waitHeap) popDue(due []*wait, now time.Time) []*wait {
+	for len(*h) > 0 && !(*h)[0].deadline.After(now) {
+		due = append(due, heap.Pop(h).(*wait))
+	}
+	return due
+}
+
+// first returns h's earliest deadline, never when h is empty.
+func (h waitHeap) first() time.Time {
+	if len(h) == 0 {
+		return never
+	}
+	return h[0].deadline
 }
