@@ -25,9 +25,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"mspr/internal/bench"
+	"mspr/internal/simtime"
 )
 
 // recoveryRun is one labelled entry of the BENCH_recovery.json trajectory.
@@ -160,7 +160,7 @@ func main() {
 		if *recoveryOut != "" {
 			rr := recoveryRun{
 				Label:     *label,
-				Date:      time.Now().UTC().Format("2006-01-02"), //mspr:wallclock run timestamp for the committed trajectory file
+				Date:      simtime.Now().UTC().Format("2006-01-02"),
 				TimeScale: *scale,
 				Points:    points,
 			}

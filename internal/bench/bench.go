@@ -17,6 +17,7 @@ import (
 
 	"mspr/internal/metrics"
 	"mspr/internal/simdisk"
+	"mspr/internal/simtime"
 )
 
 // Options configures an experiment run.
@@ -80,7 +81,7 @@ func runOne(o Options, c config) (RunStats, error) {
 	if perClient == 0 {
 		perClient = 1
 	}
-	start := time.Now() //mspr:wallclock benchmark measures real elapsed time, rescaled to model time for the report
+	start := simtime.Now()
 	var wg sync.WaitGroup
 	for range o.Clients {
 		wg.Add(1)
@@ -102,7 +103,7 @@ func runOne(o Options, c config) (RunStats, error) {
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start) //mspr:wallclock benchmark measures real elapsed time, rescaled to model time for the report
+	elapsed := simtime.Since(start)
 	if firstErr != nil {
 		return RunStats{}, firstErr
 	}

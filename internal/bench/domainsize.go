@@ -10,6 +10,7 @@ import (
 	"mspr/internal/rpc"
 	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
+	"mspr/internal/simtime"
 )
 
 // AblationDomainSizeResult reports one chain-depth measurement.
@@ -72,11 +73,11 @@ func runChain(o Options, depth int) (AblationDomainSizeResult, error) {
 	cs := client.Session("msp1")
 	var series metrics.Series
 	for i := 0; i < o.Requests; i++ {
-		start := time.Now() //mspr:wallclock benchmark measures real request latency, rescaled to model time for the report
+		start := simtime.Now()
 		if _, err := cs.Call("relay", nil); err != nil {
 			return AblationDomainSizeResult{}, err
 		}
-		series.Record(time.Since(start)) //mspr:wallclock benchmark measures real request latency
+		series.Record(simtime.Since(start))
 	}
 	var logBytes int64
 	for _, d := range disks {

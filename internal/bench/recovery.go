@@ -11,6 +11,7 @@ import (
 	"mspr/internal/rpc"
 	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
+	"mspr/internal/simtime"
 )
 
 // The instant-recovery experiment quantifies what the analysis/replay
@@ -157,7 +158,7 @@ func loadAndRecover(o Options, sessions, requestsPer int, work time.Duration, se
 	}
 	w := &metrics.Wal
 	streamed, synced, records := w.ScanBlocksStreamed.Load(), w.ScanBlocksSync.Load(), w.ScanRecords.Load()
-	start := time.Now() //mspr:wallclock benchmark measures real recovery latency, rescaled to model time for the report
+	start := simtime.Now()
 	if err := msp.Restart(); err != nil {
 		return rec, err
 	}
@@ -169,8 +170,8 @@ func loadAndRecover(o Options, sessions, requestsPer int, work time.Duration, se
 	}
 	rec.ttfr = srv.TimeToFirstReply()
 	for srv.RecoveringSessions() > 0 {
-		time.Sleep(100 * time.Microsecond) //mspr:wallclock polling the background sweep, which runs on OS scheduling
+		time.Sleep(100 * time.Microsecond) //mspr:wallclock a poll from outside the model: on simtime.Sleep it would keep the driver spinning through the drain it measures
 	}
-	rec.drain = time.Since(start) //mspr:wallclock benchmark measures real recovery latency, rescaled to model time for the report
+	rec.drain = simtime.Since(start)
 	return rec, nil
 }

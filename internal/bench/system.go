@@ -14,6 +14,7 @@ import (
 	"mspr/internal/sdb"
 	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
+	"mspr/internal/simtime"
 )
 
 // The paper's experimental system (§5.1, Fig. 13): one end client, MSP1
@@ -281,9 +282,9 @@ func (s *system) do(cs *core.ClientSession) ([]byte, time.Duration, error) {
 	if s.c.crashEvery > 0 && n%int64(s.c.crashEvery) == 0 {
 		s.crashArmed.Store(true)
 	}
-	start := time.Now() //mspr:wallclock experiment latencies are measured in real time and rescaled to model time
+	start := simtime.Now()
 	out, err := cs.Call("method1", pad(uint64(n), requestSize))
-	return out, time.Since(start), err //mspr:wallclock experiment latencies are measured in real time
+	return out, simtime.Since(start), err
 }
 
 // crashes waits for the restart the last request may have set off and

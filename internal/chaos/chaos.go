@@ -139,7 +139,7 @@ func (r Report) String() string {
 
 // Run executes the workload under fault injection and returns the report.
 func Run(w Workload, faults []Fault, o Options) Report {
-	start := time.Now() //mspr:wallclock storm reports measure real elapsed time
+	start := simtime.Now()
 	rep := Report{FaultsFired: make(map[string]int), Seed: o.Seed, Schedule: []string{}}
 	if w.Actors <= 0 || w.OpsPerActor <= 0 || w.NewActor == nil {
 		rep.Errors = append(rep.Errors, fmt.Errorf("chaos: workload needs actors, ops and a factory"))
@@ -331,7 +331,7 @@ func Run(w Workload, faults []Fault, o Options) Report {
 	rep.Ops = ops.Load()
 	rep.DroppedTriggers = dropped.Load()
 	rep.Errors = errs
-	rep.Elapsed = time.Since(start) //mspr:wallclock storm reports measure real elapsed time
+	rep.Elapsed = simtime.Since(start)
 	return rep
 }
 

@@ -12,6 +12,7 @@ import (
 	"mspr/internal/rpc"
 	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
+	"mspr/internal/simtime"
 )
 
 // The overload storm saturates one MSP on purpose. The closed-loop
@@ -101,8 +102,6 @@ func serverSheds() int64 {
 // RunOverload builds the system, measures capacity, floods, audits, and
 // reports. The error is a system that could not be built or measured;
 // violated assertions are in the report.
-//
-//mspr:wallclock capacity is measured, the open-loop flood paced and every shed timed in real time: overload is a property of wall-clock arrival rate
 func RunOverload(c OverloadSpec) (*OverloadReport, error) {
 	net := simnet.New(simnet.Config{OneWay: oneWay, TimeScale: c.Scale,
 		LossRate: c.Loss, DupRate: c.Dup, Seed: c.Seed})
@@ -159,11 +158,11 @@ func RunOverload(c OverloadSpec) (*OverloadReport, error) {
 			}
 		}(a)
 	}
-	t0 := time.Now()
-	time.Sleep(600 * time.Millisecond)
+	t0 := simtime.Now()
+	simtime.Sleep(600 * time.Millisecond)
 	close(stopMeasure)
 	wg.Wait()
-	rep.MeasureFor = time.Since(t0)
+	rep.MeasureFor = simtime.Since(t0)
 	rep.Capacity = float64(measured.Load()) / rep.MeasureFor.Seconds()
 	if rep.Capacity <= 0 {
 		return nil, fmt.Errorf("overload: measured zero closed-loop capacity")
@@ -191,7 +190,7 @@ func RunOverload(c OverloadSpec) (*OverloadReport, error) {
 	go func() {
 		defer crashWg.Done()
 		for i := 0; i < c.Crashes; i++ {
-			time.Sleep(c.Duration / time.Duration(c.Crashes+1))
+			simtime.Sleep(c.Duration / time.Duration(c.Crashes+1))
 			if err := msp.Restart(); err != nil {
 				rep.Failures = append(rep.Failures, fmt.Sprintf("crash-restart mid-saturation failed: %v", err))
 			}
@@ -203,29 +202,29 @@ func RunOverload(c OverloadSpec) (*OverloadReport, error) {
 	// ahead of schedule. Falling behind (goroutine spawn overhead, sleep
 	// granularity) self-corrects by firing late arrivals back-to-back, so
 	// the achieved rate tracks the target instead of silently sagging.
-	floodStart := time.Now()
+	floodStart := simtime.Now()
 	next := floodStart
 	var callWg sync.WaitGroup
 	var tally sync.Mutex // guards rep's outcome counts while calls are in flight
-	for time.Since(floodStart) < c.Duration {
+	for simtime.Since(floodStart) < c.Duration {
 		next = next.Add(arrivals.Next())
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
+		if d := simtime.Until(next); d > 0 {
+			time.Sleep(d) //mspr:wallclock the pacing catches up on its own when late; sub-2 ms gaps on simtime.Sleep would keep the driver spinning through the flood
 		}
 		k := zipf.Next()
 		rep.Offered++
 		callWg.Add(1)
 		go func() {
 			defer callWg.Done()
-			start := time.Now()
+			start := simtime.Now()
 			err := mark(floodClient.Session("msp"), 1, k)
-			took := time.Since(start)
+			took := simtime.Since(start)
 			tally.Lock()
 			rep.record(err, took)
 			tally.Unlock()
 		}()
 	}
-	rep.Achieved = float64(rep.Offered) / time.Since(floodStart).Seconds()
+	rep.Achieved = float64(rep.Offered) / simtime.Since(floodStart).Seconds()
 	callWg.Wait()
 	crashWg.Wait()
 

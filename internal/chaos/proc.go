@@ -8,6 +8,7 @@ import (
 	"mspr/internal/failpoint"
 	"mspr/internal/metrics"
 	"mspr/internal/simnet"
+	"mspr/internal/simtime"
 	"mspr/internal/txmsp"
 )
 
@@ -22,7 +23,7 @@ type Proc[S process] struct {
 	Name string
 	// FP is the process's failpoint registry (nil: injection off).
 	FP *failpoint.Registry
-	// Restarts holds one crash-to-ready wall-clock sample per successful
+	// Restarts holds one crash-to-ready sample per successful
 	// Restart; TTFR one time-to-first-reply sample per incarnation that
 	// crash-recovered and went on to reply (MSPs only), harvested when the
 	// incarnation is next crashed so no restart ever waits for a reply.
@@ -103,14 +104,14 @@ func (p *Proc[S]) crashLocked() {
 func (p *Proc[S]) Restart() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	t0 := time.Now() //mspr:wallclock crash-to-ready is reported in real time
+	t0 := simtime.Now()
 	p.crashLocked()
 	next, err := p.start()
 	if err != nil {
 		return err
 	}
 	p.cur = next
-	p.Restarts.Record(time.Since(t0)) //mspr:wallclock crash-to-ready is reported in real time
+	p.Restarts.Record(simtime.Since(t0))
 	return nil
 }
 
@@ -144,9 +145,9 @@ func (p *Proc[S]) CrashPointFault(name, point string) Fault {
 				}
 				return err
 			}
-			deadline := time.Now().Add(time.Second)                //mspr:wallclock bounded wait for asynchronous replay goroutines, which run on OS scheduling
-			for p.FP.Armed(point) && time.Now().Before(deadline) { //mspr:wallclock bounded wait for asynchronous replay goroutines
-				time.Sleep(time.Millisecond) //mspr:wallclock bounded wait for asynchronous replay goroutines
+			deadline := simtime.Now().Add(time.Second)
+			for p.FP.Armed(point) && simtime.Now().Before(deadline) {
+				time.Sleep(time.Millisecond) //mspr:wallclock a poll from outside the model: on simtime.Sleep it would keep the driver spinning
 			}
 			if p.FP.Hits(point) == before || tries >= 16 {
 				return nil
@@ -172,7 +173,7 @@ func PartitionFault(name string, net *simnet.Network, groups [][]simnet.Addr, ho
 		if during != nil {
 			err = during()
 		}
-		time.Sleep(hold) //mspr:wallclock the partition must straddle real control-plane deadlines, which are wall-clock floored
+		simtime.Sleep(hold)
 		return err
 	}}
 }

@@ -5,6 +5,7 @@ import (
 
 	"mspr/internal/metrics"
 	"mspr/internal/rpc"
+	"mspr/internal/simtime"
 )
 
 // Admission control: the bounded gate between the network and the worker
@@ -126,7 +127,7 @@ func (s *Server) shedIfExpired(req rpc.Request) bool {
 	if req.Deadline.IsZero() {
 		return false
 	}
-	if !time.Now().After(req.Deadline) { //mspr:wallclock deadlines bound real (scaled) work; see rpc.Request.Deadline
+	if !simtime.Now().After(req.Deadline) {
 		return false
 	}
 	metrics.Overload.ShedExpired.Inc()
@@ -149,7 +150,7 @@ func (s *Server) observeQueueDepth() {
 	metrics.Overload.PriorityDepthPeak.Observe(int64(len(s.prioCh)))
 }
 
-// noteServiceTime folds one request's wall-clock service duration into
+// noteServiceTime folds one request's service duration into
 // the exponentially weighted moving average the RetryAfter hint is
 // derived from (α = 1/8, the TCP RTT estimator's classic weight).
 func (s *Server) noteServiceTime(d time.Duration) {

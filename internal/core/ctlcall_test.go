@@ -265,18 +265,34 @@ func TestCtlCall(t *testing.T) {
 	})
 	// A peer that missed a flush deadline is down: flushes against it fail
 	// fast without a copy until the probe interval has passed, then one
-	// probe goes through at a time, and any message from the peer brings it
-	// back up with exactly one knowledge pull. Going down is one
-	// PeerDownEvents and no client-side BreakerOpens.
+	// probe goes through at a time. Going down is one PeerDownEvents and no
+	// client-side BreakerOpens. The clock is stepped: each copy the silent
+	// peer gets costs the caller more than its deadline, and the probe
+	// interval passes in one advance.
 	t.Run("flush/down peer", func(t *testing.T) {
 		const deadline, probeEvery = 300 * time.Millisecond, time.Second
+		advance := stepClock(t)
 		e := newTestEnv(t)
 		defer e.cleanup()
-		p := startScriptedPeer(e, func(int, uint64) any { return nil })
+		var first uint64
+		held := false
+		probing, release := make(chan struct{}), make(chan struct{})
+		p := startScriptedPeer(e, func(n int, id uint64) any {
+			if n == 1 {
+				first = id
+			}
+			if id != first && !held { // the probe: hold it until the test has looked
+				held = true
+				probing <- struct{}{}
+				<-release
+			}
+			advance(deadline + time.Millisecond)
+			return nil
+		})
 		defer close(p.stop)
 		s := e.start("msp1", counterDef(), func(c *Config) {
 			c.TimeScale = 1
-			c.CtlRetransmit = retransmit
+			c.CtlRetransmit = time.Millisecond
 			c.FlushDeadline, c.PeerProbeEvery = deadline, probeEvery
 		})
 		downs, opens := metrics.Net.PeerDownEvents.Load(), metrics.Overload.BreakerOpens.Load()
@@ -284,13 +300,11 @@ func TestCtlCall(t *testing.T) {
 		if err := s.flushPeer("peer", sid); !errors.Is(err, errUnavailable) || !s.PeerDown("peer") {
 			t.Fatalf("flush to a silent peer: %v, down=%v; want errUnavailable and the peer down", err, s.PeerDown("peer"))
 		}
-		missedAt := time.Now()
 		failsFast := func(when string) {
 			t.Helper()
-			calls, start := callsOf[rpc.FlushRequest](p), time.Now()
-			err := s.flushPeer("peer", sid)
-			if took := time.Since(start); !errors.Is(err, errUnavailable) || took > deadline/2 {
-				t.Fatalf("flush %s: %v after %v, want errUnavailable at once", when, err, took)
+			calls := callsOf[rpc.FlushRequest](p)
+			if err := s.flushPeer("peer", sid); !errors.Is(err, errUnavailable) {
+				t.Fatalf("flush %s: %v, want errUnavailable", when, err)
 			}
 			if got := callsOf[rpc.FlushRequest](p); got != calls {
 				t.Fatalf("flush %s reached the peer", when)
@@ -298,15 +312,28 @@ func TestCtlCall(t *testing.T) {
 		}
 		failsFast("within the probe interval")
 
-		time.Sleep(time.Until(missedAt.Add(probeEvery)))
+		advance(probeEvery)
 		probe := make(chan error, 1)
 		go func() { probe <- s.flushPeer("peer", sid) }()
-		waitFor(t, 5*time.Second, "the probe to reach the peer", func() bool { return callsOf[rpc.FlushRequest](p) == 2 })
+		<-probing
 		failsFast("while the probe is in flight")
+		close(release)
 		if err := <-probe; !errors.Is(err, errUnavailable) || !s.PeerDown("peer") {
 			t.Fatalf("probe of a silent peer: %v, down=%v; want errUnavailable and the peer still down", err, s.PeerDown("peer"))
 		}
-
+		if d, o := metrics.Net.PeerDownEvents.Load()-downs, metrics.Overload.BreakerOpens.Load()-opens; d != 1 || o != 0 {
+			t.Fatalf("PeerDownEvents +%d, BreakerOpens +%d; want +1 and +0", d, o)
+		}
+	})
+	// Any message from a down peer brings it back up with exactly one
+	// knowledge pull.
+	t.Run("flush/down peer comes back", func(t *testing.T) {
+		e := newTestEnv(t)
+		defer e.cleanup()
+		p := startScriptedPeer(e, func(int, uint64) any { return nil })
+		defer close(p.stop)
+		s := e.start("msp1", counterDef(), func(c *Config) { c.CtlRetransmit = retransmit })
+		s.peerMissed("peer")
 		p.ep.Send("msp1", "alive")
 		waitFor(t, 5*time.Second, "a message from the peer to bring it up", func() bool { return !s.PeerDown("peer") })
 		waitFor(t, 5*time.Second, "the knowledge pull", func() bool { return callsOf[rpc.KnowledgePull](p) > 0 })
@@ -314,9 +341,6 @@ func TestCtlCall(t *testing.T) {
 		time.Sleep(5 * retransmit)
 		if n := callsOf[rpc.KnowledgePull](p); n != 1 {
 			t.Fatalf("%d knowledge pulls after the peer came back, want 1", n)
-		}
-		if d, o := metrics.Net.PeerDownEvents.Load()-downs, metrics.Overload.BreakerOpens.Load()-opens; d != 1 || o != 0 {
-			t.Fatalf("PeerDownEvents +%d, BreakerOpens +%d; want +1 and +0", d, o)
 		}
 	})
 }

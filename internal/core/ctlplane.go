@@ -185,8 +185,6 @@ func ctlReply(m any) rpc.Reply {
 // asked again after CtlRetransmit. The model deadline is floored like
 // every control-plane wait. The error is rpc.ErrDeadlineExceeded when the
 // deadline passed unanswered and rpc.ErrStopped when this MSP halted.
-//
-//mspr:wallclock the control-plane deadline is a wall-clock floored instant by design (see ctlDeadlineFloor)
 func (s *Server) ctlCall(peer string, deadline time.Duration, kind string, env func(id uint64) any) (rpc.Reply, error) {
 	id := s.nextCtlID()
 	ch := s.ctl.Register(id)
@@ -195,7 +193,7 @@ func (s *Server) ctlCall(peer string, deadline time.Duration, kind string, env f
 	return rpc.Exchange(func(rpc.Request) {
 		//mspr:flushed-by none (control requests ask a peer to flush, announce state made durable before recovery completed, or pull gossip: none carries unflushed log state)
 		s.ep.Send(to, req)
-	}, ch, s.stop, rpc.Request{Session: kind, Seq: id, Deadline: time.Now().Add(s.ctlWall(deadline))},
+	}, ch, s.stop, rpc.Request{Session: kind, Seq: id, Deadline: simtime.Now().Add(s.ctlWall(deadline))},
 		rpc.CallOptions{ResendAfter: s.cfg.CtlRetransmit, BusyBackoff: s.cfg.CtlRetransmit, TimeScale: s.cfg.TimeScale})
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,8 +13,29 @@ import (
 	"mspr/internal/rpc"
 	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
+	"mspr/internal/simtime"
 	"mspr/internal/wal"
 )
+
+// stepClock steps the simtime clock for the rest of the test and returns
+// its advance: deadlines, cooldowns and service times then move only when
+// the test says so.
+func stepClock(t *testing.T) func(time.Duration) {
+	advance, restore := simtime.Step()
+	t.Cleanup(restore)
+	return advance
+}
+
+// spinUntil yields until cond holds, failing the test after five seconds:
+// a wait for another goroutine that costs no sleep.
+func spinUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
 
 // blockDef is a service whose "block" method parks on gate until
 // released, so tests can hold the worker pool busy deterministically.
@@ -110,8 +132,9 @@ func TestQueueOverflowRepliesOverloaded(t *testing.T) {
 // rule: a request whose deadline expired while queued is shed at the
 // pre-append check — StatusOverloaded, ShedExpired counted, and NOT one
 // byte of log growth — and a later resend under the same sequence
-// number executes exactly once.
+// number executes exactly once. The deadline expires on a stepped clock.
 func TestExpiredDeadlineShedsBeforeAppend(t *testing.T) {
+	advance := stepClock(t)
 	e := newTestEnv(t)
 	defer e.cleanup()
 	gate := make(chan struct{})
@@ -135,9 +158,10 @@ func TestExpiredDeadlineShedsBeforeAppend(t *testing.T) {
 	lsn0 := srv.Log().Next()
 	shed0 := metrics.Overload.ShedExpired.Load()
 	raw.Send("msp1", rpc.Request{Session: "b", Seq: 2, Method: "inc", From: raw.Addr(),
-		Deadline: time.Now().Add(30 * time.Millisecond)})
-	time.Sleep(60 * time.Millisecond) // let the deadline expire in the queue
-	close(gate)                       // release the worker; it meets the expired request
+		Deadline: simtime.Now().Add(30 * time.Millisecond)})
+	spinUntil(t, "the request to queue behind the parked worker", func() bool { return len(srv.reqCh) == 1 })
+	advance(60 * time.Millisecond) // the deadline expires in the queue
+	close(gate)                    // release the worker; it meets the expired request
 
 	rep := rawReply(t, raw, "b", 2, 5*time.Second)
 	if rep.Status != rpc.StatusOverloaded {
@@ -281,6 +305,27 @@ func TestRetryAfterHintScalesWithBacklog(t *testing.T) {
 	s.noteServiceTime(time.Hour)
 	if got := s.retryAfterHint(); got > retryAfterMax {
 		t.Fatalf("hint %v exceeds the %v cap", got, retryAfterMax)
+	}
+}
+
+// TestServiceTimeEWMAReadsTheClock: serveAcquired times every request on
+// the simtime clock, so a handler that advances a stepped clock by 20 ms
+// seeds the service-time average behind RetryAfter with exactly 20 ms.
+func TestServiceTimeEWMAReadsTheClock(t *testing.T) {
+	advance := stepClock(t)
+	e := newTestEnv(t)
+	defer e.cleanup()
+	def := counterDef()
+	def.Methods["work"] = func(ctx *Ctx, arg []byte) ([]byte, error) {
+		advance(20 * time.Millisecond)
+		return nil, nil
+	}
+	srv := e.start("msp1", def)
+	mustCall(t, e.endClient().Session("msp1"), "work", nil)
+	// The sample is taken as serveAcquired returns, after the reply left.
+	spinUntil(t, "the service-time sample", func() bool { return srv.svcEWMA.Load() != 0 })
+	if got := time.Duration(srv.svcEWMA.Load()); got != 20*time.Millisecond {
+		t.Fatalf("service-time EWMA = %v after one 20ms request; want exactly 20ms", got)
 	}
 }
 

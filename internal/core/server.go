@@ -13,6 +13,7 @@ import (
 	"mspr/internal/metrics"
 	"mspr/internal/rpc"
 	"mspr/internal/simnet"
+	"mspr/internal/simtime"
 	"mspr/internal/wal"
 )
 
@@ -152,7 +153,6 @@ type Server struct {
 
 	bytesSinceCkpt atomic.Int64
 	ckptRunning    atomic.Bool
-	lastMSPCkpt    wal.LSN
 
 	// Instant-recovery time-to-first-reply: recoverT0 is when this
 	// incarnation's crash recovery began; ttfrPending arms the one-shot
@@ -279,7 +279,7 @@ func Start(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("core: %s: %w", cfg.ID, err)
 		}
 		if ok {
-			s.recoverT0 = time.Now() //mspr:wallclock time-to-first-reply is a measured latency, not simulated model time
+			s.recoverT0 = simtime.Now()
 			recoveredSessions, err = s.recoverFromCrash(anchor)
 			if err != nil {
 				// Leave the carcass exactly as a crash would: endpoint
@@ -594,7 +594,7 @@ func (s *Server) reply(addr simnet.Addr, rep rpc.Reply) {
 		s.ttfrPending.CompareAndSwap(true, false) {
 		// First state-bearing reply since crash recovery began: the
 		// instant-recovery time-to-first-reply measurement.
-		d := time.Since(s.recoverT0) //mspr:wallclock time-to-first-reply is a measured latency, not simulated model time
+		d := simtime.Since(s.recoverT0)
 		s.ttfr.Store(int64(d))
 		metrics.Recovery.TimeToFirstReply.Add(d.Microseconds())
 	}
@@ -664,10 +664,8 @@ func (s *Server) handleRequest(req rpc.Request) {
 // (Fig. 7's receive-execute-reply body plus checkpoint scheduling).
 func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 	defer sess.release()
-	t0 := time.Now() //mspr:wallclock service-time EWMA feeds the wall-clock RetryAfter hint
-	defer func() {
-		s.noteServiceTime(time.Since(t0)) //mspr:wallclock service-time EWMA feeds the wall-clock RetryAfter hint
-	}()
+	t0 := simtime.Now()
+	defer func() { s.noteServiceTime(simtime.Since(t0)) }()
 
 	classification := sess.seq.Classify(req.Seq)
 	if s.cfg.StatelessSessions {
@@ -965,7 +963,7 @@ func (s *Server) selfID() dv.ProcessID { return dv.ProcessID(s.cfg.ID) }
 // busy right here.
 func (s *Server) flushSessionDV(sess *Session) error {
 	sess.mu.Lock()
-	vec := sess.vec //mspr:dvalias borrow: the session is exclusively held, nothing mutates the vector during the flush
+	vec := sess.vec // a borrow: the session is exclusively held, nothing mutates the vector during the flush
 	selfLSN := int64(sess.stateLSN)
 	sess.mu.Unlock()
 	return s.flushDV(vec, selfLSN)
@@ -1231,7 +1229,6 @@ func (s *Server) writeMSPCheckpoint() error {
 		return err
 	}
 	s.sessions.dropTombstones(head)
-	s.lastMSPCkpt = lsn
 	s.bytesSinceCkpt.Store(0)
 	s.stats.MSPCkpts.Add(1)
 	if tap := s.cfg.Tap; tap != nil {

@@ -25,3 +25,12 @@ func annotated() time.Time {
 
 var _ = delays
 var _ = annotated
+
+// clock hands the wall clock out as a value: a reference, not a call.
+// expired calls a method of time.Time, which reads no clock.
+var clock = time.Now // want "wall-clock time.Now"
+
+func expired(deadline time.Time) bool { return simtime.Now().After(deadline) }
+
+var _ = clock
+var _ = expired

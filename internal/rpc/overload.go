@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mspr/internal/metrics"
+	"mspr/internal/simtime"
 )
 
 // Client-side overload control: the retry budget and the per-server
@@ -62,11 +63,7 @@ func (b *RetryBudget) Earn() {
 
 // Clone returns a fresh, full bucket with the same parameters — how
 // core.Client derives a per-server budget from a configured template.
-func (b *RetryBudget) Clone() *RetryBudget {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return NewRetryBudget(b.max, b.earn)
-}
+func (b *RetryBudget) Clone() *RetryBudget { return NewRetryBudget(b.max, b.earn) }
 
 // Tokens returns the current balance (for tests and reports).
 func (b *RetryBudget) Tokens() float64 {
@@ -103,9 +100,9 @@ func (s BreakerState) String() string {
 
 // Breaker is a per-server circuit breaker. It opens after Threshold
 // consecutive sheds (Busy/Overloaded replies), fails calls fast for a
-// wall-clock Cooldown, then half-opens: one probe call is admitted, and
-// its outcome decides between closing and re-opening. Safe for
-// concurrent use; share one per target server.
+// cooldown on the simtime clock, then half-opens: one probe call is
+// admitted, and its outcome decides between closing and re-opening. Safe
+// for concurrent use; share one per target server.
 //
 // An MSP also meters each domain peer with one, driven by hand rather
 // than through CallOptions.Breaker (a Busy reply from a recovering peer
@@ -116,7 +113,6 @@ type Breaker struct {
 	mu        sync.Mutex
 	threshold int
 	cooldown  time.Duration
-	now       func() time.Time // injectable clock (tests); time.Now otherwise
 	state     BreakerState
 	sheds     int // consecutive sheds while closed
 	openedAt  time.Time
@@ -125,9 +121,8 @@ type Breaker struct {
 }
 
 // NewBreaker returns a closed breaker that opens after threshold
-// consecutive sheds and half-opens cooldown (wall-clock) later. The
-// cooldown is wall-clock for the same reason deadlines are: it meters
-// real retry work, which the simulation realizes as scaled wall time.
+// consecutive sheds and half-opens cooldown later on the simtime clock,
+// the clock deadlines are stamped on.
 func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	if threshold <= 0 {
 		threshold = 5
@@ -135,18 +130,12 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	if cooldown <= 0 {
 		cooldown = 50 * time.Millisecond
 	}
-	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now} //mspr:wallclock breaker cooldown meters real retry work, like RetryAfter hints
+	return &Breaker{threshold: threshold, cooldown: cooldown}
 }
 
 // Clone returns a fresh, closed breaker with the same parameters — how
 // core.Client derives a per-server breaker from a configured template.
-func (b *Breaker) Clone() *Breaker {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c := NewBreaker(b.threshold, b.cooldown)
-	c.now = b.now
-	return c
-}
+func (b *Breaker) Clone() *Breaker { return NewBreaker(b.threshold, b.cooldown) }
 
 // Allow reports whether a call may be sent now. While open it returns
 // false until the cooldown elapses, then transitions to half-open and
@@ -166,7 +155,7 @@ func (b *Breaker) Allow() (ok bool, probe uint64) {
 	case BreakerClosed:
 		return true, 0
 	case BreakerOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown { //mspr:wallclock breaker cooldown meters real retry work, like RetryAfter hints
+		if simtime.Since(b.openedAt) < b.cooldown {
 			return false, 0
 		}
 		b.state = BreakerHalfOpen
@@ -229,7 +218,7 @@ func (b *Breaker) Shed() (opened bool) {
 		return false
 	}
 	b.state = BreakerOpen
-	b.openedAt = b.now() //mspr:wallclock breaker cooldown meters real retry work, like RetryAfter hints
+	b.openedAt = simtime.Now()
 	b.sheds = 0
 	b.probe = 0
 	return true

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"mspr/internal/simtime"
 )
 
 func TestRetryBudgetSpendAndEarn(t *testing.T) {
@@ -41,19 +43,19 @@ func TestRetryBudgetClone(t *testing.T) {
 	}
 }
 
-// fakeClock pins a Breaker to a manually advanced clock so state-machine
-// tests assert transitions without real sleeps (which flake on loaded
-// runners: a descheduled goroutine can outlast a 20 ms cooldown between
-// Shed and Allow).
-func fakeClock(b *Breaker) *time.Time {
-	now := time.Unix(1_000_000, 0)
-	b.now = func() time.Time { return now }
-	return &now
+// stepClock steps the simtime clock for the rest of the test, so breaker
+// and deadline tests assert transitions without real sleeps (which flake
+// on loaded runners: a descheduled goroutine can outlast a 20 ms cooldown
+// between Shed and Allow).
+func stepClock(t *testing.T) func(time.Duration) {
+	advance, restore := simtime.Step()
+	t.Cleanup(restore)
+	return advance
 }
 
 func TestBreakerStateMachine(t *testing.T) {
+	advance := stepClock(t)
 	b := NewBreaker(2, 20*time.Millisecond)
-	now := fakeClock(b)
 	allow := func() bool { ok, _ := b.Allow(); return ok }
 	if b.State() != BreakerClosed || !allow() {
 		t.Fatal("a new breaker must be closed and allowing")
@@ -69,7 +71,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if allow() {
 		t.Fatal("an open breaker must fail calls fast during the cooldown")
 	}
-	*now = now.Add(25 * time.Millisecond)
+	advance(25 * time.Millisecond)
 	ok, probe := b.Allow()
 	if !ok || probe == 0 {
 		t.Fatal("after the cooldown one probe must be admitted, with a token")
@@ -84,7 +86,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.State() != BreakerOpen || allow() {
 		t.Fatal("a shed probe must re-open the breaker")
 	}
-	*now = now.Add(25 * time.Millisecond)
+	advance(25 * time.Millisecond)
 	if !allow() {
 		t.Fatal("the next cooldown must admit another probe")
 	}
@@ -100,10 +102,10 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBreakerProbeAbortedReleasesSlot(t *testing.T) {
+	advance := stepClock(t)
 	b := NewBreaker(1, 20*time.Millisecond)
-	now := fakeClock(b)
 	b.Shed() // open
-	*now = now.Add(25 * time.Millisecond)
+	advance(25 * time.Millisecond)
 	_, probe := b.Allow()
 	if probe == 0 {
 		t.Fatal("setup: the post-cooldown call must hold the probe")
@@ -122,10 +124,10 @@ func TestBreakerProbeAbortedReleasesSlot(t *testing.T) {
 }
 
 func TestBreakerProbeAbortedIgnoresStaleToken(t *testing.T) {
+	advance := stepClock(t)
 	b := NewBreaker(1, 20*time.Millisecond)
-	now := fakeClock(b)
 	b.Shed()
-	*now = now.Add(25 * time.Millisecond)
+	advance(25 * time.Millisecond)
 	_, stale := b.Allow()
 	b.Success() // the probe settles; breaker closes
 	b.ProbeAborted(stale)
@@ -134,7 +136,7 @@ func TestBreakerProbeAbortedIgnoresStaleToken(t *testing.T) {
 	}
 	// Open again and grant a NEW probe: the old token must not release it.
 	b.Shed()
-	*now = now.Add(25 * time.Millisecond)
+	advance(25 * time.Millisecond)
 	if ok, probe := b.Allow(); !ok || probe == 0 {
 		t.Fatal("setup: a fresh probe must be granted")
 	}
@@ -250,13 +252,14 @@ func TestCallHonorsRetryAfterHint(t *testing.T) {
 }
 
 // halfOpenBreaker returns a breaker one Allow away from granting the
-// half-open probe (threshold 1, cooldown elapsed on its fake clock).
-func halfOpenBreaker() *Breaker {
+// half-open probe (threshold 1, cooldown elapsed on a stepped clock),
+// and the clock's advance.
+func halfOpenBreaker(t *testing.T) (*Breaker, func(time.Duration)) {
+	advance := stepClock(t)
 	b := NewBreaker(1, 20*time.Millisecond)
-	now := fakeClock(b)
 	b.Shed() // open
-	*now = now.Add(25 * time.Millisecond)
-	return b
+	advance(25 * time.Millisecond)
+	return b, advance
 }
 
 func TestCallProbeSurvivesLostReply(t *testing.T) {
@@ -264,7 +267,7 @@ func TestCallProbeSurvivesLostReply(t *testing.T) {
 	// treat the resend as part of the same probe, not re-consult Allow
 	// and be refused by its own in-flight probe (which would both fail
 	// the call and leak the slot, wedging the breaker half-open forever).
-	b := halfOpenBreaker()
+	b, _ := halfOpenBreaker(t)
 	replies := make(chan Reply, 16)
 	n := 0
 	send := func(r Request) {
@@ -289,7 +292,7 @@ func TestCallProbeSurvivesLostReply(t *testing.T) {
 func TestCallReleasesProbeOnMaxAttempts(t *testing.T) {
 	// A probe abandoned by the attempt bound (server never answers) must
 	// hand its slot back so the breaker can probe again.
-	b := halfOpenBreaker()
+	b, _ := halfOpenBreaker(t)
 	send := func(Request) {}
 	replies := make(chan Reply)
 	opts := DefaultCallOptions(0)
@@ -308,9 +311,10 @@ func TestCallReleasesProbeOnMaxAttempts(t *testing.T) {
 }
 
 func TestCallReleasesProbeOnClientDeadline(t *testing.T) {
-	// Same leak via the client-side deadline exit.
-	b := halfOpenBreaker()
-	send := func(Request) {}
+	// Same leak via the client-side deadline exit: the probe's one copy
+	// costs 10 ms of the 5 ms deadline.
+	b, advance := halfOpenBreaker(t)
+	send := func(Request) { advance(10 * time.Millisecond) }
 	replies := make(chan Reply)
 	opts := DefaultCallOptions(0)
 	opts.ResendAfter = time.Millisecond
@@ -328,7 +332,7 @@ func TestCallReleasesProbeOnClientDeadline(t *testing.T) {
 func TestExchangeStopReleasesProbe(t *testing.T) {
 	// Same leak via the stop channel: a server that never answers, and a
 	// caller that stops waiting mid-call.
-	b := halfOpenBreaker()
+	b, _ := halfOpenBreaker(t)
 	sent := make(chan struct{}, 16)
 	send := func(Request) { sent <- struct{}{} }
 	stop := make(chan struct{})
@@ -356,16 +360,19 @@ func TestExchangeStopReleasesProbe(t *testing.T) {
 
 func TestCallDeadlineExceededClientSide(t *testing.T) {
 	// A server that never answers: the deadline, not the resend loop,
-	// must end the call.
-	send := func(Request) {}
+	// must end the call. Each copy costs 10 ms on a stepped clock, so the
+	// 5 ms deadline has passed when the first resend is due.
+	advance := stepClock(t)
+	sends := 0
+	send := func(Request) { sends++; advance(10 * time.Millisecond) }
 	replies := make(chan Reply)
 	opts := DefaultCallOptions(0)
 	opts.ResendAfter = time.Millisecond
 	opts.Timeout = 5 * time.Millisecond
 	opts.TimeScale = 1
 	_, err := Call(send, replies, Request{Session: "s", Seq: 1}, opts)
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("got %v; want ErrDeadlineExceeded", err)
+	if !errors.Is(err, ErrDeadlineExceeded) || sends != 1 {
+		t.Fatalf("got %v after %d sends; want ErrDeadlineExceeded before any resend", err, sends)
 	}
 }
 

@@ -88,14 +88,13 @@ type Request struct {
 	HasDV bool
 	DV    dv.Vector
 	From  simnet.Addr // reply-to address
-	// Deadline, when non-zero, is the wall-clock instant after which the
-	// client no longer wants the result. The server checks it twice — at
-	// admission and again immediately before the receive log append — and
-	// sheds expired work with StatusOverloaded *before* any durable
-	// effect, so an expired request never owns a logged execution. It is
-	// wall-clock (not model time) because it bounds real work: every
-	// model latency the request would pay is realized as scaled wall
-	// sleeps on the same clock.
+	// Deadline, when non-zero, is the instant on the simtime clock after
+	// which the client no longer wants the result. The server checks it
+	// twice — at admission and again immediately before the receive log
+	// append — and sheds expired work with StatusOverloaded *before* any
+	// durable effect, so an expired request never owns a logged execution.
+	// It is a scaled instant, not model time: every model latency the
+	// request would pay is realized as a scaled wait.
 	Deadline time.Time
 }
 
@@ -387,7 +386,7 @@ func Exchange(send func(Request), replies <-chan Reply, stop <-chan struct{}, re
 	attempts := 0
 	var bo *Backoff // built on the first shed
 	if opts.Timeout > 0 && req.Deadline.IsZero() {
-		req.Deadline = time.Now().Add(opts.Scaled(opts.Timeout)) //mspr:wallclock deadlines bound real (scaled) work; server and client shed against the same clock
+		req.Deadline = simtime.Now().Add(opts.Scaled(opts.Timeout))
 	}
 	// Every exit settles the overload-control bookkeeping exactly once,
 	// in one of three classes: terminal (OK/AppError/Rejected — earns
@@ -414,7 +413,7 @@ func Exchange(send func(Request), replies <-chan Reply, stop <-chan struct{}, re
 			abandon()
 			return Reply{}, fmt.Errorf("rpc: no reply to %s/%d after %d attempts", req.Session, req.Seq, opts.MaxAttempts)
 		}
-		if !req.Deadline.IsZero() && time.Now().After(req.Deadline) { //mspr:wallclock deadline expiry check mirrors the server's shed points
+		if !req.Deadline.IsZero() && simtime.Now().After(req.Deadline) {
 			abandon()
 			return Reply{}, ErrDeadlineExceeded
 		}

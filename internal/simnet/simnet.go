@@ -282,13 +282,6 @@ func (e *Endpoint) SetDown(down bool) {
 	e.mu.Unlock()
 }
 
-// Down reports whether the endpoint is marked down.
-func (e *Endpoint) Down() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.down
-}
-
 func (e *Endpoint) deliver(m Message) {
 	e.mu.Lock()
 	down := e.down

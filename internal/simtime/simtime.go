@@ -1,11 +1,15 @@
-// Package simtime provides precise short sleeps for the simulation
-// layers. The experiments scale the paper's millisecond-class latencies
-// (disk flushes, message round trips) down by a TimeScale factor, which
-// produces sleeps in the tens-to-hundreds of microseconds — far below
-// the timer granularity of many kernels (observed ≈1.1 ms on the
-// development host). A plain time.Sleep would round every modelled
-// latency up to the granularity and destroy the ratios the experiments
-// depend on.
+// Package simtime is the simulation's one clock. Now, Since and Until
+// read it: its only production source is the wall clock, and Step swaps
+// in a stepped clock for tests. Sleep, After and Timer wait, always on the
+// wall clock, and so does the driver that fires them: advancing a stepped
+// clock wakes no one.
+//
+// The experiments scale the paper's millisecond-class latencies (disk
+// flushes, message round trips) down by a TimeScale factor, which
+// produces sleeps in the tens-to-hundreds of microseconds — far below the
+// timer granularity of many kernels (observed ≈1.1 ms on the development
+// host). A plain time.Sleep would round every modelled latency up to the
+// granularity and destroy the ratios the experiments depend on.
 //
 // Every pending wait — a Sleep, a Timer, an After callback — is one entry
 // in a process-wide heap ordered by deadline, then by registration
@@ -29,8 +33,36 @@ import (
 	"container/heap"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
+
+// stepped is the stepped clock's reading in Unix nanoseconds while Step
+// has it in; 0 is the wall clock.
+var stepped atomic.Int64
+
+// Now returns the current time.
+func Now() time.Time {
+	if ns := stepped.Load(); ns != 0 {
+		return time.Unix(0, ns)
+	}
+	return time.Now()
+}
+
+// Since returns the time elapsed since t.
+func Since(t time.Time) time.Duration { return Now().Sub(t) }
+
+// Until returns the duration until t.
+func Until(t time.Time) time.Duration { return t.Sub(Now()) }
+
+// Step swaps in a stepped clock that starts at the wall time of the call
+// and moves only by advance, until restore puts the wall clock back. The
+// clock is process-wide: a test that steps it restores it before the next
+// test starts, with t.Cleanup(restore). Only reads step; waits do not.
+func Step() (advance func(time.Duration), restore func()) {
+	stepped.Store(time.Now().UnixNano())
+	return func(d time.Duration) { stepped.Add(int64(d)) }, func() { stepped.Store(0) }
+}
 
 // coarse is the assumed worst-case OS timer granularity. The driver
 // spin-waits for the last coarse period before a deadline and uses the
