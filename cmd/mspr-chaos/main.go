@@ -116,10 +116,10 @@ func main() {
 
 	fmt.Println(rep)
 	n := &metrics.Net
-	fmt.Printf("net: reqQueueDrops=%d partitionDrops=%d blockedDrops=%d lossDrops=%d\n",
-		n.RequestQueueDrops.Load(), n.PartitionDrops.Load(), n.BlockedDrops.Load(), n.LossDrops.Load())
-	fmt.Printf("ctl: dups=%d flushDeadlines=%d peerDown=%d antiEntropyPulls=%d broadcastMissed=%d\n",
-		n.CtlDuplicates.Load(), n.FlushDeadlinesExceeded.Load(), n.PeerDownEvents.Load(),
+	fmt.Printf("net: shedAtAdmission=%d partitionDrops=%d blockedDrops=%d lossDrops=%d\n",
+		metrics.Overload.ShedAtAdmission.Load(), n.PartitionDrops.Load(), n.BlockedDrops.Load(), n.LossDrops.Load())
+	fmt.Printf("ctl: flushDeadlines=%d peerDown=%d antiEntropyPulls=%d broadcastMissed=%d\n",
+		n.FlushDeadlinesExceeded.Load(), n.PeerDownEvents.Load(),
 		n.AntiEntropyPulls.Load(), n.BroadcastPeersMissed.Load())
 	w := &metrics.Wal
 	if batches := w.GroupCommitBatches.Load(); batches > 0 {

@@ -60,7 +60,7 @@ func startProc[S process](name string, fp *failpoint.Registry, start func() (S, 
 
 // StartMSP starts the MSP cfg describes; every restart reuses cfg.
 func StartMSP(cfg core.Config) (*MSP, error) {
-	return startProc(cfg.ID, cfg.Failpoints, func() (*core.Server, error) { return core.Start(cfg) },
+	return startProc(cfg.ID, cfg.Disk.Failpoints(), func() (*core.Server, error) { return core.Start(cfg) },
 		(*core.Server).TimeToFirstReply)
 }
 

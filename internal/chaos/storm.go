@@ -96,7 +96,7 @@ func NewStorm(spec StormSpec) (*Storm, error) {
 		cfg := core.NewConfig(id, dom, simdisk.NewDisk(simdisk.DefaultModel(spec.Scale)), st.net, def)
 		cfg.SessionCkptThreshold = 64 << 10
 		cfg.BatchFlushTimeout = spec.Batch
-		cfg.Failpoints = failpoint.New(fpSeed) // inert until a fault arms a point
+		cfg.Disk.SetFailpoints(failpoint.New(fpSeed)) // inert until a fault arms a point
 		cfg.Tap = tap
 		if spec.SVCkptEvery > 0 {
 			cfg.SVCkptEvery = spec.SVCkptEvery

@@ -121,7 +121,7 @@ func TestDeadLogOutsideHandlerDropsRequest(t *testing.T) {
 			e := newTestEnv(t)
 			defer e.cleanup()
 			fp := failpoint.New(1)
-			srv := e.start("msp1", counterDef(), func(c *Config) { c.Failpoints = fp })
+			srv := e.start("msp1", counterDef(), func(c *Config) { c.Disk.SetFailpoints(fp) })
 			cli := e.net.Endpoint("cli")
 
 			cli.Send("msp1", rpc.Request{Session: sid, Seq: 1, Method: "sharedInc", NewSession: true, From: cli.Addr()})
@@ -188,7 +188,7 @@ func TestDeadLogFlushInsideHandlerSendsNoReply(t *testing.T) {
 		}
 		return total, nil
 	}
-	e.start("msp1", def, func(c *Config) { c.Failpoints = fp })
+	e.start("msp1", def, func(c *Config) { c.Disk.SetFailpoints(fp) })
 	e.start("far", counterDef(), func(c *Config) { c.Domain = NewDomain("elsewhere", 0, 0) })
 	cli := e.net.Endpoint("cli")
 	req := rpc.Request{Session: "intra#1", Seq: 1, Method: "bumpAndTell", NewSession: true, HasDV: true, From: cli.Addr()}

@@ -83,10 +83,8 @@ func (s *Server) admit(req rpc.Request) {
 		metrics.Overload.Admitted.Inc()
 		s.observeQueueDepth()
 	default:
-		// Both lanes full: shed. RequestQueueDrops keeps counting what
-		// the pre-gate server counted (queue-full discards), but the
-		// client now learns immediately instead of timing out.
-		metrics.Net.RequestQueueDrops.Inc()
+		// Both lanes full: shed. The client learns immediately instead
+		// of timing out.
 		metrics.Overload.ShedAtAdmission.Inc()
 		if req.NewSession {
 			s.sessions.shard(req.Session).arriving.Add(-1)

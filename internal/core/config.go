@@ -20,7 +20,6 @@ package core
 import (
 	"time"
 
-	"mspr/internal/failpoint"
 	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
 )
@@ -55,7 +54,11 @@ type Config struct {
 	// in exactly one domain; an MSP alone in its domain does pure
 	// pessimistic logging (the paper's Pessimistic configuration).
 	Domain *Domain
-	// Disk hosts the MSP's physical log (a dedicated disk, per §5.2).
+	// Disk hosts the MSP's physical log (a dedicated disk, per §5.2). The
+	// fault-injection registry attached to it (simdisk.Disk.SetFailpoints)
+	// is also the one the server evaluates its named crash points
+	// (core.recovery.*, core.ckpt.*, core.replay.*) against; none — the
+	// default — disables injection with no behavioural change.
 	Disk *simdisk.Disk
 	// Net is the simulated network.
 	Net *simnet.Network
@@ -148,12 +151,6 @@ type Config struct {
 	// services must make their handlers idempotent themselves. Ended
 	// sessions leave no tombstone: any ID may start over.
 	StatelessSessions bool
-	// Failpoints, when non-nil, is the fault-injection registry for this
-	// MSP: Start attaches it to the Disk (so the WAL and journalled
-	// stores share it) and the server evaluates its named crash points
-	// (core.recovery.*, core.ckpt.*, core.replay.*) against it. Nil — the
-	// default — disables injection entirely with no behavioural change.
-	Failpoints *failpoint.Registry
 	// Tap, when non-nil, attaches the correctness oracle's server-side
 	// observation tap (see internal/oracle): request executions,
 	// recoveries, session rollbacks and checkpoint state digests are

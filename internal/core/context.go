@@ -423,7 +423,7 @@ func (c *Ctx) switchToLiveAtOrphan(orphanLSN wal.LSN) error {
 	if tap := c.srv.cfg.Tap; tap != nil {
 		tap.SessionRolledBack(c.srv.cfg.ID, c.sess.id, uint64(orphanLSN))
 	}
-	skipped := c.sess.truncatePositions(orphanLSN)
+	c.sess.truncatePositions(orphanLSN)
 	rec := logrec.EOS{Session: c.sess.id, Orphan: orphanLSN}
 	// The EOS record needs no immediate flush and its position is not
 	// added to the stream — it must be invisible to future replays.
@@ -431,7 +431,6 @@ func (c *Ctx) switchToLiveAtOrphan(orphanLSN wal.LSN) error {
 		return err
 	}
 	metrics.Recovery.EOSWritten.Inc()
-	metrics.Recovery.OrphanRecordsSkipped.Add(int64(skipped))
 	return nil
 }
 

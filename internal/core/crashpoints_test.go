@@ -53,7 +53,7 @@ func TestNestedCrashDuringRecoveryAtEveryPoint(t *testing.T) {
 			e := newTestEnv(t)
 			defer e.cleanup()
 			reg := failpoint.New(5)
-			e.start("m", counterDef(), func(cfg *Config) { cfg.Failpoints = reg })
+			e.start("m", counterDef(), func(cfg *Config) { cfg.Disk.SetFailpoints(reg) })
 			sess := e.endClient().Session("m")
 			for want := uint64(1); want <= 3; want++ {
 				if got := asU64(mustCall(t, sess, "inc", nil)); got != want {
@@ -144,7 +144,7 @@ func TestRepeatedNestedRecoveryCrashes(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()
 	reg := failpoint.New(6)
-	e.start("m", counterDef(), func(cfg *Config) { cfg.Failpoints = reg })
+	e.start("m", counterDef(), func(cfg *Config) { cfg.Disk.SetFailpoints(reg) })
 	sess := e.endClient().Session("m")
 	for want := uint64(1); want <= 5; want++ {
 		mustCall(t, sess, "inc", nil)
@@ -208,7 +208,7 @@ func TestOrphanRecoveryWithNestedMSP2RecoveryCrash(t *testing.T) {
 			reg2 := failpoint.New(9)
 			cs := newCrashySystem(t, func(cfg *Config) {
 				if cfg.ID == "msp2" {
-					cfg.Failpoints = reg2
+					cfg.Disk.SetFailpoints(reg2)
 				}
 			})
 			defer cs.e.cleanup()
@@ -250,7 +250,7 @@ func TestDisjointEOSRegionsSurviveCallerCrashes(t *testing.T) {
 	reg1 := failpoint.New(13)
 	cs := newCrashySystem(t, func(cfg *Config) {
 		if cfg.ID == "msp1" {
-			cfg.Failpoints = reg1
+			cfg.Disk.SetFailpoints(reg1)
 		}
 	})
 	defer cs.e.cleanup()
@@ -349,7 +349,7 @@ func TestTornLogTailRecoveredByCore(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()
 	reg := failpoint.New(17)
-	e.start("m", counterDef(), func(cfg *Config) { cfg.Failpoints = reg })
+	e.start("m", counterDef(), func(cfg *Config) { cfg.Disk.SetFailpoints(reg) })
 	sess := e.endClient().Session("m")
 	want := uint64(0)
 	for want < 3 {
@@ -409,7 +409,7 @@ func TestAnchorFallbackRecoveredByCore(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()
 	reg := failpoint.New(19)
-	e.start("m", counterDef(), func(cfg *Config) { cfg.Failpoints = reg })
+	e.start("m", counterDef(), func(cfg *Config) { cfg.Disk.SetFailpoints(reg) })
 	sess := e.endClient().Session("m")
 	for want := uint64(1); want <= 3; want++ {
 		mustCall(t, sess, "inc", nil)

@@ -20,36 +20,27 @@ type scriptedPeer struct {
 	stop chan struct{}
 
 	mu   sync.Mutex
-	ids  []uint64    // the ID of every copy received, in order
-	at   []time.Time // and when it arrived
-	msgs []any       // and the copy itself
+	reqs []rpc.Request // every copy received, in order
+	at   []time.Time   // and when it arrived
 }
 
 // startScriptedPeer registers "peer" with the domain and starts answering.
 // script sees the 1-based number of the copy and the ID it carries.
-func startScriptedPeer(e *testEnv, script func(n int, id uint64) any) *scriptedPeer {
+func startScriptedPeer(e *testEnv, script func(n int, id uint64) *rpc.Reply) *scriptedPeer {
 	p := &scriptedPeer{ep: e.net.Endpoint("peer"), stop: make(chan struct{})}
 	e.domain.register("peer")
 	go rpc.Serve(p.ep, p.stop, func(m simnet.Message) {
-		var id uint64
-		switch r := m.Payload.(type) {
-		case rpc.FlushRequest:
-			id = r.ID
-		case rpc.RecoveryBroadcast:
-			id = r.ID
-		case rpc.KnowledgePull:
-			id = r.ID
-		default:
+		req, ok := m.Payload.(rpc.Request)
+		if !ok || !isCtl(req.Session) {
 			return
 		}
 		p.mu.Lock()
-		p.ids = append(p.ids, id)
+		p.reqs = append(p.reqs, req)
 		p.at = append(p.at, time.Now())
-		p.msgs = append(p.msgs, m.Payload)
-		n := len(p.ids)
+		n := len(p.reqs)
 		p.mu.Unlock()
-		if rep := script(n, id); rep != nil {
-			p.ep.Send(m.From, rep)
+		if rep := script(n, req.Seq); rep != nil {
+			p.ep.Send(m.From, *rep)
 		}
 	})
 	return p
@@ -58,21 +49,30 @@ func startScriptedPeer(e *testEnv, script func(n int, id uint64) any) *scriptedP
 func (p *scriptedPeer) copies() ([]uint64, []time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]uint64(nil), p.ids...), append([]time.Time(nil), p.at...)
+	ids := make([]uint64, len(p.reqs))
+	for i, r := range p.reqs {
+		ids[i] = r.Seq
+	}
+	return ids, append([]time.Time(nil), p.at...)
 }
 
-// callsOf counts the control calls of request type T that reached the
-// peer: the distinct IDs among its copies of a T.
-func callsOf[T any](p *scriptedPeer) int {
+// callsOf counts the control calls of the given kind that reached the
+// peer: the distinct IDs among its copies of such a request.
+func callsOf(p *scriptedPeer, kind string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	seen := map[uint64]bool{}
-	for i, m := range p.msgs {
-		if _, ok := m.(T); ok {
-			seen[p.ids[i]] = true
+	for _, r := range p.reqs {
+		if r.Session == kind {
+			seen[r.Seq] = true
 		}
 	}
 	return len(seen)
+}
+
+// answer is a control reply of the given kind and status under id.
+func answer(kind string, id uint64, st rpc.Status, known ...dv.RecoveryInfo) *rpc.Reply {
+	return &rpc.Reply{Session: kind, Seq: id, Status: st, Known: known}
 }
 
 // TestCtlCall drives the three control exchanges — flush, recovery
@@ -90,22 +90,22 @@ func TestCtlCall(t *testing.T) {
 	exchanges := []struct {
 		name     string
 		run      func(s *Server) (answered bool)
-		answer   func(id uint64) any
-		mismatch func(id uint64) any
+		answer   func(id uint64) *rpc.Reply
+		mismatch func(id uint64) *rpc.Reply
 	}{
 		{
 			name:     "flush",
 			run:      func(s *Server) bool { return s.callFlush("peer", dv.StateID{Epoch: 1}) == nil },
-			answer:   func(id uint64) any { return rpc.FlushReply{ID: id, Code: rpc.CtlOK} },
-			mismatch: func(id uint64) any { return rpc.RecoveryAck{ID: id} },
+			answer:   func(id uint64) *rpc.Reply { return answer(ctlFlush, id, rpc.StatusOK) },
+			mismatch: func(id uint64) *rpc.Reply { return answer(ctlBroadcast, id, rpc.StatusOK) },
 		},
 		{
 			name: "broadcast",
 			run: func(s *Server) bool {
 				return len(s.broadcastRecovery(dv.RecoveryInfo{Process: "msp1", CrashedEpoch: 1, Recovered: 1})) == 1
 			},
-			answer:   func(id uint64) any { return rpc.RecoveryAck{ID: id, Known: []dv.RecoveryInfo{ghost}} },
-			mismatch: func(id uint64) any { return rpc.KnowledgeReply{ID: id} },
+			answer:   func(id uint64) *rpc.Reply { return answer(ctlBroadcast, id, rpc.StatusOK, ghost) },
+			mismatch: func(id uint64) *rpc.Reply { return answer(ctlPull, id, rpc.StatusOK) },
 		},
 		{
 			name: "pull",
@@ -114,8 +114,8 @@ func TestCtlCall(t *testing.T) {
 				_, ok := s.know.Lookup(ghost.Process, ghost.CrashedEpoch)
 				return ok
 			},
-			answer:   func(id uint64) any { return rpc.KnowledgeReply{ID: id, Known: []dv.RecoveryInfo{ghost}} },
-			mismatch: func(id uint64) any { return rpc.FlushReply{ID: id, Code: rpc.CtlOK} },
+			answer:   func(id uint64) *rpc.Reply { return answer(ctlPull, id, rpc.StatusOK, ghost) },
+			mismatch: func(id uint64) *rpc.Reply { return answer(ctlFlush, id, rpc.StatusOK) },
 		},
 	}
 
@@ -129,7 +129,7 @@ func TestCtlCall(t *testing.T) {
 	// peer and runs one exchange. after, if set, runs once the peer has seen
 	// the first copy.
 	exchange := func(t *testing.T, run func(*Server) bool, deadline time.Duration,
-		script func(n int, id uint64) any, after func(*Server)) outcome {
+		script func(n int, id uint64) *rpc.Reply, after func(*Server)) outcome {
 		t.Helper()
 		e := newTestEnv(t)
 		defer e.cleanup()
@@ -170,7 +170,7 @@ func TestCtlCall(t *testing.T) {
 	for _, x := range exchanges {
 		x := x
 		t.Run(x.name+"/first copies lost", func(t *testing.T) {
-			o := exchange(t, x.run, 5*time.Second, func(n int, id uint64) any {
+			o := exchange(t, x.run, 5*time.Second, func(n int, id uint64) *rpc.Reply {
 				if n <= 3 {
 					return nil
 				}
@@ -184,7 +184,7 @@ func TestCtlCall(t *testing.T) {
 		// ended the wait, so one that was not the answer triggered a resend
 		// at once instead of after the backoff step.
 		t.Run(x.name+"/reply of another exchange", func(t *testing.T) {
-			o := exchange(t, x.run, 5*time.Second, func(n int, id uint64) any {
+			o := exchange(t, x.run, 5*time.Second, func(n int, id uint64) *rpc.Reply {
 				if n == 1 {
 					return x.mismatch(id)
 				}
@@ -200,7 +200,7 @@ func TestCtlCall(t *testing.T) {
 		})
 		t.Run(x.name+"/deadline", func(t *testing.T) {
 			const deadline = 150 * time.Millisecond
-			o := exchange(t, x.run, deadline, func(int, uint64) any { return nil }, nil)
+			o := exchange(t, x.run, deadline, func(int, uint64) *rpc.Reply { return nil }, nil)
 			if o.answered {
 				t.Fatal("call reported an answer nobody sent")
 			}
@@ -212,7 +212,7 @@ func TestCtlCall(t *testing.T) {
 			}
 		})
 		t.Run(x.name+"/stop", func(t *testing.T) {
-			o := exchange(t, x.run, time.Minute, func(int, uint64) any { return nil },
+			o := exchange(t, x.run, time.Minute, func(int, uint64) *rpc.Reply { return nil },
 				func(s *Server) { s.halt() })
 			if o.answered || o.took > 10*time.Second {
 				t.Fatalf("answered=%v after %v: a halted MSP's call must return at once, not at its deadline", o.answered, o.took)
@@ -224,11 +224,11 @@ func TestCtlCall(t *testing.T) {
 	// asked again after a pause, under the same ID, until it can answer; an
 	// expired deadline marks the peer down.
 	t.Run("flush/peer recovering", func(t *testing.T) {
-		o := exchange(t, exchanges[0].run, 5*time.Second, func(n int, id uint64) any {
+		o := exchange(t, exchanges[0].run, 5*time.Second, func(n int, id uint64) *rpc.Reply {
 			if n <= 2 {
-				return rpc.FlushReply{ID: id, Code: rpc.CtlUnavailable}
+				return answer(ctlFlush, id, rpc.StatusBusy)
 			}
-			return rpc.FlushReply{ID: id, Code: rpc.CtlOK}
+			return answer(ctlFlush, id, rpc.StatusOK)
 		}, nil)
 		if !o.answered || len(o.ids) != 3 {
 			t.Fatalf("answered=%v after %d copies, want OK on copy 3", o.answered, len(o.ids))
@@ -237,7 +237,7 @@ func TestCtlCall(t *testing.T) {
 	t.Run("flush/deadline marks the peer down", func(t *testing.T) {
 		e := newTestEnv(t)
 		defer e.cleanup()
-		p := startScriptedPeer(e, func(int, uint64) any { return nil })
+		p := startScriptedPeer(e, func(int, uint64) *rpc.Reply { return nil })
 		defer close(p.stop)
 		s := e.start("msp1", counterDef())
 		err := s.callFlush("peer", dv.StateID{Epoch: 1})
@@ -257,7 +257,7 @@ func TestCtlCall(t *testing.T) {
 			s.broadcastRecovery(dv.RecoveryInfo{Process: "msp1", CrashedEpoch: 1, Recovered: 1})
 			down = s.PeerDown("peer")
 			return false
-		}, time.Minute, func(int, uint64) any { return nil }, func(s *Server) { s.halt() })
+		}, time.Minute, func(int, uint64) *rpc.Reply { return nil }, func(s *Server) { s.halt() })
 		if down || metrics.Net.BroadcastPeersMissed.Load() != missed {
 			t.Fatalf("halt mid-broadcast: peer down=%v, BroadcastPeersMissed +%d; want neither",
 				down, metrics.Net.BroadcastPeersMissed.Load()-missed)
@@ -277,7 +277,7 @@ func TestCtlCall(t *testing.T) {
 		var first uint64
 		held := false
 		probing, release := make(chan struct{}), make(chan struct{})
-		p := startScriptedPeer(e, func(n int, id uint64) any {
+		p := startScriptedPeer(e, func(n int, id uint64) *rpc.Reply {
 			if n == 1 {
 				first = id
 			}
@@ -302,11 +302,11 @@ func TestCtlCall(t *testing.T) {
 		}
 		failsFast := func(when string) {
 			t.Helper()
-			calls := callsOf[rpc.FlushRequest](p)
+			calls := callsOf(p, ctlFlush)
 			if err := s.flushPeer("peer", sid); !errors.Is(err, errUnavailable) {
 				t.Fatalf("flush %s: %v, want errUnavailable", when, err)
 			}
-			if got := callsOf[rpc.FlushRequest](p); got != calls {
+			if got := callsOf(p, ctlFlush); got != calls {
 				t.Fatalf("flush %s reached the peer", when)
 			}
 		}
@@ -330,16 +330,16 @@ func TestCtlCall(t *testing.T) {
 	t.Run("flush/down peer comes back", func(t *testing.T) {
 		e := newTestEnv(t)
 		defer e.cleanup()
-		p := startScriptedPeer(e, func(int, uint64) any { return nil })
+		p := startScriptedPeer(e, func(int, uint64) *rpc.Reply { return nil })
 		defer close(p.stop)
 		s := e.start("msp1", counterDef(), func(c *Config) { c.CtlRetransmit = retransmit })
 		s.peerMissed("peer")
 		p.ep.Send("msp1", "alive")
 		waitFor(t, 5*time.Second, "a message from the peer to bring it up", func() bool { return !s.PeerDown("peer") })
-		waitFor(t, 5*time.Second, "the knowledge pull", func() bool { return callsOf[rpc.KnowledgePull](p) > 0 })
+		waitFor(t, 5*time.Second, "the knowledge pull", func() bool { return callsOf(p, ctlPull) > 0 })
 		p.ep.Send("msp1", "alive")
 		time.Sleep(5 * retransmit)
-		if n := callsOf[rpc.KnowledgePull](p); n != 1 {
+		if n := callsOf(p, ctlPull); n != 1 {
 			t.Fatalf("%d knowledge pulls after the peer came back, want 1", n)
 		}
 	})

@@ -18,14 +18,15 @@ import (
 // This file is the server side of the intra-domain control plane: the
 // distributed flush requests, recovery broadcasts and anti-entropy
 // knowledge exchanges that used to be direct in-process method calls
-// now travel over the simulated network as rpc envelopes, so they can
-// be lost, duplicated, reordered, delayed or partitioned away — and the
-// machinery here makes the protocol survive that:
+// now travel over the simulated network as rpc.Request and rpc.Reply,
+// so they can be lost, duplicated, reordered, delayed or partitioned
+// away — and the machinery here makes the protocol survive that:
 //
 //   - every control request carries a sender-unique ID; the sender waits
 //     in rpc.Exchange, which retransmits under the same ID every
-//     CtlRetransmit, and the receiver dedups by (sender, ID), answering
-//     retransmissions from a bounded reply cache;
+//     CtlRetransmit, and the receiver serves each copy it gets: every
+//     control operation is idempotent, so a retransmission is answered
+//     again, with a fresher knowledge snapshot;
 //   - each call has a deadline; a peer that misses one is marked down by
 //     opening its rpc.Breaker, after which flushes against it fail fast
 //     (the end client sees Busy, not a hang), with one probe at a time
@@ -48,54 +49,12 @@ func (s *Server) ctlWall(d time.Duration) time.Duration {
 	return max(time.Duration(float64(d)*s.cfg.TimeScale), ctlDeadlineFloor)
 }
 
-// ctlKey identifies one control request for dedup: who sent it, under
-// which ID.
-type ctlKey struct {
-	from simnet.Addr
-	id   uint64
-}
-
-// ctlCache is the bounded server-side reply cache behind control-message
-// dedup: a retransmitted request is answered with the cached reply
-// instead of being re-executed. Eviction is FIFO.
-type ctlCache struct {
-	mu    sync.Mutex
-	m     map[ctlKey]any
-	order []ctlKey
-	cap   int
-}
-
-func newCtlCache(capacity int) *ctlCache {
-	return &ctlCache{m: make(map[ctlKey]any), cap: capacity}
-}
-
-func (c *ctlCache) get(k ctlKey) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[k]
-	return v, ok
-}
-
-func (c *ctlCache) put(k ctlKey, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[k]; !ok {
-		c.order = append(c.order, k)
-		for len(c.order) > c.cap {
-			delete(c.m, c.order[0])
-			c.order = c.order[1:]
-		}
-	}
-	c.m[k] = v
-}
-
 // nextCtlID mints a control-message ID that is unique across this
 // process's incarnations: the current epoch occupies the high 32 bits,
-// a per-incarnation counter the low 32. Plain counters would collide in
-// peers' dedup caches after a restart — the first control message of the
-// new incarnation (typically its recovery broadcast) would be answered
-// with a stale cached reply from the crashed incarnation's ID space and
-// silently dropped.
+// a per-incarnation counter the low 32. Plain counters would collide
+// after a restart: a late answer to a call of the crashed incarnation
+// would match the fresh call in s.ctl that reused its ID, and end that
+// call with an answer to another question.
 func (s *Server) nextCtlID() uint64 {
 	return uint64(s.epoch.Load())<<32 | (s.ctlID.Add(1) & 0xffffffff)
 }
@@ -144,56 +103,37 @@ func (s *Server) noteContact(from simnet.Addr) {
 	}
 }
 
-// The kinds of control exchange. A control reply reaches its call as an
-// rpc.Reply whose Session is the kind of exchange it answers and whose
-// Seq is the call's ID, so rpc.Exchange drops a reply of another kind
-// under the same ID as stale.
+// The kinds of control exchange. A control request is an rpc.Request
+// whose Session is its kind and whose Seq is the call's ID; the answer
+// echoes both, so rpc.Exchange drops a reply of another kind under the
+// same ID as stale.
 const (
 	ctlFlush     = "ctl/flush"
 	ctlBroadcast = "ctl/broadcast"
 	ctlPull      = "ctl/pull"
 )
 
-// ctlReply converts a control reply (FlushReply, RecoveryAck or
-// KnowledgeReply) to the rpc.Reply its control call waits for. A flush
-// the peer could not serve yet, because it is still recovering, is Busy;
-// one that found an orphan is Rejected.
-func ctlReply(m any) rpc.Reply {
-	switch p := m.(type) {
-	case rpc.FlushReply:
-		rep := rpc.Reply{Session: ctlFlush, Seq: p.ID, Known: p.Known}
-		switch p.Code {
-		case rpc.CtlOK:
-		case rpc.CtlOrphan:
-			rep.Status = rpc.StatusRejected
-		default:
-			rep.Status = rpc.StatusBusy
-		}
-		return rep
-	case rpc.RecoveryAck:
-		return rpc.Reply{Session: ctlBroadcast, Seq: p.ID, Known: p.Known}
-	}
-	p := m.(rpc.KnowledgeReply)
-	return rpc.Reply{Session: ctlPull, Seq: p.ID, Known: p.Known}
+// isCtl reports whether an envelope's Session names a control exchange.
+func isCtl(session string) bool {
+	return session == ctlFlush || session == ctlBroadcast || session == ctlPull
 }
 
 // ctlCall is the one way this MSP asks a domain peer something and waits
-// for the answer: rpc.Exchange of the kind's exchange under a fresh ID.
-// env builds the request envelope from the ID once, and every resend is
-// that envelope, so the peer's dedup cache recognizes it. The peer's
-// replies reach Exchange through s.ctl (see ctlReply); a Busy one is
-// asked again after CtlRetransmit. The model deadline is floored like
-// every control-plane wait. The error is rpc.ErrDeadlineExceeded when the
-// deadline passed unanswered and rpc.ErrStopped when this MSP halted.
-func (s *Server) ctlCall(peer string, deadline time.Duration, kind string, env func(id uint64) any) (rpc.Reply, error) {
+// for the answer: rpc.Exchange of a request of the given kind about sid,
+// under a fresh ID. The peer's replies reach Exchange through s.ctl; a
+// Busy one is asked again after CtlRetransmit. The model deadline is
+// floored like every control-plane wait. The error is
+// rpc.ErrDeadlineExceeded when the deadline passed unanswered and
+// rpc.ErrStopped when this MSP halted.
+func (s *Server) ctlCall(peer string, deadline time.Duration, kind string, sid dv.StateID) (rpc.Reply, error) {
 	id := s.nextCtlID()
 	ch := s.ctl.Register(id)
 	defer s.ctl.Deregister(id)
-	req, to := env(id), simnet.Addr(peer)
-	return rpc.Exchange(func(rpc.Request) {
+	to := simnet.Addr(peer)
+	return rpc.Exchange(func(req rpc.Request) {
 		//mspr:flushed-by none (control requests ask a peer to flush, announce state made durable before recovery completed, or pull gossip: none carries unflushed log state)
 		s.ep.Send(to, req)
-	}, ch, s.stop, rpc.Request{Session: kind, Seq: id, Deadline: simtime.Now().Add(s.ctlWall(deadline))},
+	}, ch, s.stop, rpc.Request{Session: kind, Seq: id, From: s.ep.Addr(), SID: sid, Deadline: simtime.Now().Add(s.ctlWall(deadline))},
 		rpc.CallOptions{ResendAfter: s.cfg.CtlRetransmit, BusyBackoff: s.cfg.CtlRetransmit, TimeScale: s.cfg.TimeScale})
 }
 
@@ -202,8 +142,7 @@ func (s *Server) ctlCall(peer string, deadline time.Duration, kind string, env f
 // errOrphanDep, or errUnavailable: the deadline passed — the peer is then
 // marked down — or this MSP stopped (wrapping rpc.ErrStopped).
 func (s *Server) callFlush(peer string, sid dv.StateID) error {
-	rep, err := s.ctlCall(peer, s.cfg.FlushDeadline, ctlFlush,
-		func(id uint64) any { return rpc.FlushRequest{ID: id, From: s.ep.Addr(), SID: sid} })
+	rep, err := s.ctlCall(peer, s.cfg.FlushDeadline, ctlFlush, sid)
 	switch {
 	case errors.Is(err, rpc.ErrDeadlineExceeded):
 		metrics.Net.FlushDeadlinesExceeded.Inc()
@@ -230,13 +169,14 @@ func (s *Server) domainPeers() []string {
 	return peers
 }
 
-// broadcastRecovery announces a recovered state number to every domain
-// peer over the network, best-effort: each peer is retransmitted to until
-// it acks or the broadcast deadline passes. It returns the union of the
-// reachable peers' knowledge snapshots. A peer that misses the deadline
-// is marked down and converges later via anti-entropy; a halt of this MSP
-// meanwhile says nothing about the peers.
+// broadcastRecovery announces a recovered state number of this MSP's to
+// every domain peer over the network, best-effort: each peer is
+// retransmitted to until it acks or the broadcast deadline passes. It
+// returns the union of the reachable peers' knowledge snapshots. A peer
+// that misses the deadline is marked down and converges later via
+// anti-entropy; a halt of this MSP meanwhile says nothing about the peers.
 func (s *Server) broadcastRecovery(info dv.RecoveryInfo) []dv.RecoveryInfo {
+	sid := dv.StateID{Epoch: info.CrashedEpoch, LSN: info.Recovered}
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
@@ -246,8 +186,7 @@ func (s *Server) broadcastRecovery(info dv.RecoveryInfo) []dv.RecoveryInfo {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			rep, err := s.ctlCall(peer, s.cfg.BroadcastDeadline, ctlBroadcast,
-				func(id uint64) any { return rpc.RecoveryBroadcast{ID: id, From: s.ep.Addr(), Info: info} })
+			rep, err := s.ctlCall(peer, s.cfg.BroadcastDeadline, ctlBroadcast, sid)
 			if errors.Is(err, rpc.ErrDeadlineExceeded) {
 				metrics.Net.BroadcastPeersMissed.Inc()
 				s.peerMissed(peer)
@@ -270,8 +209,7 @@ func (s *Server) pullKnowledge(peer string) {
 	metrics.Net.AntiEntropyPulls.Inc()
 	// An unanswered pull needs no handling: the next contact or anti-entropy
 	// round pulls again.
-	rep, err := s.ctlCall(peer, s.cfg.BroadcastDeadline, ctlPull,
-		func(id uint64) any { return rpc.KnowledgePull{ID: id, From: s.ep.Addr()} })
+	rep, err := s.ctlCall(peer, s.cfg.BroadcastDeadline, ctlPull, dv.StateID{})
 	if err == nil {
 		s.absorbKnowledge(rep.Known)
 	}
@@ -325,51 +263,31 @@ func (s *Server) absorbKnowledge(infos []dv.RecoveryInfo) {
 	}
 }
 
-// handleFlushRequest services a peer's flush request: dedup first, then
-// the actual flush, then a reply that piggybacks this MSP's knowledge.
-// Transient (unavailable) outcomes are not cached — the peer's
-// retransmission should observe recovery finishing, not a stale failure.
-func (s *Server) handleFlushRequest(req rpc.FlushRequest) {
-	key := ctlKey{from: req.From, id: req.ID}
-	if cached, ok := s.ctlDedup.get(key); ok {
-		metrics.Net.CtlDuplicates.Inc()
-		s.ep.Send(req.From, cached) //mspr:flushed-by flushTo (cached reply: the original was produced after its flush)
-		return
+// serveCtl serves a domain peer's control request and answers it with
+// this MSP's knowledge snapshot. A flush makes this MSP's log durable up
+// to the request's state and answers Rejected when that state is an
+// orphan and Busy when it cannot tell yet (still recovering); a
+// broadcast absorbs the sender's recovered state number (logging it and
+// sweeping sessions for orphans); a pull only answers. Each is
+// idempotent — a state already durable needs no flush, orphan knowledge
+// is monotone, and Knowledge.Record ignores an epoch it knows — so a
+// retransmitted copy is simply served again.
+func (s *Server) serveCtl(req rpc.Request) {
+	rep := rpc.Reply{Session: req.Session, Seq: req.Seq}
+	switch req.Session {
+	case ctlFlush:
+		switch err := s.flushTo(req.SID); {
+		case err == nil:
+		case errors.Is(err, errOrphanDep):
+			rep.Status = rpc.StatusRejected
+		default:
+			rep.Status = rpc.StatusBusy
+		}
+	case ctlBroadcast:
+		s.absorbKnowledge([]dv.RecoveryInfo{{Process: dv.ProcessID(req.From),
+			CrashedEpoch: req.SID.Epoch, Recovered: req.SID.LSN}})
 	}
-	code := rpc.CtlOK
-	switch err := s.flushTo(req.SID); {
-	case err == nil:
-	case errors.Is(err, errOrphanDep):
-		code = rpc.CtlOrphan
-	default:
-		code = rpc.CtlUnavailable
-	}
-	rep := rpc.FlushReply{ID: req.ID, Code: code, Known: s.know.Snapshot()}
-	if code != rpc.CtlUnavailable {
-		s.ctlDedup.put(key, rep)
-	}
+	rep.Known = s.know.Snapshot()
+	//mspr:flushed-by flushTo (a flush is answered after it; broadcast and pull answers are monotone gossip, re-learnable from the recovering process itself)
 	s.ep.Send(req.From, rep)
-}
-
-// handleRecoveryBroadcast services a peer's recovery announcement:
-// dedup, absorb the info (logging it and sweeping sessions for
-// orphans), ack with this MSP's knowledge snapshot.
-func (s *Server) handleRecoveryBroadcast(b rpc.RecoveryBroadcast) {
-	key := ctlKey{from: b.From, id: b.ID}
-	if cached, ok := s.ctlDedup.get(key); ok {
-		metrics.Net.CtlDuplicates.Inc()
-		s.ep.Send(b.From, cached) //mspr:flushed-by none (knowledge is monotone gossip, re-learnable from the recovering process itself)
-		return
-	}
-	s.absorbKnowledge([]dv.RecoveryInfo{b.Info})
-	rep := rpc.RecoveryAck{ID: b.ID, Known: s.know.Snapshot()}
-	s.ctlDedup.put(key, rep)
-	s.ep.Send(b.From, rep) //mspr:flushed-by none (knowledge is monotone gossip, re-learnable from the recovering process itself)
-}
-
-// handleKnowledgePull answers an anti-entropy pull with the current
-// knowledge snapshot. Not cached: the snapshot should be fresh.
-func (s *Server) handleKnowledgePull(p rpc.KnowledgePull) {
-	//mspr:flushed-by none (knowledge is monotone gossip, re-learnable from the recovering process itself)
-	s.ep.Send(p.From, rpc.KnowledgeReply{ID: p.ID, Known: s.know.Snapshot()})
 }

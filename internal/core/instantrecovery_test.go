@@ -120,7 +120,7 @@ func TestCrashDuringLazyReplay(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()
 	reg := failpoint.New(23)
-	e.start("m", counterDef(), noSweep, func(cfg *Config) { cfg.Failpoints = reg })
+	e.start("m", counterDef(), noSweep, func(cfg *Config) { cfg.Disk.SetFailpoints(reg) })
 	cs := e.endClient().Session("m")
 	for want := uint64(1); want <= 3; want++ {
 		mustCall(t, cs, "inc", nil)

@@ -20,7 +20,7 @@ import (
 func TestShutdownReturnsFlushError(t *testing.T) {
 	e := newTestEnv(t)
 	reg := failpoint.New(1)
-	e.start("msp1", counterDef(), func(cfg *Config) { cfg.Failpoints = reg })
+	e.start("msp1", counterDef(), func(cfg *Config) { cfg.Disk.SetFailpoints(reg) })
 	cs := e.endClient().Session("msp1")
 	mustCall(t, cs, "inc", nil)
 

@@ -28,6 +28,8 @@ func TestOneWayToAskAndWait(t *testing.T) {
 		"pendingCtl":   "reply routing belongs to rpc.Router",
 		"pendingCalls": "reply routing belongs to rpc.Router",
 		"peerHealth":   "a peer's health is its rpc.Breaker",
+		"ctlCache":     "control operations are idempotent: a retransmission is served again",
+		"ctlKey":       "control operations are idempotent: a retransmission is served again",
 	}
 	for name, f := range files {
 		for _, d := range f.Decls {

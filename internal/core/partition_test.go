@@ -2,14 +2,17 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mspr/internal/dv"
+	"mspr/internal/logrec"
 	"mspr/internal/metrics"
 	"mspr/internal/rpc"
 	"mspr/internal/simnet"
+	"mspr/internal/wal"
 )
 
 // waitFor polls cond until it holds or the deadline expires.
@@ -211,31 +214,62 @@ func TestRecoveryBroadcastLostToPartitionConverges(t *testing.T) {
 	}
 }
 
-// TestControlDedupAnswersRetransmissionFromCache retransmits a flush
-// request under one control ID and expects the second answer to come
-// from the server's reply cache.
-func TestControlDedupAnswersRetransmissionFromCache(t *testing.T) {
+// TestControlRetransmissionIsServedAgain sends every control request
+// twice under one ID, as a retransmission arrives when the first answer
+// was lost: each copy is served again and answered alike, and serving a
+// broadcast twice logs its news once.
+func TestControlRetransmissionIsServedAgain(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()
 	def1, _ := twoMSPDefs(0)
 	s1 := e.start("msp1", def1)
 	probe := e.net.Endpoint("probe")
-	dupsBefore := metrics.Net.CtlDuplicates.Load()
-	req := rpc.FlushRequest{ID: 77, From: "probe", SID: dv.StateID{Epoch: s1.Epoch(), LSN: 0}}
-	for i := 0; i < 2; i++ {
-		probe.Send("msp1", req)
-		select {
-		case m := <-probe.Recv():
-			rep, ok := m.Payload.(rpc.FlushReply)
-			if !ok || rep.ID != req.ID || rep.Code != rpc.CtlOK {
-				t.Fatalf("send #%d: unexpected reply %+v", i, m.Payload)
+	twice := func(req rpc.Request) []rpc.Reply {
+		t.Helper()
+		var reps []rpc.Reply
+		for i := 0; i < 2; i++ {
+			probe.Send("msp1", req)
+			reps = append(reps, rawReply(t, probe, req.Session, req.Seq, 5*time.Second))
+		}
+		return reps
+	}
+
+	for _, c := range []struct {
+		what string
+		sid  dv.StateID
+		want rpc.Status
+	}{
+		{"a durable state", dv.StateID{Epoch: s1.Epoch()}, rpc.StatusOK},
+		{"an orphaned state", dv.StateID{Epoch: s1.Epoch(), LSN: 1 << 40}, rpc.StatusRejected},
+	} {
+		for i, rep := range twice(rpc.Request{Session: ctlFlush, Seq: 77, From: "probe", SID: c.sid}) {
+			if rep.Status != c.want {
+				t.Fatalf("flush of %s, copy %d: %v, want %v", c.what, i+1, rep.Status, c.want)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("send #%d: no flush reply", i)
 		}
 	}
-	if got := metrics.Net.CtlDuplicates.Load(); got != dupsBefore+1 {
-		t.Fatalf("CtlDuplicates advanced by %d, want 1", got-dupsBefore)
+
+	lsn0 := s1.Log().Next()
+	news := dv.RecoveryInfo{Process: "probe", CrashedEpoch: 1, Recovered: 42}
+	for i, rep := range twice(rpc.Request{Session: ctlBroadcast, Seq: 78, From: "probe", SID: dv.StateID{Epoch: 1, LSN: 42}}) {
+		if rep.Status != rpc.StatusOK || !slices.Contains(rep.Known, news) {
+			t.Fatalf("broadcast copy %d: %v knowing %v, want OK knowing %v", i+1, rep.Status, rep.Known, news)
+		}
+	}
+	if err := s1.Log().Flush(s1.Log().LastAppended()); err != nil {
+		t.Fatal(err)
+	}
+	logged := 0
+	if _, err := s1.Log().Scan(lsn0, func(_ wal.LSN, typ byte, _ []byte) error {
+		if typ == byte(logrec.TRecoveryInfo) {
+			logged++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if logged != 1 {
+		t.Fatalf("a broadcast served twice logged %d recovery-info records, want 1", logged)
 	}
 }
 

@@ -456,7 +456,7 @@ func TestRetainedRecordsReleased(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()
 	reg := failpoint.New(3)
-	e.start("m", counterDef(), func(cfg *Config) { cfg.Failpoints = reg })
+	e.start("m", counterDef(), func(cfg *Config) { cfg.Disk.SetFailpoints(reg) })
 	c := e.endClient()
 	cs := make([]*ClientSession, 16)
 	for i := range cs {

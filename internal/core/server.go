@@ -17,7 +17,7 @@ import (
 	"mspr/internal/wal"
 )
 
-// Named crash points of the recovery machinery (see Config.Failpoints).
+// Named crash points of the recovery machinery (see Config.Disk).
 // Each halts the MSP exactly as a process death at that instant would:
 // volatile state is abandoned, the endpoint goes down, and the log's
 // buffered records are lost. Recovery must be re-enterable from any of
@@ -143,13 +143,11 @@ type Server struct {
 	calls rpc.Router[string, rpc.Reply]
 
 	// Control plane (see ctlplane.go): outgoing control-call IDs, the
-	// routing of control replies (FlushReply, RecoveryAck, KnowledgeReply)
-	// by the request ID they echo, the server-side dedup cache, and one
+	// routing of control replies by the call ID they echo, and one
 	// *rpc.Breaker per domain peer, keyed by its ID.
-	ctlID    atomic.Uint64
-	ctl      rpc.Router[uint64, rpc.Reply]
-	ctlDedup *ctlCache
-	peers    sync.Map
+	ctlID atomic.Uint64
+	ctl   rpc.Router[uint64, rpc.Reply]
+	peers sync.Map
 
 	bytesSinceCkpt atomic.Int64
 	ckptRunning    atomic.Bool
@@ -228,11 +226,7 @@ func Start(cfg Config) (*Server, error) {
 	s.state.Store(int32(stateRecovering))
 	s.sessions.init()
 	s.retained.limit = retainBudgetHook
-	if cfg.Failpoints != nil && cfg.Disk != nil {
-		cfg.Disk.SetFailpoints(cfg.Failpoints)
-	}
 	s.epoch.Store(1) // epoch 1 is the first failure-free period
-	s.ctlDedup = newCtlCache(1024)
 	for _, def := range cfg.Def.Shared {
 		s.shared[def.Name] = newSharedVar(s, def)
 	}
@@ -450,16 +444,14 @@ func (s *Server) halt() {
 // fail-stop rule halted it, or it was crashed.
 func (s *Server) Halted() bool { return s.getState() == stateCrashed }
 
-// fp returns the MSP's fault-injection registry (nil when injection is
-// off — safe to Eval either way).
+// fp returns the fault-injection registry attached to the MSP's disk
+// (nil when injection is off or the MSP has no disk — safe to Eval
+// either way).
 func (s *Server) fp() *failpoint.Registry {
-	if s.cfg.Failpoints != nil {
-		return s.cfg.Failpoints
+	if s.cfg.Disk == nil {
+		return nil
 	}
-	if s.cfg.Disk != nil {
-		return s.cfg.Disk.Failpoints()
-	}
-	return nil
+	return s.cfg.Disk.Failpoints()
 }
 
 // evalCrashPoint fires a named crash failpoint: when armed, the MSP
@@ -521,31 +513,29 @@ func (s *Server) registerWithDomain() {
 	}
 }
 
-// receiveLoop dispatches network messages: requests to the worker pool,
-// replies that are no orphans to waiting outgoing calls, control-plane
-// requests to handler goroutines (a flush can block on the disk) and
-// control replies to the waiting control calls.
+// receiveLoop dispatches network messages: control-plane requests to a
+// serveCtl goroutine each (a flush can block on the disk), other requests
+// to the worker pool, control replies to the waiting control calls, and
+// other replies that are no orphans to waiting outgoing calls.
 func (s *Server) receiveLoop() {
 	defer s.wg.Done()
 	rpc.Serve(s.ep, s.stop, func(m simnet.Message) {
 		s.noteContact(m.From)
 		switch p := m.Payload.(type) {
 		case rpc.Request:
-			s.admit(p)
+			if isCtl(p.Session) {
+				req := p // captured instead of p, which would move every request to the heap
+				s.goBackground(func() { s.serveCtl(req) })
+			} else {
+				s.admit(p)
+			}
 		case rpc.Reply:
-			// Fig. 7: drop an orphan reply; the call's resend fetches a clean one.
-			if _, orphan := s.know.OrphanIn(p.DV); !p.HasDV || !orphan {
+			if isCtl(p.Session) {
+				s.ctl.Resolve(p.Seq, p)
+			} else if _, orphan := s.know.OrphanIn(p.DV); !p.HasDV || !orphan {
+				// Fig. 7: drop an orphan reply; the call's resend fetches a clean one.
 				s.calls.Resolve(p.Session, p)
 			}
-		case rpc.FlushRequest:
-			s.goBackground(func() { s.handleFlushRequest(p) })
-		case rpc.RecoveryBroadcast:
-			s.goBackground(func() { s.handleRecoveryBroadcast(p) })
-		case rpc.KnowledgePull:
-			s.goBackground(func() { s.handleKnowledgePull(p) })
-		case rpc.FlushReply, rpc.RecoveryAck, rpc.KnowledgeReply:
-			rep := ctlReply(p)
-			s.ctl.Resolve(rep.Seq, rep)
 		}
 	})
 }
@@ -596,7 +586,6 @@ func (s *Server) reply(addr simnet.Addr, rep rpc.Reply) {
 		// instant-recovery time-to-first-reply measurement.
 		d := simtime.Since(s.recoverT0)
 		s.ttfr.Store(int64(d))
-		metrics.Recovery.TimeToFirstReply.Add(d.Microseconds())
 	}
 	s.ep.Send(addr, rep) //mspr:flushed-by readyReply (state-bearing replies flush there; Busy/Rejected envelopes carry no state)
 }

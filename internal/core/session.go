@@ -501,14 +501,11 @@ func (se *Session) replayReceive(lsn wal.LSN, attached dv.Vector) {
 }
 
 // truncatePositions removes positions ≥ lsn from the stream (orphan
-// recovery end) and returns how many records were skipped.
-func (se *Session) truncatePositions(lsn wal.LSN) int {
+// recovery end).
+func (se *Session) truncatePositions(lsn wal.LSN) {
 	se.mu.Lock()
-	before := len(se.pos.all)
 	se.pos.truncateFrom(lsn)
-	removed := before - len(se.pos.all)
 	se.mu.Unlock()
-	return removed
 }
 
 // lastCkpt returns the session's most recent checkpoint (lsn 0 = none):

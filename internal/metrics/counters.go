@@ -55,9 +55,6 @@ type RecoveryCounters struct {
 	// SessionsReplayed counts sessions whose replay (§4.1/§4.3) ran to
 	// completion.
 	SessionsReplayed Counter
-	// OrphanRecordsSkipped counts log records made invisible by orphan
-	// recovery — records between an orphan record and its EOS record.
-	OrphanRecordsSkipped Counter
 	// EOSWritten counts end-of-stable records appended when an orphan
 	// recovery skipped the orphaned suffix of a session's log (§4.1).
 	EOSWritten Counter
@@ -94,10 +91,6 @@ type RecoveryCounters struct {
 	// (including shared variables materialized by the stale-checkpoint
 	// forcing path).
 	SweepReplays Counter
-	// TimeToFirstReply accumulates, in microseconds, each crash
-	// recovery's time from restart to the first non-Busy reply the new
-	// incarnation sent — the instant-recovery headline number.
-	TimeToFirstReply Counter
 }
 
 // Recovery holds the process-wide recovery counters.
@@ -105,13 +98,9 @@ var Recovery RecoveryCounters
 
 // NetCounters is the observability surface of the simulated network and
 // the intra-domain control plane that runs over it: what the fault plane
-// dropped, what the servers shed under overload, and how the control
-// plane coped with an unreliable message layer.
+// dropped and how the control plane coped with an unreliable message
+// layer. What the servers shed under overload is counted in Overload.
 type NetCounters struct {
-	// RequestQueueDrops counts requests discarded because a server's
-	// bounded request queue was full (the client resends; previously
-	// these drops were silent).
-	RequestQueueDrops Counter
 	// PartitionDrops counts messages dropped by an active network
 	// partition.
 	PartitionDrops Counter
@@ -121,10 +110,6 @@ type NetCounters struct {
 	// LossDrops counts messages dropped by random loss (global rate or a
 	// per-link override).
 	LossDrops Counter
-	// CtlDuplicates counts intra-domain control requests answered from
-	// the server-side dedup cache (a retransmitted flush request or
-	// recovery broadcast whose first copy already arrived).
-	CtlDuplicates Counter
 	// FlushDeadlinesExceeded counts distributed-flush peer calls that
 	// gave up at their deadline because the peer stayed unreachable; the
 	// end client sees Busy instead of a hang.

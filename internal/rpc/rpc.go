@@ -12,7 +12,15 @@
 //
 // Exchange is that resend loop, written once. End clients, an MSP calling
 // another (Fig. 3), the StateServer baseline and the domain control plane
-// (flush requests, recovery broadcasts, knowledge pulls) wait through it.
+// wait through it.
+//
+// The domain control plane — distributed flush requests, recovery
+// broadcasts, anti-entropy knowledge pulls — uses the same two envelopes.
+// A control request's Session names its kind and its Seq is an ID unique
+// to the sending incarnation; the answer echoes both, carries OK, Busy
+// (the peer is still recovering) or Rejected (the flush found an orphan),
+// and piggybacks the peer's knowledge in Known. Every control operation
+// is idempotent, so a retransmission is simply served again.
 package rpc
 
 import (
@@ -88,6 +96,10 @@ type Request struct {
 	HasDV bool
 	DV    dv.Vector
 	From  simnet.Addr // reply-to address
+	// SID is the state a domain control request is about: on a flush the
+	// state to make durable, on a recovery broadcast the crashed epoch and
+	// its recovered state number (the process is From).
+	SID dv.StateID
 	// Deadline, when non-zero, is the instant on the simtime clock after
 	// which the client no longer wants the result. The server checks it
 	// twice — at admission and again immediately before the receive log
@@ -112,8 +124,7 @@ type Reply struct {
 	// server offered no hint (the client falls back to its busy backoff).
 	RetryAfter time.Duration
 	// Known is the knowledge of recovered state numbers a domain peer
-	// piggybacked on a control reply (FlushReply, RecoveryAck,
-	// KnowledgeReply) that an MSP's receive loop routed to its control call.
+	// piggybacks on its answer to a control request.
 	Known []dv.RecoveryInfo
 }
 
@@ -141,77 +152,6 @@ var (
 	// before a terminal reply arrived.
 	ErrDeadlineExceeded = errors.New("rpc: request deadline exceeded")
 )
-
-// Intra-domain control-plane envelopes. The domain control plane —
-// distributed flush requests, recovery broadcasts, anti-entropy
-// knowledge pulls — travels over the same unreliable simnet as client
-// traffic, so every control request carries a sender-unique ID: the
-// sender retransmits under the same ID until a reply arrives or its
-// deadline passes, and the server dedups by (From, ID), answering a
-// retransmission from its reply cache instead of re-executing.
-
-// CtlCode is the outcome class of a control reply.
-type CtlCode byte
-
-// Control reply codes.
-const (
-	// CtlOK means the operation succeeded.
-	CtlOK CtlCode = iota
-	// CtlOrphan means the flushed dependency refers to state lost in a
-	// crash: the caller is an orphan.
-	CtlOrphan
-	// CtlUnavailable means the peer is down, recovering, or otherwise
-	// unable to serve the operation now; the caller retries.
-	CtlUnavailable
-)
-
-// FlushRequest asks a peer MSP to make its state up to SID durable
-// (one leg of a distributed log flush, §3.1).
-type FlushRequest struct {
-	ID   uint64
-	From simnet.Addr
-	SID  dv.StateID
-}
-
-// FlushReply answers a FlushRequest. Known piggybacks the replier's
-// knowledge of recovered state numbers, so every flush doubles as a
-// passive anti-entropy exchange.
-type FlushReply struct {
-	ID    uint64
-	Code  CtlCode
-	Known []dv.RecoveryInfo
-}
-
-// RecoveryBroadcast announces a recovered state number to a domain peer
-// (§4.3). Delivery is best-effort: unreachable peers catch up through
-// anti-entropy after they become reachable again.
-type RecoveryBroadcast struct {
-	ID   uint64
-	From simnet.Addr
-	Info dv.RecoveryInfo
-}
-
-// RecoveryAck acknowledges a RecoveryBroadcast, returning the replier's
-// knowledge snapshot so the recovering MSP learns about crashes it slept
-// through.
-type RecoveryAck struct {
-	ID    uint64
-	Known []dv.RecoveryInfo
-}
-
-// KnowledgePull asks a peer for its full knowledge of recovered state
-// numbers — the active half of anti-entropy, issued when a peer that was
-// unreachable becomes reachable again (or periodically, if configured).
-type KnowledgePull struct {
-	ID   uint64
-	From simnet.Addr
-}
-
-// KnowledgeReply answers a KnowledgePull.
-type KnowledgeReply struct {
-	ID    uint64
-	Known []dv.RecoveryInfo
-}
 
 // Backoff produces capped exponential retry delays with seeded jitter:
 // Base, 2·Base, 4·Base … up to Max, each multiplied by a factor drawn
