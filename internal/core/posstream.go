@@ -72,8 +72,8 @@ type posStream struct {
 	budget *retention
 }
 
-func newPosStream(disk *simdisk.Disk, budget *retention) *posStream {
-	return &posStream{disk: disk, budget: budget}
+func newPosStream(disk *simdisk.Disk, budget *retention) posStream {
+	return posStream{disk: disk, budget: budget}
 }
 
 // append adds a record to the stream, spilling the buffer when full.

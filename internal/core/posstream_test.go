@@ -10,7 +10,8 @@ import (
 )
 
 func newTestStream() *posStream {
-	return newPosStream(simdisk.NewDisk(simdisk.DefaultModel(0)), &retention{limit: 1 << 20})
+	p := newPosStream(simdisk.NewDisk(simdisk.DefaultModel(0)), &retention{limit: 1 << 20})
+	return &p
 }
 
 // lsns returns the stream's positions.

@@ -183,10 +183,12 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 // analysisScan is the single-threaded scan of Fig. 12's step 2. It
 // returns the LSN of the last valid (persistent) record.
 func (s *Server) analysisScan(from wal.LSN) (wal.LSN, error) {
-	shell := func(id string) *Session {
-		sess := s.sessions.get(id)
+	// Records are routed by their leading session ID or variable name, a
+	// view of the payload (logrec.Peek): a lookup by it allocates nothing.
+	shell := func(id []byte) *Session {
+		sess := s.sessions.find(id)
 		if sess == nil {
-			sess = newSession(s, id, "", false)
+			sess = newShell(s, string(id))
 			s.sessions.insert(sess)
 		}
 		return sess
@@ -201,38 +203,42 @@ func (s *Server) analysisScan(from wal.LSN) (wal.LSN, error) {
 			if err != nil {
 				return err
 			}
-			shell(rec.Session).scanStart(rec, lsn, typ, payload)
+			shell([]byte(rec.Session)).scanStart(rec, lsn, typ, payload)
 		case logrec.TSessionCkpt:
 			// Analysis only: record the checkpoint as the session's replay
 			// starting point without decoding the checkpointed state.
 			// Materialization happens if and when the session's replay is
 			// claimed.
-			id, err := logrec.PeekSession(payload)
+			id, _, err := logrec.Peek(payload)
 			if err != nil {
 				return err
 			}
 			shell(id).scanCheckpointNote(lsn, typ, payload)
 		case logrec.TReqReceive, logrec.TReplyReceive, logrec.TSharedRead:
-			id, err := logrec.PeekSession(payload)
+			id, _, err := logrec.Peek(payload)
 			if err != nil {
 				return err
 			}
 			shell(id).scanNote(lsn, typ, payload)
 		case logrec.TSharedWrite:
-			id, name, err := logrec.PeekSessionVar(payload)
+			id, rest, err := logrec.Peek(payload)
+			if err != nil {
+				return err
+			}
+			name, _, err := logrec.Peek(rest)
 			if err != nil {
 				return err
 			}
 			shell(id).scanNote(lsn, typ, payload)
-			if sv := s.shared[name]; sv != nil {
+			if sv := s.shared[string(name)]; sv != nil {
 				sv.scanNoteWrite(lsn)
 			}
 		case logrec.TSVCheckpoint:
-			name, err := logrec.PeekVar(payload)
+			name, _, err := logrec.Peek(payload)
 			if err != nil {
 				return err
 			}
-			if sv := s.shared[name]; sv != nil {
+			if sv := s.shared[string(name)]; sv != nil {
 				sv.scanNoteCheckpoint(lsn)
 			}
 		case logrec.TEOS:

@@ -60,20 +60,23 @@ type Session struct {
 	clientAddr  simnet.Addr  //mspr:guarded-by mu
 	intraDomain bool         //mspr:guarded-by mu
 
+	// vars and outgoing are nil in a shell the analysis scan made: its
+	// replay (resetToInitial or restoreFromCheckpoint) makes them before
+	// anything else runs on the session.
 	vars map[string][]byte //mspr:guarded-by mu
 	// vec: dependencies on other states (self added on demand).
 	vec dv.Vector //mspr:guarded-by mu
 	// stateLSN: state number — LSN of this session's most recent record.
 	stateLSN wal.LSN //mspr:guarded-by mu
 
-	seq      *rpc.SeqTracker
+	seq      rpc.SeqTracker
 	reply    rpc.Reply //mspr:guarded-by mu
 	hasReply bool      //mspr:guarded-by mu
 
 	// outgoing is keyed by target MSP ID.
 	outgoing map[string]*outSession //mspr:guarded-by mu
 
-	pos *posStream //mspr:guarded-by mu
+	pos posStream //mspr:guarded-by mu
 	// bytesLogged: log consumed since the last session checkpoint.
 	bytesLogged int64 //mspr:guarded-by mu
 	// startLSN: LSN of the session's first log record.
@@ -112,16 +115,23 @@ type outSession struct {
 }
 
 func newSession(s *Server, id string, client simnet.Addr, intra bool) *Session {
-	return &Session{
+	se := &Session{
 		id:          id,
 		srv:         s,
 		clientAddr:  client,
 		intraDomain: intra,
 		vars:        make(map[string][]byte),
-		seq:         rpc.NewSeqTracker(1),
 		outgoing:    make(map[string]*outSession),
 		pos:         newPosStream(s.cfg.Disk, &s.retained),
 	}
+	se.seq.SetNext(1)
+	return se
+}
+
+// newShell makes a session for the analysis scan: bare, because nothing
+// runs on it before its replay.
+func newShell(s *Server, id string) *Session {
+	return &Session{id: id, srv: s, pos: newPosStream(s.cfg.Disk, &s.retained)}
 }
 
 // ID returns the session identifier.

@@ -75,7 +75,7 @@ func (t *sessionTable) init() {
 }
 
 // fnv1a is the 32-bit FNV-1a hash of s.
-func fnv1a(s string) uint32 {
+func fnv1a[K string | []byte](s K) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -98,6 +98,16 @@ func (t *sessionTable) get(id string) *Session {
 	sh := t.shard(id)
 	sh.mu.RLock()
 	sess := sh.m[id]
+	sh.mu.RUnlock()
+	return sess
+}
+
+// find is get for an ID held as bytes, such as the analysis scan's view
+// of a log record: indexing the map with string(id) does not allocate.
+func (t *sessionTable) find(id []byte) *Session {
+	sh := &t.shards[fnv1a(id)&(numShards-1)]
+	sh.mu.RLock()
+	sess := sh.m[string(id)]
 	sh.mu.RUnlock()
 	return sess
 }

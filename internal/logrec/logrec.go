@@ -355,24 +355,20 @@ func DecodeEOS(p []byte) (r EOS, err error) {
 // its position stream without materializing values, vectors or variable
 // maps.
 func PeekSession(p []byte) (session string, err error) {
-	c := NewDecoder(p)
-	c.Str(&session)
-	return session, c.err
+	id, _, err := Peek(p)
+	return string(id), err
 }
 
-// PeekSessionVar returns the leading (Session, Var) pair of a
-// TSharedWrite or TSharedRead payload — the two routing keys the
-// analysis scan needs — without decoding the value or the DV.
-func PeekSessionVar(p []byte) (session, name string, err error) {
+// Peek returns the leading string field of a payload as a view of p, and
+// the bytes after it, so the analysis scan routes a record without a
+// copy: a session-owned record leads with its session ID, which a
+// TSharedWrite follows with the variable name, and a TSVCheckpoint leads
+// with the variable name.
+func Peek(p []byte) (field, rest []byte, err error) {
 	c := NewDecoder(p)
-	c.Str(&session)
-	c.Str(&name)
-	return session, name, c.err
+	field = c.span()
+	return field, c.b, c.err
 }
-
-// PeekVar returns the leading variable name of a TSVCheckpoint payload
-// without decoding the checkpointed value.
-func PeekVar(p []byte) (string, error) { return PeekSession(p) }
 
 // RecoveryInfo records a peer's broadcast recovery message so that the
 // MSP's knowledge of recovered state numbers survives its own crash.

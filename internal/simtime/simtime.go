@@ -17,11 +17,12 @@
 // waits on one reusable OS timer for all but the last coarse period
 // before the earliest deadline, spin-yields only for that last stretch,
 // and then wakes every entry that is due. A waiting goroutine is parked
-// on a channel, so however many waits are pending one goroutine per
-// process spins — an acceptable CPU cost in a simulator whose "latencies"
-// are the product being measured — plus, for its last lead, each sleeper
-// about to return: the driver wakes a sleeper that much early so the
-// hand-off never makes it late.
+// on a channel until its last 5 µs (lead): the driver wakes a sleeper
+// that much early, so the hand-off never makes it late, and the sleeper
+// spin-yields the rest itself. Spinning therefore costs the driver's
+// last coarse stretch before each deadline plus 5 µs per Sleep, however
+// many waits are pending — an acceptable CPU cost in a simulator whose
+// "latencies" are the product being measured.
 //
 // Timers are timeouts — a resend, a watchdog tick — and need no such
 // precision: they wait in a second heap that the same driver serves from
@@ -70,10 +71,14 @@ func Step() (advance func(time.Duration), restore func()) {
 const coarse = 2 * time.Millisecond
 
 // lead is how long before its deadline the driver wakes a sleeper, which
-// spin-yields the rest on its own goroutine: handing a wake-up to a parked
-// goroutine can take tens of microseconds when the scheduler has to wake
-// an idle thread for it, and a sleeper must not pay that past its deadline.
-const lead = 25 * time.Microsecond
+// spin-yields the rest on its own goroutine, so that the hand-off to a
+// parked goroutine does not make it late. The hand-off takes a couple of
+// microseconds at the median: without any lead a 100 µs sleep is late by
+// 1.7 µs at the median, with 5 µs by 0.3 µs, as with 25. Every
+// microsecond of lead beyond the hand-off is spin-yield that each of many
+// concurrent sleepers pays, on as few as two CPUs (EXPERIMENTS.md,
+// "Recovery without spin or garbage").
+const lead = 5 * time.Microsecond
 
 // Sleep pauses the calling goroutine for d with microsecond-class
 // precision: parked until lead before the deadline, spin-yielding for
