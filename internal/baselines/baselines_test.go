@@ -116,7 +116,7 @@ func startBaselineMSP(t *testing.T, net *simnet.Network, id string, def core.Def
 func TestPsessionPersistsSessionStateAcrossMSPRestart(t *testing.T) {
 	net := simnet.New(simnet.Config{TimeScale: 0})
 	dbDisk := simdisk.NewDisk(simdisk.DefaultModel(0))
-	db, err := sdb.Open(dbDisk, "db", sdb.Options{})
+	db, err := sdb.Open(dbDisk, "db")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestPsessionPersistsSessionStateAcrossMSPRestart(t *testing.T) {
 	// starts — its state is independent, demonstrating Psession's
 	// per-session persistence boundary.
 	s.Crash()
-	db2, err := sdb.Open(dbDisk, "db", sdb.Options{})
+	db2, err := sdb.Open(dbDisk, "db")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestPsessionPersistsSessionStateAcrossMSPRestart(t *testing.T) {
 func TestPsessionTwoTransactionsPerRequest(t *testing.T) {
 	net := simnet.New(simnet.Config{TimeScale: 0})
 	dbDisk := simdisk.NewDisk(simdisk.DefaultModel(0))
-	db, _ := sdb.Open(dbDisk, "db", sdb.Options{})
+	db, _ := sdb.Open(dbDisk, "db")
 	def := WrapPsession(counterDef(), db)
 	_ = startBaselineMSP(t, net, "msp", def)
 	client := core.NewClient("c", net, rpc.DefaultCallOptions(0))

@@ -141,11 +141,11 @@ func newSystem(c config, scale float64) (*system, error) {
 	def1, def2 := s.def1(), s.def2()
 	switch c.mode {
 	case Psession:
-		db1, err := sdb.Open(simdisk.NewDisk(simdisk.DefaultModel(scale)), "db1", sdb.Options{})
+		db1, err := sdb.Open(simdisk.NewDisk(simdisk.DefaultModel(scale)), "db1")
 		if err != nil {
 			return nil, err
 		}
-		db2, err := sdb.Open(simdisk.NewDisk(simdisk.DefaultModel(scale)), "db2", sdb.Options{})
+		db2, err := sdb.Open(simdisk.NewDisk(simdisk.DefaultModel(scale)), "db2")
 		if err != nil {
 			return nil, err
 		}

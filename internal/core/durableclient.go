@@ -1,16 +1,15 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 
 	"mspr/internal/logrec"
 	"mspr/internal/rpc"
 	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
+	"mspr/internal/wal"
 )
 
 // DurableClient is an end client whose session progress survives its own
@@ -25,13 +24,12 @@ import (
 // request can be re-driven to fetch the server's buffered reply.
 type DurableClient struct {
 	clientCore
-	file *simdisk.File
+	log *wal.Log
 
 	// jmu guards the journal and everything it backs: the session table,
 	// and each session's nextSeq and pending intent.
 	jmu      sync.Mutex
 	sessions map[string]*DurableSession
-	off      int64
 }
 
 // DurableSession is one durable session with an MSP.
@@ -57,28 +55,41 @@ const (
 )
 
 // NewDurableClient opens (or re-opens after a crash) the durable client
-// persisted on file. Restored sessions are available via Sessions. Budget
-// and Breaker in opts are per-server templates, as for NewClient.
+// whose journal is the log "client/<id>" on disk. Restored sessions are
+// available via Sessions. Budget and Breaker in opts are per-server
+// templates, as for NewClient.
 func NewDurableClient(id string, net *simnet.Network, disk *simdisk.Disk, opts rpc.CallOptions) (*DurableClient, error) {
-	c := &DurableClient{
-		file:     disk.OpenFile("client/" + id),
-		sessions: make(map[string]*DurableSession),
-	}
-	c.start(id, net, opts)
-	c.ep.SetDown(false)
-	if err := c.load(); err != nil {
-		c.Close()
+	log, err := wal.Open(disk, "client/"+id, wal.Config{})
+	if err != nil {
 		return nil, err
 	}
+	c := &DurableClient{log: log, sessions: make(map[string]*DurableSession)}
+	c.start(id, net, opts)
+	c.ep.SetDown(false)
+	// Replay the journal and cut off a torn tail. Damage to a record that
+	// valid records follow is wal.ErrCorrupt: restarting past it would
+	// forget a sequence number the client used.
+	if _, err := log.Scan(0, c.applyJournal); err != nil {
+		return nil, errors.Join(err, c.Close())
+	}
+	log.RepairTail()
 	return c, nil
 }
 
-// Crash simulates a client crash: like Close (the state stays on disk),
-// but also drops in-flight deliveries (callers then construct a fresh
-// DurableClient on the same disk).
-func (c *DurableClient) Crash() {
-	c.Close()
-	c.ep.SetDown(true)
+// Close stops the client and closes its journal; the state stays on
+// disk. A closed client writes nothing more, so it cannot write over the
+// records of a client reopened on the same disk.
+func (c *DurableClient) Close() error {
+	c.clientCore.Close()
+	return c.log.Close()
+}
+
+// Crash simulates a client crash: like Close, but also drops in-flight
+// deliveries (callers then construct a fresh DurableClient on the same
+// disk).
+func (c *DurableClient) Crash() error {
+	defer c.ep.SetDown(true)
+	return c.Close()
 }
 
 // Session starts a new durable session with the MSP at target.
@@ -93,7 +104,7 @@ func (c *DurableClient) Session(target string) (*DurableSession, error) {
 }
 
 // openLocked adds session id to the table, wired to target. Caller holds
-// c.jmu, or is load, before the client is shared.
+// c.jmu, or is replaying the journal, before the client is shared.
 func (c *DurableClient) openLocked(id, target string) *DurableSession {
 	ds := &DurableSession{clientWire: c.wire(id, target), dc: c, nextSeq: 1}
 	c.sessions[id] = ds
@@ -206,67 +217,25 @@ func (r *jrec) walk(c *logrec.Coder) {
 	}
 }
 
-// appendLocked writes one framed journal record durably and charges the
-// disk. Caller holds c.jmu.
+// appendLocked writes one journal record durably. Caller holds c.jmu.
 func (c *DurableClient) appendLocked(r jrec) error {
 	var enc logrec.Coder
 	r.walk(&enc)
-	payload := enc.Encoded()
-	frame := make([]byte, 0, len(payload)+10)
-	frame = append(frame, r.typ)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	if _, err := c.file.WriteAt(frame, c.off); err != nil {
+	lsn, err := c.log.Append(r.typ, enc.Encoded())
+	if err != nil {
 		return err
 	}
-	c.off += int64(len(frame))
-	sectors := (len(frame) + simdisk.SectorSize - 1) / simdisk.SectorSize
-	c.file.Disk().ChargeWrite(sectors, sectors*simdisk.SectorSize-len(frame))
-	return nil
+	return c.log.Flush(lsn)
 }
 
-// load replays the journal's valid prefix.
-func (c *DurableClient) load() error {
-	size := c.file.Size()
-	if size == 0 {
-		return nil
-	}
-	buf := make([]byte, size)
-	if _, err := c.file.ReadAt(buf, 0); err != nil {
-		return err
-	}
-	c.file.Disk().ChargeRead(int((size + simdisk.SectorSize - 1) / simdisk.SectorSize))
-	off := int64(0)
-	for int(off)+9 <= len(buf) {
-		typ := buf[off]
-		if typ == 0 {
-			break
-		}
-		n := int(binary.LittleEndian.Uint32(buf[off+1:]))
-		if int(off)+9+n > len(buf) {
-			break
-		}
-		payload := buf[off+5 : off+5+int64(n)]
-		want := binary.LittleEndian.Uint32(buf[off+5+int64(n):])
-		if crc32.ChecksumIEEE(payload) != want {
-			break // torn tail
-		}
-		c.applyJournal(typ, payload)
-		off += int64(9 + n)
-	}
-	c.off = off
-	return nil
-}
-
-// applyJournal replays one record; a corrupt one, or one naming a session
-// the journal never began, is skipped.
-func (c *DurableClient) applyJournal(typ byte, p []byte) {
+// applyJournal replays one record; one that does not decode, or one
+// naming a session the journal never began, is skipped.
+func (c *DurableClient) applyJournal(_ wal.LSN, typ byte, p []byte) error {
 	r := jrec{typ: typ}
 	dec := logrec.NewDecoder(p)
 	r.walk(&dec)
 	if dec.Done("journal record") != nil {
-		return
+		return nil
 	}
 	if typ == dcBegin {
 		c.openLocked(r.id, r.target)
@@ -276,7 +245,7 @@ func (c *DurableClient) applyJournal(typ byte, p []byte) {
 		if _, err := fmt.Sscanf(r.id, c.id+"#%d", &n); err == nil && n > c.counter {
 			c.counter = n
 		}
-		return
+		return nil
 	}
 	ds := c.sessions[r.id]
 	switch {
@@ -291,4 +260,5 @@ func (c *DurableClient) applyJournal(typ byte, p []byte) {
 			ds.nextSeq = r.seq + 1
 		}
 	}
+	return nil
 }

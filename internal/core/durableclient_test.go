@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -13,6 +12,7 @@ import (
 
 	"mspr/internal/rpc"
 	"mspr/internal/simdisk"
+	"mspr/internal/wal"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/journal.golden")
@@ -167,9 +167,10 @@ func TestDurableClientSurvivesServerAndClientCrash(t *testing.T) {
 
 // TestJournalFormatPinned compares the journal of a session with two
 // completed calls, one without an argument and one with, with
-// testdata/journal.golden, one frame per line: a begin, then an intent
-// and a done per call. A journal in that format must keep restoring:
-// without its last frame, the second call is pending again.
+// testdata/journal.golden, one record per line as its type and payload,
+// read back through the log: a begin, then an intent and a done per call.
+// A journal in that format must keep restoring: without its last record,
+// the second call is pending again.
 func TestJournalFormatPinned(t *testing.T) {
 	e, disk := newDurableClientEnv(t)
 	defer e.cleanup()
@@ -183,19 +184,23 @@ func TestJournalFormatPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dc.Crash()
-
-	f := disk.OpenFile("client/dclient")
-	buf := make([]byte, f.Size())
-	if _, err := f.ReadAt(buf, 0); err != nil {
+	if err := dc.Crash(); err != nil {
 		t.Fatal(err)
 	}
+
+	type rec struct {
+		typ     byte
+		payload []byte
+	}
+	var recs []rec
 	var got strings.Builder
-	var ends []int
-	for off := 0; off+9 <= len(buf); off = ends[len(ends)-1] {
-		end := off + 9 + int(binary.LittleEndian.Uint32(buf[off+1:]))
-		fmt.Fprintf(&got, "%x\n", buf[off:end])
-		ends = append(ends, end)
+	journal := openJournal(t, disk)
+	if _, err := journal.Scan(0, func(_ wal.LSN, typ byte, p []byte) error {
+		recs = append(recs, rec{typ, p})
+		fmt.Fprintf(&got, "%02x %x\n", typ, p)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "journal.golden")
 	if *update {
@@ -212,7 +217,17 @@ func TestJournalFormatPinned(t *testing.T) {
 	}
 
 	disk2 := simdisk.NewDisk(simdisk.DefaultModel(0))
-	if _, err := disk2.OpenFile("client/dclient").WriteAt(buf[:ends[len(ends)-2]], 0); err != nil {
+	prefix := openJournal(t, disk2)
+	for _, r := range recs[:len(recs)-1] {
+		lsn, err := prefix.Append(r.typ, r.payload)
+		if err == nil {
+			err = prefix.Flush(lsn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := prefix.Close(); err != nil {
 		t.Fatal(err)
 	}
 	dc2 := mustDurable(t, e, disk2)
@@ -226,6 +241,23 @@ func TestJournalFormatPinned(t *testing.T) {
 	}
 }
 
+// openJournal opens the journal log of the client "dclient" on disk.
+func openJournal(t *testing.T, disk *simdisk.Disk) *wal.Log {
+	t.Helper()
+	log, err := wal.Open(disk, "client/dclient", wal.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := log.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return log
+}
+
+// A torn tail is cut off, and a call journalled after it survives the
+// next restart.
 func TestDurableClientTornJournalTail(t *testing.T) {
 	e, disk := newDurableClientEnv(t)
 	defer e.cleanup()
@@ -235,13 +267,57 @@ func TestDurableClientTornJournalTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	dc.Crash()
-	// Corrupt the journal tail.
-	f := disk.OpenFile("client/dclient")
+	// Garbage after the last record, as a torn write leaves it.
+	f := disk.OpenFile("client/dclient.000001")
 	_, _ = f.WriteAt([]byte{9, 9, 9}, f.Size())
 	dc2 := mustDurable(t, e, disk)
-	defer dc2.Close()
 	if len(dc2.Sessions()) != 1 {
 		t.Fatalf("valid journal prefix lost: %v", dc2.Sessions())
+	}
+	if _, err := dc2.Sessions()[ds.ID()].Call("inc", nil); err != nil {
+		t.Fatal(err)
+	}
+	dc2.Crash()
+	dc3 := mustDurable(t, e, disk)
+	defer dc3.Close()
+	out, err := dc3.Sessions()[ds.ID()].Call("inc", nil)
+	if err != nil || asU64(out) != 3 {
+		t.Fatalf("inc after two restarts = (%d, %v), want 3: the call after the repaired tail was forgotten", asU64(out), err)
+	}
+}
+
+// A damaged record with valid records after it is corruption: the client
+// must refuse to start rather than forget a sequence number it used.
+func TestDurableClientMidJournalDamageIsCorruption(t *testing.T) {
+	e, disk := newDurableClientEnv(t)
+	defer e.cleanup()
+	dc := mustDurable(t, e, disk)
+	ds, _ := dc.Session("msp1")
+	if _, err := ds.Call("inc", nil); err != nil {
+		t.Fatal(err)
+	}
+	dc.Crash()
+	var lsns []wal.LSN
+	journal := openJournal(t, disk)
+	if _, err := journal.Scan(0, func(lsn wal.LSN, _ byte, _ []byte) error {
+		lsns = append(lsns, lsn)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(lsns) != 3 {
+		t.Fatalf("journal holds %d records, want begin, intent and done", len(lsns))
+	}
+	// Flip a byte of the intent. In the first segment a record's file
+	// offset is its LSN.
+	f := disk.OpenFile("client/dclient.000001")
+	b := make([]byte, 1)
+	off := int64(lsns[1]) + 8
+	_, _ = f.ReadAt(b, off)
+	b[0] ^= 0x40
+	_, _ = f.WriteAt(b, off)
+	if _, err := NewDurableClient("dclient", e.net, disk, rpc.DefaultCallOptions(0)); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("restart after damaging the intent: %v, want wal.ErrCorrupt", err)
 	}
 }
 
@@ -303,7 +379,11 @@ func TestCloseEndsCallInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inFlight(func() error { _, err := ds.Call("inc", nil); return err }, dc.Crash)
+	inFlight(func() error { _, err := ds.Call("inc", nil); return err }, func() {
+		if err := dc.Crash(); err != nil {
+			t.Error(err)
+		}
+	})
 	dc2 := mustDurable(t, e, disk)
 	defer dc2.Close()
 	if _, _, ok := dc2.Sessions()[ds.ID()].Pending(); !ok {

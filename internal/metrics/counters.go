@@ -185,7 +185,9 @@ type WalCounters struct {
 	ScanRecords Counter
 }
 
-// Wal holds the process-wide log-layer counters.
+// Wal holds the process-wide log-layer counters. Every wal.Log of the
+// process counts here, sdb stores' and durable clients' journals too: the
+// "wal:" line of mspr-chaos includes the ledger's log.
 var Wal WalCounters
 
 // OverloadCounters is the observability surface of the overload-control

@@ -16,7 +16,7 @@ func TestCommitCrashIsDurableButUnacknowledged(t *testing.T) {
 	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
 	fp := failpoint.New(21)
 	disk.SetFailpoints(fp)
-	s, err := Open(disk, "db", Options{})
+	s, err := Open(disk, "db")
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestCommitCrashIsDurableButUnacknowledged(t *testing.T) {
 	}
 
 	// The next incarnation replays the journal: the crashed commit is in.
-	s2, err := Open(disk, "db", Options{})
+	s2, err := Open(disk, "db")
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestTornJournalWriteLosesOnlyThatCommit(t *testing.T) {
 	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
 	fp := failpoint.New(22)
 	disk.SetFailpoints(fp)
-	s, err := Open(disk, "db", Options{})
+	s, err := Open(disk, "db")
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -68,7 +68,11 @@ func TestTornJournalWriteLosesOnlyThatCommit(t *testing.T) {
 		t.Fatalf("commit: %v", err)
 	}
 
-	fp.Enable(simdisk.FPWriteTorn + ":db.journal")
+	// Four bytes persist: the tear cuts the commit's frame header. The
+	// write is a whole sector-padded block, so a random prefix may keep
+	// the entire frame: that commit is durable but unacknowledged,
+	// FPCommitCrash's outcome, and not what this test is about.
+	fp.Enable(simdisk.FPWriteTorn+":db.journal", failpoint.Arg(4))
 	tx2 := s.Begin(true)
 	tx2.Put("b", []byte("torn"))
 	if err := tx2.Commit(); !failpoint.IsInjected(err) {
@@ -78,7 +82,7 @@ func TestTornJournalWriteLosesOnlyThatCommit(t *testing.T) {
 		t.Fatal("store not wedged after torn journal write")
 	}
 
-	s2, err := Open(disk, "db", Options{})
+	s2, err := Open(disk, "db")
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

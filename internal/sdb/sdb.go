@@ -5,24 +5,27 @@
 // write transaction per request — the cost structure the experiments
 // compare log-based recovery against.
 //
-// Commits journal their writes and sync before returning; the journal is
-// replayed on open, and compacted into a snapshot when it grows large.
-// Disk costs are charged to the backing simulated disk: a read
-// transaction charges the sectors it reads, a commit charges a synced
-// journal write (which, on the paper's disk model, includes the expected
-// random-seek component — the dominant cost of Psession).
+// The journal is a wal.Log: a commit is one record and a flush, so it
+// returns only once the record is durable. Once the log has grown by
+// compactAt bytes, a snapshot record of the whole store is written, the
+// anchor is pointed at it and the log below it is truncated; Open replays
+// from the newest snapshot. Disk costs are charged to the backing
+// simulated disk: a read transaction charges the sectors it reads, a
+// commit the synced log write (which, on the paper's disk model, includes
+// the expected random-seek component — the dominant cost of Psession).
 package sdb
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
+	"slices"
 	"sync"
 
 	"mspr/internal/failpoint"
+	"mspr/internal/logrec"
 	"mspr/internal/simdisk"
+	"mspr/internal/wal"
 )
 
 // FPCommitCrash crashes a commit between the journal write and the
@@ -38,104 +41,144 @@ const FPCommitCrash = "sdb.commit.crash"
 // process died mid-commit; only reopening (a new incarnation) helps.
 var ErrWedged = errors.New("sdb: store wedged by injected crash")
 
+// The journal compacts once it has grown by compactAt bytes since the
+// last snapshot. A segment holds four compactions: a rotation writes a
+// segment header and the anchor, a seek each on the paper's disk model,
+// and rotating on every compaction would raise Psession's commit cost.
+const (
+	compactAt   = 1 << 20
+	segmentSize = 4 * compactAt
+)
+
+// Record types of the journal. Both list puts, then deleted keys.
+const (
+	recCommit byte = 1 // one transaction's writes, overlaid on the state
+	recSnap   byte = 2 // the whole store, replacing the state
+)
+
 // Store is a durable transactional KV store. Write transactions are
 // serialized (single-writer two-phase locking degenerate case): Begin
 // with writable=true blocks until the previous writer commits or aborts,
 // so read-modify-write sequences inside a transaction are isolated.
 type Store struct {
-	disk     *simdisk.Disk
-	journal  *simdisk.File
-	snapshot *simdisk.File
+	disk *simdisk.Disk
+	log  *wal.Log
 
 	writer sync.Mutex // serializes writable transactions
+	// snapEnd is where the newest snapshot record ends, compactAt the
+	// growth past it that triggers the next; both belong to the writer.
+	snapEnd   wal.LSN
+	compactAt wal.LSN
 
-	mu         sync.Mutex
-	data       map[string][]byte
-	journalOff int64
-	compactAt  int64
-	wedged     bool
+	mu     sync.Mutex
+	data   map[string][]byte
+	wedged bool
 }
 
-// Options tunes the store.
-type Options struct {
-	// CompactAt compacts the journal into a snapshot once it exceeds this
-	// many bytes (default 1 MB).
-	CompactAt int64
-}
-
-// Open opens (creating if necessary) the named store on disk, replaying
-// the snapshot and journal.
-func Open(disk *simdisk.Disk, name string, opts Options) (*Store, error) {
-	if opts.CompactAt <= 0 {
-		opts.CompactAt = 1 << 20
-	}
-	s := &Store{
-		disk:      disk,
-		journal:   disk.OpenFile(name + ".journal"),
-		snapshot:  disk.OpenFile(name + ".snap"),
-		data:      make(map[string][]byte),
-		compactAt: opts.CompactAt,
-	}
-	if err := s.load(); err != nil {
+// Open opens (creating if necessary) the named store on disk: it replays
+// the journal from the newest snapshot and cuts off a torn tail. Damage
+// to a record that valid records follow is wal.ErrCorrupt: those were
+// acknowledged commits.
+func Open(disk *simdisk.Disk, name string) (*Store, error) {
+	log, err := wal.Open(disk, name+".journal", wal.Config{SegmentSize: segmentSize})
+	if err != nil {
 		return nil, err
+	}
+	s := &Store{disk: disk, log: log, compactAt: compactAt, data: make(map[string][]byte)}
+	if err := s.load(); err != nil {
+		return nil, errors.Join(err, log.Close())
 	}
 	return s, nil
 }
 
-// load replays the snapshot then the journal's valid prefix.
+// load replays the journal from the snapshot the anchor names.
 func (s *Store) load() error {
-	if size := s.snapshot.Size(); size > 0 {
-		buf := make([]byte, size)
-		if _, err := s.snapshot.ReadAt(buf, 0); err != nil {
-			return err
-		}
-		s.disk.ChargeRead(int((size + simdisk.SectorSize - 1) / simdisk.SectorSize))
-		m, _, err := decodeKVBlock(buf)
-		if err != nil {
-			return fmt.Errorf("sdb: corrupt snapshot: %w", err)
-		}
-		s.data = m
-	}
-	size := s.journal.Size()
-	if size == 0 {
-		return nil
-	}
-	buf := make([]byte, size)
-	if _, err := s.journal.ReadAt(buf, 0); err != nil {
+	a, _, err := s.log.ReadAnchor()
+	if err != nil {
 		return err
 	}
-	s.disk.ChargeRead(int((size + simdisk.SectorSize - 1) / simdisk.SectorSize))
-	off := int64(0)
-	for off < size {
-		m, n, err := decodeKVBlock(buf[off:])
-		if err != nil {
-			break // torn tail: the valid prefix is the committed history
+	_, err = s.log.Scan(a.CheckpointLSN, func(lsn wal.LSN, typ byte, p []byte) error {
+		var puts map[string][]byte
+		var dels []string
+		dec := logrec.NewDecoder(p)
+		walkRecord(&dec, &puts, &dels)
+		if err := dec.Done("sdb record"); err != nil {
+			return fmt.Errorf("sdb: %w", err)
 		}
-		for k, v := range m {
-			if v == nil {
-				delete(s.data, k)
-			} else {
-				s.data[k] = v
-			}
+		if typ == recSnap {
+			s.data = make(map[string][]byte, len(puts))
+			s.snapEnd = lsn + wal.LSN(len(p)+wal.FrameOverhead)
 		}
-		off += int64(n)
+		s.apply(puts, dels)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	s.journalOff = off
+	s.log.RepairTail()
 	return nil
 }
 
-// Get reads a key outside any transaction, charging a read. It returns a
-// copy of the value.
+// walkRecord lists a journal record's fields: the puts, then the
+// deleted keys.
+func walkRecord(c *logrec.Coder, puts *map[string][]byte, dels *[]string) {
+	c.StrMap(puts)
+	n := c.Len(len(*dels))
+	if c.Decoding() {
+		*dels = make([]string, n)
+	}
+	for i := range *dels {
+		c.Str(&(*dels)[i])
+	}
+}
+
+// apply overlays puts and deletions on the state. The caller holds s.mu,
+// or is load, before the store is shared.
+func (s *Store) apply(puts map[string][]byte, dels []string) {
+	for k, v := range puts {
+		s.data[k] = v
+	}
+	for _, k := range dels {
+		delete(s.data, k)
+	}
+}
+
+// write appends one record, flushes it and returns its LSN. The caller
+// holds the writer lock but not s.mu: readers never wait on the disk.
+func (s *Store) write(typ byte, puts map[string][]byte, dels []string) (wal.LSN, error) {
+	var enc logrec.Coder
+	walkRecord(&enc, &puts, &dels)
+	lsn, err := s.log.Append(typ, enc.Encoded())
+	if err == nil {
+		err = s.log.Flush(lsn)
+	}
+	return lsn, s.failed(err)
+}
+
+// failed wedges the store if err is an injected fault, which means the
+// process died mid-write, and returns err.
+func (s *Store) failed(err error) error {
+	if failpoint.IsInjected(err) {
+		s.mu.Lock()
+		s.wedged = true
+		s.mu.Unlock()
+	}
+	return err
+}
+
+// Close ends this incarnation of the store; the data stays on disk. A
+// commit through a closed store fails with wal.ErrClosed, so a dead
+// incarnation cannot write over the records of the one reopened after it.
+func (s *Store) Close() error { return s.log.Close() }
+
+// Get reads a key outside any transaction, charging a read of at least
+// one sector. It returns a copy of the value.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	v, ok := s.data[key]
 	out := append([]byte(nil), v...)
 	s.mu.Unlock()
-	sectors := (len(out) + simdisk.SectorSize - 1) / simdisk.SectorSize
-	if sectors == 0 {
-		sectors = 1
-	}
-	s.disk.ChargeRead(sectors)
+	s.disk.ChargeRead(max(1, (len(out)+simdisk.SectorSize-1)/simdisk.SectorSize))
 	return out, ok
 }
 
@@ -171,23 +214,11 @@ func (tx *Tx) Get(key string) ([]byte, bool, error) {
 		}
 		return append([]byte(nil), v...), true, nil
 	}
-	tx.store.mu.Lock()
-	if tx.store.wedged {
-		tx.store.mu.Unlock()
+	if tx.store.Wedged() {
 		return nil, false, ErrWedged
 	}
-	v, ok := tx.store.data[key]
-	out := append([]byte(nil), v...)
-	tx.store.mu.Unlock()
-	sectors := (len(out) + simdisk.SectorSize - 1) / simdisk.SectorSize
-	if sectors == 0 {
-		sectors = 1
-	}
-	tx.store.disk.ChargeRead(sectors)
-	if !ok {
-		return nil, false, nil
-	}
-	return out, true, nil
+	v, ok := tx.store.Get(key)
+	return v, ok, nil
 }
 
 // Put stages a write.
@@ -214,8 +245,8 @@ func (tx *Tx) Delete(key string) error {
 	return nil
 }
 
-// Commit makes the transaction's writes durable: one synced journal
-// append. Read-only transactions commit for free.
+// Commit makes the transaction's writes durable: one journal record
+// and a flush. Read-only transactions commit for free.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return errTxDone
@@ -229,19 +260,23 @@ func (tx *Tx) Commit() error {
 		return nil
 	}
 	s := tx.store
-	block := encodeKVBlock(tx.writes)
-	s.mu.Lock()
-	if s.wedged {
-		s.mu.Unlock()
+	if s.Wedged() {
 		return ErrWedged
 	}
-	if _, err := s.journal.WriteAt(block, s.journalOff); err != nil {
-		if failpoint.IsInjected(err) {
-			s.wedged = true // torn/corrupt journal write: the process died mid-commit
+	puts := make(map[string][]byte, len(tx.writes))
+	var dels []string
+	for k, v := range tx.writes {
+		if v == nil {
+			dels = append(dels, k)
+		} else {
+			puts[k] = v
 		}
-		s.mu.Unlock()
+	}
+	slices.Sort(dels)
+	if _, err := s.write(recCommit, puts, dels); err != nil {
 		return err
 	}
+	s.mu.Lock()
 	if _, ok := s.disk.Failpoints().Eval(FPCommitCrash); ok {
 		// The journal record is fully durable, but this incarnation dies
 		// before observing the commit: in-memory state is NOT updated and
@@ -250,19 +285,9 @@ func (tx *Tx) Commit() error {
 		s.mu.Unlock()
 		return fmt.Errorf("sdb: commit crashed after journal write: %w", failpoint.ErrInjected)
 	}
-	s.journalOff += int64(len(block))
-	for k, v := range tx.writes {
-		if v == nil {
-			delete(s.data, k)
-		} else {
-			s.data[k] = v
-		}
-	}
-	needCompact := s.journalOff >= s.compactAt
+	s.apply(puts, dels)
 	s.mu.Unlock()
-	sectors := (len(block) + simdisk.SectorSize - 1) / simdisk.SectorSize
-	s.disk.ChargeWrite(sectors, sectors*simdisk.SectorSize-len(block))
-	if needCompact {
+	if s.log.Next()-s.snapEnd >= s.compactAt {
 		return s.compact()
 	}
 	return nil
@@ -279,35 +304,20 @@ func (tx *Tx) Abort() {
 	}
 }
 
-// compact folds the journal into a snapshot and truncates it. The whole
-// operation holds the store lock: a commit interleaving between the
-// snapshot write and the journal truncation would be destroyed (its
-// journal record truncated, its data missing from the snapshot). Replay
-// after a crash between the two file writes is safe because journal
-// records carry absolute values — re-applying them over the snapshot is
-// idempotent. The caller holds the writer lock (compaction runs from
-// Commit), so no writable transaction is in flight.
+// compact writes a snapshot record of the whole store, points the anchor
+// at it and truncates the log below it; a crash before the anchor write
+// recovers from the previous snapshot. The caller, Commit, holds the
+// writer lock, so the state the snapshot encodes without s.mu is stable.
 func (s *Store) compact() error {
-	s.mu.Lock()
-	snap := encodeKVBlock(s.data)
-	if _, err := s.snapshot.WriteAt(snap, 0); err != nil {
-		s.mu.Unlock()
+	lsn, err := s.write(recSnap, s.data, nil)
+	if err != nil {
 		return err
 	}
-	if err := s.snapshot.Truncate(int64(len(snap))); err != nil {
-		s.mu.Unlock()
-		return err
+	if err := s.log.WriteAnchor(wal.Anchor{CheckpointLSN: lsn, Head: lsn}); err != nil {
+		return s.failed(err)
 	}
-	if err := s.journal.Truncate(0); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	s.journalOff = 0
-	s.mu.Unlock()
-	sectors := (len(snap) + simdisk.SectorSize - 1) / simdisk.SectorSize
-	s.disk.ChargeWrite(sectors, 0)
-	s.disk.ChargeWrite(1, 0)
-	return nil
+	s.snapEnd = s.log.Next()
+	return s.failed(s.log.TruncateHead(lsn))
 }
 
 // Wedged reports whether the store's simulated process died mid-commit
@@ -342,78 +352,4 @@ func (s *Store) Digest() uint64 {
 		d ^= h.Sum64()
 	}
 	return d
-}
-
-// encodeKVBlock serializes a map as [payloadLen u32][count u32][entries...][crc u32]
-// where each entry is [keyLen u32][key][hasValue u8][valLen u32][val].
-func encodeKVBlock(m map[string][]byte) []byte {
-	var body []byte
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(m)))
-	for k, v := range m {
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(k)))
-		body = append(body, k...)
-		if v == nil {
-			body = append(body, 0)
-			continue
-		}
-		body = append(body, 1)
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(v)))
-		body = append(body, v...)
-	}
-	out := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
-	out = append(out, body...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
-	return out
-}
-
-// decodeKVBlock parses one block, returning the map and bytes consumed.
-func decodeKVBlock(buf []byte) (map[string][]byte, int, error) {
-	if len(buf) < 8 {
-		return nil, 0, errors.New("sdb: short block")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	if len(buf) < 4+n+4 {
-		return nil, 0, errors.New("sdb: truncated block")
-	}
-	body := buf[4 : 4+n]
-	want := binary.LittleEndian.Uint32(buf[4+n:])
-	if crc32.ChecksumIEEE(body) != want {
-		return nil, 0, errors.New("sdb: bad block crc")
-	}
-	if len(body) < 4 {
-		return nil, 0, errors.New("sdb: bad block body")
-	}
-	count := int(binary.LittleEndian.Uint32(body))
-	body = body[4:]
-	m := make(map[string][]byte, count)
-	for i := 0; i < count; i++ {
-		if len(body) < 4 {
-			return nil, 0, errors.New("sdb: bad entry")
-		}
-		kl := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if len(body) < kl+1 {
-			return nil, 0, errors.New("sdb: bad key")
-		}
-		k := string(body[:kl])
-		has := body[kl]
-		body = body[kl+1:]
-		if has == 0 {
-			m[k] = nil
-			continue
-		}
-		if len(body) < 4 {
-			return nil, 0, errors.New("sdb: bad value length")
-		}
-		vl := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if len(body) < vl {
-			return nil, 0, errors.New("sdb: bad value")
-		}
-		v := make([]byte, vl) // non-nil even when empty: nil means deletion
-		copy(v, body[:vl])
-		m[k] = v
-		body = body[vl:]
-	}
-	return m, 4 + n + 4, nil
 }

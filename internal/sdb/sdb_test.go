@@ -2,17 +2,21 @@ package sdb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"mspr/internal/logrec"
 	"mspr/internal/simdisk"
+	"mspr/internal/wal"
 )
 
 func newStore(t *testing.T) (*Store, *simdisk.Disk) {
 	t.Helper()
 	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
-	s, err := Open(disk, "db", Options{})
+	s, err := Open(disk, "db")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +95,7 @@ func TestDelete(t *testing.T) {
 
 func TestDurabilityAcrossReopen(t *testing.T) {
 	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
-	s, _ := Open(disk, "db", Options{})
+	s, _ := Open(disk, "db")
 	for i := 0; i < 20; i++ {
 		tx := s.Begin(true)
 		_ = tx.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
@@ -99,7 +103,7 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s2, err := Open(disk, "db", Options{})
+	s2, err := Open(disk, "db")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,26 +116,55 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 }
 
 func TestCompactionPreservesData(t *testing.T) {
-	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
-	s, _ := Open(disk, "db", Options{CompactAt: 256})
-	for i := 0; i < 50; i++ {
-		tx := s.Begin(true)
-		_ = tx.Put("hot", []byte(fmt.Sprintf("v%d", i)))
-		_ = tx.Put(fmt.Sprintf("cold%d", i), []byte("x"))
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s2, err := Open(disk, "db", Options{CompactAt: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok := s2.Get("hot")
-	if !ok || string(v) != "v49" {
-		t.Fatalf("hot = (%q, %v)", v, ok)
-	}
-	if s2.Len() != 51 {
-		t.Fatalf("len = %d, want 51", s2.Len())
+	big := bytes.Repeat([]byte("s"), 100<<10) // a snapshot larger than one 64 KB read-ahead block
+	for _, tc := range []struct {
+		name string
+		big  []byte
+	}{{"small", nil}, {"snapshot over one read-ahead block", big}} {
+		t.Run(tc.name, func(t *testing.T) {
+			disk := simdisk.NewDisk(simdisk.DefaultModel(0))
+			s, _ := Open(disk, "db")
+			s.compactAt = 256
+			if tc.big != nil {
+				tx := s.Begin(true)
+				_ = tx.Put("big", tc.big)
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 50; i++ {
+				tx := s.Begin(true)
+				_ = tx.Put("hot", []byte(fmt.Sprintf("v%d", i)))
+				_ = tx.Put(fmt.Sprintf("cold%d", i), []byte("x"))
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if a, ok, err := s.log.ReadAnchor(); err != nil || !ok || a.CheckpointLSN == 0 {
+				t.Fatalf("no snapshot anchored: (%+v, %v, %v)", a, ok, err)
+			}
+			s2, err := Open(disk, "db")
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, ok := s2.Get("hot")
+			if !ok || string(v) != "v49" {
+				t.Fatalf("hot = (%q, %v)", v, ok)
+			}
+			want := 51
+			if tc.big != nil {
+				want++
+				if v, _ := s2.Get("big"); !bytes.Equal(v, tc.big) {
+					t.Fatalf("big value came back as %d bytes, want %d", len(v), len(tc.big))
+				}
+			}
+			if s2.Len() != want {
+				t.Fatalf("len = %d, want %d", s2.Len(), want)
+			}
+			if s2.Digest() != s.Digest() {
+				t.Fatal("reopened store's digest differs from the one that wrote it")
+			}
+		})
 	}
 }
 
@@ -146,30 +179,24 @@ func TestCommitChargesDisk(t *testing.T) {
 	}
 }
 
-func TestKVBlockRoundTripProperty(t *testing.T) {
-	prop := func(keys []string, vals [][]byte) bool {
-		m := make(map[string][]byte)
-		for i, k := range keys {
-			if i < len(vals) {
-				m[k] = vals[i]
-			} else {
-				m[k] = nil
+func TestRecordRoundTripProperty(t *testing.T) {
+	prop := func(puts map[string][]byte, dels []string) bool {
+		for k, v := range puts {
+			if len(v) == 0 {
+				puts[k] = []byte{0} // a put's value is never empty: an empty Put is staged as a delete
 			}
 		}
-		block := encodeKVBlock(m)
-		got, n, err := decodeKVBlock(block)
-		if err != nil || n != len(block) || len(got) != len(m) {
+		var enc logrec.Coder
+		walkRecord(&enc, &puts, &dels)
+		var gotPuts map[string][]byte
+		var gotDels []string
+		dec := logrec.NewDecoder(enc.Encoded())
+		walkRecord(&dec, &gotPuts, &gotDels)
+		if dec.Done("record") != nil || len(gotPuts) != len(puts) || !slices.Equal(gotDels, dels) {
 			return false
 		}
-		for k, v := range m {
-			gv, ok := got[k]
-			if !ok && v != nil {
-				return false
-			}
-			if (v == nil) != (gv == nil) {
-				return false
-			}
-			if !bytes.Equal(gv, v) {
+		for k, v := range puts {
+			if !bytes.Equal(gotPuts[k], v) {
 				return false
 			}
 		}
@@ -180,20 +207,116 @@ func TestKVBlockRoundTripProperty(t *testing.T) {
 	}
 }
 
+// commitKV commits one put and fails the test on error.
+func commitKV(t *testing.T, s *Store, k, v string) {
+	t.Helper()
+	tx := s.Begin(true)
+	_ = tx.Put(k, []byte(v))
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit %s: %v", k, err)
+	}
+}
+
+// recordLSNs lists the LSNs of the records in the named store's journal.
+func recordLSNs(t *testing.T, disk *simdisk.Disk, name string) []wal.LSN {
+	t.Helper()
+	log, err := wal.Open(disk, name+".journal", wal.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lsns []wal.LSN
+	if _, err := log.Scan(0, func(lsn wal.LSN, _ byte, _ []byte) error {
+		lsns = append(lsns, lsn)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return lsns
+}
+
+// A torn tail is cut off, and the next commit after it lands where the
+// next open finds it.
 func TestTornJournalTailIgnored(t *testing.T) {
 	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
-	s, _ := Open(disk, "db", Options{})
-	tx := s.Begin(true)
-	_ = tx.Put("good", []byte("v"))
-	_ = tx.Commit()
-	// Corrupt the journal tail, simulating a torn write.
-	j := disk.OpenFile("db.journal")
+	s, _ := Open(disk, "db")
+	commitKV(t, s, "good", "v")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Garbage after the last record, as a torn write leaves it.
+	j := disk.OpenFile("db.journal.000001")
 	_, _ = j.WriteAt([]byte{1, 2, 3}, j.Size())
-	s2, err := Open(disk, "db", Options{})
+	s2, err := Open(disk, "db")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s2.Get("good"); !ok {
 		t.Fatal("valid prefix lost")
+	}
+	commitKV(t, s2, "after", "v")
+	s3, err := Open(disk, "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s3.Get("after"); !ok {
+		t.Fatal("a commit after the repaired tail was lost")
+	}
+}
+
+// A damaged record with acknowledged commits after it is corruption,
+// not a tail to cut: Open must refuse instead of dropping them.
+func TestMidJournalDamageIsCorruption(t *testing.T) {
+	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
+	s, _ := Open(disk, "db")
+	for _, k := range []string{"a", "b", "c"} {
+		commitKV(t, s, k, "v")
+	}
+	lsns := recordLSNs(t, disk, "db")
+	if len(lsns) != 3 {
+		t.Fatalf("journal holds %d records, want 3", len(lsns))
+	}
+	// In the first segment a record's file offset is its LSN.
+	j := disk.OpenFile("db.journal.000001")
+	b := make([]byte, 1)
+	off := int64(lsns[1]) + 8
+	_, _ = j.ReadAt(b, off)
+	b[0] ^= 0x40
+	_, _ = j.WriteAt(b, off)
+	if _, err := Open(disk, "db"); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("open after damaging the second of three commits: %v, want wal.ErrCorrupt", err)
+	}
+}
+
+// A closed store's handle cannot write into the next incarnation's
+// journal.
+func TestStaleHandleCannotOverwrite(t *testing.T) {
+	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
+	old, _ := Open(disk, "db")
+	commitKV(t, old, "a", "v")
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := Open(disk, "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitKV(t, cur, "b", "v")
+	tx := old.Begin(true)
+	_ = tx.Put("stale", []byte("v"))
+	if err := tx.Commit(); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("commit through the closed store: %v, want wal.ErrClosed", err)
+	}
+	s, err := Open(disk, "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get("b"); !ok {
+		t.Fatal("the current incarnation's commit was overwritten")
+	}
+	if _, ok := s.Get("stale"); ok {
+		t.Fatal("the closed store's commit landed")
 	}
 }

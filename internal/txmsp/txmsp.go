@@ -159,7 +159,7 @@ func Start(cfg Config) (*Server, error) {
 	if cfg.Disk == nil {
 		return nil, errors.New("txmsp: config needs a Disk")
 	}
-	store, err := sdb.Open(cfg.Disk, cfg.ID+".db", sdb.Options{})
+	store, err := sdb.Open(cfg.Disk, cfg.ID+".db")
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +173,7 @@ func Start(cfg Config) (*Server, error) {
 	ccfg.TimeScale = cfg.TimeScale
 	srv, err := core.Start(ccfg)
 	if err != nil {
-		return nil, err
+		return nil, errors.Join(err, store.Close())
 	}
 	t.srv = srv
 	return t, nil
@@ -282,8 +282,15 @@ func (t *Server) exec(ctx *core.Ctx, arg []byte) ([]byte, error) {
 	return reply, nil
 }
 
-// Crash kills the resource manager process (the durable store survives).
-func (t *Server) Crash() { t.srv.Crash() }
+// Crash kills the resource manager process (the durable store survives)
+// and closes its store, so a commit still running in the dead incarnation
+// cannot write over the next one's records.
+func (t *Server) Crash() {
+	t.srv.Crash()
+	if err := t.store.Close(); err != nil { // closing only marks the log closed: a broken invariant
+		panic(fmt.Errorf("txmsp: closing the store of %s: %w", t.cfg.ID, err))
+	}
+}
 
 // Halted reports whether the resource manager's process has stopped.
 func (t *Server) Halted() bool { return t.srv.Halted() }

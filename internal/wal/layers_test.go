@@ -56,3 +56,25 @@ func TestWalStaysLayered(t *testing.T) {
 		}
 	}
 }
+
+// TestOneJournalFormat pins that the log is the module's one framed,
+// checksummed on-disk format: no non-test package outside internal/wal
+// imports hash/crc32. A package that needs a durable journal writes its
+// records through a wal.Log, and so inherits its torn-tail rule, its
+// mid-log corruption check and its failpoints.
+func TestOneJournalFormat(t *testing.T) {
+	_, files, err := invariants.ParseTree("../..", invariants.NonTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range files {
+		if strings.HasPrefix(name, "internal/wal/") {
+			continue
+		}
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "hash/crc32" {
+				t.Errorf("%s imports hash/crc32: journal through a wal.Log instead of framing records by hand", name)
+			}
+		}
+	}
+}
