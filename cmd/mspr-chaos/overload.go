@@ -20,8 +20,8 @@ func runOverloadStorm(spec chaos.OverloadSpec) int {
 	fmt.Printf("overload: closed-loop capacity %.0f ops/s (%d actors, %v); flooded open-loop at %.0f ops/s (%.1fx) for %v\n",
 		rep.Capacity, chaos.MeasureActors, rep.MeasureFor.Round(time.Millisecond),
 		rep.Capacity*spec.Factor, spec.Factor, spec.Duration)
-	fmt.Printf("overload: offered=%d (%.0f ops/s achieved, %.1fx capacity) ok=%d overloaded=%d circuitOpen=%d deadline=%d appErr=%d other=%d\n",
-		rep.Offered, rep.Achieved, rep.Achieved/rep.Capacity, rep.OK, rep.Overloaded,
+	fmt.Printf("overload: offered=%d (%.0f ops/s achieved, %.1fx capacity) ok=%d circuitOpen=%d deadline=%d appErr=%d other=%d\n",
+		rep.Offered, rep.Achieved, rep.Achieved/rep.Capacity, rep.OK,
 		rep.CircuitOpen, rep.Deadline, rep.AppErr, rep.Other)
 	printOverloadMetrics()
 	if sl := &rep.ShedLatency; sl.Count() > 0 {
@@ -46,9 +46,9 @@ func runOverloadStorm(spec chaos.OverloadSpec) int {
 // closed-loop storms (where sheds should be rare to absent).
 func printOverloadMetrics() {
 	o := &metrics.Overload
-	fmt.Printf("overload: admitted=%d admittedPriority=%d priorityOverflow=%d shedAtAdmission=%d shedExpired=%d retryBudgetExhausted=%d breakerOpens=%d\n",
+	fmt.Printf("overload: admitted=%d admittedPriority=%d priorityOverflow=%d shedAtAdmission=%d shedExpired=%d breakerOpens=%d\n",
 		o.Admitted.Load(), o.AdmittedPriority.Load(), o.PriorityOverflow.Load(), o.ShedAtAdmission.Load(),
-		o.ShedExpired.Load(), o.RetryBudgetExhausted.Load(), o.BreakerOpens.Load())
+		o.ShedExpired.Load(), o.BreakerOpens.Load())
 	fmt.Printf("overload: queueDepthPeak=%d priorityDepthPeak=%d\n",
 		o.QueueDepthPeak.Load(), o.PriorityDepthPeak.Load())
 }

@@ -20,9 +20,10 @@ import (
 // so offered load tracks capacity — so this storm first MEASURES the
 // closed-loop capacity, then floods the server open-loop at a multiple
 // of it with bursty arrivals and Zipf-skewed keys, crash-restarting the
-// server mid-saturation. Every flooded call carries a deadline, draws on
-// a shared retry budget, and trips a per-server circuit breaker; the
-// server sheds at the admission gate and at the pre-append check. The
+// server mid-saturation. Every flooded call carries a deadline and trips
+// a per-server circuit breaker; the server sheds at the admission gate and
+// at the pre-append check, and the client resends a shed request after its
+// own backoff until the breaker or the deadline ends the call. The
 // oracle records the whole history, and the storm asserts:
 //
 //   - zero correctness violations (exactly-once survives shedding:
@@ -53,9 +54,9 @@ type OverloadReport struct {
 	MeasureFor         time.Duration
 	Offered            int64
 	// The client-visible endings of the flooded calls.
-	OK, AppErr, Overloaded, CircuitOpen, Deadline, Other int64
-	// ShedLatency holds the time each client-side shed (overloaded,
-	// circuit open, deadline) took to come back.
+	OK, AppErr, CircuitOpen, Deadline, Other int64
+	// ShedLatency holds the time each client-side shed (circuit open,
+	// deadline) took to come back.
 	ShedLatency metrics.Series
 	// ServerSheds counts requests the server shed during the storm, at
 	// admission and at the pre-append deadline check.
@@ -74,9 +75,6 @@ func (r *OverloadReport) record(err error, took time.Duration) {
 	switch err {
 	case nil:
 		r.OK++
-	case rpc.ErrOverloaded:
-		r.Overloaded++
-		shed = true
 	case rpc.ErrCircuitOpen:
 		r.CircuitOpen++
 		shed = true
@@ -133,7 +131,7 @@ func RunOverload(c OverloadSpec) (*OverloadReport, error) {
 	sheds0, peak0 := serverSheds(), metrics.Overload.QueueDepthPeak.Load()
 
 	// Phase 1: measure closed-loop capacity — paper-style actors, no
-	// deadlines, no budgets, each waiting for its reply.
+	// deadlines, no breaker, each waiting for its reply.
 	capClient := newClient("cap-client", rpc.DefaultCallOptions(c.Scale))
 	defer capClient.Close()
 	var measured atomic.Int64
@@ -171,13 +169,12 @@ func RunOverload(c OverloadSpec) (*OverloadReport, error) {
 	// Phase 2: the open-loop flood. One call per session, abandoned on
 	// any non-terminal outcome — a shed request's sequence number is
 	// never reused with different arguments. All sessions toward the
-	// server share one retry budget and one circuit breaker.
+	// server share one circuit breaker.
 	floodOpts := rpc.DefaultCallOptions(c.Scale)
 	// Model time; ~30 ms wall at the default scale — comparable to the
 	// time a full normal lane takes to drain, so a slice of admitted
 	// requests expires in the queue and exercises the pre-append shed.
 	floodOpts.Timeout = 6 * time.Second
-	floodOpts.Budget = rpc.NewRetryBudget(64, 0.5)
 	floodOpts.Breaker = rpc.NewBreaker(32, 25*time.Millisecond)
 	floodClient := newClient("flood-client", floodOpts)
 	defer floodClient.Close()
@@ -257,8 +254,8 @@ func RunOverload(c OverloadSpec) (*OverloadReport, error) {
 	if rep.ServerSheds == 0 {
 		rep.Failures = append(rep.Failures, "the flood never shed: offered load did not exceed capacity, the storm proved nothing")
 	}
-	// A shed must fail fast: budget-bounded retries sleep at most a few
-	// RetryAfter hints (capped at 2s each), never the whole storm.
+	// A shed must fail fast: the deadline bounds a shed call's backoffs
+	// and the breaker cuts them short, never the whole storm.
 	if maxShed := rep.ShedLatency.Max(); maxShed > 10*time.Second {
 		rep.Failures = append(rep.Failures, fmt.Sprintf("slowest shed took %v: sheds must fail fast", maxShed))
 	}

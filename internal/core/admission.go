@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"mspr/internal/metrics"
 	"mspr/internal/rpc"
 	"mspr/internal/simtime"
@@ -12,9 +10,8 @@ import (
 // pool. The paper assumes the server eventually gets to every logged
 // interaction; under saturation "eventually" needs defending. The gate
 // sheds excess work at enqueue time — before any durable effect — with an
-// explicit StatusOverloaded reply carrying a RetryAfter hint, instead of
-// the old silent counted drop that left the client waiting out its resend
-// timer.
+// explicit StatusOverloaded reply, instead of the old silent counted drop
+// that left the client waiting out its resend timer.
 //
 // Three lanes feed the pool (Server.worker). The small priority lane,
 // because a flood of new client work must not starve the traffic recovery
@@ -41,18 +38,11 @@ const (
 	DefaultPriorityQueueDepth = 256
 )
 
-// Bounds on the RetryAfter hint attached to StatusOverloaded replies.
-const (
-	retryAfterMin = time.Millisecond
-	retryAfterMax = 2 * time.Second
-)
-
 // admit routes an incoming request into an admission lane or sheds it.
 // Shed points, in order: the propagated deadline (expired work is
 // dropped before it can occupy queue space), then lane capacity. Both
 // sheds answer immediately (best-effort) with StatusOverloaded so the
-// client's retry budget — not its resend timer — decides what happens
-// next.
+// client backs off at once instead of waiting out its resend timer.
 func (s *Server) admit(req rpc.Request) {
 	if s.shedIfExpired(req) {
 		return
@@ -70,7 +60,7 @@ func (s *Server) admit(req rpc.Request) {
 		default:
 			// Priority lane full: recovery traffic still rides the normal
 			// lane rather than being shed outright — executing late beats
-			// a shed that spends the client's retry budget on work the
+			// a shed that sends the client into a backoff for work the
 			// server WILL get to. But the fallback queues at the tail
 			// behind up to a full normal lane of new work, so the demotion
 			// is counted: priorityOverflow rising under load is the
@@ -133,12 +123,10 @@ func (s *Server) shedIfExpired(req rpc.Request) bool {
 	return true
 }
 
-// replyOverloaded answers a shed request, best-effort, with the current
-// RetryAfter hint.
+// replyOverloaded answers a shed request, best-effort.
 func (s *Server) replyOverloaded(req rpc.Request) {
 	s.stats.OverloadedReplies.Add(1)
-	s.reply(req.From, rpc.Reply{Session: req.Session, Seq: req.Seq,
-		Status: rpc.StatusOverloaded, RetryAfter: s.retryAfterHint()})
+	s.reply(req.From, rpc.Reply{Session: req.Session, Seq: req.Seq, Status: rpc.StatusOverloaded})
 }
 
 // observeQueueDepth records the combined and priority backlogs on the
@@ -146,43 +134,4 @@ func (s *Server) replyOverloaded(req rpc.Request) {
 func (s *Server) observeQueueDepth() {
 	metrics.Overload.QueueDepthPeak.Observe(int64(len(s.reqCh) + len(s.prioCh)))
 	metrics.Overload.PriorityDepthPeak.Observe(int64(len(s.prioCh)))
-}
-
-// noteServiceTime folds one request's service duration into
-// the exponentially weighted moving average the RetryAfter hint is
-// derived from (α = 1/8, the TCP RTT estimator's classic weight).
-func (s *Server) noteServiceTime(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	for {
-		old := s.svcEWMA.Load()
-		nw := old + (int64(d)-old)/8
-		if old == 0 {
-			nw = int64(d) // first sample seeds the average
-		}
-		if s.svcEWMA.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// retryAfterHint estimates when queue space frees up: the backlog ahead
-// of a newly shed request divided by the pool's drain rate, i.e.
-// backlog × (EWMA service time) / workers, clamped to sane wall-clock
-// bounds. With no samples yet it falls back to the minimum hint.
-func (s *Server) retryAfterHint() time.Duration {
-	ewma := time.Duration(s.svcEWMA.Load())
-	if ewma <= 0 {
-		return retryAfterMin
-	}
-	backlog := len(s.reqCh) + len(s.prioCh)
-	hint := ewma * time.Duration(backlog) / time.Duration(s.cfg.Workers)
-	if hint < retryAfterMin {
-		hint = retryAfterMin
-	}
-	if hint > retryAfterMax {
-		hint = retryAfterMax
-	}
-	return hint
 }

@@ -10,7 +10,7 @@ import (
 
 // clientCore is what every end client is made of: an endpoint with the
 // receive loop that routes replies to the waiting session, the call
-// options with the overload-control state they fan out to per target, the
+// options with the circuit breakers they fan out to per target, the
 // oracle's tap, and the one request driver (clientWire.drive). Client adds
 // nothing to it; DurableClient adds its journal.
 type clientCore struct {
@@ -21,28 +21,18 @@ type clientCore struct {
 	replies rpc.Router[string, rpc.Reply] // keyed by session ID
 
 	mu      sync.Mutex
-	ctl     map[string]targetControl
-	counter uint64 // last session number handed out
+	ctl     map[string]*rpc.Breaker // per target server; see wire
+	counter uint64                  // last session number handed out
 	stopped bool
 	stop    chan struct{}
 }
 
-// targetControl is the client's shared overload-control state toward one
-// target server: all of this client's sessions to that server draw from
-// the same retry budget and trip the same circuit breaker, so a shedding
-// server throttles the whole client, not one session at a time — and
-// sheds from one server never open the breaker toward another.
-type targetControl struct {
-	budget  *rpc.RetryBudget
-	breaker *rpc.Breaker
-}
-
 // start attaches the client to the network at address id and starts its
-// receive loop. When opts carries a Budget or Breaker, they are treated as
-// per-server templates: each distinct target gets its own clone.
+// receive loop. When opts carries a Breaker, it is a per-server template:
+// each distinct target gets its own clone.
 func (c *clientCore) start(id string, net *simnet.Network, opts rpc.CallOptions) {
 	c.id, c.ep, c.opts = id, net.Endpoint(simnet.Addr(id)), opts
-	c.ctl = make(map[string]targetControl)
+	c.ctl = make(map[string]*rpc.Breaker)
 	c.stop = make(chan struct{})
 	go rpc.Serve(c.ep, c.stop, func(m simnet.Message) {
 		if rep, ok := m.Payload.(rpc.Reply); ok {
@@ -77,23 +67,22 @@ func (c *clientCore) nextSessionID() string {
 
 // wire connects session id to the MSP at target: replies to the session
 // are routed to the wire, and its call options are the client's with the
-// Budget and Breaker (if configured) replaced by the per-target instances
-// shared across this client's sessions to target.
+// Breaker (if configured) replaced by the one all of this client's
+// sessions to target share — so a shedding server throttles the whole
+// client, not one session at a time, and sheds from one server never
+// open the breaker toward another.
 func (c *clientCore) wire(id, target string) clientWire {
-	c.mu.Lock()
-	tc, ok := c.ctl[target]
-	if !ok {
-		if c.opts.Budget != nil {
-			tc.budget = c.opts.Budget.Clone()
-		}
-		if c.opts.Breaker != nil {
-			tc.breaker = c.opts.Breaker.Clone()
-		}
-		c.ctl[target] = tc
-	}
-	c.mu.Unlock()
 	opts := c.opts
-	opts.Budget, opts.Breaker = tc.budget, tc.breaker
+	if opts.Breaker != nil {
+		c.mu.Lock()
+		b, ok := c.ctl[target]
+		if !ok {
+			b = opts.Breaker.Clone()
+			c.ctl[target] = b
+		}
+		c.mu.Unlock()
+		opts.Breaker = b
+	}
 	return clientWire{c: c, id: id, target: target, opts: opts, replies: c.replies.Register(id)}
 }
 
@@ -119,8 +108,8 @@ func (w *clientWire) ID() string { return w.id }
 //
 // A nil or *rpc.AppError error is terminal (see isTerminal): the request
 // executed, and the caller advances the sequence number. Any other error
-// — including the overload-control outcomes ErrOverloaded, ErrCircuitOpen
-// and ErrDeadlineExceeded, and ErrStopped from Close — leaves it open: the
+// — including the overload-control outcomes ErrCircuitOpen and
+// ErrDeadlineExceeded, and ErrStopped from Close — leaves it open: the
 // request may still execute server-side, so a later drive must send the
 // identical request again, or fetch the buffered reply through the
 // duplicate path.
@@ -177,8 +166,8 @@ func isTerminal(err error) bool {
 type Client struct{ clientCore }
 
 // NewClient creates a client attached to the network at address id.
-// When opts carries a Budget or Breaker, they are treated as per-server
-// templates: each distinct target gets its own clone (see Session).
+// When opts carries a Breaker, it is a per-server template: each distinct
+// target gets its own clone (see Session).
 func NewClient(id string, net *simnet.Network, opts rpc.CallOptions) *Client {
 	c := &Client{}
 	c.start(id, net, opts)

@@ -131,8 +131,7 @@ type Config struct {
 	PeerProbeEvery time.Duration
 	// RequestQueueDepth bounds the normal admission lane: new client work
 	// beyond this backlog is shed at enqueue time with StatusOverloaded
-	// and a RetryAfter hint instead of waiting out the client's resend
-	// timer. Zero selects the 4096 default (the pre-admission-gate queue
+	// instead of waiting out the client's resend timer. Zero selects the 4096 default (the pre-admission-gate queue
 	// capacity).
 	RequestQueueDepth int
 	// PriorityQueueDepth bounds the priority admission lane reserved for

@@ -503,7 +503,7 @@ func (c *Ctx) liveCall(out *outSession, method string, arg []byte) ([]byte, erro
 		s.ep.Send(target, r) //mspr:flushed-by flushSessionDV (inter-domain; intra-domain piggybacks the DV, Logging=false has no recovery)
 	}, ch, s.stop, req, opts)
 	if err != nil {
-		// Without budget, breaker, deadline or attempt bound only ErrStopped
+		// Without breaker, deadline or attempt bound only ErrStopped
 		// (the MSP crashed); an unlogged result must not reach the handler.
 		abortMethod(abortCrashed, err)
 	}

@@ -56,8 +56,8 @@ const (
 
 // NewDurableClient opens (or re-opens after a crash) the durable client
 // whose journal is the log "client/<id>" on disk. Restored sessions are
-// available via Sessions. Budget and Breaker in opts are per-server
-// templates, as for NewClient.
+// available via Sessions. A Breaker in opts is a per-server template, as
+// for NewClient.
 func NewDurableClient(id string, net *simnet.Network, disk *simdisk.Disk, opts rpc.CallOptions) (*DurableClient, error) {
 	log, err := wal.Open(disk, "client/"+id, wal.Config{})
 	if err != nil {

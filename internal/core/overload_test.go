@@ -69,8 +69,8 @@ func rawReply(t *testing.T, ep *simnet.Endpoint, session string, seq uint64, tim
 
 // TestQueueOverflowRepliesOverloaded is the regression test for the
 // silent request-queue drop: a request arriving at a full admission
-// queue must be answered immediately with StatusOverloaded (carrying a
-// RetryAfter hint) AND count on ShedAtAdmission.
+// queue must be answered immediately with StatusOverloaded AND count on
+// ShedAtAdmission.
 func TestQueueOverflowRepliesOverloaded(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()
@@ -114,9 +114,6 @@ func TestQueueOverflowRepliesOverloaded(t *testing.T) {
 	rep := rawReply(t, raw, "ovl-d", 1, 5*time.Second)
 	if rep.Status != rpc.StatusOverloaded {
 		t.Fatalf("overflow reply status = %v; want Overloaded", rep.Status)
-	}
-	if rep.RetryAfter <= 0 {
-		t.Fatalf("overflow reply RetryAfter = %v; want a positive hint", rep.RetryAfter)
 	}
 	if got := metrics.Overload.ShedAtAdmission.Load() - shed0; got < 1 {
 		t.Fatalf("ShedAtAdmission delta = %d; want >= 1", got)
@@ -267,82 +264,23 @@ func TestPriorityOverflowFallsBackAndCounts(t *testing.T) {
 	}
 }
 
-// TestRetryAfterHintScalesWithBacklog exercises the hint arithmetic on a
-// bare server: more backlog, larger hint, clamped at both ends.
-func TestRetryAfterHintScalesWithBacklog(t *testing.T) {
-	s := &Server{
-		cfg:    Config{Workers: 4},
-		reqCh:  make(chan rpc.Request, 256),
-		prioCh: make(chan rpc.Request, 8),
-	}
-	if got := s.retryAfterHint(); got != retryAfterMin {
-		t.Fatalf("hint with no samples = %v; want the %v floor", got, retryAfterMin)
-	}
-	s.noteServiceTime(20 * time.Millisecond) // first sample seeds the EWMA
-	small := s.retryAfterHint()              // empty queue: floor
-	if small != retryAfterMin {
-		t.Fatalf("hint with empty queue = %v; want %v", small, retryAfterMin)
-	}
-	for i := 0; i < 10; i++ {
-		s.reqCh <- rpc.Request{}
-	}
-	mid := s.retryAfterHint() // 20ms * 10 / 4 = 50ms
-	if mid <= small {
-		t.Fatalf("hint did not grow with backlog: %v then %v", small, mid)
-	}
-	for i := 0; i < 246; i++ {
-		s.reqCh <- rpc.Request{}
-	}
-	large := s.retryAfterHint() // 20ms * 256 / 4 = 1.28s
-	if large <= mid {
-		t.Fatalf("hint did not keep growing: %v then %v", mid, large)
-	}
-	s.noteServiceTime(time.Hour) // absurd sample: the cap must hold
-	s.noteServiceTime(time.Hour)
-	if got := s.retryAfterHint(); got > retryAfterMax {
-		t.Fatalf("hint %v exceeds the %v cap", got, retryAfterMax)
-	}
-}
-
-// TestServiceTimeEWMAReadsTheClock: serveAcquired times every request on
-// the simtime clock, so a handler that advances a stepped clock by 20 ms
-// seeds the service-time average behind RetryAfter with exactly 20 ms.
-func TestServiceTimeEWMAReadsTheClock(t *testing.T) {
-	advance := stepClock(t)
-	e := newTestEnv(t)
-	defer e.cleanup()
-	def := counterDef()
-	def.Methods["work"] = func(ctx *Ctx, arg []byte) ([]byte, error) {
-		advance(20 * time.Millisecond)
-		return nil, nil
-	}
-	srv := e.start("msp1", def)
-	mustCall(t, e.endClient().Session("msp1"), "work", nil)
-	// The sample is taken as serveAcquired returns, after the reply left.
-	spinUntil(t, "the service-time sample", func() bool { return srv.svcEWMA.Load() != 0 })
-	if got := time.Duration(srv.svcEWMA.Load()); got != 20*time.Millisecond {
-		t.Fatalf("service-time EWMA = %v after one 20ms request; want exactly 20ms", got)
-	}
-}
-
 // TestClientPerTargetOverloadControl: sessions toward one target share a
-// budget and breaker; a different target gets its own.
+// breaker; a different target gets its own.
 func TestClientPerTargetOverloadControl(t *testing.T) {
 	net := simnet.New(simnet.Config{TimeScale: 0})
 	opts := rpc.DefaultCallOptions(0)
-	opts.Budget = rpc.NewRetryBudget(10, 0.1)
 	opts.Breaker = rpc.NewBreaker(5, 50*time.Millisecond)
 	c := NewClient("c", net, opts)
 	defer c.Close()
 	s1, s2, s3 := c.Session("a"), c.Session("a"), c.Session("b")
-	if s1.opts.Breaker == nil || s1.opts.Budget == nil {
-		t.Fatal("sessions must carry the per-target overload control")
+	if s1.opts.Breaker == nil {
+		t.Fatal("sessions must carry the per-target breaker")
 	}
-	if s1.opts.Breaker != s2.opts.Breaker || s1.opts.Budget != s2.opts.Budget {
-		t.Fatal("sessions toward one target must share breaker and budget")
+	if s1.opts.Breaker != s2.opts.Breaker {
+		t.Fatal("sessions toward one target must share a breaker")
 	}
-	if s1.opts.Breaker == s3.opts.Breaker || s1.opts.Budget == s3.opts.Budget {
-		t.Fatal("a different target must get its own breaker and budget")
+	if s1.opts.Breaker == s3.opts.Breaker {
+		t.Fatal("a different target must get its own breaker")
 	}
 	if s1.opts.Breaker == opts.Breaker {
 		t.Fatal("the configured breaker is a template; targets must get clones")
@@ -350,8 +288,8 @@ func TestClientPerTargetOverloadControl(t *testing.T) {
 }
 
 // TestDurableClientPerTargetOverloadControl: a durable client's sessions
-// draw on per-target clones of the configured budget and breaker, exactly
-// like Client's. One target shedding everything opens the breaker toward
+// draw on per-target clones of the configured breaker, exactly like
+// Client's. One target shedding everything opens the breaker toward
 // that target only; with the one breaker every DurableSession used to
 // share, the healthy target was refused too.
 func TestDurableClientPerTargetOverloadControl(t *testing.T) {
@@ -369,7 +307,6 @@ func TestDurableClientPerTargetOverloadControl(t *testing.T) {
 	})
 
 	opts := rpc.DefaultCallOptions(0)
-	opts.Budget = rpc.NewRetryBudget(10, 0.1)
 	opts.Breaker = rpc.NewBreaker(2, time.Minute)
 	dc, err := NewDurableClient("dclient", e.net, simdisk.NewDisk(simdisk.DefaultModel(0)), opts)
 	if err != nil {
@@ -388,11 +325,11 @@ func TestDurableClientPerTargetOverloadControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bad.opts.Breaker != bad2.opts.Breaker || bad.opts.Budget != bad2.opts.Budget {
-		t.Fatal("sessions toward one target must share breaker and budget")
+	if bad.opts.Breaker != bad2.opts.Breaker {
+		t.Fatal("sessions toward one target must share a breaker")
 	}
-	if bad.opts.Breaker == opts.Breaker || bad.opts.Budget == opts.Budget {
-		t.Fatal("the configured breaker and budget are templates; targets must get clones")
+	if bad.opts.Breaker == opts.Breaker {
+		t.Fatal("the configured breaker is a template; targets must get clones")
 	}
 
 	if _, err := bad.Call("inc", nil); !errors.Is(err, rpc.ErrCircuitOpen) {
@@ -434,7 +371,7 @@ func TestOverloadedCalleeIsRetriedNotAnswered(t *testing.T) {
 		mu.Unlock()
 		rep := rpc.Reply{Session: req.Session, Seq: req.Seq, Status: rpc.StatusOK, Payload: []byte(fmt.Sprint("peer-", req.Seq))}
 		if first {
-			rep = rpc.Reply{Session: req.Session, Seq: req.Seq, Status: rpc.StatusOverloaded, RetryAfter: time.Millisecond}
+			rep = rpc.Reply{Session: req.Session, Seq: req.Seq, Status: rpc.StatusOverloaded}
 		}
 		peer.Send(req.From, rep)
 	})

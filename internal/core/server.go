@@ -133,11 +133,6 @@ type Server struct {
 	stop    chan struct{}
 	wg      sync.WaitGroup
 
-	// svcEWMA is the exponentially weighted moving average of wall-clock
-	// request service time, in nanoseconds — the drain-rate estimate the
-	// RetryAfter hint on shed replies is derived from.
-	svcEWMA atomic.Int64
-
 	// calls routes incoming replies to the workers blocked in outgoing
 	// calls, keyed by outgoing-session ID.
 	calls rpc.Router[string, rpc.Reply]
@@ -653,8 +648,6 @@ func (s *Server) handleRequest(req rpc.Request) {
 // (Fig. 7's receive-execute-reply body plus checkpoint scheduling).
 func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 	defer sess.release()
-	t0 := simtime.Now()
-	defer func() { s.noteServiceTime(simtime.Since(t0)) }()
 
 	classification := sess.seq.Classify(req.Seq)
 	if s.cfg.StatelessSessions {

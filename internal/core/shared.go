@@ -164,6 +164,39 @@ func (sv *SharedVar) writeLocked(sess *Session, value []byte) error {
 	return nil
 }
 
+// loadLocked restores the variable from the record at lsn on its
+// backward chain: a shared write or a checkpoint. It installs the
+// record's value and DV (a checkpoint has none: its value can never be an
+// orphan) and makes lsn the state number and chain head. It returns the
+// write's backward link; a checkpoint ends the chain, so it returns 0.
+func (sv *SharedVar) loadLocked(lsn wal.LSN) (prev wal.LSN, err error) {
+	typ, payload, err := sv.srv.log.ReadRecord(lsn)
+	if err != nil {
+		return 0, fmt.Errorf("core: restore %s from %d: %w", sv.name, lsn, err)
+	}
+	var value []byte
+	switch logrec.Type(typ) {
+	case logrec.TSharedWrite:
+		rec, err := logrec.DecodeSharedWrite(payload)
+		if err != nil {
+			return 0, err
+		}
+		value, sv.vec, prev = rec.Value, rec.DV, rec.PrevWrite
+	case logrec.TSVCheckpoint:
+		rec, err := logrec.DecodeSVCheckpoint(payload)
+		if err != nil {
+			return 0, err
+		}
+		value, sv.vec = rec.Value, nil
+	default:
+		return 0, fmt.Errorf("core: restore %s: unexpected %v at %d", sv.name, logrec.Type(typ), lsn)
+	}
+	sv.value = append([]byte(nil), value...)
+	sv.stateLSN = lsn
+	sv.lastWrite = lsn
+	return prev, nil
+}
+
 // rollbackLocked is shared-state orphan recovery (§4.2): follow the
 // backward chain of write records to the most recent non-orphan value. A
 // checkpoint record terminates the walk (its value can never be an
@@ -172,40 +205,15 @@ func (sv *SharedVar) writeLocked(sess *Session, value []byte) error {
 func (sv *SharedVar) rollbackLocked() error {
 	s := sv.srv
 	s.stats.SVRollbacks.Add(1)
-	cur := sv.lastWrite
-	for cur != 0 {
-		typ, payload, err := s.log.ReadRecord(cur)
+	for cur := sv.lastWrite; cur != 0; {
+		prev, err := sv.loadLocked(cur)
 		if err != nil {
-			return fmt.Errorf("core: rollback of %s at %d: %w", sv.name, cur, err)
+			return err
 		}
-		switch logrec.Type(typ) {
-		case logrec.TSVCheckpoint:
-			rec, err := logrec.DecodeSVCheckpoint(payload)
-			if err != nil {
-				return err
-			}
-			sv.value = append([]byte(nil), rec.Value...)
-			sv.vec = nil
-			sv.stateLSN = cur
-			sv.lastWrite = cur
+		if _, orphan := s.know.OrphanIn(sv.vec); !orphan {
 			return nil
-		case logrec.TSharedWrite:
-			rec, err := logrec.DecodeSharedWrite(payload)
-			if err != nil {
-				return err
-			}
-			if _, orphan := s.know.OrphanIn(rec.DV); orphan {
-				cur = rec.PrevWrite
-				continue
-			}
-			sv.value = append([]byte(nil), rec.Value...)
-			sv.vec = rec.DV
-			sv.stateLSN = cur
-			sv.lastWrite = cur
-			return nil
-		default:
-			return fmt.Errorf("core: rollback of %s: unexpected %v at %d", sv.name, logrec.Type(typ), cur)
 		}
+		cur = prev
 	}
 	// Chain exhausted: every write since creation is an orphan.
 	sv.value = append([]byte(nil), sv.initial...)
@@ -375,29 +383,9 @@ func (sv *SharedVar) materializeLocked() (bool, error) {
 	if !sv.unrecovered {
 		return false, nil
 	}
-	s := sv.srv
 	// unrecovered is only ever set alongside a nonzero chain head.
-	typ, payload, err := s.log.ReadRecord(sv.lastWrite)
-	if err != nil {
-		return false, fmt.Errorf("core: materialize %s at %d: %w", sv.name, sv.lastWrite, err)
-	}
-	switch logrec.Type(typ) {
-	case logrec.TSharedWrite:
-		rec, err := logrec.DecodeSharedWrite(payload)
-		if err != nil {
-			return false, err
-		}
-		sv.value = append([]byte(nil), rec.Value...)
-		sv.vec = rec.DV.Clone()
-	case logrec.TSVCheckpoint:
-		rec, err := logrec.DecodeSVCheckpoint(payload)
-		if err != nil {
-			return false, err
-		}
-		sv.value = append([]byte(nil), rec.Value...)
-		sv.vec = nil
-	default:
-		return false, fmt.Errorf("core: materialize %s: unexpected %v at %d", sv.name, logrec.Type(typ), sv.lastWrite)
+	if _, err := sv.loadLocked(sv.lastWrite); err != nil {
+		return false, err
 	}
 	sv.unrecovered = false
 	sv.clearPendingLocked()

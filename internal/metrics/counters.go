@@ -192,9 +192,9 @@ var Wal WalCounters
 
 // OverloadCounters is the observability surface of the overload-control
 // plane: what the admission gate accepted and shed, how deep the queues
-// ran, and how the client-side retry budgets and circuit breakers
-// reacted. The counters are process-wide totals; storms print them in
-// the chaos summary and tests snapshot before/after deltas.
+// ran, and how the client-side circuit breakers reacted. The counters
+// are process-wide totals; storms print them in the chaos summary and
+// tests snapshot before/after deltas.
 type OverloadCounters struct {
 	// Admitted counts requests accepted into an admission lane (either
 	// lane; AdmittedPriority is the priority-lane subset).
@@ -217,9 +217,6 @@ type OverloadCounters struct {
 	// had already passed — at admission or at the pre-append check —
 	// before any durable effect was taken on their behalf.
 	ShedExpired Counter
-	// RetryBudgetExhausted counts calls that gave up because the client's
-	// token-bucket retry budget was empty when a shed asked for a resend.
-	RetryBudgetExhausted Counter
 	// BreakerOpens counts closed→open (and half-open→open) transitions of
 	// client-side circuit breakers, the ones calls consult through
 	// rpc.CallOptions.Breaker. Domain peers going down count in

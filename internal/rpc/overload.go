@@ -4,73 +4,16 @@ import (
 	"sync"
 	"time"
 
-	"mspr/internal/metrics"
 	"mspr/internal/simtime"
 )
 
-// Client-side overload control: the retry budget and the per-server
-// circuit breaker that Call consults through CallOptions. Both exist to
-// turn a saturated server's shed replies into *less* offered load
-// instead of more — the unbounded Busy-resend loop the paper's §5.4
-// client uses is correct for transient recovery pauses but amplifies a
-// genuine overload (every shed mints a future resend), so budgeted
-// retries and breaker-metered probing replace it whenever a harness
-// opts in.
-
-// RetryBudget is a token bucket bounding shed-triggered resends. Every
-// Busy/Overloaded retry spends one token; every terminal outcome (OK,
-// application error, rejection) earns a fraction of a token back, so
-// the sustainable retry rate is proportional to the success rate rather
-// than to the offered load. The bucket starts full. Safe for concurrent
-// use; share one per client↔server pair.
-type RetryBudget struct {
-	mu     sync.Mutex
-	tokens float64
-	max    float64
-	earn   float64
-}
-
-// NewRetryBudget returns a full bucket holding max tokens that earns
-// earnPerSuccess tokens back per terminal outcome (capped at max).
-// A typical shape is NewRetryBudget(10, 0.1): bursts of up to ten
-// retries, sustained at one retry per ten successes.
-func NewRetryBudget(max, earnPerSuccess float64) *RetryBudget {
-	return &RetryBudget{tokens: max, max: max, earn: earnPerSuccess}
-}
-
-// Spend takes one token for a retry, reporting false (and counting the
-// exhaustion) when less than a whole token remains.
-func (b *RetryBudget) Spend() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		metrics.Overload.RetryBudgetExhausted.Inc()
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// Earn credits the per-success fraction back into the bucket.
-func (b *RetryBudget) Earn() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tokens += b.earn
-	if b.tokens > b.max {
-		b.tokens = b.max
-	}
-}
-
-// Clone returns a fresh, full bucket with the same parameters — how
-// core.Client derives a per-server budget from a configured template.
-func (b *RetryBudget) Clone() *RetryBudget { return NewRetryBudget(b.max, b.earn) }
-
-// Tokens returns the current balance (for tests and reports).
-func (b *RetryBudget) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}
+// Client-side overload control: the per-server circuit breaker that
+// Call consults through CallOptions. It exists to turn a saturated
+// server's shed replies into *less* offered load instead of more — the
+// unbounded Busy-resend loop the paper's §5.4 client uses is correct for
+// transient recovery pauses but amplifies a genuine overload (every shed
+// mints a future resend), so after a run of sheds the breaker fails calls
+// fast and lets one probe at a time through until the server answers.
 
 // BreakerState is the circuit breaker's position.
 type BreakerState int

@@ -2,46 +2,12 @@ package rpc
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"mspr/internal/simtime"
 )
-
-func TestRetryBudgetSpendAndEarn(t *testing.T) {
-	b := NewRetryBudget(2, 0.5)
-	if !b.Spend() || !b.Spend() {
-		t.Fatal("a full bucket of 2 must cover two retries")
-	}
-	if b.Spend() {
-		t.Fatal("third retry must fail on an empty bucket")
-	}
-	b.Earn()
-	if b.Spend() {
-		t.Fatal("half a token must not cover a retry")
-	}
-	b.Earn()
-	if !b.Spend() {
-		t.Fatal("two earns (0.5 each) must restore one retry")
-	}
-	for i := 0; i < 100; i++ {
-		b.Earn()
-	}
-	if got := b.Tokens(); got != 2 {
-		t.Fatalf("earning past the cap left %v tokens; want the max of 2", got)
-	}
-}
-
-func TestRetryBudgetClone(t *testing.T) {
-	b := NewRetryBudget(1, 0.1)
-	if !b.Spend() || b.Spend() {
-		t.Fatal("setup: bucket must be empty now")
-	}
-	c := b.Clone()
-	if !c.Spend() {
-		t.Fatal("a clone must start full, independent of the template's balance")
-	}
-}
 
 // stepClock steps the simtime clock for the rest of the test, so breaker
 // and deadline tests assert transitions without real sleeps (which flake
@@ -146,46 +112,7 @@ func TestBreakerProbeAbortedIgnoresStaleToken(t *testing.T) {
 	}
 }
 
-// shedServer answers every delivery with the given status via the reply
-// channel, simulating a saturated server.
-func shedServer(t *testing.T, status Status, retryAfter time.Duration) (func(Request), chan Reply, *int) {
-	t.Helper()
-	replies := make(chan Reply, 16)
-	sends := new(int)
-	send := func(r Request) {
-		*sends++
-		replies <- Reply{Session: r.Session, Seq: r.Seq, Status: status, RetryAfter: retryAfter}
-	}
-	return send, replies, sends
-}
-
-func TestCallBudgetExhaustionReturnsErrOverloaded(t *testing.T) {
-	send, replies, sends := shedServer(t, StatusOverloaded, time.Millisecond)
-	opts := DefaultCallOptions(0)
-	opts.BusyBackoff = time.Millisecond
-	opts.Budget = NewRetryBudget(2, 0)
-	_, err := Call(send, replies, Request{Session: "s", Seq: 1}, opts)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("got %v; want ErrOverloaded once the budget drains", err)
-	}
-	// First send plus two budgeted retries; the third shed had no token.
-	if *sends != 3 {
-		t.Fatalf("server saw %d sends; want 3 (1 initial + 2 budgeted retries)", *sends)
-	}
-}
-
-func TestCallBusyAlsoSpendsBudget(t *testing.T) {
-	send, replies, _ := shedServer(t, StatusBusy, 0)
-	opts := DefaultCallOptions(0)
-	opts.BusyBackoff = time.Millisecond
-	opts.Budget = NewRetryBudget(1, 0)
-	_, err := Call(send, replies, Request{Session: "s", Seq: 1}, opts)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("got %v; want ErrOverloaded: Busy retries draw from the same budget", err)
-	}
-}
-
-func TestCallWithoutBudgetKeepsRetrying(t *testing.T) {
+func TestCallRetriesShedsUntilAnswered(t *testing.T) {
 	replies := make(chan Reply, 16)
 	n := 0
 	send := func(r Request) {
@@ -200,12 +127,18 @@ func TestCallWithoutBudgetKeepsRetrying(t *testing.T) {
 	opts.BusyBackoff = time.Millisecond
 	out, err := Call(send, replies, Request{Session: "s", Seq: 1}, opts)
 	if err != nil || string(out) != "done" {
-		t.Fatalf("nil budget must preserve unbounded retries: got %q, %v", out, err)
+		t.Fatalf("got %q, %v; a shed must be resent until the server answers", out, err)
 	}
 }
 
 func TestCallBreakerOpensAndFailsFast(t *testing.T) {
-	send, replies, sends := shedServer(t, StatusOverloaded, 0)
+	// A saturated server: every copy is shed.
+	replies := make(chan Reply, 16)
+	sends := 0
+	send := func(r Request) {
+		sends++
+		replies <- Reply{Session: r.Session, Seq: r.Seq, Status: StatusOverloaded}
+	}
 	opts := DefaultCallOptions(0)
 	opts.BusyBackoff = time.Millisecond
 	opts.Breaker = NewBreaker(2, time.Hour)
@@ -213,41 +146,51 @@ func TestCallBreakerOpensAndFailsFast(t *testing.T) {
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("got %v; want ErrCircuitOpen after consecutive sheds", err)
 	}
-	if *sends != 2 {
-		t.Fatalf("server saw %d sends; want 2 before the breaker opened", *sends)
+	if sends != 2 {
+		t.Fatalf("server saw %d sends; want 2 before the breaker opened", sends)
 	}
 	// Subsequent calls fail fast without touching the network.
 	_, err = Call(send, replies, Request{Session: "s", Seq: 2}, opts)
-	if !errors.Is(err, ErrCircuitOpen) || *sends != 2 {
-		t.Fatalf("got %v after %d sends; want a fast ErrCircuitOpen with no new send", err, *sends)
+	if !errors.Is(err, ErrCircuitOpen) || sends != 2 {
+		t.Fatalf("got %v after %d sends; want a fast ErrCircuitOpen with no new send", err, sends)
 	}
 }
 
-func TestCallHonorsRetryAfterHint(t *testing.T) {
+func TestCallBacksOffOverloadedLikeBusy(t *testing.T) {
 	// Capture the delays Call chooses instead of timing real sleeps:
 	// asserting on wall-clock elapsed flakes on loaded runners, and the
 	// contract under test is the CHOSEN delay, not the scheduler.
 	var slept []time.Duration
 	defer func(prev func(time.Duration)) { sleep = prev }(sleep)
 	sleep = func(d time.Duration) { slept = append(slept, d) }
-	const hint = 40 * time.Millisecond
-	replies := make(chan Reply, 16)
-	n := 0
-	send := func(r Request) {
-		n++
-		st := StatusOverloaded
-		if n > 1 {
-			st = StatusOK
+	opts := BackoffCallOptions(1, 7)
+	req := Request{Session: "s", Seq: 1}
+	const sheds = 4
+	delays := func(st Status) []time.Duration {
+		slept = nil
+		replies := make(chan Reply, 16)
+		n := 0
+		send := func(r Request) {
+			n++
+			if n > sheds {
+				st = StatusOK
+			}
+			replies <- Reply{Session: r.Session, Seq: r.Seq, Status: st}
 		}
-		replies <- Reply{Session: r.Session, Seq: r.Seq, Status: st, RetryAfter: hint}
+		if _, err := Call(send, replies, req, opts); err != nil {
+			t.Fatal(err)
+		}
+		return slept
 	}
-	opts := DefaultCallOptions(0)
-	opts.BusyBackoff = time.Millisecond // far below the hint
-	if _, err := Call(send, replies, Request{Session: "s", Seq: 1}, opts); err != nil {
-		t.Fatal(err)
+	bo := NewBackoff(opts.BusyBackoff, opts.BusyBackoffMax, opts.BusyJitter, opts.Seed^CallSeed(req.Session, req.Seq))
+	var want []time.Duration
+	for range sheds {
+		want = append(want, opts.Scaled(bo.Next()))
 	}
-	if len(slept) != 1 || slept[0] < hint {
-		t.Fatalf("call slept %v; want one backoff of at least the %v RetryAfter hint", slept, hint)
+	for _, st := range []Status{StatusBusy, StatusOverloaded} {
+		if got := delays(st); !slices.Equal(got, want) {
+			t.Errorf("%v replies slept %v; want the client's own backoff %v", st, got, want)
+		}
 	}
 }
 

@@ -60,9 +60,10 @@ const (
 	// work on it — its admission queue was full, or the request's deadline
 	// had already expired. Unlike Busy (a transient server-side condition
 	// the client waits out), Overloaded is an explicit back-pressure
-	// signal: the reply carries a RetryAfter hint derived from the
-	// server's queue depth and service rate, and the client's retry
-	// budget, not its patience, decides whether to resend.
+	// signal sent at once, so the client learns of the shed without
+	// waiting out its resend timer. It resends exactly as after Busy:
+	// after its own jittered backoff, metered by its per-server breaker
+	// and bounded by the request's deadline.
 	StatusOverloaded
 )
 
@@ -118,11 +119,6 @@ type Reply struct {
 	Payload []byte
 	HasDV   bool
 	DV      dv.Vector
-	// RetryAfter, on a StatusOverloaded reply, is the server's wall-clock
-	// hint for how long the client should wait before resending: queue
-	// backlog times the observed per-request service rate. Zero means the
-	// server offered no hint (the client falls back to its busy backoff).
-	RetryAfter time.Duration
 	// Known is the knowledge of recovered state numbers a domain peer
 	// piggybacks on its answer to a control request.
 	Known []dv.RecoveryInfo
@@ -133,7 +129,7 @@ type Reply struct {
 var ErrRejected = errors.New("rpc: request rejected by server")
 
 // Outcomes of Exchange that end the wait without a server's answer. All
-// four are NON-terminal: the request may or may not have executed
+// three are NON-terminal: the request may or may not have executed
 // server-side, so the caller must not advance the session's sequence
 // number — a later call under the same sequence number either resends
 // the identical request or fetches the buffered reply through the
@@ -142,9 +138,6 @@ var (
 	// ErrStopped means the caller's stop channel closed: the client was
 	// closed or crashed, or the MSP making the call crashed.
 	ErrStopped = errors.New("rpc: call stopped")
-	// ErrOverloaded means the server shed the request (or kept answering
-	// Busy) and the client's retry budget ran out of tokens.
-	ErrOverloaded = errors.New("rpc: server overloaded and retry budget exhausted")
 	// ErrCircuitOpen means the per-server circuit breaker is open after
 	// consecutive sheds: the call failed fast without touching the network.
 	ErrCircuitOpen = errors.New("rpc: circuit breaker open")
@@ -235,14 +228,6 @@ type CallOptions struct {
 	// deadline (the pre-overload-control behaviour). A Deadline the caller
 	// already stamped on the request is kept either way.
 	Timeout time.Duration
-	// Budget, when non-nil, is the token-bucket retry budget consulted
-	// before every resend triggered by a Busy or Overloaded reply: each
-	// such resend spends one token, each terminal outcome earns a
-	// fraction back, and an empty bucket turns the shed into
-	// ErrOverloaded instead of an unbounded retry storm. Budgets are
-	// shared: point every call at the same bucket per client↔server pair.
-	// Nil keeps the paper's unlimited Busy retries.
-	Budget *RetryBudget
 	// Breaker, when non-nil, is the per-server circuit breaker: Call
 	// consults it before every send (failing fast with ErrCircuitOpen
 	// while open), reports each shed and each terminal outcome to it,
@@ -320,8 +305,8 @@ func (r Reply) Result() ([]byte, error) {
 // replies, resending until a terminal reply (OK, AppError or Rejected)
 // arrives, which it returns with a nil error. A reply whose session or
 // sequence number is not req's is stale and discarded. After a Busy or Overloaded reply it sleeps its
-// backoff, or the server's RetryAfter hint if longer. Closing stop (nil:
-// never) ends the wait with ErrStopped.
+// backoff and resends. Closing stop (nil: never) ends the wait with
+// ErrStopped.
 func Exchange(send func(Request), replies <-chan Reply, stop <-chan struct{}, req Request, opts CallOptions) (Reply, error) {
 	attempts := 0
 	var bo *Backoff // built on the first shed
@@ -329,13 +314,13 @@ func Exchange(send func(Request), replies <-chan Reply, stop <-chan struct{}, re
 		req.Deadline = simtime.Now().Add(opts.Scaled(opts.Timeout))
 	}
 	// Every exit settles the overload-control bookkeeping exactly once,
-	// in one of three classes: terminal (OK/AppError/Rejected — earns
-	// budget back, closes the breaker), shed (Busy/Overloaded — feeds the
-	// breaker's shed count), or abandoned (attempt bound, client
-	// deadline, stop, malformed reply, closed stream — no server outcome
-	// was learned, so no budget or shed accounting applies, but a held
-	// half-open probe slot MUST be handed back or the breaker wedges
-	// half-open, refusing every future call to this target).
+	// in one of three classes: terminal (OK/AppError/Rejected — closes
+	// the breaker), shed (Busy/Overloaded — feeds the breaker's shed
+	// count), or abandoned (attempt bound, client deadline, stop,
+	// malformed reply, closed stream — no server outcome was learned,
+	// so no shed accounting applies, but a held half-open probe slot
+	// MUST be handed back or the breaker wedges half-open, refusing
+	// every future call to this target).
 	var probeTok uint64
 	settle := func(terminal bool) {
 		probeTok = 0 // Success/Shed release the slot breaker-side
@@ -392,20 +377,10 @@ func Exchange(send func(Request), replies <-chan Reply, stop <-chan struct{}, re
 					return rep, nil
 				case StatusBusy, StatusOverloaded:
 					settle(false)
-					if opts.Budget != nil && !opts.Budget.Spend() {
-						return Reply{}, ErrOverloaded
-					}
 					if bo == nil { // jitter seeded as CallOptions.Seed says
 						bo = NewBackoff(opts.BusyBackoff, opts.BusyBackoffMax, opts.BusyJitter, opts.Seed^CallSeed(req.Session, req.Seq))
 					}
-					d := opts.Scaled(bo.Next())
-					if rep.Status == StatusOverloaded && rep.RetryAfter > d {
-						// The server's hint is a wall-clock estimate of when
-						// queue space frees up; honor it when it exceeds the
-						// client's own backoff.
-						d = rep.RetryAfter
-					}
-					sleep(d)
+					sleep(opts.Scaled(bo.Next()))
 					break waiting // resend same request
 				default:
 					abandon()
@@ -421,20 +396,15 @@ func Exchange(send func(Request), replies <-chan Reply, stop <-chan struct{}, re
 	}
 }
 
-// settle reports a call outcome to the attached overload-control state:
-// terminal outcomes earn retry-budget tokens back and close the breaker;
-// sheds feed the breaker's consecutive-shed count.
+// settle reports a call outcome to the attached breaker: terminal
+// outcomes close it; sheds feed its consecutive-shed count.
 func (o CallOptions) settle(terminal bool) {
-	if terminal {
-		if o.Budget != nil {
-			o.Budget.Earn()
-		}
-		if o.Breaker != nil {
-			o.Breaker.Success()
-		}
+	if o.Breaker == nil {
 		return
 	}
-	if o.Breaker != nil && o.Breaker.Shed() {
+	if terminal {
+		o.Breaker.Success()
+	} else if o.Breaker.Shed() {
 		metrics.Overload.BreakerOpens.Inc()
 	}
 }
