@@ -363,13 +363,16 @@ func TestTornLogTailRecoveredByCore(t *testing.T) {
 
 	truncated := false
 	for round := 0; round < 10 && !truncated; round++ {
-		// The next flush tears 20 bytes in — inside the sector's first
-		// frame, so the tear is CRC-visible (a random cut usually lands in
-		// the sector's zero padding, where it destroys nothing). The reply
-		// for this request is never sent, the client keeps resending, and
-		// the restarted incarnation repairs the tail and re-executes
-		// exactly once.
-		reg.Enable(point, failpoint.Times(1), failpoint.Arg(20))
+		// The next flush tears 20 bytes past the partial sector it
+		// rewrites — inside its first new frame, so the tear is
+		// CRC-visible (a random cut usually lands in the rewritten prefix
+		// or the sector's zero padding, where it destroys nothing). The
+		// log is one segment, whose file offsets are LSNs. The reply for
+		// this request is never sent, the client keeps resending, and the
+		// restarted incarnation repairs the tail and re-executes exactly
+		// once.
+		prefix := int64(e.srvs["m"].Log().Durable()) % simdisk.SectorSize
+		reg.Enable(point, failpoint.Times(1), failpoint.Arg(prefix+20))
 		want++
 		done := make(chan uint64, 1)
 		go func() {

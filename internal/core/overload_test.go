@@ -163,9 +163,8 @@ func TestExpiredDeadlineShedsBeforeAppend(t *testing.T) {
 	if got := metrics.Overload.ShedExpired.Load() - shed0; got != 1 {
 		t.Fatalf("ShedExpired delta = %d; want 1", got)
 	}
-	// Not one RECORD was appended on the shed request's behalf (reply
-	// flushes may still pad the log to a sector boundary, so Next() can
-	// move; records cannot appear).
+	// Not one RECORD was appended on the shed request's behalf: the scan
+	// from the LSN taken before the request finds none.
 	records := 0
 	if _, err := srv.Log().Scan(lsn0, func(lsn wal.LSN, typ byte, payload []byte) error {
 		records++

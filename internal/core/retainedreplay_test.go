@@ -157,10 +157,10 @@ func TestLazyClaimReadsNothing(t *testing.T) {
 
 // TestAnalysisScanIsStreamed: a 1 000-session recovery takes its scan's
 // blocks from the read-ahead stream — all of them but two at most — so the
-// reads overlapped the parsing. Counters, not a clock, say so; the requests
-// are logged one flush at a time, so every record starts a sector and no
-// frame header straddles a block boundary (the one case that reads
-// synchronously).
+// reads overlapped the parsing. Counters, not a clock, say so. The log is
+// packed, so frames — headers included — straddle block boundaries; the
+// scan serves such a frame from the two streamed blocks it spans, without
+// reading either again.
 func TestAnalysisScanIsStreamed(t *testing.T) {
 	const (
 		sessions = 1000

@@ -3,6 +3,7 @@ package logdump
 import (
 	"flag"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -93,7 +94,7 @@ func TestDumpEnumeratesSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lsns []wal.LSN
-	for i := 0; i < 24; i++ {
+	for i := 0; i < 600; i++ { // 11 bytes each, packed: four 2 KB segments
 		lsn, err := lg.Append(byte(logrec.TSessionEnd), logrec.SessionEnd{Session: "s"}.Encode())
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +104,7 @@ func TestDumpEnumeratesSegments(t *testing.T) {
 		}
 		lsns = append(lsns, lsn)
 	}
-	head := lsns[12]
+	head := lsns[len(lsns)-12]
 	if err := lg.WriteAnchor(wal.Anchor{Epoch: 1, CheckpointLSN: head, Head: head}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,22 +154,28 @@ func TestDumpEnumeratesSegments(t *testing.T) {
 // go test ./internal/logdump -run Golden -update.
 func TestDumpThreeSegmentsGolden(t *testing.T) {
 	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
-	lg, err := wal.Open(disk, "x.log", wal.Config{SegmentSize: 2048})
+	lg, err := wal.Open(disk, "x.log", wal.Config{SegmentSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One record of each type a flush, round after round until a third
+	// segment opens: the log is packed, so some fifty records fill one.
 	var lsns []wal.LSN
-	for _, r := range oneOfEach() { // a sector a flush, four to a segment
-		lsn, err := lg.Append(byte(r.typ), r.pay)
-		if err != nil {
-			t.Fatal(err)
+	for len(lg.Segments()) < 3 {
+		for _, r := range oneOfEach() {
+			lsn, err := lg.Append(byte(r.typ), r.pay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.Flush(lsn); err != nil {
+				t.Fatal(err)
+			}
+			lsns = append(lsns, lsn)
 		}
-		if err := lg.Flush(lsn); err != nil {
-			t.Fatal(err)
-		}
-		lsns = append(lsns, lsn)
 	}
-	if err := lg.WriteAnchor(wal.Anchor{Epoch: 2, CheckpointLSN: lsns[10], Head: lsns[1]}); err != nil {
+	// The head leaves the first segment's last three records live.
+	inFirst := sort.Search(len(lsns), func(i int) bool { return lsns[i] >= lg.Segments()[1].Base })
+	if err := lg.WriteAnchor(wal.Anchor{Epoch: 2, CheckpointLSN: lsns[inFirst+10], Head: lsns[inFirst-3]}); err != nil {
 		t.Fatal(err)
 	}
 	lg.Close()

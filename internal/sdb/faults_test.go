@@ -68,11 +68,15 @@ func TestTornJournalWriteLosesOnlyThatCommit(t *testing.T) {
 		t.Fatalf("commit: %v", err)
 	}
 
-	// Four bytes persist: the tear cuts the commit's frame header. The
-	// write is a whole sector-padded block, so a random prefix may keep
-	// the entire frame: that commit is durable but unacknowledged,
-	// FPCommitCrash's outcome, and not what this test is about.
-	fp.Enable(simdisk.FPWriteTorn+":db.journal", failpoint.Arg(4))
+	// The write rewrites the sector the first commit ends in, then the
+	// second commit's frame; four bytes of that frame persist, so the tear
+	// cuts its header. A random prefix may keep the entire frame (that
+	// commit is then durable but unacknowledged, FPCommitCrash's outcome)
+	// or stop inside the rewritten bytes (nothing torn at all): neither is
+	// what this test is about. The journal is one segment, whose file
+	// offsets are LSNs.
+	prefix := int64(s.log.Durable()) % simdisk.SectorSize
+	fp.Enable(simdisk.FPWriteTorn+":db.journal", failpoint.Arg(prefix+4))
 	tx2 := s.Begin(true)
 	tx2.Put("b", []byte("torn"))
 	if err := tx2.Commit(); !failpoint.IsInjected(err) {

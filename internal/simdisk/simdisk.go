@@ -120,7 +120,7 @@ func (m Model) ReadTime(n int) time.Duration {
 type Stats struct {
 	Writes      int64         // number of write charges (flushes)
 	SectorsOut  int64         // sectors written
-	WastedBytes int64         // partial-sector padding written (bytes carrying no payload)
+	WastedBytes int64         // bytes written that carry no new payload (padding, rewritten prefixes)
 	Reads       int64         // number of read charges
 	SectorsIn   int64         // sectors read
 	WriteTime   time.Duration // model time spent writing
@@ -237,8 +237,10 @@ func (d *Disk) List(prefix string) []string {
 }
 
 // ChargeWrite blocks for the (scaled) time to flush n sectors and records
-// the activity. wastedBytes counts padding bytes included in the n sectors
-// that carry no payload (the paper's "half a sector wasted on every flush").
+// the activity. wastedBytes counts the bytes of the n sectors that carry no
+// new payload: padding, and a log's partial sector rewritten ahead of its
+// new records (together the paper's "half a sector wasted on every
+// flush").
 func (d *Disk) ChargeWrite(n, wastedBytes int) {
 	if n <= 0 {
 		return

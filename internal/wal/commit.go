@@ -22,8 +22,8 @@ const maxBuffer = 128 * sectorSize
 //
 // Log itself is the top layer, the group committer: it owns the volatile
 // buffer and the log's frontiers, turns the buffer into sector-aligned
-// block writes, and rotates segments when a block would overfill the
-// active one.
+// block writes that continue the log's partial last sector, and rotates
+// segments when a block would overfill the active one.
 type Log struct {
 	segs    *segStore
 	anchor  *anchorStore
@@ -34,8 +34,11 @@ type Log struct {
 
 	// flushMu serializes physical flushes, rotations and tail repair.
 	flushMu sync.Mutex //mspr:lock-level 40
-	// block is flush scratch: the padded sector-aligned write block.
+	// block is flush scratch: the sector-aligned write block. Between
+	// flushes its first carry bytes hold the durable part of the sector
+	// the log ends in, which the next flush rewrites ahead of its records.
 	block []byte //mspr:guarded-by flushMu
+	carry int    //mspr:guarded-by flushMu
 
 	mu sync.Mutex //mspr:lock-level 70
 	// cond broadcasts when durable advances or batch state changes.
@@ -44,7 +47,8 @@ type Log struct {
 	head LSN //mspr:guarded-by mu
 	// buf is the volatile buffer: records appended since bufStart.
 	buf []byte //mspr:guarded-by mu
-	// bufStart: LSN of buf[0]; always sector-aligned.
+	// bufStart: LSN of buf[0]; the durable frontier once no flush is in
+	// flight.
 	bufStart LSN //mspr:guarded-by mu
 	// nextLSN: the LSN the next Append will receive.
 	nextLSN LSN //mspr:guarded-by mu
@@ -98,7 +102,8 @@ func Open(disk *simdisk.Disk, name string, cfg Config) (*Log, error) {
 	live := segs.infos()
 	final := live[len(live)-1]
 	// The mounted frontier is the sector-aligned end of the final
-	// segment's file; a torn tail may overstate it (RepairTail).
+	// segment's file, so the first block starts a sector with nothing to
+	// carry; a torn tail may overstate it (RepairTail).
 	frontier := final.Base + LSN(alignUp(final.Bytes-headerSize))
 	l := &Log{
 		segs: segs, anchor: anchor, rd: &reader{c: cursor{segs: segs}}, segSize: cfg.SegmentSize,
@@ -324,11 +329,11 @@ func (l *Log) flusherLoop() {
 	}
 }
 
-// flushNow writes the buffered records (all of them, padded to a sector
-// boundary) and advances the durable frontier, rotating to a new segment
-// first when the block would overfill the active one. Concurrent appends
-// proceed while the simulated write is in flight; their records form the
-// next block.
+// flushNow writes the buffered records, after the partial sector the last
+// flush ended in (its durable bytes rewritten identically) and padded to a
+// sector boundary, and advances the durable frontier to their end; the
+// next block continues there. A block that would overfill the active
+// segment rotates first. Appends proceed while the write is in flight.
 func (l *Log) flushNow(upTo LSN) error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
@@ -358,42 +363,40 @@ func (l *Log) flushNow(upTo LSN) error {
 	}
 	data := l.buf
 	start := l.bufStart
-	padded := alignUp(int64(start) + int64(len(data)))
-	waste := int(padded - int64(start) - int64(len(data)))
-	// The write block is scratch reused across flushes (flushMu is held
-	// throughout): the disk copies it during the write, so only the pad
-	// region needs explicit zeroing.
-	need := int(padded - int64(start))
-	if cap(l.block) < need {
-		l.block = make([]byte, need)
-	}
-	block := l.block[:need]
-	for i := copy(block, data); i < need; i++ {
-		block[i] = 0
-	}
+	end := start + LSN(len(data))
 	l.pending = data
 	l.pendStart = start
 	l.buf = nil
-	l.bufStart = LSN(padded)
-	l.nextLSN = LSN(padded)
+	l.bufStart = end
 	l.mu.Unlock()
 
 	// Rotation: if this block would overfill the active segment (and the
-	// segment already holds at least one block — a segment always
-	// accepts its first block, however large), seal it and open the
-	// next.
-	seg := l.segs.active()
-	segOff := seg.fileOff(int64(start))
-	if segOff > headerSize && segOff-headerSize+int64(need) > l.segSize {
+	// segment already holds records — a segment always accepts its first
+	// block, however large), seal it and open the next at the first new
+	// record, which leaves the carried sector behind.
+	seg, carry := l.segs.active(), l.carry
+	held := seg.fileOff(int64(start)) - headerSize // the segment's bytes of records
+	if held > 0 && held-int64(carry)+alignUp(int64(carry+len(data))) > l.segSize {
 		if err := l.rotate(start); err != nil {
 			return l.wedge(err)
 		}
-		seg = l.segs.active()
-		segOff = headerSize
+		seg, carry = l.segs.active(), 0
 	}
-	if err := l.segs.writeBlock(seg, segOff, block, waste); err != nil {
+	segOff := seg.fileOff(int64(start)) - int64(carry)
+	filled := carry + len(data)
+	need := int(alignUp(int64(filled)))
+	// The disk copies the scratch block during the write, so only the pad
+	// needs explicit zeroing; its first carry bytes are the partial sector.
+	if cap(l.block) < need {
+		l.block = append(make([]byte, 0, need), l.block[:carry]...)
+	}
+	block := l.block[:need]
+	copy(block[carry:], data)
+	clear(block[filled:])
+	if err := l.segs.writeBlock(seg, segOff, block, need-len(data)); err != nil {
 		return l.wedge(err)
 	}
+	l.carry = copy(block, block[filled-filled%sectorSize:filled]) // the next block's prefix
 
 	// A cached read-ahead block covering the just-written region holds
 	// stale zeros (read before this flush); drop it. This comes before
@@ -403,7 +406,7 @@ func (l *Log) flushNow(upTo LSN) error {
 	l.rd.invalidateFrom(seg.index, segOff)
 
 	l.mu.Lock()
-	l.durable = LSN(padded)
+	l.durable = end
 	l.pending = nil
 	// The retired append buffer becomes the spare: no reader can reach it
 	// once pending is cleared (readBuffered copies payloads under mu).
@@ -411,7 +414,8 @@ func (l *Log) flushNow(upTo LSN) error {
 	l.cond.Broadcast()
 	liveSpan := int64(l.durable - l.head)
 	l.mu.Unlock()
-	metrics.Wal.LiveLogBytes.Add(int64(need))
+	// The file grew by the block less the partial sector it rewrote.
+	metrics.Wal.LiveLogBytes.Add(int64(need) - alignUp(int64(carry)))
 	metrics.Wal.PeakLiveBytes.Observe(liveSpan)
 	return nil
 }

@@ -39,12 +39,15 @@ func appendAndFlush(t *testing.T, l *Log, payloads ...[]byte) (last LSN) {
 
 // A torn flush block must not strand records appended after recovery:
 // Scan finds the tear, RepairTail truncates it, and new appends land
-// where future scans can see them.
+// where future scans can see them. The block starts with the sector the
+// acknowledged records share, so the tear is placed past that prefix,
+// three bytes into the new record.
 func TestTornTailRepairAndReappend(t *testing.T) {
 	disk, fp, l := faultyLog(t, 11)
 	goodLast := appendAndFlush(t, l, []byte("alpha"), []byte("beta"))
 
-	fp.Enable(simdisk.FPWriteTorn+":log", failpoint.Arg(3))
+	prefix := int64(l.Next()) - headerSize // the first sector holds only the two
+	fp.Enable(simdisk.FPWriteTorn+":log", failpoint.Arg(prefix+3))
 	if _, err := l.Append(1, []byte("doomed")); err != nil {
 		t.Fatalf("append: %v", err)
 	}
@@ -91,6 +94,47 @@ func TestTornTailRepairAndReappend(t *testing.T) {
 	}
 }
 
+// A tear inside the rewritten prefix persists only bytes identical to
+// what the sector already held: no acknowledged record is lost, nothing
+// is torn, and the log goes on from the end of the sector.
+func TestTearInsideRewrittenPrefixLosesNothing(t *testing.T) {
+	disk, fp, l := faultyLog(t, 15)
+	appendAndFlush(t, l, []byte("alpha"))
+	goodLast := appendAndFlush(t, l, []byte("beta"))
+
+	fp.Enable(simdisk.FPWriteTorn+":log", failpoint.Arg(3))
+	if _, err := l.Append(1, []byte("doomed")); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if err := l.Flush(l.LastAppended()); !failpoint.IsInjected(err) {
+		t.Fatalf("flush err = %v, want injected", err)
+	}
+	l.Close()
+
+	l2, err := Open(disk, "log", Config{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	var seen []string
+	last, err := l2.Scan(0, func(_ LSN, _ byte, p []byte) error {
+		seen = append(seen, string(p))
+		return nil
+	})
+	if err != nil || last != goodLast || len(seen) != 2 || seen[0] != "alpha" || seen[1] != "beta" {
+		t.Fatalf("scan after a tear in the prefix: %q, last %d, err %v; want alpha/beta, last %d", seen, last, err, goodLast)
+	}
+	if l2.RepairTail() {
+		t.Fatal("RepairTail repaired a tear that left only acknowledged bytes")
+	}
+	gamma := appendAndFlush(t, l2, []byte("gamma"))
+	if gamma != headerSize+sectorSize {
+		t.Fatalf("the first record after reopen is at %d, want the next sector %d", gamma, headerSize+sectorSize)
+	}
+	if got := len(scanPayloads(t, l2, 0)); got != 3 {
+		t.Fatalf("rescan saw %d records, want 3", got)
+	}
+}
+
 // RepairTail with no tear recorded is a no-op.
 func TestRepairTailNoop(t *testing.T) {
 	_, _, l := faultyLog(t, 12)
@@ -122,6 +166,28 @@ func TestMidLogCorruptionIsHardError(t *testing.T) {
 	}
 	if metrics.Recovery.MidLogCorruptions.Load() != before+1 {
 		t.Fatal("MidLogCorruptions did not advance")
+	}
+	if l.RepairTail() {
+		t.Fatal("RepairTail must refuse mid-log corruption")
+	}
+}
+
+// Damage to an acknowledged record whose successor starts mid-sector —
+// the packed log's usual case, two flushes sharing a sector — is still
+// convicted by that successor: the probe resyncs at every byte, not only
+// at sector boundaries, so the damage is not misread as a torn tail.
+func TestMidLogCorruptionBeforeMidSectorRecord(t *testing.T) {
+	disk, _, l := faultyLog(t, 16)
+	first := appendAndFlush(t, l, []byte("first flush"))
+	second := appendAndFlush(t, l, []byte("second flush, same sector"))
+	if second%sectorSize == 0 {
+		t.Fatalf("the second record starts a sector (%d): the test needs it mid-sector", second)
+	}
+	disk.OpenFile("log.000001").WriteAt([]byte{0xFF}, int64(first)+6)
+	l.InvalidateCache()
+
+	if _, err := l.Scan(0, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("scan err = %v, want ErrCorrupt", err)
 	}
 	if l.RepairTail() {
 		t.Fatal("RepairTail must refuse mid-log corruption")

@@ -10,8 +10,11 @@ import (
 
 // Record framing: [type:1][payloadLen:u32][payload][crc32:u32] where the
 // CRC covers type byte and payload. Type 0 marks sector padding: a flush
-// block is zero-filled up to the next sector boundary (alignUp), so a
-// reader that meets a zero type byte resumes at that boundary.
+// block is zero-filled up to the next sector boundary of its segment's
+// file, so a reader that meets a zero type byte resumes at that boundary.
+// Records are packed — the next flush continues mid-sector, right after
+// the last record — so padding only survives where a reopened or
+// tail-repaired log restarted its appends at a sector boundary.
 const (
 	frameHeaderLen = 1 + 4
 	frameOverhead  = frameHeaderLen + 4
@@ -23,10 +26,6 @@ const (
 // crash-recovery analysis scan, session checkpoint thresholds) add it to
 // the payload length instead of duplicating the framing layout.
 const FrameOverhead = frameOverhead
-
-func alignUp(n int64) int64 {
-	return (n + sectorSize - 1) / sectorSize * sectorSize
-}
 
 func appendFrame(buf []byte, typ byte, payload []byte) []byte {
 	buf = append(buf, typ)

@@ -4,21 +4,24 @@
 // The log is an append-only sequence of typed records identified by their
 // LSN (byte offset). Appends go to a volatile buffer; a flush writes the
 // whole buffer as one sector-aligned log block, so "flush up to LSN n" may
-// make more than n durable — which is always safe. Because log blocks are
-// aligned at sector boundaries and a block's last sector may not be full,
-// on average half a sector is wasted per flush (§5.2); the padding is
-// charged to the simulated disk and accounted in its statistics.
+// make more than n durable — which is always safe. The log is packed: a
+// block starts with the partial sector the last flush ended in, rewriting
+// its durable bytes identically, and the next append continues right after
+// the last record. The disk still writes whole sectors, so on average half
+// a sector is wasted per flush (§5.2) — the rewritten prefix plus the zero
+// pad, charged to the simulated disk and accounted in its statistics — but
+// the log on disk, and the recovery scan that reads it, holds no padding.
 //
 // Physically the log is a sequence of segment files ("name.000001",
 // "name.000002", …), each holding a contiguous LSN range after a
 // one-sector header. A flush that would overfill the active segment
-// first rotates: it creates the next segment file, seals the current
-// one, and re-persists the anchor so the durable segment directory
-// names every live segment. Checkpoint-anchored truncation
-// (TruncateHead) physically deletes whole segments strictly below the
-// anchor head, keeping disk usage and recovery time flat under
-// sustained traffic. LSNs remain global byte offsets, so rotation is
-// invisible to every layer above.
+// first rotates: it creates the next segment file starting at the block's
+// first new record, seals the current one, and re-persists the anchor so
+// the durable segment directory names every live segment.
+// Checkpoint-anchored truncation (TruncateHead) physically deletes whole
+// segments strictly below the anchor head, keeping disk usage and
+// recovery time flat under sustained traffic. LSNs remain global byte
+// offsets, so rotation is invisible to every layer above.
 //
 // Batch flushing (§5.5, "group commit") is supported: with a non-zero
 // BatchTimeout, a flush request is not executed immediately but after the

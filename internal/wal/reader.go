@@ -20,10 +20,11 @@ type blockKey struct {
 }
 
 // streamDepth is how many blocks a scan's producer may hold ready. On
-// recover_4k's log a block's read is 23 model ms and its parse about 20
-// (0.40 ms of host time at TimeScale 0.02; 0.47 while the analysis scan
-// still allocated per record): the rates are close, so a deeper stream
-// would speed up neither side, and two absorb a block's jitter.
+// recover_4k's packed log a block's read is 23 model ms and its parse
+// about 35 (the analysis scan's 813 model ms over 23.5 blocks; about 20
+// while the log was padded and a block held half the records): the parser
+// is the slower side, so a deeper stream would not speed it up, and two
+// absorb a block's jitter.
 const streamDepth = 2
 
 type block struct { // one read-ahead block; data nil means none
@@ -31,13 +32,15 @@ type block struct { // one read-ahead block; data nil means none
 	data []byte
 }
 
-// cursor fetches and parses durable frames through one cached read-ahead
-// block, which is what an ascending scan or replay needs. It has no lock:
-// the Log's cursor, for point reads, sits behind reader.mu; a Scan's is
-// private to the call and takes its blocks from a stream.
+// cursor fetches and parses durable frames through the last two
+// read-ahead blocks it read, which is what an ascending scan or replay
+// needs: a frame straddling two blocks is served from both. It has no
+// lock: the Log's cursor, for point reads, sits behind reader.mu; a
+// Scan's is private to the call and takes its blocks from a stream.
 type cursor struct {
-	segs   *segStore
-	cached block
+	segs *segStore
+	// cached is the block read last, prev the one before it.
+	cached, prev block
 	// ahead, on a scan's cursor, delivers the scanned range's blocks in log
 	// order; head is the one received from it but not yet asked for.
 	ahead <-chan block
@@ -119,14 +122,10 @@ func (c *cursor) bytesAt(off int64, n int) ([]byte, error) {
 		}
 		fileOff := seg.fileOff(off)
 		blockOff := fileOff / readAhead * readAhead
-		if key := (blockKey{seg.index, blockOff}); c.cached.data == nil || c.cached.key != key {
-			data, err := c.load(seg, key)
-			if err != nil {
-				return nil, err
-			}
-			c.cached = block{key, data}
+		data, err := c.blockAt(seg, blockKey{seg.index, blockOff})
+		if err != nil {
+			return nil, err
 		}
-		data := c.cached.data
 		i := int(fileOff - blockOff)
 		take := len(data) - i
 		if take > n {
@@ -148,10 +147,28 @@ func (c *cursor) bytesAt(off int64, n int) ([]byte, error) {
 	return out, nil
 }
 
+// blockAt returns the block at key, making it the cached one: one of the
+// two kept, or else loaded. A frame straddling two blocks sends the walk
+// back to the first once its header has been read from both; keeping the
+// first serves it without a read.
+func (c *cursor) blockAt(seg segment, key blockKey) ([]byte, error) {
+	switch {
+	case c.cached.data != nil && c.cached.key == key:
+	case c.prev.data != nil && c.prev.key == key:
+		c.cached, c.prev = c.prev, c.cached
+	default:
+		data, err := c.load(seg, key)
+		if err != nil {
+			return nil, err
+		}
+		c.cached, c.prev = block{key, data}, c.cached
+	}
+	return c.cached.data, nil
+}
+
 // load returns the block at key: from the stream when it is the stream's
-// next, as every first visit of a scan's ascending walk is; anything else (a
-// frame header straddling two blocks sends the walk back one, and a point
-// read has no stream) is read synchronously.
+// next, as every first visit of a scan's ascending walk is; anything else
+// (a point read has no stream) is read synchronously.
 func (c *cursor) load(seg segment, key blockKey) ([]byte, error) {
 	if c.ahead != nil {
 		if c.head.data == nil {
@@ -167,22 +184,24 @@ func (c *cursor) load(seg segment, key blockKey) ([]byte, error) {
 	return c.segs.readBlock(seg, key.off, readAhead)
 }
 
-// invalidateFrom drops the cached block if it belongs to segment seg and
+// invalidateFrom drops each kept block that belongs to segment seg and
 // reaches past file offset off: a flush just wrote there, so it holds
 // stale zeros.
 func (r *reader) invalidateFrom(seg uint64, off int64) {
 	r.mu.Lock()
-	if r.c.cached.key.seg == seg && r.c.cached.key.off+readAhead > off {
-		r.c.cached.data = nil
+	for _, b := range []*block{&r.c.cached, &r.c.prev} {
+		if b.key.seg == seg && b.key.off+readAhead > off {
+			b.data = nil
+		}
 	}
 	r.mu.Unlock()
 }
 
-// InvalidateCache drops the cached read-ahead block. Tests use it to force
+// InvalidateCache drops the kept read-ahead blocks. Tests use it to force
 // re-reads; recovery calls it after reopening a log.
 func (l *Log) InvalidateCache() {
 	l.rd.mu.Lock()
-	l.rd.c.cached.data = nil
+	l.rd.c.cached.data, l.rd.c.prev.data = nil, nil
 	l.rd.mu.Unlock()
 }
 
@@ -297,8 +316,9 @@ func (c *cursor) scan(off, end int64, fn func(lsn LSN, typ byte, payload []byte)
 		if err != nil {
 			return last, 0, err
 		}
-		if typ == 0 {
-			off = alignUp(off + 1) // padding: skip to the next sector boundary
+		if typ == 0 { // padding: skip to the next sector boundary
+			seg, _ := c.segs.at(off)
+			off = seg.boundary(off + 1)
 			continue
 		}
 		if fn != nil {
@@ -313,14 +333,15 @@ func (c *cursor) scan(off, end int64, fn func(lsn LSN, typ byte, payload []byte)
 	return last, 0, nil
 }
 
-// probeValidAfter reports whether any fully valid record starts at a
-// sector boundary after off. Flush blocks always start at sector
-// boundaries, so a later block's first record is found here; garbage
-// inside the damaged block itself fails the CRC and is skipped. The
-// probe spans segment boundaries (bytesAt follows the chain), so a
-// valid record in a later segment convicts damage in an earlier one.
+// probeValidAfter reports whether any fully valid record starts after
+// off. The log is packed — a flush block starts wherever the last one's
+// records ended, mid-sector as often as not — so the probe resyncs at
+// every byte and stops at the first valid frame; garbage inside the
+// damaged region fails the CRC and is skipped. The probe spans segment
+// boundaries (bytesAt follows the chain), so a valid record in a later
+// segment convicts damage in an earlier one.
 func (c *cursor) probeValidAfter(off, end int64) (bool, error) {
-	for p := alignUp(off + 1); p < end; p += sectorSize {
+	for p := off + 1; p < end; p++ {
 		typ, _, _, err := c.frameAt(p, end)
 		if err == nil && typ != 0 {
 			return true, nil
@@ -334,7 +355,8 @@ func (c *cursor) probeValidAfter(off, end int64) (bool, error) {
 
 // RepairTail truncates the torn tail found by the most recent Scan, if
 // any, and reports whether it did. The append and durable frontiers are
-// pulled back to the tear's sector; without this, Open's frontier
+// pulled back to the sector boundary after the tear, where the next block
+// starts with nothing to carry; without this, Open's frontier
 // (placed past the garbage by file size) would strand every later
 // append behind the unparsable region, invisible to all future scans.
 // Recovery must call it after its analysis scan and before appending.
@@ -358,8 +380,8 @@ func (l *Log) RepairTail() bool {
 		l.mu.Unlock()
 		return false
 	}
-	aligned := LSN(alignUp(off))
-	l.bufStart, l.nextLSN = aligned, aligned
+	aligned := LSN(seg.boundary(off))
+	l.bufStart, l.nextLSN, l.carry = aligned, aligned, 0
 	if l.durable > aligned {
 		l.durable = aligned
 	}

@@ -25,13 +25,30 @@ func tinySegLog(t *testing.T, seed int64, segSize int64) (*simdisk.Disk, *failpo
 	return disk, fp, l
 }
 
-// appendFlushN appends n individually flushed records ("rec-0000", …);
-// each flush lands one sector, so segSize/512 flushes fill a segment.
+// appendFlushN appends n individually flushed records ("rec-0000", …) of
+// 17 framed bytes; the log packs them, so about segSize/17 fill a segment
+// and most rotations leave a partial sector behind.
 func appendFlushN(t *testing.T, l *Log, start, n int) []LSN {
+	return appendFlushPadded(t, l, start, n, 0)
+}
+
+// appendFlushSectors is appendFlushN with every record padded to a whole
+// sector, so each flush lands one sector and segSize/512 flushes fill a
+// segment exactly.
+func appendFlushSectors(t *testing.T, l *Log, start, n int) []LSN {
+	return appendFlushPadded(t, l, start, n, sectorSize-frameOverhead)
+}
+
+// recPad pads appendFlushSectors' records; scanPayloads strips it.
+const recPad = "."
+
+func appendFlushPadded(t *testing.T, l *Log, start, n, size int) []LSN {
 	t.Helper()
 	lsns := make([]LSN, n)
 	for i := 0; i < n; i++ {
-		lsn, err := l.Append(1, []byte(fmt.Sprintf("rec-%04d", start+i)))
+		p := []byte(fmt.Sprintf("rec-%04d", start+i))
+		p = append(p, strings.Repeat(recPad, max(0, size-len(p)))...)
+		lsn, err := l.Append(1, p)
 		if err != nil {
 			t.Fatalf("append %d: %v", start+i, err)
 		}
@@ -47,7 +64,7 @@ func scanPayloads(t *testing.T, l *Log, from LSN) []string {
 	t.Helper()
 	var got []string
 	if _, err := l.Scan(from, func(_ LSN, _ byte, p []byte) error {
-		got = append(got, string(p))
+		got = append(got, strings.TrimRight(string(p), recPad))
 		return nil
 	}); err != nil {
 		t.Fatalf("scan from %d: %v", from, err)
@@ -61,11 +78,11 @@ func scanPayloads(t *testing.T, l *Log, from LSN) []string {
 func TestRotationCrossSegmentScanAndRead(t *testing.T) {
 	disk, _, l := tinySegLog(t, 21, 2048)
 	rotBefore := metrics.Wal.Rotations.Load()
-	lsns := appendFlushN(t, l, 0, 40)
+	lsns := appendFlushN(t, l, 0, 400)
 
 	segs := l.Segments()
 	if len(segs) < 3 {
-		t.Fatalf("40 sector flushes in 2 KB segments produced only %d segments", len(segs))
+		t.Fatalf("400 packed flushes in 2 KB segments produced only %d segments", len(segs))
 	}
 	if got := metrics.Wal.Rotations.Load() - rotBefore; got != int64(len(segs)-1) {
 		t.Fatalf("Rotations advanced by %d, want %d", got, len(segs)-1)
@@ -75,7 +92,7 @@ func TestRotationCrossSegmentScanAndRead(t *testing.T) {
 			t.Fatalf("segment chain broken: %+v then %+v", segs[i-1], segs[i])
 		}
 	}
-	if got := scanPayloads(t, l, 0); len(got) != 40 || got[0] != "rec-0000" || got[39] != "rec-0039" {
+	if got := scanPayloads(t, l, 0); len(got) != 400 || got[0] != "rec-0000" || got[399] != "rec-0399" {
 		t.Fatalf("cross-segment scan saw %d records (%v...)", len(got), got[:1])
 	}
 	// Random access across every boundary, through the read-ahead cache.
@@ -92,12 +109,12 @@ func TestRotationCrossSegmentScanAndRead(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if got := scanPayloads(t, l2, 0); len(got) != 40 {
-		t.Fatalf("post-reopen scan saw %d records, want 40", len(got))
+	if got := scanPayloads(t, l2, 0); len(got) != 400 {
+		t.Fatalf("post-reopen scan saw %d records, want 400", len(got))
 	}
 	// Appends continue in the final segment exactly where the tail ended.
 	lsn, err := l2.Append(1, []byte("after-reopen"))
-	if err != nil || lsn <= lsns[39] {
+	if err != nil || lsn <= lsns[399] {
 		t.Fatalf("append after reopen: %d, %v", lsn, err)
 	}
 	if err := l2.Flush(lsn); err != nil {
@@ -113,8 +130,8 @@ func TestRotationCrossSegmentScanAndRead(t *testing.T) {
 // are not, and the post-reopen scan starts exactly at the head.
 func TestAnchorMidSegmentRoundTripAcrossReopen(t *testing.T) {
 	disk, _, l := tinySegLog(t, 22, 2048)
-	lsns := appendFlushN(t, l, 0, 40)
-	head := lsns[20]
+	lsns := appendFlushN(t, l, 0, 400)
+	head := lsns[200]
 	want := Anchor{Epoch: 7, CheckpointLSN: head, Head: head}
 	if err := l.WriteAnchor(want); err != nil {
 		t.Fatalf("write anchor: %v", err)
@@ -133,7 +150,7 @@ func TestAnchorMidSegmentRoundTripAcrossReopen(t *testing.T) {
 	if err != nil || !ok || a != want {
 		t.Fatalf("anchor after reopen: %+v %v %v, want %+v", a, ok, err, want)
 	}
-	if got := scanPayloads(t, l2, a.Head); len(got) != 20 || got[0] != "rec-0020" {
+	if got := scanPayloads(t, l2, a.Head); len(got) != 200 || got[0] != "rec-0200" {
 		t.Fatalf("scan from mid-segment head saw %d records, first %q", len(got), got[0])
 	}
 	// Truncation deletes exactly the segments wholly below the head.
@@ -147,8 +164,61 @@ func TestAnchorMidSegmentRoundTripAcrossReopen(t *testing.T) {
 	if after[0].Base > a.Head || (after[0].End != 0 && after[0].End <= a.Head) {
 		t.Fatalf("first live segment %+v does not cover the head %d", after[0], a.Head)
 	}
-	if got := scanPayloads(t, l2, 0); len(got) != 20 || got[0] != "rec-0020" {
+	if got := scanPayloads(t, l2, 0); len(got) != 200 || got[0] != "rec-0200" {
 		t.Fatalf("post-truncation scan saw %d records, first %q", len(got), got[0])
+	}
+}
+
+// A block that forces a rotation while it carries a partial sector opens
+// the next segment at its first new record, an LSN that is no sector
+// boundary of the sealed segment: the carried bytes stay behind, and after
+// a reopen Scan and ReadRecord cross the seam exactly. Open places the
+// seam from file sizes only to within the sealed segment's last sector,
+// and refuses a successor that starts outside it.
+func TestRotationWithCarriedSectorAcrossReopen(t *testing.T) {
+	disk, _, l := tinySegLog(t, 32, 1024)
+	lsns := appendFlushN(t, l, 0, 100)
+	segs := l.Segments()
+	if len(segs) < 2 {
+		t.Fatalf("100 packed flushes in 1 KB segments did not rotate: %+v", segs)
+	}
+	seam := segs[1].Base
+	if (seam-segs[0].Base)%sectorSize == 0 {
+		t.Fatalf("the seam at %d is a sector boundary of segment 1 (base %d): no partial sector was carried", seam, segs[0].Base)
+	}
+	if want := segs[0].Base + LSN(segs[0].Bytes-headerSize); seam <= want-sectorSize || seam > want {
+		t.Fatalf("the seam at %d is not inside segment 1's last written sector, which ends at %d", seam, want)
+	}
+	l.Close()
+
+	l2, err := Open(disk, "log", Config{SegmentSize: 1024})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if got := l2.Segments(); got[0].End != seam || got[1].Base != seam {
+		t.Fatalf("reopened chain %+v, want the seam at %d", got, seam)
+	}
+	got := scanPayloads(t, l2, 0)
+	if len(got) != 100 {
+		t.Fatalf("post-reopen scan saw %d records, want 100", len(got))
+	}
+	for i, lsn := range lsns {
+		if _, p, err := l2.ReadRecord(lsn); err != nil || string(p) != fmt.Sprintf("rec-%04d", i) || got[i] != string(p) {
+			t.Fatalf("record %d at %d: ReadRecord %q, %v; Scan %q", i, lsn, p, err, got[i])
+		}
+	}
+	l2.Close()
+
+	// Move segment 2's base out of segment 1's last written sector, either
+	// way: Open refuses both.
+	end := segs[0].Base + LSN(segs[0].Bytes-headerSize)
+	for _, base := range []LSN{end + 1, end - sectorSize} {
+		if _, err := disk.OpenFile(segs[1].Name).WriteAt(encodeSegHeader(2, base), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(disk, "log", Config{SegmentSize: 1024}); err == nil || !strings.Contains(err.Error(), "last written sector") {
+			t.Fatalf("open with segment 2 at %d (segment 1 ends in (%d, %d]): %v, want refusal", base, end-sectorSize, end, err)
+		}
 	}
 }
 
@@ -157,7 +227,7 @@ func TestAnchorMidSegmentRoundTripAcrossReopen(t *testing.T) {
 // scratch on its first overfull flush.
 func TestRotationCrashBeforeCreate(t *testing.T) {
 	disk, fp, l := tinySegLog(t, 23, 1024)
-	appendFlushN(t, l, 0, 2) // exactly fills segment 1
+	appendFlushSectors(t, l, 0, 2) // exactly fills segment 1
 
 	fp.Enable(FPRotateBeforeCreate)
 	lsn, _ := l.Append(1, []byte("doomed"))
@@ -181,7 +251,7 @@ func TestRotationCrashBeforeCreate(t *testing.T) {
 		t.Fatalf("recovered %d records, want the 2 acknowledged ones", len(got))
 	}
 	// Re-rotation from scratch now succeeds.
-	appendFlushN(t, l2, 2, 2)
+	appendFlushSectors(t, l2, 2, 2)
 	if segs := l2.Segments(); len(segs) != 2 {
 		t.Fatalf("re-rotation produced %d segments, want 2", len(segs))
 	}
@@ -195,7 +265,7 @@ func TestRotationCrashBeforeCreate(t *testing.T) {
 // incarnation adopts it (it is exactly index maxDir+1).
 func TestRotationCrashAfterCreateAdoptsOrphan(t *testing.T) {
 	disk, fp, l := tinySegLog(t, 24, 1024)
-	lsns := appendFlushN(t, l, 0, 2)
+	lsns := appendFlushSectors(t, l, 0, 2)
 	if err := l.WriteAnchor(Anchor{Epoch: 1, CheckpointLSN: lsns[0], Head: lsns[0]}); err != nil {
 		t.Fatalf("write anchor: %v", err)
 	}
@@ -227,7 +297,7 @@ func TestRotationCrashAfterCreateAdoptsOrphan(t *testing.T) {
 	if got := scanPayloads(t, l2, 0); len(got) != 2 {
 		t.Fatalf("recovered %d records, want 2", len(got))
 	}
-	appendFlushN(t, l2, 2, 1)
+	appendFlushSectors(t, l2, 2, 1)
 	if got := scanPayloads(t, l2, 0); len(got) != 3 || got[2] != "rec-0002" {
 		t.Fatalf("scan after adoption: %v", got)
 	}
@@ -238,7 +308,7 @@ func TestRotationCrashAfterCreateAdoptsOrphan(t *testing.T) {
 // consistent and continues appending into it.
 func TestRotationCrashAfterAnchorOpensEmptyFinal(t *testing.T) {
 	disk, fp, l := tinySegLog(t, 25, 1024)
-	lsns := appendFlushN(t, l, 0, 2)
+	lsns := appendFlushSectors(t, l, 0, 2)
 	if err := l.WriteAnchor(Anchor{Epoch: 1, CheckpointLSN: lsns[0], Head: lsns[0]}); err != nil {
 		t.Fatalf("write anchor: %v", err)
 	}
@@ -258,7 +328,7 @@ func TestRotationCrashAfterAnchorOpensEmptyFinal(t *testing.T) {
 	if len(segs) != 2 || segs[1].Bytes != 512 {
 		t.Fatalf("directory-named empty final segment not opened: %+v", segs)
 	}
-	appendFlushN(t, l2, 2, 1)
+	appendFlushSectors(t, l2, 2, 1)
 	if got := scanPayloads(t, l2, 0); len(got) != 3 || got[2] != "rec-0002" {
 		t.Fatalf("scan after anchored-rotation crash: %v", got)
 	}
@@ -269,7 +339,7 @@ func TestRotationCrashAfterAnchorOpensEmptyFinal(t *testing.T) {
 // creating) and the next rotation recreates it.
 func TestTornSegmentHeaderDeletedAtReopen(t *testing.T) {
 	disk, fp, l := tinySegLog(t, 26, 1024)
-	appendFlushN(t, l, 0, 2)
+	appendFlushSectors(t, l, 0, 2)
 
 	fp.Enable(simdisk.FPWriteTorn+":log.000002", failpoint.Arg(10))
 	lsn, _ := l.Append(1, []byte("doomed"))
@@ -288,7 +358,7 @@ func TestTornSegmentHeaderDeletedAtReopen(t *testing.T) {
 	if files := disk.List("log.0"); len(files) != 1 {
 		t.Fatalf("torn-header file not deleted at reopen: %v", files)
 	}
-	appendFlushN(t, l2, 2, 2) // rotates again, recreating segment 2
+	appendFlushSectors(t, l2, 2, 2) // rotates again, recreating segment 2
 	if got := scanPayloads(t, l2, 0); len(got) != 4 {
 		t.Fatalf("scan after header-tear recovery saw %d records, want 4", len(got))
 	}
@@ -299,7 +369,7 @@ func TestTornSegmentHeaderDeletedAtReopen(t *testing.T) {
 // records.
 func TestOpenRefusesMissingNeededSegment(t *testing.T) {
 	disk, _, l := tinySegLog(t, 27, 1024)
-	lsns := appendFlushN(t, l, 0, 6) // three segments
+	lsns := appendFlushSectors(t, l, 0, 6) // three segments
 	head := lsns[0]
 	if err := l.WriteAnchor(Anchor{Epoch: 1, CheckpointLSN: head, Head: head}); err != nil {
 		t.Fatalf("write anchor: %v", err)
@@ -318,8 +388,8 @@ func TestOpenRefusesMissingNeededSegment(t *testing.T) {
 // tolerates directory entries for segments already reclaimed.
 func TestTruncateCrashFinishedIdempotently(t *testing.T) {
 	disk, fp, l := tinySegLog(t, 28, 1024)
-	lsns := appendFlushN(t, l, 0, 8) // four segments
-	head := lsns[6]                  // last segment holds lsns[6..7]
+	lsns := appendFlushSectors(t, l, 0, 8) // four segments
+	head := lsns[6]                        // last segment holds lsns[6..7]
 	if err := l.WriteAnchor(Anchor{Epoch: 1, CheckpointLSN: head, Head: head}); err != nil {
 		t.Fatalf("write anchor: %v", err)
 	}
@@ -378,7 +448,7 @@ func TestTruncateCrashFinishedIdempotently(t *testing.T) {
 // in-place damage, never repairable.
 func TestSealedSegmentTearIsCorrupt(t *testing.T) {
 	disk, fp, l := tinySegLog(t, 29, 1024)
-	lsns := appendFlushN(t, l, 0, 2)
+	lsns := appendFlushSectors(t, l, 0, 2)
 	if err := l.WriteAnchor(Anchor{Epoch: 1, CheckpointLSN: lsns[0], Head: lsns[0]}); err != nil {
 		t.Fatalf("write anchor: %v", err)
 	}
@@ -416,7 +486,7 @@ func TestSealedSegmentTearIsCorrupt(t *testing.T) {
 // contiguous segment of an anchorless log.
 func TestAnchorlessRotationLeavesNoAnchor(t *testing.T) {
 	disk, _, l := tinySegLog(t, 30, 1024)
-	appendFlushN(t, l, 0, 6)
+	appendFlushSectors(t, l, 0, 6)
 	if len(l.Segments()) < 3 {
 		t.Fatalf("rotation never happened: %+v", l.Segments())
 	}
@@ -442,7 +512,7 @@ func TestAnchorlessRotationLeavesNoAnchor(t *testing.T) {
 func TestSegmentMetricsTrackLiveBytes(t *testing.T) {
 	_, _, l := tinySegLog(t, 31, 1024)
 	liveBefore := metrics.Wal.LiveLogBytes.Load()
-	lsns := appendFlushN(t, l, 0, 8)
+	lsns := appendFlushSectors(t, l, 0, 8)
 	grown := metrics.Wal.LiveLogBytes.Load() - liveBefore
 	if grown != 8*512 {
 		t.Fatalf("LiveLogBytes grew by %d, want %d", grown, 8*512)

@@ -40,6 +40,19 @@ type segment struct {
 // fileOff is the offset of logical offset lsn within the segment's file.
 func (s segment) fileOff(lsn int64) int64 { return lsn - int64(s.base) + headerSize }
 
+// alignUp rounds n up to a whole number of sectors.
+func alignUp(n int64) int64 {
+	return (n + sectorSize - 1) / sectorSize * sectorSize
+}
+
+// boundary returns the first sector boundary of the segment's file at or
+// after logical offset lsn. Sector alignment is a property of file
+// offsets, not of LSNs: a rotation starts the next segment at its first
+// record, wherever in a sector the sealed one ended.
+func (s segment) boundary(lsn int64) int64 {
+	return lsn + alignUp(s.fileOff(lsn)) - s.fileOff(lsn)
+}
+
 // dirEntry is one anchor segment-directory entry.
 type dirEntry struct {
 	index uint64
@@ -105,8 +118,10 @@ func readSegHeader(f *simdisk.File) (idx uint64, base LSN, ok bool) {
 	return binary.LittleEndian.Uint64(hdr[8:]), LSN(binary.LittleEndian.Uint64(hdr[16:])), true
 }
 
-// dataEnd is where a segment's data ends, derived from its file size
-// (every write to it was sector-aligned).
+// dataEnd is where a segment's file ends, as an LSN, rounded up to a
+// sector boundary (every write to it ends on one; a repaired tail is cut
+// mid-sector). A sealed segment's records end within the last sector
+// below it.
 func (s segment) dataEnd() LSN { return s.base + LSN(alignUp(s.file.Size()-headerSize)) }
 
 // openSegments enumerates, validates and reconciles the named log's
@@ -156,17 +171,20 @@ func openSegments(disk *simdisk.Disk, name string, dir []dirEntry, anchor *Ancho
 		disk.Remove(fn) // torn segment create; never counted live
 	}
 
-	// Contiguity: each segment must start exactly where its predecessor
-	// ends, with no index gaps. Sealed ends derive from file sizes.
+	// Contiguity: each segment must start where its predecessor's records
+	// end, with no index gaps. The file size only places that end within
+	// the predecessor's last written sector: a packed log rotates at its
+	// first new record, leaving the sealed segment's last sector part
+	// padding.
 	for i := 1; i < len(segs); i++ {
 		prev, s := &segs[i-1], segs[i]
 		if s.index != prev.index+1 {
 			return nil, fmt.Errorf("wal: %q segment %06d missing (found %06d then %06d)",
 				name, prev.index+1, prev.index, s.index)
 		}
-		if s.base != prev.dataEnd() {
-			return nil, fmt.Errorf("wal: segment %q starts at LSN %d, want %d (sealed predecessor ends there)",
-				s.file.Name(), s.base, prev.dataEnd())
+		if end := prev.dataEnd(); s.base > end || s.base <= end-sectorSize {
+			return nil, fmt.Errorf("wal: segment %q starts at LSN %d, want one in (%d, %d] (the sealed predecessor's last written sector)",
+				s.file.Name(), s.base, end-sectorSize, end)
 		}
 		prev.end = s.base
 	}
@@ -282,8 +300,10 @@ func (s *segStore) dir() []dirEntry {
 	return dir
 }
 
-// writeBlock writes one sector-aligned flush block at file offset off of
-// seg and charges it, retrying a transient device error twice.
+// writeBlock writes one flush block at the sector-aligned file offset off
+// of seg and charges it, retrying a transient device error twice. waste
+// is the block's bytes that are not new records: the rewritten partial
+// sector ahead of them and the zero pad after them.
 func (s *segStore) writeBlock(seg segment, off int64, block []byte, waste int) error {
 	for attempt := 0; ; attempt++ {
 		_, err := seg.file.WriteAt(block, off)

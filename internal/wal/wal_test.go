@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"mspr/internal/metrics"
 	"mspr/internal/simdisk"
 )
 
@@ -84,7 +85,11 @@ func TestFlushIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestSectorAlignmentAndWaste(t *testing.T) {
+// TestFlushContinuesPartialSector: the log is packed. The record after a
+// flush continues in the sector the flush ended in, and the next flush
+// rewrites that sector's acknowledged bytes unchanged ahead of it; the
+// rewritten prefix and the zero pad are both charged as waste.
+func TestFlushContinuesPartialSector(t *testing.T) {
 	l, disk := newTestLog(t, Config{})
 	lsn, _ := l.Append(1, make([]byte, 100)) // 109 bytes framed
 	if err := l.Flush(lsn); err != nil {
@@ -97,10 +102,72 @@ func TestSectorAlignmentAndWaste(t *testing.T) {
 	if st.WastedBytes != 512-109 {
 		t.Fatalf("expected %d wasted bytes, got %d", 512-109, st.WastedBytes)
 	}
-	// The next append starts at a sector boundary.
-	lsn2, _ := l.Append(1, []byte("x"))
-	if int64(lsn2)%simdisk.SectorSize != 0 {
-		t.Fatalf("post-flush append at %d, not sector aligned", lsn2)
+	f := disk.OpenFile("test.log.000001")
+	first := make([]byte, simdisk.SectorSize)
+	if _, err := f.ReadAt(first, int64(lsn)); err != nil {
+		t.Fatal(err)
+	}
+	// The next append continues in the same sector, right after the record.
+	lsn2, _ := l.Append(1, []byte("x")) // 10 bytes framed
+	if lsn2 != lsn+109 {
+		t.Fatalf("post-flush append at %d, want %d: the log is not packed", lsn2, lsn+109)
+	}
+	if err := l.Flush(lsn2); err != nil {
+		t.Fatal(err)
+	}
+	st = disk.Stats()
+	if st.SectorsOut != 2 || st.WastedBytes != (512-109)+109+(512-119) {
+		t.Fatalf("after the second flush: %d sectors, %d wasted bytes; want 2 and %d",
+			st.SectorsOut, st.WastedBytes, (512-109)+109+(512-119))
+	}
+	if f.Size() != int64(lsn)+simdisk.SectorSize {
+		t.Fatalf("file is %d bytes after two flushes into one sector, want %d", f.Size(), int64(lsn)+simdisk.SectorSize)
+	}
+	second := make([]byte, simdisk.SectorSize)
+	if _, err := f.ReadAt(second, int64(lsn)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(second[:109], first[:109]) {
+		t.Fatal("the second flush changed the first record's acknowledged bytes")
+	}
+	if typ, p, _, err := parseFrame(second[109:]); err != nil || typ != 1 || string(p) != "x" {
+		t.Fatalf("the second record in the shared sector: type %d, %q, %v", typ, p, err)
+	}
+	if l.Durable() != lsn2+10 {
+		t.Fatalf("durable frontier %d, want the record's end %d", l.Durable(), lsn2+10)
+	}
+}
+
+// TestPackedLogDensity: a thousand single-record flushes leave a log no
+// longer than their frames plus one sector, the disk is charged a sector
+// for every 512 bytes it was sent — new records plus waste — and the
+// live-bytes gauge follows the file, not the bytes written.
+func TestPackedLogDensity(t *testing.T) {
+	l, disk := newTestLog(t, Config{})
+	live := metrics.Wal.LiveLogBytes.Load()
+	rng := rand.New(rand.NewSource(5))
+	framed := 0
+	for i := 0; i < 1000; i++ {
+		p := make([]byte, rng.Intn(300))
+		lsn, err := l.Append(1, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Flush(lsn); err != nil {
+			t.Fatal(err)
+		}
+		framed += len(p) + frameOverhead
+	}
+	if span := int(l.Durable() - l.Head()); span > framed+simdisk.SectorSize {
+		t.Fatalf("1000 flushes of %d framed bytes span %d bytes of log, want at most one sector more", framed, span)
+	}
+	st := disk.Stats()
+	if int(st.SectorsOut)*simdisk.SectorSize != framed+int(st.WastedBytes) {
+		t.Fatalf("%d sectors out for %d new bytes and %d wasted", st.SectorsOut, framed, st.WastedBytes)
+	}
+	seg := l.Segments()[0]
+	if grown := metrics.Wal.LiveLogBytes.Load() - live; grown != seg.Bytes-headerSize {
+		t.Fatalf("LiveLogBytes grew by %d for a file of %d data bytes", grown, seg.Bytes-headerSize)
 	}
 }
 
