@@ -3,14 +3,8 @@ package core
 import (
 	"sync/atomic"
 
-	"mspr/internal/simdisk"
 	"mspr/internal/wal"
 )
-
-// posBufferEntries is the capacity of a position stream's in-memory
-// buffer; only when it fills are positions flushed to disk (§3.2: "the
-// cost of writing positions is low").
-const posBufferEntries = 256
 
 // retainBudget bounds the payload bytes of log records one incarnation's
 // position streams keep in memory from the crash-recovery analysis scan.
@@ -54,16 +48,13 @@ type posEntry struct {
 // checkpoint. Replay follows the stream so each session can be recovered
 // independently and in parallel from the single shared log.
 //
-// Positions are buffered in memory and spilled when the buffer fills.
-// After an MSP crash the in-memory state is lost and the stream is
-// reconstructed by the analysis scan, which — having every record's bytes
+// Positions live only in memory, and the session checkpoint bounds them:
+// taking one truncates the stream. After an MSP crash the stream is lost
+// and the analysis scan rebuilds it, which — having every record's bytes
 // in hand — leaves them in the entries so that replay reads nothing a
-// second time. Nothing ever reads a spilled position back, so a spill
-// only charges the disk for the write (cost fidelity) and stores nothing.
+// second time.
 type posStream struct {
-	disk   *simdisk.Disk // nil: nothing to charge
-	all    []posEntry    // full stream since the last session checkpoint
-	stable int           // prefix of all whose spill has been charged
+	all []posEntry // full stream since the last session checkpoint
 	// ckpt is the session checkpoint the stream starts after, when the
 	// analysis scan retained it (lsn 0 otherwise).
 	ckpt posEntry
@@ -72,16 +63,13 @@ type posStream struct {
 	budget *retention
 }
 
-func newPosStream(disk *simdisk.Disk, budget *retention) posStream {
-	return posStream{disk: disk, budget: budget}
+func newPosStream(budget *retention) posStream {
+	return posStream{budget: budget}
 }
 
-// append adds a record to the stream, spilling the buffer when full.
+// append adds a record to the stream.
 func (p *posStream) append(e posEntry) {
 	p.all = append(p.all, e)
-	if len(p.all)-p.stable >= posBufferEntries {
-		p.spill()
-	}
 }
 
 // retained returns the stream entry for a record the analysis scan holds
@@ -120,14 +108,6 @@ func (p *posStream) release() {
 	p.ckpt = posEntry{}
 }
 
-// spill charges the disk for writing the buffered positions, 8 bytes each.
-func (p *posStream) spill() {
-	if n := len(p.all) - p.stable; n > 0 && p.disk != nil {
-		p.disk.ChargeWrite((8*n+simdisk.SectorSize-1)/simdisk.SectorSize, 0)
-	}
-	p.stable = len(p.all)
-}
-
 // snapshot returns a copy of the stream for replay. Retained payloads are
 // shared, not copied: they are immutable.
 func (p *posStream) snapshot() []posEntry {
@@ -144,7 +124,6 @@ func (p *posStream) truncateAll() {
 	clear(p.all)
 	p.all = p.all[:0]
 	p.ckpt = posEntry{}
-	p.stable = 0
 }
 
 // truncateFrom removes every position ≥ lsn (orphan recovery end: the
@@ -160,9 +139,6 @@ func (p *posStream) truncateFrom(lsn wal.LSN) {
 	}
 	clear(p.all[i:])
 	p.all = p.all[:i]
-	if p.stable > i {
-		p.stable = i
-	}
 }
 
 // removeRange removes positions in [from, to] (crash-recovery scan
@@ -178,7 +154,4 @@ func (p *posStream) removeRange(from, to wal.LSN) {
 	}
 	clear(p.all[len(kept):])
 	p.all = kept
-	if p.stable > len(p.all) {
-		p.stable = len(p.all)
-	}
 }

@@ -5,12 +5,11 @@ import (
 	"testing"
 	"testing/quick"
 
-	"mspr/internal/simdisk"
 	"mspr/internal/wal"
 )
 
 func newTestStream() *posStream {
-	p := newPosStream(simdisk.NewDisk(simdisk.DefaultModel(0)), &retention{limit: 1 << 20})
+	p := newPosStream(&retention{limit: 1 << 20})
 	return &p
 }
 
@@ -42,28 +41,14 @@ func TestPosStreamAppendSnapshot(t *testing.T) {
 	}
 }
 
-func TestPosStreamSpillOnFullBuffer(t *testing.T) {
-	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
-	p := newPosStream(disk, &retention{})
-	for i := 0; i < posBufferEntries+10; i++ {
-		p.append(posEntry{lsn: wal.LSN(i)})
-	}
-	if disk.Stats().Writes == 0 {
-		t.Fatal("full position buffer never spilled to disk")
-	}
-	if p.stable < posBufferEntries {
-		t.Fatalf("stable prefix %d after spill", p.stable)
-	}
-}
-
 func TestPosStreamTruncateAll(t *testing.T) {
 	p := newTestStream()
 	for i := 0; i < 500; i++ {
 		p.append(posEntry{lsn: wal.LSN(i)})
 	}
 	p.truncateAll()
-	if p.length() != 0 || p.stable != 0 {
-		t.Fatalf("after truncateAll: len=%d stable=%d", p.length(), p.stable)
+	if p.length() != 0 {
+		t.Fatalf("after truncateAll: len=%d", p.length())
 	}
 }
 
@@ -80,17 +65,6 @@ func TestPosStreamTruncateFrom(t *testing.T) {
 	p.truncateFrom(10) // removes everything
 	if p.length() != 0 {
 		t.Fatalf("truncateFrom(10) left %v", lsns(p))
-	}
-}
-
-func TestPosStreamTruncateFromAdjustsStable(t *testing.T) {
-	p := newTestStream()
-	for i := 0; i < posBufferEntries+50; i++ {
-		p.append(posEntry{lsn: wal.LSN(i)})
-	}
-	p.truncateFrom(10)
-	if p.stable > p.length() {
-		t.Fatalf("stable %d exceeds length %d", p.stable, p.length())
 	}
 }
 
@@ -169,13 +143,22 @@ func TestPosStreamPropertyVsReference(t *testing.T) {
 	}
 }
 
-func TestPosStreamNilDisk(t *testing.T) {
-	p := newPosStream(nil, &retention{})
-	for i := 0; i < posBufferEntries*2; i++ {
-		p.append(posEntry{lsn: wal.LSN(i)})
+// TestPositionStreamsChargeNoDiskWrite pins that a session's position
+// stream costs no log-disk write: with session checkpoints off the stream
+// grows by a record a request, to over 600 entries, and each request
+// still writes exactly once, its reply flush.
+func TestPositionStreamsChargeNoDiskWrite(t *testing.T) {
+	e := newTestEnv(t)
+	defer e.cleanup()
+	e.start("m", counterDef(), func(cfg *Config) { cfg.SessionCkptThreshold = 0 })
+	cs := e.endClient().Session("m")
+	mustCall(t, cs, "inc", nil) // session start
+	before := e.disks["m"].Stats().Writes
+	const calls = 600
+	for i := 0; i < calls; i++ {
+		mustCall(t, cs, "inc", nil)
 	}
-	p.truncateAll() // must not panic without a backing file
-	if p.length() != 0 {
-		t.Fatal("truncateAll with nil disk failed")
+	if got := e.disks["m"].Stats().Writes - before; got != calls {
+		t.Fatalf("%d requests made %d log-disk writes, want one reply flush each", calls, got)
 	}
 }

@@ -53,9 +53,9 @@ type Session struct {
 	srv *Server
 
 	// mu is last in the acquisition lattice: stateMu (10) before a
-	// shard stripe (20) before a session. It is NOT noblock — the
-	// position stream writes to disk under it by design.
-	mu          sync.Mutex   //mspr:lock-level 30
+	// shard stripe (20) before a session. Nothing done under it may
+	// block: every request of the session passes through it.
+	mu          sync.Mutex   //mspr:lock-level 30 noblock
 	phase       sessionPhase //mspr:guarded-by mu
 	clientAddr  simnet.Addr  //mspr:guarded-by mu
 	intraDomain bool         //mspr:guarded-by mu
@@ -122,7 +122,7 @@ func newSession(s *Server, id string, client simnet.Addr, intra bool) *Session {
 		intraDomain: intra,
 		vars:        make(map[string][]byte),
 		outgoing:    make(map[string]*outSession),
-		pos:         newPosStream(s.cfg.Disk, &s.retained),
+		pos:         newPosStream(&s.retained),
 	}
 	se.seq.SetNext(1)
 	return se
@@ -131,7 +131,7 @@ func newSession(s *Server, id string, client simnet.Addr, intra bool) *Session {
 // newShell makes a session for the analysis scan: bare, because nothing
 // runs on it before its replay.
 func newShell(s *Server, id string) *Session {
-	return &Session{id: id, srv: s, pos: newPosStream(s.cfg.Disk, &s.retained)}
+	return &Session{id: id, srv: s, pos: newPosStream(&s.retained)}
 }
 
 // ID returns the session identifier.
