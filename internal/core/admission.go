@@ -22,8 +22,8 @@ import (
 // else is new work. And the sweep lane, which carries no requests: after
 // a crash recovery, Server.recoverySweep offers on it, unbuffered, the
 // sessions no request has claimed yet. Only the first sweepShare(Workers)
-// workers listen to it, so a request always finds a worker that is not
-// inside a replay unit; and between it and the normal lane a worker picks
+// workers, half the pool, listen to it, so a request always finds a worker
+// that is not inside a replay unit; and between it and the normal lane a worker picks
 // fairly, so a flood of new work slows the drain and cannot park it.
 // Domain control traffic (flush requests, recovery broadcasts, knowledge
 // pulls) never queues here at all — receiveLoop dispatches it to dedicated

@@ -12,16 +12,19 @@ import (
 
 // recoverFromCrash performs MSP crash recovery (Fig. 12):
 //
-//  1. re-initialize from the most recent MSP checkpoint (via the anchor);
-//  2. run a single-threaded analysis scan of the physical log that
-//     reconstructs every session's position stream — keeping each
-//     session-owned record's raw bytes beside its position, so replay
-//     reads nothing twice — notes each shared variable's backward-chain
-//     head, and rebuilds the knowledge of recovered state numbers,
-//     WITHOUT materializing any session or variable state (instant
+//  1. restore the log head the last MSP checkpoint recorded in the anchor;
+//  2. run a single-threaded analysis scan of the physical log from there,
+//     the restart's only read of it, that reconstructs every session's
+//     position stream — keeping each session-owned record's raw bytes
+//     beside its position, so replay reads nothing twice — notes each
+//     shared variable's backward-chain head, and rebuilds the knowledge
+//     of recovered state numbers from the MSP checkpoints and recovery
+//     records it passes (the anchor's checkpoint lies at or above the
+//     head), WITHOUT materializing any session or variable state (instant
 //     recovery: the scan is O(log records), not O(state size));
-//  3. broadcast a recovery message with the recovered state number;
-//  4. take a fresh MSP checkpoint;
+//  3. take a fresh MSP checkpoint, whose one flush and anchor write make
+//     the new epoch and the recovered state number durable;
+//  4. broadcast a recovery message with the recovered state number;
 //  5. mark every surviving session and written shared variable
 //     unrecovered and return the sessions: the server serves immediately,
 //     a request touching an unrecovered unit blocks only on that unit's
@@ -36,19 +39,6 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 		return nil, fmt.Errorf("restoring log head %d: %w", anchor.Head, err)
 	}
 
-	typ, payload, err := s.log.ReadRecord(anchor.CheckpointLSN)
-	if err != nil {
-		return nil, fmt.Errorf("reading MSP checkpoint at %d: %w", anchor.CheckpointLSN, err)
-	}
-	if logrec.Type(typ) != logrec.TMSPCheckpoint {
-		return nil, fmt.Errorf("anchor points at %v, not an MSP checkpoint", logrec.Type(typ))
-	}
-	ck, err := logrec.DecodeMSPCheckpoint(payload)
-	if err != nil {
-		return nil, err
-	}
-	s.know.Restore(ck.Knowledge)
-
 	// The scan starts from the log head the checkpointer recorded in the
 	// anchor: the minimal LSN over every session's and shared variable's
 	// recovery starting point (§3.4) — including sessions that were still
@@ -62,7 +52,7 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 	if err := s.evalCrashPoint(FPRecoveryBeforeScan); err != nil {
 		return nil, err
 	}
-	last, err := s.analysisScan(anchor.Head)
+	last, err := s.analysisScan(anchor)
 	if err != nil {
 		return nil, err
 	}
@@ -90,20 +80,17 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 	s.know.Record(info)
 	rec := logrec.RecoveryInfo{Process: string(info.Process), CrashedEpoch: info.CrashedEpoch,
 		Recovered: wal.LSN(info.Recovered)}
-	riLSN, _, err := s.appendRec(logrec.TRecoveryInfo, rec.Encode())
-	if err != nil {
+	if _, _, err := s.appendRec(logrec.TRecoveryInfo, rec.Encode()); err != nil {
 		return nil, err
 	}
 	// The new epoch and the recovered state number must be durable BEFORE
 	// the broadcast: if we crash mid-recovery after peers have heard the
 	// announcement, the next incarnation must neither reuse this epoch
 	// (its LSNs would collide with ours) nor announce a different number
-	// for the crashed epoch.
-	if err := s.log.Flush(riLSN); err != nil {
-		return nil, err
-	}
-	if err := s.log.WriteAnchor(wal.Anchor{Epoch: crashedEpoch + 1,
-		CheckpointLSN: anchor.CheckpointLSN, Head: s.log.Head()}); err != nil {
+	// for the crashed epoch. The post-recovery checkpoint does both at
+	// once: its flush covers the RecoveryInfo record and its own, whose
+	// knowledge holds the number, and its anchor carries the new epoch.
+	if err := s.writeMSPCheckpoint(); err != nil {
 		return nil, err
 	}
 
@@ -130,11 +117,12 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 		}
 		learned = append(learned, s.broadcastRecovery(own)...)
 	}
+	var lastLearned wal.LSN
 	for _, l := range learned {
 		if s.know.Record(l) {
 			lr := logrec.RecoveryInfo{Process: string(l.Process), CrashedEpoch: l.CrashedEpoch,
 				Recovered: wal.LSN(l.Recovered)}
-			if _, _, err := s.appendRec(logrec.TRecoveryInfo, lr.Encode()); err != nil {
+			if lastLearned, _, err = s.appendRec(logrec.TRecoveryInfo, lr.Encode()); err != nil {
 				return nil, err
 			}
 		}
@@ -143,9 +131,10 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 	if err := s.evalCrashPoint(FPRecoveryAfterBroadcast); err != nil {
 		return nil, err
 	}
-
-	if err := s.writeMSPCheckpoint(); err != nil {
-		return nil, err
+	if lastLearned != 0 {
+		if err := s.log.Flush(lastLearned); err != nil {
+			return nil, err
+		}
 	}
 
 	// Publish the unrecovered set: from here on a request that touches one
@@ -160,7 +149,7 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 		sv.markPending()
 	}
 	// Crash window between analysis and the first reply: state is durable
-	// (recovery info flushed, post-recovery checkpoint written) but no
+	// (post-recovery checkpoint written, learned knowledge flushed) but no
 	// request has been served by this incarnation yet.
 	if err := s.evalCrashPoint(FPRecoveryBeforeServe); err != nil {
 		return nil, err
@@ -180,9 +169,10 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 	return sessions, nil
 }
 
-// analysisScan is the single-threaded scan of Fig. 12's step 2. It
-// returns the LSN of the last valid (persistent) record.
-func (s *Server) analysisScan(from wal.LSN) (wal.LSN, error) {
+// analysisScan is the single-threaded scan of Fig. 12's step 2, from the
+// anchor's log head. It returns the LSN of the last valid (persistent)
+// record, and fails if the anchor's checkpoint LSN holds no MSP checkpoint.
+func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, error) {
 	// Records are routed by their leading session ID or variable name, a
 	// view of the payload (logrec.Peek): a lookup by it allocates nothing.
 	shell := func(id []byte) *Session {
@@ -193,9 +183,13 @@ func (s *Server) analysisScan(from wal.LSN) (wal.LSN, error) {
 		}
 		return sess
 	}
-	return s.log.Scan(from, func(lsn wal.LSN, typ byte, payload []byte) error {
+	var atCkpt logrec.Type // the type of the record at anchor.CheckpointLSN
+	last, err := s.log.Scan(anchor.Head, func(lsn wal.LSN, typ byte, payload []byte) error {
 		if err := s.evalCrashPoint(FPRecoveryMidScan); err != nil {
 			return err
+		}
+		if lsn == anchor.CheckpointLSN {
+			atCkpt = logrec.Type(typ)
 		}
 		switch logrec.Type(typ) {
 		case logrec.TSessionStart:
@@ -276,6 +270,10 @@ func (s *Server) analysisScan(from wal.LSN) (wal.LSN, error) {
 		}
 		return nil
 	})
+	if err == nil && atCkpt != logrec.TMSPCheckpoint {
+		err = fmt.Errorf("anchor points at %v at LSN %d, not an MSP checkpoint", atCkpt, anchor.CheckpointLSN)
+	}
+	return last, err
 }
 
 // recoverOrphan is runSessionRecovery for a session found to be an orphan

@@ -23,25 +23,27 @@ import (
 // buffered records are lost. Recovery must be re-enterable from any of
 // them.
 const (
-	// FPRecoveryBeforeScan crashes after the anchor and MSP checkpoint
-	// were read but before the analysis scan (Fig. 12 step 2) starts.
+	// FPRecoveryBeforeScan crashes after the anchor was read and the log
+	// head restored, before the analysis scan (Fig. 12 step 2) starts.
 	FPRecoveryBeforeScan = "core.recovery.before-scan"
 	// FPRecoveryMidScan crashes inside the analysis scan, between two
 	// scanned records (use failpoint.SkipFirst to pick which).
 	FPRecoveryMidScan = "core.recovery.mid-scan"
 	// FPRecoveryAfterScan crashes after the scan, before the recovered
-	// state number is made durable.
+	// state number is made durable by the post-recovery checkpoint.
 	FPRecoveryAfterScan = "core.recovery.after-scan"
-	// FPRecoveryBeforeBroadcast crashes after the recovered state number
-	// is durable but before the recovery broadcast (§4.3): peers learn
-	// the crash only from the next incarnation, which must announce the
-	// same number.
+	// FPRecoveryBeforeBroadcast crashes after the post-recovery checkpoint
+	// made the new epoch and the recovered state number durable but before
+	// the recovery broadcast (§4.3): peers learn the crash only from the
+	// next incarnation, which must announce the same number.
 	FPRecoveryBeforeBroadcast = "core.recovery.before-broadcast"
 	// FPRecoveryAfterBroadcast crashes after peers heard the broadcast
-	// but before the post-recovery checkpoint.
+	// but before what it taught this MSP is flushed.
 	FPRecoveryAfterBroadcast = "core.recovery.after-broadcast"
 	// FPCkptBeforeAnchor crashes a fuzzy MSP checkpoint (§3.4) after the
-	// checkpoint record is durable but before the anchor points at it.
+	// checkpoint record is durable but before the anchor points at it. In
+	// crash recovery the post-recovery checkpoint reaches it (and
+	// FPCkptBeforeTruncate) before FPRecoveryBeforeBroadcast.
 	FPCkptBeforeAnchor = "core.ckpt.before-anchor"
 	// FPCkptBeforeTruncate crashes after the anchor update but before
 	// the old log prefix is discarded.
@@ -307,14 +309,14 @@ func Start(cfg Config) (*Server, error) {
 }
 
 // sweepShare is how many of a pool's workers may take units off the sweep
-// lane: a third, rounded up. Not all, because live traffic must always find
-// a worker that is not inside a replay unit; a third because it was measured
-// (EXPERIMENTS.md, "The sweep on the worker pool"). The issue asked for half,
-// or a quarter if half moved recover_4k's time to first reply by more than
-// 15 %: half measured +15.3 %, and a quarter drains at 1.7 times the old
-// rate, short of the twofold gain also asked for. A third is 2.1 times, at
-// +11 % to first reply and +2.4 % on a request during the drain.
-func sweepShare(workers int) int { return (workers + 2) / 3 }
+// lane: half, and at least one. Not all, because live traffic must always
+// find a worker that is not inside a replay unit; half because it was
+// measured (EXPERIMENTS.md, "The sweep on the worker pool, re-measured"):
+// it drains recover_4k about 1.35 times as fast as a third, and since a
+// restart reads its log once and flushes it once, its time to first reply
+// is no worse. A pool of three or fewer has one sweeper, which is
+// what the serial-recovery ablation runs.
+func sweepShare(workers int) int { return max(1, workers/2) }
 
 // recoverySweep drains the unrecovered units left by the analysis pass. It
 // offers the sessions one by one on the unbuffered sweep lane, where the

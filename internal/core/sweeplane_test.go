@@ -130,6 +130,17 @@ func TestSweepHeadroomForLiveTraffic(t *testing.T) {
 	}
 }
 
+// TestSweepShare pins the sweep share: half the pool, never less than one
+// worker, so a pool of three — the serial-recovery ablation — sweeps on
+// one and a pool of 32 on sixteen.
+func TestSweepShare(t *testing.T) {
+	for _, tc := range []struct{ workers, want int }{{1, 1}, {2, 1}, {3, 1}, {4, 2}, {32, 16}} {
+		if got := sweepShare(tc.workers); got != tc.want {
+			t.Errorf("sweepShare(%d) = %d, want %d", tc.workers, got, tc.want)
+		}
+	}
+}
+
 // TestSweepLaneOrder: the priority lane is strict. A lone worker that comes
 // out of a replay unit to find a request on each request lane and a unit on
 // offer takes the priority request first.

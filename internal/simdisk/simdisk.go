@@ -463,6 +463,10 @@ func (f *File) Truncate(size int64) error {
 	}
 	rel := size - f.base
 	if rel <= int64(len(f.data)) {
+		// Zero what is cut off: a later write past the new end extends the
+		// file into this capacity, and the gap must read as zeros there,
+		// as on a real file, not as the discarded bytes.
+		clear(f.data[rel:])
 		f.data = f.data[:rel]
 	} else {
 		grown := make([]byte, rel)

@@ -268,3 +268,27 @@ func TestReadAtIntoDirtyBuffer(t *testing.T) {
 		}
 	}
 }
+
+// TestTruncatedBytesStayGone: a write past the end of a truncated file
+// leaves the gap between the truncation point and the write zero, though
+// the file's buffer had room to grow over the discarded bytes.
+func TestTruncatedBytesStayGone(t *testing.T) {
+	f := NewDisk(DefaultModel(0)).OpenFile("f")
+	junk := bytes.Repeat([]byte{0xEE}, 1024)
+	for _, off := range []int64{0, 1024} { // the second write leaves spare capacity
+		if _, err := f.WriteAt(junk, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Truncate(600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{1}, 1536); err != nil {
+		t.Fatal(err)
+	}
+	gap := make([]byte, 1536-600)
+	f.ReadAt(gap, 600)
+	if i := bytes.IndexByte(gap, 0xEE); i >= 0 {
+		t.Fatalf("byte %d of the file reads 0xEE after truncation to 600 and a write at 1536, want 0", 600+i)
+	}
+}

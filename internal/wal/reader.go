@@ -228,7 +228,7 @@ func (l *Log) InvalidateCache() {
 //
 //mspr:blocking performs (or waits on) disk I/O
 func (l *Log) Scan(from LSN, fn func(lsn LSN, typ byte, payload []byte) error) (last LSN, err error) {
-	last, torn, err := l.rd.streamedScan(int64(max(from, l.Head())), int64(l.Durable()), fn)
+	last, torn, err := streamedScan(l.segs, int64(max(from, l.Head())), int64(l.Durable()), fn)
 	l.mu.Lock()
 	l.tornFrom = torn
 	l.mu.Unlock()
@@ -237,17 +237,14 @@ func (l *Log) Scan(from LSN, fn func(lsn LSN, typ byte, payload []byte) error) (
 
 // streamedScan runs scan over [off, end) as a two-stage pipeline: a
 // producer reads the range's blocks ahead, in log order, while scan parses
-// them on a cursor of its own — not the shared one, where invalidateFrom
-// could not reach a block fetched before a flush and installed after it; to
-// the scan no block is stale, all below end being durable before it starts.
-// However scan ends, the producer is stopped and has exited, its last read
+// them on a cursor of its own — not the Log's shared one, where
+// invalidateFrom could not reach a block fetched before a flush and
+// installed after it; to the scan no block is stale, all below end being
+// durable before it starts. However scan ends, the producer is stopped and has exited, its last read
 // charged (at most streamDepth+1 blocks past scan's), before this returns.
-func (r *reader) streamedScan(off, end int64, fn func(lsn LSN, typ byte, payload []byte) error) (LSN, int64, error) {
-	r.mu.Lock()
-	segs, first := r.c.segs, r.c.cached
-	r.mu.Unlock()
+func streamedScan(segs *segStore, off, end int64, fn func(lsn LSN, typ byte, payload []byte) error) (LSN, int64, error) {
 	blocks, stop := make(chan block, streamDepth), new(atomic.Bool)
-	go readAheadOf(segs, off, end, first, blocks, stop)
+	go readAheadOf(segs, off, end, blocks, stop)
 	defer func() {
 		stop.Store(true)
 		for range blocks { // unblocks a producer sending; closed as it exits
@@ -259,12 +256,10 @@ func (r *reader) streamedScan(off, end int64, fn func(lsn LSN, typ byte, payload
 // readAheadOf is a scan's producer: it reads every block covering
 // [off, end) in log order and sends each on out, until the range ends, stop
 // is set or a read fails (the scan's synchronous read of that block reports
-// it). first is the shared cursor's block at the start: if the range begins
-// in it, it is streamed as it is, not read again. The only lock taken is
-// the segment table's, never a reader's.
+// it). The only lock taken is the segment table's, never a reader's.
 //
 //mspr:blocking performs disk I/O
-func readAheadOf(s *segStore, off, end int64, first block, out chan<- block, stop *atomic.Bool) {
+func readAheadOf(s *segStore, off, end int64, out chan<- block, stop *atomic.Bool) {
 	defer close(out)
 	for off < end && !stop.Load() {
 		seg, ok := s.at(off)
@@ -272,15 +267,12 @@ func readAheadOf(s *segStore, off, end int64, first block, out chan<- block, sto
 			return
 		}
 		fileOff := seg.fileOff(off)
-		b := block{blockKey{seg.index, fileOff / readAhead * readAhead}, first.data}
-		if b.key != first.key || b.data == nil {
-			var err error
-			if b.data, err = s.readBlock(seg, b.key.off, readAhead); err != nil {
-				return
-			}
+		b := block{key: blockKey{seg.index, fileOff / readAhead * readAhead}}
+		var err error
+		if b.data, err = s.readBlock(seg, b.key.off, readAhead); err != nil {
+			return
 		}
 		out <- b
-		first.data = nil // only the range's first block: what a synchronous scan would have found cached
 		off += b.key.off + readAhead - fileOff
 		if seg.end != 0 && off > int64(seg.end) { // the block's end, or the sealed segment's
 			off = int64(seg.end)
