@@ -122,7 +122,7 @@ func loadAndRecover(o Options, sessions, requestsPer int, work time.Duration, se
 		simdisk.NewDisk(simdisk.DefaultModel(o.TimeScale)), net, def)
 	cfg.SessionCkptThreshold = 1 << 40 // never checkpoint: replay everything
 	if serial {
-		// One sweeper (sweepShare(3) == 1), two workers left for the probe.
+		// One sweep unit at a time (sweepShare(3) == 1), two workers left for the probe.
 		cfg.Workers = 3
 	}
 	msp, err := chaos.StartMSP(cfg)

@@ -21,10 +21,12 @@ import (
 // empties it before it looks at anything else. The normal lane: everything
 // else is new work. And the sweep lane, which carries no requests: after
 // a crash recovery, Server.recoverySweep offers on it, unbuffered, the
-// sessions no request has claimed yet. Only the first sweepShare(Workers)
-// workers, half the pool, listen to it, so a request always finds a worker
-// that is not inside a replay unit; and between it and the normal lane a worker picks
-// fairly, so a flood of new work slows the drain and cannot park it.
+// sessions no request has claimed yet. Every worker listens to it, but the
+// sweep has at most sweepShare(Workers) units on offer or in replay at
+// once — three quarters of the pool — so at every instant the rest of the
+// workers are outside any sweep unit and a request always finds one; and
+// between it and the normal lane a worker picks fairly, so a flood of new
+// work slows the drain and cannot park it.
 // Domain control traffic (flush requests, recovery broadcasts, knowledge
 // pulls) never queues here at all — receiveLoop dispatches it to dedicated
 // goroutines — so the control plane is one more lane, unbounded by this

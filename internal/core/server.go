@@ -129,11 +129,15 @@ type Server struct {
 	// lane for new client work, prioCh the small priority lane for
 	// recovery-critical traffic, which workers drain first, and sweepCh
 	// the unbuffered lane on which recoverySweep offers unclaimed sessions.
-	reqCh   chan rpc.Request
-	prioCh  chan rpc.Request
-	sweepCh chan *Session
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	// sweepSlots caps the sweep's units on offer or in replay at
+	// sweepShare(Workers): recoverySweep takes a slot before each offer,
+	// and the worker that took the unit returns it when the unit is done.
+	reqCh      chan rpc.Request
+	prioCh     chan rpc.Request
+	sweepCh    chan *Session
+	sweepSlots chan struct{}
+	stop       chan struct{}
+	wg         sync.WaitGroup
 
 	// calls routes incoming replies to the workers blocked in outgoing
 	// calls, keyed by outgoing-session ID.
@@ -212,13 +216,14 @@ func Start(cfg Config) (*Server, error) {
 		cfg.PriorityQueueDepth = DefaultPriorityQueueDepth
 	}
 	s := &Server{
-		cfg:     cfg,
-		know:    dv.NewKnowledge(),
-		shared:  make(map[string]*SharedVar),
-		reqCh:   make(chan rpc.Request, cfg.RequestQueueDepth),
-		prioCh:  make(chan rpc.Request, cfg.PriorityQueueDepth),
-		sweepCh: make(chan *Session),
-		stop:    make(chan struct{}),
+		cfg:        cfg,
+		know:       dv.NewKnowledge(),
+		shared:     make(map[string]*SharedVar),
+		reqCh:      make(chan rpc.Request, cfg.RequestQueueDepth),
+		prioCh:     make(chan rpc.Request, cfg.PriorityQueueDepth),
+		sweepCh:    make(chan *Session),
+		sweepSlots: make(chan struct{}, sweepShare(cfg.Workers)),
+		stop:       make(chan struct{}),
 	}
 	s.state.Store(int32(stateRecovering))
 	s.sessions.init()
@@ -239,14 +244,9 @@ func Start(cfg Config) (*Server, error) {
 	// Running.
 	s.wg.Add(1)
 	go s.receiveLoop()
-	sweepers := sweepShare(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		var sweep <-chan *Session // nil: this worker never sweeps
-		if i < sweepers {
-			sweep = s.sweepCh
-		}
 		s.wg.Add(1)
-		go s.worker(sweep)
+		go s.worker()
 	}
 
 	var recoveredSessions []*Session
@@ -308,21 +308,25 @@ func Start(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// sweepShare is how many of a pool's workers may take units off the sweep
-// lane: half, and at least one. Not all, because live traffic must always
-// find a worker that is not inside a replay unit; half because it was
-// measured (EXPERIMENTS.md, "The sweep on the worker pool, re-measured"):
-// it drains recover_4k about 1.35 times as fast as a third, and since a
-// restart reads its log once and flushes it once, its time to first reply
-// is no worse. A pool of three or fewer has one sweeper, which is
-// what the serial-recovery ablation runs.
-func sweepShare(workers int) int { return max(1, workers/2) }
+// sweepShare is how many units the sweep may have on offer or in replay at
+// once: three of every whole four workers, and at least one. Every worker
+// listens to the sweep lane; the cap keeps at least workers −
+// sweepShare(workers) of them outside any sweep unit at every instant, so
+// a request always finds one, and while some workers serve requests the
+// others still fill the cap. Three quarters because it was measured
+// (EXPERIMENTS.md, "The sweep under a concurrency cap"): it drains
+// recover_4k about 1.3 times as fast as half, for about 5 % on the median
+// request that arrives during the drain; the whole pool drains little
+// faster and costs that request about a tenth. A pool of three or fewer
+// has one unit in flight: the serial recovery the ablation runs.
+func sweepShare(workers int) int { return max(1, workers/4*3) }
 
 // recoverySweep drains the unrecovered units left by the analysis pass. It
-// offers the sessions one by one on the unbuffered sweep lane, where the
-// sweep-eligible workers take them between requests (see worker), then
-// materializes the shared variables in place. A crash, real or injected,
-// ends it: units not yet offered stay pending for releasePendingUnits.
+// offers the sessions one by one on the unbuffered sweep lane, each after
+// taking a slot of sweepSlots, and workers take them between requests (see
+// worker); then it materializes the shared variables in place. A crash,
+// real or injected, ends it: units not yet offered stay pending for
+// releasePendingUnits.
 func (s *Server) recoverySweep(sessions []*Session) {
 	for _, sess := range sessions {
 		if err := s.evalCrashPoint(FPSweepMid); err != nil {
@@ -330,6 +334,12 @@ func (s *Server) recoverySweep(sessions []*Session) {
 		}
 		select {
 		case <-s.stop:
+			return
+		case s.sweepSlots <- struct{}{}:
+		}
+		select {
+		case <-s.stop:
+			<-s.sweepSlots
 			return
 		case s.sweepCh <- sess:
 		}
@@ -537,9 +547,10 @@ func (s *Server) receiveLoop() {
 	})
 }
 
-// worker serves the admission lanes. sweep is the sweep lane for a
-// sweep-eligible worker and nil — a case that is never ready — for the rest.
-func (s *Server) worker(sweep <-chan *Session) {
+// worker serves the admission lanes, the sweep lane included: the cap on
+// units in flight (sweepSlots), not the choice of worker, is what leaves
+// workers free for requests.
+func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
 		// Drain the priority lane first: lazy-replay claims and
@@ -563,13 +574,14 @@ func (s *Server) worker(sweep <-chan *Session) {
 			s.handleRequest(req)
 		case req := <-s.reqCh:
 			s.handleRequest(req)
-		case sess := <-sweep:
+		case sess := <-s.sweepCh:
 			// Unless a request claimed it first (lazy replay), it has
 			// ended, or the MSP died while the unit was on offer.
 			if s.getState() != stateCrashed && sess.claimForReplay() {
 				metrics.Recovery.SweepReplays.Inc()
 				s.runSessionRecovery(sess)
 			}
+			<-s.sweepSlots // replayed, skipped or torn down: the unit is done
 		}
 	}
 }

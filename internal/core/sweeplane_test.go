@@ -97,13 +97,13 @@ func (p *laneProbe) awaitEntered(t *testing.T) string {
 	}
 }
 
-// TestSweepHeadroomForLiveTraffic: with every sweep-eligible worker held
-// inside a replay unit, a request to a live session is served — by a worker
-// that never sweeps — without any unit finishing first, and no more replays
-// run at once than the eligible share. Three workers make a share of one:
+// TestSweepHeadroomForLiveTraffic: with the sweep at its cap, every unit
+// in flight held inside its replay, a request to a live session is served —
+// by a worker outside any unit — without any unit finishing first, and no
+// more replays run at once than the cap. Three workers make a cap of one:
 // the serial sweep the parallel-recovery ablation measures.
 func TestSweepHeadroomForLiveTraffic(t *testing.T) {
-	for _, workers := range []int{4, 3} {
+	for _, workers := range []int{8, 4, 3} {
 		t.Run(fmt.Sprintf("Workers=%d", workers), func(t *testing.T) {
 			e := newTestEnv(t)
 			defer e.cleanup()
@@ -113,16 +113,16 @@ func TestSweepHeadroomForLiveTraffic(t *testing.T) {
 			for i := 0; i < sweepShare(workers); i++ {
 				p.awaitEntered(t)
 			}
-			// Every eligible worker is parked; the other units are still on offer.
+			// The sweep is at its cap; the other units are still pending.
 			live := e.endClient().Session("m")
 			if got := asU64(mustCall(t, live, "mark", []byte("new"))); got != 1 {
 				t.Fatalf("live session's first mark returned %d, want 1", got)
 			}
 			if got, want := srv.RecoveringSessions(), 8; got != want {
-				t.Fatalf("RecoveringSessions = %d while every sweep worker is parked, want %d: a unit finished", got, want)
+				t.Fatalf("RecoveringSessions = %d while the sweep is at its cap, want %d: a unit finished", got, want)
 			}
 			if got, want := int(p.maxInflight.Load()), sweepShare(workers); got != want {
-				t.Fatalf("%d sweep replays ran at once, want exactly the eligible share %d", got, want)
+				t.Fatalf("%d sweep replays ran at once, want exactly the cap %d", got, want)
 			}
 			p.release()
 			awaitDrained(t, srv)
@@ -130,11 +130,61 @@ func TestSweepHeadroomForLiveTraffic(t *testing.T) {
 	}
 }
 
-// TestSweepShare pins the sweep share: half the pool, never less than one
-// worker, so a pool of three — the serial-recovery ablation — sweeps on
-// one and a pool of 32 on sixteen.
+// TestSweepCapHoldsUnderLiveLoad: the cap, not a fixed set of sweeping
+// workers, bounds the sweep. With one live request parked on a worker
+// before the sweep begins — whichever worker took it — the sweep still
+// reaches exactly sweepShare(workers) units in flight, and no more.
+func TestSweepCapHoldsUnderLiveLoad(t *testing.T) {
+	for _, workers := range []int{8, 4, 2} {
+		t.Run(fmt.Sprintf("Workers=%d", workers), func(t *testing.T) {
+			e := newTestEnv(t)
+			defer e.cleanup()
+			p := newLaneProbe()
+			defer p.release()
+			const n = 8
+			srv, _ := crashWithOldSessions(t, e, p, n, func(c *Config) { c.Workers = workers }, noSweep)
+
+			// A live session's "old" call parks on the probe like a replay.
+			live := e.endClient().Session("m")
+			go live.Call("mark", []byte("old")) // returns once the probe is released
+			if id := p.awaitEntered(t); id != live.ID() {
+				t.Fatalf("%s reached the probe before the sweep began, want the live session %s", id, live.ID())
+			}
+
+			var pending []*Session
+			srv.sessions.forEach(func(sess *Session) {
+				if sess.ID() != live.ID() {
+					pending = append(pending, sess)
+				}
+			})
+			if len(pending) != n {
+				t.Fatalf("%d sessions owe a replay, want %d", len(pending), n)
+			}
+			srv.goBackground(func() { srv.recoverySweep(pending) })
+			for i := 0; i < sweepShare(workers); i++ {
+				p.awaitEntered(t)
+			}
+			if workers-sweepShare(workers) > 1 {
+				// A worker is left: a second live request is served on it
+				// while the sweep holds its cap, and no unit joins them.
+				if got := asU64(mustCall(t, e.endClient().Session("m"), "mark", []byte("new"))); got != 1 {
+					t.Fatalf("second live session's first mark returned %d, want 1", got)
+				}
+			}
+			if got, want := int(p.maxInflight.Load()), sweepShare(workers)+1; got != want {
+				t.Fatalf("%d calls parked at once, want the live one and exactly the cap %d", got, want-1)
+			}
+			p.release()
+			awaitDrained(t, srv)
+		})
+	}
+}
+
+// TestSweepShare pins the sweep's cap: three of every whole four workers,
+// never less than one, so a pool of three — the serial-recovery ablation —
+// sweeps one unit at a time and a pool of 32 twenty-four.
 func TestSweepShare(t *testing.T) {
-	for _, tc := range []struct{ workers, want int }{{1, 1}, {2, 1}, {3, 1}, {4, 2}, {32, 16}} {
+	for _, tc := range []struct{ workers, want int }{{1, 1}, {2, 1}, {3, 1}, {4, 3}, {8, 6}, {32, 24}} {
 		if got := sweepShare(tc.workers); got != tc.want {
 			t.Errorf("sweepShare(%d) = %d, want %d", tc.workers, got, tc.want)
 		}
@@ -196,8 +246,9 @@ func TestSweepLaneOrder(t *testing.T) {
 
 // TestSweepNotStarvedBySaturatedNormalLane: only the priority lane is
 // strict. With the normal lane kept full of requests to live sessions from
-// before the first sweep unit finishes until the last one has, the eligible
-// worker still takes units off the sweep lane, and recovery completes.
+// before the first sweep unit finishes until the last one has, the workers
+// still take units off the sweep lane, one at a time (two workers make a
+// cap of one), and recovery completes.
 func TestSweepNotStarvedBySaturatedNormalLane(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()
@@ -206,7 +257,7 @@ func TestSweepNotStarvedBySaturatedNormalLane(t *testing.T) {
 	sweepBefore := metrics.Recovery.SweepReplays.Load()
 	const n = 64
 	srv, _ := crashWithOldSessions(t, e, p, n, func(c *Config) { c.Workers = 2; c.RequestQueueDepth = 4 })
-	p.awaitEntered(t) // the one eligible worker is parked in the first unit
+	p.awaitEntered(t) // one worker is parked in the first unit: the sweep is at its cap
 
 	// The flood: a blocked sender on the normal lane for the rest of the
 	// test, cycling over eight live sessions. Its replies go to an endpoint
@@ -235,8 +286,9 @@ func TestSweepNotStarvedBySaturatedNormalLane(t *testing.T) {
 	close(stop)
 	// The sender blocks, so the lane was full throughout; that it was also
 	// being served is the other half of fair. Every sweep pick was a coin
-	// toss against a flood pick, so the eligible worker alone served about
-	// n flood requests; a quarter of that is far outside the toss's spread.
+	// toss against a flood pick, so the worker that took each unit alone
+	// served about n flood requests; a quarter of that is far outside the
+	// toss's spread.
 	if sent := <-flooded; sent < n/4 {
 		t.Fatalf("only %d flood requests were served during the drain of %d units", sent, n)
 	}
@@ -247,7 +299,7 @@ func TestSweepNotStarvedBySaturatedNormalLane(t *testing.T) {
 
 // TestSweepTeardownWithUnitsUndelivered: a crash while the feeder still
 // holds most of the units returns once the in-flight replays end — at most
-// one per eligible worker, none started after the crash — with no goroutine
+// the cap, none started after the crash — with no goroutine
 // left on the lane (Crash waits for the feeder) and the pending gauges back
 // where they were. At one, two and eight scheduler threads.
 func TestSweepTeardownWithUnitsUndelivered(t *testing.T) {
@@ -274,7 +326,7 @@ func TestSweepTeardownWithUnitsUndelivered(t *testing.T) {
 			waitFor(t, 10*time.Second, "the crash to take hold", func() bool { return srv.getState() == stateCrashed })
 			select {
 			case <-crashed:
-				t.Fatal("Crash returned while two replays were still in flight")
+				t.Fatal("Crash returned while replays were still in flight")
 			default:
 			}
 			p.release()

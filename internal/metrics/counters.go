@@ -70,8 +70,9 @@ type RecoveryCounters struct {
 	// *followed by valid records* — acknowledged data damaged in place.
 	// This is surfaced as a hard error, never silently skipped.
 	MidLogCorruptions Counter
-	// TransientWriteRetries counts log flushes that retried after a
-	// transient disk write error and succeeded.
+	// TransientWriteRetries counts the retries of a log device write — a
+	// flush block, a segment header, an anchor slot — after a transient
+	// disk write error.
 	TransientWriteRetries Counter
 
 	// PendingSessions tracks sessions known from the crash-recovery

@@ -213,10 +213,9 @@ func (s *anchorStore) writeLocked(a Anchor) error {
 		s.file.Disk().ChargeWrite(1, 0)
 		return fmt.Errorf("wal: anchor write of %q torn at %d bytes: %w", s.file.Name(), keep, failpoint.ErrInjected)
 	}
-	if _, err := s.file.WriteAt(buf, off); err != nil {
+	if err := writeSectors(s.file, buf, off, 0, true); err != nil {
 		return err
 	}
-	s.file.Disk().ChargeWrite(len(buf)/sectorSize, 0)
 	s.seq, s.last, s.has = seq, a, true
 	return nil
 }

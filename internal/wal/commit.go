@@ -393,7 +393,7 @@ func (l *Log) flushNow(upTo LSN) error {
 	block := l.block[:need]
 	copy(block[carry:], data)
 	clear(block[filled:])
-	if err := l.segs.writeBlock(seg, segOff, block, need-len(data)); err != nil {
+	if err := writeSectors(seg.file, block, segOff, need-len(data), true); err != nil {
 		return l.wedge(err)
 	}
 	l.carry = copy(block, block[filled-filled%sectorSize:filled]) // the next block's prefix

@@ -308,6 +308,39 @@ func TestTransientFlushErrorRetries(t *testing.T) {
 	}
 }
 
+// A transient error on any of the log's device writes — a flush block, a
+// rotation's segment header, an anchor slot — is retried, and the flush,
+// the rotation and the anchor write all succeed.
+func TestTransientWriteErrorRetriedOnEveryWrite(t *testing.T) {
+	for _, tc := range []struct{ write, file string }{
+		{"block", "log.000001"},
+		{"segment-header", "log.000002"},
+		{"anchor-slot", "log.anchor"},
+	} {
+		t.Run(tc.write, func(t *testing.T) {
+			const segSize = 2048
+			_, fp, l := tinySegLog(t, 19, segSize)
+			point := simdisk.FPWriteError + ":" + tc.file
+			fp.Enable(point)
+			before := metrics.Recovery.TransientWriteRetries.Load()
+			appendFlushSectors(t, l, 0, 1)
+			appendFlushSectors(t, l, 1, segSize/sectorSize) // fills the segment: rotates
+			if n := len(l.Segments()); n != 2 {
+				t.Fatalf("%d segments after filling the first, want 2", n)
+			}
+			if err := l.WriteAnchor(Anchor{Epoch: 1, CheckpointLSN: headerSize, Head: headerSize}); err != nil {
+				t.Fatalf("WriteAnchor: %v", err)
+			}
+			if hits := fp.Hits(point); hits != 1 {
+				t.Fatalf("%s fired %d times, want once", point, hits)
+			}
+			if d := metrics.Recovery.TransientWriteRetries.Load() - before; d != 1 {
+				t.Fatalf("TransientWriteRetries delta = %d, want 1", d)
+			}
+		})
+	}
+}
+
 // Three consecutive transient failures exhaust the retry budget.
 func TestTransientFlushErrorExhaustsRetries(t *testing.T) {
 	_, fp, l := faultyLog(t, 18)

@@ -241,11 +241,8 @@ func createSegment(disk *simdisk.Disk, name string, idx uint64, base LSN, charge
 		disk.Remove(fn)
 	}
 	f := disk.OpenFile(fn)
-	if _, err := f.WriteAt(encodeSegHeader(idx, base), 0); err != nil {
+	if err := writeSectors(f, encodeSegHeader(idx, base), 0, 0, charge); err != nil {
 		return segment{}, fmt.Errorf("wal: writing header of %q: %w", fn, err)
-	}
-	if charge {
-		disk.ChargeWrite(1, 0)
 	}
 	metrics.Wal.SegmentsLive.Add(1)
 	return segment{index: idx, base: base, file: f}, nil
@@ -300,13 +297,14 @@ func (s *segStore) dir() []dirEntry {
 	return dir
 }
 
-// writeBlock writes one flush block at the sector-aligned file offset off
-// of seg and charges it, retrying a transient device error twice. waste
-// is the block's bytes that are not new records: the rewritten partial
-// sector ahead of them and the zero pad after them.
-func (s *segStore) writeBlock(seg segment, off int64, block []byte, waste int) error {
+// writeSectors is the log's one device write, for flush blocks, segment
+// headers and anchor slots alike: it writes b (whole sectors) at file
+// offset off of f, retrying a transient device error twice, and charges
+// it unless charge is false. waste is the charged bytes that are not new
+// data: a flush block's rewritten partial sector and its zero pad.
+func writeSectors(f *simdisk.File, b []byte, off int64, waste int, charge bool) error {
 	for attempt := 0; ; attempt++ {
-		_, err := seg.file.WriteAt(block, off)
+		_, err := f.WriteAt(b, off)
 		if err == nil {
 			break
 		}
@@ -315,7 +313,9 @@ func (s *segStore) writeBlock(seg segment, off int64, block []byte, waste int) e
 		}
 		metrics.Recovery.TransientWriteRetries.Inc()
 	}
-	s.disk.ChargeWrite(len(block)/sectorSize, waste)
+	if charge {
+		f.Disk().ChargeWrite(len(b)/sectorSize, waste)
+	}
 	return nil
 }
 
