@@ -127,9 +127,9 @@ func main() {
 			batches, float64(w.GroupCommitBatchWaiters.Load())/float64(batches),
 			w.GroupCommitWindows.Load(), w.GroupCommitWaits.Load())
 	}
+	segs, live := st.LogLevels()
 	fmt.Printf("wal: rotations=%d segmentsLive=%d segmentsReclaimed=%d liveLogBytes=%d peakLiveBytes=%d\n",
-		w.Rotations.Load(), w.SegmentsLive.Load(), w.SegmentsReclaimed.Load(),
-		w.LiveLogBytes.Load(), w.PeakLiveBytes.Load())
+		w.Rotations.Load(), segs, w.SegmentsReclaimed.Load(), live, w.PeakLiveBytes.Load())
 	if rs := &st.Restarts; rs.Count() > 0 {
 		fmt.Printf("recovery: restarts=%d avg=%v max=%v\n", rs.Count(), rs.Mean().Round(time.Millisecond), rs.Max().Round(time.Millisecond))
 	}
@@ -138,8 +138,7 @@ func main() {
 			tt.Percentile(50).Round(time.Millisecond), tt.Max().Round(time.Millisecond), tt.Count())
 	}
 	r := &metrics.Recovery
-	fmt.Printf("recovery: lazyReplays=%d sweepReplays=%d pendingSessions=%d pendingShared=%d\n",
-		r.LazyReplays.Load(), r.SweepReplays.Load(), r.PendingSessions.Load(), r.PendingShared.Load())
+	fmt.Printf("recovery: lazyReplays=%d sweepReplays=%d\n", r.LazyReplays.Load(), r.SweepReplays.Load())
 	printOverloadMetrics()
 	if st.Rec != nil {
 		fmt.Printf("oracle: %d events recorded\n", st.Rec.Len())

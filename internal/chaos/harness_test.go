@@ -140,3 +140,28 @@ func TestOneHarnessStaysOne(t *testing.T) {
 		}
 	}
 }
+
+// TestLogLevelsMatchDisks: after a storm on 4 KB segments the live segment
+// count the report prints, summed from the storm's logs, is the number of
+// segment files left on the storm's disks.
+func TestLogLevelsMatchDisks(t *testing.T) {
+	rep, st, err := RunStorm(StormSpec{Actors: 4, Ops: 40, Seed: 7, SegmentSize: 4 << 10}, Options{Seed: 7, FaultEvery: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed() {
+		t.Fatalf("storm failed: %v", rep.Errors)
+	}
+	files := 0
+	for _, d := range st.disks {
+		for _, name := range d.List("") {
+			suffix := name[strings.LastIndexByte(name, '.')+1:]
+			if _, err := strconv.Atoi(suffix); err == nil && len(suffix) == 6 {
+				files++
+			}
+		}
+	}
+	if segs, live := st.LogLevels(); segs != files || live <= 0 {
+		t.Fatalf("report: %d live segments holding %d bytes; disks: %d segment files", segs, live, files)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
 	"mspr/internal/txmsp"
+	"mspr/internal/wal"
 )
 
 // oneWay is the paper's MSP↔MSP one-way network latency (§5.1).
@@ -78,6 +79,7 @@ type Storm struct {
 
 	net    *simnet.Network
 	client *core.Client
+	disks  []*simdisk.Disk
 }
 
 // NewStorm assembles a fresh system: network, processes, client, fault
@@ -94,6 +96,7 @@ func NewStorm(spec StormSpec) (*Storm, error) {
 	dom := core.NewDomain("storm", oneWay, spec.Scale)
 	startMSP := func(id string, fpSeed int64, def core.Definition) (*MSP, error) {
 		cfg := core.NewConfig(id, dom, simdisk.NewDisk(simdisk.DefaultModel(spec.Scale)), st.net, def)
+		st.disks = append(st.disks, cfg.Disk)
 		cfg.SessionCkptThreshold = 64 << 10
 		cfg.BatchFlushTimeout = spec.Batch
 		cfg.Disk.SetFailpoints(failpoint.New(fpSeed)) // inert until a fault arms a point
@@ -132,6 +135,7 @@ func NewStorm(spec StormSpec) (*Storm, error) {
 		ledgerCfg := txmsp.Config{ID: "ledger", Net: st.net, TimeScale: spec.Scale, Tap: tap,
 			Disk: simdisk.NewDisk(simdisk.DefaultModel(spec.Scale))}
 		ledgerCfg.Disk.SetFailpoints(failpoint.New(spec.Seed + 103))
+		st.disks = append(st.disks, ledgerCfg.Disk)
 		if st.Ledger, err = StartStore(ledgerCfg); err != nil {
 			return nil, err
 		}
@@ -313,6 +317,23 @@ func (st *Storm) halted() []string {
 		}
 	}
 	return down
+}
+
+// LogLevels sums the live segment files and their durable record bytes
+// over every log the storm owns: Front's, Back's and the ledger's journal.
+// A closed log keeps its segment table: it holds after Close.
+func (st *Storm) LogLevels() (segments int, liveBytes int64) {
+	logs := []*wal.Log{st.Front.Current().Log()}
+	if !st.Spec.Solo {
+		logs = append(logs, st.Back.Current().Log(), st.Ledger.Current().Journal())
+	}
+	for _, l := range logs {
+		for _, seg := range l.Segments() {
+			segments++
+			liveBytes += seg.Bytes - simdisk.SectorSize // less the header sector
+		}
+	}
+	return segments, liveBytes
 }
 
 // Close tears the system down.

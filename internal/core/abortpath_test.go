@@ -266,3 +266,34 @@ func TestOneAbortPath(t *testing.T) {
 		t.Errorf("methodAbort literals = %v, want exactly one, in abortMethod", sentinels)
 	}
 }
+
+// TestReplayDivergenceIsFailStop restarts an MSP over a log its new
+// definition cannot replay: a handler that now writes where the logged
+// execution read, and a method that is gone. The sweep's replay must halt
+// that one MSP with the session still owing its replay; both used to panic
+// the whole process.
+func TestReplayDivergenceIsFailStop(t *testing.T) {
+	read := func(ctx *Ctx, _ []byte) ([]byte, error) { return ctx.ReadShared("v") }
+	write := func(ctx *Ctx, _ []byte) ([]byte, error) { return nil, ctx.WriteShared("v", u64(1)) }
+	shared := []SharedDef{{Name: "v", Initial: u64(0)}}
+	for _, tc := range []struct {
+		name    string
+		methods map[string]Handler
+	}{
+		{"handler-diverges", map[string]Handler{"op": write}},
+		{"method-removed", map[string]Handler{"other": read}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEnv(t)
+			defer e.cleanup()
+			e.start("m", Definition{Methods: map[string]Handler{"op": read}, Shared: shared})
+			mustCall(t, e.endClient().Session("m"), "op", nil)
+			e.srvs["m"].Crash()
+			srv := e.start("m", Definition{Methods: tc.methods, Shared: shared})
+			waitFor(t, 10*time.Second, "the replay to halt the MSP", srv.Halted)
+			if got := srv.RecoveringSessions(); got != 1 {
+				t.Fatalf("RecoveringSessions after the failed replay = %d, want 1", got)
+			}
+		})
+	}
+}

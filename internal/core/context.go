@@ -41,7 +41,7 @@ func (rp *replayState) peek(c *Ctx) (lsn wal.LSN, typ logrec.Type, payload []byt
 	e := rp.positions[rp.idx]
 	typ, payload, err := c.srv.loggedRecord(e)
 	if err != nil {
-		panic(fmt.Errorf("core: replay of %s: reading %d: %w", c.srv.cfg.ID, e.lsn, err))
+		c.failReplay(fmt.Errorf("core: replay of %s: reading %d: %w", c.srv.cfg.ID, e.lsn, err))
 	}
 	return e.lsn, typ, payload, true
 }
@@ -101,7 +101,7 @@ func abortMethod(reason abortReason, err error) { panic(methodAbort{reason, err}
 // says which — and, unless it was aborted, records the outcome the same
 // way for both: reply buffered (§3.1), sequence number advanced, execution
 // reported to the tap. It holds the package's only recover(); any other
-// panic value (a handler bug, a replay mismatch) keeps unwinding.
+// panic value (a handler bug) keeps unwinding.
 func runMethod(ctx *Ctx, h Handler, arg []byte) (rep rpc.Reply, abort abortReason) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -129,6 +129,15 @@ func runMethod(ctx *Ctx, h Handler, arg []byte) (rep rpc.Reply, abort abortReaso
 		tap.RequestExecuted(s.cfg.ID, sess.id, ctx.reqSeq, s.epoch.Load(), uint64(ctx.reqLSN), rep.Payload, ctx.rp != nil)
 	}
 	return rep, notAborted
+}
+
+// failReplay fail-stops the MSP on a replay it cannot carry out — a record
+// that cannot be read or decoded, or a log that disagrees with what the
+// method does — and unwinds the method. The session keeps owing its
+// replay, for an incarnation whose definition matches the log.
+func (c *Ctx) failReplay(err error) {
+	c.srv.halt()
+	abortMethod(abortCrashed, err)
 }
 
 // abortIfLogDown stops the method if err is a failed append to, or flush
@@ -336,16 +345,10 @@ func (c *Ctx) replayRead(name string) (value []byte, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	if typ != logrec.TSharedRead {
-		panic(fmt.Errorf("core: replay mismatch in %s/%s: expected SharedRead(%s), log has %v at %d",
-			c.srv.cfg.ID, c.sess.id, name, typ, lsn))
-	}
 	rec, err := logrec.DecodeSharedRead(payload)
-	if err != nil {
-		panic(err)
-	}
-	if rec.Var != name {
-		panic(fmt.Errorf("core: replay mismatch: read of %s, log has read of %s", name, rec.Var))
+	if typ != logrec.TSharedRead || err != nil || rec.Var != name {
+		c.failReplay(errors.Join(fmt.Errorf("core: replay mismatch in %s/%s: read of %s, log has %v of %q at %d",
+			c.srv.cfg.ID, c.sess.id, name, typ, rec.Var, lsn), err))
 	}
 	if _, orphan := c.srv.know.OrphanIn(rec.DV); orphan {
 		// Orphan log record found: recovery ends here; the read
@@ -361,16 +364,10 @@ func (c *Ctx) replayRead(name string) (value []byte, ok bool) {
 // replayedWrite checks that the record replay skips for a write of name
 // is that write.
 func (c *Ctx) replayedWrite(name string, lsn wal.LSN, typ logrec.Type, payload []byte) {
-	if typ != logrec.TSharedWrite {
-		panic(fmt.Errorf("core: replay mismatch in %s/%s: expected SharedWrite(%s), log has %v at %d",
-			c.srv.cfg.ID, c.sess.id, name, typ, lsn))
-	}
 	rec, err := logrec.DecodeSharedWrite(payload)
-	if err != nil {
-		panic(err)
-	}
-	if rec.Var != name {
-		panic(fmt.Errorf("core: replay mismatch: write of %s, log has write of %s", name, rec.Var))
+	if typ != logrec.TSharedWrite || err != nil || rec.Var != name {
+		c.failReplay(errors.Join(fmt.Errorf("core: replay mismatch in %s/%s: write of %s, log has %v of %q at %d",
+			c.srv.cfg.ID, c.sess.id, name, typ, rec.Var, lsn), err))
 	}
 }
 
@@ -386,17 +383,10 @@ func (c *Ctx) Call(target, method string, arg []byte) ([]byte, error) {
 		if !ok {
 			return c.liveCall(out, method, arg)
 		}
-		if typ != logrec.TReplyReceive {
-			panic(fmt.Errorf("core: replay mismatch in %s/%s: expected ReplyReceive, log has %v at %d",
-				c.srv.cfg.ID, c.sess.id, typ, lsn))
-		}
 		rec, err := logrec.DecodeReplyReceive(payload)
-		if err != nil {
-			panic(err)
-		}
-		if rec.OutSession != out.id || rec.Seq != seq {
-			panic(fmt.Errorf("core: replay mismatch: call %s/%d, log has %s/%d",
-				out.id, seq, rec.OutSession, rec.Seq))
+		if typ != logrec.TReplyReceive || err != nil || rec.OutSession != out.id || rec.Seq != seq {
+			c.failReplay(errors.Join(fmt.Errorf("core: replay mismatch in %s/%s: call %s/%d, log has %v of %s/%d at %d",
+				c.srv.cfg.ID, c.sess.id, out.id, seq, typ, rec.OutSession, rec.Seq, lsn), err))
 		}
 		if rec.HasDV {
 			if _, orphan := c.srv.know.OrphanIn(rec.DV); orphan {

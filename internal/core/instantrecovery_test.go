@@ -14,12 +14,25 @@ import (
 // so the test controls exactly when each replay happens.
 func noSweep(cfg *Config) { cfg.noRecoverySweep = true }
 
+// unrecoveredShared counts the server's shared variables whose value has
+// not been materialized from the log since the crash.
+func unrecoveredShared(s *Server) int {
+	n := 0
+	for _, sv := range s.shared {
+		sv.mu.Lock()
+		if sv.unrecovered {
+			n++
+		}
+		sv.mu.Unlock()
+	}
+	return n
+}
+
 // TestLazySessionRestoreOnFirstTouch is the instant-recovery contract at
 // unit scale: after a crash the session is pending (analysis only), the
-// first request replays exactly that session, and the pending gauge
-// retires it.
+// first request replays exactly that session, and the server no longer
+// counts it as owing a replay.
 func TestLazySessionRestoreOnFirstTouch(t *testing.T) {
-	pendBefore := metrics.Recovery.PendingSessions.Load()
 	lazyBefore := metrics.Recovery.LazyReplays.Load()
 	e := newTestEnv(t)
 	defer e.cleanup()
@@ -34,9 +47,6 @@ func TestLazySessionRestoreOnFirstTouch(t *testing.T) {
 	if got := e.srvs["m"].RecoveringSessions(); got != 1 {
 		t.Fatalf("RecoveringSessions after analysis = %d, want 1", got)
 	}
-	if d := metrics.Recovery.PendingSessions.Load() - pendBefore; d != 1 {
-		t.Fatalf("PendingSessions delta after analysis = %d, want 1", d)
-	}
 
 	// First touch replays the session and serves against restored state.
 	if got := asU64(mustCall(t, cs, "inc", nil)); got != 4 {
@@ -48,16 +58,12 @@ func TestLazySessionRestoreOnFirstTouch(t *testing.T) {
 	if got := e.srvs["m"].RecoveringSessions(); got != 0 {
 		t.Fatalf("RecoveringSessions after first touch = %d, want 0", got)
 	}
-	if d := metrics.Recovery.PendingSessions.Load() - pendBefore; d != 0 {
-		t.Fatalf("PendingSessions delta after first touch = %d, want 0 (gauge leaked)", d)
-	}
 }
 
 // TestSharedVariableLazyMaterializationOnRead checks the shared-variable
 // half of lazy restore: the analysis scan leaves only the chain-head LSN,
 // and the first read re-materializes the value from that one record.
 func TestSharedVariableLazyMaterializationOnRead(t *testing.T) {
-	pendBefore := metrics.Recovery.PendingShared.Load()
 	e := newTestEnv(t)
 	defer e.cleanup()
 	e.start("m", counterDef(), noSweep)
@@ -66,16 +72,16 @@ func TestSharedVariableLazyMaterializationOnRead(t *testing.T) {
 		mustCall(t, cs, "sharedInc", nil)
 	}
 	e.restart("m")
-	if d := metrics.Recovery.PendingShared.Load() - pendBefore; d != 1 {
-		t.Fatalf("PendingShared delta after analysis = %d, want 1", d)
+	if got := unrecoveredShared(e.srvs["m"]); got != 1 {
+		t.Fatalf("unrecovered shared variables after analysis = %d, want 1", got)
 	}
 	// A fresh session's read must see the value materialized from the log.
 	cs2 := e.endClient().Session("m")
 	if got := asU64(mustCall(t, cs2, "sharedGet", nil)); got != 5 {
 		t.Fatalf("post-crash sharedGet returned %d, want 5", got)
 	}
-	if d := metrics.Recovery.PendingShared.Load() - pendBefore; d != 0 {
-		t.Fatalf("PendingShared delta after read = %d, want 0 (gauge leaked)", d)
+	if got := unrecoveredShared(e.srvs["m"]); got != 0 {
+		t.Fatalf("unrecovered shared variables after read = %d, want 0", got)
 	}
 }
 
@@ -153,13 +159,10 @@ func TestCrashDuringLazyReplay(t *testing.T) {
 	}
 }
 
-// TestPendingGaugesReleasedByTeardown: an incarnation that dies with
-// unrecovered units still pending must retire them from the gauges —
-// they belong to the dead incarnation, and the next one republishes its
-// own set.
-func TestPendingGaugesReleasedByTeardown(t *testing.T) {
-	sessBefore := metrics.Recovery.PendingSessions.Load()
-	sharedBefore := metrics.Recovery.PendingShared.Load()
+// TestTeardownWithUnitsPending: an incarnation that dies with
+// unrecovered units still pending leaves them to the next incarnation,
+// which recovers everything exactly once from its own analysis pass.
+func TestTeardownWithUnitsPending(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()
 	e.start("m", counterDef(), noSweep)
@@ -167,19 +170,11 @@ func TestPendingGaugesReleasedByTeardown(t *testing.T) {
 	mustCall(t, cs, "inc", nil)
 	mustCall(t, cs, "sharedInc", nil)
 	e.restart("m")
-	if metrics.Recovery.PendingSessions.Load() == sessBefore &&
-		metrics.Recovery.PendingShared.Load() == sharedBefore {
-		t.Fatal("analysis published nothing on the pending gauges")
+	if e.srvs["m"].RecoveringSessions() == 0 || unrecoveredShared(e.srvs["m"]) == 0 {
+		t.Fatal("analysis left no session or shared variable pending")
 	}
-	// Crash with everything still pending: teardown must retire the units.
+	// Crash with everything still pending.
 	e.srvs["m"].Crash()
-	if d := metrics.Recovery.PendingSessions.Load() - sessBefore; d != 0 {
-		t.Fatalf("PendingSessions delta after teardown = %d, want 0", d)
-	}
-	if d := metrics.Recovery.PendingShared.Load() - sharedBefore; d != 0 {
-		t.Fatalf("PendingShared delta after teardown = %d, want 0", d)
-	}
-	// And the next incarnation still recovers everything exactly once.
 	e.start("m", e.defs["m"])
 	if got := asU64(mustCall(t, cs, "inc", nil)); got != 2 {
 		t.Fatalf("inc after double crash returned %d, want 2", got)
@@ -187,11 +182,8 @@ func TestPendingGaugesReleasedByTeardown(t *testing.T) {
 }
 
 // TestSweepDrainsAllUnits: with the background sweep on (the default),
-// every pending unit drains to live without any traffic, and the gauges
-// return to their pre-crash level.
+// every pending unit drains to live without any traffic.
 func TestSweepDrainsAllUnits(t *testing.T) {
-	sessBefore := metrics.Recovery.PendingSessions.Load()
-	sharedBefore := metrics.Recovery.PendingShared.Load()
 	sweepBefore := metrics.Recovery.SweepReplays.Load()
 	e := newTestEnv(t)
 	defer e.cleanup()
@@ -216,15 +208,11 @@ func TestSweepDrainsAllUnits(t *testing.T) {
 		t.Fatalf("SweepReplays delta = %d, want >= 1", d)
 	}
 	// The shared variable drains too (it may take one more sweep step).
-	for (metrics.Recovery.PendingShared.Load() != sharedBefore ||
-		metrics.Recovery.PendingSessions.Load() != sessBefore) && time.Now().Before(deadline) {
+	for unrecoveredShared(e.srvs["m"]) != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if d := metrics.Recovery.PendingSessions.Load() - sessBefore; d != 0 {
-		t.Fatalf("PendingSessions delta after sweep = %d, want 0", d)
-	}
-	if d := metrics.Recovery.PendingShared.Load() - sharedBefore; d != 0 {
-		t.Fatalf("PendingShared delta after sweep = %d, want 0", d)
+	if got := unrecoveredShared(e.srvs["m"]); got != 0 {
+		t.Fatalf("sweep left %d shared variables unrecovered", got)
 	}
 	// Everything is live: each session continues exactly-once.
 	for i, cs := range sessions {

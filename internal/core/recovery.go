@@ -139,14 +139,10 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 
 	// Publish the unrecovered set: from here on a request that touches one
 	// of these units claims and replays it on demand; the sweep drains the
-	// remainder. The gauges are retired unit by unit (or wholesale by
-	// releasePendingUnits if this incarnation dies first).
+	// remainder.
 	sessions := s.sessions.snapshot()
 	for _, sess := range sessions {
 		sess.markUnrecovered()
-	}
-	for _, sv := range s.shared {
-		sv.markPending()
 	}
 	// Crash window between analysis and the first reply: state is durable
 	// (post-recovery checkpoint written, learned knowledge flushed) but no
@@ -301,7 +297,8 @@ func (s *Server) runSessionRecovery(sess *Session) {
 		restart, err := s.replaySessionOnce(sess)
 		if err != nil {
 			// Fail-stop: the session is half-replayed — a record could not
-			// be read or decoded, or the MSP died under the replay — and
+			// be read or decoded, the log disagrees with the definition,
+			// or the MSP died under the replay — and
 			// must never serve a request in that state. It stays in
 			// recovery, and the incarnation halts (a no-op when it already
 			// has): the next one replays the session from the log.
@@ -416,7 +413,8 @@ func (s *Server) replaySessionOnce(sess *Session) (restart bool, err error) {
 // sent; otherwise the regenerated reply is only buffered — the client's
 // resend will fetch it. restart: the session turned out to be an orphan
 // (at an interception point or the live completion's reply flush); the
-// re-run truncates at the orphan record. err: the MSP died under it.
+// re-run truncates at the orphan record. err: the MSP died under it, or
+// the definition no longer has the logged method.
 func (s *Server) replayRequest(ctx *Ctx, sess *Session, rec logrec.ReqReceive, lsn wal.LSN) (restart bool, err error) {
 	if rec.Method == "" {
 		return false, nil
@@ -426,7 +424,7 @@ func (s *Server) replayRequest(ctx *Ctx, sess *Session, rec logrec.ReqReceive, l
 	if h == nil {
 		// The method disappeared from the definition between incarnations;
 		// nothing can be replayed deterministically.
-		panic(fmt.Errorf("core: replay of unknown method %q", rec.Method))
+		return false, fmt.Errorf("core: replay of unknown method %q", rec.Method)
 	}
 	rep, abort := runMethod(ctx, h, rec.Arg)
 	switch abort {

@@ -275,11 +275,8 @@ func Start(cfg Config) (*Server, error) {
 			if err != nil {
 				// Leave the carcass exactly as a crash would: endpoint
 				// down, log closed. A later Start recovers from disk.
-				// Units already published on the pending gauges by the
-				// interrupted recovery belong to this dead incarnation;
-				// retire them so the gauges track live work only.
 				s.halt()
-				s.releasePendingUnits()
+				s.releaseRetained()
 				return nil, fmt.Errorf("core: %s: crash recovery: %w", cfg.ID, err)
 			}
 			s.ttfrPending.Store(true)
@@ -325,8 +322,8 @@ func sweepShare(workers int) int { return max(1, workers/4*3) }
 // offers the sessions one by one on the unbuffered sweep lane, each after
 // taking a slot of sweepSlots, and workers take them between requests (see
 // worker); then it materializes the shared variables in place. A crash,
-// real or injected, ends it: units not yet offered stay pending for
-// releasePendingUnits.
+// real or injected, ends it: units not yet offered stay pending, and
+// releaseRetained drops their records.
 func (s *Server) recoverySweep(sessions []*Session) {
 	for _, sess := range sessions {
 		if err := s.evalCrashPoint(FPSweepMid); err != nil {
@@ -357,16 +354,12 @@ func (s *Server) recoverySweep(sessions []*Session) {
 	}
 }
 
-// releasePendingUnits retires every unit still on the pending-recovery
-// gauges and drops the log records retained for their replay. Called after
-// a teardown (Crash, or a failed recovery's halt): the units belong to the
-// dead incarnation — the next Start republishes whatever its own analysis
-// pass finds.
-func (s *Server) releasePendingUnits() {
-	s.sessions.forEach(func(sess *Session) { sess.clearPending() })
-	for _, sv := range s.shared {
-		sv.clearPending()
-	}
+// releaseRetained drops the log records retained for the replay of every
+// session still owing one. Called after a teardown (Crash, or a failed
+// recovery's halt): the units belong to the dead incarnation — the next
+// Start rebuilds whatever its own analysis pass finds.
+func (s *Server) releaseRetained() {
+	s.sessions.forEach(func(sess *Session) { sess.releaseRetained() })
 }
 
 // RecoveringSessions reports how many sessions still owe a replay —
@@ -481,10 +474,9 @@ func (s *Server) evalCrashPoint(name string) error {
 func (s *Server) Crash() {
 	s.halt()
 	s.wg.Wait()
-	// With all workers and the sweep stopped, retire this incarnation's
-	// units from the pending gauges: the next incarnation's analysis pass
-	// republishes its own set.
-	s.releasePendingUnits()
+	// With all workers and the sweep stopped, nothing replays this
+	// incarnation's units any more.
+	s.releaseRetained()
 }
 
 // Shutdown stops the MSP cleanly: the log is flushed first so a

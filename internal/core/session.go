@@ -6,7 +6,6 @@ import (
 
 	"mspr/internal/dv"
 	"mspr/internal/logrec"
-	"mspr/internal/metrics"
 	"mspr/internal/rpc"
 	"mspr/internal/simnet"
 	"mspr/internal/wal"
@@ -95,14 +94,6 @@ type Session struct {
 	//
 	//mspr:guarded-by mu
 	startPin wal.LSN
-
-	// gaugePending mirrors whether this session is counted in
-	// metrics.Recovery.PendingSessions, making gauge retirement
-	// idempotent across the replay path, the sweep, and incarnation
-	// teardown (releasePendingUnits).
-	//
-	//mspr:guarded-by mu
-	gaugePending bool
 }
 
 // outSession is the client side of a session this session started with
@@ -185,9 +176,8 @@ func (se *Session) beginRecoveryIfOrphan() bool {
 }
 
 // finishRecovery returns the session to idle after replay completes. A
-// session coming out of replay is live: it leaves the pending gauge if it
-// was counted there, and lets go of the records the analysis scan kept for
-// the replay.
+// session coming out of replay is live: it lets go of the records the
+// analysis scan kept for the replay.
 func (se *Session) finishRecovery() {
 	se.mu.Lock()
 	if se.phase == phaseRecovering {
@@ -195,7 +185,6 @@ func (se *Session) finishRecovery() {
 		se.srv.recovering.Add(-1)
 	}
 	se.pos.release()
-	se.clearPendingLocked()
 	se.mu.Unlock()
 }
 
@@ -211,10 +200,6 @@ func (se *Session) markUnrecovered() {
 	if se.phase == phaseIdle {
 		se.phase = phaseUnrecovered
 		se.srv.recovering.Add(1)
-		if !se.gaugePending {
-			se.gaugePending = true
-			metrics.Recovery.PendingSessions.Add(1)
-		}
 	}
 	se.mu.Unlock()
 }
@@ -240,25 +225,11 @@ func (se *Session) pendingReplay() bool {
 	return se.phase.owesReplay()
 }
 
-// clearPendingLocked retires the session from the pending gauge; callers
-// hold se.mu. Idempotent: the gauge moves once per crash no matter how
-// many paths (replay, sweep, teardown) race to retire the unit.
-//
-//mspr:holds mu
-func (se *Session) clearPendingLocked() {
-	if se.gaugePending {
-		se.gaugePending = false
-		metrics.Recovery.PendingSessions.Add(-1)
-	}
-}
-
-// clearPending retires the session from the pending gauge and lets go of
-// its retained records without a phase change (incarnation teardown with
-// replay still owed).
-func (se *Session) clearPending() {
+// releaseRetained lets go of the session's retained records without a
+// phase change (incarnation teardown with replay still owed).
+func (se *Session) releaseRetained() {
 	se.mu.Lock()
 	se.pos.release()
-	se.clearPendingLocked()
 	se.mu.Unlock()
 }
 
@@ -269,7 +240,6 @@ func (se *Session) markEnded() {
 	}
 	se.phase = phaseEnded
 	se.pos.truncateAll()
-	se.clearPendingLocked()
 	se.mu.Unlock()
 }
 

@@ -44,10 +44,6 @@ type SharedVar struct {
 	// re-read from the log yet. materializeLocked clears it on the first
 	// post-crash access (or when the background sweep gets there first).
 	unrecovered bool
-	// gaugePending mirrors membership in metrics.Recovery.PendingShared
-	// so gauge retirement is idempotent across access, sweep and
-	// teardown.
-	gaugePending bool
 }
 
 func newSharedVar(s *Server, def SharedDef) *SharedVar {
@@ -137,7 +133,6 @@ func (sv *SharedVar) writeLocked(sess *Session, value []byte) error {
 		// backward chain stays intact — PrevWrite points at the
 		// analysis-tracked chain head.
 		sv.unrecovered = false
-		sv.clearPendingLocked()
 		metrics.Recovery.LazyReplays.Inc()
 	}
 	wvec := sess.vecWithSelf()
@@ -344,34 +339,6 @@ func (sv *SharedVar) scanNoteCheckpoint(lsn wal.LSN) {
 	sv.mu.Unlock()
 }
 
-// markPending publishes the variable on the PendingShared gauge at the
-// end of the analysis pass if the scan left it unmaterialized.
-func (sv *SharedVar) markPending() {
-	sv.mu.Lock()
-	if sv.unrecovered && !sv.gaugePending {
-		sv.gaugePending = true
-		metrics.Recovery.PendingShared.Add(1)
-	}
-	sv.mu.Unlock()
-}
-
-// clearPendingLocked retires the variable from the PendingShared gauge;
-// callers hold sv.mu. Idempotent.
-func (sv *SharedVar) clearPendingLocked() {
-	if sv.gaugePending {
-		sv.gaugePending = false
-		metrics.Recovery.PendingShared.Add(-1)
-	}
-}
-
-// clearPending retires the variable from the gauge without materializing
-// (incarnation teardown).
-func (sv *SharedVar) clearPending() {
-	sv.mu.Lock()
-	sv.clearPendingLocked()
-	sv.mu.Unlock()
-}
-
 // materializeLocked restores the variable's value and DV from the log on
 // first post-crash access (instant recovery's lazy restore): the analysis
 // scan left only the chain-head LSN; read that one record. It reports
@@ -388,7 +355,6 @@ func (sv *SharedVar) materializeLocked() (bool, error) {
 		return false, err
 	}
 	sv.unrecovered = false
-	sv.clearPendingLocked()
 	return true, nil
 }
 

@@ -15,18 +15,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current count.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is a concurrent up/down level indicator (e.g. live segment
-// count). The zero value is ready. Layers maintaining a gauge apply
-// deltas for durable state changes only, so a process restart (which
-// re-opens the same disk state) does not double-count.
-type Gauge struct{ v atomic.Int64 }
-
-// Add applies a delta (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current level.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // MaxGauge tracks the maximum value ever observed. The zero value is
 // ready.
 type MaxGauge struct{ v atomic.Int64 }
@@ -75,15 +63,6 @@ type RecoveryCounters struct {
 	// disk write error.
 	TransientWriteRetries Counter
 
-	// PendingSessions tracks sessions known from the crash-recovery
-	// analysis scan but not yet replayed (instant recovery: the server is
-	// serving while these drain). Marked up when recovery publishes the
-	// unrecovered set, down as lazy replay, the background sweep, or the
-	// owning incarnation's teardown retires each unit.
-	PendingSessions Gauge
-	// PendingShared tracks shared variables whose value has not been
-	// re-materialized from the log since the crash.
-	PendingShared Gauge
 	// LazyReplays counts recovery units restored on demand: a session
 	// replayed because a request touched it before the sweep reached it,
 	// or a shared variable materialized on its first post-crash access.
@@ -159,14 +138,6 @@ type WalCounters struct {
 	// checkpoint-anchored truncation (every record strictly below the
 	// anchor head).
 	SegmentsReclaimed Counter
-	// SegmentsLive tracks the number of segment files currently on disk
-	// across all logs. Maintained by durable-state deltas (create +1,
-	// reclaim -1), so crash-reopens do not double-count.
-	SegmentsLive Gauge
-	// LiveLogBytes tracks durable log-record bytes on disk across all
-	// logs (flushed block bytes added, reclaimed segment bytes
-	// subtracted).
-	LiveLogBytes Gauge
 	// PeakLiveBytes is the largest live span (durable minus head) any
 	// single log ever reached — the bounded-disk headline number: under
 	// steady checkpointing it stays flat however long the storm runs.

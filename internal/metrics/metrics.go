@@ -2,6 +2,11 @@
 // the experiments report. All raw samples are wall-clock durations; the
 // reporting helpers rescale them by the experiment's TimeScale so results
 // read in the paper's model milliseconds.
+//
+// It also holds the process-wide event counters and maxima of the
+// recovery, network, log and overload layers, but no levels: a level is
+// read from the instance that owns it (core.Server.RecoveringSessions,
+// wal.Log.Segments), so a crash leaves nothing here to retire.
 package metrics
 
 import (

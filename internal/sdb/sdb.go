@@ -171,6 +171,9 @@ func (s *Store) failed(err error) error {
 // incarnation cannot write over the records of the one reopened after it.
 func (s *Store) Close() error { return s.log.Close() }
 
+// Log returns the store's journal.
+func (s *Store) Log() *wal.Log { return s.log }
+
 // Get reads a key outside any transaction, charging a read of at least
 // one sector. It returns a copy of the value.
 func (s *Store) Get(key string) ([]byte, bool) {

@@ -33,6 +33,7 @@ import (
 	"mspr/internal/sdb"
 	"mspr/internal/simdisk"
 	"mspr/internal/simnet"
+	"mspr/internal/wal"
 )
 
 // OpKind is a transaction operation type.
@@ -291,6 +292,10 @@ func (t *Server) Crash() {
 		panic(fmt.Errorf("txmsp: closing the store of %s: %w", t.cfg.ID, err))
 	}
 }
+
+// Journal returns the store's journal, the resource manager's one log:
+// its MSP logs nothing.
+func (t *Server) Journal() *wal.Log { return t.store.Log() }
 
 // Halted reports whether the resource manager's process has stopped.
 func (t *Server) Halted() bool { return t.srv.Halted() }

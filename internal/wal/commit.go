@@ -414,8 +414,6 @@ func (l *Log) flushNow(upTo LSN) error {
 	l.cond.Broadcast()
 	liveSpan := int64(l.durable - l.head)
 	l.mu.Unlock()
-	// The file grew by the block less the partial sector it rewrote.
-	metrics.Wal.LiveLogBytes.Add(int64(need) - alignUp(int64(carry)))
 	metrics.Wal.PeakLiveBytes.Observe(liveSpan)
 	return nil
 }

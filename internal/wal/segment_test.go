@@ -25,6 +25,14 @@ func tinySegLog(t *testing.T, seed int64, segSize int64) (*simdisk.Disk, *failpo
 	return disk, fp, l
 }
 
+// liveBytes sums the durable log-record bytes of the log's segment files.
+func liveBytes(l *Log) (n int64) {
+	for _, seg := range l.Segments() {
+		n += seg.Bytes - headerSize
+	}
+	return n
+}
+
 // appendFlushN appends n individually flushed records ("rec-0000", …) of
 // 17 framed bytes; the log packs them, so about segSize/17 fill a segment
 // and most rotations leave a partial sector behind.
@@ -280,15 +288,14 @@ func TestRotationCrashAfterCreateAdoptsOrphan(t *testing.T) {
 	}
 	l.Close()
 
-	liveBefore := metrics.Wal.SegmentsLive.Load()
 	l2, err := Open(disk, "log", Config{SegmentSize: 1024})
 	if err != nil {
 		t.Fatalf("reopen must adopt the orphan: %v", err)
 	}
-	if metrics.Wal.SegmentsLive.Load() != liveBefore {
-		t.Fatal("adopting an existing segment must not change SegmentsLive")
-	}
 	segs := l2.Segments()
+	if files := disk.List("log.0"); len(segs) != len(files) {
+		t.Fatalf("reopen lists %d segments for the %d files on disk", len(segs), len(files))
+	}
 	if len(segs) != 2 || segs[1].End != 0 || segs[1].Bytes != 512 {
 		t.Fatalf("adopted segment table wrong: %+v", segs)
 	}
@@ -507,15 +514,15 @@ func TestAnchorlessRotationLeavesNoAnchor(t *testing.T) {
 	}
 }
 
-// LiveLogBytes tracks the durable live region across flushes and
-// truncations; PeakLiveBytes records the high-water mark.
+// The segment files' live bytes track the durable live region across
+// flushes and truncations; PeakLiveBytes records the high-water mark.
 func TestSegmentMetricsTrackLiveBytes(t *testing.T) {
 	_, _, l := tinySegLog(t, 31, 1024)
-	liveBefore := metrics.Wal.LiveLogBytes.Load()
+	liveBefore := liveBytes(l)
 	lsns := appendFlushSectors(t, l, 0, 8)
-	grown := metrics.Wal.LiveLogBytes.Load() - liveBefore
+	grown := liveBytes(l) - liveBefore
 	if grown != 8*512 {
-		t.Fatalf("LiveLogBytes grew by %d, want %d", grown, 8*512)
+		t.Fatalf("live bytes grew by %d, want %d", grown, 8*512)
 	}
 	if peak := metrics.Wal.PeakLiveBytes.Load(); peak < 8*512 {
 		t.Fatalf("PeakLiveBytes = %d, want >= %d", peak, 8*512)
@@ -526,8 +533,8 @@ func TestSegmentMetricsTrackLiveBytes(t *testing.T) {
 	if err := l.TruncateHead(lsns[6]); err != nil {
 		t.Fatal(err)
 	}
-	shrunk := metrics.Wal.LiveLogBytes.Load() - liveBefore
+	shrunk := liveBytes(l) - liveBefore
 	if shrunk >= grown || shrunk < 0 {
-		t.Fatalf("LiveLogBytes after truncation = %+d, want shrunk from %d", shrunk, grown)
+		t.Fatalf("live bytes after truncation = %+d, want shrunk from %d", shrunk, grown)
 	}
 }

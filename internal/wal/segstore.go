@@ -236,15 +236,14 @@ func openSegments(disk *simdisk.Disk, name string, dir []dirEntry, anchor *Ancho
 func createSegment(disk *simdisk.Disk, name string, idx uint64, base LSN, charge bool) (segment, error) {
 	fn := segFileName(name, idx)
 	if disk.OpenFile(fn).Size() != 0 {
-		// Leftover from an earlier crashed rotation (never adopted, so
-		// never counted live): recreate from scratch.
+		// Leftover from an earlier crashed rotation (never adopted):
+		// recreate from scratch.
 		disk.Remove(fn)
 	}
 	f := disk.OpenFile(fn)
 	if err := writeSectors(f, encodeSegHeader(idx, base), 0, 0, charge); err != nil {
 		return segment{}, fmt.Errorf("wal: writing header of %q: %w", fn, err)
 	}
-	metrics.Wal.SegmentsLive.Add(1)
 	return segment{index: idx, base: base, file: f}, nil
 }
 
@@ -357,7 +356,6 @@ func (s *segStore) dropBelow(before LSN) (freed bool, err error) {
 		if _, hit := s.fp().Eval(FPTruncateCrash); hit {
 			return freed, fmt.Errorf("wal: truncation of %q crashed between segment deletions: %w", s.name, failpoint.ErrInjected)
 		}
-		size := victim.file.Size()
 		s.disk.Remove(victim.file.Name())
 		s.disk.ChargeWrite(1, 0) // directory metadata update
 		s.mu.Lock()
@@ -367,8 +365,6 @@ func (s *segStore) dropBelow(before LSN) (freed bool, err error) {
 		s.mu.Unlock()
 		freed = true
 		metrics.Wal.SegmentsReclaimed.Inc()
-		metrics.Wal.SegmentsLive.Add(-1)
-		metrics.Wal.LiveLogBytes.Add(-(size - headerSize))
 	}
 }
 

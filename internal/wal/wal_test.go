@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"mspr/internal/metrics"
 	"mspr/internal/simdisk"
 )
 
@@ -141,10 +140,9 @@ func TestFlushContinuesPartialSector(t *testing.T) {
 // TestPackedLogDensity: a thousand single-record flushes leave a log no
 // longer than their frames plus one sector, the disk is charged a sector
 // for every 512 bytes it was sent — new records plus waste — and the
-// live-bytes gauge follows the file, not the bytes written.
+// segment file's live bytes follow the durable span, not the bytes written.
 func TestPackedLogDensity(t *testing.T) {
 	l, disk := newTestLog(t, Config{})
-	live := metrics.Wal.LiveLogBytes.Load()
 	rng := rand.New(rand.NewSource(5))
 	framed := 0
 	for i := 0; i < 1000; i++ {
@@ -165,9 +163,8 @@ func TestPackedLogDensity(t *testing.T) {
 	if int(st.SectorsOut)*simdisk.SectorSize != framed+int(st.WastedBytes) {
 		t.Fatalf("%d sectors out for %d new bytes and %d wasted", st.SectorsOut, framed, st.WastedBytes)
 	}
-	seg := l.Segments()[0]
-	if grown := metrics.Wal.LiveLogBytes.Load() - live; grown != seg.Bytes-headerSize {
-		t.Fatalf("LiveLogBytes grew by %d for a file of %d data bytes", grown, seg.Bytes-headerSize)
+	if live, want := liveBytes(l), alignUp(int64(l.Durable()-l.Segments()[0].Base)); live != want {
+		t.Fatalf("segment file holds %d live bytes for a durable span padded to %d", live, want)
 	}
 }
 
