@@ -159,11 +159,10 @@ type Config struct {
 	Tap Tap
 
 	// noRecoverySweep disables the background sweep that drains
-	// unrecovered units after crash recovery's analysis pass: every
-	// session and shared variable is then restored only on first touch.
-	// Only this package's lazy-restore tests set it: the sweep is what
-	// guarantees the process eventually returns to a fully materialized
-	// state.
+	// unrecovered sessions after crash recovery's analysis pass: every
+	// session is then replayed only on first touch. Only this package's
+	// lazy-restore tests set it: the sweep is what guarantees the process
+	// eventually returns to a fully materialized state.
 	noRecoverySweep bool
 }
 

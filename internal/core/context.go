@@ -153,9 +153,6 @@ func (c *Ctx) abortIfLogDown(err error) error {
 // SessionID returns the identifier of the session serving this request.
 func (c *Ctx) SessionID() string { return c.sess.id }
 
-// ServerID returns the identifier of the MSP executing this request.
-func (c *Ctx) ServerID() string { return c.srv.cfg.ID }
-
 // RequestSeq returns the sequence number of the request being served.
 // (SessionID, RequestSeq) uniquely identifies a request execution and is
 // stable across replay — methods use it as an idempotency key when
@@ -215,13 +212,6 @@ func (c *Ctx) GetVar(name string) []byte {
 func (c *Ctx) SetVar(name string, value []byte) {
 	c.sess.mu.Lock()
 	c.sess.vars[name] = append(c.sess.vars[name][:0], value...)
-	c.sess.mu.Unlock()
-}
-
-// DelVar removes a session variable.
-func (c *Ctx) DelVar(name string) {
-	c.sess.mu.Lock()
-	delete(c.sess.vars, name)
 	c.sess.mu.Unlock()
 }
 

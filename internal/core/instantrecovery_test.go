@@ -5,28 +5,17 @@ import (
 	"testing"
 	"time"
 
+	"mspr/internal/dv"
 	"mspr/internal/failpoint"
+	"mspr/internal/logrec"
 	"mspr/internal/metrics"
+	"mspr/internal/wal"
 )
 
 // noSweep is the config mutator for deterministic lazy-restore tests:
 // with the background sweep off, a unit is restored only on first touch,
 // so the test controls exactly when each replay happens.
 func noSweep(cfg *Config) { cfg.noRecoverySweep = true }
-
-// unrecoveredShared counts the server's shared variables whose value has
-// not been materialized from the log since the crash.
-func unrecoveredShared(s *Server) int {
-	n := 0
-	for _, sv := range s.shared {
-		sv.mu.Lock()
-		if sv.unrecovered {
-			n++
-		}
-		sv.mu.Unlock()
-	}
-	return n
-}
 
 // TestLazySessionRestoreOnFirstTouch is the instant-recovery contract at
 // unit scale: after a crash the session is pending (analysis only), the
@@ -60,36 +49,77 @@ func TestLazySessionRestoreOnFirstTouch(t *testing.T) {
 	}
 }
 
-// TestSharedVariableLazyMaterializationOnRead checks the shared-variable
-// half of lazy restore: the analysis scan leaves only the chain-head LSN,
-// and the first read re-materializes the value from that one record.
-func TestSharedVariableLazyMaterializationOnRead(t *testing.T) {
+// TestSharedVariablesLiveAfterStart: the analysis scan installs every
+// written shared variable from the head of its backward chain — a shared
+// write ("w", value and DV) or a checkpoint ("c", value, no DV) — before
+// Start returns, so the first post-crash read reads nothing from the disk.
+func TestSharedVariablesLiveAfterStart(t *testing.T) {
+	def := Definition{
+		Methods: map[string]Handler{
+			"put": func(ctx *Ctx, arg []byte) ([]byte, error) {
+				return nil, ctx.WriteShared(string(arg[:1]), arg[1:])
+			},
+			"peek": func(ctx *Ctx, arg []byte) ([]byte, error) {
+				return ctx.ReadShared(string(arg))
+			},
+		},
+		Shared: []SharedDef{{Name: "w", Initial: u64(0)}, {Name: "c", Initial: u64(0)}},
+	}
 	e := newTestEnv(t)
 	defer e.cleanup()
-	e.start("m", counterDef(), noSweep)
+	srv := e.start("m", def, noSweep)
 	cs := e.endClient().Session("m")
-	for want := uint64(1); want <= 5; want++ {
-		mustCall(t, cs, "sharedInc", nil)
+	mustCall(t, cs, "put", append([]byte("c"), u64(7)...))
+	srv.sharedVar("c").checkpoint(true)
+	// The reply's flush covers the checkpoint record appended before it.
+	mustCall(t, cs, "put", append([]byte("w"), u64(5)...))
+	w := srv.sharedVar("w")
+	w.mu.Lock()
+	wantVec := w.vec.Clone()
+	w.mu.Unlock()
+	if len(wantVec) == 0 {
+		t.Fatal("setup: the write logged no DV")
 	}
-	e.restart("m")
-	if got := unrecoveredShared(e.srvs["m"]); got != 1 {
-		t.Fatalf("unrecovered shared variables after analysis = %d, want 1", got)
+
+	srv = e.restart("m")
+	vars := []struct {
+		name  string
+		value uint64
+		vec   dv.Vector
+		typ   logrec.Type
+	}{{"w", 5, wantVec, logrec.TSharedWrite}, {"c", 7, nil, logrec.TSVCheckpoint}}
+	heads := make([]wal.LSN, len(vars))
+	for i, tc := range vars {
+		sv := srv.sharedVar(tc.name)
+		sv.mu.Lock()
+		value, vec := asU64(sv.value), sv.vec
+		heads[i] = sv.lastWrite
+		sv.mu.Unlock()
+		if value != tc.value || !vec.Equal(tc.vec) {
+			t.Errorf("%s after Start: value %d, DV %v; want %d, %v", tc.name, value, vec, tc.value, tc.vec)
+		}
 	}
-	// A fresh session's read must see the value materialized from the log.
-	cs2 := e.endClient().Session("m")
-	if got := asU64(mustCall(t, cs2, "sharedGet", nil)); got != 5 {
-		t.Fatalf("post-crash sharedGet returned %d, want 5", got)
+
+	reads := e.disks["m"].Stats().Reads
+	if got := asU64(mustCall(t, e.endClient().Session("m"), "peek", []byte("w"))); got != 5 {
+		t.Fatalf("post-crash read returned %d, want 5", got)
 	}
-	if got := unrecoveredShared(e.srvs["m"]); got != 0 {
-		t.Fatalf("unrecovered shared variables after read = %d, want 0", got)
+	if d := e.disks["m"].Stats().Reads - reads; d != 0 {
+		t.Errorf("the first post-crash read charged %d disk reads, want 0", d)
+	}
+	// Checked last: reading a chain head loads its block into the cache.
+	for i, tc := range vars {
+		if typ, _, err := srv.log.ReadRecord(heads[i]); err != nil || logrec.Type(typ) != tc.typ {
+			t.Errorf("%s's chain head %d: %v (err %v), want %v", tc.name, heads[i], logrec.Type(typ), err, tc.typ)
+		}
 	}
 }
 
-// TestSharedVariableLazyWriteSkipsMaterialization: a write replaces the
-// value wholesale, so an unrecovered variable goes live without reading
-// the log — but its backward chain must stay intact: a later crash and
-// read must see the new value, and the chain must still resolve.
-func TestSharedVariableLazyWriteSkipsMaterialization(t *testing.T) {
+// TestSharedVariableBlindWriteAfterRestart: a write that is the first
+// post-crash access to a variable extends the backward chain the analysis
+// scan rebuilt: a later crash and read must see the new value, and the
+// chain must still resolve.
+func TestSharedVariableBlindWriteAfterRestart(t *testing.T) {
 	def := Definition{
 		Methods: map[string]Handler{
 			"put": func(ctx *Ctx, arg []byte) ([]byte, error) {
@@ -107,11 +137,11 @@ func TestSharedVariableLazyWriteSkipsMaterialization(t *testing.T) {
 	cs := e.endClient().Session("m")
 	mustCall(t, cs, "put", u64(7))
 	e.restart("m")
-	// Blind write against the unrecovered variable: no materialization.
+	// Blind write: nothing reads the variable first.
 	cs2 := e.endClient().Session("m")
 	mustCall(t, cs2, "put", u64(9))
 	// Crash again: the analysis scan walks the chain the blind write
-	// extended; the read must materialize the latest value.
+	// extended; the read must see the latest value.
 	e.restart("m")
 	cs3 := e.endClient().Session("m")
 	if got := asU64(mustCall(t, cs3, "peek", nil)); got != 9 {
@@ -170,8 +200,8 @@ func TestTeardownWithUnitsPending(t *testing.T) {
 	mustCall(t, cs, "inc", nil)
 	mustCall(t, cs, "sharedInc", nil)
 	e.restart("m")
-	if e.srvs["m"].RecoveringSessions() == 0 || unrecoveredShared(e.srvs["m"]) == 0 {
-		t.Fatal("analysis left no session or shared variable pending")
+	if e.srvs["m"].RecoveringSessions() == 0 {
+		t.Fatal("analysis left no session pending")
 	}
 	// Crash with everything still pending.
 	e.srvs["m"].Crash()
@@ -206,13 +236,6 @@ func TestSweepDrainsAllUnits(t *testing.T) {
 	}
 	if d := metrics.Recovery.SweepReplays.Load() - sweepBefore; d < 1 {
 		t.Fatalf("SweepReplays delta = %d, want >= 1", d)
-	}
-	// The shared variable drains too (it may take one more sweep step).
-	for unrecoveredShared(e.srvs["m"]) != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := unrecoveredShared(e.srvs["m"]); got != 0 {
-		t.Fatalf("sweep left %d shared variables unrecovered", got)
 	}
 	// Everything is live: each session continues exactly-once.
 	for i, cs := range sessions {

@@ -10,9 +10,8 @@ import (
 
 // (A dvalias regression test for applyScanWrite used to live here: the
 // analysis scan stored a decoded record's vector without Clone(). The
-// instant-recovery split removed the hazard by construction — the scan no
-// longer decodes DVs at all, and materializeLocked clones the vector it
-// decodes from a record nothing else retains.)
+// hazard is gone by construction — the scan decodes each variable's DV
+// once, from its chain head, and the decoder builds a fresh vector.)
 
 // Regression for a walerr violation found by mspr-vet: Shutdown
 // discarded the final flush's error, reporting a clean stop even when

@@ -16,19 +16,20 @@ import (
 //  2. run a single-threaded analysis scan of the physical log from there,
 //     the restart's only read of it, that reconstructs every session's
 //     position stream — keeping each session-owned record's raw bytes
-//     beside its position, so replay reads nothing twice — notes each
-//     shared variable's backward-chain head, and rebuilds the knowledge
-//     of recovered state numbers from the MSP checkpoints and recovery
-//     records it passes (the anchor's checkpoint lies at or above the
-//     head), WITHOUT materializing any session or variable state (instant
-//     recovery: the scan is O(log records), not O(state size));
+//     beside its position, so replay reads nothing twice — and rebuilds
+//     the knowledge of recovered state numbers from the MSP checkpoints
+//     and recovery records it passes (the anchor's checkpoint lies at or
+//     above the head), WITHOUT materializing any session state (instant
+//     recovery: the scan is O(log records), not O(state size)); each
+//     written shared variable is then installed from the head of its
+//     backward chain, one record the scan already holds;
 //  3. take a fresh MSP checkpoint, whose one flush and anchor write make
 //     the new epoch and the recovered state number durable;
 //  4. broadcast a recovery message with the recovered state number;
-//  5. mark every surviving session and written shared variable
-//     unrecovered and return the sessions: the server serves immediately,
-//     a request touching an unrecovered unit blocks only on that unit's
-//     replay, and the background sweep (recoverySweep) drains the rest.
+//  5. mark every surviving session unrecovered and return the sessions:
+//     the server serves immediately, a request touching an unrecovered
+//     session blocks only on that session's replay, and the background
+//     sweep (recoverySweep) drains the rest.
 func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 	crashedEpoch := anchor.Epoch
 	// Restore the log head recorded by the last checkpoint; the records
@@ -138,8 +139,8 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 	}
 
 	// Publish the unrecovered set: from here on a request that touches one
-	// of these units claims and replays it on demand; the sweep drains the
-	// remainder.
+	// of these sessions claims and replays it on demand; the sweep drains
+	// the remainder.
 	sessions := s.sessions.snapshot()
 	for _, sess := range sessions {
 		sess.markUnrecovered()
@@ -168,6 +169,7 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 // analysisScan is the single-threaded scan of Fig. 12's step 2, from the
 // anchor's log head. It returns the LSN of the last valid (persistent)
 // record, and fails if the anchor's checkpoint LSN holds no MSP checkpoint.
+// Every written shared variable leaves it restored from its chain head.
 func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, error) {
 	// Records are routed by their leading session ID or variable name, a
 	// view of the payload (logrec.Peek): a lookup by it allocates nothing.
@@ -180,6 +182,9 @@ func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, error) {
 		return sess
 	}
 	var atCkpt logrec.Type // the type of the record at anchor.CheckpointLSN
+	// Each written shared variable's chain head: the last of its records
+	// the scan passes, kept as a view of the scan's payload.
+	heads := make(map[*SharedVar]posEntry)
 	last, err := s.log.Scan(anchor.Head, func(lsn wal.LSN, typ byte, payload []byte) error {
 		if err := s.evalCrashPoint(FPRecoveryMidScan); err != nil {
 			return err
@@ -222,6 +227,7 @@ func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, error) {
 			shell(id).scanNote(lsn, typ, payload)
 			if sv := s.shared[string(name)]; sv != nil {
 				sv.scanNoteWrite(lsn)
+				heads[sv] = posEntry{lsn: lsn, typ: typ, payload: payload}
 			}
 		case logrec.TSVCheckpoint:
 			name, _, err := logrec.Peek(payload)
@@ -230,6 +236,7 @@ func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, error) {
 			}
 			if sv := s.shared[string(name)]; sv != nil {
 				sv.scanNoteCheckpoint(lsn)
+				heads[sv] = posEntry{lsn: lsn, typ: typ, payload: payload}
 			}
 		case logrec.TEOS:
 			rec, err := logrec.DecodeEOS(payload)
@@ -266,10 +273,20 @@ func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, error) {
 		}
 		return nil
 	})
-	if err == nil && atCkpt != logrec.TMSPCheckpoint {
-		err = fmt.Errorf("anchor points at %v at LSN %d, not an MSP checkpoint", atCkpt, anchor.CheckpointLSN)
+	if err != nil {
+		return last, err
 	}
-	return last, err
+	if atCkpt != logrec.TMSPCheckpoint {
+		return last, fmt.Errorf("anchor points at %v at LSN %d, not an MSP checkpoint", atCkpt, anchor.CheckpointLSN)
+	}
+	// A variable is only its chain head, already in hand: install it now,
+	// so no shared variable is left to restore once Start returns.
+	for sv, head := range heads {
+		if err := sv.restoreScanned(head); err != nil {
+			return last, err
+		}
+	}
+	return last, nil
 }
 
 // recoverOrphan is runSessionRecovery for a session found to be an orphan

@@ -60,8 +60,8 @@ const (
 	// touched an unrecovered session, the session was claimed, and the
 	// crash hits before its replay starts.
 	FPLazyReplay = "core.recovery.lazy-replay"
-	// FPSweepMid crashes the background recovery sweep between two
-	// recovery units (use failpoint.SkipFirst to pick which).
+	// FPSweepMid crashes the background recovery sweep before it offers
+	// a session (use failpoint.SkipFirst to pick which).
 	FPSweepMid = "core.recovery.mid-sweep"
 	// FPDedupSkip does not crash anything: while armed, a request
 	// classified as a duplicate is executed as if it were new —
@@ -318,12 +318,11 @@ func Start(cfg Config) (*Server, error) {
 // has one unit in flight: the serial recovery the ablation runs.
 func sweepShare(workers int) int { return max(1, workers/4*3) }
 
-// recoverySweep drains the unrecovered units left by the analysis pass. It
-// offers the sessions one by one on the unbuffered sweep lane, each after
+// recoverySweep drains the unrecovered sessions left by the analysis pass.
+// It offers them one by one on the unbuffered sweep lane, each after
 // taking a slot of sweepSlots, and workers take them between requests (see
-// worker); then it materializes the shared variables in place. A crash,
-// real or injected, ends it: units not yet offered stay pending, and
-// releaseRetained drops their records.
+// worker). A crash, real or injected, ends it: sessions not yet offered
+// stay pending, and releaseRetained drops their records.
 func (s *Server) recoverySweep(sessions []*Session) {
 	for _, sess := range sessions {
 		if err := s.evalCrashPoint(FPSweepMid); err != nil {
@@ -339,17 +338,6 @@ func (s *Server) recoverySweep(sessions []*Session) {
 			<-s.sweepSlots
 			return
 		case s.sweepCh <- sess:
-		}
-	}
-	for _, sv := range s.shared {
-		if s.getState() == stateCrashed {
-			return
-		}
-		if err := s.evalCrashPoint(FPSweepMid); err != nil {
-			return
-		}
-		if restored, err := sv.sweepRestore(); err == nil && restored {
-			metrics.Recovery.SweepReplays.Inc()
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"mspr/internal/dv"
 	"mspr/internal/logrec"
-	"mspr/internal/metrics"
 	"mspr/internal/wal"
 
 	"sync"
@@ -26,8 +25,8 @@ type SharedVar struct {
 	mu sync.Mutex
 	// value never leaves mu: reads copy it out and records are encoded
 	// under it, so a write overwrites it in place. Every restore
-	// (rollback, materialize) installs a fresh copy, so it never aliases
-	// initial or a log payload.
+	// (rollback, crash recovery) installs a fresh copy, so it never
+	// aliases initial or a log payload.
 	value     []byte
 	vec       dv.Vector // the current value's DV
 	stateLSN  wal.LSN   // state number: LSN of the most recent write (or checkpoint)
@@ -38,12 +37,6 @@ type SharedVar struct {
 	firstWrite   wal.LSN // first write record ever (scan-start bookkeeping)
 	lastCkptLSN  wal.LSN
 	mspCkptsPast int
-
-	// unrecovered marks a variable whose chain-head LSN is known from
-	// the crash-recovery analysis scan but whose value has not been
-	// re-read from the log yet. materializeLocked clears it on the first
-	// post-crash access (or when the background sweep gets there first).
-	unrecovered bool
 }
 
 func newSharedVar(s *Server, def SharedDef) *SharedVar {
@@ -96,11 +89,6 @@ func (sv *SharedVar) readLocked(sess *Session) ([]byte, error) {
 	if !s.cfg.Logging {
 		return append([]byte(nil), sv.value...), nil
 	}
-	if restored, err := sv.materializeLocked(); err != nil {
-		return nil, err
-	} else if restored {
-		metrics.Recovery.LazyReplays.Inc()
-	}
 	if _, orphan := s.know.OrphanIn(sv.vec); orphan {
 		if err := sv.rollbackLocked(); err != nil {
 			return nil, err
@@ -127,14 +115,6 @@ func (sv *SharedVar) writeLocked(sess *Session, value []byte) error {
 		sv.value = append(sv.value[:0], value...)
 		return nil
 	}
-	if sv.unrecovered {
-		// A write replaces the value wholesale, so there is nothing to
-		// materialize: the unit is live the moment the write lands. The
-		// backward chain stays intact — PrevWrite points at the
-		// analysis-tracked chain head.
-		sv.unrecovered = false
-		metrics.Recovery.LazyReplays.Inc()
-	}
 	wvec := sess.vecWithSelf()
 	rec := logrec.SharedWrite{Session: sess.id, Var: sv.name, Value: value, DV: wvec, PrevWrite: sv.lastWrite}
 	lsn, n, err := s.appendRec(logrec.TSharedWrite, rec.Encode())
@@ -160,15 +140,21 @@ func (sv *SharedVar) writeLocked(sess *Session, value []byte) error {
 }
 
 // loadLocked restores the variable from the record at lsn on its
-// backward chain: a shared write or a checkpoint. It installs the
-// record's value and DV (a checkpoint has none: its value can never be an
-// orphan) and makes lsn the state number and chain head. It returns the
+// backward chain, read from the log (orphan rollback). It returns the
 // write's backward link; a checkpoint ends the chain, so it returns 0.
 func (sv *SharedVar) loadLocked(lsn wal.LSN) (prev wal.LSN, err error) {
 	typ, payload, err := sv.srv.log.ReadRecord(lsn)
 	if err != nil {
 		return 0, fmt.Errorf("core: restore %s from %d: %w", sv.name, lsn, err)
 	}
+	return sv.installLocked(lsn, typ, payload)
+}
+
+// installLocked installs the record at lsn, a shared write or a
+// checkpoint: the record's value and DV (a checkpoint has none: its value
+// can never be an orphan), with lsn as the state number and chain head.
+// It returns the write's backward link, or 0 for a checkpoint.
+func (sv *SharedVar) installLocked(lsn wal.LSN, typ byte, payload []byte) (prev wal.LSN, err error) {
 	var value []byte
 	switch logrec.Type(typ) {
 	case logrec.TSharedWrite:
@@ -265,10 +251,9 @@ func (sv *SharedVar) checkpointLocked() error {
 // first), or forced for a stale variable so the analysis-scan start point
 // advances (§3.4). The flush, the orphan rollback and the record all
 // happen under one hold of the variable's lock, so the record carries
-// whatever value is current when the lock is won. A still-unrecovered
-// variable is materialized first — the record must carry the real value.
-// Errors are dropped: a checkpoint that never lands is a missed
-// optimization, and a dead log fails the next append on a request's path.
+// whatever value is current when the lock is won. Errors are dropped: a
+// checkpoint that never lands is a missed optimization, and a dead log
+// fails the next append on a request's path.
 func (sv *SharedVar) checkpoint(forced bool) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
@@ -277,11 +262,6 @@ func (sv *SharedVar) checkpoint(forced bool) {
 		if sv.writesSince < sv.srv.cfg.SVCkptEvery {
 			return
 		}
-	}
-	if restored, err := sv.materializeLocked(); err != nil {
-		return // leave the unit pending; the next access or sweep retries
-	} else if restored {
-		metrics.Recovery.SweepReplays.Inc()
 	}
 	_ = sv.checkpointLocked()
 }
@@ -312,65 +292,39 @@ func (sv *SharedVar) written() bool {
 	return sv.lastWrite != 0 && sv.writesSince > 0
 }
 
-// scanNoteWrite tracks a TSharedWrite during the analysis scan without
-// decoding its value or DV: only the chain head advances. The value is
-// re-materialized from the record on first post-crash access.
+// scanNoteWrite counts a TSharedWrite during the analysis scan without
+// decoding it; restoreScanned installs the chain head once the scan is
+// over.
 func (sv *SharedVar) scanNoteWrite(lsn wal.LSN) {
 	sv.mu.Lock()
-	sv.stateLSN = lsn
-	sv.lastWrite = lsn
 	if sv.firstWrite == 0 {
 		sv.firstWrite = lsn
 	}
 	sv.writesSince++
-	sv.unrecovered = true
 	sv.mu.Unlock()
 }
 
-// scanNoteCheckpoint tracks a TSVCheckpoint during the analysis scan,
-// value unread.
+// scanNoteCheckpoint notes a TSVCheckpoint during the analysis scan,
+// undecoded.
 func (sv *SharedVar) scanNoteCheckpoint(lsn wal.LSN) {
 	sv.mu.Lock()
-	sv.stateLSN = lsn
-	sv.lastWrite = lsn
 	sv.lastCkptLSN = lsn
 	sv.writesSince = 0
-	sv.unrecovered = true
 	sv.mu.Unlock()
 }
 
-// materializeLocked restores the variable's value and DV from the log on
-// first post-crash access (instant recovery's lazy restore): the analysis
-// scan left only the chain-head LSN; read that one record. It reports
-// whether a restore actually ran so callers can attribute it to the lazy
-// or sweep counter. Orphan checking is NOT done here — the read path
-// re-checks OrphanIn on the materialized DV immediately after, exactly as
-// it does for values that survived in memory.
-func (sv *SharedVar) materializeLocked() (bool, error) {
-	if !sv.unrecovered {
-		return false, nil
-	}
-	// unrecovered is only ever set alongside a nonzero chain head.
-	if _, err := sv.loadLocked(sv.lastWrite); err != nil {
-		return false, err
-	}
-	sv.unrecovered = false
-	return true, nil
-}
-
-// sweepRestore materializes the variable on behalf of the background
-// sweep. It reports whether a restore ran.
-func (sv *SharedVar) sweepRestore() (bool, error) {
+// restoreScanned installs the variable's chain head, the last of its
+// records the analysis scan passed, from the scan's own view of it.
+func (sv *SharedVar) restoreScanned(head posEntry) error {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	return sv.materializeLocked()
+	_, err := sv.installLocked(head.lsn, head.typ, head.payload)
+	return err
 }
 
 // snapshotValue returns the current value without logging (test hook).
-// It materializes first so post-crash inspection sees the logged value.
 func (sv *SharedVar) snapshotValue() []byte {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	_, _ = sv.materializeLocked()
 	return append([]byte(nil), sv.value...)
 }

@@ -305,11 +305,11 @@ func TestSVCheckpointOfOrphanValueRollsBackFirst(t *testing.T) {
 	})
 }
 
-// TestSVCheckpointAfterRestartRecordsRealValue: the analysis scan leaves a
-// variable with a chain head and no value. A blind write that lands on it
-// and reaches the threshold checkpoints the value written; a checkpoint
-// that finds the variable still unrecovered materializes it first. Neither
-// records the zero value the variable holds in memory until then.
+// TestSVCheckpointAfterRestartRecordsRealValue: a checkpoint forced right
+// after a restart records the value the analysis scan restored, and a
+// blind write that is the variable's first post-crash access and reaches
+// the threshold checkpoints the value written. Neither records the
+// variable's initial zero value.
 func TestSVCheckpointAfterRestartRecordsRealValue(t *testing.T) {
 	atEveryWidth(t, func(t *testing.T, e *testEnv) {
 		s1 := e.start("msp1", svckptDef(), func(c *Config) { c.SVCkptEvery, c.noRecoverySweep = 2, true })
@@ -319,17 +319,14 @@ func TestSVCheckpointAfterRestartRecordsRealValue(t *testing.T) {
 		sv := s1.sharedVar("total")
 		sv.checkpoint(true)
 		if got := lastCheckpointValue(t, s1, sv); s1.stats.SVCkpts.Load() != 1 || got != 7 {
-			t.Fatalf("forced checkpoint of an unrecovered variable: %d checkpoints, recorded %d, want 1 and 7", s1.stats.SVCkpts.Load(), got)
+			t.Fatalf("forced checkpoint after restart: %d checkpoints, recorded %d, want 1 and 7", s1.stats.SVCkpts.Load(), got)
 		}
 
 		mustCall(t, e.endClient().Session("msp1"), "set", u64(8))
 		s1 = e.restart("msp1")
 		sv = s1.sharedVar("total")
-		sv.mu.Lock()
-		unrecovered, since := sv.unrecovered, sv.writesSince
-		sv.mu.Unlock()
-		if !unrecovered || since != 1 {
-			t.Fatalf("after restart: unrecovered=%v, writesSince=%d; want true, 1", unrecovered, since)
+		if _, since, _, _ := svState(sv); since != 1 {
+			t.Fatalf("after restart: writesSince=%d, want 1", since)
 		}
 		mustCall(t, e.endClient().Session("msp1"), "set", u64(9)) // blind: nothing read the variable first
 		waitFor(t, 10*time.Second, "the checkpoint of the blind write", func() bool { return s1.stats.SVCkpts.Load() > 0 })

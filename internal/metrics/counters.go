@@ -63,13 +63,11 @@ type RecoveryCounters struct {
 	// disk write error.
 	TransientWriteRetries Counter
 
-	// LazyReplays counts recovery units restored on demand: a session
-	// replayed because a request touched it before the sweep reached it,
-	// or a shared variable materialized on its first post-crash access.
+	// LazyReplays counts sessions replayed on demand: a request touched
+	// the session before the sweep reached it. Shared variables are never
+	// counted: the analysis scan installs them before Start returns.
 	LazyReplays Counter
-	// SweepReplays counts recovery units drained by the background sweep
-	// (including shared variables materialized by the stale-checkpoint
-	// forcing path).
+	// SweepReplays counts sessions replayed by the background sweep.
 	SweepReplays Counter
 }
 

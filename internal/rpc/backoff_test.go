@@ -132,19 +132,22 @@ func TestBackoffWithoutJitterBuildsNoSource(t *testing.T) {
 func TestBusyBackoffThroughCall(t *testing.T) {
 	o := DefaultCallOptions(0) // TimeScale 0: Scaled() floors at 1ms
 	o.BusyBackoffMax = 800 * time.Millisecond
-	o.MaxAttempts = 4
 	replies := make(chan Reply, 8)
-	busy := 0
+	sends := 0
 	send := func(req Request) {
-		busy++
-		replies <- Reply{Session: req.Session, Seq: req.Seq, Status: StatusBusy}
+		sends++
+		st := StatusBusy
+		if sends == 4 {
+			st = StatusOK
+		}
+		replies <- Reply{Session: req.Session, Seq: req.Seq, Status: st}
 	}
 	req := Request{Session: "s", Seq: 1}
-	if _, err := Call(send, replies, req, o); err == nil {
-		t.Fatal("expected exhaustion error from all-busy server")
+	if _, err := Call(send, replies, req, o); err != nil {
+		t.Fatalf("Call after three busy replies: %v", err)
 	}
-	if busy != 4 {
-		t.Fatalf("sent %d times, want MaxAttempts=4", busy)
+	if sends != 4 {
+		t.Fatalf("sent %d times, want 4: three busy replies, then OK", sends)
 	}
 }
 

@@ -232,27 +232,6 @@ func TestCallProbeSurvivesLostReply(t *testing.T) {
 	}
 }
 
-func TestCallReleasesProbeOnMaxAttempts(t *testing.T) {
-	// A probe abandoned by the attempt bound (server never answers) must
-	// hand its slot back so the breaker can probe again.
-	b, _ := halfOpenBreaker(t)
-	send := func(Request) {}
-	replies := make(chan Reply)
-	opts := DefaultCallOptions(0)
-	opts.ResendAfter = time.Millisecond
-	opts.MaxAttempts = 2
-	opts.Breaker = b
-	if _, err := Call(send, replies, Request{Session: "s", Seq: 1}, opts); err == nil {
-		t.Fatal("setup: the call must fail after MaxAttempts")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("breaker is %v; want half-open after its probe was abandoned", b.State())
-	}
-	if ok, probe := b.Allow(); !ok || probe == 0 {
-		t.Fatal("the abandoned probe must release its slot: the next call probes afresh")
-	}
-}
-
 func TestCallReleasesProbeOnClientDeadline(t *testing.T) {
 	// Same leak via the client-side deadline exit: the probe's one copy
 	// costs 10 ms of the 5 ms deadline.

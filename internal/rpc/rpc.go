@@ -217,10 +217,6 @@ type CallOptions struct {
 	Seed int64
 	// TimeScale converts model durations to wall-clock sleeps.
 	TimeScale float64
-	// MaxAttempts bounds the total sends (0 = unlimited). Exactly-once
-	// semantics require unlimited resends; bounded attempts exist for
-	// tests that want to observe unreachable servers.
-	MaxAttempts int
 	// Timeout, when positive, is the model-time deadline for the whole
 	// call: Call stamps Request.Deadline with now + Scaled(Timeout) so
 	// the server can shed the request once it expires, and returns
@@ -308,7 +304,6 @@ func (r Reply) Result() ([]byte, error) {
 // backoff and resends. Closing stop (nil: never) ends the wait with
 // ErrStopped.
 func Exchange(send func(Request), replies <-chan Reply, stop <-chan struct{}, req Request, opts CallOptions) (Reply, error) {
-	attempts := 0
 	var bo *Backoff // built on the first shed
 	if opts.Timeout > 0 && req.Deadline.IsZero() {
 		req.Deadline = simtime.Now().Add(opts.Scaled(opts.Timeout))
@@ -316,11 +311,11 @@ func Exchange(send func(Request), replies <-chan Reply, stop <-chan struct{}, re
 	// Every exit settles the overload-control bookkeeping exactly once,
 	// in one of three classes: terminal (OK/AppError/Rejected — closes
 	// the breaker), shed (Busy/Overloaded — feeds the breaker's shed
-	// count), or abandoned (attempt bound, client deadline, stop,
-	// malformed reply, closed stream — no server outcome was learned,
-	// so no shed accounting applies, but a held half-open probe slot
-	// MUST be handed back or the breaker wedges half-open, refusing
-	// every future call to this target).
+	// count), or abandoned (client deadline, stop, malformed reply,
+	// closed stream — no server outcome was learned, so no shed
+	// accounting applies, but a held half-open probe slot MUST be handed
+	// back or the breaker wedges half-open, refusing every future call
+	// to this target).
 	var probeTok uint64
 	settle := func(terminal bool) {
 		probeTok = 0 // Success/Shed release the slot breaker-side
@@ -333,11 +328,6 @@ func Exchange(send func(Request), replies <-chan Reply, stop <-chan struct{}, re
 		}
 	}
 	for {
-		attempts++
-		if opts.MaxAttempts > 0 && attempts > opts.MaxAttempts {
-			abandon()
-			return Reply{}, fmt.Errorf("rpc: no reply to %s/%d after %d attempts", req.Session, req.Seq, opts.MaxAttempts)
-		}
 		if !req.Deadline.IsZero() && simtime.Now().After(req.Deadline) {
 			abandon()
 			return Reply{}, ErrDeadlineExceeded

@@ -132,21 +132,6 @@ func TestExchangeReturnsTerminalReplies(t *testing.T) {
 	}
 }
 
-func TestCallMaxAttempts(t *testing.T) {
-	replies := make(chan Reply)
-	o := opts()
-	o.ResendAfter = time.Millisecond
-	o.MaxAttempts = 3
-	var sends atomic.Int64
-	_, err := Call(func(Request) { sends.Add(1) }, replies, Request{Session: "s", Seq: 1}, o)
-	if err == nil {
-		t.Fatal("expected failure after max attempts")
-	}
-	if sends.Load() != 3 {
-		t.Fatalf("sent %d times, want 3", sends.Load())
-	}
-}
-
 func TestSeqTrackerClassification(t *testing.T) {
 	tr := NewSeqTracker(5)
 	if c := tr.Classify(5); c != SeqNew {

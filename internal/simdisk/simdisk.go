@@ -289,19 +289,17 @@ type File struct {
 	name string
 
 	mu   sync.RWMutex
-	base int64 // bytes discarded from the front (log-head truncation)
 	data []byte
 }
 
 // Name returns the file's name on its disk.
 func (f *File) Name() string { return f.name }
 
-// Size returns the current length of the file in bytes (including any
-// discarded prefix).
+// Size returns the current length of the file in bytes.
 func (f *File) Size() int64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.base + int64(len(f.data))
+	return int64(len(f.data))
 }
 
 // evalWriteFault checks the disk's write failpoints for this file,
@@ -347,8 +345,7 @@ func familyName(name string) string {
 }
 
 // WriteAt writes p at offset off, growing the file (zero-filled) as
-// needed. The write is durable when WriteAt returns. Writing into a
-// discarded prefix is an error.
+// needed. The write is durable when WriteAt returns.
 //
 // Fault injection: when the disk's registry arms a write failpoint for
 // this file, the write is failed transiently (nothing persisted), torn
@@ -383,11 +380,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if off < f.base {
-		return 0, fmt.Errorf("simdisk: write at %d below discarded prefix %d of %q", off, f.base, f.name)
-	}
-	rel := off - f.base
-	end := rel + int64(len(p))
+	end := off + int64(len(p))
 	if end > int64(len(f.data)) {
 		if end > int64(cap(f.data)) {
 			// Grow geometrically: appends are the common case (logs,
@@ -404,7 +397,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 			f.data = f.data[:end]
 		}
 	}
-	copy(f.data[rel:end], p)
+	copy(f.data[off:end], p)
 	return len(p), injected
 }
 
@@ -425,28 +418,23 @@ func tornLength(n int, hit failpoint.Hit) int {
 	return 1 + int(hit.R%int64(n-1))
 }
 
-// ReadAt reads into p from offset off. Reads past the end of the file or
-// inside a discarded prefix return zero bytes for those regions and no
-// error, mimicking a sparse preallocated log.
+// ReadAt reads into p from offset off. Reads past the end of the file
+// return zero bytes for that region and no error, mimicking a sparse
+// preallocated log.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("simdisk: negative offset %d reading %q", off, f.name)
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	// Only what the copy does not cover is cleared: the discarded prefix
-	// and whatever lies past the end of the file.
-	skip := min(max(f.base-off, 0), int64(len(p)))
-	clear(p[:skip])
 	n := 0
-	if rel := off + skip - f.base; rel >= 0 && rel < int64(len(f.data)) {
-		n = copy(p[skip:], f.data[rel:])
+	if off < int64(len(f.data)) {
+		n = copy(p, f.data[off:])
 	}
-	clear(p[int(skip)+n:])
-	if n == 0 {
-		return 0, nil
-	}
-	return int(skip) + n, nil
+	// Only what the copy does not cover is cleared: whatever lies past
+	// the end of the file.
+	clear(p[n:])
+	return n, nil
 }
 
 // Truncate sets the file's length, discarding data beyond size.
@@ -456,56 +444,18 @@ func (f *File) Truncate(size int64) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if size < f.base {
-		f.base = size
-		f.data = nil
-		return nil
-	}
-	rel := size - f.base
-	if rel <= int64(len(f.data)) {
+	if size <= int64(len(f.data)) {
 		// Zero what is cut off: a later write past the new end extends the
 		// file into this capacity, and the gap must read as zeros there,
 		// as on a real file, not as the discarded bytes.
-		clear(f.data[rel:])
-		f.data = f.data[:rel]
+		clear(f.data[size:])
+		f.data = f.data[:size]
 	} else {
-		grown := make([]byte, rel)
+		grown := make([]byte, size)
 		copy(grown, f.data)
 		f.data = grown
 	}
 	return nil
-}
-
-// Discard releases the prefix of the file before off (log-head
-// truncation, §3.2 "the session's previous log records can be
-// discarded"). Subsequent reads of the region return zeros; the memory
-// is freed.
-func (f *File) Discard(before int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if before <= f.base {
-		return
-	}
-	if before >= f.base+int64(len(f.data)) {
-		f.base += int64(len(f.data))
-		f.data = nil
-		if before > f.base {
-			f.base = before
-		}
-		return
-	}
-	n := before - f.base
-	remaining := make([]byte, int64(len(f.data))-n)
-	copy(remaining, f.data[n:])
-	f.data = remaining
-	f.base = before
-}
-
-// DiscardedPrefix returns how many leading bytes have been discarded.
-func (f *File) DiscardedPrefix() int64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.base
 }
 
 // Disk returns the disk this file lives on.

@@ -167,57 +167,6 @@ func TestTimeScaleSleeps(t *testing.T) {
 	}
 }
 
-func TestDiscardFreesPrefix(t *testing.T) {
-	d := NewDisk(DefaultModel(0))
-	f := d.OpenFile("x")
-	_, _ = f.WriteAt(bytes.Repeat([]byte{7}, 4096), 0)
-	f.Discard(1024)
-	if f.DiscardedPrefix() != 1024 {
-		t.Fatalf("prefix = %d", f.DiscardedPrefix())
-	}
-	if f.Size() != 4096 {
-		t.Fatalf("size changed: %d", f.Size())
-	}
-	buf := make([]byte, 8)
-	_, _ = f.ReadAt(buf, 0) // inside the discarded prefix: zeros
-	if buf[0] != 0 {
-		t.Fatal("discarded region should read as zeros")
-	}
-	_, _ = f.ReadAt(buf, 2048)
-	if buf[0] != 7 {
-		t.Fatal("retained region lost")
-	}
-	// Writes below the prefix are rejected.
-	if _, err := f.WriteAt([]byte{1}, 100); err == nil {
-		t.Fatal("write into discarded prefix accepted")
-	}
-	// Discard never regresses.
-	f.Discard(512)
-	if f.DiscardedPrefix() != 1024 {
-		t.Fatal("Discard regressed")
-	}
-	// Discard past the end clamps cleanly.
-	f.Discard(10_000)
-	if f.DiscardedPrefix() != 10_000 || f.Size() != 10_000 {
-		t.Fatalf("discard-all: prefix=%d size=%d", f.DiscardedPrefix(), f.Size())
-	}
-}
-
-func TestReadAtStraddlingDiscardBoundary(t *testing.T) {
-	d := NewDisk(DefaultModel(0))
-	f := d.OpenFile("x")
-	_, _ = f.WriteAt([]byte("abcdefgh"), 0)
-	f.Discard(4)
-	buf := make([]byte, 8)
-	n, err := f.ReadAt(buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 8 || string(buf[4:]) != "efgh" || buf[0] != 0 {
-		t.Fatalf("straddling read: n=%d buf=%q", n, buf)
-	}
-}
-
 func TestModelAccessor(t *testing.T) {
 	m := DefaultModel(0.5)
 	d := NewDisk(m)
@@ -229,28 +178,28 @@ func TestModelAccessor(t *testing.T) {
 	}
 }
 
-// TestReadAtIntoDirtyBuffer: ReadAt clears only the ranges it does not copy
+// TestReadAtIntoDirtyBuffer: ReadAt clears only the range it does not copy
 // over, so a reused buffer must come back exactly as a fresh one would —
-// zeros for the discarded prefix and past the end, data in between.
+// the zero-filled gap before the first write and zeros past the end, data
+// in between.
 func TestReadAtIntoDirtyBuffer(t *testing.T) {
 	d := NewDisk(DefaultModel(0))
 	f := d.OpenFile("x")
-	_, _ = f.WriteAt(bytes.Repeat([]byte{7}, 64), 0)
-	f.Discard(16)
+	_, _ = f.WriteAt(bytes.Repeat([]byte{7}, 48), 16)
 	for _, c := range []struct {
 		off     int64
 		n, want int // bytes asked for; ReadAt's count
 	}{
-		{0, 8, 0},    // wholly inside the discarded prefix
-		{8, 16, 16},  // prefix, then data
-		{8, 100, 56}, // prefix, data, past the end
+		{0, 8, 8},    // wholly inside the gap
+		{8, 16, 16},  // gap, then data
+		{8, 100, 56}, // gap, data, past the end
 		{32, 8, 8},   // data only
 		{60, 16, 4},  // data, then past the end
 		{64, 8, 0},   // at the end
 		{200, 8, 0},  // far past the end
 		{0, 0, 0},    // empty buffer
 		{16, 48, 48}, // exactly the data
-		{15, 50, 49}, // one byte of prefix, all the data, one past the end
+		{15, 50, 49}, // one byte of gap, all the data, one past the end
 	} {
 		buf := bytes.Repeat([]byte{0xEE}, c.n)
 		got, err := f.ReadAt(buf, c.off)
