@@ -63,10 +63,6 @@ type posStream struct {
 	budget *retention
 }
 
-func newPosStream(budget *retention) posStream {
-	return posStream{budget: budget}
-}
-
 // append adds a record to the stream.
 func (p *posStream) append(e posEntry) {
 	p.all = append(p.all, e)

@@ -9,8 +9,7 @@ import (
 )
 
 func newTestStream() *posStream {
-	p := newPosStream(&retention{limit: 1 << 20})
-	return &p
+	return &posStream{budget: &retention{limit: 1 << 20}}
 }
 
 // lsns returns the stream's positions.

@@ -7,6 +7,7 @@ import (
 	"mspr/internal/dv"
 	"mspr/internal/logrec"
 	"mspr/internal/metrics"
+	"mspr/internal/simnet"
 	"mspr/internal/wal"
 )
 
@@ -53,7 +54,7 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 	if err := s.evalCrashPoint(FPRecoveryBeforeScan); err != nil {
 		return nil, err
 	}
-	last, err := s.analysisScan(anchor)
+	last, sessions, err := s.analysisScan(anchor)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +142,6 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 	// Publish the unrecovered set: from here on a request that touches one
 	// of these sessions claims and replays it on demand; the sweep drains
 	// the remainder.
-	sessions := s.sessions.snapshot()
 	for _, sess := range sessions {
 		sess.markUnrecovered()
 	}
@@ -166,19 +166,36 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 	return sessions, nil
 }
 
+// shellChunk is how many shells the analysis scan cuts from one slab;
+// posWindow is how many positions a shell's stream holds before its first
+// growth reallocates it: a start and a few requests, recover_4k's shape.
+const shellChunk, posWindow = 64, 4
+
 // analysisScan is the single-threaded scan of Fig. 12's step 2, from the
 // anchor's log head. It returns the LSN of the last valid (persistent)
-// record, and fails if the anchor's checkpoint LSN holds no MSP checkpoint.
-// Every written shared variable leaves it restored from its chain head.
-func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, error) {
-	// Records are routed by their leading session ID or variable name, a
-	// view of the payload (logrec.Peek): a lookup by it allocates nothing.
+// record and the surviving sessions, published to the session table; it
+// fails if the anchor's checkpoint LSN holds no MSP checkpoint. Every
+// written shared variable leaves it restored from its chain head.
+func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, []*Session, error) {
+	// A private session index, published once the scan is over: no record
+	// takes a stripe lock, and no goroutine sees a session the scan writes.
+	// Records are routed by a view of their leading ID (logrec.Peek); shells
+	// and their streams' first windows are cut from slabs, which live as
+	// long as any of their shells, so a shell costs one allocation, its ID.
+	index, clients := make(map[string]*Session), make(map[string]simnet.Addr)
+	var slab []Session
+	var windows []posEntry
 	shell := func(id []byte) *Session {
-		sess := s.sessions.find(id)
-		if sess == nil {
-			sess = newShell(s, string(id))
-			s.sessions.insert(sess)
+		if sess := index[string(id)]; sess != nil {
+			return sess
 		}
+		if len(slab) == 0 {
+			slab, windows = make([]Session, shellChunk), make([]posEntry, shellChunk*posWindow)
+		}
+		slab[0] = Session{id: string(id), srv: s, pos: posStream{all: windows[:0:posWindow], budget: &s.retained}}
+		sess := &slab[0]
+		slab, windows = slab[1:], windows[posWindow:]
+		index[sess.id] = sess
 		return sess
 	}
 	var atCkpt logrec.Type // the type of the record at anchor.CheckpointLSN
@@ -194,11 +211,18 @@ func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, error) {
 		}
 		switch logrec.Type(typ) {
 		case logrec.TSessionStart:
-			rec, err := logrec.DecodeSessionStart(payload)
-			if err != nil {
+			id, rest, err := logrec.Peek(payload)
+			addr, rest, err2 := logrec.Peek(rest)
+			var intra bool
+			c := logrec.NewDecoder(rest)
+			c.Bool(&intra)
+			if err := errors.Join(err, err2, c.Done("SessionStart")); err != nil {
 				return err
 			}
-			shell([]byte(rec.Session)).scanStart(rec, lsn, typ, payload)
+			if _, ok := clients[string(addr)]; !ok { // interned: a string per client
+				clients[string(addr)] = simnet.Addr(addr)
+			}
+			shell(id).scanStart(clients[string(addr)], intra, lsn, typ, payload)
 		case logrec.TSessionCkpt:
 			// Analysis only: record the checkpoint as the session's replay
 			// starting point without decoding the checkpointed state.
@@ -245,7 +269,7 @@ func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, error) {
 			}
 			// Records between the orphan record and this EOS were skipped
 			// by a past orphan recovery: make them invisible (§4.1).
-			if sess := s.sessions.get(rec.Session); sess != nil {
+			if sess := index[rec.Session]; sess != nil {
 				sess.removePosRange(rec.Orphan, lsn)
 			}
 		case logrec.TSessionEnd:
@@ -253,8 +277,9 @@ func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, error) {
 			if err != nil {
 				return err
 			}
-			if sess := s.sessions.get(rec.Session); sess != nil {
+			if sess := index[rec.Session]; sess != nil {
 				sess.markEnded()
+				delete(index, rec.Session)
 			}
 			s.endSession(rec.Session, lsn)
 		case logrec.TRecoveryInfo:
@@ -274,19 +299,19 @@ func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, error) {
 		return nil
 	})
 	if err != nil {
-		return last, err
+		return last, nil, err
 	}
 	if atCkpt != logrec.TMSPCheckpoint {
-		return last, fmt.Errorf("anchor points at %v at LSN %d, not an MSP checkpoint", atCkpt, anchor.CheckpointLSN)
+		return last, nil, fmt.Errorf("anchor points at %v at LSN %d, not an MSP checkpoint", atCkpt, anchor.CheckpointLSN)
 	}
 	// A variable is only its chain head, already in hand: install it now,
 	// so no shared variable is left to restore once Start returns.
 	for sv, head := range heads {
 		if err := sv.restoreScanned(head); err != nil {
-			return last, err
+			return last, nil, err
 		}
 	}
-	return last, nil
+	return last, s.sessions.publish(index), nil
 }
 
 // recoverOrphan is runSessionRecovery for a session found to be an orphan

@@ -309,6 +309,9 @@ func TestRestartedReplayReusesRetainedRecords(t *testing.T) {
 		entered  = make(chan struct{})
 		hold     = make(chan struct{})
 		seq2Runs atomic.Int32
+		// srv2 is msp2's restarted incarnation, set before msp1 restarts:
+		// msp1's replay reads it while the test goroutine writes e.srvs.
+		srv2 *Server
 	)
 	def2 := Definition{Methods: map[string]Handler{
 		"method2": func(ctx *Ctx, arg []byte) ([]byte, error) {
@@ -334,7 +337,7 @@ func TestRestartedReplayReusesRetainedRecords(t *testing.T) {
 						// msp2's recovery message arrives now, after the
 						// replay has merged the orphan reply's DV.
 						e.net.Heal()
-						for _, info := range e.srvs["msp2"].know.Snapshot() {
+						for _, info := range srv2.know.Snapshot() {
 							ctx.srv.know.Record(info)
 						}
 					}
@@ -374,7 +377,7 @@ func TestRestartedReplayReusesRetainedRecords(t *testing.T) {
 	srv1.halt()
 	close(hold)
 	srv1.Crash()
-	e.restart("msp2")
+	srv2 = e.restart("msp2")
 
 	// msp1 restarts cut off from msp2, so it starts replaying without
 	// knowing that msp2's epoch 1 lost the state request 2's reply carried.

@@ -60,8 +60,8 @@ type Session struct {
 	intraDomain bool         //mspr:guarded-by mu
 
 	// vars and outgoing are nil in a shell the analysis scan made: its
-	// replay (resetToInitial or restoreFromCheckpoint) makes them before
-	// anything else runs on the session.
+	// replay makes vars (resetToInitial or restoreFromCheckpoint) before
+	// anything else runs on it, the first outgoing call makes outgoing.
 	vars map[string][]byte //mspr:guarded-by mu
 	// vec: dependencies on other states (self added on demand).
 	vec dv.Vector //mspr:guarded-by mu
@@ -113,16 +113,10 @@ func newSession(s *Server, id string, client simnet.Addr, intra bool) *Session {
 		intraDomain: intra,
 		vars:        make(map[string][]byte),
 		outgoing:    make(map[string]*outSession),
-		pos:         newPosStream(&s.retained),
+		pos:         posStream{budget: &s.retained},
 	}
 	se.seq.SetNext(1)
 	return se
-}
-
-// newShell makes a session for the analysis scan: bare, because nothing
-// runs on it before its replay.
-func newShell(s *Server, id string) *Session {
-	return &Session{id: id, srv: s, pos: newPosStream(&s.retained)}
 }
 
 // ID returns the session identifier.
@@ -354,6 +348,9 @@ func (se *Session) outSession(target string) *outSession {
 	defer se.mu.Unlock()
 	o, ok := se.outgoing[target]
 	if !ok {
+		if se.outgoing == nil {
+			se.outgoing = make(map[string]*outSession)
+		}
 		o = &outSession{
 			id:      se.id + "~" + se.srv.cfg.ID + "~" + target,
 			target:  target,
@@ -543,9 +540,9 @@ func (se *Session) scanNote(lsn wal.LSN, typ byte, payload []byte) {
 // scanStart applies a SessionStart record during the scan.
 //
 //mspr:guardedby single-threaded analysis scan, before the session is published
-func (se *Session) scanStart(rec logrec.SessionStart, lsn wal.LSN, typ byte, payload []byte) {
-	se.clientAddr = simnet.Addr(rec.ClientAddr)
-	se.intraDomain = rec.IntraDomain
+func (se *Session) scanStart(client simnet.Addr, intra bool, lsn wal.LSN, typ byte, payload []byte) {
+	se.clientAddr = client
+	se.intraDomain = intra
 	se.startLSN = lsn
 	se.scanNote(lsn, typ, payload)
 }
@@ -574,6 +571,6 @@ func (se *Session) resetToInitial() {
 	se.seq.SetNext(1)
 	se.hasReply = false
 	se.reply = rpc.Reply{}
-	se.outgoing = make(map[string]*outSession)
+	se.outgoing = nil // made by the first outgoing call, as in a shell
 	se.mu.Unlock()
 }

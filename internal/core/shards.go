@@ -75,7 +75,7 @@ func (t *sessionTable) init() {
 }
 
 // fnv1a is the 32-bit FNV-1a hash of s.
-func fnv1a[K string | []byte](s K) uint32 {
+func fnv1a(s string) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -102,14 +102,25 @@ func (t *sessionTable) get(id string) *Session {
 	return sess
 }
 
-// find is get for an ID held as bytes, such as the analysis scan's view
-// of a log record: indexing the map with string(id) does not allocate.
-func (t *sessionTable) find(id []byte) *Session {
-	sh := &t.shards[fnv1a(id)&(numShards-1)]
-	sh.mu.RLock()
-	sess := sh.m[string(id)]
-	sh.mu.RUnlock()
-	return sess
+// publish fills the table, empty until recovery ends, with the analysis
+// scan's sessions, each stripe's map made at its final size; it returns them.
+func (t *sessionTable) publish(idx map[string]*Session) []*Session {
+	var counts [numShards]int
+	for id := range idx {
+		counts[fnv1a(id)&(numShards-1)]++
+	}
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		sh.m = make(map[string]*Session, counts[i])
+		sh.mu.Unlock()
+	}
+	out := make([]*Session, 0, len(idx))
+	for _, sess := range idx {
+		t.insert(sess)
+		out = append(out, sess)
+	}
+	return out
 }
 
 // insert adds a session (overwriting any previous entry with the ID).
@@ -155,11 +166,4 @@ func (t *sessionTable) forEach(fn func(*Session)) {
 		}
 		sh.mu.RUnlock()
 	}
-}
-
-// snapshot returns the sessions present at some point during the call.
-func (t *sessionTable) snapshot() []*Session {
-	var out []*Session
-	t.forEach(func(sess *Session) { out = append(out, sess) })
-	return out
 }

@@ -145,3 +145,10 @@ func TestShardedSessionTableStress(t *testing.T) {
 		t.Fatalf("%d sessions left in the table after all were ended", left)
 	}
 }
+
+// snapshot returns the sessions present at some point during the call.
+func (t *sessionTable) snapshot() []*Session {
+	var out []*Session
+	t.forEach(func(sess *Session) { out = append(out, sess) })
+	return out
+}

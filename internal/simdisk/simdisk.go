@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mspr/internal/failpoint"
@@ -154,10 +155,12 @@ type Disk struct {
 
 	io sync.Mutex // serializes latency charges (a disk has one head)
 
-	mu    sync.Mutex // guards files, stats and fp
+	mu    sync.Mutex // guards files and stats
 	files map[string]*File
 	stats Stats
-	fp    *failpoint.Registry
+	// fp is read for every scanned and every replayed log record (each
+	// evaluates a crash point), so it is an atomic load, not a lock.
+	fp atomic.Pointer[failpoint.Registry]
 }
 
 // NewDisk creates an empty simulated disk with the given model.
@@ -171,19 +174,11 @@ func (d *Disk) Model() Model { return d.model }
 // SetFailpoints attaches a fault-injection registry to the disk. All
 // layers stacked on this disk (WAL, journalled stores) share it. A nil
 // registry disables injection entirely.
-func (d *Disk) SetFailpoints(r *failpoint.Registry) {
-	d.mu.Lock()
-	d.fp = r
-	d.mu.Unlock()
-}
+func (d *Disk) SetFailpoints(r *failpoint.Registry) { d.fp.Store(r) }
 
 // Failpoints returns the disk's fault-injection registry (nil when fault
 // injection is off — safe to Eval either way).
-func (d *Disk) Failpoints() *failpoint.Registry {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.fp
-}
+func (d *Disk) Failpoints() *failpoint.Registry { return d.fp.Load() }
 
 // Stats returns a snapshot of the disk's accumulated I/O statistics.
 func (d *Disk) Stats() Stats {

@@ -371,3 +371,100 @@ func TestFlushIntoScannedLastBlockIsRead(t *testing.T) {
 		}
 	})
 }
+
+// TestScanCursorKeepsItsSegment: a scan's cursor keeps the segment it is
+// in instead of looking one up per frame, and must leave it exactly at its
+// end. On 4096-byte segments (the packed-rotation storm's) with at least
+// three seals, a scan of the whole log and one from mid-segment report the
+// records a ReadRecord walk reads. First, a frame-header probe that starts
+// just before a sealed segment's end, on a cursor that is in that segment,
+// must read the next segment's first bytes past it.
+func TestScanCursorKeepsItsSegment(t *testing.T) {
+	const segSize = 4096
+	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
+	l, err := Open(disk, "log", Config{SegmentSize: segSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rng := rand.New(rand.NewSource(49))
+	var lsns []LSN
+	for len(l.Segments()) < 4 {
+		for i := rng.Intn(6); i >= 0; i-- {
+			p := make([]byte, 10+rng.Intn(600))
+			rng.Read(p)
+			lsn, err := l.Append(byte(1+rng.Intn(250)), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lsns = append(lsns, lsn)
+		}
+		if err := l.Flush(l.LastAppended()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var walk []scanned
+	ends := make(map[LSN]bool) // where a record ends
+	for _, lsn := range lsns {
+		typ, p, err := l.ReadRecord(lsn)
+		if err != nil {
+			t.Fatalf("ReadRecord(%d): %v", lsn, err)
+		}
+		walk = append(walk, scanned{lsn, typ, p})
+		ends[lsn+LSN(len(p)+frameOverhead)] = true
+	}
+	segs := l.Segments()
+	if !ends[segs[0].End] {
+		t.Fatalf("no record ends at the first sealed segment's end %d", segs[0].End)
+	}
+
+	// A scan's cursor (it has a stream, here an empty one), placed in each
+	// sealed segment by reading its last record, then probing past its end.
+	none := make(chan block)
+	close(none)
+	for _, s := range segs[:len(segs)-1] {
+		var last LSN
+		for _, r := range walk {
+			if r.lsn < s.End {
+				last = r.lsn
+			}
+		}
+		c := &cursor{segs: l.segs, ahead: none}
+		if _, _, _, err := c.frameAt(int64(last), int64(l.Durable())); err != nil || c.seg.base != s.Base {
+			t.Fatalf("frame at %d: err %v, cursor in the segment based at %d, want %d", last, err, c.seg.base, s.Base)
+		}
+		probe, err := c.bytesAt(int64(s.End)-2, frameHeaderLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := (&cursor{segs: l.segs}).bytesAt(int64(s.End)-2, frameHeaderLen)
+		if err != nil || !bytes.Equal(probe, want) {
+			t.Fatalf("probe at %d across the sealed end %d read %x, the shared cursor %x (%v)", int64(s.End)-2, s.End, probe, want, err)
+		}
+	}
+
+	for _, from := range []int{0, len(walk) / 2} {
+		if seg, _ := l.segs.at(int64(walk[from].lsn)); from != 0 && int64(walk[from].lsn) == int64(seg.base) {
+			t.Fatalf("LSN %d starts its segment: not a mid-segment scan", walk[from].lsn)
+		}
+		var got []scanned
+		want := walk[from:]
+		if _, err := l.Scan(walk[from].lsn, func(lsn LSN, typ byte, p []byte) error {
+			if got = append(got, scanned{lsn, typ, p}); len(got) > len(want) {
+				return fmt.Errorf("record %d at LSN %d: more than the walk's %d", len(got), lsn, len(want))
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("Scan(%d): %v", walk[from].lsn, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("Scan(%d) yielded %d records, the ReadRecord walk %d", walk[from].lsn, len(got), len(want))
+		}
+		for i, r := range got {
+			if w := want[i]; r.lsn != w.lsn || r.typ != w.typ || !bytes.Equal(r.payload, w.payload) {
+				t.Fatalf("Scan(%d) record %d is (%d, %d, %d bytes), ReadRecord's (%d, %d, %d bytes)",
+					walk[from].lsn, i, r.lsn, r.typ, len(r.payload), w.lsn, w.typ, len(w.payload))
+			}
+		}
+	}
+}

@@ -37,6 +37,11 @@ type segment struct {
 	file  *simdisk.File
 }
 
+// covers reports whether the segment holds logical offset off.
+func (s segment) covers(off int64) bool {
+	return LSN(off) >= s.base && (s.end == 0 || LSN(off) < s.end)
+}
+
 // fileOff is the offset of logical offset lsn within the segment's file.
 func (s segment) fileOff(lsn int64) int64 { return lsn - int64(s.base) + headerSize }
 
@@ -263,7 +268,7 @@ func (s *segStore) at(off int64) (segment, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for i := len(s.segs) - 1; i >= 0; i-- {
-		if seg := s.segs[i]; LSN(off) >= seg.base && (seg.end == 0 || LSN(off) < seg.end) {
+		if seg := s.segs[i]; seg.covers(off) {
 			return seg, true
 		}
 	}
