@@ -59,7 +59,7 @@ func main() {
 	failpoints := flag.Bool("failpoints", false,
 		"arm the injected crash surface: torn log writes, anchor corruption, crashes inside recovery, mid-commit store crashes")
 	partitions := flag.Bool("partitions", false,
-		"arm the partition surface: split the service domain, crash-restart MSPs while split (recovery broadcasts lost), heal and let anti-entropy converge")
+		"arm the partition surface: split the service domain, crash-restart MSPs while split (recovery broadcasts lost), heal while the restarted MSPs re-announce until acked")
 	useOracle := flag.Bool("oracle", false,
 		"record the full client/server event history and run the correctness checkers over it")
 	breakDedup := flag.Bool("break-dedup", false,
@@ -118,9 +118,8 @@ func main() {
 	n := &metrics.Net
 	fmt.Printf("net: shedAtAdmission=%d partitionDrops=%d blockedDrops=%d lossDrops=%d\n",
 		metrics.Overload.ShedAtAdmission.Load(), n.PartitionDrops.Load(), n.BlockedDrops.Load(), n.LossDrops.Load())
-	fmt.Printf("ctl: flushDeadlines=%d peerDown=%d antiEntropyPulls=%d broadcastMissed=%d\n",
-		n.FlushDeadlinesExceeded.Load(), n.PeerDownEvents.Load(),
-		n.AntiEntropyPulls.Load(), n.BroadcastPeersMissed.Load())
+	fmt.Printf("ctl: flushDeadlines=%d peerDown=%d broadcastMissed=%d\n",
+		n.FlushDeadlinesExceeded.Load(), n.PeerDownEvents.Load(), n.BroadcastPeersMissed.Load())
 	w := &metrics.Wal
 	if batches := w.GroupCommitBatches.Load(); batches > 0 {
 		fmt.Printf("wal: groupCommitBatches=%d waitersPerBatch=%.2f windowsHeld=%d waits=%d\n",

@@ -112,12 +112,6 @@ func NewStorm(spec StormSpec) (*Storm, error) {
 			cfg.MSPCkptEvery = 4 * spec.SegmentSize
 			cfg.SessionCkptThreshold = 2 * spec.SegmentSize
 		}
-		if spec.Partitions {
-			// A partition storm loses recovery broadcasts; the periodic
-			// knowledge pull guarantees orphan detection converges after
-			// the heal even on a quiet link.
-			cfg.AntiEntropyEvery = 200 * time.Millisecond
-		}
 		p, err := StartMSP(cfg)
 		if err == nil {
 			p.Restarts, p.TTFR = &st.Restarts, &st.TTFR
@@ -215,9 +209,9 @@ func (st *Storm) faults() []Fault {
 			// end client to Busy until the heal.
 			PartitionFault("partition", st.net, split, hold, nil),
 			// Crash-restart an MSP while the domain is split: its recovery
-			// broadcast cannot cross the partition, so the far side must
-			// learn the new epoch afterwards via piggybacked knowledge and
-			// anti-entropy, then sweep the orphans it was left holding.
+			// broadcast cannot cross the partition, so the far side learns
+			// the new epoch after the heal from the restarted MSP's
+			// re-announcement, then sweeps the orphans it was left holding.
 			PartitionFault("partition-crash-front", st.net, split, hold, st.Front.Restart),
 			PartitionFault("partition-crash-back", st.net, split, hold, st.Back.Restart),
 		)

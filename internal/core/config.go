@@ -110,20 +110,16 @@ type Config struct {
 	// so tiny TimeScales keep working.
 	FlushDeadline time.Duration
 	// CtlRetransmit is the retransmission interval for control calls
-	// (flush requests, recovery broadcasts, knowledge pulls) and the pause
-	// before asking a still-recovering peer again: rpc.Exchange's
-	// ResendAfter and BusyBackoff, so at least 1 ms wall-clock. Zero
-	// selects the 20 ms default.
+	// (flush requests, recovery broadcasts) and the pause before asking a
+	// still-recovering peer again: rpc.Exchange's ResendAfter and
+	// BusyBackoff, so at least 1 ms wall-clock. Zero selects the 20 ms
+	// default.
 	CtlRetransmit time.Duration
 	// BroadcastDeadline bounds the wait for each peer's recovery-
-	// broadcast ack and each anti-entropy pull. Peers missed within it
-	// converge later via anti-entropy. Zero selects the 500 ms default.
+	// broadcast ack. A peer missed within it is announced to again once
+	// every PeerProbeEvery, each time under this deadline, until it acks.
+	// Zero selects the 500 ms default.
 	BroadcastDeadline time.Duration
-	// AntiEntropyEvery, when positive, runs a periodic knowledge pull
-	// against domain peers in round-robin order, converging orphan
-	// detection after a partition heals even without traffic. Zero (the
-	// default) relies on piggybacked knowledge and on-contact pulls.
-	AntiEntropyEvery time.Duration
 	// PeerProbeEvery is how long flushes against a peer marked down fail
 	// fast before one of them goes through as a probe — the cooldown of
 	// the peer's rpc.Breaker; one probe is in flight at a time. Zero

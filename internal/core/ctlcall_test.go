@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -75,11 +76,11 @@ func answer(kind string, id uint64, st rpc.Status, known ...dv.RecoveryInfo) *rp
 	return &rpc.Reply{Session: kind, Seq: id, Status: st, Known: known}
 }
 
-// TestCtlCall drives the three control exchanges — flush, recovery
-// broadcast, knowledge pull — through ctlCall against a peer that loses,
-// mangles or withholds its answers. Whatever the exchange, the call must
-// retransmit one envelope under one ID, ignore a reply that is not its
-// answer, give up at its deadline and return when the MSP stops.
+// TestCtlCall drives the two control exchanges — flush and recovery
+// broadcast — through ctlCall against a peer that loses, mangles or
+// withholds its answers. Whatever the exchange, the call must retransmit
+// one envelope under one ID, ignore a reply that is not its answer, give
+// up at its deadline and return when the MSP stops.
 func TestCtlCall(t *testing.T) {
 	const retransmit = 20 * time.Millisecond
 	ghost := dv.RecoveryInfo{Process: "ghost", CrashedEpoch: 1, Recovered: 5}
@@ -105,16 +106,6 @@ func TestCtlCall(t *testing.T) {
 				return len(s.broadcastRecovery(dv.RecoveryInfo{Process: "msp1", CrashedEpoch: 1, Recovered: 1})) == 1
 			},
 			answer:   func(id uint64) *rpc.Reply { return answer(ctlBroadcast, id, rpc.StatusOK, ghost) },
-			mismatch: func(id uint64) *rpc.Reply { return answer(ctlPull, id, rpc.StatusOK) },
-		},
-		{
-			name: "pull",
-			run: func(s *Server) bool {
-				s.pullKnowledge("peer")
-				_, ok := s.know.Lookup(ghost.Process, ghost.CrashedEpoch)
-				return ok
-			},
-			answer:   func(id uint64) *rpc.Reply { return answer(ctlPull, id, rpc.StatusOK, ghost) },
 			mismatch: func(id uint64) *rpc.Reply { return answer(ctlFlush, id, rpc.StatusOK) },
 		},
 	}
@@ -180,7 +171,7 @@ func TestCtlCall(t *testing.T) {
 				t.Fatalf("answered=%v after %d copies, want the answer to copy 4", o.answered, len(o.ids))
 			}
 		})
-		// The drift broadcast and pull had: any reply under the call's ID
+		// The drift the broadcast had: any reply under the call's ID
 		// ended the wait, so one that was not the answer triggered a resend
 		// at once instead of after the backoff step.
 		t.Run(x.name+"/reply of another exchange", func(t *testing.T) {
@@ -325,8 +316,7 @@ func TestCtlCall(t *testing.T) {
 			t.Fatalf("PeerDownEvents +%d, BreakerOpens +%d; want +1 and +0", d, o)
 		}
 	})
-	// Any message from a down peer brings it back up with exactly one
-	// knowledge pull.
+	// Any message from a down peer brings it back up.
 	t.Run("flush/down peer comes back", func(t *testing.T) {
 		e := newTestEnv(t)
 		defer e.cleanup()
@@ -336,11 +326,72 @@ func TestCtlCall(t *testing.T) {
 		s.peerMissed("peer")
 		p.ep.Send("msp1", "alive")
 		waitFor(t, 5*time.Second, "a message from the peer to bring it up", func() bool { return !s.PeerDown("peer") })
-		waitFor(t, 5*time.Second, "the knowledge pull", func() bool { return callsOf(p, ctlPull) > 0 })
-		p.ep.Send("msp1", "alive")
-		time.Sleep(5 * retransmit)
-		if n := callsOf(p, ctlPull); n != 1 {
-			t.Fatalf("%d knowledge pulls after the peer came back, want 1", n)
+	})
+	// A peer that missed a broadcast's deadline is announced to again, a
+	// probe interval after the miss, until it acks; its ack's knowledge is
+	// absorbed and ends the announcing. The clock is stepped: the first
+	// call's only copy pushes the clock past its deadline, so the peer
+	// decides which call misses.
+	t.Run("broadcast/missed peer", func(t *testing.T) {
+		const deadline, probeEvery = 300 * time.Millisecond, 100 * time.Millisecond
+		advance := stepClock(t)
+		info := dv.RecoveryInfo{Process: "msp1", CrashedEpoch: 1, Recovered: 1}
+		start := func(probeEvery time.Duration, script func(n int, id uint64) *rpc.Reply) (*testEnv, *scriptedPeer, *Server) {
+			e := newTestEnv(t)
+			p := startScriptedPeer(e, script)
+			s := e.start("msp1", counterDef(), func(c *Config) {
+				c.TimeScale = 1
+				c.CtlRetransmit = time.Millisecond
+				c.BroadcastDeadline, c.PeerProbeEvery = deadline, probeEvery
+			})
+			return e, p, s
+		}
+
+		var first uint64
+		e, p, s := start(probeEvery, func(n int, id uint64) *rpc.Reply {
+			if n == 1 {
+				first = id
+			}
+			if id == first {
+				advance(deadline + time.Millisecond)
+				return nil
+			}
+			return answer(ctlBroadcast, id, rpc.StatusOK, ghost)
+		})
+		defer e.cleanup()
+		defer close(p.stop)
+		if learned := s.broadcastRecovery(info); len(learned) != 0 || !s.PeerDown("peer") {
+			t.Fatalf("broadcast to a silent peer learned %v, peer down=%v; want nothing and the peer down", learned, s.PeerDown("peer"))
+		}
+		waitFor(t, 5*time.Second, "the repeat's ack to be absorbed", func() bool {
+			_, ok := s.know.Lookup(ghost.Process, ghost.CrashedEpoch)
+			return ok
+		})
+		ids, at := p.copies()
+		i := slices.IndexFunc(ids, func(id uint64) bool { return id != ids[0] })
+		if gap := at[i].Sub(at[i-1]); gap < probeEvery {
+			t.Fatalf("the repeat followed the missed call after %v, want at least the %v probe interval", gap, probeEvery)
+		}
+		time.Sleep(3 * probeEvery)
+		if n := callsOf(p, ctlBroadcast); n != 2 {
+			t.Fatalf("%d announcements, want the missed one and the acked repeat", n)
+		}
+
+		// Crash while the repeat waits for its probe interval returns at
+		// once, not after it. (A Crash that hangs is left behind: cleaning
+		// up would hang with it.)
+		_, p, s = start(time.Minute, func(int, uint64) *rpc.Reply {
+			advance(deadline + time.Millisecond)
+			return nil
+		})
+		s.broadcastRecovery(info)
+		crashed := make(chan struct{})
+		go func() { s.Crash(); close(crashed) }()
+		select {
+		case <-crashed:
+			close(p.stop)
+		case <-time.After(5 * time.Second):
+			t.Fatal("Crash did not return while a missed peer's repeat was waiting")
 		}
 	})
 }

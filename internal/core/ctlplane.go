@@ -16,11 +16,11 @@ import (
 )
 
 // This file is the server side of the intra-domain control plane: the
-// distributed flush requests, recovery broadcasts and anti-entropy
-// knowledge exchanges that used to be direct in-process method calls
-// now travel over the simulated network as rpc.Request and rpc.Reply,
-// so they can be lost, duplicated, reordered, delayed or partitioned
-// away — and the machinery here makes the protocol survive that:
+// distributed flush requests and recovery broadcasts that used to be
+// direct in-process method calls now travel over the simulated network
+// as rpc.Request and rpc.Reply, so they can be lost, duplicated,
+// reordered, delayed or partitioned away — and the machinery here makes
+// the protocol survive that:
 //
 //   - every control request carries a sender-unique ID; the sender waits
 //     in rpc.Exchange, which retransmits under the same ID every
@@ -31,11 +31,10 @@ import (
 //     opening its rpc.Breaker, after which flushes against it fail fast
 //     (the end client sees Busy, not a hang), with one probe at a time
 //     once per probe interval, until the peer is heard from again;
-//   - recovery broadcasts are best-effort: peers missed by a broadcast
-//     (partitioned, down) catch up through anti-entropy — every flush
-//     reply and recovery ack piggybacks the replier's knowledge, and a
-//     peer transitioning unreachable→reachable triggers an explicit
-//     knowledge pull.
+//   - knowledge moves one way, pushed: a recovery broadcast that misses
+//     a peer's deadline (partitioned, down) is announced to that peer
+//     again once a probe interval until it acks, and every flush reply
+//     and recovery ack piggybacks the replier's knowledge.
 
 // ctlDeadlineFloor is the wall-clock floor of the control plane's scaled
 // deadlines and periods: at tiny TimeScales a model deadline would scale
@@ -88,10 +87,8 @@ func (s *Server) PeerDown(peer string) bool {
 }
 
 // noteContact records evidence that the sender of a received message is
-// alive. If the sender is a domain peer that was marked down, it comes
-// back up and an anti-entropy knowledge pull is issued — the "healed
-// peer pulls missed RecoveryInfo on next contact" half of broadcast
-// convergence. It runs only on the receive loop.
+// alive: a domain peer that was marked down comes back up. It runs only
+// on the receive loop.
 func (s *Server) noteContact(from simnet.Addr) {
 	peer := string(from)
 	if peer == s.cfg.ID || !s.cfg.Domain.Contains(peer) {
@@ -99,7 +96,6 @@ func (s *Server) noteContact(from simnet.Addr) {
 	}
 	if br := s.peerBreaker(peer); br.State() != rpc.BreakerClosed {
 		br.Success()
-		s.goBackground(func() { s.pullKnowledge(peer) })
 	}
 }
 
@@ -110,12 +106,11 @@ func (s *Server) noteContact(from simnet.Addr) {
 const (
 	ctlFlush     = "ctl/flush"
 	ctlBroadcast = "ctl/broadcast"
-	ctlPull      = "ctl/pull"
 )
 
 // isCtl reports whether an envelope's Session names a control exchange.
 func isCtl(session string) bool {
-	return session == ctlFlush || session == ctlBroadcast || session == ctlPull
+	return session == ctlFlush || session == ctlBroadcast
 }
 
 // ctlCall is the one way this MSP asks a domain peer something and waits
@@ -131,7 +126,7 @@ func (s *Server) ctlCall(peer string, deadline time.Duration, kind string, sid d
 	defer s.ctl.Deregister(id)
 	to := simnet.Addr(peer)
 	return rpc.Exchange(func(req rpc.Request) {
-		//mspr:flushed-by none (control requests ask a peer to flush, announce state made durable before recovery completed, or pull gossip: none carries unflushed log state)
+		//mspr:flushed-by none (control requests ask a peer to flush, or announce state made durable before recovery completed: neither carries unflushed log state)
 		s.ep.Send(to, req)
 	}, ch, s.stop, rpc.Request{Session: kind, Seq: id, From: s.ep.Addr(), SID: sid, Deadline: simtime.Now().Add(s.ctlWall(deadline))},
 		rpc.CallOptions{ResendAfter: s.cfg.CtlRetransmit, BusyBackoff: s.cfg.CtlRetransmit, TimeScale: s.cfg.TimeScale})
@@ -170,11 +165,12 @@ func (s *Server) domainPeers() []string {
 }
 
 // broadcastRecovery announces a recovered state number of this MSP's to
-// every domain peer over the network, best-effort: each peer is
-// retransmitted to until it acks or the broadcast deadline passes. It
-// returns the union of the reachable peers' knowledge snapshots. A peer
-// that misses the deadline is marked down and converges later via
-// anti-entropy; a halt of this MSP meanwhile says nothing about the peers.
+// every domain peer over the network: each peer is retransmitted to until
+// it acks or the broadcast deadline passes. It returns the union of the
+// knowledge snapshots of the peers that acked in time. A peer that misses
+// the deadline is marked down, and reannounce pushes the number to it in
+// the background until it acks; a halt of this MSP meanwhile says nothing
+// about the peers.
 func (s *Server) broadcastRecovery(info dv.RecoveryInfo) []dv.RecoveryInfo {
 	sid := dv.StateID{Epoch: info.CrashedEpoch, LSN: info.Recovered}
 	var (
@@ -190,6 +186,7 @@ func (s *Server) broadcastRecovery(info dv.RecoveryInfo) []dv.RecoveryInfo {
 			if errors.Is(err, rpc.ErrDeadlineExceeded) {
 				metrics.Net.BroadcastPeersMissed.Inc()
 				s.peerMissed(peer)
+				s.goBackground(func() { s.reannounce(peer, sid) })
 			}
 			if err != nil {
 				return
@@ -203,35 +200,24 @@ func (s *Server) broadcastRecovery(info dv.RecoveryInfo) []dv.RecoveryInfo {
 	return learned
 }
 
-// pullKnowledge performs one anti-entropy knowledge pull against a peer,
-// bounded by the broadcast deadline, and absorbs whatever comes back.
-func (s *Server) pullKnowledge(peer string) {
-	metrics.Net.AntiEntropyPulls.Inc()
-	// An unanswered pull needs no handling: the next contact or anti-entropy
-	// round pulls again.
-	rep, err := s.ctlCall(peer, s.cfg.BroadcastDeadline, ctlPull, dv.StateID{})
-	if err == nil {
-		s.absorbKnowledge(rep.Known)
-	}
-}
-
-// antiEntropyLoop periodically pulls knowledge from domain peers in
-// round-robin order — the safety net that converges orphan detection
-// even when no traffic crosses a healed partition. Runs only when
-// Config.AntiEntropyEvery is positive.
-func (s *Server) antiEntropyLoop() {
-	every := s.ctlWall(s.cfg.AntiEntropyEvery)
-	tick := make(chan struct{}, 1) // room for the one round pending when stop closes
-	for next := 0; ; {
+// reannounce repeats a recovery announcement a peer missed, once a probe
+// interval, until the peer acks — its knowledge is absorbed — or this MSP
+// halts. A peer that never heard of the recovery keeps answering with
+// dependency vectors that name the lost states, and this MSP keeps
+// dropping those answers as orphans.
+func (s *Server) reannounce(peer string, sid dv.StateID) {
+	every := s.ctlWall(s.cfg.PeerProbeEvery)
+	tick := make(chan struct{}, 1) // room for the one wait pending when stop closes
+	for {
 		simtime.After(every, func() { tick <- struct{}{} })
 		select {
 		case <-s.stop:
 			return
 		case <-tick:
 		}
-		if peers := s.domainPeers(); len(peers) > 0 {
-			s.pullKnowledge(peers[next%len(peers)])
-			next++
+		if rep, err := s.ctlCall(peer, s.cfg.BroadcastDeadline, ctlBroadcast, sid); err == nil {
+			s.absorbKnowledge(rep.Known)
+			return
 		}
 	}
 }
@@ -268,10 +254,10 @@ func (s *Server) absorbKnowledge(infos []dv.RecoveryInfo) {
 // to the request's state and answers Rejected when that state is an
 // orphan and Busy when it cannot tell yet (still recovering); a
 // broadcast absorbs the sender's recovered state number (logging it and
-// sweeping sessions for orphans); a pull only answers. Each is
-// idempotent — a state already durable needs no flush, orphan knowledge
-// is monotone, and Knowledge.Record ignores an epoch it knows — so a
-// retransmitted copy is simply served again.
+// sweeping sessions for orphans). Each is idempotent — a state already
+// durable needs no flush, orphan knowledge is monotone, and
+// Knowledge.Record ignores an epoch it knows — so a retransmitted copy is
+// simply served again.
 func (s *Server) serveCtl(req rpc.Request) {
 	rep := rpc.Reply{Session: req.Session, Seq: req.Seq}
 	switch req.Session {
@@ -288,6 +274,6 @@ func (s *Server) serveCtl(req rpc.Request) {
 			CrashedEpoch: req.SID.Epoch, Recovered: req.SID.LSN}})
 	}
 	rep.Known = s.know.Snapshot()
-	//mspr:flushed-by flushTo (a flush is answered after it; broadcast and pull answers are monotone gossip, re-learnable from the recovering process itself)
+	//mspr:flushed-by flushTo (a flush is answered after it; a broadcast answer is monotone gossip, re-learnable from the recovering process itself)
 	s.ep.Send(req.From, rep)
 }

@@ -12,10 +12,10 @@ import (
 // distributed log flushes and recovery-message broadcasts.
 //
 // The domain itself is only a membership registry. All intra-domain
-// control traffic — flush requests, recovery broadcasts, anti-entropy
-// knowledge pulls — travels over the simulated network (internal/simnet)
-// as rpc envelopes, and is therefore subject to the network's full fault
-// plane: loss, duplication, reordering, per-link faults and partitions.
+// control traffic — flush requests and recovery broadcasts — travels over
+// the simulated network (internal/simnet) as rpc envelopes, and is
+// therefore subject to the network's full fault plane: loss,
+// duplication, reordering, per-link faults and partitions.
 //
 // Domain membership is registry-based: a restarted Server re-registers
 // under the same ID, replacing its crashed incarnation.

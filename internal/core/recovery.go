@@ -101,10 +101,10 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 	}
 	// Broadcast within the service domain, over the network: peers ack
 	// with their knowledge, so we also learn about crashes broadcast
-	// while we were down. Delivery is best-effort — a peer unreachable
-	// within the broadcast deadline (down, partitioned away) is skipped
-	// and catches up via anti-entropy on next contact; recovery must not
-	// block on a split domain.
+	// while we were down. A peer unreachable within the broadcast
+	// deadline (down, partitioned away) is skipped here and announced to
+	// again in the background until it acks; recovery must not block on
+	// a split domain.
 	//
 	// Every epoch of OURS recorded in knowledge is re-announced, not just
 	// the one that just crashed: an earlier incarnation may have made its

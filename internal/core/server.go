@@ -291,9 +291,6 @@ func Start(cfg Config) (*Server, error) {
 	}
 
 	s.setState(stateRunning)
-	if cfg.Logging && cfg.AntiEntropyEvery > 0 {
-		s.goBackground(s.antiEntropyLoop)
-	}
 	// Instant recovery (§4.3 + REDO-only instant restart): the server is
 	// already serving — a request touching an unrecovered session claims
 	// and replays just that session — while the background sweep drains
@@ -658,6 +655,13 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 	case rpc.SeqIgnore:
 		return
 	case rpc.SeqDuplicate:
+		// An orphan's buffered reply names lost states, and its caller
+		// drops it on every resend. The recovery-message sweep skips a
+		// session that is busy when the news arrives, so a resend is
+		// where such a session is caught.
+		if s.interceptOrphan(sess, req) {
+			return
+		}
 		// The buffered reply may have been lost in the network or in a
 		// client crash; resend it (§3.1). If its flush is blocked on an
 		// unreachable peer, tell the client Busy so it backs off instead
@@ -691,14 +695,11 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 		return
 	}
 
-	// Interception point: has this session become an orphan?
+	if s.interceptOrphan(sess, req) {
+		return
+	}
 	var reqLSN wal.LSN
 	if s.cfg.Logging {
-		if _, orphan := s.know.OrphanIn(sess.vecLocked()); orphan {
-			s.replyBusy(req)
-			s.recoverOrphan(sess)
-			return
-		}
 		// Fig. 7, after-receive action for intra-domain messages: if the
 		// attached DV shows the message is an orphan, discard it.
 		if req.HasDV {
@@ -757,6 +758,21 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 		}
 	}
 	s.maybeMSPCheckpoint()
+}
+
+// interceptOrphan is the interception point of a request to a held
+// session: a session that has become an orphan answers Busy and is rolled
+// back, and the client's resend finds it recovered.
+func (s *Server) interceptOrphan(sess *Session, req rpc.Request) bool {
+	if !s.cfg.Logging {
+		return false
+	}
+	if _, orphan := s.know.OrphanIn(sess.vecLocked()); !orphan {
+		return false
+	}
+	s.replyBusy(req)
+	s.recoverOrphan(sess)
+	return true
 }
 
 // sendReply transmits a reply once readyReply let it leave. A non-nil

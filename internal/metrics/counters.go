@@ -97,11 +97,9 @@ type NetCounters struct {
 	// opened the peer's closed breaker (not counted in
 	// Overload.BreakerOpens).
 	PeerDownEvents Counter
-	// AntiEntropyPulls counts knowledge-pull requests issued to catch up
-	// on recovery broadcasts missed during a partition or downtime.
-	AntiEntropyPulls Counter
 	// BroadcastPeersMissed counts peers a recovery broadcast could not
-	// reach before its deadline (they catch up via anti-entropy).
+	// reach before its deadline (the recovered process announces to each
+	// again, once a probe interval, until it acks).
 	BroadcastPeersMissed Counter
 }
 

@@ -14,8 +14,8 @@
 // another (Fig. 3), the StateServer baseline and the domain control plane
 // wait through it.
 //
-// The domain control plane — distributed flush requests, recovery
-// broadcasts, anti-entropy knowledge pulls — uses the same two envelopes.
+// The domain control plane — distributed flush requests and recovery
+// broadcasts — uses the same two envelopes.
 // A control request's Session names its kind and its Seq is an ID unique
 // to the sending incarnation; the answer echoes both, carries OK, Busy
 // (the peer is still recovering) or Rejected (the flush found an orphan),
