@@ -12,6 +12,7 @@ import (
 
 	"mspr/internal/rpc"
 	"mspr/internal/simdisk"
+	"mspr/internal/simnet"
 	"mspr/internal/wal"
 )
 
@@ -351,11 +352,17 @@ func TestCloseEndsCallInFlight(t *testing.T) {
 	e, disk := newDurableClientEnv(t)
 	defer e.cleanup()
 	nobody := e.net.Endpoint("nobody") // receives, never answers
-	inFlight := func(call func() error, stop func()) {
+	inFlight := func(from simnet.Addr, call func() error, stop func()) {
 		t.Helper()
 		done := make(chan error, 1)
 		go func() { done <- call() }()
-		<-nobody.Recv() // the request is out
+		// The request is out once one arrives from the calling client: a
+		// resend the previous, already stopped client left queued is not it.
+		for m := range nobody.Recv() {
+			if m.From == from {
+				break
+			}
+		}
 		stop()
 		select {
 		case err := <-done:
@@ -369,7 +376,7 @@ func TestCloseEndsCallInFlight(t *testing.T) {
 
 	c := NewClient("c", e.net, rpc.DefaultCallOptions(0))
 	cs := c.Session("nobody")
-	inFlight(func() error { _, err := cs.Call("inc", nil); return err }, c.Close)
+	inFlight("c", func() error { _, err := cs.Call("inc", nil); return err }, c.Close)
 	if cs.nextSeq != 1 {
 		t.Fatalf("sequence number moved to %d on a stopped call", cs.nextSeq)
 	}
@@ -379,7 +386,7 @@ func TestCloseEndsCallInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inFlight(func() error { _, err := ds.Call("inc", nil); return err }, func() {
+	inFlight("dclient", func() error { _, err := ds.Call("inc", nil); return err }, func() {
 		if err := dc.Crash(); err != nil {
 			t.Error(err)
 		}

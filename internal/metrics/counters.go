@@ -107,24 +107,24 @@ type NetCounters struct {
 var Net NetCounters
 
 // WalCounters is the observability surface of the log layer: its group
-// commit (§5.5) — how often the persistent flusher ran, how many flush
+// commit (§5.5) — how many writes flush leaders issued, how many flush
 // requests each write served, and how often the adaptive batch window
 // was held open; coalescing effectiveness is
 // GroupCommitBatchWaiters / GroupCommitBatches (average requests per
 // physical write) — its segments, and its scans.
 type WalCounters struct {
-	// GroupCommitWaits counts Flush calls that entered the group-commit
-	// path (batching enabled, records not yet durable).
+	// GroupCommitWaits counts Flush calls that found their records not
+	// yet durable and joined group commit, with or without a window.
 	GroupCommitWaits Counter
-	// GroupCommitBatches counts physical flushes issued by the persistent
-	// flusher loop.
+	// GroupCommitBatches counts physical flushes issued by a flush leader.
 	GroupCommitBatches Counter
-	// GroupCommitBatchWaiters sums the number of waiters observed at each
-	// flusher-issued flush — the batch sizes.
+	// GroupCommitBatchWaiters sums the number of waiters, the leader
+	// included, observed as each leader took the buffer — the batch sizes.
 	GroupCommitBatchWaiters Counter
 	// GroupCommitWindows counts flushes that held the adaptive batch
-	// window open because more than one waiter was queued; a lone waiter
-	// is flushed immediately and never pays the window as latency.
+	// window open because the log was loaded — more than one waiter
+	// queued, or flushes arrived during the last write; a lone waiter on
+	// an idle log is flushed immediately and never pays the window.
 	GroupCommitWindows Counter
 
 	// Rotations counts log rotations: a flush that would overfill the

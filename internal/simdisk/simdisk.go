@@ -12,11 +12,13 @@
 // charges exactly that formula, scaled by a configurable TimeScale so that
 // experiments preserving every latency ratio can run quickly.
 //
-// A Disk serializes its I/O charges: two concurrent flushes on the same
-// disk queue behind one another, while flushes on different Disks proceed
-// in parallel — matching the paper's observation that the local flushes of
-// a distributed log flush run in parallel "unless the physical logs of
-// MSPs in the service domain share a disk controller".
+// A Disk has one head: its I/O charges form a FIFO queue, so two
+// concurrent flushes on the same disk finish one after the other, while
+// flushes on different Disks proceed in parallel — matching the paper's
+// observation that the local flushes of a distributed log flush run in
+// parallel "unless the physical logs of MSPs in the service domain share
+// a disk controller". A charge books its service time behind the last
+// queued one under the disk's lock and sleeps until then without it.
 //
 // Durability semantics: data written to a File survives a crash; anything
 // a client of this package buffers in its own memory does not. The WAL and
@@ -149,15 +151,16 @@ const (
 )
 
 // Disk is a simulated disk: a latency domain plus a set of named Files.
-// All I/O charges on one Disk are serialized.
+// Its I/O charges queue on one head, first come, first served.
 type Disk struct {
 	model Model
 
-	io sync.Mutex // serializes latency charges (a disk has one head)
-
-	mu    sync.Mutex // guards files and stats
+	mu    sync.Mutex // guards files, stats and free
 	files map[string]*File
 	stats Stats
+	// free is when the head finishes the last queued charge, on the wall
+	// clock that simtime.Sleep waits on.
+	free time.Time
 	// fp is read for every scanned and every replayed log record (each
 	// evaluates a crash point), so it is an atomic load, not a lock.
 	fp atomic.Pointer[failpoint.Registry]
@@ -246,8 +249,9 @@ func (d *Disk) ChargeWrite(n, wastedBytes int) {
 	d.stats.SectorsOut += int64(n)
 	d.stats.WastedBytes += int64(wastedBytes)
 	d.stats.WriteTime += t
+	wait := d.queue(t)
 	d.mu.Unlock()
-	d.sleep(t)
+	simtime.Sleep(wait)
 }
 
 // ChargeRead blocks for the (scaled) time to read n sectors and records
@@ -261,18 +265,25 @@ func (d *Disk) ChargeRead(n int) {
 	d.stats.Reads++
 	d.stats.SectorsIn += int64(n)
 	d.stats.ReadTime += t
+	wait := d.queue(t)
 	d.mu.Unlock()
-	d.sleep(t)
+	simtime.Sleep(wait)
 }
 
-func (d *Disk) sleep(t time.Duration) {
+// queue books the scaled model time t on the head behind every charge
+// already queued and returns how long the caller waits for its own to
+// finish. Called with mu held.
+func (d *Disk) queue(t time.Duration) time.Duration {
 	scaled := time.Duration(float64(t) * d.model.TimeScale)
 	if scaled <= 0 {
-		return
+		return 0
 	}
-	d.io.Lock()
-	simtime.Sleep(scaled)
-	d.io.Unlock()
+	now := time.Now() //mspr:wallclock the queue runs on the clock simtime.Sleep waits on; a stepped clock would stack every charge
+	if d.free.Before(now) {
+		d.free = now
+	}
+	d.free = d.free.Add(scaled)
+	return d.free.Sub(now)
 }
 
 // File is a named durable byte region on a Disk. The zero value is not

@@ -2,6 +2,7 @@ package simdisk
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -164,6 +165,31 @@ func TestTimeScaleSleeps(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
 		t.Fatalf("scaled charges took %v", elapsed)
+	}
+}
+
+// TestChargesQueueOnOneHead: concurrent charges on one disk queue behind
+// each other on its one head, so k of them take at least k service
+// times. Were the queue dropped, the sleeps would overlap and k charges
+// would finish in about one.
+func TestChargesQueueOnOneHead(t *testing.T) {
+	const k = 4
+	m := DefaultModel(1)
+	m.TimeScale = float64(2*time.Millisecond) / float64(m.WriteTime(1))
+	one := time.Duration(float64(m.WriteTime(1)) * m.TimeScale) // about 2 ms
+	d := NewDisk(m)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.ChargeWrite(1, 0)
+		}()
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed < k*one {
+		t.Fatalf("%d concurrent charges of %v each took %v, want at least %v", k, one, elapsed, k*one)
 	}
 }
 

@@ -32,16 +32,16 @@ type Log struct {
 	// window is the scaled batch window; zero turns batch flushing off.
 	window time.Duration
 
-	// flushMu serializes physical flushes, rotations and tail repair.
-	flushMu sync.Mutex //mspr:lock-level 40
 	// block is flush scratch: the sector-aligned write block. Between
 	// flushes its first carry bytes hold the durable part of the sector
 	// the log ends in, which the next flush rewrites ahead of its records.
-	block []byte //mspr:guarded-by flushMu
-	carry int    //mspr:guarded-by flushMu
+	// Only the holder of flushing touches them.
+	block []byte
+	carry int
 
 	mu sync.Mutex //mspr:lock-level 70
-	// cond broadcasts when durable advances or batch state changes.
+	// cond broadcasts when durable advances, a flush ends, or the log
+	// dies (flushErr, closed).
 	cond *sync.Cond
 	// head: records below it have been discarded.
 	head LSN //mspr:guarded-by mu
@@ -60,19 +60,20 @@ type Log struct {
 	pendStart LSN //mspr:guarded-by mu
 	// spare: retired append buffer, reused by the next Append.
 	spare []byte //mspr:guarded-by mu
-	// waiters: Flush calls waiting on the durable frontier.
-	waiters int  //mspr:guarded-by mu
-	closed  bool //mspr:guarded-by mu
+	// waiters: Flush calls waiting on the durable frontier, the leader
+	// included.
+	waiters int //mspr:guarded-by mu
+	// flushing: a Flush leads a write (or holds the batch window), or
+	// RepairTail cuts the tail; everyone else waits on cond.
+	flushing bool //mspr:guarded-by mu
+	// loaded: Flush calls arrived during the last write, so the burst is
+	// still going and the next leader holds the window open.
+	loaded bool //mspr:guarded-by mu
+	closed bool //mspr:guarded-by mu
 	// flushErr records a sticky flush failure.
 	flushErr error //mspr:guarded-by mu
 	// tornFrom: LSN of a torn tail found by the last Scan (0 = none).
 	tornFrom int64 //mspr:guarded-by mu
-
-	// flushReq wakes the persistent group-commit flusher (flusherLoop).
-	// Buffered with capacity 1: a send coalesces with an already-pending
-	// wakeup, and the channel is never closed (Close signals through it
-	// and the loop exits on the closed flag).
-	flushReq chan struct{}
 }
 
 // Open opens (creating if necessary) the named log on disk. It
@@ -117,8 +118,6 @@ func Open(disk *simdisk.Disk, name string, cfg Config) (*Log, error) {
 			// keep a small window even at TimeScale 0 so requests can combine.
 			l.window = 100 * time.Microsecond
 		}
-		l.flushReq = make(chan struct{}, 1)
-		go l.flusherLoop()
 	}
 	return l, nil
 }
@@ -153,7 +152,7 @@ func (l *Log) Append(typ byte, payload []byte) (LSN, error) {
 		// Buffer full: force a flush of what we have, then append.
 		upTo := l.nextLSN - 1
 		l.mu.Unlock()
-		if err := l.flushNow(upTo); err != nil {
+		if err := l.Flush(upTo); err != nil {
 			return 0, err
 		}
 		l.mu.Lock()
@@ -242,10 +241,15 @@ func (l *Log) TruncateHead(before LSN) error {
 	return nil
 }
 
-// Flush makes every record with LSN ≤ upTo durable. With batch flushing
-// enabled the request is handed to the persistent group-commit flusher so
-// concurrent requests share a single write; otherwise the flush is issued
-// immediately on the caller.
+// Flush makes every record with LSN ≤ upTo durable. It is the log's one
+// group commit (§5.5): the first caller to find no write in flight leads
+// the next one, which takes the whole buffer, and every other caller
+// waits until a write covers it or leads the write after. A leader holds
+// the batch window open first when the log is loaded — more than one
+// waiter, or calls arrived during the last write — so their records share
+// one sector-aligned write; a lone caller on an idle log never pays the
+// window as latency. A failed write wedges the log: every waiter, and
+// every later Flush, gets the sticky error until the process restarts.
 //
 //mspr:blocking performs (or waits on) disk I/O
 func (l *Log) Flush(upTo LSN) error {
@@ -254,122 +258,86 @@ func (l *Log) Flush(upTo LSN) error {
 		l.mu.Unlock()
 		return nil
 	}
-	if l.window <= 0 {
-		l.mu.Unlock()
-		return l.flushNow(upTo)
-	}
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	// Group commit: register as a waiter, wake the flusher, and wait until
-	// the durable frontier covers us (or the log dies under us). The
-	// flusher is a long-lived goroutine, so a request arriving while a
-	// flush is in flight is picked up as soon as that flush completes —
-	// there is no re-arm window during which a waiter can oversleep.
-	l.waiters++
-	select {
-	case l.flushReq <- struct{}{}:
-	default: // a wakeup is already pending; it will cover us
-	}
 	metrics.Wal.GroupCommitWaits.Inc()
-	for l.durable <= upTo && l.flushErr == nil && !l.closed {
-		l.cond.Wait()
+	l.waiters++
+	var err error
+	windowed := false
+	for l.durable <= upTo {
+		if l.closed {
+			err = ErrClosed
+			break
+		}
+		if l.flushErr != nil {
+			err = l.flushErr
+			break
+		}
+		if l.flushing {
+			l.cond.Wait()
+			continue
+		}
+		if len(l.buf) == 0 {
+			break // nothing appended past the durable frontier
+		}
+		if !windowed && l.window > 0 && (l.loaded || l.waiters > 1) {
+			// Hold the window with flushing set, so later callers wait to
+			// join this write instead of leading their own. Only Close and
+			// a wedge can end the wait early, and both broadcast.
+			windowed, l.flushing = true, true
+			metrics.Wal.GroupCommitWindows.Inc()
+			l.mu.Unlock()
+			simtime.Sleep(l.window)
+			l.mu.Lock()
+			l.flushing = false
+			continue
+		}
+		if _, ok := l.segs.fp().Eval(FPFlushCrash); ok {
+			// Crash between buffer append and sync: nothing reaches the disk
+			// and no caller was ever told the records were durable.
+			l.flushErr = fmt.Errorf("wal: flush of %q crashed before write: %w", l.segs.name, failpoint.ErrInjected)
+			l.cond.Broadcast()
+			continue
+		}
+		// Lead: take the buffer, write it with mu released so appends
+		// proceed, then publish the new frontier.
+		l.flushing = true
+		data, start := l.buf, l.bufStart
+		end := start + LSN(len(data))
+		l.pending, l.pendStart = data, start
+		l.buf, l.bufStart = nil, end
+		served := l.waiters
+		l.mu.Unlock()
+		metrics.Wal.GroupCommitBatches.Inc()
+		metrics.Wal.GroupCommitBatchWaiters.Add(int64(served))
+		werr := l.writeBlock(data, start)
+		l.mu.Lock()
+		l.flushing = false
+		if werr != nil {
+			if l.flushErr == nil {
+				l.flushErr = werr
+			}
+		} else {
+			l.durable = end
+			l.pending = nil
+			// The retired append buffer becomes the spare: no reader can
+			// reach it once pending is cleared (readBuffered copies
+			// payloads under mu).
+			l.spare = data[:0]
+			l.loaded = l.waiters > served
+			metrics.Wal.PeakLiveBytes.Observe(int64(l.durable - l.head))
+		}
+		l.cond.Broadcast()
 	}
 	l.waiters--
-	err := l.flushErr
-	if err == nil && l.closed && l.durable <= upTo {
-		err = ErrClosed
-	}
 	l.mu.Unlock()
 	return err
 }
 
-// flusherLoop is the persistent group-commit flusher: one long-lived
-// goroutine per log that serves every batched Flush. The batch window is
-// adaptive (§5.5): a lone waiter is flushed immediately (an idle system
-// should not pay the window as latency), while concurrent waiters hold
-// the window open so their records share one sector-aligned write. Errors
-// reach waiters through the sticky flushErr set inside flushNow; Close
-// wakes the loop through flushReq and it exits on the closed flag.
-func (l *Log) flusherLoop() {
-	// loaded records that the previous flush left waiters behind (or more
-	// arrived during it): the burst is still going, so the next batch
-	// holds the window open even if only one waiter has registered yet.
-	loaded := false
-	for range l.flushReq {
-		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			return
-		}
-		contended := loaded || l.waiters > 1
-		l.mu.Unlock()
-		if contended {
-			metrics.Wal.GroupCommitWindows.Inc()
-			simtime.Sleep(l.window)
-		}
-		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			return
-		}
-		upTo := l.nextLSN - 1
-		served := int64(l.waiters)
-		l.mu.Unlock()
-		metrics.Wal.GroupCommitBatches.Inc()
-		metrics.Wal.GroupCommitBatchWaiters.Add(served)
-		// flushNow's error is delivered to waiters via the sticky flushErr
-		// (set and broadcast inside); the loop keeps draining wakeups so
-		// late waiters observe the error instead of hanging.
-		_ = l.flushNow(upTo)
-		l.mu.Lock()
-		loaded = l.waiters > 0
-		l.mu.Unlock()
-	}
-}
-
-// flushNow writes the buffered records, after the partial sector the last
-// flush ended in (its durable bytes rewritten identically) and padded to a
-// sector boundary, and advances the durable frontier to their end; the
-// next block continues there. A block that would overfill the active
-// segment rotates first. Appends proceed while the write is in flight.
-func (l *Log) flushNow(upTo LSN) error {
-	l.flushMu.Lock()
-	defer l.flushMu.Unlock()
-
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if l.flushErr != nil {
-		// A previous flush failed; the log is wedged until the process
-		// restarts and recovers.
-		err := l.flushErr
-		l.mu.Unlock()
-		return err
-	}
-	if upTo < l.durable || len(l.buf) == 0 {
-		// A racing flush already covered this request.
-		l.mu.Unlock()
-		return nil
-	}
-	if _, ok := l.segs.fp().Eval(FPFlushCrash); ok {
-		// Crash between buffer append and sync: nothing reaches the disk
-		// and no caller was ever told the records were durable.
-		l.mu.Unlock()
-		return l.wedge(fmt.Errorf("wal: flush of %q crashed before write: %w", l.segs.name, failpoint.ErrInjected))
-	}
-	data := l.buf
-	start := l.bufStart
-	end := start + LSN(len(data))
-	l.pending = data
-	l.pendStart = start
-	l.buf = nil
-	l.bufStart = end
-	l.mu.Unlock()
-
+// writeBlock writes data, the records taken from the buffer at LSN start,
+// after the partial sector the last flush ended in (its durable bytes
+// rewritten identically) and padded to a sector boundary; the next block
+// continues where data ends. A block that would overfill the active
+// segment rotates first. Called by the flush leader, without mu.
+func (l *Log) writeBlock(data []byte, start LSN) error {
 	// Rotation: if this block would overfill the active segment (and the
 	// segment already holds records — a segment always accepts its first
 	// block, however large), seal it and open the next at the first new
@@ -378,7 +346,7 @@ func (l *Log) flushNow(upTo LSN) error {
 	held := seg.fileOff(int64(start)) - headerSize // the segment's bytes of records
 	if held > 0 && held-int64(carry)+alignUp(int64(carry+len(data))) > l.segSize {
 		if err := l.rotate(start); err != nil {
-			return l.wedge(err)
+			return err
 		}
 		seg, carry = l.segs.active(), 0
 	}
@@ -394,7 +362,7 @@ func (l *Log) flushNow(upTo LSN) error {
 	copy(block[carry:], data)
 	clear(block[filled:])
 	if err := writeSectors(seg.file, block, segOff, need-len(data), true); err != nil {
-		return l.wedge(err)
+		return err
 	}
 	l.carry = copy(block, block[filled-filled%sectorSize:filled]) // the next block's prefix
 
@@ -404,22 +372,11 @@ func (l *Log) flushNow(upTo LSN) error {
 	// memory, and from then on a read must not find a stale block — it
 	// would report a record appended moments ago as not found.
 	l.rd.invalidateFrom(seg.index, segOff)
-
-	l.mu.Lock()
-	l.durable = end
-	l.pending = nil
-	// The retired append buffer becomes the spare: no reader can reach it
-	// once pending is cleared (readBuffered copies payloads under mu).
-	l.spare = data[:0]
-	l.cond.Broadcast()
-	liveSpan := int64(l.durable - l.head)
-	l.mu.Unlock()
-	metrics.Wal.PeakLiveBytes.Observe(liveSpan)
 	return nil
 }
 
 // rotate seals the active segment at base (the next block's LSN) and
-// opens the next segment file. Called with flushMu held, before the
+// opens the next segment file. Called by the flush leader, before the
 // block write. The protocol is: create the new segment file with its
 // header, publish it in the in-memory table, then re-persist the anchor
 // so the durable segment directory names the new segment. A crash
@@ -483,14 +440,5 @@ func (l *Log) Close() error {
 	l.closed = true
 	l.cond.Broadcast()
 	l.mu.Unlock()
-	if l.flushReq != nil {
-		// Wake the group-commit flusher so it observes closed and exits.
-		// The channel is buffered: if a wakeup is already pending the
-		// flusher is about to run anyway, and it re-checks closed.
-		select {
-		case l.flushReq <- struct{}{}:
-		default:
-		}
-	}
 	return nil
 }

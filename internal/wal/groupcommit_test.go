@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mspr/internal/failpoint"
+	"mspr/internal/metrics"
 	"mspr/internal/simdisk"
 )
 
@@ -103,4 +104,22 @@ func TestGroupCommitErrorReachesAllWaiters(t *testing.T) {
 		t.Fatalf("late waiter got %v, want the sticky flush error", err)
 	}
 	l.Close()
+}
+
+// TestLoneFlushSkipsTheWindow: the batch window is adaptive (§5.5). On an
+// idle log a lone Flush writes at once and never holds the window open:
+// an idle system must not pay the window as latency.
+func TestLoneFlushSkipsTheWindow(t *testing.T) {
+	l, _ := newTestLog(t, Config{BatchTimeout: 8 * time.Millisecond})
+	before := metrics.Wal.GroupCommitWindows.Load()
+	lsn, err := l.Append(1, []byte("alone"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if d := metrics.Wal.GroupCommitWindows.Load() - before; d != 0 {
+		t.Fatalf("a lone flush on an idle log held the batch window %d times, want 0", d)
+	}
 }

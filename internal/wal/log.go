@@ -23,10 +23,12 @@
 // recovery time flat under sustained traffic. LSNs remain global byte
 // offsets, so rotation is invisible to every layer above.
 //
-// Batch flushing (§5.5, "group commit") is supported: with a non-zero
-// BatchTimeout, a flush request is not executed immediately but after the
-// timeout, giving concurrent requests the chance to be satisfied by a
-// single larger write.
+// Flush is group commit (§5.5): concurrent flushes share one write, led
+// by the first caller that finds no write in flight, while the others
+// wait for it. With a non-zero BatchTimeout a loaded log holds that
+// window open before the write, giving more requests the chance to be
+// satisfied by a single larger write; a lone flush on an idle log writes
+// at once.
 //
 // Crash semantics follow the paper exactly: a crash loses the volatile
 // buffer; only flushed records survive. Simulated crashes discard the Log
@@ -36,15 +38,15 @@
 // # Layers and lock order
 //
 // The package is five layers, one file each; every layer owns its state
-// and its lock, calls only the layers listed after it, and the declared
-// lock ranks (lock-level directives, checked by mspr-vet's lockorder)
-// follow the same order, so a lock is only ever taken under lower ranks:
+// and its lock and calls only the layers listed after it, and the
+// declared lock ranks (lock-level directives, checked by mspr-vet's
+// lockorder) only ever nest a lock under lower ranks:
 //
 //   - Log, the group committer (commit.go): the volatile buffer, the
 //     frontiers, group commit, rotation as a sequence of segment-store
-//     and anchor calls. flushMu (40) serializes physical flushes and is
-//     held across everything below; mu (70) guards the buffer and is
-//     never held across a write.
+//     and anchor calls. mu (70) guards the buffer and the flushing flag
+//     that names the one flush leader; it is never held across a write
+//     or the batch window, and waiters sleep on its condvar.
 //   - anchorStore (anchor.go): the two slots and their codec; mu (50).
 //   - reader (reader.go): the cursor — frameAt, the scan, one cached
 //     read-ahead block — behind mu (60) for point reads, private and fed by
@@ -119,9 +121,13 @@ const (
 
 // Config controls a Log's flushing behaviour.
 type Config struct {
-	// BatchTimeout, if non-zero, delays every flush request by this model
-	// duration so that several requests can share one disk write (§5.5).
-	// The paper's experiments use 8 ms, roughly one log-write time.
+	// BatchTimeout, if non-zero, is the batch window (model time) a flush
+	// holds open before its write when the log is loaded — more than one
+	// flush waiting, or flushes arrived during the last write — so that
+	// several requests share one disk write (§5.5). A lone flush on an
+	// idle log never waits for it. Concurrent flushes share a write even
+	// at zero. The paper's experiments use 8 ms, roughly one log-write
+	// time.
 	BatchTimeout time.Duration
 	// SegmentSize is the data capacity (bytes, excluding the one-sector
 	// header) of one segment file. A flush that would exceed it rotates

@@ -376,9 +376,10 @@ func (c *cursor) probeValidAfter(off, end int64) (bool, error) {
 //
 //mspr:blocking performs (or waits on) disk I/O
 func (l *Log) RepairTail() bool {
-	l.flushMu.Lock()
-	defer l.flushMu.Unlock()
 	l.mu.Lock()
+	for l.flushing {
+		l.cond.Wait()
+	}
 	off := l.tornFrom
 	l.tornFrom = 0
 	seg, ok := l.segs.at(off)
@@ -395,9 +396,14 @@ func (l *Log) RepairTail() bool {
 	if l.durable > aligned {
 		l.durable = aligned
 	}
+	l.flushing = true // no flush may lead while the tail is cut
 	l.mu.Unlock()
 	l.segs.truncateTail(seg, off) // the [off, aligned) gap reads as zeros: padding
 	l.InvalidateCache()
+	l.mu.Lock()
+	l.flushing = false
+	l.cond.Broadcast()
+	l.mu.Unlock()
 	metrics.Recovery.CorruptTailTruncations.Inc()
 	return true
 }

@@ -308,37 +308,41 @@ func TestAnchorSurvivesReopen(t *testing.T) {
 }
 
 func TestBatchFlushCombinesWrites(t *testing.T) {
-	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
-	l, err := Open(disk, "log", Config{BatchTimeout: 8 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 8
-	errs := make(chan error, n)
-	// Append everything first, then release all flush requests at once:
-	// the test measures the group-commit window's combining, not the
-	// scheduler's luck in overlapping appends with flushes.
-	var start sync.WaitGroup
-	start.Add(1)
-	for i := 0; i < n; i++ {
-		lsn, err := l.Append(1, []byte{byte(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func(lsn LSN) {
-			start.Wait()
-			errs <- l.Flush(lsn)
-		}(lsn)
-	}
-	start.Done()
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := disk.Stats()
-	if st.Writes >= n {
-		t.Fatalf("batch flushing did not combine: %d writes for %d flush requests", st.Writes, n)
+	for _, window := range []time.Duration{0, 8 * time.Millisecond} {
+		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
+			disk := simdisk.NewDisk(simdisk.DefaultModel(0))
+			l, err := Open(disk, "log", Config{BatchTimeout: window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 8
+			errs := make(chan error, n)
+			// Append everything first, then release all flush requests at
+			// once: the test measures group commit's combining, not the
+			// scheduler's luck in overlapping appends with flushes.
+			var start sync.WaitGroup
+			start.Add(1)
+			for i := 0; i < n; i++ {
+				lsn, err := l.Append(1, []byte{byte(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				go func(lsn LSN) {
+					start.Wait()
+					errs <- l.Flush(lsn)
+				}(lsn)
+			}
+			start.Done()
+			for i := 0; i < n; i++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := disk.Stats()
+			if st.Writes >= n {
+				t.Fatalf("batch flushing did not combine: %d writes for %d flush requests", st.Writes, n)
+			}
+		})
 	}
 }
 
