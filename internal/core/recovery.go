@@ -23,14 +23,14 @@ import (
 //     above the head), WITHOUT materializing any session state (instant
 //     recovery: the scan is O(log records), not O(state size)); each
 //     written shared variable is then installed from the head of its
-//     backward chain, one record the scan already holds;
+//     backward chain, one record the scan already holds, and every
+//     surviving session is published to the session table unrecovered;
 //  3. take a fresh MSP checkpoint, whose one flush and anchor write make
 //     the new epoch and the recovered state number durable;
 //  4. broadcast a recovery message with the recovered state number;
-//  5. mark every surviving session unrecovered and return the sessions:
-//     the server serves immediately, a request touching an unrecovered
-//     session blocks only on that session's replay, and the background
-//     sweep (recoverySweep) drains the rest.
+//  5. return the sessions: the server serves immediately, a request
+//     touching an unrecovered session blocks only on that session's
+//     replay, and the background sweep (recoverySweep) drains the rest.
 func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 	crashedEpoch := anchor.Epoch
 	// Restore the log head recorded by the last checkpoint; the records
@@ -139,12 +139,6 @@ func (s *Server) recoverFromCrash(anchor wal.Anchor) ([]*Session, error) {
 		}
 	}
 
-	// Publish the unrecovered set: from here on a request that touches one
-	// of these sessions claims and replays it on demand; the sweep drains
-	// the remainder.
-	for _, sess := range sessions {
-		sess.markUnrecovered()
-	}
 	// Crash window between analysis and the first reply: state is durable
 	// (post-recovery checkpoint written, learned knowledge flushed) but no
 	// request has been served by this incarnation yet.
@@ -173,20 +167,27 @@ const shellChunk, posWindow = 64, 4
 
 // analysisScan is the single-threaded scan of Fig. 12's step 2, from the
 // anchor's log head. It returns the LSN of the last valid (persistent)
-// record and the surviving sessions, published to the session table; it
-// fails if the anchor's checkpoint LSN holds no MSP checkpoint. Every
-// written shared variable leaves it restored from its chain head.
+// record and the surviving sessions, published to the session table
+// unrecovered; it fails if the anchor's checkpoint LSN holds no MSP
+// checkpoint. Every written shared variable leaves it restored from its
+// chain head.
 func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, []*Session, error) {
-	// A private session index, published once the scan is over: no record
-	// takes a stripe lock, and no goroutine sees a session the scan writes.
-	// Records are routed by a view of their leading ID (logrec.Peek); shells
-	// and their streams' first windows are cut from slabs, which live as
-	// long as any of their shells, so a shell costs one allocation, its ID.
-	index, clients := make(map[string]*Session), make(map[string]simnet.Addr)
+	// A private session index, one map per stripe of the session table,
+	// each swapped in whole once the scan is over: no record takes a stripe
+	// lock, and no goroutine sees a session the scan writes. Records are
+	// routed by a view of their leading ID (logrec.Peek); shells and their
+	// streams' first windows are cut from slabs, which live as long as any
+	// of their shells, so a shell costs one allocation, its ID.
+	var index [numShards]map[string]*Session
+	for i := range index {
+		index[i] = make(map[string]*Session)
+	}
+	clients := make(map[string]simnet.Addr)
 	var slab []Session
 	var windows []posEntry
 	shell := func(id []byte) *Session {
-		if sess := index[string(id)]; sess != nil {
+		stripe := index[stripeOf(id)]
+		if sess := stripe[string(id)]; sess != nil {
 			return sess
 		}
 		if len(slab) == 0 {
@@ -195,7 +196,8 @@ func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, []*Session, error) {
 		slab[0] = Session{id: string(id), srv: s, pos: posStream{all: windows[:0:posWindow], budget: &s.retained}}
 		sess := &slab[0]
 		slab, windows = slab[1:], windows[posWindow:]
-		index[sess.id] = sess
+		sess.markUnrecovered() // a shell owes its replay from birth
+		stripe[sess.id] = sess
 		return sess
 	}
 	var atCkpt logrec.Type // the type of the record at anchor.CheckpointLSN
@@ -269,7 +271,7 @@ func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, []*Session, error) {
 			}
 			// Records between the orphan record and this EOS were skipped
 			// by a past orphan recovery: make them invisible (§4.1).
-			if sess := index[rec.Session]; sess != nil {
+			if sess := index[stripeOf(rec.Session)][rec.Session]; sess != nil {
 				sess.removePosRange(rec.Orphan, lsn)
 			}
 		case logrec.TSessionEnd:
@@ -277,9 +279,10 @@ func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, []*Session, error) {
 			if err != nil {
 				return err
 			}
-			if sess := index[rec.Session]; sess != nil {
+			stripe := index[stripeOf(rec.Session)]
+			if sess := stripe[rec.Session]; sess != nil {
 				sess.markEnded()
-				delete(index, rec.Session)
+				delete(stripe, rec.Session)
 			}
 			s.endSession(rec.Session, lsn)
 		case logrec.TRecoveryInfo:
@@ -311,7 +314,7 @@ func (s *Server) analysisScan(anchor wal.Anchor) (wal.LSN, []*Session, error) {
 			return last, nil, err
 		}
 	}
-	return last, s.sessions.publish(index), nil
+	return last, s.sessions.publish(&index), nil
 }
 
 // recoverOrphan is runSessionRecovery for a session found to be an orphan

@@ -128,3 +128,62 @@ func TestAnalysisScanAllocs(t *testing.T) {
 		t.Errorf("analysis scan made %.2f allocations per session, budget %d", perSession, budget)
 	}
 }
+
+// TestRestartPublishesShellsUnrecovered: the analysis scan routes each
+// shell into a private map of its stripe, born unrecovered, and swaps every
+// stripe's map into the session table whole. After a restart with the
+// sweep off, each surviving session is found by the table's own lookup,
+// unrecovered, in exactly one stripe, and RecoveringSessions counts it
+// once; a session that ended before the crash — its shell made and then
+// ended by the scan — is in no stripe and not counted.
+func TestRestartPublishesShellsUnrecovered(t *testing.T) {
+	e := newTestEnv(t)
+	defer e.cleanup()
+	e.start("m", counterDef(), noSweep)
+	c := e.endClient()
+	cs := make([]*ClientSession, 200)
+	for i := range cs {
+		cs[i] = c.Session("m")
+		mustCall(t, cs[i], "inc", nil)
+	}
+	ended := cs[len(cs)-1]
+	if err := ended.End(); err != nil {
+		t.Fatal(err)
+	}
+	cs = cs[:len(cs)-1]
+	srv := e.restart("m")
+
+	if got := srv.RecoveringSessions(); got != len(cs) {
+		t.Errorf("RecoveringSessions = %d after the restart, want %d", got, len(cs))
+	}
+	for _, s := range cs {
+		sess := srv.sessions.get(s.id)
+		if sess == nil {
+			t.Fatalf("session %s is not in the table after the restart", s.id)
+		}
+		sess.mu.Lock()
+		phase := sess.phase
+		sess.mu.Unlock()
+		if phase != phaseUnrecovered {
+			t.Errorf("session %s is in phase %d after the restart, want unrecovered", s.id, phase)
+		}
+	}
+	if srv.sessions.get(ended.id) != nil {
+		t.Errorf("ended session %s is in the table after the restart", ended.id)
+	}
+	n := 0
+	for i := range srv.sessions.shards {
+		sh := &srv.sessions.shards[i]
+		sh.mu.RLock()
+		for id := range sh.m {
+			if stripeOf(id) != i {
+				t.Errorf("session %s is in stripe %d, its hash names stripe %d", id, i, stripeOf(id))
+			}
+		}
+		n += len(sh.m)
+		sh.mu.RUnlock()
+	}
+	if n != len(cs) {
+		t.Errorf("the stripes hold %d sessions, want %d", n, len(cs))
+	}
+}

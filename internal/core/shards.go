@@ -75,7 +75,7 @@ func (t *sessionTable) init() {
 }
 
 // fnv1a is the 32-bit FNV-1a hash of s.
-func fnv1a(s string) uint32 {
+func fnv1a[T string | []byte](s T) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -88,9 +88,12 @@ func fnv1a(s string) uint32 {
 	return h
 }
 
+// stripeOf returns the index of the stripe responsible for a session ID.
+func stripeOf[T string | []byte](id T) int { return int(fnv1a(id) & (numShards - 1)) }
+
 // shard returns the stripe responsible for the given session ID.
 func (t *sessionTable) shard(id string) *sessionShard {
-	return &t.shards[fnv1a(id)&(numShards-1)]
+	return &t.shards[stripeOf(id)]
 }
 
 // get returns the session with the given ID, or nil.
@@ -103,22 +106,22 @@ func (t *sessionTable) get(id string) *Session {
 }
 
 // publish fills the table, empty until recovery ends, with the analysis
-// scan's sessions, each stripe's map made at its final size; it returns them.
-func (t *sessionTable) publish(idx map[string]*Session) []*Session {
-	var counts [numShards]int
-	for id := range idx {
-		counts[fnv1a(id)&(numShards-1)]++
+// scan's sessions, which the scan routed to their stripes' maps: it swaps
+// each map in whole and returns the sessions.
+func (t *sessionTable) publish(stripes *[numShards]map[string]*Session) []*Session {
+	n := 0
+	for _, m := range stripes {
+		n += len(m)
 	}
-	for i := range t.shards {
+	out := make([]*Session, 0, n)
+	for i, m := range stripes {
+		for _, sess := range m {
+			out = append(out, sess)
+		}
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		sh.m = make(map[string]*Session, counts[i])
+		sh.m = m
 		sh.mu.Unlock()
-	}
-	out := make([]*Session, 0, len(idx))
-	for _, sess := range idx {
-		t.insert(sess)
-		out = append(out, sess)
 	}
 	return out
 }

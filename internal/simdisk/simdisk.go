@@ -18,7 +18,8 @@
 // observation that the local flushes of a distributed log flush run in
 // parallel "unless the physical logs of MSPs in the service domain share
 // a disk controller". A charge books its service time behind the last
-// queued one under the disk's lock and sleeps until then without it.
+// queued one under the disk's lock and sleeps until then without it; a
+// reader may book a read and wait for it later (StartRead).
 //
 // Durability semantics: data written to a File survives a crash; anything
 // a client of this package buffers in its own memory does not. The WAL and
@@ -249,41 +250,52 @@ func (d *Disk) ChargeWrite(n, wastedBytes int) {
 	d.stats.SectorsOut += int64(n)
 	d.stats.WastedBytes += int64(wastedBytes)
 	d.stats.WriteTime += t
-	wait := d.queue(t)
+	done := d.queue(t)
 	d.mu.Unlock()
-	simtime.Sleep(wait)
+	sleepUntil(done)
 }
 
 // ChargeRead blocks for the (scaled) time to read n sectors and records
 // the activity.
-func (d *Disk) ChargeRead(n int) {
+func (d *Disk) ChargeRead(n int) { d.StartRead(n)() }
+
+// StartRead books and records the read of n sectors as ChargeRead does,
+// but returns at once: wait blocks until the read is done. A reader that
+// books its next read before waiting for the last keeps the head busy.
+func (d *Disk) StartRead(n int) (wait func()) {
 	if n <= 0 {
-		return
+		return func() {}
 	}
 	t := d.model.ReadTime(n)
 	d.mu.Lock()
 	d.stats.Reads++
 	d.stats.SectorsIn += int64(n)
 	d.stats.ReadTime += t
-	wait := d.queue(t)
+	done := d.queue(t)
 	d.mu.Unlock()
-	simtime.Sleep(wait)
+	return func() { sleepUntil(done) }
 }
 
 // queue books the scaled model time t on the head behind every charge
-// already queued and returns how long the caller waits for its own to
-// finish. Called with mu held.
-func (d *Disk) queue(t time.Duration) time.Duration {
+// already queued and returns when the caller's own finishes (zero when
+// nothing is waited for). Called with mu held.
+func (d *Disk) queue(t time.Duration) time.Time {
 	scaled := time.Duration(float64(t) * d.model.TimeScale)
 	if scaled <= 0 {
-		return 0
+		return time.Time{}
 	}
 	now := time.Now() //mspr:wallclock the queue runs on the clock simtime.Sleep waits on; a stepped clock would stack every charge
 	if d.free.Before(now) {
 		d.free = now
 	}
 	d.free = d.free.Add(scaled)
-	return d.free.Sub(now)
+	return d.free
+}
+
+// sleepUntil waits for a charge queue booked to finish at done; the zero
+// time has long passed.
+func sleepUntil(done time.Time) {
+	simtime.Sleep(time.Until(done)) //mspr:wallclock the same clock queue booked done on
 }
 
 // File is a named durable byte region on a Disk. The zero value is not

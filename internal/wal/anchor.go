@@ -121,12 +121,18 @@ func allZero(b []byte) bool {
 }
 
 // anchorStore owns the anchor file: which slot is newest, and the last
-// durable anchor (rotation re-persists it with a wider directory).
+// durable anchor (rotation re-persists it with a wider directory). Its
+// lock is never held across a modelled disk wait: a slot write runs with
+// writing set, and a write or rewrite that finds it set waits on cond,
+// so two slot writes never interleave.
 type anchorStore struct {
 	file *simdisk.File
 	segs *segStore // set by Open once the segments are mounted
 
-	mu sync.Mutex //mspr:lock-level 50
+	mu   sync.Mutex //mspr:lock-level 50
+	cond *sync.Cond // on mu: a slot write ended
+	// writing: a slot write is in flight.
+	writing bool //mspr:guarded-by mu
 	// seq: sequence number of the newest valid slot.
 	seq uint64 //mspr:guarded-by mu
 	// last is the newest durable anchor, valid when has is set (an
@@ -155,6 +161,7 @@ func openAnchor(disk *simdisk.Disk, name string) (*anchorStore, *Anchor, []dirEn
 	}
 	a, dir, seq, found, _ := newestSlot(img)
 	s := &anchorStore{file: f, seq: seq, last: a, has: found}
+	s.cond = sync.NewCond(&s.mu)
 	if !found {
 		return s, nil, nil, nil
 	}
@@ -169,34 +176,51 @@ func openAnchor(disk *simdisk.Disk, name string) (*anchorStore, *Anchor, []dirEn
 //mspr:blocking performs (or waits on) disk I/O
 func (l *Log) WriteAnchor(a Anchor) error { return l.anchor.write(a) }
 
-func (s *anchorStore) write(a Anchor) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeLocked(a)
-}
+func (s *anchorStore) write(a Anchor) error { return s.persist(a, false) }
 
 // rewrite re-persists the last anchor so its segment directory includes
 // a segment rotation just added. Before the first checkpoint anchor
 // exists there is nothing to rewrite — and writing a zero anchor would
 // invent a checkpoint at LSN 0 — so recovery instead accepts every
 // contiguous segment of an anchorless log.
-func (s *anchorStore) rewrite() error {
+func (s *anchorStore) rewrite() error { return s.persist(Anchor{}, true) }
+
+// persist writes a, or on a rewrite the last anchor, to the next slot,
+// one slot write at a time and with mu released around it.
+func (s *anchorStore) persist(a Anchor, rewrite bool) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.has {
-		return nil
+	for s.writing {
+		s.cond.Wait()
 	}
-	return s.writeLocked(s.last)
+	if rewrite {
+		if !s.has {
+			s.mu.Unlock()
+			return nil
+		}
+		a = s.last
+	}
+	seq := s.seq + 1
+	s.writing = true
+	s.mu.Unlock()
+	err := s.writeSlot(a, seq)
+	s.mu.Lock()
+	if err == nil {
+		s.seq, s.last, s.has = seq, a, true
+	}
+	s.writing = false
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	return err
 }
 
-//mspr:holds mu
-func (s *anchorStore) writeLocked(a Anchor) error {
+// writeSlot writes a as slot number seq with the current segment
+// directory, charging the write. Only the holder of writing calls it.
+func (s *anchorStore) writeSlot(a Anchor, seq uint64) error {
 	dir := s.segs.dir()
 	if len(dir) > maxDirEntries {
 		return fmt.Errorf("wal: %d live segments exceed the anchor directory capacity of %d (truncation stalled?)",
 			len(dir), maxDirEntries)
 	}
-	seq := s.seq + 1
 	buf := encodeAnchorSlot(a, seq, dir)
 	off := int64(seq%2) * anchorSlotStride
 	if hit, ok := s.file.Disk().Failpoints().Eval(FPAnchorCrash); ok {
@@ -213,11 +237,7 @@ func (s *anchorStore) writeLocked(a Anchor) error {
 		s.file.Disk().ChargeWrite(1, 0)
 		return fmt.Errorf("wal: anchor write of %q torn at %d bytes: %w", s.file.Name(), keep, failpoint.ErrInjected)
 	}
-	if err := writeSectors(s.file, buf, off, 0, true); err != nil {
-		return err
-	}
-	s.seq, s.last, s.has = seq, a, true
-	return nil
+	return writeSectors(s.file, buf, off, 0, true)
 }
 
 // ReadAnchor returns the newest valid stored anchor, or ok=false if none
@@ -231,17 +251,20 @@ func (s *anchorStore) writeLocked(a Anchor) error {
 //mspr:blocking performs (or waits on) disk I/O
 func (l *Log) ReadAnchor() (a Anchor, ok bool, err error) { return l.anchor.read() }
 
+// read books its charge under mu and waits for it after releasing mu.
 func (s *anchorStore) read() (Anchor, bool, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.file.Size() == 0 {
+		s.mu.Unlock()
 		return Anchor{}, false, nil
 	}
 	img, err := readSlots(s.file)
 	if err != nil {
+		s.mu.Unlock()
 		return Anchor{}, false, err
 	}
-	s.file.Disk().ChargeRead(2 * anchorSlotStride / sectorSize)
+	defer s.file.Disk().StartRead(2 * anchorSlotStride / sectorSize)()
+	defer s.mu.Unlock()
 	a, _, seq, found, damaged := newestSlot(img)
 	if !found {
 		if damaged {

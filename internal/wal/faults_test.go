@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"mspr/internal/failpoint"
 	"mspr/internal/metrics"
@@ -250,6 +251,61 @@ func TestAnchorAlternatesSlots(t *testing.T) {
 	a, ok, err := l.ReadAnchor()
 	if err != nil || !ok || a.Epoch != 4 {
 		t.Fatalf("anchor = %+v ok=%v err=%v, want epoch 4", a, ok, err)
+	}
+}
+
+// TestAnchorRewriteWaitsForWrite: the anchor store holds no lock across a
+// slot write's modelled wait, yet two slot writes never interleave. A
+// rotation's rewrite issued while a checkpoint's anchor write waits on the
+// disk (TimeScale 1: about 8 ms) lands after it, and both slots end
+// checksummed, one sequence number apart, holding the written anchor.
+func TestAnchorRewriteWaitsForWrite(t *testing.T) {
+	disk := simdisk.NewDisk(simdisk.DefaultModel(1))
+	l, err := Open(disk, "log", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.WriteAnchor(Anchor{Epoch: 1, CheckpointLSN: 512, Head: 512}); err != nil {
+		t.Fatal(err)
+	}
+	second := Anchor{Epoch: 2, CheckpointLSN: 1024, Head: 512}
+	before := disk.Stats().Writes
+	wrote, rewrote := make(chan error, 1), make(chan error, 1)
+	go func() { wrote <- l.WriteAnchor(second) }()
+	for disk.Stats().Writes == before { // charged: the slot is written and its wait has begun
+		time.Sleep(50 * time.Microsecond)
+	}
+	if !l.anchor.mu.TryLock() {
+		t.Fatal("anchorStore.mu is held across the slot write's modelled wait")
+	}
+	l.anchor.mu.Unlock()
+	go func() { rewrote <- l.anchor.rewrite() }()
+	select {
+	case err := <-rewrote:
+		t.Fatalf("the rewrite returned (%v) while the write was still in flight", err)
+	case err := <-wrote:
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-rewrote; err != nil {
+		t.Fatal(err)
+	}
+	img, err := readSlots(disk.OpenFile("log.anchor"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs [2]uint64
+	for slot := range seqs {
+		a, _, seq, ok := parseAnchorSlot(img[slot*anchorSlotStride:][:anchorSlotStride])
+		if !ok || a != second {
+			t.Fatalf("slot %d: %+v valid=%v, want %+v checksummed", slot, a, ok, second)
+		}
+		seqs[slot] = seq
+	}
+	if d := int64(seqs[0]) - int64(seqs[1]); d != 1 && d != -1 {
+		t.Errorf("slot sequence numbers %v, want consecutive: the write's and the rewrite's", seqs)
 	}
 }
 

@@ -42,7 +42,7 @@ func TestWalStaysLayered(t *testing.T) {
 		if invariants.Count(f, invariants.Sel("simdisk", "File")) > 0 {
 			t.Errorf("%s mentions simdisk.File: files are the segment store's and the anchor store's", name)
 		}
-		for _, op := range []string{"OpenFile", "List", "Remove", "ChargeRead", "ChargeWrite"} {
+		for _, op := range []string{"OpenFile", "List", "Remove", "ChargeRead", "StartRead", "ChargeWrite"} {
 			if invariants.Count(f, invariants.Call("", op)) > 0 {
 				t.Errorf("%s calls %s: the disk is reached through segstore.go and anchor.go only", name, op)
 			}

@@ -47,7 +47,9 @@
 //     and anchor calls. mu (70) guards the buffer and the flushing flag
 //     that names the one flush leader; it is never held across a write
 //     or the batch window, and waiters sleep on its condvar.
-//   - anchorStore (anchor.go): the two slots and their codec; mu (50).
+//   - anchorStore (anchor.go): the two slots and their codec; mu (50)
+//     guards the slot bookkeeping and the writing flag that lets one slot
+//     write run at a time, never a write or a read's wait.
 //   - reader (reader.go): the cursor — frameAt, the scan, one cached
 //     read-ahead block — behind mu (60) for point reads, private and fed by
 //     a read-ahead producer for a Scan. Log's read methods sit beside it.

@@ -19,14 +19,16 @@ type blockKey struct {
 	off int64
 }
 
-// streamDepth is how many blocks a scan's producer may hold ready. On
-// recover_4k's packed log a block's read is 23 model ms and its parse —
-// the parser's time per block outside its waits on the stream — about 18
-// (0.37 ms of host CPU at TimeScale 0.02, upper quartile 22): the read is
-// the slower side, and the parser waits on the stream for over a third
-// of the scan. A deeper stream would not shorten that, as the producer's
-// reads queue on one device one at a time; two absorb a slow parse.
-const streamDepth = 2
+// streamDepth is how many blocks a scan's producer may hold: those ready
+// in the stream and the one whose read it has booked on the disk's head.
+// Booking block k+1 before waiting for block k keeps the head busy from
+// one read to the next. On recover_4k's packed log a block's read is 23
+// model ms and its parse about 10 (0.19 ms of host CPU at TimeScale
+// 0.02), so the scan follows its reads: the parser waits on the stream
+// for over half of it, and the producer is rarely held by a full one.
+// Depths 2, 3, 4 and 6 timed the same; three leave two blocks in hand
+// for a slow parse.
+const streamDepth = 3
 
 type block struct { // one read-ahead block; data nil means none
 	key  blockKey
@@ -199,7 +201,11 @@ func (c *cursor) load(seg segment, key blockKey) ([]byte, error) {
 		}
 		metrics.Wal.ScanBlocksSync.Inc()
 	}
-	return c.segs.readBlock(seg, key.off, readAhead)
+	data, wait, err := c.segs.readBlock(seg, key.off, readAhead)
+	if err == nil {
+		wait()
+	}
+	return data, err
 }
 
 // invalidateFrom drops each kept block that belongs to segment seg and
@@ -261,7 +267,7 @@ func (l *Log) Scan(from LSN, fn func(lsn LSN, typ byte, payload []byte) error) (
 // durable before it starts. However scan ends, the producer is stopped and has exited, its last read
 // charged (at most streamDepth+1 blocks past scan's), before this returns.
 func streamedScan(segs *segStore, off, end int64, fn func(lsn LSN, typ byte, payload []byte) error) (LSN, int64, error) {
-	blocks, stop := make(chan block, streamDepth), new(atomic.Bool)
+	blocks, stop := make(chan block, streamDepth-1), new(atomic.Bool)
 	go readAheadOf(segs, off, end, blocks, stop)
 	defer func() {
 		stop.Store(true)
@@ -274,27 +280,36 @@ func streamedScan(segs *segStore, off, end int64, fn func(lsn LSN, typ byte, pay
 // readAheadOf is a scan's producer: it reads every block covering
 // [off, end) in log order and sends each on out, until the range ends, stop
 // is set or a read fails (the scan's synchronous read of that block reports
-// it). The only lock taken is the segment table's, never a reader's.
+// it). It books each block's read on the disk before it waits for the
+// last one's, so the head never idles between two; the booked read is the
+// streamDepth-th block it holds. The only lock taken is the segment
+// table's, never a reader's.
 //
 //mspr:blocking performs disk I/O
 func readAheadOf(s *segStore, off, end int64, out chan<- block, stop *atomic.Bool) {
 	defer close(out)
-	for off < end && !stop.Load() {
-		seg, ok := s.at(off)
-		if !ok {
+	var booked block
+	var wait func()
+	for {
+		var next block
+		var nextWait func()
+		if seg, ok := s.at(off); ok && off < end && !stop.Load() {
+			fileOff := seg.fileOff(off)
+			next.key = blockKey{seg.index, fileOff / readAhead * readAhead}
+			next.data, nextWait, _ = s.readBlock(seg, next.key.off, readAhead) // on failure data is nil: the scan reads the block itself
+			off += next.key.off + readAhead - fileOff
+			if seg.end != 0 && off > int64(seg.end) { // the block's end, or the sealed segment's
+				off = int64(seg.end)
+			}
+		}
+		if booked.data != nil {
+			wait()
+			out <- booked
+		}
+		if next.data == nil {
 			return
 		}
-		fileOff := seg.fileOff(off)
-		b := block{key: blockKey{seg.index, fileOff / readAhead * readAhead}}
-		var err error
-		if b.data, err = s.readBlock(seg, b.key.off, readAhead); err != nil {
-			return
-		}
-		out <- b
-		off += b.key.off + readAhead - fileOff
-		if seg.end != 0 && off > int64(seg.end) { // the block's end, or the sealed segment's
-			off = int64(seg.end)
-		}
+		booked, wait = next, nextWait
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +20,8 @@ import (
 // at the benchmark's 0.02 (where a block read takes the producer 0.46 ms
 // and the hand-off really interleaves), on one, two and eight scheduler
 // threads — the stream's hand-off is the kind of code that is only wrong
-// at one width.
+// at one width. TestScanBooksTheNextRead alone runs at TimeScale 1, where
+// a block's read is long enough to look at the counter in the middle of it.
 
 // atEveryWidth runs body at both time scales on 1, 2 and 8 threads.
 func atEveryWidth(t *testing.T, body func(t *testing.T, scale float64)) {
@@ -466,5 +468,50 @@ func TestScanCursorKeepsItsSegment(t *testing.T) {
 					walk[from].lsn, i, r.lsn, r.typ, len(r.payload), w.lsn, w.typ, len(w.payload))
 			}
 		}
+	}
+}
+
+// TestScanBooksTheNextRead: the producer books block k+1 on the disk's
+// head before it waits for block k, so the head does not idle between
+// them. At TimeScale 1 a block's read takes 23 ms; a quarter of the way
+// into the first one, before any record is delivered, the second read is
+// already booked. (A producer that books each read after the last one's
+// wait has returned has booked one.)
+func TestScanBooksTheNextRead(t *testing.T) {
+	disk := simdisk.NewDisk(simdisk.DefaultModel(1))
+	l, err := Open(disk, "log", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for l.Next() < 3*readAhead {
+		if _, err := l.Append(1, make([]byte, 4000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Flush(l.LastAppended()); err != nil {
+		t.Fatal(err)
+	}
+	before := disk.Stats().Reads
+	var delivered atomic.Bool
+	boom := errors.New("boom")
+	done := make(chan error, 1)
+	go func() {
+		_, err := l.Scan(0, func(LSN, byte, []byte) error { delivered.Store(true); return boom })
+		done <- err
+	}()
+	for disk.Stats().Reads == before {
+		time.Sleep(50 * time.Microsecond)
+	}
+	time.Sleep(simdisk.DefaultModel(1).ReadTime(readAhead/sectorSize) / 4)
+	reads, early := disk.Stats().Reads-before, delivered.Load()
+	if err := <-done; err != boom {
+		t.Fatalf("Scan returned %v, want the callback's error", err)
+	}
+	if early {
+		t.Fatal("a record was delivered a quarter of the way into the first block's read")
+	}
+	if reads != 2 {
+		t.Errorf("%d reads booked during the first block's read, want 2: that block's and the next", reads)
 	}
 }

@@ -323,21 +323,21 @@ func writeSectors(f *simdisk.File, b []byte, off int64, waste int, charge bool) 
 	return nil
 }
 
-// readBlock reads and charges up to n bytes at file offset off of seg,
-// clamped to a sealed segment's data end so bytes past the seal never
-// masquerade as zeros of this segment.
-func (s *segStore) readBlock(seg segment, off, n int64) ([]byte, error) {
+// readBlock reads up to n bytes at file offset off of seg, clamped to a
+// sealed segment's data end so bytes past the seal never masquerade as
+// zeros of this segment, and books the read on the disk's head: the bytes
+// are not to be handed on before wait returns.
+func (s *segStore) readBlock(seg segment, off, n int64) (buf []byte, wait func(), err error) {
 	if seg.end != 0 {
 		if fileEnd := seg.fileOff(int64(seg.end)); off+n > fileEnd {
 			n = fileEnd - off
 		}
 	}
-	buf := make([]byte, n)
+	buf = make([]byte, n)
 	if _, err := seg.file.ReadAt(buf, off); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	s.disk.ChargeRead(int((n + sectorSize - 1) / sectorSize))
-	return buf, nil
+	return buf, s.disk.StartRead(int((n + sectorSize - 1) / sectorSize)), nil
 }
 
 // truncateTail cuts seg's file at logical offset lsn; the gap up to the
