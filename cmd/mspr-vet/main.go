@@ -5,8 +5,7 @@
 // error handling) as compile-time checks, plus the CFG/dataflow
 // concurrency-protocol analyzers (lockorder: the declared mutex lattice
 // and no-blocking-under-noblock-locks; guardedby: //mspr:guarded-by
-// fields only touched with their mutex held on every path; phasestate:
-// session-phase stores follow the declared //mspr:phase-next machine).
+// fields only touched with their mutex held on every path).
 // flushed-by is path-sensitive: a flush must cover EVERY path to an
 // emit, and findings name an unflushed witness path.
 //

@@ -13,14 +13,6 @@ import (
 	"mspr/internal/wal"
 )
 
-// ctxMode distinguishes normal execution from logged-request replay.
-type ctxMode int
-
-const (
-	modeNormal ctxMode = iota
-	modeReplay
-)
-
 // replayState is the per-recovery cursor over a session's position
 // stream. Replay consumes the stream's records in order; when the stream
 // runs out — or an orphan log record is found — the context switches to
@@ -53,7 +45,7 @@ func (rp *replayState) next(c *Ctx) (lsn wal.LSN, typ logrec.Type, payload []byt
 	if lsn, typ, payload, ok = rp.peek(c); ok {
 		rp.idx++
 	} else {
-		rp.switched, c.mode = true, modeNormal
+		rp.switched = true
 	}
 	return lsn, typ, payload, ok
 }
@@ -67,11 +59,14 @@ func (rp *replayState) next(c *Ctx) (lsn wal.LSN, typ logrec.Type, payload []byt
 type Ctx struct {
 	srv    *Server
 	sess   *Session
-	mode   ctxMode
-	rp     *replayState
-	reqSeq uint64  // sequence number of the request being served
-	reqLSN wal.LSN // its receive record (0 when logging is off)
+	rp     *replayState // nil for live execution
+	reqSeq uint64       // sequence number of the request being served
+	reqLSN wal.LSN      // its receive record (0 when logging is off)
 }
+
+// replaying reports whether the context still replays logged records: it
+// has a replay cursor that has not switched to live execution.
+func (c *Ctx) replaying() bool { return c.rp != nil && !c.rp.switched }
 
 // abortReason says why a service method was abandoned mid-execution
 // (DESIGN.md, "Abort path").
@@ -185,7 +180,7 @@ func (c *Ctx) intercept() {
 	if _, orphan := c.srv.know.OrphanIn(c.sess.vecLocked()); !orphan {
 		return
 	}
-	if c.mode == modeReplay {
+	if c.replaying() {
 		abortMethod(abortReplayRestart, errOrphanDep)
 	}
 	abortMethod(abortOrphan, errOrphanDep)
@@ -274,7 +269,7 @@ func (c *Ctx) WriteShared(name string, value []byte) error {
 	if sv == nil {
 		return fmt.Errorf("%w: %s", errUnknownShared, name)
 	}
-	if c.mode == modeReplay {
+	if c.replaying() {
 		if lsn, typ, payload, ok := c.rp.next(c); ok {
 			c.replayedWrite(name, lsn, typ, payload)
 			return nil // skipped: shared state recovers separately
@@ -328,7 +323,7 @@ func (c *Ctx) UpdateShared(name string, f func(old []byte) []byte) ([]byte, erro
 // live, or just switched to it because the stream ran out or the record is
 // an orphan — and the caller performs the access for real.
 func (c *Ctx) replayRead(name string) (value []byte, ok bool) {
-	if c.mode != modeReplay {
+	if !c.replaying() {
 		return nil, false
 	}
 	lsn, typ, payload, ok := c.rp.next(c)
@@ -367,7 +362,7 @@ func (c *Ctx) replayedWrite(name string, lsn wal.LSN, typ logrec.Type, payload [
 func (c *Ctx) Call(target, method string, arg []byte) ([]byte, error) {
 	c.intercept()
 	out := c.sess.outSession(target)
-	if c.mode == modeReplay {
+	if c.replaying() {
 		seq := out.nextSeq
 		lsn, typ, payload, ok := c.rp.next(c)
 		if !ok {
@@ -399,7 +394,7 @@ func (c *Ctx) Call(target, method string, arg []byte) ([]byte, error) {
 // records' positions leave the stream and an EOS record pointing back at
 // the orphan record is written (§4.1). It fails only on a dead log.
 func (c *Ctx) switchToLiveAtOrphan(orphanLSN wal.LSN) error {
-	c.rp.switched, c.mode = true, modeNormal
+	c.rp.switched = true
 	if tap := c.srv.cfg.Tap; tap != nil {
 		tap.SessionRolledBack(c.srv.cfg.ID, c.sess.id, uint64(orphanLSN))
 	}

@@ -2,12 +2,143 @@ package core
 
 import (
 	"fmt"
+	"go/ast"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"mspr/internal/dv"
+	"mspr/internal/invariants"
 )
+
+// phaseNames names every session phase, for tables that start from each.
+var phaseNames = map[sessionPhase]string{phaseIdle: "idle", phaseBusy: "busy",
+	phaseRecovering: "recovering", phaseEnded: "ended", phaseUnrecovered: "unrecovered"}
+
+// TestSessionLifecycle is the session machine, declared as a table: each
+// helper's one transition. It starts a session in every phase, applies
+// every helper, and checks the resulting phase, the helper's result and
+// the change in RecoveringSessions — the declared move from the helper's
+// phase, and nothing at all from any other.
+func TestSessionLifecycle(t *testing.T) {
+	e := newTestEnv(t)
+	defer e.cleanup()
+	srv := e.start("msp1", counterDef())
+	ghost := dv.Entry{Process: "ghost", Epoch: 1}
+	srv.know.Record(dv.RecoveryInfo{Process: ghost.Process, CrashedEpoch: ghost.Epoch, Recovered: 50})
+
+	const (
+		anyPhase sessionPhase = -1 // a row that moves from every phase
+		noPhase  sessionPhase = -2 // a row that moves from none
+	)
+	void := func(f func(*Session)) func(*Session) *bool {
+		return func(se *Session) *bool { f(se); return nil }
+	}
+	result := func(f func(*Session) bool) func(*Session) *bool {
+		return func(se *Session) *bool { r := f(se); return &r }
+	}
+	machine := []struct {
+		helper   string
+		orphan   bool // the session's DV depends on lost state
+		apply    func(*Session) *bool
+		from, to sessionPhase
+	}{
+		{"tryAcquire", false, result((*Session).tryAcquire), phaseIdle, phaseBusy},
+		{"release", false, void((*Session).release), phaseBusy, phaseIdle},
+		{"releaseToRecovery", false, void((*Session).releaseToRecovery), phaseBusy, phaseRecovering},
+		{"beginRecoveryIfOrphan/orphan", true, result((*Session).beginRecoveryIfOrphan), phaseIdle, phaseRecovering},
+		{"beginRecoveryIfOrphan/no-orphan", false, result((*Session).beginRecoveryIfOrphan), noPhase, noPhase},
+		{"finishRecovery", false, void((*Session).finishRecovery), phaseRecovering, phaseIdle},
+		{"markUnrecovered", false, void((*Session).markUnrecovered), phaseIdle, phaseUnrecovered},
+		{"claimForReplay", false, result((*Session).claimForReplay), phaseUnrecovered, phaseRecovering},
+		{"markEnded", false, void((*Session).markEnded), anyPhase, phaseEnded},
+	}
+	owes := map[sessionPhase]int{phaseRecovering: 1, phaseUnrecovered: 1}
+	for _, m := range machine {
+		for start, name := range phaseNames {
+			sess := newSession(srv, m.helper+"-from-"+name, "", false)
+			if m.orphan {
+				sess.mergeVec(dv.Vector{ghost: 100})
+			}
+			sess.mu.Lock()
+			sess.move(phaseIdle, start)
+			sess.mu.Unlock()
+
+			want, moved := start, m.from == anyPhase || m.from == start
+			if moved {
+				want = m.to
+			}
+			before := srv.RecoveringSessions()
+			got := m.apply(sess)
+			sess.mu.Lock()
+			phase := sess.phase
+			sess.mu.Unlock()
+			if phase != want {
+				t.Errorf("%s from %s: phase %s, want %s", m.helper, name, phaseNames[phase], phaseNames[want])
+			}
+			if got != nil && *got != moved {
+				t.Errorf("%s from %s: returned %v, want %v", m.helper, name, *got, moved)
+			}
+			if d, wantD := srv.RecoveringSessions()-before, owes[want]-owes[start]; d != wantD {
+				t.Errorf("%s from %s: RecoveringSessions changed by %d, want %d", m.helper, name, d, wantD)
+			}
+			sess.markEnded() // drops whatever replay it still owes
+		}
+	}
+	if n := srv.RecoveringSessions(); n != 0 {
+		t.Errorf("RecoveringSessions = %d after every session ended, want 0", n)
+	}
+}
+
+// TestOneSessionPhaseStore pins the machine to one function: outside
+// tests, a session's phase is stored only in Session.move, and only move
+// adjusts Server.recovering, so the count of sessions owing a replay
+// cannot drift from their phases.
+func TestOneSessionPhaseStore(t *testing.T) {
+	_, files, err := invariants.ParseTree(".", invariants.NonTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phaseStore := func(n ast.Node) bool {
+		var lhs []ast.Expr
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			lhs = n.Lhs
+		case *ast.IncDecStmt:
+			lhs = []ast.Expr{n.X}
+		}
+		for _, x := range lhs {
+			if invariants.Sel("", "phase")(x) {
+				return true
+			}
+		}
+		return false
+	}
+	recoveringAdd := func(n ast.Node) bool {
+		c, ok := n.(*ast.CallExpr)
+		if !ok || !invariants.Sel("", "Add")(c.Fun) {
+			return false
+		}
+		return invariants.Sel("", "recovering")(c.Fun.(*ast.SelectorExpr).X)
+	}
+	stores, adds := 0, 0
+	invariants.EachFuncDecl(files, func(path string, fd *ast.FuncDecl) {
+		if fd.Name.Name == "move" {
+			stores += invariants.Count(fd, phaseStore)
+			adds += invariants.Count(fd, recoveringAdd)
+			return
+		}
+		if n := invariants.Count(fd, phaseStore); n > 0 {
+			t.Errorf("%s: %s stores a session phase %d times: only Session.move may", path, fd.Name.Name, n)
+		}
+		if n := invariants.Count(fd, recoveringAdd); n > 0 {
+			t.Errorf("%s: %s adjusts Server.recovering %d times: only Session.move may", path, fd.Name.Name, n)
+		}
+	})
+	if stores != 1 || adds == 0 {
+		t.Errorf("Session.move stores the phase %d times and adjusts recovering %d times, want one store and the count", stores, adds)
+	}
+}
 
 // TestMarkUnrecoveredDoesNotRevertClaim pins the bug the phasestate
 // analyzer caught: markUnrecovered used to store phaseUnrecovered

@@ -401,7 +401,7 @@ func (s *Server) replaySessionOnce(sess *Session) (restart bool, err error) {
 	}
 
 	rp := &replayState{positions: sess.posSnapshot()}
-	ctx := &Ctx{srv: s, sess: sess, mode: modeReplay, rp: rp}
+	ctx := &Ctx{srv: s, sess: sess, rp: rp}
 
 	for rp.idx < len(rp.positions) && !rp.switched {
 		if err := s.evalCrashPoint(FPReplayMidSession); err != nil {

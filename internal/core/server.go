@@ -119,7 +119,8 @@ type Server struct {
 	sessions sessionTable
 	shared   map[string]*SharedVar
 	// recovering counts the sessions that still owe a replay (see
-	// sessionPhase.owesReplay); the phase transitions maintain it.
+	// sessionPhase.owesReplay); Session.move, the one phase store,
+	// maintains it.
 	recovering atomic.Int64
 	// retained accounts the log records the analysis scan left in the
 	// sessions' position streams (posstream.go).
@@ -901,10 +902,9 @@ func (s *Server) lookupOrCreateSession(req rpc.Request) (*Session, sessionStatus
 	}
 	sess = newSession(s, req.Session, req.From, req.HasDV)
 	// Born acquired, published below: the session is not yet visible to
-	// any other goroutine, so the phase store and pin write need neither
-	// se.mu nor a declared transition.
-	//mspr:phasestate fresh session, born acquired before publication
-	sess.phase = phaseBusy //mspr:guardedby fresh session, not yet published
+	// any other goroutine, so the claim always wins and the pin write
+	// needs no se.mu.
+	sess.tryAcquire()
 	if s.cfg.Logging {
 		sess.startPin = s.log.Next() //mspr:guardedby fresh session, not yet published
 	}

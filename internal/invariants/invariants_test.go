@@ -91,7 +91,6 @@ func TestFailpointNamesFixture(t *testing.T)  { runFixture(t, "failpointnames", 
 func TestWALErrFixture(t *testing.T)          { runFixture(t, "walerr", WALErr) }
 func TestLockOrderFixture(t *testing.T)       { runFixture(t, "lockorder", LockOrder) }
 func TestGuardedByFixture(t *testing.T)       { runFixture(t, "guardedby", GuardedBy) }
-func TestPhaseStateFixture(t *testing.T)      { runFixture(t, "phasestate", PhaseState) }
 func TestShedBeforeLogFixture(t *testing.T)   { runFixture(t, "shedbeforelog", ShedBeforeLog) }
 
 // TestDirectivesFixture runs no analyzers at all: the malformed-directive
@@ -193,7 +192,6 @@ var fixtureFor = map[string]string{
 	"walerr":         "walerr",
 	"lockorder":      "lockorder",
 	"guardedby":      "guardedby",
-	"phasestate":     "phasestate",
 	"shedbeforelog":  "shedbeforelog",
 }
 
