@@ -1,8 +1,8 @@
 // Command mspr-vet runs the protocol-invariant static analysis suite
 // over the module: the paper's recovery-correctness rules (flush-before-
-// send pessimism, dependency-vector ownership, log-record codec parity,
-// failpoint registry hygiene, simulated-time discipline, durability
-// error handling) as compile-time checks, plus the CFG/dataflow
+// send pessimism, dependency-vector ownership, simulated-time
+// discipline, durability error handling, no shed reply after a log
+// append) as compile-time checks, plus the CFG/dataflow
 // concurrency-protocol analyzers (lockorder: the declared mutex lattice
 // and no-blocking-under-noblock-locks; guardedby: //mspr:guarded-by
 // fields only touched with their mutex held on every path).
@@ -11,11 +11,12 @@
 //
 // Usage:
 //
-//	mspr-vet [-json] [-run analyzer,...] [patterns...]
+//	mspr-vet [-json] [-list] [-run analyzer,...] [patterns...]
 //
-// -run validates its names: an unknown analyzer is a usage error (exit
-// 2) listing the known set. The pseudo-name "directives" selects no
-// analyzer and just runs the always-on //mspr: hygiene pass. Findings
+// -list prints each analyzer's name and doc and exits. -run validates
+// its names: an unknown analyzer is a usage error (exit 2) listing the
+// known set. The pseudo-name "directives" selects no analyzer and just
+// runs the always-on //mspr: hygiene pass. Findings
 // carry file:line:col and sort by (file, line, col, analyzer, message),
 // so -json output is byte-stable across runs.
 //

@@ -1,6 +1,16 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
+
+// ablationBound is how long one measurement of the parallel-recovery
+// ablation may take: healthy, all five attempts together take some 20 ms,
+// so one still running after 30 s is stuck (a client resending to a server
+// that never answers) and fails the test by name instead of hanging until
+// go test's timeout.
+const ablationBound = 30 * time.Second
 
 func TestAblationParallelRecoveryBeatsSerial(t *testing.T) {
 	skipUnderRace(t)
@@ -13,7 +23,16 @@ func TestAblationParallelRecoveryBeatsSerial(t *testing.T) {
 	var par, ser AblationRecoveryResult
 	var err error
 	for attempt := 0; attempt < 5; attempt++ {
-		par, ser, err = RunAblationParallelRecovery(o, 8, 10)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			par, ser, err = RunAblationParallelRecovery(o, 8, 10)
+		}()
+		select {
+		case <-done:
+		case <-time.After(ablationBound):
+			t.Fatalf("attempt %d: RunAblationParallelRecovery has not returned within %v", attempt, ablationBound)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

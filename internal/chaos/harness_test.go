@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
-	"path/filepath"
+	"path"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,10 +60,20 @@ func calls(fn *ast.FuncDecl, x, sel string) bool {
 	return invariants.Count(fn, invariants.Call(x, sel)) > 0
 }
 
-// TestNoFailpointLeftBehind: every FP* constant the engine declares is
-// fired by the storms (it is in CrashSurface) or excluded below with the
-// reason. A crash point nobody injects is a recovery path nobody runs —
-// the two tables this one replaced fired 8 and 12 of 22 and shared 4.
+// TestNoFailpointLeftBehind keeps the crash surface auditable. Over every
+// non-test Go file of the main module (benchmark/ and testdata/ aside):
+//
+//	(a) a package declares its FP* string constants in one const block,
+//	    so its whole crash surface is greppable in one place;
+//	(b) every FP* constant is referenced by non-test code outside this
+//	    package and cmd/ — its inject site: a point nobody evaluates
+//	    covers no crash window;
+//	(c) every FP* constant is fired by the storms (it is in CrashSurface)
+//	    or excluded below with the reason: a crash point nobody injects
+//	    is a recovery path nobody runs;
+//	(d) no call X.Enable, X.Eval, X.Disable, X.Armed or X.Hits passes
+//	    its failpoint name as a string literal: a typo there silently
+//	    arms nothing.
 func TestNoFailpointLeftBehind(t *testing.T) {
 	excluded := map[string]string{
 		core.FPDedupSkip: "sabotage, not a crash: it breaks deduplication so the oracle can be seen to notice (StormSpec.BreakDedup)",
@@ -73,41 +85,114 @@ func TestNoFailpointLeftBehind(t *testing.T) {
 	for _, cp := range CrashSurface {
 		fired[cp.Point] = true
 	}
-	declared := 0
-	for path, f := range mainModuleFiles(t) {
-		dir := filepath.ToSlash(filepath.Dir(path))
-		if strings.HasSuffix(path, "_test.go") ||
-			dir != "internal/core" && dir != "internal/wal" && dir != "internal/simdisk" && dir != "internal/sdb" {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			vs, ok := n.(*ast.ValueSpec)
-			if !ok {
-				return true
+	fset, files, err := invariants.ParseTree("../..", invariants.NonTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for rel := range files {
+		paths = append(paths, rel)
+	}
+	sort.Strings(paths)
+	at := func(rel string, n ast.Node) string { return fmt.Sprintf("%s:%d", rel, fset.Position(n.Pos()).Line) }
+
+	// Declarations, keyed "<package dir>.<name>"; rule (a) as they are met.
+	type fpConst struct{ key, name, at, point string }
+	var consts []fpConst
+	decls := map[*ast.Ident]bool{}
+	type constBlock struct {
+		decl *ast.GenDecl
+		at   string
+	}
+	blocks := map[string]constBlock{} // package dir → its FP const block
+	for _, rel := range paths {
+		dir := path.Dir(rel)
+		for _, d := range files[rel].Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
 			}
-			for i, name := range vs.Names {
-				if !strings.HasPrefix(name.Name, "FP") || i >= len(vs.Values) {
-					continue
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					if !isFPName(name.Name) || i >= len(vs.Values) {
+						continue
+					}
+					lit, ok := vs.Values[i].(*ast.BasicLit)
+					if !ok || lit.Kind != token.STRING {
+						continue
+					}
+					point, _ := strconv.Unquote(lit.Value)
+					consts = append(consts, fpConst{dir + "." + name.Name, name.Name, at(rel, name), point})
+					decls[name] = true
+					if b, ok := blocks[dir]; !ok {
+						blocks[dir] = constBlock{gd, at(rel, gd)}
+					} else if b.decl != gd {
+						t.Errorf("%s: %s is declared outside its package's FP const block (%s): keep the crash surface in one block",
+							at(rel, name), name.Name, b.at)
+					}
 				}
-				lit, ok := vs.Values[i].(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					continue
+			}
+		}
+	}
+	if len(consts) < len(CrashSurface) {
+		t.Fatalf("found %d FP* constants for a %d-row table: the scan is broken", len(consts), len(CrashSurface))
+	}
+
+	// Rule (d) over every file; references — a bare name in its own
+	// package, pkg.Name elsewhere — outside the harness and cmd/.
+	nameMethods := map[string]bool{"Enable": true, "Eval": true, "Disable": true, "Armed": true, "Hits": true}
+	injected := map[string]bool{}
+	for _, rel := range paths {
+		f, dir, imports := files[rel], path.Dir(rel), map[string]string{}
+		for _, imp := range f.Imports {
+			ipath, _ := strconv.Unquote(imp.Path.Value)
+			local := path.Base(ipath)
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = strings.TrimPrefix(ipath, "mspr/")
+		}
+		inject := !strings.HasPrefix(rel, "internal/chaos/") && !strings.HasPrefix(rel, "cmd/")
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if s, ok := n.Fun.(*ast.SelectorExpr); ok && nameMethods[s.Sel.Name] && len(n.Args) > 0 {
+					if lit, ok := ast.Unparen(n.Args[0]).(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						t.Errorf("%s: failpoint name %s passed to %s as a string literal: use its FP* constant", at(rel, lit), lit.Value, s.Sel.Name)
+					}
 				}
-				point, _ := strconv.Unquote(lit.Value)
-				declared++
-				switch {
-				case fired[point] && excluded[point] != "":
-					t.Errorf("%s (%s) is both in CrashSurface and excluded", name.Name, path)
-				case !fired[point] && excluded[point] == "":
-					t.Errorf("%s = %q (%s) is in neither CrashSurface nor the exclusion list: no storm ever fires it", name.Name, point, path)
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && inject {
+					injected[imports[x.Name]+"."+n.Sel.Name] = true
+					return false
+				}
+			case *ast.Ident:
+				if inject && !decls[n] {
+					injected[dir+"."+n.Name] = true
 				}
 			}
 			return true
 		})
 	}
-	if declared < len(CrashSurface) {
-		t.Fatalf("found %d FP* constants for a %d-row table: the scan is broken", declared, len(CrashSurface))
+
+	for _, c := range consts {
+		if !injected[c.key] {
+			t.Errorf("%s: %s is referenced by no non-test code outside internal/chaos and cmd/: no inject site evaluates it", c.at, c.name)
+		}
+		switch {
+		case fired[c.point] && excluded[c.point] != "":
+			t.Errorf("%s: %s is both in CrashSurface and excluded", c.at, c.name)
+		case !fired[c.point] && excluded[c.point] == "":
+			t.Errorf("%s: %s = %q is in neither CrashSurface nor the exclusion list: no storm ever fires it", c.at, c.name, c.point)
+		}
 	}
+}
+
+// isFPName reports whether a constant's name follows the FP* convention
+// of failpoint names (FPWriteTorn, not FPS).
+func isFPName(name string) bool {
+	return len(name) > 2 && strings.HasPrefix(name, "FP") && name[2] >= 'A' && name[2] <= 'Z'
 }
 
 // TestOneHarnessStaysOne pins what the harness was reduced to, in the

@@ -155,13 +155,34 @@ func (e *testEnv) cleanup() {
 	}
 }
 
+// callBound is how long mustCall waits for a reply. A healthy call in
+// these tests returns within milliseconds, even under -race; one still
+// out after 30 s is stuck — the client resending to a server that never
+// answers, as when session exclusivity breaks — and fails the test by
+// name instead of hanging the package until go test's timeout.
+const callBound = 30 * time.Second
+
 func mustCall(t *testing.T, cs *ClientSession, method string, arg []byte) []byte {
 	t.Helper()
-	out, err := cs.Call(method, arg)
-	if err != nil {
-		t.Fatalf("call %s: %v", method, err)
+	type reply struct {
+		out []byte
+		err error
 	}
-	return out
+	done := make(chan reply, 1)
+	go func() {
+		out, err := cs.Call(method, arg)
+		done <- reply{out, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("call %s: %v", method, r.err)
+		}
+		return r.out
+	case <-time.After(callBound):
+		t.Fatalf("call %s: no reply within %v", method, callBound)
+		return nil
+	}
 }
 
 func TestBasicRequestReply(t *testing.T) {

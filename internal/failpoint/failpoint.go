@@ -10,10 +10,10 @@
 //   - Disabled is free. Evaluating against a nil *Registry is a single
 //     nil check, so production paths carry no cost and no behaviour
 //     change when fault injection is off.
-//   - Deterministic. All randomness (probabilistic activation, per-hit
-//     random arguments such as torn-write lengths) comes from the
-//     registry's seeded generator, so a storm with a given seed always
-//     injects the same faults at the same evaluation points.
+//   - Deterministic. The per-hit random arguments (torn-write lengths,
+//     flipped bits) come from the registry's seeded generator, so a
+//     storm with a given seed always injects the same faults at the
+//     same evaluation points.
 //   - Scoped. Each test builds its own Registry and attaches it to the
 //     layers it exercises; parallel tests cannot interfere.
 package failpoint
@@ -45,9 +45,8 @@ type Hit struct {
 
 // point is one armed failpoint.
 type point struct {
-	remaining int     // fires left; < 0 means unlimited
-	skip      int     // evaluations to ignore before the first fire
-	prob      float64 // activation probability per evaluation (1 = always)
+	remaining int // fires left; < 0 means unlimited
+	skip      int // evaluations to ignore before the first fire
 	arg       int64
 }
 
@@ -61,8 +60,8 @@ type Registry struct {
 	hits   map[string]int64
 }
 
-// New creates an empty registry whose probabilistic decisions and
-// per-hit random values are driven by seed.
+// New creates an empty registry whose per-hit random values are driven
+// by seed.
 func New(seed int64) *Registry {
 	return &Registry{
 		rng:    rand.New(rand.NewSource(seed)),
@@ -80,10 +79,6 @@ func Times(n int) Option { return func(p *point) { p.remaining = n } }
 // SkipFirst ignores the first n evaluations before the point may fire.
 func SkipFirst(n int) Option { return func(p *point) { p.skip = n } }
 
-// Prob fires the point on each evaluation with probability pr (drawn
-// from the registry's seeded generator).
-func Prob(pr float64) Option { return func(p *point) { p.prob = pr } }
-
 // Arg attaches a mode-specific argument delivered in the Hit.
 func Arg(v int64) Option { return func(p *point) { p.arg = v } }
 
@@ -91,7 +86,7 @@ func Arg(v int64) Option { return func(p *point) { p.arg = v } }
 // (the common "crash here next time" case). Re-enabling replaces any
 // previous arming of the same name.
 func (r *Registry) Enable(name string, opts ...Option) {
-	p := &point{remaining: 1, prob: 1}
+	p := &point{remaining: 1}
 	for _, o := range opts {
 		o(p)
 	}
@@ -156,9 +151,6 @@ func (r *Registry) Eval(name string) (Hit, bool) {
 	}
 	if p.skip > 0 {
 		p.skip--
-		return Hit{}, false
-	}
-	if p.prob < 1 && r.rng.Float64() >= p.prob {
 		return Hit{}, false
 	}
 	if p.remaining == 0 {

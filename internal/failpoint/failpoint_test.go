@@ -1,6 +1,7 @@
 package failpoint
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -66,42 +67,25 @@ func TestArgDelivered(t *testing.T) {
 	}
 }
 
-func TestProbIsSeededAndDeterministic(t *testing.T) {
-	run := func(seed int64) []int {
+func TestHitRIsSeededAndDeterministic(t *testing.T) {
+	run := func(seed int64) []int64 {
 		r := New(seed)
-		r.Enable("p", Prob(0.3), Times(-1))
-		var fires []int
-		for i := 0; i < 200; i++ {
-			if _, ok := r.Eval("p"); ok {
-				fires = append(fires, i)
+		r.Enable("p", Times(-1))
+		var rs []int64
+		for i := 0; i < 20; i++ {
+			h, ok := r.Eval("p")
+			if !ok {
+				t.Fatalf("unlimited point stopped firing at %d", i)
 			}
+			rs = append(rs, h.R)
 		}
-		return fires
+		return rs
 	}
-	a, b := run(7), run(7)
-	if len(a) == 0 || len(a) == 200 {
-		t.Fatalf("Prob(0.3) fired %d/200 times", len(a))
+	if a, b := run(7), run(7); !slices.Equal(a, b) {
+		t.Fatalf("same seed, different per-hit values:\n%v\n%v", a, b)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("same seed, different schedules: %d vs %d fires", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed, different schedules at fire %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-	c := run(8)
-	same := len(a) == len(c)
-	if same {
-		for i := range a {
-			if a[i] != c[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical schedules")
+	if slices.Equal(run(7), run(8)) {
+		t.Fatal("different seeds produced identical per-hit values")
 	}
 }
 

@@ -2,11 +2,11 @@
 // that turns the paper's recovery-correctness rules into compile-time
 // checks. Each Analyzer encodes one protocol invariant the Go compiler
 // cannot see — pessimistic flush-before-send at domain boundaries,
-// no aliasing of dependency vectors, registered-and-exercised
-// failpoint names, no wall-clock reads outside the simulated time
-// plane, no dropped errors from the durability layer, the mutex lattice,
-// guarded fields, and no shed reply after a log append. The cmd/mspr-vet
-// driver loads ./... and runs the suite; CI gates on a clean run.
+// no aliasing of dependency vectors, no wall-clock reads outside the
+// simulated time plane, no dropped errors from the durability layer,
+// the mutex lattice, guarded fields, and no shed reply after a log
+// append. The cmd/mspr-vet driver loads ./... and runs the suite; CI
+// gates on a clean run.
 //
 // The path-sensitive rules share two passes over each function's CFG
 // rather than each solving its own: flushed-by and shedbeforelog are
@@ -22,7 +22,6 @@
 //	                                dominating flush (or "none <reason>"
 //	                                for messages carrying no state)
 //	//mspr:dvalias <reason>         exempt a vector alias
-//	//mspr:failpointnames <reason>  exempt a failpoint name
 //	//mspr:walerr <reason>          exempt a dropped durability error
 //	//mspr:lockorder <reason>       exempt a lock-ordering site
 //	//mspr:guardedby <reason>       exempt an unguarded field access
@@ -77,7 +76,6 @@ func All() []*Analyzer {
 		Wallclock,
 		FlushBeforeSend,
 		DVAlias,
-		FailpointNames,
 		WALErr,
 		LockOrder,
 		GuardedBy,
@@ -201,18 +199,17 @@ type Directive struct {
 // knownVerbs are the accepted directive verbs: the analyzer names
 // (suppressions) plus the declaration verbs resolved in annotations.go.
 var knownVerbs = map[string]bool{
-	"wallclock":      true,
-	"flushed-by":     true,
-	"dvalias":        true,
-	"failpointnames": true,
-	"walerr":         true,
-	"lockorder":      true,
-	"guardedby":      true,
-	"shedbeforelog":  true,
-	"guarded-by":     true,
-	"lock-level":     true,
-	"blocking":       true,
-	"holds":          true,
+	"wallclock":     true,
+	"flushed-by":    true,
+	"dvalias":       true,
+	"walerr":        true,
+	"lockorder":     true,
+	"guardedby":     true,
+	"shedbeforelog": true,
+	"guarded-by":    true,
+	"lock-level":    true,
+	"blocking":      true,
+	"holds":         true,
 }
 
 // dirIndex is a package's directive lookup structure.

@@ -87,7 +87,6 @@ func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 func TestWallclockFixture(t *testing.T)       { runFixture(t, "wallclock", Wallclock) }
 func TestFlushBeforeSendFixture(t *testing.T) { runFixture(t, "flushsend", FlushBeforeSend) }
 func TestDVAliasFixture(t *testing.T)         { runFixture(t, "dvalias", DVAlias) }
-func TestFailpointNamesFixture(t *testing.T)  { runFixture(t, "failpointnames", FailpointNames) }
 func TestWALErrFixture(t *testing.T)          { runFixture(t, "walerr", WALErr) }
 func TestLockOrderFixture(t *testing.T)       { runFixture(t, "lockorder", LockOrder) }
 func TestGuardedByFixture(t *testing.T)       { runFixture(t, "guardedby", GuardedBy) }
@@ -185,14 +184,13 @@ func TestFindingsGolden(t *testing.T) {
 // coverage meta-test fails when a newly registered analyzer has no
 // entry here (i.e. ships without fixtures).
 var fixtureFor = map[string]string{
-	"wallclock":      "wallclock",
-	"flushed-by":     "flushsend",
-	"dvalias":        "dvalias",
-	"failpointnames": "failpointnames",
-	"walerr":         "walerr",
-	"lockorder":      "lockorder",
-	"guardedby":      "guardedby",
-	"shedbeforelog":  "shedbeforelog",
+	"wallclock":     "wallclock",
+	"flushed-by":    "flushsend",
+	"dvalias":       "dvalias",
+	"walerr":        "walerr",
+	"lockorder":     "lockorder",
+	"guardedby":     "guardedby",
+	"shedbeforelog": "shedbeforelog",
 }
 
 // TestEveryAnalyzerHasCaughtAndSuppressedCases is the fixture-coverage

@@ -3,7 +3,6 @@ package invariants
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // calleeFunc resolves the function or method object a call invokes, or
@@ -88,10 +87,4 @@ func (ctx *Context) eachScope(check func(*Context, *Package, funcScope)) {
 			}
 		}
 	}
-}
-
-// hasPathPrefix reports whether the import path equals prefix or is
-// nested under it.
-func hasPathPrefix(path, prefix string) bool {
-	return path == prefix || strings.HasPrefix(path, prefix+"/")
 }

@@ -15,11 +15,28 @@ import (
 // history; the storm requires zero correctness violations — shedding must
 // never manufacture or lose an execution — plus evidence it actually
 // shed, and a queue depth bounded by the admission-lane capacities.
+//
+// Healthy, the storm takes some 2 s under -race at GOMAXPROCS=8. One still
+// running after overloadBound is stuck (a call of the flood resent forever,
+// or a restart that never completes) and fails by name instead of hanging
+// until go test's timeout.
 func TestOverloadStormOracleClean(t *testing.T) {
-	rep, err := chaos.RunOverload(chaos.OverloadSpec{
-		Seed: 7, Scale: 0.05, Dup: 0.2, Factor: 8, Duration: 600 * time.Millisecond,
-		Keys: 4, Burst: 8, Crashes: 2, QueueDepth: 16,
-	})
+	const overloadBound = 60 * time.Second
+	var rep *chaos.OverloadReport
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rep, err = chaos.RunOverload(chaos.OverloadSpec{
+			Seed: 7, Scale: 0.05, Dup: 0.2, Factor: 8, Duration: 600 * time.Millisecond,
+			Keys: 4, Burst: 8, Crashes: 2, QueueDepth: 16,
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(overloadBound):
+		t.Fatalf("chaos.RunOverload has not returned within %v", overloadBound)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

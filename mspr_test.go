@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"mspr"
 )
@@ -59,6 +60,34 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 }
 
+// callBound is how long boundedCall waits for a reply. Healthy, the whole
+// crash-recovery test takes some 10 ms under -race; a call still out after
+// 30 s is stuck — the client resending to a server that never answers —
+// and fails the test by name instead of hanging until go test's timeout.
+const callBound = 30 * time.Second
+
+// boundedCall is sess.Call with a watchdog: it fails t, naming the
+// method, when no reply came within callBound.
+func boundedCall(t *testing.T, sess *mspr.ClientSession, method string, arg []byte) ([]byte, error) {
+	t.Helper()
+	type reply struct {
+		out []byte
+		err error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		out, err := sess.Call(method, arg)
+		done <- reply{out, err}
+	}()
+	select {
+	case r := <-done:
+		return r.out, r.err
+	case <-time.After(callBound):
+		t.Fatalf("call %s: no reply within %v", method, callBound)
+		return nil, nil
+	}
+}
+
 func TestPublicAPICrashRecovery(t *testing.T) {
 	sim := mspr.NewSim(0)
 	dom := sim.NewDomain("t")
@@ -70,10 +99,10 @@ func TestPublicAPICrashRecovery(t *testing.T) {
 	client := sim.NewClient("c")
 	defer client.Close()
 	sess := client.Session("kv")
-	if _, err := sess.Call("put", []byte("k=v1")); err != nil {
+	if _, err := boundedCall(t, sess, "put", []byte("k=v1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Call("publish", []byte("hello")); err != nil {
+	if _, err := boundedCall(t, sess, "publish", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	srv.Crash()
@@ -82,11 +111,11 @@ func TestPublicAPICrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Crash()
-	got, err := sess.Call("get", []byte("k"))
+	got, err := boundedCall(t, sess, "get", []byte("k"))
 	if err != nil || string(got) != "v1" {
 		t.Fatalf("session state after crash = (%q, %v)", got, err)
 	}
-	board, err := sess.Call("board", nil)
+	board, err := boundedCall(t, sess, "board", nil)
 	if err != nil || string(board) != "hello" {
 		t.Fatalf("shared state after crash = (%q, %v)", board, err)
 	}
