@@ -1,11 +1,11 @@
 // Command mspr-vet runs the protocol-invariant static analysis suite
 // over the module: the paper's recovery-correctness rules (flush-before-
 // send pessimism, dependency-vector ownership, simulated-time
-// discipline, durability error handling, no shed reply after a log
-// append) as compile-time checks, plus the CFG/dataflow
-// concurrency-protocol analyzers (lockorder: the declared mutex lattice
-// and no-blocking-under-noblock-locks; guardedby: //mspr:guarded-by
-// fields only touched with their mutex held on every path).
+// discipline, durability error handling) as compile-time checks, plus
+// the CFG/dataflow concurrency-protocol analyzers (lockorder: the
+// declared mutex lattice and no-blocking-under-noblock-locks; guardedby:
+// //mspr:guarded-by fields only touched with their mutex held on every
+// path).
 // flushed-by is path-sensitive: a flush must cover EVERY path to an
 // emit, and findings name an unflushed witness path.
 //

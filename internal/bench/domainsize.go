@@ -60,9 +60,7 @@ func runChain(o Options, depth int) (AblationDomainSizeResult, error) {
 		}
 		def := chainDef(next)
 		disks[i] = simdisk.NewDisk(simdisk.DefaultModel(o.TimeScale))
-		cfg := core.NewConfig(id, dom, disks[i], net, def)
-		cfg.TimeScale = o.TimeScale
-		msp, err := chaos.StartMSP(cfg)
+		msp, err := chaos.StartMSP(core.NewConfig(id, dom, disks[i], net, def))
 		if err != nil {
 			return AblationDomainSizeResult{}, err
 		}
@@ -74,7 +72,7 @@ func runChain(o Options, depth int) (AblationDomainSizeResult, error) {
 	var series metrics.Series
 	for i := 0; i < o.Requests; i++ {
 		start := simtime.Now()
-		if _, err := cs.Call("relay", nil); err != nil {
+		if _, err := boundedCall(cs, i+1, "relay", nil); err != nil {
 			return AblationDomainSizeResult{}, err
 		}
 		series.Record(simtime.Since(start))

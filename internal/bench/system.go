@@ -270,11 +270,12 @@ func (s *system) def2() core.Definition {
 	}
 }
 
-// do issues one end-client request on cs and returns the reply, which
-// carries MSP1's session counter, and the request's wall-clock latency.
+// do sends the end-client request with sequence number seq on cs and
+// returns the reply, which carries MSP1's session counter, and the
+// request's wall-clock latency.
 // Crash injection is armed here, so the crash fires while this request
 // is served. A failed restart of MSP2 is reported by the next do.
-func (s *system) do(cs *core.ClientSession) ([]byte, time.Duration, error) {
+func (s *system) do(cs *core.ClientSession, seq int) ([]byte, time.Duration, error) {
 	if err := s.crashErr.Load(); err != nil {
 		return nil, 0, fmt.Errorf("bench: restarting msp2: %w", *err)
 	}
@@ -283,7 +284,7 @@ func (s *system) do(cs *core.ClientSession) ([]byte, time.Duration, error) {
 		s.crashArmed.Store(true)
 	}
 	start := simtime.Now()
-	out, err := cs.Call("method1", pad(uint64(n), requestSize))
+	out, err := boundedCall(cs, seq, "method1", pad(uint64(n), requestSize))
 	return out, simtime.Since(start), err
 }
 

@@ -32,7 +32,7 @@ func drive(t *testing.T, s *system, sessions, requests int) {
 		go func() {
 			cs := s.client.Session("msp1")
 			for j := 1; j <= requests; j++ {
-				out, _, err := s.do(cs)
+				out, _, err := s.do(cs, j)
 				if got := chaos.AsU64(out); err == nil && got != uint64(j) {
 					err = fmt.Errorf("%s: request %d returned session counter %d (exactly-once violated)", cs.ID(), j, got)
 				}
@@ -101,7 +101,7 @@ func TestSessionCounterMonotonic(t *testing.T) {
 	a, b := s.client.Session("msp1"), s.client.Session("msp1")
 	for j := 1; j <= 10; j++ {
 		for _, cs := range []*core.ClientSession{a, b} {
-			out, _, err := s.do(cs)
+			out, _, err := s.do(cs, j)
 			if err != nil {
 				t.Fatal(err)
 			}

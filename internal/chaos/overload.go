@@ -21,13 +21,15 @@ import (
 // closed-loop capacity, then floods the server open-loop at a multiple
 // of it with bursty arrivals and Zipf-skewed keys, crash-restarting the
 // server mid-saturation. Every flooded call carries a deadline and trips
-// a per-server circuit breaker; the server sheds at the admission gate and
-// at the pre-append check, and the client resends a shed request after its
-// own backoff until the breaker or the deadline ends the call. The
-// oracle records the whole history, and the storm asserts:
+// a per-server circuit breaker; the server sheds at the admission gate
+// (a full lane, or a deadline already passed on arrival), and the client
+// resends a shed request after its own backoff until the breaker or the
+// deadline ends the call. The oracle records the whole history, and the
+// storm asserts:
 //
-//   - zero correctness violations (exactly-once survives shedding:
-//     a shed request never owns a logged execution),
+//   - zero correctness violations (exactly-once survives shedding: a
+//     shed request never owns a logged execution, and one that expired
+//     in the queue executes once and its resend is deduplicated),
 //   - queue depth stayed bounded by the configured lane capacities,
 //   - time-to-shed stayed bounded (sheds fail fast; they do not hang),
 //   - the flood actually shed (otherwise the ≥4x claim tested nothing).
@@ -58,8 +60,8 @@ type OverloadReport struct {
 	// ShedLatency holds the time each client-side shed (circuit open,
 	// deadline) took to come back.
 	ShedLatency metrics.Series
-	// ServerSheds counts requests the server shed during the storm, at
-	// admission and at the pre-append deadline check.
+	// ServerSheds counts requests the server shed at admission during the
+	// storm, on a full lane or an expired deadline.
 	ServerSheds  int64
 	OracleEvents int
 	// Failures lists every assertion the storm violated; empty = passed.
@@ -173,7 +175,7 @@ func RunOverload(c OverloadSpec) (*OverloadReport, error) {
 	floodOpts := rpc.DefaultCallOptions(c.Scale)
 	// Model time; ~30 ms wall at the default scale — comparable to the
 	// time a full normal lane takes to drain, so a slice of admitted
-	// requests expires in the queue and exercises the pre-append shed.
+	// requests expires in the queue and executes anyway.
 	floodOpts.Timeout = 6 * time.Second
 	floodOpts.Breaker = rpc.NewBreaker(32, 25*time.Millisecond)
 	floodClient := newClient("flood-client", floodOpts)

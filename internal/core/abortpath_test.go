@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"go/ast"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,13 +20,18 @@ import (
 // must be dropped silently so the client resends to the next incarnation.
 // A Busy envelope is not an answer: the session dispatcher sends one when
 // the request reaches a session a worker still holds, it carries no
-// result, and the request is resent on it, as a client would.
+// result, and the request is resent on it, as a client would — for two
+// seconds at most: an MSP that answers Busy to every resend over a dead
+// log defers the request instead of dropping it, and the test fails
+// instead of resending forever.
 func sendExpectingNoReply(t *testing.T, ep *simnet.Endpoint, req rpc.Request) {
 	t.Helper()
 	ep.Send("msp1", req)
-	grace := time.After(100 * time.Millisecond)
+	grace, busyFor := time.After(100*time.Millisecond), time.After(2*time.Second)
 	for {
 		select {
+		case <-busyFor:
+			t.Fatalf("seq %d still answered Busy after 2s from an MSP whose log is dead; want it dropped", req.Seq)
 		case m := <-ep.Recv():
 			rep, ok := m.Payload.(rpc.Reply)
 			if !ok || rep.Seq != req.Seq {
@@ -295,5 +302,37 @@ func TestReplayDivergenceIsFailStop(t *testing.T) {
 				t.Fatalf("RecoveringSessions after the failed replay = %d, want 1", got)
 			}
 		})
+	}
+}
+
+// TestAbortNoReplyRollsSessionBack pins what the abort path does with the
+// session after a method aborts on a live server: it rolls the session
+// back and replays it from the log, as after a crash. A method that
+// changes session state and then calls AbortNoReply must leave no trace
+// of that change: the request completes once, its reply carries the
+// value of one execution, and one ReqReceive is logged for it. Answering
+// Busy instead of rolling back would let the resend run again on the
+// aborted execution's state.
+func TestAbortNoReplyRollsSessionBack(t *testing.T) {
+	e := newTestEnv(t)
+	defer e.cleanup()
+	var aborted atomic.Bool
+	def := counterDef()
+	def.Methods["flaky"] = func(ctx *Ctx, arg []byte) ([]byte, error) {
+		n := asU64(ctx.GetVar("n")) + 1
+		ctx.SetVar("n", u64(n))
+		if aborted.CompareAndSwap(false, true) {
+			ctx.AbortNoReply(errors.New("the lower layer failed mid-write"))
+		}
+		return u64(n), nil
+	}
+	srv := e.start("msp1", def)
+	cs := e.endClient().Session("msp1")
+	lsn0 := srv.Log().Next()
+	if got := asU64(mustCall(t, cs, "flaky", nil)); got != 1 {
+		t.Fatalf("flaky = %d; want 1: the aborted execution's state survived", got)
+	}
+	if got := receivesFor(t, srv, lsn0, cs.ID(), 1); got != 1 {
+		t.Fatalf("%d ReqReceive records for one request; want 1", got)
 	}
 }

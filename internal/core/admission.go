@@ -27,10 +27,16 @@ import (
 // workers are outside any sweep unit and a request always finds one; and
 // between it and the normal lane a worker picks fairly, so a flood of new
 // work slows the drain and cannot park it.
-// Domain control traffic (flush requests, recovery broadcasts, knowledge
-// pulls) never queues here at all — receiveLoop dispatches it to dedicated
-// goroutines — so the control plane is one more lane, unbounded by this
-// gate.
+// Domain control traffic (flush requests and recovery broadcasts) never
+// queues here at all — receiveLoop dispatches it to dedicated goroutines
+// — so the control plane is one more lane, unbounded by this gate.
+//
+// A propagated deadline is checked here, on arrival, and nowhere else. A
+// request that expires later, while it waits in a lane, still executes
+// and is logged: the client's ErrDeadlineExceeded promises nothing about
+// the server side, and its resend under the same sequence number is
+// answered from the reply buffer, so the late execution costs work, not
+// exactly-once.
 
 // Default admission-lane capacities (see Config.RequestQueueDepth and
 // Config.PriorityQueueDepth). Exported so harnesses that bound one lane
@@ -46,7 +52,9 @@ const (
 // sheds answer immediately (best-effort) with StatusOverloaded so the
 // client backs off at once instead of waiting out its resend timer.
 func (s *Server) admit(req rpc.Request) {
-	if s.shedIfExpired(req) {
+	if !req.Deadline.IsZero() && simtime.Now().After(req.Deadline) {
+		metrics.Overload.ShedExpired.Inc()
+		s.replyOverloaded(req)
 		return
 	}
 	if req.NewSession {
@@ -106,23 +114,6 @@ func (s *Server) laneFor(req rpc.Request) admissionLane {
 		return lanePriority
 	}
 	return laneNormal
-}
-
-// shedIfExpired sheds a request whose propagated deadline has already
-// passed. Called at admission and again immediately before the receive
-// log append: a request shed here has had NO durable effect, so a shed
-// can never mint a logged execution the client never learns about (the
-// shedbeforelog vet analyzer pins the ordering statically).
-func (s *Server) shedIfExpired(req rpc.Request) bool {
-	if req.Deadline.IsZero() {
-		return false
-	}
-	if !simtime.Now().After(req.Deadline) {
-		return false
-	}
-	metrics.Overload.ShedExpired.Inc()
-	s.replyOverloaded(req)
-	return true
 }
 
 // replyOverloaded answers a shed request, best-effort.

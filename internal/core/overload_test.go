@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mspr/internal/logrec"
 	"mspr/internal/metrics"
 	"mspr/internal/rpc"
 	"mspr/internal/simdisk"
@@ -121,12 +122,13 @@ func TestQueueOverflowRepliesOverloaded(t *testing.T) {
 	close(gate) // release the parked handlers before cleanup
 }
 
-// TestExpiredDeadlineShedsBeforeAppend pins the tentpole's durability
-// rule: a request whose deadline expired while queued is shed at the
-// pre-append check — StatusOverloaded, ShedExpired counted, and NOT one
-// byte of log growth — and a later resend under the same sequence
-// number executes exactly once. The deadline expires on a stepped clock.
-func TestExpiredDeadlineShedsBeforeAppend(t *testing.T) {
+// TestExpiredDeadlineInQueueExecutesOnce pins the one deadline shed's
+// reach: a request whose deadline expires while it waits in the queue is
+// past admission, so it executes — OK with the next counter value, one
+// ReqReceive appended, no ShedExpired counted — and a resend under the
+// same sequence number is answered from the reply buffer without a
+// second append. The deadline expires on a stepped clock.
+func TestExpiredDeadlineInQueueExecutesOnce(t *testing.T) {
 	advance := stepClock(t)
 	e := newTestEnv(t)
 	defer e.cleanup()
@@ -157,36 +159,50 @@ func TestExpiredDeadlineShedsBeforeAppend(t *testing.T) {
 	close(gate)                    // release the worker; it meets the expired request
 
 	rep := rawReply(t, raw, "b", 2, 5*time.Second)
-	if rep.Status != rpc.StatusOverloaded {
-		t.Fatalf("expired request reply = %v; want Overloaded", rep.Status)
+	if rep.Status != rpc.StatusOK || asU64(rep.Payload) != 2 {
+		t.Fatalf("expired-in-queue request: status %v payload %d; want OK 2", rep.Status, asU64(rep.Payload))
 	}
-	if got := metrics.Overload.ShedExpired.Load() - shed0; got != 1 {
-		t.Fatalf("ShedExpired delta = %d; want 1", got)
+	if got := metrics.Overload.ShedExpired.Load() - shed0; got != 0 {
+		t.Fatalf("ShedExpired delta = %d; want 0: only admission sheds on a deadline", got)
 	}
-	// Not one RECORD was appended on the shed request's behalf: the scan
-	// from the LSN taken before the request finds none.
-	records := 0
-	if _, err := srv.Log().Scan(lsn0, func(lsn wal.LSN, typ byte, payload []byte) error {
-		records++
-		return nil
-	}); err != nil {
-		t.Fatalf("scanning from %d: %v", lsn0, err)
-	}
-	if records != 0 {
-		t.Fatalf("%d records appended across an expired-deadline shed; a shed must precede any append", records)
+	if got := receivesFor(t, srv, lsn0, "b", 2); got != 1 {
+		t.Fatalf("%d ReqReceive records for b/2; want exactly 1", got)
 	}
 
-	// The shed request did not execute and did not burn the sequence
-	// number: resending b/2 without a deadline executes exactly once.
+	// The client that gave up resends b/2: the reply buffer answers it,
+	// and nothing executes or appends a second time.
 	raw.Send("msp1", rpc.Request{Session: "b", Seq: 2, Method: "inc", From: raw.Addr()})
 	rep = rawReply(t, raw, "b", 2, 5*time.Second)
 	if rep.Status != rpc.StatusOK || asU64(rep.Payload) != 2 {
-		t.Fatalf("resend after shed: status %v payload %d; want OK 2", rep.Status, asU64(rep.Payload))
+		t.Fatalf("resend: status %v payload %d; want OK 2 from the reply buffer", rep.Status, asU64(rep.Payload))
+	}
+	if got := receivesFor(t, srv, lsn0, "b", 2); got != 1 {
+		t.Fatalf("%d ReqReceive records for b/2 after the resend; want still 1", got)
 	}
 }
 
-// TestAdmissionShedsExpiredDeadline covers the first shed point: a
-// request already expired on arrival never reaches the queue.
+// receivesFor counts the ReqReceive records for session/seq that srv's
+// log holds from lsn on.
+func receivesFor(t *testing.T, srv *Server, from wal.LSN, session string, seq uint64) int {
+	t.Helper()
+	n := 0
+	if _, err := srv.Log().Scan(from, func(lsn wal.LSN, typ byte, payload []byte) error {
+		if logrec.Type(typ) != logrec.TReqReceive {
+			return nil
+		}
+		rec, err := logrec.DecodeReqReceive(payload)
+		if err == nil && rec.Session == session && rec.Seq == seq {
+			n++
+		}
+		return err
+	}); err != nil {
+		t.Fatalf("scanning from %d: %v", from, err)
+	}
+	return n
+}
+
+// TestAdmissionShedsExpiredDeadline covers the deadline shed: a request
+// already expired on arrival never reaches the queue.
 func TestAdmissionShedsExpiredDeadline(t *testing.T) {
 	e := newTestEnv(t)
 	defer e.cleanup()

@@ -686,16 +686,6 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 		return
 	}
 
-	// Second deadline shed point, immediately before the receive append:
-	// queueing delay may have eaten the deadline since admission, and a
-	// shed must precede any durable effect — an execution logged for a
-	// client that already gave up wastes a flush now and a replay after
-	// the next crash. (Duplicates are exempt above: answering from the
-	// reply buffer costs no append.)
-	if s.shedIfExpired(req) {
-		return
-	}
-
 	if s.interceptOrphan(sess, req) {
 		return
 	}
@@ -744,7 +734,7 @@ func (s *Server) serveAcquired(sess *Session, req rpc.Request) {
 		// the flush deadline): degrade to Busy. The request executed and
 		// its reply is buffered; the client's resend fetches it through
 		// the duplicate path once the peer is reachable again.
-		s.replyBusy(req) //mspr:shedbeforelog not a shed: the request executed and its reply is buffered; Busy only defers delivery to the dedup resend
+		s.replyBusy(req)
 		return
 	}
 	s.stats.RequestsServed.Add(1)
@@ -836,7 +826,7 @@ func (s *Server) finishEndSession(sess *Session, req rpc.Request) {
 		// Unreachable dependency: the end acknowledgement could not be
 		// flushed. Keep the session; the client's resend completes the
 		// end once the peer is back.
-		s.replyBusy(req) //mspr:shedbeforelog not a shed: the end executed and its reply is buffered; Busy only defers delivery to the dedup resend
+		s.replyBusy(req)
 	}
 }
 

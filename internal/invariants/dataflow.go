@@ -6,10 +6,9 @@ import "go/ast"
 // block through every edge to a fixpoint; the solver is generic over
 // the fact type, so each pass supplies its own lattice:
 //
-//   - the ordering pass (ordering.go): F = bool "a marker has run".
-//     flushed-by is its must rule, merge = AND (a send is safe only if
-//     EVERY incoming path flushed); shedbeforelog its may rule,
-//     merge = OR (one path that appended taints the shed);
+//   - the flush-before-send pass (ordering.go): F = bool "a flush has
+//     run", merge = AND (a send is safe only if EVERY incoming path
+//     flushed);
 //   - the held-lock pass (locks.go): F = the pair (may-held, must-held)
 //     of mutex classes, solved once per function for both analyzers;
 //     lockorder reads the may half (merge = union: a violation on any

@@ -4,14 +4,12 @@
 // cannot see — pessimistic flush-before-send at domain boundaries,
 // no aliasing of dependency vectors, no wall-clock reads outside the
 // simulated time plane, no dropped errors from the durability layer,
-// the mutex lattice, guarded fields, and no shed reply after a log
-// append. The cmd/mspr-vet driver loads ./... and runs the suite; CI
-// gates on a clean run.
+// the mutex lattice and guarded fields. The cmd/mspr-vet command loads
+// ./... and runs the suite; CI gates on a clean run.
 //
-// The path-sensitive rules share two passes over each function's CFG
-// rather than each solving its own: flushed-by and shedbeforelog are
-// the must and the may rule of one "marker before target" ordering
-// analysis (ordering.go), and lockorder and guardedby read the may and
+// The path-sensitive rules run on one dataflow solver over each
+// function's CFG (dataflow.go): flushed-by solves "a flush has run" on
+// every path (ordering.go), and lockorder and guardedby read the may and
 // the must half of one held-lock solve (locks.go).
 //
 // Findings can be suppressed — and deliberate exceptions documented —
@@ -25,7 +23,6 @@
 //	//mspr:walerr <reason>          exempt a dropped durability error
 //	//mspr:lockorder <reason>       exempt a lock-ordering site
 //	//mspr:guardedby <reason>       exempt an unguarded field access
-//	//mspr:shedbeforelog <reason>   exempt a Busy/Overloaded reply after an append
 //
 // A second directive family DECLARES the concurrency model the
 // flow-sensitive analyzers check against (see annotations.go):
@@ -79,7 +76,6 @@ func All() []*Analyzer {
 		WALErr,
 		LockOrder,
 		GuardedBy,
-		ShedBeforeLog,
 	}
 }
 
@@ -199,17 +195,16 @@ type Directive struct {
 // knownVerbs are the accepted directive verbs: the analyzer names
 // (suppressions) plus the declaration verbs resolved in annotations.go.
 var knownVerbs = map[string]bool{
-	"wallclock":     true,
-	"flushed-by":    true,
-	"dvalias":       true,
-	"walerr":        true,
-	"lockorder":     true,
-	"guardedby":     true,
-	"shedbeforelog": true,
-	"guarded-by":    true,
-	"lock-level":    true,
-	"blocking":      true,
-	"holds":         true,
+	"wallclock":  true,
+	"flushed-by": true,
+	"dvalias":    true,
+	"walerr":     true,
+	"lockorder":  true,
+	"guardedby":  true,
+	"guarded-by": true,
+	"lock-level": true,
+	"blocking":   true,
+	"holds":      true,
 }
 
 // dirIndex is a package's directive lookup structure.

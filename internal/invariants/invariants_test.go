@@ -90,7 +90,6 @@ func TestDVAliasFixture(t *testing.T)         { runFixture(t, "dvalias", DVAlias
 func TestWALErrFixture(t *testing.T)          { runFixture(t, "walerr", WALErr) }
 func TestLockOrderFixture(t *testing.T)       { runFixture(t, "lockorder", LockOrder) }
 func TestGuardedByFixture(t *testing.T)       { runFixture(t, "guardedby", GuardedBy) }
-func TestShedBeforeLogFixture(t *testing.T)   { runFixture(t, "shedbeforelog", ShedBeforeLog) }
 
 // TestDirectivesFixture runs no analyzers at all: the malformed-directive
 // findings come from the always-on hygiene pass.
@@ -133,9 +132,8 @@ func renderFindings(dir string, fs []Finding) string {
 // holds the full suite's findings on that fixture — columns, messages and
 // witness paths included — first with //mspr: suppression, then without;
 // testdata/tree.golden holds them for ./... (empty: the tree is clean).
-// The goldens were taken before flushed-by/shedbeforelog and
-// lockorder/guardedby were folded onto shared passes, and hold the fold
-// to "same findings".
+// The goldens were taken before lockorder/guardedby were folded onto a
+// shared pass, and hold the fold to "same findings".
 func TestFindingsGolden(t *testing.T) {
 	l, err := NewLoader(".")
 	if err != nil {
@@ -184,13 +182,12 @@ func TestFindingsGolden(t *testing.T) {
 // coverage meta-test fails when a newly registered analyzer has no
 // entry here (i.e. ships without fixtures).
 var fixtureFor = map[string]string{
-	"wallclock":     "wallclock",
-	"flushed-by":    "flushsend",
-	"dvalias":       "dvalias",
-	"walerr":        "walerr",
-	"lockorder":     "lockorder",
-	"guardedby":     "guardedby",
-	"shedbeforelog": "shedbeforelog",
+	"wallclock":  "wallclock",
+	"flushed-by": "flushsend",
+	"dvalias":    "dvalias",
+	"walerr":     "walerr",
+	"lockorder":  "lockorder",
+	"guardedby":  "guardedby",
 }
 
 // TestEveryAnalyzerHasCaughtAndSuppressedCases is the fixture-coverage

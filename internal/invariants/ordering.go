@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 )
 
@@ -21,75 +20,19 @@ import (
 // naming the wrapper that performs (or deliberately omits, "none
 // <reason>") the flush.
 //
-// It is the must half of the ordering analysis below: a branch that
-// skips the flush is a finding, and the finding names the unflushed
-// path. PR 3's lexical check (lexicallyDominated, kept as the test
-// reference) blessed `if cond { flush() }; send()`. Function literals are
-// separate scopes: a flush before `go func(){ send }()` does not dominate
-// the send inside the goroutine.
+// The check is one forward dataflow solve per function: the fact is "a
+// flush has run", merged with AND, so a send is safe only if EVERY
+// incoming path flushed. A branch that skips the flush is a finding, and
+// the finding names the unflushed path. A deferred flush runs at exit,
+// after every send in the body, and never counts. The lexical check
+// lexicallyDominated, kept as the test reference, blesses
+// `if cond { flush() }; send()`. Function literals are separate scopes:
+// a flush before `go func(){ send }()` does not dominate the send inside
+// the goroutine.
 var FlushBeforeSend = &Analyzer{
 	Name: "flushed-by",
 	Doc:  "require a flush on every path to a message emission (path-sensitive)",
-	Run:  runFlushBeforeSend,
-}
-
-// ShedBeforeLog is the overload plane's durability-ordering rule as a
-// lint: a request may only be shed — answered StatusOverloaded or
-// StatusBusy without executing — BEFORE any log append on its behalf.
-// Once the server appends (a receive record, a session end, any durable
-// effect), recovery will replay that work, so telling the client
-// "overloaded, nothing happened" would manufacture an execution the
-// client was promised never happened — an exactly-once violation the
-// runtime oracle can only catch if a storm happens to hit the window.
-//
-// Concretely: within one function, no call that emits a Busy/Overloaded
-// outcome (Server.replyBusy, Server.replyOverloaded, Server.shedIfExpired,
-// or any call whose arguments mention rpc.StatusBusy/rpc.StatusOverloaded)
-// may be reachable AFTER a log append (wal.Log.Append, Server.appendRec)
-// on ANY control-flow path: the may half of the ordering analysis. The
-// deliberate exceptions — the two reply-buffer Busy paths, where the
-// request DID execute and Busy merely defers delivery to the duplicate
-// resend — carry an //mspr:shedbeforelog <reason> directive.
-var ShedBeforeLog = &Analyzer{
-	Name: "shedbeforelog",
-	Doc:  "forbid Busy/Overloaded shed replies reachable after a log append (path-sensitive)",
-	Run:  runShedBeforeLog,
-}
-
-func runFlushBeforeSend(ctx *Context) { ctx.eachScope(flushBeforeSend.check) }
-func runShedBeforeLog(ctx *Context)   { ctx.eachScope(shedBeforeLog.check) }
-
-// An orderRule is one "marker before target" rule over a function's CFG.
-// The fact is "a marker has run", solved forward; a deferred marker runs
-// at exit, after every target in the body, and never counts. A must rule
-// (merge AND) reports a target that some path reaches with no marker
-// behind it, a may rule (merge OR) a target that some path reaches after
-// one.
-type orderRule struct {
-	marker, target func(*Package, *ast.CallExpr) bool
-	must           bool
-	skip           string // import path of a package the rule exempts
-	unnamed        string // the target's name when its callee is unresolved
-	message        string // format: the target's name, then the witness
-	witness        string // format: the unmarked path, or the marker's line
-}
-
-var flushBeforeSend = &orderRule{
-	marker:  isFlushCall,
-	target:  isEmitCall,
-	must:    true,
-	skip:    "mspr/internal/simnet", // the transport itself; Send's definition, loopbacks
-	unnamed: "Send",
-	message: "%s reachable without a flush%s: flush-before-send pessimism (paper §3.1) requires a flush on every path, or //mspr:flushed-by <func>",
-	witness: " (unflushed path: line %s)",
-}
-
-var shedBeforeLog = &orderRule{
-	marker:  isAppendCall,
-	target:  isShedCall,
-	unnamed: "shed reply",
-	message: "%s follows a log append on some path%s: a shed must precede any durable effect — after the append, recovery replays work the client was told never happened; move the shed before the append or annotate //mspr:shedbeforelog <reason>",
-	witness: " (append at line %s)",
+	Run:  func(ctx *Context) { ctx.eachScope(checkFlushBeforeSend) },
 }
 
 func isFlushCall(pkg *Package, call *ast.CallExpr) bool {
@@ -106,204 +49,114 @@ func isEmitCall(pkg *Package, call *ast.CallExpr) bool {
 		isMethod(fn, "mspr/internal/core", "Server", "sendReply")
 }
 
-// isAppendCall matches the durable-effect producers: the raw WAL append
-// and the server wrapper every logging site goes through.
-func isAppendCall(pkg *Package, call *ast.CallExpr) bool {
-	fn := calleeFunc(pkg.Info, call)
-	return isMethod(fn, "mspr/internal/wal", "Log", "Append") ||
-		isMethod(fn, "mspr/internal/core", "Server", "appendRec")
-}
-
-// isShedCall matches the overload-outcome emitters: the server's shed
-// helpers, and any call whose ARGUMENTS reference the StatusBusy or
-// StatusOverloaded constants (a reply literal built inline). Comparisons
-// against the constants (`rep.Status == rpc.StatusBusy`) are reads of an
-// outcome, not emissions, and do not match.
-func isShedCall(pkg *Package, call *ast.CallExpr) bool {
-	fn := calleeFunc(pkg.Info, call)
-	if isMethod(fn, "mspr/internal/core", "Server", "replyBusy") ||
-		isMethod(fn, "mspr/internal/core", "Server", "replyOverloaded") ||
-		isMethod(fn, "mspr/internal/core", "Server", "shedIfExpired") {
-		return true
+func checkFlushBeforeSend(ctx *Context, pkg *Package, fs funcScope) {
+	if pkg.ImportPath == "mspr/internal/simnet" {
+		return // the transport itself: Send's definition, loopbacks
 	}
-	found := false
-	for _, arg := range call.Args {
-		ast.Inspect(arg, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !found {
-				c, ok := pkg.Info.Uses[id].(*types.Const)
-				found = ok && c.Pkg() != nil && c.Pkg().Path() == "mspr/internal/rpc" &&
-					(c.Name() == "StatusBusy" || c.Name() == "StatusOverloaded")
-			}
-			return !found
-		})
-	}
-	return found
-}
-
-func (r *orderRule) check(ctx *Context, pkg *Package, fs funcScope) {
-	if pkg.ImportPath == r.skip {
-		return
-	}
-	// Cheap pre-scan: a finding needs a target, and a may rule also a
-	// marker; most functions have neither.
-	targets, markers := false, false
+	// Cheap pre-scan: most functions send nothing.
+	sends := false
 	inspectNoFuncLit(fs.body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			targets = targets || r.target(pkg, call)
-			markers = markers || !r.must && r.marker(pkg, call)
-		}
-		return !targets || !r.must && !markers
+		call, ok := n.(*ast.CallExpr)
+		sends = sends || ok && isEmitCall(pkg, call)
+		return !sends
 	})
-	if !targets || !r.must && !markers {
+	if !sends {
 		return
 	}
 
 	g := buildCFG(fs.body)
 	spec := flowSpec[bool]{
-		transfer: func(seen bool, n ast.Node) bool {
-			if _, isDefer := n.(*ast.DeferStmt); !seen && !isDefer {
+		transfer: func(flushed bool, n ast.Node) bool {
+			if _, isDefer := n.(*ast.DeferStmt); !flushed && !isDefer {
 				inspectNode(n, func(sub ast.Node) bool {
 					call, ok := sub.(*ast.CallExpr)
-					seen = seen || ok && r.marker(pkg, call)
-					return !seen
+					flushed = flushed || ok && isFlushCall(pkg, call)
+					return !flushed
 				})
 			}
-			return seen
+			return flushed
 		},
-		merge: func(a, b bool) bool {
-			if r.must {
-				return a && b
-			}
-			return a || b
-		},
+		merge: func(a, b bool) bool { return a && b },
 		equal: func(a, b bool) bool { return a == b },
 	}
 	in := solve(g, spec)
 
-	eachNodeFact(g, spec, in, func(seen bool, n ast.Node) {
-		if seen == r.must {
+	eachNodeFact(g, spec, in, func(flushed bool, n ast.Node) {
+		if flushed {
 			return
 		}
-		// A deferred target is still checked, at the defer's position: it
+		// A deferred send is still checked, at the defer's position: it
 		// runs at exit, so what holds at the defer statement is the
 		// conservative requirement.
 		inspectNode(n, func(sub ast.Node) bool {
 			call, ok := sub.(*ast.CallExpr)
-			if !ok || !r.target(pkg, call) {
+			if !ok || !isEmitCall(pkg, call) {
 				return true
 			}
-			name := r.unnamed
+			name := "Send"
 			if fn := calleeFunc(pkg.Info, call); fn != nil {
 				name = fn.Name()
 			}
-			ctx.report(pkg, call.Pos(), r.message, name, r.explain(ctx.Fset, pkg, g, in, call))
+			ctx.report(pkg, call.Pos(), "%s reachable without a flush%s: flush-before-send pessimism (paper §3.1) requires a flush on every path, or //mspr:flushed-by <func>",
+				name, unflushedPath(ctx.Fset, g, in, call))
 			return true
 		})
 	})
 }
 
-// explain renders the witness of a finding at call, "" when the walk
-// finds nothing nameable. A must rule names the shortest path from the
-// entry to the target through blocks the solve left unmarked, by the
-// first line of each; a may rule names the marker nearest before the
-// target — earlier in its own block, else in the first predecessor a
-// backward walk reaches.
-func (r *orderRule) explain(fset *token.FileSet, pkg *Package, g *cfg, in map[*cfgBlock]bool, call *ast.CallExpr) string {
-	target, idx := blockOf(g, call)
+// unflushedPath renders the witness of a finding at call: the shortest
+// path from the entry to the send through blocks the solve left
+// unflushed, by the first line of each; "" when the walk finds nothing
+// nameable.
+func unflushedPath(fset *token.FileSet, g *cfg, in map[*cfgBlock]bool, call *ast.CallExpr) string {
+	target := blockOf(g, call)
 	if target == nil {
 		return ""
 	}
-	line := func(n ast.Node) string { return fmt.Sprint(fset.Position(n.Pos()).Line) }
-	if !r.must {
-		lastMarker := func(nodes []ast.Node) *ast.CallExpr {
-			var last *ast.CallExpr
-			for _, n := range nodes {
-				inspectNode(n, func(sub ast.Node) bool {
-					if c, ok := sub.(*ast.CallExpr); ok && r.marker(pkg, c) {
-						last = c
-					}
-					return true
-				})
-			}
-			return last
-		}
-		m := lastMarker(target.nodes[:idx])
-		if m == nil {
-			reachable := func(b *cfgBlock) bool { _, ok := in[b]; return ok }
-			if found, _ := search(g, target, false, reachable, func(b *cfgBlock) bool { return lastMarker(b.nodes) != nil }); found != nil {
-				m = lastMarker(found.nodes)
-			}
-		}
-		if m == nil {
-			return ""
-		}
-		return fmt.Sprintf(r.witness, line(m))
-	}
-
+	// Breadth-first from the entry through unflushed blocks: each block's
+	// BFS parent leads back from the target along a shortest such path.
 	entry := g.entry()
-	unmarked := func(b *cfgBlock) bool { seen, ok := in[b]; return ok && !seen }
-	if found, prev := search(g, entry, true, unmarked, func(b *cfgBlock) bool { return b == target }); found != nil || target == entry {
-		var lines []string
-		for blk := target; blk != nil; blk = prev[blk] {
-			if len(blk.nodes) > 0 && (len(lines) == 0 || lines[0] != line(blk.nodes[0])) {
-				lines = append([]string{line(blk.nodes[0])}, lines...)
+	prev := make(map[*cfgBlock]*cfgBlock)
+	seen := map[*cfgBlock]bool{entry: true}
+	for queue := []*cfgBlock{entry}; len(queue) > 0; queue = queue[1:] {
+		for _, e := range queue[0].succs {
+			if flushed, ok := in[e.to]; ok && !flushed && !seen[e.to] {
+				seen[e.to], prev[e.to] = true, queue[0]
+				queue = append(queue, e.to)
 			}
 		}
-		if len(lines) > 0 {
-			return fmt.Sprintf(r.witness, strings.Join(lines, " -> "))
+	}
+	if !seen[target] {
+		return ""
+	}
+	line := func(n ast.Node) string { return fmt.Sprint(fset.Position(n.Pos()).Line) }
+	var lines []string
+	for blk := target; blk != nil; blk = prev[blk] {
+		if len(blk.nodes) > 0 && (len(lines) == 0 || lines[0] != line(blk.nodes[0])) {
+			lines = append([]string{line(blk.nodes[0])}, lines...)
 		}
 	}
-	return ""
+	if len(lines) == 0 {
+		return ""
+	}
+	return fmt.Sprintf(" (unflushed path: line %s)", strings.Join(lines, " -> "))
 }
 
-// blockOf finds the block holding node, and the index of the block node
-// that contains it.
-func blockOf(g *cfg, node ast.Node) (*cfgBlock, int) {
+// blockOf finds the block holding node.
+func blockOf(g *cfg, node ast.Node) *cfgBlock {
 	for _, blk := range g.blocks {
-		for i, n := range blk.nodes {
+		for _, n := range blk.nodes {
 			found := false
 			inspectNode(n, func(sub ast.Node) bool {
 				found = found || sub == node
 				return !found
 			})
 			if found {
-				return blk, i
+				return blk
 			}
 		}
 	}
-	return nil, -1
-}
-
-// search walks g breadth-first from start, along successor edges or
-// backward along predecessor edges, entering only blocks pass admits,
-// and stops at the first block hit accepts. It returns that block (nil
-// if none) and each entered block's BFS parent.
-func search(g *cfg, start *cfgBlock, forward bool, pass, hit func(*cfgBlock) bool) (*cfgBlock, map[*cfgBlock]*cfgBlock) {
-	next := make(map[*cfgBlock][]*cfgBlock)
-	for _, blk := range g.blocks {
-		for _, e := range blk.succs {
-			if forward {
-				next[blk] = append(next[blk], e.to)
-			} else {
-				next[e.to] = append(next[e.to], blk)
-			}
-		}
-	}
-	prev := make(map[*cfgBlock]*cfgBlock)
-	seen := map[*cfgBlock]bool{start: true}
-	for queue := []*cfgBlock{start}; len(queue) > 0; queue = queue[1:] {
-		for _, nb := range next[queue[0]] {
-			if seen[nb] || !pass(nb) {
-				continue
-			}
-			seen[nb], prev[nb] = true, queue[0]
-			if hit(nb) {
-				return nb, prev
-			}
-			queue = append(queue, nb)
-		}
-	}
-	return nil, prev
+	return nil
 }
 
 // lexicallyDominated is PR 3's check, kept as the reference the

@@ -181,9 +181,9 @@ type OverloadCounters struct {
 	// rising count under load is the priority-starvation signal the chaos
 	// gate watches for.
 	PriorityOverflow Counter
-	// ShedExpired counts requests shed because their propagated deadline
-	// had already passed — at admission or at the pre-append check —
-	// before any durable effect was taken on their behalf.
+	// ShedExpired counts requests shed at admission because their
+	// propagated deadline had already passed on arrival, before any
+	// durable effect was taken on their behalf.
 	ShedExpired Counter
 	// BreakerOpens counts closed→open (and half-open→open) transitions of
 	// client-side circuit breakers, the ones calls consult through

@@ -103,11 +103,12 @@ type Request struct {
 	SID dv.StateID
 	// Deadline, when non-zero, is the instant on the simtime clock after
 	// which the client no longer wants the result. The server checks it
-	// twice — at admission and again immediately before the receive log
-	// append — and sheds expired work with StatusOverloaded *before* any
-	// durable effect, so an expired request never owns a logged execution.
-	// It is a scaled instant, not model time: every model latency the
-	// request would pay is realized as a scaled wait.
+	// once, at admission, and sheds a request already expired on arrival
+	// with StatusOverloaded before any durable effect. A request that
+	// expires later, in the queue, still executes and is logged; its
+	// resend is answered from the reply buffer. It is a scaled instant,
+	// not model time: every model latency the request would pay is
+	// realized as a scaled wait.
 	Deadline time.Time
 }
 
