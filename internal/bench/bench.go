@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"mspr/internal/core"
 	"mspr/internal/metrics"
 	"mspr/internal/simdisk"
 	"mspr/internal/simtime"
@@ -117,39 +116,6 @@ func runOne(o Options, c config) (RunStats, error) {
 		LogBytesPerOp: float64((sys.disk1.Stats().SectorsOut+sys.disk2.Stats().SectorsOut)*simdisk.SectorSize) /
 			float64(series.Count()),
 	}, nil
-}
-
-// callBound is the wall-clock bound on one end-client call of a run. A
-// healthy call returns within model milliseconds; one unanswered after
-// 30 s is stuck — its client resending to a server that never answers —
-// and fails the run, naming its session and sequence number, instead of
-// hanging it.
-const callBound = 30 * time.Second
-
-// boundedCall is cs.Call(method, arg) for the call with sequence number
-// seq, failed once callBound passes without a reply. The stuck call
-// itself ends when the run closes its client, which every run defers.
-func boundedCall(cs *core.ClientSession, seq int, method string, arg []byte) ([]byte, error) {
-	type result struct {
-		out []byte
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		out, err := cs.Call(method, arg)
-		done <- result{out, err}
-	}()
-	timer := simtime.NewTimer(callBound)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		if r.err != nil {
-			return nil, fmt.Errorf("bench: session %s seq %d: %w", cs.ID(), seq, r.err)
-		}
-		return r.out, nil
-	case <-timer.C:
-		return nil, fmt.Errorf("bench: session %s seq %d: %s unanswered after %v", cs.ID(), seq, method, callBound)
-	}
 }
 
 // AllModes lists the five configurations in the paper's Fig. 14 order.

@@ -72,7 +72,7 @@ func runChain(o Options, depth int) (AblationDomainSizeResult, error) {
 	var series metrics.Series
 	for i := 0; i < o.Requests; i++ {
 		start := simtime.Now()
-		if _, err := boundedCall(cs, i+1, "relay", nil); err != nil {
+		if _, err := chaos.BoundedCall(cs, i+1, "relay", nil); err != nil {
 			return AblationDomainSizeResult{}, err
 		}
 		series.Record(simtime.Since(start))

@@ -139,7 +139,7 @@ func loadAndRecover(o Options, sessions, requestsPer int, work time.Duration, se
 		probes[i] = client.Session("rec-msp")
 		go func(cs *core.ClientSession) {
 			for j := 0; j < requestsPer; j++ {
-				if _, err := boundedCall(cs, j+1, "step", nil); err != nil {
+				if _, err := chaos.BoundedCall(cs, j+1, "step", nil); err != nil {
 					errc <- err
 					return
 				}
@@ -165,7 +165,7 @@ func loadAndRecover(o Options, sessions, requestsPer int, work time.Duration, se
 	rec.analysis = msp.Restarts.Max() // the one restart's crash-to-ready time
 	rec.streamed, rec.synced, rec.records = w.ScanBlocksStreamed.Load()-streamed, w.ScanBlocksSync.Load()-synced, w.ScanRecords.Load()-records
 	srv := msp.Current()
-	if _, err := boundedCall(probes[len(probes)/2], requestsPer+1, "step", nil); err != nil {
+	if _, err := chaos.BoundedCall(probes[len(probes)/2], requestsPer+1, "step", nil); err != nil {
 		return rec, err
 	}
 	rec.ttfr = srv.TimeToFirstReply()

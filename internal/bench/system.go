@@ -284,7 +284,7 @@ func (s *system) do(cs *core.ClientSession, seq int) ([]byte, time.Duration, err
 		s.crashArmed.Store(true)
 	}
 	start := simtime.Now()
-	out, err := boundedCall(cs, seq, "method1", pad(uint64(n), requestSize))
+	out, err := chaos.BoundedCall(cs, seq, "method1", pad(uint64(n), requestSize))
 	return out, simtime.Since(start), err
 }
 

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mspr/internal/core"
 	"mspr/internal/simtime"
 )
 
@@ -333,6 +334,40 @@ func Run(w Workload, faults []Fault, o Options) Report {
 	rep.Errors = errs
 	rep.Elapsed = simtime.Since(start)
 	return rep
+}
+
+// CallBound is the wall-clock bound on one end-client call that no
+// watchdog covers: a storm's final check and audit, which run after Run's
+// watchdog has stopped, and every call of internal/bench's runs. A healthy
+// call returns within model milliseconds; one unanswered after 30 s is
+// stuck — its client resending to a server that never answers.
+const CallBound = 30 * time.Second
+
+// BoundedCall is cs.Call(method, arg) for the call with sequence number
+// seq, failed once CallBound passes without a reply, naming the session
+// and sequence number instead of hanging its caller. The stuck call
+// itself ends when its client is closed.
+func BoundedCall(cs *core.ClientSession, seq int, method string, arg []byte) ([]byte, error) {
+	type result struct {
+		out []byte
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, err := cs.Call(method, arg)
+		done <- result{out, err}
+	}()
+	timer := simtime.NewTimer(CallBound)
+	defer timer.Stop()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			return nil, fmt.Errorf("session %s seq %d: %w", cs.ID(), seq, r.err)
+		}
+		return r.out, nil
+	case <-timer.C:
+		return nil, fmt.Errorf("session %s seq %d: %s unanswered after %v", cs.ID(), seq, method, CallBound)
+	}
 }
 
 // stuckActors lists the actors that have not finished and how far each

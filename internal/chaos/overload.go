@@ -234,7 +234,7 @@ func RunOverload(c OverloadSpec) (*OverloadReport, error) {
 	defer auditClient.Close()
 	audit := auditClient.Session("msp")
 	for k := 0; k < c.Keys; k++ {
-		v, err := audit.Call("get", U64(uint64(k)))
+		v, err := BoundedCall(audit, k+1, "get", U64(uint64(k)))
 		if err != nil {
 			rep.Failures = append(rep.Failures, fmt.Sprintf("audit read %s: %v", KeyName(k), err))
 			break

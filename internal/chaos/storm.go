@@ -262,10 +262,10 @@ func (st *Storm) workload() Workload {
 			want := uint64(st.Spec.Actors*st.Spec.Ops) + 1
 			sess := st.client.Session(entry)
 			declare(sess.ID(), 1)
-			if _, err := sess.Call(method, nil); err != nil {
+			if _, err := BoundedCall(sess, 1, method, nil); err != nil {
 				return err
 			}
-			tot, err := st.client.Session(st.Back.Name).Call("total", nil)
+			tot, err := BoundedCall(st.client.Session(st.Back.Name), 1, "total", nil)
 			if err != nil {
 				return err
 			}

@@ -377,11 +377,16 @@ func TestRestartedReplayReusesRetainedRecords(t *testing.T) {
 	srv1.halt()
 	close(hold)
 	srv1.Crash()
-	srv2 = e.restart("msp2")
-
 	// msp1 restarts cut off from msp2, so it starts replaying without
 	// knowing that msp2's epoch 1 lost the state request 2's reply carried.
-	e.net.Partition([]simnet.Addr{"msp1"}, []simnet.Addr{"msp2"})
+	// The partition goes up before msp2 restarts: simnet applies it when a
+	// message is sent, so neither msp2's recovery broadcast nor its
+	// re-announce can reach msp1's next incarnation. The client is cut off
+	// from msp1 until the checks below have read their baselines: its
+	// resend of request 2 starts the replay, whose hook tells msp1.
+	e.net.Partition([]simnet.Addr{"msp1"}, []simnet.Addr{"msp2", "client"})
+	srv2 = e.restart("msp2")
+
 	seq2Runs.Store(0)
 	mode.Store(hookLearn)
 	srv1 = e.start("msp1", def1)
@@ -390,6 +395,7 @@ func TestRestartedReplayReusesRetainedRecords(t *testing.T) {
 	}
 	before := e.disks["msp1"].Stats().Reads
 	eos := metrics.Recovery.EOSWritten.Load()
+	e.net.Partition([]simnet.Addr{"msp1", "client"}, []simnet.Addr{"msp2"})
 
 	out := <-done // the client's resend claims the session
 	if got := asU64(out); got != 2 {

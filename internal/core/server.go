@@ -422,7 +422,7 @@ func (s *Server) halt() {
 	s.ep.SetDown(true)
 	close(s.stop)
 	if s.log != nil {
-		s.log.Close() //mspr:walerr halt models a crash: the buffered log tail is meant to be lost
+		s.log.Close() // a crash: the buffered log tail is meant to be lost
 	}
 }
 

@@ -242,7 +242,7 @@ func (se *Session) vecSnapshot() dv.Vector {
 func (se *Session) vecLocked() dv.Vector {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	return se.vec //mspr:dvalias documented borrow: callers read it immediately and must not retain or mutate
+	return se.vec
 }
 
 // vecWithSelf returns the session's DV extended with the self-dependency

@@ -1,11 +1,13 @@
 // Package invariants is a zero-dependency static analysis framework
 // that turns the paper's recovery-correctness rules into compile-time
 // checks. Each Analyzer encodes one protocol invariant the Go compiler
-// cannot see — pessimistic flush-before-send at domain boundaries,
-// no aliasing of dependency vectors, no wall-clock reads outside the
-// simulated time plane, no dropped errors from the durability layer,
-// the mutex lattice and guarded fields. The cmd/mspr-vet command loads
-// ./... and runs the suite; CI gates on a clean run.
+// cannot see — pessimistic flush-before-send at domain boundaries, no
+// wall-clock reads outside the simulated time plane, the mutex lattice
+// and guarded fields. The cmd/mspr-vet command loads ./... and runs the
+// suite; CI gates on a clean run. Two rules are held by tests instead:
+// a dropped durability error, by fault-injection tests of the callers
+// that must stop on it, and an aliased dependency vector, by tests that
+// make one unit's vector gain a dependency another unit must not see.
 //
 // The path-sensitive rules run on one dataflow solver over each
 // function's CFG (dataflow.go): flushed-by solves "a flush has run" on
@@ -19,8 +21,6 @@
 //	//mspr:flushed-by <func>        name the wrapper that performs the
 //	                                dominating flush (or "none <reason>"
 //	                                for messages carrying no state)
-//	//mspr:dvalias <reason>         exempt a vector alias
-//	//mspr:walerr <reason>          exempt a dropped durability error
 //	//mspr:lockorder <reason>       exempt a lock-ordering site
 //	//mspr:guardedby <reason>       exempt an unguarded field access
 //
@@ -72,8 +72,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Wallclock,
 		FlushBeforeSend,
-		DVAlias,
-		WALErr,
 		LockOrder,
 		GuardedBy,
 	}
@@ -197,8 +195,6 @@ type Directive struct {
 var knownVerbs = map[string]bool{
 	"wallclock":  true,
 	"flushed-by": true,
-	"dvalias":    true,
-	"walerr":     true,
 	"lockorder":  true,
 	"guardedby":  true,
 	"guarded-by": true,

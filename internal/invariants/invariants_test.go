@@ -86,8 +86,6 @@ func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 
 func TestWallclockFixture(t *testing.T)       { runFixture(t, "wallclock", Wallclock) }
 func TestFlushBeforeSendFixture(t *testing.T) { runFixture(t, "flushsend", FlushBeforeSend) }
-func TestDVAliasFixture(t *testing.T)         { runFixture(t, "dvalias", DVAlias) }
-func TestWALErrFixture(t *testing.T)          { runFixture(t, "walerr", WALErr) }
 func TestLockOrderFixture(t *testing.T)       { runFixture(t, "lockorder", LockOrder) }
 func TestGuardedByFixture(t *testing.T)       { runFixture(t, "guardedby", GuardedBy) }
 
@@ -184,8 +182,6 @@ func TestFindingsGolden(t *testing.T) {
 var fixtureFor = map[string]string{
 	"wallclock":  "wallclock",
 	"flushed-by": "flushsend",
-	"dvalias":    "dvalias",
-	"walerr":     "walerr",
 	"lockorder":  "lockorder",
 	"guardedby":  "guardedby",
 }
@@ -339,9 +335,9 @@ func TestByName(t *testing.T) {
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("ByName(\"\") = %d analyzers, err %v", len(all), err)
 	}
-	two, err := ByName("wallclock, walerr")
+	two, err := ByName("wallclock, guardedby")
 	if err != nil || len(two) != 2 {
-		t.Fatalf("ByName(\"wallclock, walerr\") = %v, err %v", two, err)
+		t.Fatalf("ByName(\"wallclock, guardedby\") = %v, err %v", two, err)
 	}
 	if _, err := ByName("nonesuch"); err == nil {
 		t.Fatal("ByName(\"nonesuch\") did not fail")

@@ -2,8 +2,8 @@
 // missing arguments are findings in their own right.
 package fixture
 
-var ok = 0 //mspr:walerr a well-formed directive parses silently
+var ok = 0 //mspr:guardedby a well-formed directive parses silently
 
 var bad = 1 /* want "unknown //mspr: directive verb" */ //mspr:frobnicate whatever
 
-var empty = 2 /* want "needs an argument" */ //mspr:walerr
+var empty = 2 /* want "needs an argument" */ //mspr:guardedby

@@ -49,7 +49,7 @@ func Dump(disk *simdisk.Disk, name string, w io.Writer) (Summary, error) {
 	if err != nil {
 		return Summary{}, err
 	}
-	defer lg.Close() //mspr:walerr read-only dump handle: nothing was appended, close failure cannot lose data
+	defer lg.Close() // a read-only handle: nothing was appended, so a failed close loses nothing
 	sum := Summary{ByType: make(map[logrec.Type]int)}
 	var from wal.LSN
 	if a, ok, err := lg.ReadAnchor(); err == nil && ok {

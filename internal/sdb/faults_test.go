@@ -3,10 +3,12 @@ package sdb
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"mspr/internal/failpoint"
 	"mspr/internal/simdisk"
+	"mspr/internal/wal"
 )
 
 // A commit that crashes after its journal write is durable: the next
@@ -95,5 +97,90 @@ func TestTornJournalWriteLosesOnlyThatCommit(t *testing.T) {
 	}
 	if _, ok := s2.Get("b"); ok {
 		t.Fatal("torn transaction resurrected")
+	}
+}
+
+// commitUntilFired commits one write of key after another, value(i) for
+// the i-th, until the armed failpoint fires, and returns the error of
+// the commit during which it fired: the compaction that commit triggered
+// is what the fault hit. Every commit before it must succeed.
+func commitUntilFired(t *testing.T, s *Store, fp *failpoint.Registry, point string, value func(i int) []byte) error {
+	t.Helper()
+	for i := 0; i < 50; i++ {
+		tx := s.Begin(true)
+		tx.Put("hot", value(i))
+		err := tx.Commit()
+		if fp.Hits(point) > 0 {
+			return err
+		}
+		if err != nil {
+			t.Fatalf("commit %d before %s fired: %v", i, point, err)
+		}
+	}
+	t.Fatalf("%s never fired in 50 commits", point)
+	return nil
+}
+
+// A snapshot whose anchor write is torn fails the commit that compacted,
+// which wedges the store; the next incarnation replays from the previous
+// snapshot, so the commit itself, durable before the snapshot, is kept.
+// The tear hits the second snapshot's anchor: the first one's slot is
+// what the anchor falls back to.
+func TestSnapshotAnchorCrashWedgesStore(t *testing.T) {
+	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
+	fp := failpoint.New(23)
+	disk.SetFailpoints(fp)
+	s, err := Open(disk, "db")
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	s.compactAt = 256
+	fp.Enable(wal.FPAnchorCrash, failpoint.SkipFirst(1))
+	var last []byte
+	err = commitUntilFired(t, s, fp, wal.FPAnchorCrash, func(i int) []byte {
+		last = []byte(fmt.Sprintf("v%d", i))
+		return last
+	})
+	if !failpoint.IsInjected(err) || !s.Wedged() {
+		t.Fatalf("commit whose snapshot anchor was torn = %v, wedged %v; want the injected crash and a wedged store", err, s.Wedged())
+	}
+	s2, err := Open(disk, "db")
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if v, ok := s2.Get("hot"); !ok || !bytes.Equal(v, last) {
+		t.Fatalf("after reopen hot = %q ok=%v, want %q", v, ok, last)
+	}
+}
+
+// A compaction that crashes between segment deletions fails the commit
+// that compacted and wedges the store; the next incarnation, whose anchor
+// already points at the snapshot, keeps every commit.
+func TestSnapshotTruncateCrashWedgesStore(t *testing.T) {
+	disk := simdisk.NewDisk(simdisk.DefaultModel(0))
+	fp := failpoint.New(24)
+	disk.SetFailpoints(fp)
+	s, err := Open(disk, "db")
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	fp.Enable(wal.FPTruncateCrash)
+	// Half a compaction's growth a commit, so a segment fills in a few
+	// compactions and the next one truncates it.
+	big := bytes.Repeat([]byte("x"), compactAt/2)
+	var last []byte
+	err = commitUntilFired(t, s, fp, wal.FPTruncateCrash, func(i int) []byte {
+		last = append([]byte(fmt.Sprintf("v%d", i)), big...)
+		return last
+	})
+	if !failpoint.IsInjected(err) || !s.Wedged() {
+		t.Fatalf("commit whose compaction crashed mid-truncation = %v, wedged %v; want the injected crash and a wedged store", err, s.Wedged())
+	}
+	s2, err := Open(disk, "db")
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if v, ok := s2.Get("hot"); !ok || !bytes.Equal(v, last) {
+		t.Fatalf("after reopen hot is %d bytes ok=%v, want the last commit's %d", len(v), ok, len(last))
 	}
 }

@@ -233,7 +233,7 @@ func (s *anchorStore) writeSlot(a Anchor, seq uint64) error {
 		if hit.Arg > 0 && hit.Arg < int64(used) {
 			keep = int(hit.Arg)
 		}
-		s.file.WriteAt(buf[:keep], off) //mspr:walerr deliberately torn injected write; ErrInjected is returned below regardless
+		s.file.WriteAt(buf[:keep], off) // its own error is moot: ErrInjected is returned below regardless
 		s.file.Disk().ChargeWrite(1, 0)
 		return fmt.Errorf("wal: anchor write of %q torn at %d bytes: %w", s.file.Name(), keep, failpoint.ErrInjected)
 	}

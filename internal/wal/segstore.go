@@ -341,9 +341,10 @@ func (s *segStore) readBlock(seg segment, off, n int64) (buf []byte, wait func()
 }
 
 // truncateTail cuts seg's file at logical offset lsn; the gap up to the
-// next sector boundary then reads as zeros, i.e. padding.
+// next sector boundary then reads as zeros, i.e. padding. It is a
+// best-effort repair: a failed truncate leaves the torn tail for the next
+// scan to re-detect.
 func (s *segStore) truncateTail(seg segment, lsn int64) {
-	//mspr:walerr best-effort repair: a failed truncate leaves the torn tail for the next scan to re-detect
 	seg.file.Truncate(seg.fileOff(lsn))
 }
 
